@@ -524,15 +524,15 @@ let ckpt_sweep () =
    Two scenarios at --ranks ranks (default 1024) over the --topology
    network model (default fattree): a fault-free allreduce checked
    against the closed-form sum, and a crash mid-allreduce recovered by
-   [Coll.resilient_allreduce_f64].  Both run twice and must replay
+   [Coll.resilient_allreduce_f64].  The fault-free allreduce also runs
+   at 4096 ranks.  Every scenario runs twice and must replay
    bit-identically — virtual time, event counts, congestion counters
    and every rank's outcome. *)
 
 let scale_ranks = ref 1024
 let scale_topology = ref "fattree"
 
-let scale_allreduce_once () =
-  let n = !scale_ranks in
+let scale_allreduce_once n =
   let topology = Topology.of_string !scale_topology ~nranks:n in
   let w = Mpi.create_world ~topology ~size:n () in
   let checksum = ref 0. in
@@ -575,17 +575,21 @@ let scale_crash_once ~plan =
 
 let scale_sweep () =
   let n = !scale_ranks in
-  scenario "scale:allreduce" (fun () ->
-      let r1 = scale_allreduce_once () in
-      let expected = Printf.sprintf "sum=%.0f" (float_of_int (n * (n - 1) / 2)) in
-      if String.length r1 < String.length expected
-         || String.sub r1 0 (String.length expected) <> expected
-      then failf "scale allreduce: got %s, expected %s..." r1 expected;
-      let r2 = scale_allreduce_once () in
-      if r1 <> r2 then
-        failf "scale allreduce: replay diverged:\n  %s\n  %s" r1 r2;
-      Printf.printf "scale allreduce %d ranks over %s: %s\n" n !scale_topology
-        r1);
+  let allreduce name n =
+    scenario name (fun () ->
+        let r1 = scale_allreduce_once n in
+        let expected = Printf.sprintf "sum=%.0f" (float_of_int (n * (n - 1) / 2)) in
+        if String.length r1 < String.length expected
+           || String.sub r1 0 (String.length expected) <> expected
+        then failf "scale allreduce: got %s, expected %s..." r1 expected;
+        let r2 = scale_allreduce_once n in
+        if r1 <> r2 then
+          failf "scale allreduce: replay diverged:\n  %s\n  %s" r1 r2;
+        Printf.printf "scale allreduce %d ranks over %s: %s\n" n
+          !scale_topology r1)
+  in
+  allreduce "scale:allreduce" n;
+  if n <> 4096 then allreduce "scale:allreduce-4k" 4096;
   scenario "scale:crash" (fun () ->
       let crash_rank = 3 in
       let plan =

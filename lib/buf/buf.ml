@@ -22,10 +22,13 @@ let sub t ~pos ~len =
 
 let is_empty t = t.len = 0
 
-let check t i n =
-  if i < 0 || i + n > t.len then
-    invalid_arg
-      (Printf.sprintf "Buf: offset %d (+%d) out of range (len %d)" i n t.len)
+let out_of_range t i n =
+  invalid_arg
+    (Printf.sprintf "Buf: offset %d (+%d) out of range (len %d)" i n t.len)
+
+(* [i > t.len - n] rather than [i + n > t.len]: the sum overflows for
+   offsets near [max_int] and would pass the check. *)
+let check t i n = if i < 0 || i > t.len - n then out_of_range t i n
 
 let get t i =
   check t i 1;
@@ -38,44 +41,34 @@ let set t i c =
 let get_u8 t i = Char.code (get t i)
 let set_u8 t i v = set t i (Char.chr (v land 0xff))
 
+(* Word-sized loads and stores: the compiler turns these into single
+   unaligned host-order memory accesses.  Bounds are checked by [check]
+   first; the stored layout is little-endian on every host, so
+   big-endian hosts swap bytes. *)
+external unsafe_get32 : bigstring -> int -> int32 = "%caml_bigstring_get32u"
+external unsafe_set32 : bigstring -> int -> int32 -> unit = "%caml_bigstring_set32u"
+external unsafe_get64 : bigstring -> int -> int64 = "%caml_bigstring_get64u"
+external unsafe_set64 : bigstring -> int -> int64 -> unit = "%caml_bigstring_set64u"
+external bswap32 : int32 -> int32 = "%bswap_int32"
+external bswap64 : int64 -> int64 = "%bswap_int64"
+
 let get_i32 t i =
   check t i 4;
-  let b k = Int32.of_int (Char.code (Bigarray.Array1.unsafe_get t.base (t.off + i + k))) in
-  let ( ||| ) = Int32.logor and ( <<< ) = Int32.shift_left in
-  b 0 ||| (b 1 <<< 8) ||| (b 2 <<< 16) ||| (b 3 <<< 24)
+  let v = unsafe_get32 t.base (t.off + i) in
+  if Sys.big_endian then bswap32 v else v
 
 let set_i32 t i v =
   check t i 4;
-  let put k x =
-    Bigarray.Array1.unsafe_set t.base (t.off + i + k)
-      (Char.unsafe_chr (Int32.to_int x land 0xff))
-  in
-  put 0 v;
-  put 1 (Int32.shift_right_logical v 8);
-  put 2 (Int32.shift_right_logical v 16);
-  put 3 (Int32.shift_right_logical v 24)
+  unsafe_set32 t.base (t.off + i) (if Sys.big_endian then bswap32 v else v)
 
 let get_i64 t i =
   check t i 8;
-  let b k = Int64.of_int (Char.code (Bigarray.Array1.unsafe_get t.base (t.off + i + k))) in
-  let ( ||| ) = Int64.logor and ( <<< ) = Int64.shift_left in
-  b 0 ||| (b 1 <<< 8) ||| (b 2 <<< 16) ||| (b 3 <<< 24)
-  ||| (b 4 <<< 32) ||| (b 5 <<< 40) ||| (b 6 <<< 48) ||| (b 7 <<< 56)
+  let v = unsafe_get64 t.base (t.off + i) in
+  if Sys.big_endian then bswap64 v else v
 
 let set_i64 t i v =
   check t i 8;
-  let put k x =
-    Bigarray.Array1.unsafe_set t.base (t.off + i + k)
-      (Char.unsafe_chr (Int64.to_int x land 0xff))
-  in
-  put 0 v;
-  put 1 (Int64.shift_right_logical v 8);
-  put 2 (Int64.shift_right_logical v 16);
-  put 3 (Int64.shift_right_logical v 24);
-  put 4 (Int64.shift_right_logical v 32);
-  put 5 (Int64.shift_right_logical v 40);
-  put 6 (Int64.shift_right_logical v 48);
-  put 7 (Int64.shift_right_logical v 56)
+  unsafe_set64 t.base (t.off + i) (if Sys.big_endian then bswap64 v else v)
 
 let get_f64 t i = Int64.float_of_bits (get_i64 t i)
 let set_f64 t i v = set_i64 t i (Int64.bits_of_float v)

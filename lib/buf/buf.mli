@@ -35,9 +35,11 @@ val set_u8 : t -> int -> int -> unit
 
 (** {1 Little-endian scalar access}
 
-    Multibyte accessors use little-endian order, matching the x86-64
-    testbed of the paper.  Offsets are in bytes and need not be
-    aligned. *)
+    Multibyte accessors use little-endian order on every host, matching
+    the x86-64 testbed of the paper.  Each is one word-sized load or
+    store after the bounds check.  Offsets are in bytes and need not be
+    aligned.
+    @raise Invalid_argument if the scalar does not fit in the view. *)
 
 val get_i32 : t -> int -> int32
 val set_i32 : t -> int -> int32 -> unit

@@ -152,12 +152,19 @@ type agree_slot = {
   mutable s_waiters : int Engine.resumer list;
 }
 
+(* A rank's registered operations with their count kept alongside, so
+   the prune check on every post is O(1). *)
+type olist = { mutable ops : oentry list; mutable n_ops : int }
+
 type world = {
   engine : Engine.t;
   config : Config.t;
   stats : Stats.t;
   ucx : Ucx.context;
   workers : Ucx.worker array;
+  world_group : int array;
+      (* the identity group of the world communicator, shared by every
+         rank's handle (never mutated) *)
   eps : (int * int, Ucx.endpoint) Hashtbl.t;
       (* (src, dst) -> endpoint, created on first use: a dense N^2
          array is prohibitive at thousands of ranks, and most pairs
@@ -169,7 +176,7 @@ type world = {
   errh : (int, errhandler) Hashtbl.t;  (* cid -> handler; absent = raise *)
   last_errors : (int * int, error) Hashtbl.t;  (* (cid, comm rank) -> error *)
   (* --- resilience state (all empty on a healthy run) --- *)
-  outstanding : (int, oentry list ref) Hashtbl.t;
+  outstanding : (int, olist) Hashtbl.t;
       (* world rank -> its pending operations, for cancellation *)
   revoked : (int, float) Hashtbl.t;  (* cid -> first revoke time *)
   revoked_seen : (int * int, float) Hashtbl.t;
@@ -200,35 +207,38 @@ let alloc_cid w =
   w.next_cid <- cid + 1;
   cid
 
+let prune_completed ol =
+  ol.ops <- List.filter (fun e -> not (Ucx.is_completed e.oe_req)) ol.ops;
+  ol.n_ops <- List.length ol.ops
+
 (* Cancel [owner]'s live registered operations matching [pred],
    completing each with [err].  Completed entries are pruned. *)
 let cancel_outstanding w ~owner ~pred err =
   match Hashtbl.find_opt w.outstanding owner with
   | None -> ()
-  | Some lr ->
-      let live = List.filter (fun e -> not (Ucx.is_completed e.oe_req)) !lr in
-      lr := live;
+  | Some ol ->
+      prune_completed ol;
       List.iter
         (fun e ->
           if pred e then
             ignore (Ucx.try_cancel w.ucx e.oe_req ~tag:e.oe_tag err))
-        live
+        ol.ops
 
 let register_outstanding w (e : oentry) =
   if Ucx.is_completed e.oe_req then ()
   else begin
-    let lr =
+    let ol =
       match Hashtbl.find_opt w.outstanding e.oe_rank with
-      | Some lr -> lr
+      | Some ol -> ol
       | None ->
-          let lr = ref [] in
-          Hashtbl.add w.outstanding e.oe_rank lr;
-          lr
+          let ol = { ops = []; n_ops = 0 } in
+          Hashtbl.add w.outstanding e.oe_rank ol;
+          ol
     in
     (* bound the list: drop completed entries once it grows *)
-    if List.length !lr > 64 then
-      lr := List.filter (fun e -> not (Ucx.is_completed e.oe_req)) !lr;
-    lr := e :: !lr
+    if ol.n_ops > 64 then prune_completed ol;
+    ol.ops <- e :: ol.ops;
+    ol.n_ops <- ol.n_ops + 1
   end
 
 (* Complete an agreement slot if every group member has contributed or
@@ -318,6 +328,7 @@ let create_world ?(config = Config.default) ?topology ~size () =
       stats;
       ucx;
       workers;
+      world_group = Array.init size Fun.id;
       eps;
       shuffle = None;
       next_cid = 1;
@@ -369,7 +380,7 @@ let comm_for_rank w r =
   {
     w;
     c_rank = r;
-    group = Array.init (world_size w) Fun.id;
+    group = w.world_group;
     cid = 0;
     bar_seq = 0;
     agree_seq = 0;
@@ -763,11 +774,15 @@ let lower_error : error -> Ucx.error = function
   | Revoked -> Ucx.Revoked
 
 (* Statuses report communicator-relative source ranks: translate the
-   world rank in the wire tag back through the group. *)
+   world rank in the wire tag back through the group.  The world group
+   is the identity, so only derived communicators search. *)
 let comm_source c world_rank =
   let n = Array.length c.group in
-  let rec find i = if i >= n then -1 else if c.group.(i) = world_rank then i else find (i + 1) in
-  find 0
+  if c.group == c.w.world_group then
+    if world_rank >= 0 && world_rank < n then world_rank else -1
+  else
+    let rec find i = if i >= n then -1 else if c.group.(i) = world_rank then i else find (i + 1) in
+    find 0
 
 let decode_status c (st : Ucx.status) =
   { source = comm_source c (decode_source st.tag); tag = decode_utag st.tag; len = st.len }

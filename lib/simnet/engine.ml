@@ -1,12 +1,24 @@
 module Obs = Mpicd_obs.Obs
 module Metrics = Mpicd_obs.Metrics
 
+(* Fiber id -> name of every suspended fiber.  A table rather than a
+   list: a resume removes its fiber in O(1), where filtering a list of
+   all blocked fibers made each round of an N-rank collective O(N^2).
+   Ids are dense and positive, so the id is its own hash. *)
+module Itbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash id = id
+end)
+
 type t = {
   mutable clock : float;
   events : (unit -> unit) Evq.t;
   mutable seq : int;
+  mutable reuses_seen : int;  (* [Evq.reuses events] after the last push *)
   mutable live : int;
-  mutable suspended_names : (int * string) list;
+  suspended : string Itbl.t;
   mutable fiber_ids : int;
   mutable obs : Obs.t;
   mutable stats : Stats.t option;
@@ -30,8 +42,9 @@ let create () =
     clock = 0.;
     events = Evq.create ();
     seq = 0;
+    reuses_seen = 0;
     live = 0;
-    suspended_names = [];
+    suspended = Itbl.create 16;
     fiber_ids = 0;
     obs = Obs.null;
     stats = None;
@@ -68,19 +81,21 @@ let check_delay ~who delay =
 let schedule t ~delay f =
   check_delay ~who:"Engine.schedule" delay;
   t.seq <- t.seq + 1;
-  let reused_before = Evq.reuses t.events in
   Evq.push t.events ~time:(t.clock +. Float.max 0. delay) ~seq:t.seq f;
+  (* every push goes through here, so [reuses_seen] is the pool count
+     before this push: one read decides [reused] for both sinks *)
+  let reuses = Evq.reuses t.events in
+  let reused = reuses > t.reuses_seen in
+  t.reuses_seen <- reuses;
   (match t.stats with
   | None -> ()
   | Some s ->
-      Stats.record_event_scheduled s
-        ~reused:(Evq.reuses t.events > reused_before)
-        ~live:(Evq.size t.events));
+      Stats.record_event_scheduled s ~reused ~live:(Evq.size t.events));
   match t.metric_handles with
   | None -> ()
   | Some (c_sched, c_pool, g_live) ->
       Metrics.inc c_sched;
-      if Evq.reuses t.events > reused_before then Metrics.inc c_pool;
+      if reused then Metrics.inc c_pool;
       Metrics.set g_live (float_of_int (Evq.size t.events))
 
 let sleep t d =
@@ -91,12 +106,6 @@ let sleep t d =
   else if d < 0. then invalid_arg "Engine.sleep: negative duration";
   Effect.perform (Sleep (t, d))
 let suspend t register = Effect.perform (Suspend (t, register))
-
-let mark_suspended t id name =
-  t.suspended_names <- (id, name) :: t.suspended_names
-
-let mark_resumed t id =
-  t.suspended_names <- List.filter (fun (i, _) -> i <> id) t.suspended_names
 
 let exec_fiber t ~id ~name ~track f =
   let open Effect.Deep in
@@ -134,13 +143,13 @@ let exec_fiber t ~id ~name ~track f =
               Some
                 (fun (k : (a, unit) continuation) ->
                   let resumed = ref false in
-                  mark_suspended t id name;
+                  Itbl.add t.suspended id name;
                   fiber_instant "suspend";
                   let resume v =
                     if !resumed then
                       invalid_arg "Engine: resumer invoked twice";
                     resumed := true;
-                    mark_resumed t id;
+                    Itbl.remove t.suspended id;
                     fiber_instant "resume";
                     schedule t ~delay:0. (fun () -> continue k v)
                   in
@@ -166,7 +175,8 @@ let run t =
     if Evq.is_empty t.events then begin
       if t.live > 0 then begin
         let names =
-          t.suspended_names
+          Itbl.fold (fun id n acc -> (id, n) :: acc) t.suspended []
+          |> List.sort compare
           |> List.map (fun (id, n) -> Printf.sprintf "%s#%d" n id)
           |> String.concat ", "
         in

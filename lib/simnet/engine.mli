@@ -32,7 +32,8 @@ type t
 
 exception Deadlock of string
 (** Raised by {!run} when suspended fibers remain but no future event can
-    resume them. *)
+    resume them.  The message names every blocked fiber as [name#id],
+    in increasing fiber-id (spawn) order. *)
 
 val create : unit -> t
 

@@ -182,6 +182,105 @@ let prop_i64_any =
       Buf.set_i64 b 0 v;
       Buf.get_i64 b 0 = v)
 
+(* Word-sized scalar access against a byte-wise little-endian
+   reference, on [Buf.sub] views that start at odd offsets of their
+   base so the accesses are unaligned. *)
+
+(* (odd base offset, view length, offset inside the view) such that a
+   [width]-byte scalar fits at that offset *)
+let view_gen width =
+  QCheck.Gen.(
+    map3
+      (fun k slack pos -> ((2 * k) + 1, width + slack, pos mod (slack + 1)))
+      (0 -- 7) (0 -- 9) nat)
+
+let view (base_off, len, _) = Buf.sub (Buf.create 32) ~pos:base_off ~len
+
+(* the reference layout: byte [k] holds bits [8k .. 8k+7] *)
+let le_bytes width bits =
+  List.init width (fun k ->
+      Int64.to_int (Int64.logand (Int64.shift_right_logical bits (8 * k)) 0xffL))
+
+let prop_le_layout ~width ~name ~set ~get ~bits gen =
+  QCheck.Test.make
+    ~name:(Printf.sprintf "buf: %s little-endian on odd-offset views" name)
+    ~count:300
+    (QCheck.make QCheck.Gen.(pair (view_gen width) gen))
+    (fun (((_, _, pos) as v), x) ->
+      let want = le_bytes width (bits x) in
+      let b = view v in
+      set b pos x;
+      let stored = List.init width (fun k -> Buf.get_u8 b (pos + k)) = want in
+      (* and the reverse: bytes laid down one at a time read back *)
+      let b' = view v in
+      List.iteri (fun k byte -> Buf.set_u8 b' (pos + k) byte) want;
+      stored && bits (get b pos) = bits x && bits (get b' pos) = bits x)
+
+let bits32 v = Int64.logand (Int64.of_int32 v) 0xffffffffL
+
+let prop_i32_layout =
+  prop_le_layout ~width:4 ~name:"i32" ~set:Buf.set_i32 ~get:Buf.get_i32
+    ~bits:bits32 QCheck.Gen.int32
+
+let prop_i64_layout =
+  prop_le_layout ~width:8 ~name:"i64" ~set:Buf.set_i64 ~get:Buf.get_i64
+    ~bits:Fun.id QCheck.Gen.int64
+
+(* any 64-bit pattern, NaN payloads included, round-trips bit-exactly *)
+let prop_f64_layout =
+  prop_le_layout ~width:8 ~name:"f64" ~set:Buf.set_f64 ~get:Buf.get_f64
+    ~bits:Int64.bits_of_float
+    QCheck.Gen.(map Int64.float_of_bits int64)
+
+(* f32 values come from 32-bit patterns, so they are exactly
+   representable; NaNs are left out because widening a signalling NaN
+   to a double may quiet it *)
+let prop_f32_layout =
+  prop_le_layout ~width:4 ~name:"f32" ~set:Buf.set_f32 ~get:Buf.get_f32
+    ~bits:(fun v -> bits32 (Int32.bits_of_float v))
+    QCheck.Gen.(
+      map
+        (fun b ->
+          let f = Int32.float_of_bits b in
+          if Float.is_nan f then 0. else f)
+        int32)
+
+(* Every offset at which a scalar does not fit raises, for all eight
+   accessors: negative, just past the view's end, and near [max_int]
+   where [offset + width] overflows. *)
+let prop_out_of_range =
+  QCheck.Test.make ~name:"buf: out-of-range scalar offsets raise" ~count:300
+    (QCheck.make
+       QCheck.Gen.(
+         quad (oneofl [ 4; 8 ]) (0 -- 12)
+           (oneofl [ `Negative; `Past_end; `Near_max_int; `Min_int ])
+           (0 -- 8)))
+    (fun (width, len, where, d) ->
+      let b = Buf.sub (Buf.create 16) ~pos:1 ~len in
+      let off =
+        match where with
+        | `Negative -> -1 - d
+        | `Past_end -> len - width + 1 + d
+        | `Near_max_int -> max_int - d
+        | `Min_int -> min_int
+      in
+      let raises f =
+        match f () with exception Invalid_argument _ -> true | () -> false
+      in
+      let accessors =
+        if width = 4 then
+          [ (fun () -> ignore (Buf.get_i32 b off));
+            (fun () -> Buf.set_i32 b off 1l);
+            (fun () -> ignore (Buf.get_f32 b off));
+            (fun () -> Buf.set_f32 b off 1.) ]
+        else
+          [ (fun () -> ignore (Buf.get_i64 b off));
+            (fun () -> Buf.set_i64 b off 1L);
+            (fun () -> ignore (Buf.get_f64 b off));
+            (fun () -> Buf.set_f64 b off 1.) ]
+      in
+      List.for_all raises accessors)
+
 let prop_concat_length =
   QCheck.Test.make ~name:"buf: concat length is sum" ~count:100
     QCheck.(list (string_of_size Gen.(0 -- 64)))
@@ -217,4 +316,9 @@ let suite =
       QCheck_alcotest.to_alcotest prop_sub_consistent;
       QCheck_alcotest.to_alcotest prop_i64_any;
       QCheck_alcotest.to_alcotest prop_concat_length;
+      QCheck_alcotest.to_alcotest prop_i32_layout;
+      QCheck_alcotest.to_alcotest prop_i64_layout;
+      QCheck_alcotest.to_alcotest prop_f32_layout;
+      QCheck_alcotest.to_alcotest prop_f64_layout;
+      QCheck_alcotest.to_alcotest prop_out_of_range;
     ] )

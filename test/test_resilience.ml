@@ -119,6 +119,40 @@ let test_revoke () =
   check_int "one revocation" 1 s.Stats.comm_revokes;
   check_int "the pending recv was cancelled" 1 s.Stats.ops_cancelled
 
+(* A rank's registered-operation list is pruned of completed entries
+   once it holds more than 64.  Rank 0 completes 100 receives, leaves
+   one pending, then completes 100 more (pruning around the pending
+   one): revocation must still find and cancel it. *)
+let test_revoke_after_pruning () =
+  let w = Mpi.create_world ~size:2 () in
+  let msg () = Mpi.Bytes (Buf.create 8) in
+  let batch comm ~first =
+    List.init 100 (fun i -> Mpi.irecv comm ~source:1 ~tag:(first + i) (msg ()))
+  in
+  Mpi.run w (fun comm ->
+      if Mpi.rank comm = 0 then begin
+        List.iter (fun r -> ignore (Mpi.wait r)) (batch comm ~first:1);
+        let pending = Mpi.irecv comm ~source:1 ~tag:999 (msg ()) in
+        let second = batch comm ~first:101 in
+        Mpi.send comm ~dst:1 ~tag:500 (msg ());
+        List.iter (fun r -> ignore (Mpi.wait r)) second;
+        Mpi.comm_revoke comm;
+        match Mpi.wait pending with
+        | _ -> Alcotest.fail "pending recv survived a revocation"
+        | exception Mpi.Mpi_error Mpi.Revoked -> ()
+      end
+      else begin
+        for tag = 1 to 100 do
+          Mpi.send comm ~dst:0 ~tag (msg ())
+        done;
+        ignore (Mpi.recv comm ~source:0 ~tag:500 (msg ()));
+        for tag = 101 to 200 do
+          Mpi.send comm ~dst:0 ~tag (msg ())
+        done
+      end);
+  check_int "only the pending recv was cancelled" 1
+    (Mpi.world_stats w).Stats.ops_cancelled
+
 (* --- comm_agree: failure mid-agreement, acknowledgement --- *)
 
 let test_agree_with_failure () =
@@ -276,6 +310,8 @@ let suite =
       tc "crash mid-barrier: all ranks terminate" `Quick
         test_crash_mid_barrier_terminates;
       tc "revoke interrupts pending and future ops" `Quick test_revoke;
+      tc "revoke finds a pending op after pruning" `Quick
+        test_revoke_after_pruning;
       tc "agree survives mid-agreement failure" `Quick test_agree_with_failure;
       tc "shrink + resilient allreduce" `Quick test_resilient_allreduce_shrink;
       tc "rndv abort frees custom state once" `Quick

@@ -144,6 +144,40 @@ let test_deadlock_detection () =
         in
         contains msg "stuck"))
 
+(* The blocked-fiber bookkeeping: a resumed fiber leaves the deadlock
+   report, and the report is in fiber-id order whatever order the
+   fibers suspended in ([c] suspends last here). *)
+let test_deadlock_names_blocked () =
+  let e = Engine.create () in
+  let iv_a = Engine.Ivar.create ()
+  and iv_b = Engine.Ivar.create ()
+  and iv_c = Engine.Ivar.create () in
+  Engine.spawn e ~name:"a" (fun () -> Engine.Ivar.read e iv_a);
+  Engine.spawn e ~name:"b" (fun () -> Engine.Ivar.read e iv_b);
+  Engine.spawn e ~name:"c" (fun () ->
+      Engine.sleep e 5.;
+      Engine.Ivar.read e iv_c);
+  Engine.spawn e ~name:"waker" (fun () ->
+      Engine.sleep e 10.;
+      Engine.Ivar.fill iv_b ());
+  match Engine.run e with
+  | () -> Alcotest.fail "expected Deadlock"
+  | exception Engine.Deadlock msg ->
+      Alcotest.(check string) "exactly the blocked fibers, by id"
+        "simulation deadlock: 2 fiber(s) still blocked [a#1, c#3]" msg
+
+let test_resumer_twice_raises () =
+  let e = Engine.create () in
+  let resumer = ref (fun () -> ()) in
+  Engine.spawn e (fun () -> Engine.suspend e (fun r -> resumer := r));
+  Engine.at e ~delay:1. (fun () ->
+      !resumer ();
+      Alcotest.check_raises "second call"
+        (Invalid_argument "Engine: resumer invoked twice") (fun () ->
+          !resumer ()));
+  Engine.run e;
+  check_int "the fiber finished" 0 (Engine.live_fibers e)
+
 let test_at_callback () =
   let e = Engine.create () in
   let fired = ref 0. in
@@ -682,6 +716,9 @@ let suite =
       tc "mailbox fifo" `Quick test_mailbox_fifo;
       tc "mailbox buffering" `Quick test_mailbox_buffering;
       tc "deadlock detection" `Quick test_deadlock_detection;
+      tc "deadlock names exactly the blocked fibers" `Quick
+        test_deadlock_names_blocked;
+      tc "resumer twice raises" `Quick test_resumer_twice_raises;
       tc "at callback" `Quick test_at_callback;
       tc "spawn from fiber" `Quick test_spawn_from_fiber;
       tc "waitq broadcast" `Quick test_waitq_broadcast;
