@@ -209,13 +209,7 @@ let kernel_cmd =
             ("mpi-ddt", Some (bw (Figures.Methods.k_ddt_direct k)));
             ("mpi-pack-ddt", Some (bw (Figures.Methods.k_ddt_pack k)));
             ("custom-pack", Some (bw (Figures.Methods.k_custom_pack k)));
-            ( "custom-regions",
-              match Figures.Methods.k_custom_regions k () with
-              | None -> None
-              | Some _ ->
-                  Some
-                    (bw (fun () ->
-                         Option.get (Figures.Methods.k_custom_regions k ()))) );
+            ("custom-regions", Option.map bw (Figures.Methods.k_custom_regions k));
           ]
         in
         Report.print_kv_table

@@ -31,11 +31,9 @@ let impl_of_method name k =
   | "mpi-ddt" -> Ok (Figures.Methods.k_ddt_direct k)
   | "mpi-pack-ddt" -> Ok (Figures.Methods.k_ddt_pack k)
   | "custom-pack" -> Ok (Figures.Methods.k_custom_pack k)
-  | "custom-regions" -> (
-      match Figures.Methods.k_custom_regions k () with
-      | Some _ ->
-          Ok (fun () -> Option.get (Figures.Methods.k_custom_regions k ()))
-      | None -> Error "custom-regions is impracticable for this kernel")
+  | "custom-regions" ->
+      Option.to_result ~none:"custom-regions is impracticable for this kernel"
+        (Figures.Methods.k_custom_regions k)
   | m ->
       Error
         (Printf.sprintf "unknown method %S (one of: %s)" m

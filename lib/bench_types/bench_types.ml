@@ -3,10 +3,13 @@ module Datatype = Mpicd_datatype.Datatype
 module Derive = Mpicd_derive.Derive
 module Custom = Mpicd.Custom
 
+(* Byte [i] is [(31 i + seed + 11) mod 256], which repeats every 256
+   bytes: one period is written byte by byte and then doubled. *)
 let fill_pattern ?(seed = 0) b =
-  for i = 0 to Buf.length b - 1 do
+  for i = 0 to min 256 (Buf.length b) - 1 do
     Buf.set_u8 b i ((i * 31 + seed + 11) land 0xff)
-  done
+  done;
+  Buf.repeat_prefix b ~period:256
 
 module Double_vec = struct
   type t = Buf.t array
@@ -173,29 +176,42 @@ end) : STRUCT = struct
 
   let count_for_packed_bytes bytes = max 1 (bytes / packed_elem_size)
 
-  (* Map a packed-stream byte range to scalar-field memory:
-     [f ~elem_off ~pos ~len] is called per contiguous piece.  Used by
-     both pack and unpack of the custom datatype. *)
-  let map_scalar_range ~offset ~window ~f =
-    if scalar_packed = 0 then 0
+  (* Copy the scalar-field bytes at packed offsets
+     [offset, offset + window) between the struct array [base] and
+     [stream] (pack: base to stream).  The starting segment is found
+     once; the walk then steps through segments in order.  Used by both
+     pack and unpack of the custom datatype. *)
+  let copy_scalar_range ~pack ~base ~stream ~offset ~window =
+    if scalar_packed = 0 || window <= 0 then 0
     else begin
-      let remaining = ref window and off = ref offset and done_ = ref 0 in
-      while !remaining > 0 do
-        let e = !off / scalar_packed and r = !off mod scalar_packed in
-        (* find the segment containing packed offset r *)
-        let rec seg i =
-          let p0, e0, l0 = scalar_segments.(i) in
-          if r < p0 + l0 then (p0, e0, l0) else seg (i + 1)
-        in
-        let p0, e0, l0 = seg 0 in
-        let within = r - p0 in
-        let n = min !remaining (l0 - within) in
-        f ~elem_off:((e * sizeof) + e0 + within) ~pos:!done_ ~len:n;
-        off := !off + n;
-        remaining := !remaining - n;
-        done_ := !done_ + n
+      let nseg = Array.length scalar_segments in
+      let e = ref (offset / scalar_packed) in
+      let r = offset mod scalar_packed in
+      let i = ref 0 in
+      while
+        let p0, _, l0 = scalar_segments.(!i) in
+        r >= p0 + l0
+      do
+        incr i
       done;
-      !done_
+      let p0, _, _ = scalar_segments.(!i) in
+      let within = ref (r - p0) and done_ = ref 0 in
+      while !done_ < window do
+        let _, e0, l0 = scalar_segments.(!i) in
+        let n = min (window - !done_) (l0 - !within) in
+        let elem_off = (!e * sizeof) + e0 + !within in
+        if pack then
+          Buf.blit ~src:base ~src_pos:elem_off ~dst:stream ~dst_pos:!done_ ~len:n
+        else Buf.blit ~src:stream ~src_pos:!done_ ~dst:base ~dst_pos:elem_off ~len:n;
+        done_ := !done_ + n;
+        within := 0;
+        if !i + 1 = nseg then begin
+          i := 0;
+          incr e
+        end
+        else incr i
+      done;
+      window
     end
 
   let custom_dt : Buf.t Custom.t =
@@ -210,14 +226,12 @@ end) : STRUCT = struct
             let window =
               min (Buf.length dst) ((scalar_packed * count) - offset)
             in
-            map_scalar_range ~offset ~window ~f:(fun ~elem_off ~pos ~len ->
-                Buf.blit ~src:base ~src_pos:elem_off ~dst ~dst_pos:pos ~len));
+            copy_scalar_range ~pack:true ~base ~stream:dst ~offset ~window);
         unpack =
           (fun () base ~count:_ ~offset ~src ->
             ignore
-              (map_scalar_range ~offset ~window:(Buf.length src)
-                 ~f:(fun ~elem_off ~pos ~len ->
-                   Buf.blit ~src ~src_pos:pos ~dst:base ~dst_pos:elem_off ~len)));
+              (copy_scalar_range ~pack:false ~base ~stream:src ~offset
+                 ~window:(Buf.length src)));
         region_count =
           (if has_region then Some (fun () _ ~count -> count)
            else if scalar_packed = 0 then Some (fun () _ ~count:_ -> 1)

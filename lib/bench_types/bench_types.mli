@@ -21,6 +21,10 @@ module Datatype = Mpicd_datatype.Datatype
 module Derive = Mpicd_derive.Derive
 module Custom = Mpicd.Custom
 
+val fill_pattern : ?seed:int -> Buf.t -> unit
+(** Deterministic input pattern of every generated value: byte [i] is
+    [(31 i + seed + 11) mod 256]; [seed] defaults to [0]. *)
+
 module Double_vec : sig
   type t = Buf.t array
   (** Each entry is one heap-allocated subvector of i32s. *)

@@ -3,18 +3,22 @@ type bigstring =
 
 type t = { base : bigstring; off : int; len : int }
 
+(* Uninitialised storage, for callers that overwrite every byte. *)
+let alloc n =
+  { base = Bigarray.Array1.create Bigarray.char Bigarray.c_layout n; off = 0; len = n }
+
 let create n =
   if n < 0 then invalid_arg "Buf.create: negative length";
-  let base = Bigarray.Array1.create Bigarray.char Bigarray.c_layout n in
-  Bigarray.Array1.fill base '\000';
-  { base; off = 0; len = n }
+  let t = alloc n in
+  Bigarray.Array1.fill t.base '\000';
+  t
 
 let of_bigstring base = { base; off = 0; len = Bigarray.Array1.dim base }
 
 let length t = t.len
 
 let sub t ~pos ~len =
-  if pos < 0 || len < 0 || pos + len > t.len then
+  if pos < 0 || len < 0 || pos > t.len - len then
     invalid_arg
       (Printf.sprintf "Buf.sub: pos=%d len=%d out of range (buffer len %d)"
          pos len t.len);
@@ -27,8 +31,9 @@ let out_of_range t i n =
     (Printf.sprintf "Buf: offset %d (+%d) out of range (len %d)" i n t.len)
 
 (* [i > t.len - n] rather than [i + n > t.len]: the sum overflows for
-   offsets near [max_int] and would pass the check. *)
-let check t i n = if i < 0 || i > t.len - n then out_of_range t i n
+   offsets near [max_int] and would pass the check.  With [n >= 0]
+   checked first the difference cannot overflow. *)
+let check t i n = if n < 0 || i < 0 || i > t.len - n then out_of_range t i n
 
 let get t i =
   check t i 1;
@@ -49,6 +54,8 @@ external unsafe_get32 : bigstring -> int -> int32 = "%caml_bigstring_get32u"
 external unsafe_set32 : bigstring -> int -> int32 -> unit = "%caml_bigstring_set32u"
 external unsafe_get64 : bigstring -> int -> int64 = "%caml_bigstring_get64u"
 external unsafe_set64 : bigstring -> int -> int64 -> unit = "%caml_bigstring_set64u"
+external string_get64 : string -> int -> int64 = "%caml_string_get64u"
+external bytes_set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 external bswap32 : int32 -> int32 = "%bswap_int32"
 external bswap64 : int64 -> int64 = "%bswap_int64"
 
@@ -75,19 +82,57 @@ let set_f64 t i v = set_i64 t i (Int64.bits_of_float v)
 let get_f32 t i = Int32.float_of_bits (get_i32 t i)
 let set_f32 t i v = set_i32 t i (Int32.bits_of_float v)
 
+(* Forward copies, eight bytes per load/store and then a byte tail.
+   Loading and storing in host order preserves the bytes on any host.
+   Forward copying is memmove-correct unless the destination overlaps
+   the source from above; each word is loaded before it is stored, so
+   a destination below the source is safe. *)
+
+let copy_words s so d d_o len =
+  let words = len land lnot 7 in
+  let i = ref 0 in
+  while !i < words do
+    unsafe_set64 d (d_o + !i) (unsafe_get64 s (so + !i));
+    i := !i + 8
+  done;
+  for j = words to len - 1 do
+    Bigarray.Array1.unsafe_set d (d_o + j) (Bigarray.Array1.unsafe_get s (so + j))
+  done
+
+let copy_words_from_string s so d d_o len =
+  let words = len land lnot 7 in
+  let i = ref 0 in
+  while !i < words do
+    unsafe_set64 d (d_o + !i) (string_get64 s (so + !i));
+    i := !i + 8
+  done;
+  for j = words to len - 1 do
+    Bigarray.Array1.unsafe_set d (d_o + j) (String.unsafe_get s (so + j))
+  done
+
+let copy_words_to_bytes s so d d_o len =
+  let words = len land lnot 7 in
+  let i = ref 0 in
+  while !i < words do
+    bytes_set64 d (d_o + !i) (unsafe_get64 s (so + !i));
+    i := !i + 8
+  done;
+  for j = words to len - 1 do
+    Bytes.unsafe_set d (d_o + j) (Bigarray.Array1.unsafe_get s (so + j))
+  done
+
+(* Below this length the word loop beats memmove, whose two Bigarray
+   views are allocated per call; above it memmove's bulk copy wins. *)
+let word_copy_max = 1024
+
 let blit ~src ~src_pos ~dst ~dst_pos ~len =
   check src src_pos len;
   check dst dst_pos len;
-  (* Small copies dominate the pack loops of the benchmark kernels; a
-     byte loop avoids the cost of materialising two Bigarray views.
-     The byte loop copies forward, which is only memmove-correct when
-     the destination does not overlap the source from above. *)
   let so = src.off + src_pos and d_o = dst.off + dst_pos in
-  if len <= 64 && (src.base != dst.base || d_o <= so || d_o >= so + len) then
-    for i = 0 to len - 1 do
-      Bigarray.Array1.unsafe_set dst.base (d_o + i)
-        (Bigarray.Array1.unsafe_get src.base (so + i))
-    done
+  if
+    len <= word_copy_max
+    && (src.base != dst.base || d_o <= so || d_o >= so + len)
+  then copy_words src.base so dst.base d_o len
   else begin
     let s = Bigarray.Array1.sub src.base so len in
     let d = Bigarray.Array1.sub dst.base d_o len in
@@ -98,8 +143,19 @@ let fill t c =
   let s = Bigarray.Array1.sub t.base t.off t.len in
   Bigarray.Array1.fill s c
 
+(* Each round copies everything written so far, so a buffer of [n]
+   bytes takes O(log (n / period)) block copies. *)
+let repeat_prefix t ~period =
+  if period <= 0 then invalid_arg "Buf.repeat_prefix: period must be positive";
+  let filled = ref (min period t.len) in
+  while !filled < t.len do
+    let n = min !filled (t.len - !filled) in
+    blit ~src:t ~src_pos:0 ~dst:t ~dst_pos:!filled ~len:n;
+    filled := !filled + n
+  done
+
 let copy t =
-  let dst = create t.len in
+  let dst = alloc t.len in
   blit ~src:t ~src_pos:0 ~dst ~dst_pos:0 ~len:t.len;
   dst
 
@@ -114,35 +170,32 @@ let equal a b =
   in
   loop 0
 
-let of_string s =
-  let t = create (String.length s) in
-  String.iteri (fun i c -> Bigarray.Array1.unsafe_set t.base i c) s;
-  t
-
-let to_string t =
-  String.init t.len (fun i -> Bigarray.Array1.unsafe_get t.base (t.off + i))
-
 let blit_from_string s ~src_pos ~dst ~dst_pos ~len =
-  if src_pos < 0 || len < 0 || src_pos + len > String.length s then
+  if len < 0 || src_pos < 0 || src_pos > String.length s - len then
     invalid_arg "Buf.blit_from_string: source range";
   check dst dst_pos len;
-  for i = 0 to len - 1 do
-    Bigarray.Array1.unsafe_set dst.base (dst.off + dst_pos + i)
-      (String.unsafe_get s (src_pos + i))
-  done
+  copy_words_from_string s src_pos dst.base (dst.off + dst_pos) len
 
 let blit_to_bytes ~src ~src_pos ~dst ~dst_pos ~len =
   check src src_pos len;
-  if dst_pos < 0 || dst_pos + len > Bytes.length dst then
+  if dst_pos < 0 || dst_pos > Bytes.length dst - len then
     invalid_arg "Buf.blit_to_bytes: destination range";
-  for i = 0 to len - 1 do
-    Bytes.unsafe_set dst (dst_pos + i)
-      (Bigarray.Array1.unsafe_get src.base (src.off + src_pos + i))
-  done
+  copy_words_to_bytes src.base (src.off + src_pos) dst dst_pos len
+
+let of_string s =
+  let n = String.length s in
+  let t = alloc n in
+  copy_words_from_string s 0 t.base 0 n;
+  t
+
+let to_string t =
+  let b = Bytes.create t.len in
+  copy_words_to_bytes t.base t.off b 0 t.len;
+  Bytes.unsafe_to_string b
 
 let concat parts =
   let total = List.fold_left (fun acc p -> acc + p.len) 0 parts in
-  let dst = create total in
+  let dst = alloc total in
   let pos = ref 0 in
   List.iter
     (fun p ->

@@ -52,10 +52,21 @@ val set_f32 : t -> int -> float -> unit
 
 (** {1 Bulk operations} *)
 
+(** Every bulk copy below raises [Invalid_argument] when [len] is
+    negative or either range does not fit its buffer, as [Bytes.blit]
+    does. *)
+
 val blit : src:t -> src_pos:int -> dst:t -> dst_pos:int -> len:int -> unit
 (** Copy [len] bytes.  Overlapping ranges behave like [memmove]. *)
 
 val fill : t -> char -> unit
+
+val repeat_prefix : t -> period:int -> unit
+(** [repeat_prefix b ~period] copies the first [period] bytes of [b]
+    over the rest of it, so that byte [i] ends equal to byte
+    [i mod period].  It makes O(log (length b / period)) block copies,
+    so a periodic pattern costs one period of per-byte writes.
+    @raise Invalid_argument if [period <= 0]. *)
 
 val copy : t -> t
 (** Deep copy into a fresh buffer of the same length. *)

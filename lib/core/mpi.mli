@@ -261,7 +261,11 @@ type status = { source : int; tag : int; len : int }
 
 val send : comm -> dst:int -> tag:int -> buffer -> unit
 val recv : comm -> ?source:int -> ?tag:int -> buffer -> status
-(** [source]/[tag] default to {!any_source}/{!any_tag}. *)
+(** [source]/[tag] default to {!any_source}/{!any_tag}.
+
+    As in MPI, a receive buffer must not overlap the pending send buffer
+    of the same message: the transport may read a large send buffer in
+    place while it writes the receive buffer. *)
 
 type request
 

@@ -200,35 +200,38 @@ let seek cur pos =
     (elem, find_block p r)
   end
 
-(* Shared walk for pack_range/unpack_range: apply [blit] to the
-   sub-blocks overlapping [packed_off, packed_off + window) of a
-   [count]-element stream, starting from (elem, block), and return the
-   final (elem, block) after consuming [want] bytes. *)
-let range_apply p ~elem ~block ~packed_off ~want ~blit =
+(* Shared walk for pack_range/unpack_range: copy the [want] bytes of
+   the stream window (the whole of [stream]) from or to the typed
+   buffer, starting at byte [within] of (elem, block), and return the
+   final (elem, block).  [pack] picks the direction. *)
+let range_apply stats p ~elem ~block ~within ~want ~pack ~typed ~stream =
   let nb = Array.length p.lens in
-  let elem = ref elem and block = ref block in
+  let elem = ref elem and block = ref block and within = ref within in
   let done_ = ref 0 in
   while !done_ < want do
-    let stream_pos = packed_off + !done_ in
-    let r = stream_pos - (!elem * p.elem_size) in
-    let within = r - p.prefix.(!block) in
-    let n = min (want - !done_) (p.lens.(!block) - within) in
-    blit
-      ~typed_pos:((!elem * p.elem_extent) + p.disps.(!block) + within)
-      ~stream_rel:!done_ ~len:n;
+    let b = !block in
+    let n = min (want - !done_) (p.lens.(b) - !within) in
+    let typed_pos = (!elem * p.elem_extent) + p.disps.(b) + !within in
+    if pack then
+      Buf.blit ~src:typed ~src_pos:typed_pos ~dst:stream ~dst_pos:!done_ ~len:n
+    else Buf.blit ~src:stream ~src_pos:!done_ ~dst:typed ~dst_pos:typed_pos ~len:n;
+    record_block stats n;
     done_ := !done_ + n;
-    if within + n = p.lens.(!block) then begin
-      incr block;
-      if !block = nb then begin
+    if !within + n = p.lens.(b) then begin
+      within := 0;
+      if b + 1 = nb then begin
         block := 0;
         incr elem
       end
+      else block := b + 1
     end
+    else within := !within + n
   done;
   (!elem, !block)
 
-let range ?stats ?cursor:cur p ~count ~packed_off ~window ~blit =
+let range ?stats ?cursor:cur p ~count ~packed_off ~pack ~typed ~stream =
   let total = packed_size p ~count in
+  let window = Buf.length stream in
   if packed_off >= total || window <= 0 then 0
   else begin
     let want = min window (total - packed_off) in
@@ -238,11 +241,10 @@ let range ?stats ?cursor:cur p ~count ~packed_off ~window ~blit =
       | None ->
           (packed_off / p.elem_size, find_block p (packed_off mod p.elem_size))
     in
-    let blit ~typed_pos ~stream_rel ~len =
-      blit ~typed_pos ~stream_rel ~len;
-      record_block stats len
+    let within = packed_off - (elem * p.elem_size) - p.prefix.(block) in
+    let elem', block' =
+      range_apply stats p ~elem ~block ~within ~want ~pack ~typed ~stream
     in
-    let elem', block' = range_apply p ~elem ~block ~packed_off ~want ~blit in
     (match cur with
     | Some c ->
         c.c_next <- packed_off + want;
@@ -253,14 +255,10 @@ let range ?stats ?cursor:cur p ~count ~packed_off ~window ~blit =
   end
 
 let pack_range ?stats ?cursor p ~count ~src ~packed_off ~dst =
-  range ?stats ?cursor p ~count ~packed_off ~window:(Buf.length dst)
-    ~blit:(fun ~typed_pos ~stream_rel ~len ->
-      Buf.blit ~src ~src_pos:typed_pos ~dst ~dst_pos:stream_rel ~len)
+  range ?stats ?cursor p ~count ~packed_off ~pack:true ~typed:src ~stream:dst
 
 let unpack_range ?stats ?cursor p ~count ~src ~packed_off ~dst =
-  range ?stats ?cursor p ~count ~packed_off ~window:(Buf.length src)
-    ~blit:(fun ~typed_pos ~stream_rel ~len ->
-      Buf.blit ~src ~src_pos:stream_rel ~dst ~dst_pos:typed_pos ~len)
+  range ?stats ?cursor p ~count ~packed_off ~pack:false ~typed:dst ~stream:src
 
 (* --- iovec from the plan arrays ---
 

@@ -27,10 +27,13 @@ module type KERNEL = sig
   val custom_regions : Buf.t Custom.t option
 end
 
+(* Byte [i] is [(131 i + 17) mod 256], which repeats every 256 bytes:
+   one period is written byte by byte and then doubled. *)
 let fill b =
-  for i = 0 to Buf.length b - 1 do
+  for i = 0 to min 256 (Buf.length b) - 1 do
     Buf.set_u8 b i ((i * 131 + 17) land 0xff)
-  done
+  done;
+  Buf.repeat_prefix b ~period:256
 
 let hindexed_bytes_of_blocks blocks =
   let n = Blocks.count blocks in

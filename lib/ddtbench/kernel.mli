@@ -62,7 +62,8 @@ module Make (S : SPEC) : KERNEL
 type kernel = (module KERNEL)
 
 val fill : Buf.t -> unit
-(** Deterministic test pattern used by [create]. *)
+(** Deterministic test pattern used by [create]: byte [i] is
+    [(131 i + 17) mod 256]. *)
 
 val hindexed_bytes_of_blocks : Blocks.t -> Datatype.t
 (** Generic derived-datatype equivalent: an hindexed-of-bytes over the

@@ -229,11 +229,7 @@ let profile_shares ?(kernel = "NAS_MG_x") () =
           ("mpi-ddt", Some (Methods.k_ddt_direct k));
           ("mpi-pack-ddt", Some (Methods.k_ddt_pack k));
           ("custom-pack", Some (Methods.k_custom_pack k));
-          ( "custom-regions",
-            match Methods.k_custom_regions k () with
-            | None -> None
-            | Some _ ->
-                Some (fun () -> Option.get (Methods.k_custom_regions k ())) );
+          ("custom-regions", Methods.k_custom_regions k);
         ]
       in
       ( K.name,

@@ -28,9 +28,7 @@ let kernel_row (module K : Kernel.KERNEL) =
     Some (bw (Methods.k_ddt_direct k));
     Some (bw (Methods.k_ddt_pack k));
     Some (bw (Methods.k_custom_pack k));
-    (match Methods.k_custom_regions k () with
-    | None -> None
-    | Some _ -> Some (bw (fun () -> Option.get (Methods.k_custom_regions k ()))));
+    Option.map bw (Methods.k_custom_regions k);
   ]
 
 let fig10_rows ?(kernels = Registry.paper_kernels) () =

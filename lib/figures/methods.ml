@@ -3,6 +3,7 @@
 
 module Buf = Mpicd_buf.Buf
 module Dt = Mpicd_datatype.Datatype
+module Plan = Mpicd_datatype.Plan
 module Mpi = Mpicd.Mpi
 module H = Mpicd_harness.Harness
 module B = Mpicd_bench_types.Bench_types
@@ -152,7 +153,9 @@ let k_ddt_direct (module K : Kernel.KERNEL) () =
              (Mpi.Typed { dt = K.derived; count = 1; base = sink })));
   }
 
-(* MPI_Pack into a contiguous buffer, send as bytes, MPI_Unpack. *)
+(* MPI_Pack into a contiguous buffer, send as bytes, MPI_Unpack.  The
+   kernel's compiled plan packs the bytes [Dt.pack] would; the charge
+   stays the interpreter's block count. *)
 let k_ddt_pack (module K : Kernel.KERNEL) () =
   let src = K.create () and sink = K.create_sink () in
   let blocks = Dt.blocks_per_element K.derived in
@@ -160,7 +163,7 @@ let k_ddt_pack (module K : Kernel.KERNEL) () =
     H.send =
       (fun comm ~dst ~tag ->
         let buf = H.charged_alloc comm K.wire_bytes in
-        ignore (Dt.pack K.derived ~count:1 ~src ~dst:buf);
+        ignore (Plan.pack K.plan ~count:1 ~src ~dst:buf);
         H.charge_copy comm K.wire_bytes;
         H.charge_ddt_blocks comm blocks;
         Mpi.send comm ~dst ~tag (Mpi.Bytes buf);
@@ -169,7 +172,7 @@ let k_ddt_pack (module K : Kernel.KERNEL) () =
       (fun comm ~source ~tag ->
         let buf = H.charged_alloc comm K.wire_bytes in
         ignore (Mpi.recv comm ~source ~tag (Mpi.Bytes buf));
-        Dt.unpack K.derived ~count:1 ~src:buf ~dst:sink;
+        Plan.unpack K.plan ~count:1 ~src:buf ~dst:sink;
         H.charge_copy comm K.wire_bytes;
         H.charge_ddt_blocks comm blocks;
         H.charged_free comm buf);
@@ -189,18 +192,17 @@ let k_custom_pack (module K : Kernel.KERNEL) () =
              (Mpi.Custom { dt = K.custom_pack; obj = sink; count = 1 })));
   }
 
-let k_custom_regions (module K : Kernel.KERNEL) () =
-  match K.custom_regions with
-  | None -> None
-  | Some dt ->
+let k_custom_regions (module K : Kernel.KERNEL) =
+  Option.map
+    (fun dt () ->
       let src = K.create () and sink = K.create_sink () in
-      Some
-        {
-          H.send =
-            (fun comm ~dst ~tag ->
-              Mpi.send comm ~dst ~tag (Mpi.Custom { dt; obj = src; count = 1 }));
-          H.recv =
-            (fun comm ~source ~tag ->
-              ignore
-                (Mpi.recv comm ~source ~tag (Mpi.Custom { dt; obj = sink; count = 1 })));
-        }
+      {
+        H.send =
+          (fun comm ~dst ~tag ->
+            Mpi.send comm ~dst ~tag (Mpi.Custom { dt; obj = src; count = 1 }));
+        H.recv =
+          (fun comm ~source ~tag ->
+            ignore
+              (Mpi.recv comm ~source ~tag (Mpi.Custom { dt; obj = sink; count = 1 })));
+      })
+    K.custom_regions

@@ -39,5 +39,6 @@ val k_ddt_pack : Kernel.kernel -> unit -> H.impl
 (** MPI_Pack into a buffer, send bytes, MPI_Unpack. *)
 
 val k_custom_pack : Kernel.kernel -> unit -> H.impl
-val k_custom_regions : Kernel.kernel -> unit -> H.impl option
-(** [None] when the kernel's Table-I row marks regions impracticable. *)
+val k_custom_regions : Kernel.kernel -> (unit -> H.impl) option
+(** [None] when the kernel's Table-I row marks regions impracticable;
+    decided without building any buffers. *)

@@ -383,12 +383,17 @@ let scatter_fragments frags regions =
       done)
     frags
 
-(* Gather a send descriptor's bytes into fresh snapshot fragments (used
-   by the rendezvous transfer to move data; models the RDMA engine). *)
+(* A send descriptor's bytes as rendezvous fragments (models the RDMA
+   engine).  Contiguous and iov descriptors yield the sender's own
+   buffers, read in place: MPI forbids a receive buffer that overlaps
+   the pending send buffer of the same message, so no snapshot is
+   needed.  These buffers belong to the application and must never
+   reach the bounce pool.  Generic descriptors pack into fresh or
+   recycled bounce fragments that the transport owns. *)
 let materialize ctx (dt : send_dt) =
   match dt with
-  | Sd_contig b -> ([ Buf.copy b ], 0)
-  | Sd_iov bs -> ([ Buf.concat bs ], 0)
+  | Sd_contig b -> ([ b ], 0)
+  | Sd_iov bs -> (bs, 0)
   | Sd_generic g -> (
       (* [sg_finish] runs exactly once whether the pack stream completes
          or a callback fails partway through *)
@@ -401,8 +406,9 @@ let materialize ctx (dt : send_dt) =
           raise exn)
 
 (* Deliver packed fragments into a receive descriptor.  Returns the
-   receiver CPU time consumed. *)
-let deposit ctx (dt : recv_dt) frags ~zcopy =
+   receiver CPU time consumed.  [owned] says the fragments are the
+   transport's own bounce buffers, which may be recycled afterwards. *)
+let deposit ctx (dt : recv_dt) frags ~zcopy ~owned =
   let c = cpu ctx in
   let total = List.fold_left (fun a b -> a + Buf.length b) 0 frags in
   let cpu_time =
@@ -432,7 +438,7 @@ let deposit ctx (dt : recv_dt) frags ~zcopy =
   (* The fragments are fully consumed: full-size bounce buffers go back
      to the pool for the next pack.  (On a callback error we fall
      through without recycling — ownership is unclear mid-unpack.) *)
-  bounce_recycle ctx frags;
+  if owned then bounce_recycle ctx frags;
   cpu_time
 
 (* --- matching --- *)
@@ -952,8 +958,8 @@ let process_match_faulty w (pr : posted) (env : envelope) (r : rndv) fr =
           (match r.r_dt with
           | Sd_generic _ -> Stats.record_copy ctx.stats size
           | Sd_contig _ | Sd_iov _ -> ());
-          Engine.sleep e cpu_send;
           let stream = Buf.concat frags in
+          Engine.sleep e cpu_send;
           (* Per-fragment CRC32 protects bounce-buffer streams (generic
              pack) and plain contiguous RDMA (NIC-level ICRC).  The iov
              scatter/gather DMA validates only an end-to-end digest
@@ -1013,7 +1019,9 @@ let process_match_faulty w (pr : posted) (env : envelope) (r : rndv) fr =
                   | Sd_generic _, (Rd_contig _ | Rd_iov _) -> true
                   | _, Rd_generic _ -> false
               in
-              match deposit ctx pr.pr_dt (reslice l x.x_delivered) ~zcopy with
+              match
+                deposit ctx pr.pr_dt (reslice l x.x_delivered) ~zcopy ~owned:false
+              with
               | exception Callback_error code ->
                   fail_both (Callback_failed code)
               | cpu_recv ->
@@ -1083,7 +1091,7 @@ let process_match w (pr : posted) (env : envelope) =
           end
           else 0.
         in
-        match deposit ctx pr.pr_dt frags ~zcopy:false with
+        match deposit ctx pr.pr_dt frags ~zcopy:false ~owned:true with
         | cpu_time ->
             let sf = straggle ctx w.id in
             let alloc_delay = alloc_delay *. sf in
@@ -1138,6 +1146,15 @@ let process_match w (pr : posted) (env : envelope) =
         match materialize ctx r.r_dt with
         | exception Callback_error code -> fail code
         | frags, send_cbs -> (
+            let frags, owned =
+              match (r.r_dt, pr.pr_dt) with
+              | Sd_generic _, _ -> (frags, true)
+              | Sd_iov _, Rd_generic _ ->
+                  (* a generic receiver unpacks the gathered stream in
+                     one callback *)
+                  ([ Buf.concat frags ], true)
+              | (Sd_contig _ | Sd_iov _), _ -> (frags, false)
+            in
             let cpu_send =
               match r.r_dt with
               | Sd_generic g ->
@@ -1159,7 +1176,7 @@ let process_match w (pr : posted) (env : envelope) =
                   true
               | _, Rd_generic _ -> false
             in
-            match deposit ctx pr.pr_dt frags ~zcopy with
+            match deposit ctx pr.pr_dt frags ~zcopy ~owned with
             | cpu_recv ->
                 let duration =
                   l.rndv_handshake_ns +. l.rndv_reg_ns

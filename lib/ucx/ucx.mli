@@ -140,7 +140,11 @@ val tag_send : endpoint -> tag:int64 -> send_dt -> request
 (** Post a send.  Must be called from a fiber (posting charges CPU
     time).  The request completes when the payload has been taken out of
     the source buffers (eager) or when the transfer finishes
-    (rendezvous/iov). *)
+    (rendezvous/iov).
+
+    As in MPI, a receive buffer must not overlap the pending send buffer
+    of the same message: a fault-free rendezvous reads contiguous and
+    iovec send buffers in place, with no intermediate copy. *)
 
 val tag_recv : worker -> tag:int64 -> mask:int64 -> recv_dt -> request
 (** Post a receive matching envelopes with [(env_tag land mask) = (tag

@@ -281,6 +281,111 @@ let prop_out_of_range =
       in
       List.for_all raises accessors)
 
+(* Bulk copies against byte-wise references.  Buffers hold a
+   position-dependent pattern that differs per [salt], and every view
+   starts at byte 1 of its base, so word accesses are unaligned. *)
+
+let patterned n salt =
+  let b = Buf.create n in
+  for i = 0 to n - 1 do
+    Buf.set_u8 b i ((i * 7) + salt)
+  done;
+  b
+
+let snapshot b = String.init (Buf.length b) (Buf.get b)
+
+(* [Buf.blit] of [len] bytes from offset [so] of a view of [src_base]
+   to offset [d_o] of a view of [dst_base] equals [Bytes.blit] on
+   snapshots (memmove semantics when the bases are the same), and
+   leaves a distinct source unchanged. *)
+let blit_matches_memmove ~src_base ~dst_base ~so ~d_o ~len =
+  let src_before = snapshot src_base in
+  let want = Bytes.of_string (snapshot dst_base) in
+  Bytes.blit_string src_before (1 + so) want (1 + d_o) len;
+  let view b = Buf.sub b ~pos:1 ~len:(Buf.length b - 1) in
+  Buf.blit ~src:(view src_base) ~src_pos:so ~dst:(view dst_base) ~dst_pos:d_o ~len;
+  snapshot dst_base = Bytes.to_string want
+  && (src_base == dst_base || snapshot src_base = src_before)
+
+let test_blit_every_length () =
+  for len = 0 to 2100 do
+    let fresh salt = patterned (len + 24) salt in
+    if not (blit_matches_memmove ~src_base:(fresh 1) ~dst_base:(fresh 2) ~so:3 ~d_o:5 ~len)
+    then Alcotest.failf "distinct buffers, len %d" len;
+    (* one base: destination above the source, then below it *)
+    List.iter
+      (fun (so, d_o) ->
+        let b = fresh 3 in
+        if not (blit_matches_memmove ~src_base:b ~dst_base:b ~so ~d_o ~len) then
+          Alcotest.failf "overlapping views so=%d d_o=%d, len %d" so d_o len)
+      [ (3, 4); (3, 14); (4, 3); (14, 3) ]
+  done
+
+let prop_blit_memmove =
+  QCheck.Test.make ~name:"buf: blit = memmove on odd offsets and overlapping views"
+    ~count:300
+    (QCheck.make
+       QCheck.Gen.(quad (0 -- 2100) (0 -- 15) (0 -- 15) bool))
+    (fun (len, a, b, same) ->
+      let so = (2 * a) + 1 and d_o = (2 * b) + 1 in
+      let src_base = patterned (len + 34) 5 in
+      let dst_base = if same then src_base else patterned (len + 34) 6 in
+      blit_matches_memmove ~src_base ~dst_base ~so ~d_o ~len)
+
+let prop_string_copies =
+  QCheck.Test.make ~name:"buf: string copies on odd lengths and sub views"
+    ~count:300
+    QCheck.(pair (string_of_size Gen.(0 -- 300)) (pair small_nat small_nat))
+    (fun (s, (a, b)) ->
+      let n = String.length s in
+      let pos = if n = 0 then 0 else a mod n in
+      let len = b mod (n - pos + 1) in
+      let want = String.sub s pos len in
+      let v = Buf.sub (Buf.of_string s) ~pos ~len in
+      let into = Buf.sub (Buf.create (len + 3)) ~pos:3 ~len in
+      Buf.blit_from_string s ~src_pos:pos ~dst:into ~dst_pos:0 ~len;
+      let out = Bytes.make (len + 1) '.' in
+      Buf.blit_to_bytes ~src:v ~src_pos:0 ~dst:out ~dst_pos:1 ~len;
+      Buf.to_string v = want
+      && snapshot v = want
+      && Buf.to_string (Buf.of_string want) = want
+      && snapshot into = want
+      && Bytes.sub_string out 1 len = want)
+
+(* Negative lengths and offsets whose sum with the length overflows
+   raise, as [Bytes.blit] does, instead of copying nothing or reading
+   out of bounds. *)
+let test_bad_ranges_raise () =
+  let b = Buf.create 16 and bytes = Bytes.create 16 and s = String.make 16 'x' in
+  let raises name f =
+    match f () with
+    | exception Invalid_argument _ -> ()
+    | () -> Alcotest.failf "%s: expected Invalid_argument" name
+  in
+  List.iter
+    (fun (what, pos, len) ->
+      let name = Printf.sprintf "%s (pos %d, len %d)" what pos len in
+      raises ("blit src " ^ name) (fun () ->
+          Buf.blit ~src:b ~src_pos:pos ~dst:b ~dst_pos:0 ~len);
+      raises ("blit dst " ^ name) (fun () ->
+          Buf.blit ~src:b ~src_pos:0 ~dst:b ~dst_pos:pos ~len);
+      raises ("blit_from_string src " ^ name) (fun () ->
+          Buf.blit_from_string s ~src_pos:pos ~dst:b ~dst_pos:0 ~len);
+      raises ("blit_from_string dst " ^ name) (fun () ->
+          Buf.blit_from_string s ~src_pos:0 ~dst:b ~dst_pos:pos ~len);
+      raises ("blit_to_bytes src " ^ name) (fun () ->
+          Buf.blit_to_bytes ~src:b ~src_pos:pos ~dst:bytes ~dst_pos:0 ~len);
+      raises ("blit_to_bytes dst " ^ name) (fun () ->
+          Buf.blit_to_bytes ~src:b ~src_pos:0 ~dst:bytes ~dst_pos:pos ~len);
+      raises ("sub " ^ name) (fun () -> ignore (Buf.sub b ~pos ~len)))
+    [
+      ("negative length", 0, -1);
+      ("negative length", 4, -3);
+      ("near max_int", max_int, 2);
+      ("near max_int", max_int - 1, 4);
+      ("length max_int", 1, max_int);
+    ]
+
 let prop_concat_length =
   QCheck.Test.make ~name:"buf: concat length is sum" ~count:100
     QCheck.(list (string_of_size Gen.(0 -- 64)))
@@ -312,6 +417,8 @@ let suite =
       tc "blit_from_string" `Quick test_blit_from_string;
       tc "blit_to_bytes" `Quick test_blit_to_bytes;
       tc "hexdump" `Quick test_hexdump;
+      tc "blit = memmove for every length 0..2100" `Quick test_blit_every_length;
+      tc "bad lengths and offsets raise" `Quick test_bad_ranges_raise;
       QCheck_alcotest.to_alcotest prop_blit_roundtrip;
       QCheck_alcotest.to_alcotest prop_sub_consistent;
       QCheck_alcotest.to_alcotest prop_i64_any;
@@ -321,4 +428,6 @@ let suite =
       QCheck_alcotest.to_alcotest prop_f32_layout;
       QCheck_alcotest.to_alcotest prop_f64_layout;
       QCheck_alcotest.to_alcotest prop_out_of_range;
+      QCheck_alcotest.to_alcotest prop_blit_memmove;
+      QCheck_alcotest.to_alcotest prop_string_copies;
     ] )

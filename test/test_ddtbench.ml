@@ -236,6 +236,52 @@ let prop_blocks_random_fragmentation =
       done;
       Buf.equal whole out)
 
+(* The input fills write one 256-byte period and double it; every
+   byte must still equal its closed form, at lengths around the period,
+   on a view at an odd offset, and on every paper kernel's slab. *)
+let test_fills_match_closed_form () =
+  (* Both closed forms repeat every 256 bytes, so the slabs (~127 MB
+     in all) compare word by word against one period. *)
+  let check name f b =
+    let n = Buf.length b in
+    let period = Buf.create 256 in
+    for i = 0 to 255 do
+      Buf.set_u8 period i (f i)
+    done;
+    let fail i = Alcotest.failf "%s: bytes from %d of %d" name i n in
+    let i = ref 0 in
+    while !i + 8 <= n do
+      if not (Int64.equal (Buf.get_i64 b !i) (Buf.get_i64 period (!i land 255)))
+      then fail !i;
+      i := !i + 8
+    done;
+    for j = !i to n - 1 do
+      if Buf.get_u8 b j <> f j land 0xff then fail j
+    done
+  in
+  let kernel_byte i = (i * 131) + 17 in
+  List.iter
+    (fun n ->
+      let b = Buf.create n in
+      Kernel.fill b;
+      check (Printf.sprintf "Kernel.fill %d" n) kernel_byte b;
+      let v = Buf.sub (Buf.create (n + 1)) ~pos:1 ~len:n in
+      Kernel.fill v;
+      check (Printf.sprintf "Kernel.fill view %d" n) kernel_byte v;
+      List.iter
+        (fun seed ->
+          let b = Buf.create n in
+          Mpicd_bench_types.Bench_types.fill_pattern ~seed b;
+          check
+            (Printf.sprintf "fill_pattern seed %d, %d" seed n)
+            (fun i -> (i * 31) + seed + 11)
+            b)
+        [ 0; 1; 7; 255; 1000 ])
+    [ 0; 1; 255; 256; 257; 4097 ];
+  List.iter
+    (fun (module K : Kernel.KERNEL) -> check K.name kernel_byte (K.create ()))
+    Registry.paper_kernels
+
 let suite =
   let tc = Alcotest.test_case in
   ( "ddtbench",
@@ -255,6 +301,7 @@ let suite =
       tc "all kernels: wire sizes sane" `Quick test_wire_sizes_sane;
       tc "block granularity matches paper analysis" `Quick
         test_expected_block_granularity;
+      tc "input fills match closed form" `Quick test_fills_match_closed_form;
       tc "registry" `Quick test_registry;
       tc "Table I contents" `Quick test_table1_contents;
       QCheck_alcotest.to_alcotest prop_blocks_random_fragmentation;

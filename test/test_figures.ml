@@ -164,7 +164,7 @@ let kernel_bw name method_ =
         | `Ddt -> Methods.k_ddt_direct k
         | `Custom_pack -> Methods.k_custom_pack k
         | `Custom_regions ->
-            fun () -> Option.get (Methods.k_custom_regions k ())
+            Option.get (Methods.k_custom_regions k)
       in
       bw ~bytes:K.wire_bytes make
 

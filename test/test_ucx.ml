@@ -216,6 +216,65 @@ let test_generic_to_contig () =
           Alcotest.(check string) "packed (reversed) stream" "olleh"
             (Buf.to_string dst)))
 
+(* A generic receiver that copies each fragment into place. *)
+let copying_recv dst =
+  Ucx.Rd_generic
+    {
+      rg_capacity = Buf.length dst;
+      rg_unpack =
+        (fun ~offset ~src ->
+          Buf.blit ~src ~src_pos:0 ~dst ~dst_pos:offset ~len:(Buf.length src);
+          Buf.length src);
+      rg_finish = ignore;
+      rg_overhead_ns = 0.;
+    }
+
+(* A fault-free rendezvous reads contiguous and iov send buffers in
+   place.  They stay the application's: were one recycled into the
+   bounce pool, the generic pack that follows would zero it and pack
+   into it. *)
+let test_rndv_user_buffers_stay_out_of_bounce_pool () =
+  let link = Config.default.link in
+  let frag = link.frag_size in
+  (* a frag_size contiguous message must take the rendezvous path *)
+  let config =
+    { Config.default with link = { link with eager_limit = frag / 2 } }
+  in
+  with_pair ~config (fun ~engine ~stats ~w0:_ ~w1 ~ep01 ~ep10:_ ->
+      let contig = pattern frag in
+      let iov = [ pattern frag; Buf.sub (pattern (frag + 3)) ~pos:3 ~len:frag ] in
+      let iov_generic = [ pattern frag; pattern 5 ] in
+      let generic = pattern (2 * frag) in
+      let originals =
+        List.map (fun b -> (b, Buf.copy b)) ((contig :: iov) @ iov_generic)
+      in
+      let d_contig = Buf.create frag and d_iov = Buf.create (2 * frag) in
+      let d_iov_generic = Buf.create (frag + 5) in
+      let d_generic = Buf.create (2 * frag) in
+      Engine.spawn engine (fun () ->
+          let send tag dt = expect_ok (Ucx.wait (Ucx.tag_send ep01 ~tag dt)) in
+          send 1L (Ucx.Sd_contig contig);
+          send 2L (Ucx.Sd_iov iov);
+          send 3L (Ucx.Sd_iov iov_generic);
+          send 4L (reversing_send generic);
+          List.iter
+            (fun (b, orig) ->
+              Alcotest.(check bool) "send buffer untouched" true (Buf.equal b orig))
+            originals;
+          check_int "no pooled fragment reused" 0 stats.bounce_reuses);
+      Engine.spawn engine (fun () ->
+          let recv tag dt = expect_ok (Ucx.wait (Ucx.tag_recv w1 ~tag ~mask:(-1L) dt)) in
+          recv 1L (Ucx.Rd_contig d_contig);
+          recv 2L (Ucx.Rd_contig d_iov);
+          recv 3L (copying_recv d_iov_generic);
+          recv 4L (reversing_recv d_generic);
+          Alcotest.(check bool) "contig payload" true (Buf.equal contig d_contig);
+          Alcotest.(check bool) "iov payload" true
+            (Buf.equal (Buf.concat iov) d_iov);
+          Alcotest.(check bool) "iov -> generic payload" true
+            (Buf.equal (Buf.concat iov_generic) d_iov_generic);
+          Alcotest.(check bool) "generic payload" true (Buf.equal generic d_generic)))
+
 let test_truncation_eager () =
   with_pair (fun ~engine ~stats:_ ~w0:_ ~w1 ~ep01 ~ep10:_ ->
       let src = pattern 100 in
@@ -537,6 +596,8 @@ let suite =
       tc "generic eager callbacks" `Quick test_generic_eager;
       tc "generic rndv fragments" `Quick test_generic_rndv_fragments;
       tc "generic->contig packed stream" `Quick test_generic_to_contig;
+      tc "rndv user buffers stay out of bounce pool" `Quick
+        test_rndv_user_buffers_stay_out_of_bounce_pool;
       tc "truncation (eager)" `Quick test_truncation_eager;
       tc "truncation (rndv) sender ok" `Quick test_truncation_rndv_completes_sender;
       tc "pack callback error" `Quick test_pack_callback_error;
