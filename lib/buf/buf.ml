@@ -159,16 +159,30 @@ let copy t =
   blit ~src:t ~src_pos:0 ~dst ~dst_pos:0 ~len:t.len;
   dst
 
+(* Eight bytes per comparison, then the byte tail; byte order does not
+   matter for equality, so there is no swap on big-endian hosts. *)
 let equal a b =
   a.len = b.len
   &&
-  let rec loop i =
-    i >= a.len
-    || Bigarray.Array1.unsafe_get a.base (a.off + i)
-         = Bigarray.Array1.unsafe_get b.base (b.off + i)
-       && loop (i + 1)
-  in
-  loop 0
+  let n = a.len in
+  let words = n land lnot 7 in
+  let i = ref 0 in
+  while
+    !i < words
+    && (unsafe_get64 a.base (a.off + !i) : int64)
+       = unsafe_get64 b.base (b.off + !i)
+  do
+    i := !i + 8
+  done;
+  if !i = words then
+    while
+      !i < n
+      && Bigarray.Array1.unsafe_get a.base (a.off + !i)
+         = Bigarray.Array1.unsafe_get b.base (b.off + !i)
+    do
+      incr i
+    done;
+  !i = n
 
 let blit_from_string s ~src_pos ~dst ~dst_pos ~len =
   if len < 0 || src_pos < 0 || src_pos > String.length s - len then

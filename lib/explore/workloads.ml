@@ -124,23 +124,21 @@ let run_world ~config ~size ~tap ~plan body ~extra_oracle =
    and ranks 0/1 deadlocked.  Every error handler revokes, as the ULFM
    recipe prescribes. *)
 
+let revoke_rescue_size = 4
 let payload_bytes = 1024
 let pp_rounds = 30
 
-let pattern ~src =
-  let b = Buf.create payload_bytes in
-  for i = 0 to payload_bytes - 1 do
-    Buf.set_u8 b i ((src * 37) + i land 0xff)
-  done;
-  b
+(* Each source rank's reference payload, built once and never written:
+   senders send a copy, receivers compare against it. *)
+let patterns =
+  Array.init revoke_rescue_size (fun src ->
+      let b = Buf.create payload_bytes in
+      for i = 0 to payload_bytes - 1 do
+        Buf.set_u8 b i ((src * 37) + i land 0xff)
+      done;
+      b)
 
-let check_pattern ~src b =
-  let want = pattern ~src in
-  let ok = ref true in
-  for i = 0 to payload_bytes - 1 do
-    if Buf.get_u8 b i <> Buf.get_u8 want i then ok := false
-  done;
-  !ok
+let check_pattern ~src b = Buf.equal b patterns.(src)
 
 let tag_a = 1
 let tag_b = 2
@@ -149,7 +147,9 @@ let tag_pp = 3
 let revoke_rescue_body c outcomes =
   let me = Mpi.rank c in
   let result = ref "ok" in
-  let send_pat dst tag = Mpi.send c ~dst ~tag (Mpi.Bytes (pattern ~src:me)) in
+  let send_pat dst tag =
+    Mpi.send c ~dst ~tag (Mpi.Bytes (Buf.copy patterns.(me)))
+  in
   let recv_pat src tag =
     let b = Buf.create payload_bytes in
     ignore (Mpi.recv c ~source:src ~tag (Mpi.Bytes b));
@@ -190,7 +190,7 @@ let revoke_rescue_base =
 
 let revoke_rescue =
   let config = Config.default in
-  let size = 4 in
+  let size = revoke_rescue_size in
   {
     wl_name = "revoke-rescue";
     wl_descr =
@@ -237,11 +237,22 @@ let allreduce_expected_digest ~size =
   let data = Array.init allreduce_floats sum in
   Array.fold_left (fun acc v -> (acc *. 31.) +. v) 0. data
 
-let allreduce_oracle ~config ~size ~plan ~outcomes ~addf =
-  let oks =
-    Array.to_list outcomes
-    |> List.filter (fun o -> String.length o >= 3 && String.sub o 0 3 = "ok:")
-  in
+let is_ok o = String.starts_with ~prefix:"ok:" o
+
+(* Does [needle] occur in [hay] at or after [i]?  Compares in place,
+   without building substrings or closures. *)
+let rec occurs_at hay needle i j =
+  j = String.length needle
+  || String.unsafe_get hay (i + j) = String.unsafe_get needle j
+     && occurs_at hay needle i (j + 1)
+
+let rec contains_from hay needle i =
+  i + String.length needle <= String.length hay
+  && (occurs_at hay needle i 0 || contains_from hay needle (i + 1))
+
+(* [want] is the fault-free digest field, rendered once per workload. *)
+let allreduce_oracle ~config ~want ~plan ~outcomes ~addf =
+  let oks = Array.to_list outcomes |> List.filter is_ok in
   (match oks with
   | [] ->
       if Array.length outcomes > 0 then addf "recovery: no rank committed"
@@ -264,16 +275,7 @@ let allreduce_oracle ~config ~size ~plan ~outcomes ~addf =
   if not (has_cause config plan) then
     Array.iteri
       (fun r o ->
-        let want =
-          Printf.sprintf "digest=%h" (allreduce_expected_digest ~size)
-        in
-        let has_sub hay needle =
-          let nh = String.length hay and nn = String.length needle in
-          let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-          nn = 0 || go 0
-        in
-        if String.length o >= 3 && String.sub o 0 3 = "ok:" && not (has_sub o want)
-        then
+        if is_ok o && not (contains_from o want 0) then
           addf
             (Printf.sprintf "conservation: rank %d committed wrong sum (%s)" r o))
       outcomes;
@@ -305,6 +307,7 @@ let allreduce =
   let config = Config.default in
   let size = 4 in
   let base = Fault.make ~max_retries:4 ~rto_ns:5_000. ~hb_period_ns:50_000. () in
+  let want = Printf.sprintf "digest=%h" (allreduce_expected_digest ~size) in
   {
     wl_name = "allreduce";
     wl_descr =
@@ -316,7 +319,7 @@ let allreduce =
     wl_run =
       (fun ?tap plan ->
         run_world ~config ~size ~tap ~plan allreduce_body
-          ~extra_oracle:(allreduce_oracle ~config ~size));
+          ~extra_oracle:(allreduce_oracle ~config ~want));
   }
 
 let all = [ revoke_rescue; allreduce ]

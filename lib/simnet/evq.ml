@@ -32,7 +32,13 @@
    would widen that estimate; they are clamped to a terminal virtual
    bucket and recovered by the direct-search fallback, which also
    bounds any pop at O(nbuckets) when the window scan wraps a whole
-   year without finding a head.
+   year without finding a head.  Such a wrap also proves [width]
+   stale, which the size thresholds alone never notice at small
+   populations: a world with a handful of live events µs apart would
+   otherwise keep the initial 1 ns width for life and walk hundreds of
+   empty buckets per pop.  So a wrap with two or more live events
+   re-estimates [width] through the same rebuild; with one event there
+   is no spacing to fit.
 
    Determinism: bucket selection is a pure function of the key and the
    (deterministically evolved) width, in-bucket lists are totally
@@ -177,7 +183,8 @@ let bucket_insert t b e time seq =
 
 (* Rebuild the bucket array at ~[len] buckets, re-estimating [width]
    from the live events' span.  O(len + nbuckets); the thresholds in
-   [push]/[pop_min] make it amortized O(1). *)
+   [push]/[pop_min] make it amortized O(1), and in [scan] it follows a
+   year wrap that has already walked every bucket. *)
 let resize t =
   let n = t.len in
   let entries = Array.make (max n 1) 0 in
@@ -282,9 +289,18 @@ let scan t =
             end
           end
       done;
-      t.cur_vb <- vbucket t t.times.(!best);
       found := !best;
-      fb := !best_b
+      (* a wrap means [width] no longer fits the live events' spacing;
+         re-estimate it (which re-files every entry and puts the cursor
+         on the minimum) unless one event is all there is to fit *)
+      if t.len >= 2 then begin
+        resize t;
+        fb := vbucket t t.times.(!best) land t.mask
+      end
+      else begin
+        t.cur_vb <- vbucket t t.times.(!best);
+        fb := !best_b
+      end
     end
     else begin
       let b = t.cur_vb land t.mask in
@@ -292,10 +308,12 @@ let scan t =
       (* a head inside the cursor's window is the global minimum:
          windows below [cur_vb] have been drained (or the cursor was
          pulled back by [push]), and within a window only this bucket
-         can hold events *)
+         can hold events.  The test is [vbucket]'s own product, so it
+         agrees with the bucket the head was filed in to the last bit. *)
       if
         h >= 0
-        && Array.unsafe_get t.times h < float_of_int (t.cur_vb + 1) *. t.width
+        && Array.unsafe_get t.times h *. t.inv_width
+           < float_of_int (t.cur_vb + 1)
       then begin
         found := h;
         fb := b

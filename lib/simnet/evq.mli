@@ -23,7 +23,10 @@
       (push/pop balanced) allocates nothing on the hot path — the
       arrays only grow on resize, they never churn;
     - {!min_time} / {!pop_min} allocate nothing (no option or tuple
-      boxing), unlike the compatibility {!pop}; a {!min_time}
+      boxing), unlike the compatibility {!pop}, except when their scan
+      wraps a whole calendar year with two or more live events: the
+      bucket width has gone stale, and the calendar is rebuilt with a
+      width re-estimated from the live events; a {!min_time}
       immediately followed by {!pop_min} performs a single bucket
       scan (the located entry is cached).
 
@@ -52,12 +55,14 @@ val push : 'a t -> time:float -> seq:int -> 'a -> unit
     calendar resizes. *)
 
 val min_time : 'a t -> float
-(** Time of the minimum entry without removing it; non-allocating.
+(** Time of the minimum entry without removing it; non-allocating
+    unless the scan rebuilds the calendar (see above).
     @raise Invalid_argument on an empty queue. *)
 
 val pop_min : 'a t -> 'a
 (** Remove the minimum entry and return its value; non-allocating in
-    steady state (the freed entry is reused by later pushes).
+    steady state (the freed entry is reused by later pushes, and
+    calendar rebuilds are rare).
     @raise Invalid_argument on an empty queue. *)
 
 val pop : 'a t -> (float * int * 'a) option

@@ -12,8 +12,10 @@ let table =
          done;
          !c))
 
+(* [pos > length - len] rather than [pos + len > length]: the sum
+   overflows for [pos] near [max_int] and would pass the check. *)
 let digest_sub b ~pos ~len =
-  if pos < 0 || len < 0 || pos + len > Buf.length b then
+  if pos < 0 || len < 0 || pos > Buf.length b - len then
     invalid_arg "Crc32.digest_sub";
   let table = Lazy.force table in
   let crc = ref 0xFFFFFFFFl in

@@ -386,6 +386,74 @@ let test_bad_ranges_raise () =
       ("length max_int", 1, max_int);
     ]
 
+(* [Buf.equal] compares a word at a time; these pin it to the byte-wise
+   definition on unaligned views, overlapping views of one base, every
+   word/tail split of short lengths, and lengths that differ. *)
+
+(* byte [i] depends on [i mod period] only, so two views of the same
+   contents are equal exactly when their offsets agree modulo [period] *)
+let periodic n period =
+  let b = Buf.create n in
+  for i = 0 to n - 1 do
+    Buf.set_u8 b i (((i mod period) * 37) + 11)
+  done;
+  b
+
+let prop_equal_bytewise =
+  QCheck.Test.make ~name:"buf: equal = byte-wise equality on odd-offset views"
+    ~count:500
+    (QCheck.make
+       QCheck.Gen.(
+         pair
+           (quad (0 -- 2100) (0 -- 7) (0 -- 7) (oneofl [ 1; 2; 8; 256 ]))
+           (pair bool (opt nat))))
+    (fun ((len, a, b, period), (same, flip)) ->
+      let base_a = periodic (len + 16) period in
+      let base_b = if same then base_a else periodic (len + 16) period in
+      let va = Buf.sub base_a ~pos:((2 * a) + 1) ~len
+      and vb = Buf.sub base_b ~pos:((2 * b) + 1) ~len in
+      (match flip with
+      | Some k when len > 0 ->
+          let k = k mod len in
+          Buf.set_u8 vb k (Buf.get_u8 vb k lxor 0x40)
+      | _ -> ());
+      Buf.equal va vb = (snapshot va = snapshot vb))
+
+let test_equal_single_byte_flips () =
+  let lengths = List.init 25 Fun.id @ List.init 17 (fun d -> 1016 + d) in
+  List.iter
+    (fun len ->
+      let a = Buf.sub (patterned (len + 1) 9) ~pos:1 ~len
+      and b = Buf.sub (patterned (len + 3) 9) ~pos:3 ~len in
+      (* same contents at another offset of another base *)
+      Buf.blit ~src:a ~src_pos:0 ~dst:b ~dst_pos:0 ~len;
+      if not (Buf.equal a b) then Alcotest.failf "len %d: copies differ" len;
+      for k = 0 to len - 1 do
+        List.iter
+          (fun mask ->
+            let old = Buf.get_u8 b k in
+            Buf.set_u8 b k (old lxor mask);
+            if Buf.equal a b || Buf.equal b a then
+              Alcotest.failf "len %d: flip 0x%02x at byte %d not seen" len mask k;
+            Buf.set_u8 b k old)
+          [ 0x01; 0x80; 0xff ]
+      done;
+      (* a view one byte longer with the same prefix *)
+      let longer = Buf.sub (patterned (len + 2) 9) ~pos:1 ~len:(len + 1) in
+      if Buf.equal a longer || Buf.equal longer a then
+        Alcotest.failf "len %d vs %d: different lengths compared equal" len
+          (len + 1))
+    lengths
+
+let prop_equal_lengths_differ =
+  QCheck.Test.make ~name:"buf: equal is false when lengths differ" ~count:200
+    QCheck.(pair (int_bound 1100) (int_range 1 40))
+    (fun (n, d) ->
+      let base = periodic (n + d + 1) 1 in
+      let short = Buf.sub base ~pos:1 ~len:n
+      and long = Buf.sub base ~pos:0 ~len:(n + d) in
+      (not (Buf.equal short long)) && not (Buf.equal long short))
+
 let prop_concat_length =
   QCheck.Test.make ~name:"buf: concat length is sum" ~count:100
     QCheck.(list (string_of_size Gen.(0 -- 64)))
@@ -419,6 +487,7 @@ let suite =
       tc "hexdump" `Quick test_hexdump;
       tc "blit = memmove for every length 0..2100" `Quick test_blit_every_length;
       tc "bad lengths and offsets raise" `Quick test_bad_ranges_raise;
+      tc "equal sees every single-byte flip" `Quick test_equal_single_byte_flips;
       QCheck_alcotest.to_alcotest prop_blit_roundtrip;
       QCheck_alcotest.to_alcotest prop_sub_consistent;
       QCheck_alcotest.to_alcotest prop_i64_any;
@@ -430,4 +499,6 @@ let suite =
       QCheck_alcotest.to_alcotest prop_out_of_range;
       QCheck_alcotest.to_alcotest prop_blit_memmove;
       QCheck_alcotest.to_alcotest prop_string_copies;
+      QCheck_alcotest.to_alcotest prop_equal_bytewise;
+      QCheck_alcotest.to_alcotest prop_equal_lengths_differ;
     ] )

@@ -275,6 +275,45 @@ let test_mutation_self_check () =
   check_int "zero counterexamples with the mutation off" 0
     (List.length r.Explore.rp_cexs)
 
+(* The explorer's fixed-sweep outcomes: every 1- and 2-fault schedule of
+   both workloads, in recording order (singles, then pairs [i < j]).  No
+   schedule may violate its oracle, and the CRC32 of all renders, each
+   followed by a newline, must not move: it pins virtual time, fault
+   fates and oracle verdicts across host-side optimisations.  A change
+   that moves it on purpose must say why and record the new value. *)
+let sweep_digest = 0x1825bcf7l
+let sweep_runs = 2554
+
+let test_fixed_sweep_digest () =
+  let module Crc32 = Mpicd_ucx.Crc32 in
+  let renders = Buffer.create (1 lsl 20) in
+  let runs = ref 0 in
+  List.iter
+    (fun wl ->
+      let pts = Array.of_list (Explore.record wl).Explore.tl_points in
+      let n = Array.length pts in
+      let run sched =
+        let plan = Explore.plan_of_schedule wl.Workloads.wl_base sched in
+        let r = wl.Workloads.wl_run plan in
+        incr runs;
+        if r.Workloads.res_failures <> [] then
+          Alcotest.failf "%s [%s]: %s" wl.Workloads.wl_name
+            (String.concat "," (List.map Explore.fault_id sched))
+            (String.concat "; " r.Workloads.res_failures);
+        Buffer.add_string renders r.Workloads.res_render;
+        Buffer.add_char renders '\n'
+      in
+      Array.iter (fun p -> run [ p ]) pts;
+      for i = 0 to n - 1 do
+        for j = i + 1 to n - 1 do
+          run [ pts.(i); pts.(j) ]
+        done
+      done)
+    Workloads.all;
+  check_int "schedules swept" sweep_runs !runs;
+  Alcotest.(check int32) "CRC32 of every render" sweep_digest
+    (Crc32.digest (Buf.of_string (Buffer.contents renders)))
+
 let test_repro_of_json_rejects_garbage () =
   (match Explore.repro_of_json "{" with
   | Ok _ -> Alcotest.fail "parsed truncated JSON"
@@ -320,4 +359,6 @@ let suite =
       tc "seeded mutation: find, shrink, replay" `Quick
         test_mutation_self_check;
       tc "repro.json fails closed" `Quick test_repro_of_json_rejects_garbage;
+      tc "fixed 1-/2-fault sweep: clean, digest pinned" `Quick
+        test_fixed_sweep_digest;
     ] )

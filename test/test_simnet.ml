@@ -563,6 +563,68 @@ let prop_evq_matches_heap =
       done;
       !ok)
 
+(* The same pin on the shape a small faulty world gives the queue: 1–8
+   live events, each pop pushing successors at the popped time plus a
+   delay that is a tie (0), link-latency-like (µs), a heartbeat (50 µs)
+   or a far-future sentinel (1e13).  A few events spread this far apart
+   make the scan wrap whole years, so this drives the width
+   re-estimation on a wrap over and over. *)
+let prop_evq_matches_heap_sim_shaped =
+  let max_live = 8 in
+  let delay_gen =
+    QCheck.Gen.(
+      frequency
+        [
+          (1, return 0.);
+          (6, map (fun k -> 1e3 *. float_of_int k) (1 -- 20));
+          (2, return 5e4);
+          (1, return 1e13);
+        ])
+  in
+  let step_gen = QCheck.Gen.(pair (0 -- 2) (list_repeat 2 delay_gen)) in
+  let gen =
+    QCheck.Gen.(
+      pair
+        (pair (1 -- max_live) (list_repeat max_live delay_gen))
+        (list_size (100 -- 600) step_gen))
+  in
+  let print ((n0, _), steps) =
+    Printf.sprintf "%d initial events, %d steps" n0 (List.length steps)
+  in
+  QCheck.Test.make
+    ~name:"evq: pop order identical to reference heap on simulation-shaped runs"
+    ~count:200 (QCheck.make ~print gen)
+    (fun ((n0, initial), steps) ->
+      let h = Heap.create () in
+      let q = Evq.create () in
+      let seq = ref 0 in
+      let push time =
+        incr seq;
+        Heap.push h ~time ~seq:!seq !seq;
+        Evq.push q ~time ~seq:!seq !seq
+      in
+      List.iteri (fun i d -> if i < n0 then push d) initial;
+      let ok = ref true in
+      let pop_both () =
+        let want = Heap.pop h and got = Evq.pop q in
+        if got <> want then ok := false;
+        want
+      in
+      List.iter
+        (fun (k, delays) ->
+          match pop_both () with
+          | None -> ok := false
+          | Some (now, _, _) ->
+              let live = Heap.size h in
+              (* keep 1..max_live events live *)
+              let k = min (max k (if live = 0 then 1 else 0)) (max_live - live) in
+              List.iteri (fun i d -> if i < k then push (now +. d)) delays)
+        steps;
+      while not (Heap.is_empty h && Evq.is_empty q) do
+        ignore (pop_both ())
+      done;
+      !ok)
+
 (* Engine virtual-time hardening *)
 
 let test_sleep_rejects_bad_durations () =
@@ -762,4 +824,5 @@ let suite =
       QCheck_alcotest.to_alcotest prop_heap_sorted;
       QCheck_alcotest.to_alcotest prop_rng_int_in_range;
       QCheck_alcotest.to_alcotest prop_evq_matches_heap;
+      QCheck_alcotest.to_alcotest prop_evq_matches_heap_sim_shaped;
     ] )

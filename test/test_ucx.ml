@@ -581,11 +581,34 @@ let test_crc32_vectors () =
   Alcotest.(check bool) "prefix digest differs" true
     (Crc32.digest_sub big ~pos:0 ~len:(1 lsl 19) <> d)
 
+(* Ranges that do not fit raise instead of digesting nothing — including
+   [pos] near [max_int], where [pos + len] overflows to a negative sum. *)
+let test_crc32_bad_ranges_raise () =
+  let module Crc32 = Mpicd_ucx.Crc32 in
+  let b = Buf.of_string "123456789" in
+  List.iter
+    (fun (what, pos, len) ->
+      match Crc32.digest_sub b ~pos ~len with
+      | exception Invalid_argument _ -> ()
+      | _ ->
+          Alcotest.failf "%s (pos %d, len %d): expected Invalid_argument" what
+            pos len)
+    [
+      ("negative length", 0, -1);
+      ("negative position", -1, 2);
+      ("near max_int", max_int, 2);
+      ("near max_int", max_int - 1, 9);
+      ("past the end", 8, 2);
+    ];
+  Alcotest.(check int32) "empty slice at the end is fine" 0l
+    (Crc32.digest_sub b ~pos:9 ~len:0)
+
 let suite =
   let tc = Alcotest.test_case in
   ( "ucx",
     [
       tc "crc32 published vectors" `Quick test_crc32_vectors;
+      tc "crc32 bad ranges raise" `Quick test_crc32_bad_ranges_raise;
       tc "contig eager roundtrip" `Quick test_contig_eager_roundtrip;
       tc "contig rndv roundtrip" `Quick test_contig_rndv_roundtrip;
       tc "eager completes locally" `Quick test_eager_sender_completes_locally;
