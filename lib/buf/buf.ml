@@ -196,6 +196,42 @@ let blit_to_bytes ~src ~src_pos ~dst ~dst_pos ~len =
     invalid_arg "Buf.blit_to_bytes: destination range";
   copy_words_to_bytes src.base (src.off + src_pos) dst dst_pos len
 
+(* Float arrays move as little-endian binary64 words: one range check
+   per call, then a word loop with no per-element boxing (a call to
+   [set_f64]/[get_f64] boxes its float and int64 without flambda).  The
+   byte-swap decision is hoisted out of the loop. *)
+let blit_from_floats (a : float array) ~src_pos ~dst ~dst_pos ~len =
+  if len < 0 || src_pos < 0 || src_pos > Array.length a - len then
+    invalid_arg "Buf.blit_from_floats: source range";
+  check dst dst_pos (8 * len);
+  let d = dst.base and d_o = dst.off + dst_pos in
+  if Sys.big_endian then
+    for i = 0 to len - 1 do
+      unsafe_set64 d (d_o + (8 * i))
+        (bswap64 (Int64.bits_of_float (Array.unsafe_get a (src_pos + i))))
+    done
+  else
+    for i = 0 to len - 1 do
+      unsafe_set64 d (d_o + (8 * i))
+        (Int64.bits_of_float (Array.unsafe_get a (src_pos + i)))
+    done
+
+let blit_to_floats ~src ~src_pos ~(dst : float array) ~dst_pos ~len =
+  if len < 0 || dst_pos < 0 || dst_pos > Array.length dst - len then
+    invalid_arg "Buf.blit_to_floats: destination range";
+  check src src_pos (8 * len);
+  let s = src.base and so = src.off + src_pos in
+  if Sys.big_endian then
+    for i = 0 to len - 1 do
+      Array.unsafe_set dst (dst_pos + i)
+        (Int64.float_of_bits (bswap64 (unsafe_get64 s (so + (8 * i)))))
+    done
+  else
+    for i = 0 to len - 1 do
+      Array.unsafe_set dst (dst_pos + i)
+        (Int64.float_of_bits (unsafe_get64 s (so + (8 * i))))
+    done
+
 let of_string s =
   let n = String.length s in
   let t = alloc n in

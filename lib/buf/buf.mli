@@ -80,6 +80,21 @@ val to_string : t -> string
 val blit_from_string : string -> src_pos:int -> dst:t -> dst_pos:int -> len:int -> unit
 val blit_to_bytes : src:t -> src_pos:int -> dst:Bytes.t -> dst_pos:int -> len:int -> unit
 
+val blit_from_floats :
+  float array -> src_pos:int -> dst:t -> dst_pos:int -> len:int -> unit
+(** [blit_from_floats a ~src_pos ~dst ~dst_pos ~len] stores the [len]
+    floats [a.(src_pos) .. a.(src_pos + len - 1)] at byte offset
+    [dst_pos] of [dst], each as the little-endian binary64 word that
+    {!set_f64} writes (NaN payloads and signed zeros included).
+    @raise Invalid_argument if either range does not fit. *)
+
+val blit_to_floats :
+  src:t -> src_pos:int -> dst:float array -> dst_pos:int -> len:int -> unit
+(** [blit_to_floats ~src ~src_pos ~dst ~dst_pos ~len] reads [len]
+    binary64 words from byte offset [src_pos] of [src] into
+    [dst.(dst_pos) ..], bit for bit as {!get_f64} would.
+    @raise Invalid_argument if either range does not fit. *)
+
 val concat : t list -> t
 (** Fresh buffer holding the concatenation of the slices. *)
 

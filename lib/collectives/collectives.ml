@@ -45,20 +45,24 @@ let protected comm body =
           !tracked;
         K.collective_error comm err)
 
+(* Barrier messages carry no bytes, so every round of every barrier
+   can share one empty buffer: nothing is ever written to or read from
+   it, and a fresh one would cost a malloc'd bigarray per message. *)
+let empty_msg = Mpi.Bytes (Buf.create 0)
+
 let barrier comm =
   let n = Mpi.size comm and me = Mpi.rank comm in
   let seq = K.fresh_seq comm in
   protected comm @@ fun track ->
   if n > 1 then begin
-    let empty () = Mpi.Bytes (Buf.create 0) in
     let round = ref 0 in
     let dist = ref 1 in
     while !dist < n do
       let to_ = (me + !dist) mod n in
       let from = (me - !dist + n) mod n in
       let tag = tag_of ~seq ~op:op_barrier ~round:!round in
-      let s = track (K.isend_k comm K.Internal ~dst:to_ ~tag (empty ())) in
-      ignore (K.recv_k comm K.Internal ~source:from ~tag (empty ()));
+      let s = track (K.isend_k comm K.Internal ~dst:to_ ~tag empty_msg) in
+      ignore (K.recv_k comm K.Internal ~source:from ~tag empty_msg);
       ignore (Mpi.wait s);
       incr round;
       dist := !dist * 2
@@ -161,25 +165,31 @@ let alltoall comm ~send ~recv =
 (* --- float64 reductions --- *)
 
 let buf_of_floats fs =
-  let b = Buf.create (8 * Array.length fs) in
-  Array.iteri (fun i v -> Buf.set_f64 b (8 * i) v) fs;
+  let n = Array.length fs in
+  let b = Buf.create (8 * n) in
+  Buf.blit_from_floats fs ~src_pos:0 ~dst:b ~dst_pos:0 ~len:n;
   b
 
 let floats_into b fs =
-  for i = 0 to Array.length fs - 1 do
-    fs.(i) <- Buf.get_f64 b (8 * i)
-  done
+  Buf.blit_to_floats ~src:b ~src_pos:0 ~dst:fs ~dst_pos:0 ~len:(Array.length fs)
 
-let apply_op op a incoming =
-  let f =
-    match op with
-    | `Sum -> ( +. )
-    | `Max -> Float.max
-    | `Min -> Float.min
-  in
-  for i = 0 to Array.length a - 1 do
-    a.(i) <- f a.(i) incoming.(i)
-  done
+(* One loop per operator: applying [( +. )] as a closure would box both
+   operands of every element. *)
+let apply_op op (a : float array) (incoming : float array) =
+  let n = Array.length a in
+  match op with
+  | `Sum ->
+      for i = 0 to n - 1 do
+        a.(i) <- a.(i) +. incoming.(i)
+      done
+  | `Max ->
+      for i = 0 to n - 1 do
+        a.(i) <- Float.max a.(i) incoming.(i)
+      done
+  | `Min ->
+      for i = 0 to n - 1 do
+        a.(i) <- Float.min a.(i) incoming.(i)
+      done
 
 let reduce_f64 comm ~root ~op data =
   let n = Mpi.size comm and me = Mpi.rank comm in

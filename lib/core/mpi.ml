@@ -152,9 +152,16 @@ type agree_slot = {
   mutable s_waiters : int Engine.resumer list;
 }
 
-(* A rank's registered operations with their count kept alongside, so
-   the prune check on every post is O(1). *)
-type olist = { mutable ops : oentry list; mutable n_ops : int }
+(* A rank's registered operations, newest first, with their count kept
+   alongside so the prune check on every post is O(1).  [prune_at] is
+   the count that triggers the next prune of completed entries; it
+   follows the pending population, so the list stays within a small
+   factor of the operations still in flight. *)
+type olist = {
+  mutable ops : oentry list;
+  mutable n_ops : int;
+  mutable prune_at : int;
+}
 
 type world = {
   engine : Engine.t;
@@ -165,10 +172,6 @@ type world = {
   world_group : int array;
       (* the identity group of the world communicator, shared by every
          rank's handle (never mutated) *)
-  eps : (int * int, Ucx.endpoint) Hashtbl.t;
-      (* (src, dst) -> endpoint, created on first use: a dense N^2
-         array is prohibitive at thousands of ranks, and most pairs
-         never talk (collectives are log- or ring-structured) *)
   mutable shuffle : Rng.t option;
   mutable next_cid : int;  (* communicator-id allocator (rank 0 side) *)
   mutable monitor : Monitor.t option;
@@ -207,9 +210,17 @@ let alloc_cid w =
   w.next_cid <- cid + 1;
   cid
 
+(* Drop completed entries, keeping the pending ones in order, and set
+   the next prune point to twice what is left (at least 8): a prune
+   then happens only after as many posts as it kept entries, so
+   registration stays amortized O(1), and a completed operation is
+   released within a few posts of completing. *)
+let min_prune_at = 8
+
 let prune_completed ol =
   ol.ops <- List.filter (fun e -> not (Ucx.is_completed e.oe_req)) ol.ops;
-  ol.n_ops <- List.length ol.ops
+  ol.n_ops <- List.length ol.ops;
+  ol.prune_at <- max min_prune_at (2 * ol.n_ops)
 
 (* Cancel [owner]'s live registered operations matching [pred],
    completing each with [err].  Completed entries are pruned. *)
@@ -231,12 +242,11 @@ let register_outstanding w (e : oentry) =
       match Hashtbl.find_opt w.outstanding e.oe_rank with
       | Some ol -> ol
       | None ->
-          let ol = { ops = []; n_ops = 0 } in
+          let ol = { ops = []; n_ops = 0; prune_at = min_prune_at } in
           Hashtbl.add w.outstanding e.oe_rank ol;
           ol
     in
-    (* bound the list: drop completed entries once it grows *)
-    if ol.n_ops > 64 then prune_completed ol;
+    if ol.n_ops >= ol.prune_at then prune_completed ol;
     ol.ops <- e :: ol.ops;
     ol.n_ops <- ol.n_ops + 1
   end
@@ -320,7 +330,6 @@ let create_world ?(config = Config.default) ?topology ~size () =
   let ucx = Ucx.create_context ~engine ~config ~stats in
   Ucx.set_topology ucx topology;
   let workers = Array.init size (fun _ -> Ucx.create_worker ucx) in
-  let eps = Hashtbl.create (4 * size) in
   let w =
     {
       engine;
@@ -329,7 +338,6 @@ let create_world ?(config = Config.default) ?topology ~size () =
       ucx;
       workers;
       world_group = Array.init size Fun.id;
-      eps;
       shuffle = None;
       next_cid = 1;
       monitor = None;
@@ -346,16 +354,6 @@ let create_world ?(config = Config.default) ?topology ~size () =
   in
   Ucx.on_failure ucx (fun ~rank ~time -> handle_rank_failure w ~rank ~time);
   w
-
-(* Lazy endpoint cache: [Ucx.connect] is a pure pairing of workers, so
-   creating an endpoint on first use is deterministic. *)
-let endpoint w ~src ~dst =
-  match Hashtbl.find_opt w.eps (src, dst) with
-  | Some ep -> ep
-  | None ->
-      let ep = Ucx.connect w.workers.(src) w.workers.(dst) in
-      Hashtbl.add w.eps (src, dst) ep;
-      ep
 
 let world_engine w = w.engine
 let world_stats w = w.stats
@@ -810,12 +808,14 @@ let wait r =
         else Obs.null_span
       in
       let u = Ucx.wait r.ucx_req in
-      let args =
-        match Ucx.request_seq r.ucx_req with
-        | -1 -> []
-        | m -> [ ("mseq", Obs.Int m) ]
-      in
-      Obs.span_end r.r_obs ~time:(Engine.now r.r_engine) ~args sp;
+      if Obs.enabled r.r_obs then begin
+        let args =
+          match Ucx.request_seq r.ucx_req with
+          | -1 -> []
+          | m -> [ ("mseq", Obs.Int m) ]
+        in
+        Obs.span_end r.r_obs ~time:(Engine.now r.r_engine) ~args sp
+      end;
       finalize_once r u
 
 let waitall rs = List.map wait rs
@@ -1033,11 +1033,16 @@ let op_span c ~blocking ~send ~peer ~tag buf =
 let fail_fast c kind ~peer_world : Ucx.error option =
   let w = c.w in
   let me = c.group.(c.c_rank) in
-  if Hashtbl.mem w.revoked_seen (c.cid, me) then Some Ucx.Revoked
+  (* both tables stay empty until a revoke or a poisoned collective,
+     so a healthy world never hashes a key here *)
+  if Hashtbl.length w.revoked_seen > 0 && Hashtbl.mem w.revoked_seen (c.cid, me)
+  then Some Ucx.Revoked
   else
     match
-      if kind_code kind = kind_code Internal0.Internal then
-        Hashtbl.find_opt w.col_poison (c.cid, me)
+      if
+        Hashtbl.length w.col_poison > 0
+        && kind_code kind = kind_code Internal0.Internal
+      then Hashtbl.find_opt w.col_poison (c.cid, me)
       else None
     with
     | Some err -> Some (lower_error err)
@@ -1066,7 +1071,8 @@ let isend_gen c kind ~blocking ~dst ~tag buf =
       make_request ?span ~force_raise c req (fun _ -> ())
   | None ->
       let dt, cleanup = make_send_dt c buf in
-      let req = Ucx.tag_send (endpoint c.w ~src:me ~dst:peer) ~tag:t64 dt in
+      let ep = Ucx.connect c.w.workers.(me) c.w.workers.(peer) in
+      let req = Ucx.tag_send ep ~tag:t64 dt in
       monitor_record c kind ~op_kind:Monitor.Send ~peer ~tag ~blocking buf req;
       register_outstanding c.w
         {
@@ -1206,9 +1212,14 @@ let collective_error c err =
 let collective_ready c =
   let w = c.w in
   let me = c.group.(c.c_rank) in
-  if Hashtbl.mem w.revoked_seen (c.cid, me) then Some Revoked
+  if Hashtbl.length w.revoked_seen > 0 && Hashtbl.mem w.revoked_seen (c.cid, me)
+  then Some Revoked
   else
-    match Hashtbl.find_opt w.col_poison (c.cid, me) with
+    match
+      if Hashtbl.length w.col_poison > 0 then
+        Hashtbl.find_opt w.col_poison (c.cid, me)
+      else None
+    with
     | Some err -> Some err
     | None ->
         if Ucx.any_failures w.ucx then
@@ -1459,7 +1470,8 @@ let comm_shrink c =
 
 (* --- barrier (linear; the harness only needs correctness) --- *)
 
-let empty () = Bytes (Buf.create 0)
+(* One shared empty payload: barrier messages carry no bytes. *)
+let empty_msg = Bytes (Buf.create 0)
 
 let fresh_seq c =
   let seq = c.bar_seq in
@@ -1485,15 +1497,15 @@ let barrier c =
       let body () =
         if c.c_rank = 0 then begin
           for _ = 1 to size c - 1 do
-            ignore (recv_k c Internal0.Internal ~tag (empty ()))
+            ignore (recv_k c Internal0.Internal ~tag empty_msg)
           done;
           for r = 1 to size c - 1 do
-            send_k c Internal0.Internal ~dst:r ~tag:(tag + 1) (empty ())
+            send_k c Internal0.Internal ~dst:r ~tag:(tag + 1) empty_msg
           done
         end
         else begin
-          send_k c Internal0.Internal ~dst:0 ~tag (empty ());
-          ignore (recv_k c Internal0.Internal ~source:0 ~tag:(tag + 1) (empty ()))
+          send_k c Internal0.Internal ~dst:0 ~tag empty_msg;
+          ignore (recv_k c Internal0.Internal ~source:0 ~tag:(tag + 1) empty_msg)
         end
       in
       match body () with
@@ -1597,6 +1609,10 @@ module Internal = struct
   let mprobe_k = mprobe_k
   let mrecv_k = mrecv_k
   let fresh_seq = fresh_seq
+  let registered_ops c =
+    match Hashtbl.find_opt c.w.outstanding (my_world_rank c) with
+    | Some ol -> ol.n_ops
+    | None -> 0
   let collective_ready = collective_ready
   let poison_collective = poison_collective
   let collective_error = collective_error

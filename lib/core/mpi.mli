@@ -441,6 +441,12 @@ module Internal : sig
       identify the same collective across ranks; used to build
       collision-free internal tag spaces. *)
 
+  val registered_ops : comm -> int
+  (** Entries, pending or completed but not yet pruned, in this rank's
+      cancellation registry (a test accessor).  After any post it is at
+      most [max 8 (2 * p)], for the [p] entries that were still pending
+      at the last prune. *)
+
   (** Failure plumbing for the collectives layer.  Operations posted
       through this module's [_k] functions on the [Internal] kind raise
       [Mpi_error] directly on error (bypassing the communicator's error

@@ -1,16 +1,18 @@
 module Obs = Mpicd_obs.Obs
 module Metrics = Mpicd_obs.Metrics
 
-(* Fiber id -> name of every suspended fiber.  A table rather than a
-   list: a resume removes its fiber in O(1), where filtering a list of
-   all blocked fibers made each round of an N-rank collective O(N^2).
-   Ids are dense and positive, so the id is its own hash. *)
-module Itbl = Hashtbl.Make (struct
-  type t = int
-
-  let equal = Int.equal
-  let hash id = id
-end)
+(* A live fiber, linked into its engine's ring of live fibers: linked
+   at spawn, unlinked when it returns, both O(1) and allocation-free
+   beyond this record.  Spawn appends, so the ring is in id order.
+   When the queue runs dry every live fiber is suspended (a runnable or
+   sleeping one would have an event queued), so the ring is exactly
+   the deadlock report, and a suspend or resume does no bookkeeping. *)
+type fiber = {
+  f_id : int;
+  f_name : string;
+  mutable prev : fiber;
+  mutable next : fiber;
+}
 
 type t = {
   mutable clock : float;
@@ -18,7 +20,7 @@ type t = {
   mutable seq : int;
   mutable reuses_seen : int;  (* [Evq.reuses events] after the last push *)
   mutable live : int;
-  suspended : string Itbl.t;
+  fibers : fiber;  (* sentinel of the live-fiber ring *)
   mutable fiber_ids : int;
   mutable obs : Obs.t;
   mutable stats : Stats.t option;
@@ -38,13 +40,14 @@ type _ Effect.t +=
   | Suspend : t * ('a resumer -> unit) -> 'a Effect.t
 
 let create () =
+  let rec fibers = { f_id = 0; f_name = ""; prev = fibers; next = fibers } in
   {
     clock = 0.;
     events = Evq.create ();
     seq = 0;
     reuses_seen = 0;
     live = 0;
-    suspended = Itbl.create 16;
+    fibers;
     fiber_ids = 0;
     obs = Obs.null;
     stats = None;
@@ -107,8 +110,9 @@ let sleep t d =
   Effect.perform (Sleep (t, d))
 let suspend t register = Effect.perform (Suspend (t, register))
 
-let exec_fiber t ~id ~name ~track f =
+let exec_fiber t fib ~track f =
   let open Effect.Deep in
+  let id = fib.f_id and name = fib.f_name in
   (* Observability: one span per fiber lifetime, plus suspend/resume
      instants.  All recording is guarded so a detached sink costs a
      single branch and allocates nothing. *)
@@ -130,6 +134,8 @@ let exec_fiber t ~id ~name ~track f =
       retc =
         (fun () ->
           t.live <- t.live - 1;
+          fib.prev.next <- fib.next;
+          fib.next.prev <- fib.prev;
           Obs.span_end t.obs ~time:t.clock fiber_span);
       exnc = (fun e -> raise e);
       effc =
@@ -143,13 +149,11 @@ let exec_fiber t ~id ~name ~track f =
               Some
                 (fun (k : (a, unit) continuation) ->
                   let resumed = ref false in
-                  Itbl.add t.suspended id name;
                   fiber_instant "suspend";
                   let resume v =
                     if !resumed then
                       invalid_arg "Engine: resumer invoked twice";
                     resumed := true;
-                    Itbl.remove t.suspended id;
                     fiber_instant "resume";
                     schedule t ~delay:0. (fun () -> continue k v)
                   in
@@ -161,8 +165,12 @@ let spawn t ?(name = "fiber") ?track f =
   t.live <- t.live + 1;
   t.fiber_ids <- t.fiber_ids + 1;
   let id = t.fiber_ids in
+  let ring = t.fibers in
+  let fib = { f_id = id; f_name = name; prev = ring.prev; next = ring } in
+  ring.prev.next <- fib;
+  ring.prev <- fib;
   let track = match track with Some r -> r | None -> -id in
-  schedule t ~delay:0. (fun () -> exec_fiber t ~id ~name ~track f)
+  schedule t ~delay:0. (fun () -> exec_fiber t fib ~track f)
 
 let at t ~delay f = schedule t ~delay f
 
@@ -174,12 +182,12 @@ let run t =
   let rec loop () =
     if Evq.is_empty t.events then begin
       if t.live > 0 then begin
-        let names =
-          Itbl.fold (fun id n acc -> (id, n) :: acc) t.suspended []
-          |> List.sort compare
-          |> List.map (fun (id, n) -> Printf.sprintf "%s#%d" n id)
-          |> String.concat ", "
+        let rec names fib acc =
+          if fib == t.fibers then List.rev acc
+          else
+            names fib.next (Printf.sprintf "%s#%d" fib.f_name fib.f_id :: acc)
         in
+        let names = String.concat ", " (names t.fibers.next []) in
         raise
           (Deadlock
              (Printf.sprintf
@@ -262,19 +270,27 @@ module Mutex = struct
 end
 
 module Ivar = struct
-  type 'a t = { mutable value : 'a option; readers : 'a Waitq.t }
+  (* Blocked readers, newest first.  Most cells are filled before anyone
+     reads them (an eager send request completes at post time), so a
+     cell allocates nothing for readers until one actually blocks. *)
+  type 'a t = { mutable value : 'a option; mutable readers : 'a resumer list }
 
-  let create () = { value = None; readers = Waitq.create () }
+  let create () = { value = None; readers = [] }
 
   let fill t v =
     match t.value with
     | Some _ -> invalid_arg "Ivar.fill: already filled"
     | None ->
         t.value <- Some v;
-        ignore (Waitq.broadcast t.readers v)
+        let rs = t.readers in
+        t.readers <- [];
+        (* FIFO: wake in the order the readers blocked *)
+        List.iter (fun resume -> resume v) (List.rev rs)
 
   let read e t =
-    match t.value with Some v -> v | None -> Waitq.wait e t.readers
+    match t.value with
+    | Some v -> v
+    | None -> suspend e (fun resume -> t.readers <- resume :: t.readers)
 
   let peek t = t.value
   let is_filled t = Option.is_some t.value

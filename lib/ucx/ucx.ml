@@ -91,6 +91,14 @@ type probe_info = { p_tag : int64; p_len : int; p_src_worker : int }
 
 type message = envelope
 
+(* Per-channel FIFO clocks, keyed by one int: [channel_key] packs the
+   (src, dst) worker pair, so a lookup hashes an int instead of a
+   boxed tuple through the polymorphic hash and compare.  The table is
+   only ever looked up, never iterated. *)
+module Chan_tbl = Hashtbl.Make (Int)
+
+let channel_key ~src ~dst = (src lsl 31) lor dst
+
 type worker = {
   id : int;
   ctx : context;
@@ -108,7 +116,7 @@ and context = {
   mutable next_worker : int;
   mutable next_mseq : int;  (* message sequence allocator (see [e_seq]) *)
   mutable workers_list : worker list;  (* newest first; for cancellation *)
-  channels : (int * int, float ref) Hashtbl.t;
+  channels : float ref Chan_tbl.t;
       (* per (src,dst) pair: earliest next delivery time, for FIFO order *)
   mutable jitter : (unit -> float) option;
   mutable trace : Mpicd_simnet.Trace.t option;
@@ -147,7 +155,7 @@ let create_context ~engine ~config ~stats =
     next_worker = 0;
     next_mseq = 0;
     workers_list = [];
-    channels = Hashtbl.create 16;
+    channels = Chan_tbl.create 16;
     jitter = None;
     trace = None;
     obs = Obs.null;
@@ -171,9 +179,12 @@ let set_trace c t = c.trace <- t
 let set_obs c o = c.obs <- o
 let faults c = Option.map Fault.plan c.faults
 
-(* With no trace attached, skip the Format machinery entirely
-   (ikfprintf consumes the arguments without building the string);
-   the guard must come before formatting, not after. *)
+(* With no trace attached nothing is recorded, but [ikfprintf] still
+   walks the format and allocates per argument.  Hot call sites
+   therefore test [tracing] first, so a detached trace costs them one
+   branch; the rare fault-path sites call [trace] directly. *)
+let tracing ctx = Option.is_some ctx.trace
+
 let trace ctx category fmt =
   match ctx.trace with
   | None -> Printf.ikfprintf (fun () -> ()) () fmt
@@ -1244,8 +1255,9 @@ let process_match w (pr : posted) (env : envelope) =
 (* Try to match a new envelope against posted receives / probe waiters;
    otherwise queue it as unexpected. *)
 let deliver w env =
-  trace w.ctx "arrive" "worker %d <- src %d tag=%Lx %dB" w.id env.e_src
-    env.e_tag env.e_total;
+  if tracing w.ctx then
+    trace w.ctx "arrive" "worker %d <- src %d tag=%Lx %dB" w.id env.e_src
+      env.e_tag env.e_total;
   let rec find_posted acc = function
     | [] -> None
     | pr :: rest ->
@@ -1257,7 +1269,9 @@ let deliver w env =
   in
   match find_posted [] w.posted with
   | Some pr ->
-      trace w.ctx "match" "worker %d matched posted recv tag=%Lx" w.id env.e_tag;
+      if tracing w.ctx then
+        trace w.ctx "match" "worker %d matched posted recv tag=%Lx" w.id
+          env.e_tag;
       if obs_on w.ctx then
         Obs.instant w.ctx.obs ~time:(Engine.now w.ctx.engine) ~track:w.id
           ~cat:"proto"
@@ -1270,8 +1284,9 @@ let deliver w env =
           "match";
       process_match w pr env
   | None ->
-      trace w.ctx "unexpected" "worker %d queued tag=%Lx %dB" w.id env.e_tag
-        env.e_total;
+      if tracing w.ctx then
+        trace w.ctx "unexpected" "worker %d queued tag=%Lx %dB" w.id env.e_tag
+          env.e_total;
       (* Buffer it.  Eager payloads consume receiver memory. *)
       (match env.e_payload with
       | P_eager _ ->
@@ -1328,13 +1343,13 @@ let ship ep ~after env =
   let ctx = ep.ep_src.ctx in
   let e = ctx.engine in
   let jitter = match ctx.jitter with None -> 0. | Some f -> f () in
-  let key = (ep.ep_src.id, ep.ep_dst.id) in
+  let key = channel_key ~src:ep.ep_src.id ~dst:ep.ep_dst.id in
   let chan =
-    match Hashtbl.find_opt ctx.channels key with
+    match Chan_tbl.find_opt ctx.channels key with
     | Some r -> r
     | None ->
         let r = ref 0. in
-        Hashtbl.add ctx.channels key r;
+        Chan_tbl.add ctx.channels key r;
         r
   in
   let arrival = Float.max (Engine.now e +. after +. jitter) !chan in
@@ -1442,8 +1457,9 @@ let tag_send ep ~tag dt =
       (* iovec path: always a single zero-copy rendezvous-style
          transfer; never switches protocol with size. *)
       let entries = List.length bufs in
-      trace ctx "send" "worker %d iov tag=%Lx %dB in %d entries"
-        ep.ep_src.id tag total entries;
+      if tracing ctx then
+        trace ctx "send" "worker %d iov tag=%Lx %dB in %d entries"
+          ep.ep_src.id tag total entries;
       Stats.record_message ctx.stats ~eager:false ~wire_bytes:total;
       Stats.record_iov_entries ctx.stats entries;
       observe ctx "msg_bytes_iov" (float_of_int total);
@@ -1472,8 +1488,10 @@ let tag_send ep ~tag dt =
           | Sd_contig b ->
               (* eager-zcopy: the NIC reads the registered user buffer
                  directly; the snapshot below exists only so the
-                 simulated sender may reuse its buffer immediately. *)
-              (([ Buf.copy b ], 0), 0.)
+                 simulated sender may reuse its buffer immediately.  An
+                 empty buffer has no bytes to reuse, so it travels
+                 as is. *)
+              (([ (if Buf.length b = 0 then b else Buf.copy b) ], 0), 0.)
           | Sd_generic g ->
               let frags, ncb =
                 match pack_fragments ctx g with
@@ -1495,7 +1513,9 @@ let tag_send ep ~tag dt =
         | (frags, ncb), cpu_time ->
             let cpu_time = cpu_time *. straggle ctx ep.ep_src.id in
             Engine.sleep e cpu_time;
-            trace ctx "send" "worker %d eager tag=%Lx %dB" ep.ep_src.id tag total;
+            if tracing ctx then
+              trace ctx "send" "worker %d eager tag=%Lx %dB" ep.ep_src.id tag
+                total;
             Stats.record_message ctx.stats ~eager:true ~wire_bytes:total;
             if obs_on ctx then begin
               observe ctx "msg_bytes_eager" (float_of_int total);
@@ -1608,7 +1628,8 @@ let tag_send ep ~tag dt =
       end
       else begin
         (* Rendezvous: only the RTS travels now. *)
-        trace ctx "send" "worker %d rndv tag=%Lx %dB" ep.ep_src.id tag total;
+        if tracing ctx then
+          trace ctx "send" "worker %d rndv tag=%Lx %dB" ep.ep_src.id tag total;
         Stats.record_message ctx.stats ~eager:false ~wire_bytes:total;
         observe ctx "msg_bytes_rndv" (float_of_int total);
         let env =

@@ -462,6 +462,119 @@ let prop_concat_length =
       Buf.length (Buf.concat bufs)
       = List.fold_left (fun acc s -> acc + String.length s) 0 parts)
 
+(* Float-array transfers: [blit_from_floats]/[blit_to_floats] must
+   store and load exactly what the per-element accessors do, bit for
+   bit (NaN payloads, signalling NaNs, -0.0), on views that start at odd
+   offsets, and leave everything outside the range alone. *)
+
+let float_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (3, map Int64.float_of_bits int64);
+        ( 1,
+          oneofl
+            [
+              -0.;
+              0.;
+              Float.nan;
+              Float.infinity;
+              Float.neg_infinity;
+              Int64.float_of_bits 0x7ff0_0000_0000_0001L (* signalling *);
+              Int64.float_of_bits 0xfff8_dead_beef_0001L (* negative payload *);
+            ] );
+      ])
+
+(* (floats, array start, count, odd view offset, byte position in view) *)
+let float_blit_gen =
+  QCheck.Gen.(
+    map3
+      (fun fs (a, b) (k, slack, p) ->
+        let n = Array.length fs in
+        let pos = a mod (n + 1) in
+        let len = b mod (n - pos + 1) in
+        (fs, pos, len, (2 * k) + 1, p mod (slack + 1), slack))
+      (array_size (0 -- 24) float_gen)
+      (pair nat nat)
+      (triple (0 -- 7) (0 -- 11) nat))
+
+let bits_array fs = Array.map Int64.bits_of_float fs
+
+let prop_blit_from_floats =
+  QCheck.Test.make
+    ~name:"buf: blit_from_floats = per-element set_f64 on odd-offset views"
+    ~count:300 (QCheck.make float_blit_gen)
+    (fun (fs, pos, len, base_off, dpos, slack) ->
+      let vlen = dpos + (8 * len) + slack in
+      let fresh () =
+        let v = Buf.sub (Buf.create (vlen + 16)) ~pos:base_off ~len:vlen in
+        Buf.fill v '\xa5';
+        v
+      in
+      let got = fresh () and want = fresh () in
+      Buf.blit_from_floats fs ~src_pos:pos ~dst:got ~dst_pos:dpos ~len;
+      for i = 0 to len - 1 do
+        Buf.set_f64 want (dpos + (8 * i)) fs.(pos + i)
+      done;
+      Buf.equal got want)
+
+let prop_blit_to_floats =
+  QCheck.Test.make
+    ~name:"buf: blit_to_floats = per-element get_f64 on odd-offset views"
+    ~count:300 (QCheck.make float_blit_gen)
+    (fun (fs, pos, len, base_off, spos, slack) ->
+      let vlen = spos + (8 * len) + slack in
+      let src = Buf.sub (Buf.create (vlen + 16)) ~pos:base_off ~len:vlen in
+      (* source words are the generated floats, stored one at a time *)
+      for i = 0 to len - 1 do
+        Buf.set_f64 src (spos + (8 * i)) fs.(i)
+      done;
+      let sentinel = Int64.float_of_bits 0x7ff4_0000_0000_0042L in
+      let got = Array.make (Array.length fs) sentinel in
+      let want = Array.copy got in
+      Buf.blit_to_floats ~src ~src_pos:spos ~dst:got ~dst_pos:pos ~len;
+      for i = 0 to len - 1 do
+        want.(pos + i) <- Buf.get_f64 src (spos + (8 * i))
+      done;
+      bits_array got = bits_array want)
+
+let test_float_blit_bad_ranges () =
+  let b = Buf.sub (Buf.create 40) ~pos:3 ~len:32 in
+  let fs = Array.make 4 1.5 in
+  let from ~src_pos ~dst_pos ~len () =
+    Buf.blit_from_floats fs ~src_pos ~dst:b ~dst_pos ~len
+  in
+  let into ~src_pos ~dst_pos ~len () =
+    Buf.blit_to_floats ~src:b ~src_pos ~dst:fs ~dst_pos ~len
+  in
+  let raises name f =
+    match f () with
+    | () -> Alcotest.failf "%s: no exception" name
+    | exception Invalid_argument _ -> ()
+  in
+  List.iter
+    (fun (name, f) -> raises name f)
+    [
+      ("from: negative len", from ~src_pos:0 ~dst_pos:0 ~len:(-1));
+      ("from: negative src_pos", from ~src_pos:(-1) ~dst_pos:0 ~len:1);
+      ("from: past array end", from ~src_pos:2 ~dst_pos:0 ~len:3);
+      ("from: negative dst_pos", from ~src_pos:0 ~dst_pos:(-1) ~len:1);
+      ("from: past view end", from ~src_pos:0 ~dst_pos:1 ~len:4);
+      ("from: huge len", from ~src_pos:0 ~dst_pos:0 ~len:max_int);
+      ("to: negative len", into ~src_pos:0 ~dst_pos:0 ~len:(-1));
+      ("to: negative dst_pos", into ~src_pos:0 ~dst_pos:(-1) ~len:1);
+      ("to: past array end", into ~src_pos:0 ~dst_pos:3 ~len:2);
+      ("to: negative src_pos", into ~src_pos:(-1) ~dst_pos:0 ~len:1);
+      ("to: past view end", into ~src_pos:25 ~dst_pos:0 ~len:1);
+      ("to: huge len", into ~src_pos:0 ~dst_pos:0 ~len:max_int);
+    ];
+  (* a rejected call writes nothing *)
+  check_str "view untouched" (String.make 32 '\000') (Buf.to_string b);
+  Alcotest.(check bool) "array untouched" true (Array.for_all (( = ) 1.5) fs);
+  (* the empty range fits anywhere in bounds, including the ends *)
+  Buf.blit_from_floats fs ~src_pos:4 ~dst:b ~dst_pos:32 ~len:0;
+  Buf.blit_to_floats ~src:b ~src_pos:32 ~dst:fs ~dst_pos:4 ~len:0
+
 let suite =
   let tc = Alcotest.test_case in
   ( "buf",
@@ -488,6 +601,7 @@ let suite =
       tc "blit = memmove for every length 0..2100" `Quick test_blit_every_length;
       tc "bad lengths and offsets raise" `Quick test_bad_ranges_raise;
       tc "equal sees every single-byte flip" `Quick test_equal_single_byte_flips;
+      tc "float blits reject bad ranges" `Quick test_float_blit_bad_ranges;
       QCheck_alcotest.to_alcotest prop_blit_roundtrip;
       QCheck_alcotest.to_alcotest prop_sub_consistent;
       QCheck_alcotest.to_alcotest prop_i64_any;
@@ -501,4 +615,6 @@ let suite =
       QCheck_alcotest.to_alcotest prop_string_copies;
       QCheck_alcotest.to_alcotest prop_equal_bytewise;
       QCheck_alcotest.to_alcotest prop_equal_lengths_differ;
+      QCheck_alcotest.to_alcotest prop_blit_from_floats;
+      QCheck_alcotest.to_alcotest prop_blit_to_floats;
     ] )

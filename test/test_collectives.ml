@@ -304,6 +304,41 @@ let prop_allreduce_random =
             mine);
       !ok)
 
+(* A deterministic allocation ceiling on the healthy message path.
+   For a fixed binary and input, the minor-heap words a 1024-rank
+   allreduce allocates per simulated event are a count, not a timing,
+   so the guard cannot flake.  The round's event count is pinned too:
+   a host-side change must not change what is simulated. *)
+let events_per_round = 10_230
+let max_words_per_event = 85.
+
+let test_allreduce_alloc_ceiling () =
+  let ranks = 1024 and warmup = 2 and rounds = 5 in
+  let w = Mpi.create_world ~size:ranks () in
+  let stats = Mpi.world_stats w in
+  let ev = Array.make 2 0 and words = Array.make 2 0. in
+  let mark i =
+    ev.(i) <- stats.Mpicd_simnet.Stats.events_scheduled_total;
+    words.(i) <- Gc.minor_words ()
+  in
+  Mpi.run w (fun comm ->
+      let me = Mpi.rank comm in
+      (* 9 doubles: the 72-byte eager message of the allreduce-1k
+         benchmark workload *)
+      let data = Array.make 9 0. in
+      for k = 1 to warmup + rounds do
+        Array.fill data 0 9 (float_of_int (me mod 7));
+        Coll.allreduce_f64 comm ~op:`Sum data;
+        if me = 0 && k = warmup then mark 0;
+        if me = 0 && k = warmup + rounds then mark 1
+      done);
+  let events = ev.(1) - ev.(0) in
+  check_int "events per round" (rounds * events_per_round) events;
+  let per_event = (words.(1) -. words.(0)) /. float_of_int events in
+  if per_event > max_words_per_event then
+    Alcotest.failf "%.1f minor words per event, ceiling %.0f" per_event
+      max_words_per_event
+
 let suite =
   let tc = Alcotest.test_case in
   ( "collectives",
@@ -322,6 +357,8 @@ let suite =
       tc "back-to-back collectives" `Quick test_back_to_back_collectives;
       tc "bad root" `Quick test_bad_root;
       tc "dissemination beats linear barrier" `Quick test_barrier_faster_than_linear;
+      tc "1024-rank allreduce: words per event ceiling" `Quick
+        test_allreduce_alloc_ceiling;
       QCheck_alcotest.to_alcotest prop_bcast_random;
       QCheck_alcotest.to_alcotest prop_allreduce_random;
     ] )

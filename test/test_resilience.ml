@@ -153,6 +153,71 @@ let test_revoke_after_pruning () =
   check_int "only the pending recv was cancelled" 1
     (Mpi.world_stats w).Stats.ops_cancelled
 
+(* The cancellation registry holds pending operations, not history: on
+   a healthy 64-rank world, 200 allreduce rounds leave every rank with
+   at most 8 entries (the floor of the prune point), where a registry
+   pruned only past a fixed 64 would keep dozens of completed ones. *)
+let test_registry_bounded () =
+  let ranks = 64 in
+  let w = Mpi.create_world ~size:ranks () in
+  let held = Array.make ranks (-1) and peak = Array.make ranks 0 in
+  Mpi.run w (fun comm ->
+      let me = Mpi.rank comm in
+      let data = Array.make 9 1. in
+      for _ = 1 to 200 do
+        Coll.allreduce_f64 comm ~op:`Sum data;
+        peak.(me) <- max peak.(me) (Mpi.Internal.registered_ops comm)
+      done;
+      held.(me) <- Mpi.Internal.registered_ops comm);
+  Array.iteri
+    (fun r n ->
+      if n < 0 || n > 8 then Alcotest.failf "rank %d holds %d entries" r n;
+      if peak.(r) > 8 then
+        Alcotest.failf "rank %d peaked at %d entries" r peak.(r))
+    held
+
+(* A prune must keep every pending entry.  Each ping-pong round
+   registers a receive on both ranks that is pending when posted and
+   completes within the round, so the registry prunes every few posts.
+   Receives posted after 120 and 180 such rounds must survive the
+   prunes that follow and both be cancelled by a revocation. *)
+let test_revoke_after_many_completed () =
+  let w = Mpi.create_world ~size:2 () in
+  let msg () = Mpi.Bytes (Buf.create 8) in
+  let during = ref 0 in
+  Mpi.run w (fun comm ->
+      if Mpi.rank comm = 0 then begin
+        let rounds first last =
+          for tag = first to last do
+            let r = Mpi.irecv comm ~source:1 ~tag (msg ()) in
+            Mpi.send comm ~dst:1 ~tag (msg ());
+            ignore (Mpi.wait r)
+          done
+        in
+        rounds 1 120;
+        let older = Mpi.irecv comm ~source:1 ~tag:999 (msg ()) in
+        rounds 121 180;
+        let newer = Mpi.irecv comm ~source:1 ~tag:998 (msg ()) in
+        rounds 181 240;
+        during := Mpi.Internal.registered_ops comm;
+        Mpi.comm_revoke comm;
+        List.iter
+          (fun r ->
+            match Mpi.wait r with
+            | _ -> Alcotest.fail "pending recv survived a revocation"
+            | exception Mpi.Mpi_error Mpi.Revoked -> ())
+          [ older; newer ]
+      end
+      else
+        for tag = 1 to 240 do
+          ignore (Mpi.recv comm ~source:0 ~tag (msg ()));
+          Mpi.send comm ~dst:0 ~tag (msg ())
+        done);
+  if !during < 2 || !during > 8 then
+    Alcotest.failf "registry held %d entries with two pending" !during;
+  check_int "only the pending recvs were cancelled" 2
+    (Mpi.world_stats w).Stats.ops_cancelled
+
 (* --- comm_agree: failure mid-agreement, acknowledgement --- *)
 
 let test_agree_with_failure () =
@@ -312,6 +377,9 @@ let suite =
       tc "revoke interrupts pending and future ops" `Quick test_revoke;
       tc "revoke finds a pending op after pruning" `Quick
         test_revoke_after_pruning;
+      tc "registry holds pending ops only" `Quick test_registry_bounded;
+      tc "revoke cancels a recv posted after 100+ completed ops" `Quick
+        test_revoke_after_many_completed;
       tc "agree survives mid-agreement failure" `Quick test_agree_with_failure;
       tc "shrink + resilient allreduce" `Quick test_resilient_allreduce_shrink;
       tc "rndv abort frees custom state once" `Quick

@@ -178,6 +178,73 @@ let test_resumer_twice_raises () =
   Engine.run e;
   check_int "the fiber finished" 0 (Engine.live_fibers e)
 
+(* The deadlock report lists live fibers: one that finished before the
+   queue ran dry is gone from it, whether it was spawned first or
+   later from inside another fiber, and one spawned late is in it at
+   its own id. *)
+let test_deadlock_names_live_after_churn () =
+  let e = Engine.create () in
+  let never : unit Engine.Ivar.t = Engine.Ivar.create () in
+  Engine.spawn e ~name:"done" (fun () -> Engine.sleep e 1.);
+  Engine.spawn e ~name:"early" (fun () -> Engine.Ivar.read e never);
+  Engine.spawn e ~name:"parent" (fun () ->
+      Engine.sleep e 3.;
+      Engine.spawn e ~name:"late" (fun () ->
+          Engine.sleep e 2.;
+          Engine.Ivar.read e never);
+      Engine.spawn e ~name:"brief" (fun () -> Engine.sleep e 1.);
+      Engine.Ivar.read e never);
+  match Engine.run e with
+  | () -> Alcotest.fail "expected Deadlock"
+  | exception Engine.Deadlock msg ->
+      Alcotest.(check string) "exactly the live fibers, by id"
+        "simulation deadlock: 3 fiber(s) still blocked [early#2, parent#3, \
+         late#4]"
+        msg
+
+(* A resumer belongs to one suspension: calling it again after its
+   fiber has suspended a second time raises, and does not wake the
+   second suspension. *)
+let test_stale_resumer_raises () =
+  let e = Engine.create () in
+  let first = ref (fun (_ : int) -> ()) in
+  let second = ref (fun (_ : int) -> ()) in
+  let got = ref [] in
+  Engine.spawn e (fun () ->
+      got := Engine.suspend e (fun r -> first := r) :: !got;
+      got := Engine.suspend e (fun r -> second := r) :: !got);
+  Engine.at e ~delay:1. (fun () -> !first 1);
+  Engine.at e ~delay:2. (fun () ->
+      Alcotest.check_raises "stale resumer"
+        (Invalid_argument "Engine: resumer invoked twice") (fun () ->
+          !first 99);
+      !second 2);
+  Engine.run e;
+  Alcotest.(check (list int)) "each suspension got its own value" [ 2; 1 ]
+    !got;
+  check_int "the fiber finished" 0 (Engine.live_fibers e)
+
+(* Readers blocked on one cell wake in the order they blocked. *)
+let test_ivar_readers_fifo () =
+  let e = Engine.create () in
+  let iv = Engine.Ivar.create () in
+  let order = ref [] in
+  List.iter
+    (fun (name, at) ->
+      Engine.spawn e ~name (fun () ->
+          Engine.sleep e at;
+          let v = Engine.Ivar.read e iv in
+          order := (name, v) :: !order))
+    [ ("second", 2.); ("first", 1.); ("third", 3.) ];
+  Engine.at e ~delay:10. (fun () -> Engine.Ivar.fill iv 7);
+  Engine.run e;
+  Alcotest.(check (list (pair string int))) "wake order = block order"
+    [ ("first", 7); ("second", 7); ("third", 7) ]
+    (List.rev !order);
+  (* a read after the fill does not block *)
+  Engine.spawn e (fun () -> check_int "filled read" 7 (Engine.Ivar.read e iv));
+  Engine.run e
+
 let test_at_callback () =
   let e = Engine.create () in
   let fired = ref 0. in
@@ -781,6 +848,10 @@ let suite =
       tc "deadlock names exactly the blocked fibers" `Quick
         test_deadlock_names_blocked;
       tc "resumer twice raises" `Quick test_resumer_twice_raises;
+      tc "deadlock names live fibers after churn" `Quick
+        test_deadlock_names_live_after_churn;
+      tc "stale resumer raises" `Quick test_stale_resumer_raises;
+      tc "ivar readers wake FIFO" `Quick test_ivar_readers_fifo;
       tc "at callback" `Quick test_at_callback;
       tc "spawn from fiber" `Quick test_spawn_from_fiber;
       tc "waitq broadcast" `Quick test_waitq_broadcast;
