@@ -1,5 +1,6 @@
 module Buf = Mpicd_buf.Buf
 module Datatype = Mpicd_datatype.Datatype
+module Plan = Mpicd_datatype.Plan
 module Derive = Mpicd_derive.Derive
 module Custom = Mpicd.Custom
 
@@ -130,36 +131,34 @@ end) : STRUCT = struct
   let layout = S.layout
   let sizeof = Derive.size_of S.layout
 
-  (* (packed_off, elem_off, len) of each scalar segment, adjacent
-     segments merged. *)
-  let scalar_segments, scalar_packed, region_off, region_len =
+  (* The packed scalar fields and the zero-copy region field, if any. *)
+  let scalars, region_off, region_len =
     if S.whole_region then begin
       if Derive.has_padding S.layout then
         invalid_arg "Make_struct: whole_region requires a gap-free layout";
-      ([||], 0, 0, 0)
+      ([], 0, 0)
     end
     else
-    let fields = Derive.fields_of S.layout in
-    let segs = ref [] and packed = ref 0 in
-    let r_off = ref 0 and r_len = ref 0 in
-    List.iter
-      (fun (name, off, bytes) ->
-        if Some name = S.region_field then begin
-          r_off := off;
-          r_len := bytes
-        end
-        else begin
-          (match !segs with
-          | (p0, e0, l0) :: rest when e0 + l0 = off ->
-              segs := (p0, e0, l0 + bytes) :: rest
-          | _ -> segs := (!packed, off, bytes) :: !segs);
-          packed := !packed + bytes
-        end)
-      fields;
-    (Array.of_list (List.rev !segs), !packed, !r_off, !r_len)
+      let is_region (name, _, _) = Some name = S.region_field in
+      let fields = Derive.fields_of S.layout in
+      match List.find_opt is_region fields with
+      | Some (_, off, bytes) -> (List.filter (Fun.negate is_region) fields, off, bytes)
+      | None -> (fields, 0, 0)
 
+  (* One element's scalar fields as a plan, adjacent fields merged into
+     one segment: the custom callbacks pack their stream windows
+     through it. *)
+  let scalar_plan =
+    Plan.build
+      (Datatype.resized ~lb:0 ~extent:sizeof
+         (Datatype.hindexed
+            ~blocklengths:(Array.of_list (List.map (fun (_, _, b) -> b) scalars))
+            ~displacements_bytes:(Array.of_list (List.map (fun (_, o, _) -> o) scalars))
+            Datatype.byte))
+
+  let scalar_packed = Plan.size scalar_plan
+  let segments = Plan.block_count scalar_plan
   let has_region = region_len > 0
-  let packed_elem_size = scalar_packed + region_len
 
   let generate ~count =
     let b = Buf.create (count * sizeof) in
@@ -168,70 +167,29 @@ end) : STRUCT = struct
 
   let make_sink ~count = Buf.create (count * sizeof)
 
-  let packed_elem_size = if S.whole_region then sizeof else packed_elem_size
+  let packed_elem_size =
+    if S.whole_region then sizeof else scalar_packed + region_len
 
   let pieces_per_elem =
-    if S.whole_region then 0
-    else Array.length scalar_segments + (if has_region then 1 else 0)
+    if S.whole_region then 0 else segments + if has_region then 1 else 0
 
   let count_for_packed_bytes bytes = max 1 (bytes / packed_elem_size)
 
-  (* Copy the scalar-field bytes at packed offsets
-     [offset, offset + window) between the struct array [base] and
-     [stream] (pack: base to stream).  The starting segment is found
-     once; the walk then steps through segments in order.  Used by both
-     pack and unpack of the custom datatype. *)
-  let copy_scalar_range ~pack ~base ~stream ~offset ~window =
-    if scalar_packed = 0 || window <= 0 then 0
-    else begin
-      let nseg = Array.length scalar_segments in
-      let e = ref (offset / scalar_packed) in
-      let r = offset mod scalar_packed in
-      let i = ref 0 in
-      while
-        let p0, _, l0 = scalar_segments.(!i) in
-        r >= p0 + l0
-      do
-        incr i
-      done;
-      let p0, _, _ = scalar_segments.(!i) in
-      let within = ref (r - p0) and done_ = ref 0 in
-      while !done_ < window do
-        let _, e0, l0 = scalar_segments.(!i) in
-        let n = min (window - !done_) (l0 - !within) in
-        let elem_off = (!e * sizeof) + e0 + !within in
-        if pack then
-          Buf.blit ~src:base ~src_pos:elem_off ~dst:stream ~dst_pos:!done_ ~len:n
-        else Buf.blit ~src:stream ~src_pos:!done_ ~dst:base ~dst_pos:elem_off ~len:n;
-        done_ := !done_ + n;
-        within := 0;
-        if !i + 1 = nseg then begin
-          i := 0;
-          incr e
-        end
-        else incr i
-      done;
-      window
-    end
-
   let custom_dt : Buf.t Custom.t =
     Custom.create
-      ~pack_pieces:(fun _ ~count -> Array.length scalar_segments * count)
+      ~pack_pieces:(fun _ ~count -> segments * count)
       {
         state = (fun _ ~count:_ -> ());
         state_free = ignore;
         query = (fun () _ ~count -> scalar_packed * count);
         pack =
           (fun () base ~count ~offset ~dst ->
-            let window =
-              min (Buf.length dst) ((scalar_packed * count) - offset)
-            in
-            copy_scalar_range ~pack:true ~base ~stream:dst ~offset ~window);
+            Plan.pack_range scalar_plan ~count ~src:base ~packed_off:offset ~dst);
         unpack =
-          (fun () base ~count:_ ~offset ~src ->
+          (fun () base ~count ~offset ~src ->
             ignore
-              (copy_scalar_range ~pack:false ~base ~stream:src ~offset
-                 ~window:(Buf.length src)));
+              (Plan.unpack_range scalar_plan ~count ~src ~packed_off:offset
+                 ~dst:base));
         region_count =
           (if has_region then Some (fun () _ ~count -> count)
            else if scalar_packed = 0 then Some (fun () _ ~count:_ -> 1)
@@ -251,68 +209,26 @@ end) : STRUCT = struct
 
   let derived = Derive.equivalence S.layout
 
+  let derived_plan = Plan.build derived
+
   let manual_pack base ~count ~dst =
     if S.whole_region then
       Buf.blit ~src:base ~src_pos:0 ~dst ~dst_pos:0 ~len:(count * sizeof)
-    else
-    let pos = ref 0 in
-    for e = 0 to count - 1 do
-      Array.iter
-        (fun (_, e0, l0) ->
-          Buf.blit ~src:base ~src_pos:((e * sizeof) + e0) ~dst ~dst_pos:!pos ~len:l0;
-          pos := !pos + l0)
-        scalar_segments;
-      if has_region then begin
-        Buf.blit ~src:base ~src_pos:((e * sizeof) + region_off) ~dst
-          ~dst_pos:!pos ~len:region_len;
-        pos := !pos + region_len
-      end
-    done
+    else ignore (Plan.pack derived_plan ~count ~src:base ~dst)
 
   let manual_unpack ~src base ~count =
     if S.whole_region then
       Buf.blit ~src ~src_pos:0 ~dst:base ~dst_pos:0 ~len:(count * sizeof)
-    else
-    let pos = ref 0 in
-    for e = 0 to count - 1 do
-      Array.iter
-        (fun (_, e0, l0) ->
-          Buf.blit ~src ~src_pos:!pos ~dst:base ~dst_pos:((e * sizeof) + e0) ~len:l0;
-          pos := !pos + l0)
-        scalar_segments;
-      if has_region then begin
-        Buf.blit ~src ~src_pos:!pos ~dst:base ~dst_pos:((e * sizeof) + region_off)
-          ~len:region_len;
-        pos := !pos + region_len
-      end
-    done
+    else Plan.unpack derived_plan ~count ~src ~dst:base
 
+  (* Elements are equal when their packed streams are. *)
   let equal_elems a b ~count =
-    if S.whole_region then
-      Buf.equal (Buf.sub a ~pos:0 ~len:(count * sizeof))
-        (Buf.sub b ~pos:0 ~len:(count * sizeof))
-    else
-    let ok = ref true in
-    for e = 0 to count - 1 do
-      Array.iter
-        (fun (_, e0, l0) ->
-          let off = (e * sizeof) + e0 in
-          if
-            not
-              (Buf.equal (Buf.sub a ~pos:off ~len:l0) (Buf.sub b ~pos:off ~len:l0))
-          then ok := false)
-        scalar_segments;
-      if has_region then begin
-        let off = (e * sizeof) + region_off in
-        if
-          not
-            (Buf.equal
-               (Buf.sub a ~pos:off ~len:region_len)
-               (Buf.sub b ~pos:off ~len:region_len))
-        then ok := false
-      end
-    done;
-    !ok
+    let packed x =
+      let dst = Buf.create (count * packed_elem_size) in
+      manual_pack x ~count ~dst;
+      dst
+    in
+    Buf.equal (packed a) (packed b)
 end
 
 module Struct_vec = Make_struct (struct

@@ -54,7 +54,13 @@ external unsafe_get32 : bigstring -> int -> int32 = "%caml_bigstring_get32u"
 external unsafe_set32 : bigstring -> int -> int32 -> unit = "%caml_bigstring_set32u"
 external unsafe_get64 : bigstring -> int -> int64 = "%caml_bigstring_get64u"
 external unsafe_set64 : bigstring -> int -> int64 -> unit = "%caml_bigstring_set64u"
+external unsafe_get16 : bigstring -> int -> int = "%caml_bigstring_get16u"
+external unsafe_set16 : bigstring -> int -> int -> unit = "%caml_bigstring_set16u"
+external string_get16 : string -> int -> int = "%caml_string_get16u"
+external string_get32 : string -> int -> int32 = "%caml_string_get32u"
 external string_get64 : string -> int -> int64 = "%caml_string_get64u"
+external bytes_set16 : Bytes.t -> int -> int -> unit = "%caml_bytes_set16u"
+external bytes_set32 : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32u"
 external bytes_set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 external bswap32 : int32 -> int32 = "%bswap_int32"
 external bswap64 : int64 -> int64 = "%bswap_int64"
@@ -82,11 +88,24 @@ let set_f64 t i v = set_i64 t i (Int64.bits_of_float v)
 let get_f32 t i = Int32.float_of_bits (get_i32 t i)
 let set_f32 t i v = set_i32 t i (Int32.bits_of_float v)
 
-(* Forward copies, eight bytes per load/store and then a byte tail.
-   Loading and storing in host order preserves the bytes on any host.
-   Forward copying is memmove-correct unless the destination overlaps
-   the source from above; each word is loaded before it is stored, so
-   a destination below the source is safe. *)
+(* The raw 32-bit word as an immediate: nothing is boxed, and no float
+   conversion can quiet a signalling NaN. *)
+let get_u32 t i =
+  check t i 4;
+  let v = unsafe_get32 t.base (t.off + i) in
+  Int32.to_int (if Sys.big_endian then bswap32 v else v) land 0xffff_ffff
+
+let set_u32 t i v =
+  check t i 4;
+  let v = Int32.of_int v in
+  unsafe_set32 t.base (t.off + i) (if Sys.big_endian then bswap32 v else v)
+
+(* Forward copies, eight bytes per load/store, then at most one 4-, one
+   2- and one 1-byte access for the tail.  Loading and storing in host
+   order preserves the bytes on any host.  Forward copying is
+   memmove-correct unless the destination overlaps the source from
+   above; each access is loaded before it is stored, so a destination
+   below the source is safe. *)
 
 let copy_words s so d d_o len =
   let words = len land lnot 7 in
@@ -95,9 +114,12 @@ let copy_words s so d d_o len =
     unsafe_set64 d (d_o + !i) (unsafe_get64 s (so + !i));
     i := !i + 8
   done;
-  for j = words to len - 1 do
-    Bigarray.Array1.unsafe_set d (d_o + j) (Bigarray.Array1.unsafe_get s (so + j))
-  done
+  if len land 4 <> 0 then unsafe_set32 d (d_o + words) (unsafe_get32 s (so + words));
+  let i = words + (len land 4) in
+  if len land 2 <> 0 then unsafe_set16 d (d_o + i) (unsafe_get16 s (so + i));
+  if len land 1 <> 0 then
+    Bigarray.Array1.unsafe_set d (d_o + len - 1)
+      (Bigarray.Array1.unsafe_get s (so + len - 1))
 
 let copy_words_from_string s so d d_o len =
   let words = len land lnot 7 in
@@ -106,9 +128,11 @@ let copy_words_from_string s so d d_o len =
     unsafe_set64 d (d_o + !i) (string_get64 s (so + !i));
     i := !i + 8
   done;
-  for j = words to len - 1 do
-    Bigarray.Array1.unsafe_set d (d_o + j) (String.unsafe_get s (so + j))
-  done
+  if len land 4 <> 0 then unsafe_set32 d (d_o + words) (string_get32 s (so + words));
+  let i = words + (len land 4) in
+  if len land 2 <> 0 then unsafe_set16 d (d_o + i) (string_get16 s (so + i));
+  if len land 1 <> 0 then
+    Bigarray.Array1.unsafe_set d (d_o + len - 1) (String.unsafe_get s (so + len - 1))
 
 let copy_words_to_bytes s so d d_o len =
   let words = len land lnot 7 in
@@ -117,9 +141,11 @@ let copy_words_to_bytes s so d d_o len =
     bytes_set64 d (d_o + !i) (unsafe_get64 s (so + !i));
     i := !i + 8
   done;
-  for j = words to len - 1 do
-    Bytes.unsafe_set d (d_o + j) (Bigarray.Array1.unsafe_get s (so + j))
-  done
+  if len land 4 <> 0 then bytes_set32 d (d_o + words) (unsafe_get32 s (so + words));
+  let i = words + (len land 4) in
+  if len land 2 <> 0 then bytes_set16 d (d_o + i) (unsafe_get16 s (so + i));
+  if len land 1 <> 0 then
+    Bytes.unsafe_set d (d_o + len - 1) (Bigarray.Array1.unsafe_get s (so + len - 1))
 
 (* Below this length the word loop beats memmove, whose two Bigarray
    views are allocated per call; above it memmove's bulk copy wins. *)

@@ -50,6 +50,15 @@ val set_f64 : t -> int -> float -> unit
 val get_f32 : t -> int -> float
 val set_f32 : t -> int -> float -> unit
 
+val get_u32 : t -> int -> int
+(** [get_u32 b i] is the little-endian 32-bit word at [i] as an
+    immediate in [0 .. 0xffff_ffff].  Unlike {!get_f32} it allocates
+    nothing and copies float bit patterns exactly (a signalling NaN
+    stays signalling). *)
+
+val set_u32 : t -> int -> int -> unit
+(** [set_u32 b i v] stores the low 32 bits of [v] at [i], little-endian. *)
+
 (** {1 Bulk operations} *)
 
 (** Every bulk copy below raises [Invalid_argument] when [len] is

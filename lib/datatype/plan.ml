@@ -117,14 +117,55 @@ let get_outcome ?stats dt =
 
 let get ?stats dt = fst (get_outcome ?stats dt)
 
+(* --- the block copy ---
+
+   Dune's dev profile compiles every library with [-opaque], so a
+   [Buf.blit] per block is a real call with two range checks, and most
+   plan blocks are only 4-32 bytes.  The copy is therefore inlined here:
+   after one range test, a short block between two distinct bigstrings
+   moves as two 4-byte or two to four 8-byte words, which may overlap.
+   Every other block (longer, typed buffer and stream cut from one
+   bigstring, out of range) goes to [Buf.blit], which raises or copies
+   exactly as before. *)
+
+external get32 : Buf.bigstring -> int -> int32 = "%caml_bigstring_get32u"
+external set32 : Buf.bigstring -> int -> int32 -> unit = "%caml_bigstring_set32u"
+external get64 : Buf.bigstring -> int -> int64 = "%caml_bigstring_get64u"
+external set64 : Buf.bigstring -> int -> int64 -> unit = "%caml_bigstring_set64u"
+
+let[@inline] copy_block (src : Buf.t) src_pos (dst : Buf.t) dst_pos len =
+  if
+    len >= 4 && len <= 32 && src.base != dst.base && src_pos >= 0
+    && dst_pos >= 0 && src_pos <= src.len - len && dst_pos <= dst.len - len
+  then begin
+    let s = src.base and so = src.off + src_pos in
+    let d = dst.base and d_o = dst.off + dst_pos in
+    if len < 8 then begin
+      set32 d d_o (get32 s so);
+      set32 d (d_o + len - 4) (get32 s (so + len - 4))
+    end
+    else begin
+      if len > 16 then begin
+        set64 d (d_o + 8) (get64 s (so + 8));
+        set64 d (d_o + len - 16) (get64 s (so + len - 16))
+      end;
+      set64 d d_o (get64 s so);
+      set64 d (d_o + len - 8) (get64 s (so + len - 8))
+    end
+  end
+  else Buf.blit ~src ~src_pos ~dst ~dst_pos ~len
+
 (* --- whole-stream pack/unpack --- *)
 
-let record_block stats bytes =
+let[@inline] record_block stats bytes =
   match stats with
   | None -> ()
   | Some s ->
       Stats.record_ddt_blocks s 1;
       Stats.record_copy s bytes
+
+(* The element loops below index [lens] and [disps], which have the
+   same length, by [i < nb = Array.length lens] without a bounds check. *)
 
 let pack ?stats p ~count ~src ~dst =
   let nb = Array.length p.lens in
@@ -132,8 +173,8 @@ let pack ?stats p ~count ~src ~dst =
   for e = 0 to count - 1 do
     let base = e * p.elem_extent in
     for i = 0 to nb - 1 do
-      let len = p.lens.(i) in
-      Buf.blit ~src ~src_pos:(base + p.disps.(i)) ~dst ~dst_pos:!pos ~len;
+      let len = Array.unsafe_get p.lens i in
+      copy_block src (base + Array.unsafe_get p.disps i) dst !pos len;
       record_block stats len;
       pos := !pos + len
     done
@@ -146,8 +187,8 @@ let unpack ?stats p ~count ~src ~dst =
   for e = 0 to count - 1 do
     let base = e * p.elem_extent in
     for i = 0 to nb - 1 do
-      let len = p.lens.(i) in
-      Buf.blit ~src ~src_pos:!pos ~dst ~dst_pos:(base + p.disps.(i)) ~len;
+      let len = Array.unsafe_get p.lens i in
+      copy_block src !pos dst (base + Array.unsafe_get p.disps i) len;
       record_block stats len;
       pos := !pos + len
     done
@@ -184,50 +225,78 @@ let cursor p =
 let cursor_resumes c = c.c_resumes
 let cursor_reseeks c = c.c_reseeks
 
-(* Position (elem, block) for packed offset [pos]; O(1) when the cursor
-   already sits there (the sequential-stream fast path), O(log B)
-   otherwise. *)
+(* Point the cursor at packed offset [pos]: O(1) when it already sits
+   there (the sequential-stream fast path), O(log B) otherwise. *)
 let seek cur pos =
   let p = cur.c_plan in
-  if pos = cur.c_next then begin
-    cur.c_resumes <- cur.c_resumes + 1;
-    (cur.c_elem, cur.c_block)
-  end
+  if pos = cur.c_next then cur.c_resumes <- cur.c_resumes + 1
   else begin
     cur.c_reseeks <- cur.c_reseeks + 1;
-    let elem = pos / p.elem_size in
-    let r = pos mod p.elem_size in
-    (elem, find_block p r)
+    cur.c_next <- pos;
+    cur.c_elem <- pos / p.elem_size;
+    cur.c_block <- find_block p (pos mod p.elem_size)
   end
 
 (* Shared walk for pack_range/unpack_range: copy the [want] bytes of
    the stream window (the whole of [stream]) from or to the typed
-   buffer, starting at byte [within] of (elem, block), and return the
-   final (elem, block).  [pack] picks the direction. *)
-let range_apply stats p ~elem ~block ~within ~want ~pack ~typed ~stream =
+   buffer, starting at byte [within] of (elem, block), and leave the
+   cursor, if any, after the window.  [pack] picks the direction.
+   Whole elements take a loop that copies every block in full; only a
+   window's first and last element walk block by block with a
+   partial-block offset.  Both count one [record_block] per (partial)
+   block, as the interpreter does. *)
+let range_apply stats cur p ~elem ~block ~within ~want ~pack ~typed ~stream =
   let nb = Array.length p.lens in
   let elem = ref elem and block = ref block and within = ref within in
   let done_ = ref 0 in
   while !done_ < want do
-    let b = !block in
-    let n = min (want - !done_) (p.lens.(b) - !within) in
-    let typed_pos = (!elem * p.elem_extent) + p.disps.(b) + !within in
-    if pack then
-      Buf.blit ~src:typed ~src_pos:typed_pos ~dst:stream ~dst_pos:!done_ ~len:n
-    else Buf.blit ~src:stream ~src_pos:!done_ ~dst:typed ~dst_pos:typed_pos ~len:n;
-    record_block stats n;
-    done_ := !done_ + n;
-    if !within + n = p.lens.(b) then begin
-      within := 0;
-      if b + 1 = nb then begin
+    if !block = 0 && !within = 0 && want - !done_ >= p.elem_size then begin
+      let whole = (want - !done_) / p.elem_size in
+      let pos = ref !done_ in
+      for e = !elem to !elem + whole - 1 do
+        let base = e * p.elem_extent in
+        for i = 0 to nb - 1 do
+          let len = Array.unsafe_get p.lens i in
+          let disp = Array.unsafe_get p.disps i in
+          if pack then copy_block typed (base + disp) stream !pos len
+          else copy_block stream !pos typed (base + disp) len;
+          record_block stats len;
+          pos := !pos + len
+        done
+      done;
+      done_ := !pos;
+      elem := !elem + whole
+    end
+    else begin
+      (* this element's blocks, the first and the last possibly partial *)
+      let base = !elem * p.elem_extent in
+      let i = ref !block in
+      while !i < nb && !done_ < want do
+        let rest = p.lens.(!i) - !within in
+        let n = if want - !done_ < rest then want - !done_ else rest in
+        let typed_pos = base + p.disps.(!i) + !within in
+        if pack then copy_block typed typed_pos stream !done_ n
+        else copy_block stream !done_ typed typed_pos n;
+        record_block stats n;
+        done_ := !done_ + n;
+        if n = rest then begin
+          within := 0;
+          incr i
+        end
+        else within := !within + n
+      done;
+      if !i = nb then begin
         block := 0;
         incr elem
       end
-      else block := b + 1
+      else block := !i
     end
-    else within := !within + n
   done;
-  (!elem, !block)
+  match cur with
+  | Some c ->
+      c.c_elem <- !elem;
+      c.c_block <- !block
+  | None -> ()
 
 let range ?stats ?cursor:cur p ~count ~packed_off ~pack ~typed ~stream =
   let total = packed_size p ~count in
@@ -237,20 +306,15 @@ let range ?stats ?cursor:cur p ~count ~packed_off ~pack ~typed ~stream =
     let want = min window (total - packed_off) in
     let elem, block =
       match cur with
-      | Some c -> seek c packed_off
+      | Some c ->
+          seek c packed_off;
+          (c.c_elem, c.c_block)
       | None ->
           (packed_off / p.elem_size, find_block p (packed_off mod p.elem_size))
     in
     let within = packed_off - (elem * p.elem_size) - p.prefix.(block) in
-    let elem', block' =
-      range_apply stats p ~elem ~block ~within ~want ~pack ~typed ~stream
-    in
-    (match cur with
-    | Some c ->
-        c.c_next <- packed_off + want;
-        c.c_elem <- elem';
-        c.c_block <- block'
-    | None -> ());
+    range_apply stats cur p ~elem ~block ~within ~want ~pack ~typed ~stream;
+    (match cur with Some c -> c.c_next <- packed_off + want | None -> ());
     want
   end
 

@@ -62,7 +62,16 @@ val is_contiguous : t -> bool
 
     Byte-for-byte identical to the [Datatype] interpreter engine,
     including the per-block [stats] accounting
-    ([record_ddt_blocks] + [record_copy]). *)
+    ([record_ddt_blocks] + [record_copy]).
+
+    Blocks are copied by a kernel inlined into the plan's loops: a
+    4-32 byte block between two distinct bigstrings moves as two or
+    four word loads and stores after one range test, and any other
+    block (longer, typed buffer and stream cut from one bigstring, out
+    of range) goes through {!Mpicd_buf.Buf.blit}.  So the results, and
+    on a bad range the [Invalid_argument] and the blocks written before
+    it, are those of one [Buf.blit] per block.  Without [stats] these
+    entry points, and {!pack_range}/{!unpack_range}, allocate nothing. *)
 
 val pack :
   ?stats:Mpicd_simnet.Stats.t -> t -> count:int -> src:Mpicd_buf.Buf.t ->

@@ -74,7 +74,7 @@ module Specfem3d_oc = Kernel.Make (struct
     let pos = ref 0 in
     Array.iter
       (fun i ->
-        Buf.set_f32 dst !pos (Buf.get_f32 base (i * elem));
+        Buf.set_u32 dst !pos (Buf.get_u32 base (i * elem));
         pos := !pos + elem)
       indices
 
@@ -82,7 +82,7 @@ module Specfem3d_oc = Kernel.Make (struct
     let pos = ref 0 in
     Array.iter
       (fun i ->
-        Buf.set_f32 base (i * elem) (Buf.get_f32 src !pos);
+        Buf.set_u32 base (i * elem) (Buf.get_u32 src !pos);
         pos := !pos + elem)
       indices
 
@@ -123,7 +123,7 @@ module Specfem3d_mt = Kernel.Make (struct
     Array.iter
       (fun p ->
         for c = 0 to 2 do
-          Buf.set_f32 dst !pos (Buf.get_f32 base ((p + c) * elem));
+          Buf.set_u32 dst !pos (Buf.get_u32 base ((p + c) * elem));
           pos := !pos + elem
         done)
       indices
@@ -133,7 +133,7 @@ module Specfem3d_mt = Kernel.Make (struct
     Array.iter
       (fun p ->
         for c = 0 to 2 do
-          Buf.set_f32 base ((p + c) * elem) (Buf.get_f32 src !pos);
+          Buf.set_u32 base ((p + c) * elem) (Buf.get_u32 src !pos);
           pos := !pos + elem
         done)
       indices
@@ -181,7 +181,7 @@ module Milc_su3_xdown = Kernel.Make (struct
         for z = 0 to nz - 1 do
           let site = site_off ~t ~y ~z ~x:x0 * site_bytes in
           for f = 0 to 17 do
-            Buf.set_f32 dst !pos (Buf.get_f32 base (site + (f * 4)));
+            Buf.set_u32 dst !pos (Buf.get_u32 base (site + (f * 4)));
             pos := !pos + 4
           done
         done
@@ -195,7 +195,7 @@ module Milc_su3_xdown = Kernel.Make (struct
         for z = 0 to nz - 1 do
           let site = site_off ~t ~y ~z ~x:x0 * site_bytes in
           for f = 0 to 17 do
-            Buf.set_f32 base (site + (f * 4)) (Buf.get_f32 src !pos);
+            Buf.set_u32 base (site + (f * 4)) (Buf.get_u32 src !pos);
             pos := !pos + 4
           done
         done

@@ -63,34 +63,37 @@ end) = Kernel.Make (struct
   let slab_bytes = Config.slab_bytes C.config
   let blocks = Config.blocks C.config
 
+  (* Field array bases and widths, and the selected particles, fixed
+     once so the pack loops allocate nothing. *)
+  let fields = Array.of_list (Config.field_offsets C.config)
+  let field_base = Array.map (fun (_, fbase, _) -> fbase) fields
+  let field_bytes = Array.map (fun (_, _, bytes) -> bytes) fields
+  let idx = Config.indices C.config
+
   let manual_pack base ~dst =
     (* single loop over the index list, packing from all arrays *)
-    let offsets = Config.field_offsets C.config in
-    let idx = Config.indices C.config in
     let pos = ref 0 in
-    Array.iter
-      (fun p ->
-        List.iter
-          (fun (_, fbase, bytes) ->
-            Buf.blit ~src:base ~src_pos:(fbase + (p * bytes)) ~dst ~dst_pos:!pos
-              ~len:bytes;
-            pos := !pos + bytes)
-          offsets)
-      idx
+    for k = 0 to Array.length idx - 1 do
+      let p = idx.(k) in
+      for f = 0 to Array.length fields - 1 do
+        let bytes = field_bytes.(f) in
+        Buf.blit ~src:base ~src_pos:(field_base.(f) + (p * bytes)) ~dst
+          ~dst_pos:!pos ~len:bytes;
+        pos := !pos + bytes
+      done
+    done
 
   let manual_unpack ~src base =
-    let offsets = Config.field_offsets C.config in
-    let idx = Config.indices C.config in
     let pos = ref 0 in
-    Array.iter
-      (fun p ->
-        List.iter
-          (fun (_, fbase, bytes) ->
-            Buf.blit ~src ~src_pos:!pos ~dst:base ~dst_pos:(fbase + (p * bytes))
-              ~len:bytes;
-            pos := !pos + bytes)
-          offsets)
-      idx
+    for k = 0 to Array.length idx - 1 do
+      let p = idx.(k) in
+      for f = 0 to Array.length fields - 1 do
+        let bytes = field_bytes.(f) in
+        Buf.blit ~src ~src_pos:!pos ~dst:base
+          ~dst_pos:(field_base.(f) + (p * bytes)) ~len:bytes;
+        pos := !pos + bytes
+      done
+    done
 
   let derived = Kernel.hindexed_bytes_of_blocks blocks
 end)

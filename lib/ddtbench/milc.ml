@@ -47,7 +47,7 @@ module Spec = struct
             for c = 0 to 5 do
               (* 3 complex entries per row = 6 floats *)
               let o = site + (((row * 6) + c) * 4) in
-              Buf.set_f32 dst !pos (Buf.get_f32 base o);
+              Buf.set_u32 dst !pos (Buf.get_u32 base o);
               pos := !pos + 4
             done
           done
@@ -64,7 +64,7 @@ module Spec = struct
           for row = 0 to 2 do
             for c = 0 to 5 do
               let o = site + (((row * 6) + c) * 4) in
-              Buf.set_f32 base o (Buf.get_f32 src !pos);
+              Buf.set_u32 base o (Buf.get_u32 src !pos);
               pos := !pos + 4
             done
           done

@@ -47,7 +47,7 @@ let x_manual_pack base ~dst =
     for k = 0 to nk - 1 do
       for j = 0 to nj - 1 do
         for i = i0 to i0 + halo - 1 do
-          Buf.set_f32 dst !pos (Buf.get_f32 base (off ~f ~k ~j ~i));
+          Buf.set_u32 dst !pos (Buf.get_u32 base (off ~f ~k ~j ~i));
           pos := !pos + elem
         done
       done
@@ -60,7 +60,7 @@ let x_manual_unpack ~src base =
     for k = 0 to nk - 1 do
       for j = 0 to nj - 1 do
         for i = i0 to i0 + halo - 1 do
-          Buf.set_f32 base (off ~f ~k ~j ~i) (Buf.get_f32 src !pos);
+          Buf.set_u32 base (off ~f ~k ~j ~i) (Buf.get_u32 src !pos);
           pos := !pos + elem
         done
       done
@@ -73,7 +73,7 @@ let y_manual_pack base ~dst =
     for k = 0 to nk - 1 do
       for j = j0 to j0 + halo - 1 do
         for i = 0 to ni - 1 do
-          Buf.set_f32 dst !pos (Buf.get_f32 base (off ~f ~k ~j ~i));
+          Buf.set_u32 dst !pos (Buf.get_u32 base (off ~f ~k ~j ~i));
           pos := !pos + elem
         done
       done
@@ -86,7 +86,7 @@ let y_manual_unpack ~src base =
     for k = 0 to nk - 1 do
       for j = j0 to j0 + halo - 1 do
         for i = 0 to ni - 1 do
-          Buf.set_f32 base (off ~f ~k ~j ~i) (Buf.get_f32 src !pos);
+          Buf.set_u32 base (off ~f ~k ~j ~i) (Buf.get_u32 src !pos);
           pos := !pos + elem
         done
       done

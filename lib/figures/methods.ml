@@ -2,7 +2,6 @@
    every method the paper's §V compares, as Harness.impl builders. *)
 
 module Buf = Mpicd_buf.Buf
-module Dt = Mpicd_datatype.Datatype
 module Plan = Mpicd_datatype.Plan
 module Mpi = Mpicd.Mpi
 module H = Mpicd_harness.Harness
@@ -154,11 +153,12 @@ let k_ddt_direct (module K : Kernel.KERNEL) () =
   }
 
 (* MPI_Pack into a contiguous buffer, send as bytes, MPI_Unpack.  The
-   kernel's compiled plan packs the bytes [Dt.pack] would; the charge
-   stays the interpreter's block count. *)
+   kernel's compiled plan packs the bytes [Datatype.pack] would; the charge
+   stays the interpreter's block count, which is the plan's entry
+   count. *)
 let k_ddt_pack (module K : Kernel.KERNEL) () =
   let src = K.create () and sink = K.create_sink () in
-  let blocks = Dt.blocks_per_element K.derived in
+  let blocks = Plan.block_count K.plan in
   {
     H.send =
       (fun comm ~dst ~tag ->

@@ -2,6 +2,7 @@
 
 module Buf = Mpicd_buf.Buf
 module Dt = Mpicd_datatype.Datatype
+module Plan = Mpicd_datatype.Plan
 module Mpi = Mpicd.Mpi
 module B = Mpicd_bench_types.Bench_types
 
@@ -177,6 +178,134 @@ let test_no_gap_custom_needs_no_packing () =
   Alcotest.(check bool) "delivered" true
     (B.Struct_simple_no_gap.equal_elems src sink ~count)
 
+(* The packed stream of [count] elements, by a loop over the layout's
+   fields: every field in layout order, or (for the custom callbacks)
+   every field but the zero-copy region field. *)
+let reference_stream (module S : B.STRUCT) ~skip base ~count =
+  let fields =
+    List.filter
+      (fun (name, _, _) -> Some name <> skip)
+      (Mpicd_derive.Derive.fields_of S.layout)
+  in
+  let per_elem = List.fold_left (fun a (_, _, bytes) -> a + bytes) 0 fields in
+  let out = Buf.create (count * per_elem) in
+  let pos = ref 0 in
+  for e = 0 to count - 1 do
+    List.iter
+      (fun (_, off, bytes) ->
+        for k = 0 to bytes - 1 do
+          Buf.set out (!pos + k) (Buf.get base ((e * S.sizeof) + off + k))
+        done;
+        pos := !pos + bytes)
+      fields
+  done;
+  out
+
+(* (module, region field) for each struct type *)
+let struct_regions : (string * (module B.STRUCT) * string option) list =
+  [
+    ("struct-vec", (module B.Struct_vec), Some "data");
+    ("struct-simple", (module B.Struct_simple), None);
+    ("struct-simple-no-gap", (module B.Struct_simple_no_gap), None);
+  ]
+
+(* Every window [offset, offset + window) of the custom stream packs to
+   the reference bytes and unpacks them to the same element bytes. *)
+let test_struct_custom_windows () =
+  List.iter
+    (fun (name, ((module S : B.STRUCT) as m), region) ->
+      let count = 3 in
+      let src = S.generate ~count in
+      let want = reference_stream m ~skip:region src ~count in
+      let op = Mpicd.Custom.start S.custom_dt src ~count in
+      let total = Mpicd.Custom.packed_size op in
+      let expect_total = if S.pieces_per_elem = 0 then 0 else Buf.length want in
+      check_int (name ^ " packed size") expect_total total;
+      for offset = 0 to total do
+        for window = 1 to total - offset + 2 do
+          let dst = Buf.create window in
+          let n = Mpicd.Custom.pack op ~offset ~dst in
+          let expect_n = min window (total - offset) in
+          check_int
+            (Printf.sprintf "%s pack (%d, %d) bytes" name offset window)
+            expect_n n;
+          if
+            not
+              (Buf.equal (Buf.sub dst ~pos:0 ~len:n) (Buf.sub want ~pos:offset ~len:n))
+          then Alcotest.failf "%s pack (%d, %d): wrong bytes" name offset window;
+          (* unpack the same window into a fresh sink: exactly those
+             bytes of the elements change *)
+          if n > 0 then begin
+            let sink = S.make_sink ~count in
+            let uop = Mpicd.Custom.start S.custom_dt sink ~count in
+            Mpicd.Custom.unpack uop ~offset ~src:(Buf.sub dst ~pos:0 ~len:n);
+            let stream = reference_stream m ~skip:region sink ~count in
+            let expect = Buf.create (Buf.length want) in
+            Buf.blit ~src:want ~src_pos:offset ~dst:expect ~dst_pos:offset ~len:n;
+            if not (Buf.equal stream expect) then
+              Alcotest.failf "%s unpack (%d, %d): wrong bytes" name offset window
+          end
+        done
+      done)
+    struct_regions
+
+(* The manual packers write the whole-struct stream of the reference
+   loop, and unpack it back. *)
+let test_struct_manual_bytes () =
+  List.iter
+    (fun (name, ((module S : B.STRUCT) as m), _) ->
+      List.iter
+        (fun count ->
+          let src = S.generate ~count in
+          let want = reference_stream m ~skip:None src ~count in
+          check_int (name ^ " packed size") (Buf.length want)
+            (count * S.packed_elem_size);
+          let packed = Buf.create (Buf.length want) in
+          S.manual_pack src ~count ~dst:packed;
+          Alcotest.(check bool) (name ^ " manual_pack bytes") true
+            (Buf.equal want packed);
+          let sink = S.make_sink ~count in
+          S.manual_unpack ~src:packed sink ~count;
+          Alcotest.(check bool) (name ^ " manual_unpack bytes") true
+            (Buf.equal want (reference_stream m ~skip:None sink ~count)))
+        [ 1; 2; 7 ])
+    struct_regions
+
+(* --- allocation guards ---
+
+   Minor-heap words are a deterministic count for a fixed binary and
+   input, unlike time.  [f] is warmed up once, then one more call must
+   allocate exactly what an empty call does. *)
+let minor_words_per_call f =
+  f ();
+  let empty () = ignore (Sys.opaque_identity 0) in
+  let measure g =
+    let w0 = Gc.minor_words () in
+    g ();
+    Gc.minor_words () -. w0
+  in
+  int_of_float (measure f -. measure empty)
+
+let test_struct_simple_alloc_free () =
+  let module S = B.Struct_simple in
+  let count = 10_000 in
+  let src = S.generate ~count and sink = S.make_sink ~count in
+  let psize = count * S.packed_elem_size in
+  let packed = Buf.create psize in
+  let plan = Plan.build S.derived in
+  let cursor = Some (Plan.cursor plan) in
+  let zero name f =
+    check_int (name ^ ": minor words per call") 0 (minor_words_per_call f)
+  in
+  zero "Plan.pack" (fun () -> ignore (Plan.pack plan ~count ~src ~dst:packed));
+  zero "Plan.unpack" (fun () -> Plan.unpack plan ~count ~src:packed ~dst:sink);
+  zero "Plan.pack_range" (fun () ->
+      ignore (Plan.pack_range plan ~count ~src ~packed_off:7 ~dst:packed));
+  zero "Plan.pack_range (cursor)" (fun () ->
+      ignore (Plan.pack_range ?cursor plan ~count ~src ~packed_off:0 ~dst:packed));
+  zero "Struct_simple.manual_pack" (fun () -> S.manual_pack src ~count ~dst:packed);
+  zero "Struct_simple.manual_unpack" (fun () -> S.manual_unpack ~src:packed sink ~count)
+
 let test_count_for_packed_bytes () =
   check_int "struct-vec at 32K" 3 (B.Struct_vec.count_for_packed_bytes (1 lsl 15));
   check_int "at least 1" 1 (B.Struct_vec.count_for_packed_bytes 10)
@@ -271,6 +400,10 @@ let suite =
       tc "methods agree on content" `Quick test_methods_agree_on_wire_content;
       tc "no-gap custom needs no packing" `Quick test_no_gap_custom_needs_no_packing;
       tc "count_for_packed_bytes" `Quick test_count_for_packed_bytes;
+      tc "struct custom windows = reference loop" `Quick test_struct_custom_windows;
+      tc "struct manual packers = reference loop" `Quick test_struct_manual_bytes;
+      tc "struct-simple plan and manual packs allocate nothing" `Quick
+        test_struct_simple_alloc_free;
       tc "harness pingpong" `Quick test_harness_pingpong;
       tc "harness deterministic" `Quick test_harness_deterministic;
       tc "harness monotone" `Quick test_harness_monotone;

@@ -245,7 +245,13 @@ let prop_f32_layout =
           if Float.is_nan f then 0. else f)
         int32)
 
-(* Every offset at which a scalar does not fit raises, for all eight
+(* the raw 32-bit word, signalling-NaN patterns included *)
+let prop_u32_layout =
+  prop_le_layout ~width:4 ~name:"u32" ~set:Buf.set_u32 ~get:Buf.get_u32
+    ~bits:Int64.of_int
+    QCheck.Gen.(map (fun b -> Int32.to_int b land 0xffff_ffff) int32)
+
+(* Every offset at which a scalar does not fit raises, for all ten
    accessors: negative, just past the view's end, and near [max_int]
    where [offset + width] overflows. *)
 let prop_out_of_range =
@@ -272,7 +278,9 @@ let prop_out_of_range =
           [ (fun () -> ignore (Buf.get_i32 b off));
             (fun () -> Buf.set_i32 b off 1l);
             (fun () -> ignore (Buf.get_f32 b off));
-            (fun () -> Buf.set_f32 b off 1.) ]
+            (fun () -> Buf.set_f32 b off 1.);
+            (fun () -> ignore (Buf.get_u32 b off));
+            (fun () -> Buf.set_u32 b off 1) ]
         else
           [ (fun () -> ignore (Buf.get_i64 b off));
             (fun () -> Buf.set_i64 b off 1L);
@@ -351,6 +359,40 @@ let prop_string_copies =
       && Buf.to_string (Buf.of_string want) = want
       && snapshot into = want
       && Bytes.sub_string out 1 len = want)
+
+(* Short copies end in at most one 4-, one 2- and one 1-byte access;
+   every length 0..64 at every source and destination alignment mod 8,
+   against a byte-loop memmove.  One base holds both ranges, so they
+   overlap in both directions as well as not at all. *)
+let byte_memmove b ~so ~d_o ~len =
+  let get i = Bigarray.Array1.get b i and set i c = Bigarray.Array1.set b i c in
+  if d_o <= so then for i = 0 to len - 1 do set (d_o + i) (get (so + i)) done
+  else for i = len - 1 downto 0 do set (d_o + i) (get (so + i)) done
+
+let prop_short_copies =
+  QCheck.Test.make ~name:"buf: short copies = byte loop at every alignment"
+    ~count:1000
+    (QCheck.make
+       QCheck.Gen.(pair (0 -- 64) (quad (0 -- 7) (0 -- 7) (0 -- 9) (0 -- 9))))
+    (fun (len, (a, b, sx, dx)) ->
+      let so = a + (8 * sx) and d_o = b + (8 * dx) in
+      let n = 72 + 80 in
+      let got = patterned n 9 and want = patterned n 9 in
+      Buf.blit ~src:got ~src_pos:so ~dst:got ~dst_pos:d_o ~len;
+      byte_memmove want.Buf.base ~so ~d_o ~len;
+      (* the string and bytes twins between distinct buffers *)
+      let s = snapshot (patterned n 4) in
+      let into = patterned n 5 and into_want = patterned n 5 in
+      Buf.blit_from_string s ~src_pos:so ~dst:into ~dst_pos:d_o ~len;
+      String.iteri
+        (fun i c -> if i >= so && i < so + len then Buf.set into_want (d_o + i - so) c)
+        s;
+      let out = Bytes.make n '.' and out_want = Bytes.make n '.' in
+      Buf.blit_to_bytes ~src:into ~src_pos:so ~dst:out ~dst_pos:d_o ~len;
+      for i = 0 to len - 1 do
+        Bytes.set out_want (d_o + i) (Buf.get into_want (so + i))
+      done;
+      Buf.equal got want && Buf.equal into into_want && Bytes.equal out out_want)
 
 (* Negative lengths and offsets whose sum with the length overflows
    raise, as [Bytes.blit] does, instead of copying nothing or reading
@@ -610,9 +652,11 @@ let suite =
       QCheck_alcotest.to_alcotest prop_i64_layout;
       QCheck_alcotest.to_alcotest prop_f32_layout;
       QCheck_alcotest.to_alcotest prop_f64_layout;
+      QCheck_alcotest.to_alcotest prop_u32_layout;
       QCheck_alcotest.to_alcotest prop_out_of_range;
       QCheck_alcotest.to_alcotest prop_blit_memmove;
       QCheck_alcotest.to_alcotest prop_string_copies;
+      QCheck_alcotest.to_alcotest prop_short_copies;
       QCheck_alcotest.to_alcotest prop_equal_bytewise;
       QCheck_alcotest.to_alcotest prop_equal_lengths_differ;
       QCheck_alcotest.to_alcotest prop_blit_from_floats;

@@ -106,6 +106,44 @@ let test_manual_matches_blocks () =
       Alcotest.(check bool) (K.name ^ " manual = cursor") true
         (Buf.equal manual cursor))
 
+(* Float32 kernels pack word by word.  Widening a float32 to a double
+   and back quiets a signalling NaN (0x7f800001 returns as 0x7fc00001),
+   so the packers must move raw words: a slab of signalling-NaN words of
+   both signs must survive manual_pack and manual_unpack bit for bit. *)
+let test_manual_keeps_signalling_nans () =
+  for_each_kernel (fun (module K) ->
+      let src = Buf.create K.slab_bytes in
+      for w = 0 to (K.slab_bytes / 4) - 1 do
+        let payload = 1 + (w mod 0x3f_fffe) in
+        let sign = if w land 1 = 1 then 0x8000_0000 else 0 in
+        Buf.set_i32 src (4 * w) (Int32.of_int (sign lor 0x7f80_0000 lor payload))
+      done;
+      let want = Buf.create K.wire_bytes in
+      ignore (Blocks.pack_range K.blocks ~base:src ~offset:0 ~dst:want);
+      let packed = Buf.create K.wire_bytes in
+      K.manual_pack src ~dst:packed;
+      Alcotest.(check bool) (K.name ^ " manual_pack keeps sNaN words") true
+        (Buf.equal want packed);
+      let sink = K.create_sink () in
+      K.manual_unpack ~src:want sink;
+      Alcotest.(check bool) (K.name ^ " manual_unpack keeps sNaN words") true
+        (K.equal src sink))
+
+(* The word-by-word and block-by-block packers allocate nothing per
+   call (a boxed float per word before raw-word access). *)
+let test_manual_packs_alloc_free () =
+  List.iter
+    (fun name ->
+      let (module K : Kernel.KERNEL) = Option.get (Registry.find name) in
+      let src = K.create () and sink = K.create_sink () in
+      let packed = Buf.create K.wire_bytes in
+      let words f = Test_bench_types.minor_words_per_call f in
+      check_int (name ^ " manual_pack minor words") 0
+        (words (fun () -> K.manual_pack src ~dst:packed));
+      check_int (name ^ " manual_unpack minor words") 0
+        (words (fun () -> K.manual_unpack ~src:packed sink)))
+    [ "MILC_su3_zdown"; "WRF_x_vec"; "WRF_y_vec"; "LAMMPS_full"; "LAMMPS_atomic" ]
+
 let test_derived_matches_manual () =
   (* The derived datatype's pack must match the manual pack stream. *)
   for_each_kernel (fun (module K) ->
@@ -295,6 +333,9 @@ let suite =
       tc "all kernels: manual roundtrip" `Quick test_manual_roundtrip;
       tc "all kernels: manual = cursor stream" `Quick test_manual_matches_blocks;
       tc "all kernels: derived = manual stream" `Quick test_derived_matches_manual;
+      tc "all kernels: manual packs keep signalling NaNs" `Quick
+        test_manual_keeps_signalling_nans;
+      tc "kernel manual packs allocate nothing" `Quick test_manual_packs_alloc_free;
       tc "all kernels: derived over MPI" `Slow test_derived_over_mpi;
       tc "all kernels: custom-pack over MPI" `Slow test_custom_pack_over_mpi;
       tc "all kernels: custom-regions over MPI" `Slow test_custom_regions_over_mpi;

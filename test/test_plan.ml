@@ -265,6 +265,221 @@ let prop_out_of_order_ranges_equiv =
       Dt.unpack t ~count ~src:whole ~dst:expect_back;
       !ok && Buf.equal whole out && Buf.equal expect_back back)
 
+(* --- the block-copy kernel's edge cases ---
+
+   The properties above use fresh buffers at offset 0.  The block copy
+   takes a word-sized fast path only between distinct bigstrings with
+   both ranges in bounds, so these cover what it must hand to
+   [Buf.blit] unchanged: views at odd offsets, a typed buffer and
+   stream cut from one bigstring, and an out-of-range block. *)
+
+(* Walk every fragment of a [psize]-byte stream with one cursor per
+   direction; [f cur ~off ~len] copies one fragment. *)
+let each_fragment ~psize ~frag f =
+  let off = ref 0 in
+  while !off < psize do
+    let len = min frag (psize - !off) in
+    f ~off:!off ~len;
+    off := !off + len
+  done
+
+let prop_odd_offset_views =
+  QCheck.Test.make
+    ~name:"plan: typed views and streams at odd offsets 1..7 = interpreter"
+    ~count:200
+    QCheck.(
+      quad arb_datatype (int_range 1 3) (pair (int_range 1 7) (int_range 1 7))
+        (int_range 1 64))
+    (fun (t, count, (so, d_o), frag) ->
+      let psize = Dt.packed_size t ~count in
+      let p = Plan.build t in
+      let n = src_len t ~count in
+      let typed = Buf.sub (pattern (n + 16)) ~pos:so ~len:n in
+      (* streams and sinks sit at odd offsets of larger buffers, so
+         a write outside the view shows in the base *)
+      let stream () = Buf.sub (Buf.create (psize + 16)) ~pos:d_o ~len:psize in
+      let sink () = Buf.sub (Buf.create (n + 16)) ~pos:so ~len:n in
+      let base (b : Buf.t) = Buf.of_bigstring b.Buf.base in
+      let w_i = stream () and w_p = stream () and w_r = stream () in
+      ignore (Dt.pack t ~count ~src:typed ~dst:w_i);
+      ignore (Plan.pack p ~count ~src:typed ~dst:w_p);
+      let cur = Plan.cursor p in
+      each_fragment ~psize ~frag (fun ~off ~len ->
+          ignore
+            (Plan.pack_range ~cursor:cur p ~count ~src:typed ~packed_off:off
+               ~dst:(Buf.sub w_r ~pos:off ~len)));
+      let u_i = sink () and u_p = sink () and u_r = sink () in
+      Dt.unpack t ~count ~src:w_i ~dst:u_i;
+      Plan.unpack p ~count ~src:w_i ~dst:u_p;
+      let cur = Plan.cursor p in
+      each_fragment ~psize ~frag (fun ~off ~len ->
+          ignore
+            (Plan.unpack_range ~cursor:cur p ~count
+               ~src:(Buf.sub w_i ~pos:off ~len) ~packed_off:off ~dst:u_r));
+      Buf.equal (base w_i) (base w_p)
+      && Buf.equal (base w_i) (base w_r)
+      && Buf.equal (base u_i) (base u_p)
+      && Buf.equal (base u_i) (base u_r))
+
+(* Typed buffer and stream are disjoint views of one bigstring. *)
+let prop_shared_bigstring =
+  QCheck.Test.make
+    ~name:"plan: typed buffer and stream cut from one bigstring = interpreter"
+    ~count:200
+    QCheck.(triple arb_datatype (int_range 1 3) (int_range 1 64))
+    (fun (t, count, frag) ->
+      let psize = Dt.packed_size t ~count in
+      let p = Plan.build t in
+      let n = src_len t ~count in
+      let whole = n + psize + 8 in
+      let cut b =
+        (Buf.sub b ~pos:1 ~len:n, Buf.sub b ~pos:(n + 5) ~len:psize)
+      in
+      let run f =
+        let b = pattern whole in
+        let typed, stream = cut b in
+        f ~typed ~stream;
+        b
+      in
+      let cursor_walk dir ~typed ~stream =
+        let cur = Plan.cursor p in
+        each_fragment ~psize ~frag (fun ~off ~len ->
+            let stream = Buf.sub stream ~pos:off ~len in
+            ignore
+              (if dir = `Pack then
+                 Plan.pack_range ~cursor:cur p ~count ~src:typed ~packed_off:off
+                   ~dst:stream
+               else
+                 Plan.unpack_range ~cursor:cur p ~count ~src:stream
+                   ~packed_off:off ~dst:typed))
+      in
+      let pack_i =
+        run (fun ~typed ~stream -> ignore (Dt.pack t ~count ~src:typed ~dst:stream))
+      in
+      let pack_p =
+        run (fun ~typed ~stream -> ignore (Plan.pack p ~count ~src:typed ~dst:stream))
+      in
+      let pack_r = run (cursor_walk `Pack) in
+      let unpack_i =
+        run (fun ~typed ~stream -> Dt.unpack t ~count ~src:stream ~dst:typed)
+      in
+      let unpack_p =
+        run (fun ~typed ~stream -> Plan.unpack p ~count ~src:stream ~dst:typed)
+      in
+      let unpack_r = run (cursor_walk `Unpack) in
+      Buf.equal pack_i pack_p && Buf.equal pack_i pack_r
+      && Buf.equal unpack_i unpack_p && Buf.equal unpack_i unpack_r)
+
+(* The reference for an out-of-range block: one [Buf.blit] per block,
+   element by element, as plans copied before the block kernel. *)
+let per_block_blit t ~count ~pack ~typed ~stream =
+  let pos = ref 0 in
+  for e = 0 to count - 1 do
+    Dt.iter_blocks t ~count:1 ~f:(fun ~disp ~len ->
+        let tp = (e * Dt.extent t) + disp in
+        if pack then Buf.blit ~src:typed ~src_pos:tp ~dst:stream ~dst_pos:!pos ~len
+        else Buf.blit ~src:stream ~src_pos:!pos ~dst:typed ~dst_pos:tp ~len;
+        pos := !pos + len)
+  done
+
+let outcome f =
+  match f () with () -> None | exception Invalid_argument m -> Some m
+
+let prop_short_typed_buffer =
+  QCheck.Test.make
+    ~name:"plan: typed buffer one byte short raises after the same writes"
+    ~count:300
+    QCheck.(pair arb_datatype (int_range 1 3))
+    (fun (t, count) ->
+      let psize = Dt.packed_size t ~count in
+      QCheck.assume (psize > 0);
+      let p = Plan.build t in
+      let n = src_len t ~count in
+      let short b = Buf.sub b ~pos:0 ~len:(n - 1) in
+      let typed = short (pattern n) in
+      (* pack from a short typed buffer: whole call and one window *)
+      let pack_with f =
+        let stream = Buf.create psize in
+        let o = outcome (fun () -> f ~stream) in
+        (o, Buf.to_string stream)
+      in
+      let want = pack_with (per_block_blit t ~count ~pack:true ~typed) in
+      let got =
+        pack_with (fun ~stream -> ignore (Plan.pack p ~count ~src:typed ~dst:stream))
+      in
+      let got_r =
+        pack_with (fun ~stream ->
+            ignore (Plan.pack_range p ~count ~src:typed ~packed_off:0 ~dst:stream))
+      in
+      (* unpack into a short typed buffer *)
+      let stream = pattern psize in
+      let unpack_with f =
+        let b = Buf.create n in
+        let o = outcome (fun () -> f ~typed:(short b)) in
+        (o, Buf.to_string b)
+      in
+      let want_u =
+        unpack_with (fun ~typed -> per_block_blit t ~count ~pack:false ~typed ~stream)
+      in
+      let got_u =
+        unpack_with (fun ~typed -> Plan.unpack p ~count ~src:stream ~dst:typed)
+      in
+      let got_ur =
+        unpack_with (fun ~typed ->
+            ignore (Plan.unpack_range p ~count ~src:stream ~packed_off:0 ~dst:typed))
+      in
+      want = got && want = got_r && want_u = got_u && want_u = got_ur)
+
+(* "Blocks copied per pack = plan entry count": with a trailing gap the
+   interpreter cannot merge across elements, so every entry point counts
+   exactly [count * block_count] blocks, one copy each, as it does. *)
+let prop_stats_counts =
+  QCheck.Test.make ~name:"plan: ?stats blocks and copies = interpreter"
+    ~count:200
+    QCheck.(triple arb_datatype (int_range 1 4) (int_range 1 64))
+    (fun (t, count, frag) ->
+      let t = Dt.resized ~lb:(Dt.lb t) ~extent:(Dt.extent t + 8) t in
+      let psize = Dt.packed_size t ~count in
+      let p = Plan.build t in
+      let n = src_len t ~count in
+      let src = pattern n in
+      let counts f =
+        let s = Stats.create () in
+        f s;
+        (s.Stats.ddt_blocks_processed, s.Stats.memcpys, s.Stats.bytes_copied)
+      in
+      let stream = Buf.create psize and sink = Buf.create n in
+      let interp =
+        counts (fun s -> ignore (Dt.pack ~stats:s t ~count ~src ~dst:stream))
+      in
+      let entries = count * Plan.block_count p in
+      let plan_pack =
+        counts (fun s -> ignore (Plan.pack ~stats:s p ~count ~src ~dst:stream))
+      in
+      let plan_unpack =
+        counts (fun s -> Plan.unpack ~stats:s p ~count ~src:stream ~dst:sink)
+      in
+      let plan_window =
+        counts (fun s ->
+            ignore (Plan.pack_range ~stats:s p ~count ~src ~packed_off:0 ~dst:stream))
+      in
+      (* fragments split blocks the same way in both engines *)
+      let frags engine =
+        counts (fun s ->
+            let cur = Plan.cursor p in
+            each_fragment ~psize ~frag (fun ~off ~len ->
+                let dst = Buf.sub stream ~pos:off ~len in
+                ignore
+                  (if engine = `Plan then
+                     Plan.pack_range ~stats:s ~cursor:cur p ~count ~src
+                       ~packed_off:off ~dst
+                   else Dt.pack_range ~stats:s t ~count ~src ~packed_off:off ~dst)))
+      in
+      let b, m, c = interp in
+      b = entries && m = entries && c = psize
+      && plan_pack = interp && plan_unpack = interp && plan_window = interp
+      && frags `Plan = frags `Interp)
+
 let suite =
   ( "plan",
     [
@@ -277,4 +492,8 @@ let suite =
       QCheck_alcotest.to_alcotest prop_pack_unpack_iovec_equiv;
       QCheck_alcotest.to_alcotest prop_sequential_ranges_equiv;
       QCheck_alcotest.to_alcotest prop_out_of_order_ranges_equiv;
+      QCheck_alcotest.to_alcotest prop_odd_offset_views;
+      QCheck_alcotest.to_alcotest prop_shared_bigstring;
+      QCheck_alcotest.to_alcotest prop_short_typed_buffer;
+      QCheck_alcotest.to_alcotest prop_stats_counts;
     ] )
