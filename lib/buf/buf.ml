@@ -166,8 +166,9 @@ let blit ~src ~src_pos ~dst ~dst_pos ~len =
   end
 
 let fill t c =
-  let s = Bigarray.Array1.sub t.base t.off t.len in
-  Bigarray.Array1.fill s c
+  if t.off = 0 && t.len = Bigarray.Array1.dim t.base then
+    Bigarray.Array1.fill t.base c (* a whole buffer: no view to allocate *)
+  else Bigarray.Array1.fill (Bigarray.Array1.sub t.base t.off t.len) c
 
 (* Each round copies everything written so far, so a buffer of [n]
    bytes takes O(log (n / period)) block copies. *)

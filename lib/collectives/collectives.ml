@@ -21,39 +21,34 @@ let tag_of ~seq ~op ~round =
 
 (* Failure protection shared by every collective.  The sequence number
    must already have been taken (so ranks that fail fast stay aligned
-   with ranks that run the body).  [body] receives a [track] function it
-   must apply to every nonblocking send it posts; when any internal
-   operation raises, we poison the collective for our peers, then drain
-   the tracked requests — [Mpi.wait] on an already-finalized request
-   replays its memoized outcome, so datatype callback state is released
-   exactly once even on abort — and finally surface the error through
-   the communicator's error handler. *)
-let protected comm body =
+   with ranks that run the body).  A body that posts nonblocking sends
+   passes [tracked] and applies [track tracked] to each one.  When any
+   internal operation raises, we poison the collective for our peers,
+   then drain the tracked requests — [Mpi.wait] on an already-finalized
+   request replays its memoized outcome, so datatype callback state is
+   released exactly once even on abort — and finally surface the error
+   through the communicator's error handler. *)
+let protected ?tracked comm body =
   match K.collective_ready comm with
   | Some err -> K.collective_error comm err
   | None -> (
-      let tracked = ref [] in
-      let track r =
-        tracked := r :: !tracked;
-        r
-      in
-      try body track
+      try body ()
       with Mpi.Mpi_error err ->
         K.poison_collective comm err;
-        List.iter
-          (fun r -> match Mpi.wait r with _ -> () | exception _ -> ())
-          !tracked;
+        (match tracked with
+        | Some t -> List.iter (fun r -> try ignore (Mpi.wait r) with _ -> ()) !t
+        | None -> ());
         K.collective_error comm err)
 
-(* Barrier messages carry no bytes, so every round of every barrier
-   can share one empty buffer: nothing is ever written to or read from
-   it, and a fresh one would cost a malloc'd bigarray per message. *)
-let empty_msg = Mpi.Bytes (Buf.create 0)
+let track tracked r =
+  tracked := r :: !tracked;
+  r
 
 let barrier comm =
   let n = Mpi.size comm and me = Mpi.rank comm in
   let seq = K.fresh_seq comm in
-  protected comm @@ fun track ->
+  let tracked = ref [] in
+  protected ~tracked comm @@ fun () ->
   if n > 1 then begin
     let round = ref 0 in
     let dist = ref 1 in
@@ -61,8 +56,8 @@ let barrier comm =
       let to_ = (me + !dist) mod n in
       let from = (me - !dist + n) mod n in
       let tag = tag_of ~seq ~op:op_barrier ~round:!round in
-      let s = track (K.isend_k comm K.Internal ~dst:to_ ~tag empty_msg) in
-      ignore (K.recv_k comm K.Internal ~source:from ~tag empty_msg);
+      let s = track tracked (K.isend_k comm K.Internal ~dst:to_ ~tag K.empty) in
+      ignore (K.recv_k comm K.Internal ~source:from ~tag K.empty);
       ignore (Mpi.wait s);
       incr round;
       dist := !dist * 2
@@ -73,7 +68,7 @@ let bcast comm ~root buf =
   let n = Mpi.size comm and me = Mpi.rank comm in
   if root < 0 || root >= n then invalid_arg "Collectives.bcast: bad root";
   let seq = K.fresh_seq comm in
-  protected comm @@ fun _track ->
+  protected comm @@ fun () ->
   if n > 1 then begin
     let tag = tag_of ~seq ~op:op_bcast ~round:0 in
     let vrank = (me - root + n) mod n in
@@ -103,7 +98,7 @@ let gather comm ~root ~send ~recv =
   let n = Mpi.size comm and me = Mpi.rank comm in
   if root < 0 || root >= n then invalid_arg "Collectives.gather: bad root";
   let seq = K.fresh_seq comm in
-  protected comm @@ fun _track ->
+  protected comm @@ fun () ->
   let tag = tag_of ~seq ~op:op_move ~round:0 in
   if me = root then
     for i = 0 to n - 1 do
@@ -115,7 +110,7 @@ let scatter comm ~root ~send ~recv =
   let n = Mpi.size comm and me = Mpi.rank comm in
   if root < 0 || root >= n then invalid_arg "Collectives.scatter: bad root";
   let seq = K.fresh_seq comm in
-  protected comm @@ fun _track ->
+  protected comm @@ fun () ->
   let tag = tag_of ~seq ~op:op_move ~round:0 in
   if me = root then
     for i = 0 to n - 1 do
@@ -126,7 +121,8 @@ let scatter comm ~root ~send ~recv =
 let allgather comm ~send ~recv =
   let n = Mpi.size comm and me = Mpi.rank comm in
   let seq = K.fresh_seq comm in
-  protected comm @@ fun track ->
+  let tracked = ref [] in
+  protected ~tracked comm @@ fun () ->
   if n > 1 then begin
     let right = (me + 1) mod n and left = (me - 1 + n) mod n in
     (* ring: in round s we forward the contribution of rank
@@ -137,7 +133,7 @@ let allgather comm ~send ~recv =
       let incoming_owner = (me - s - 1 + n) mod n in
       let out = if outgoing_owner = me then send else recv outgoing_owner in
       let inc = recv incoming_owner in
-      let sreq = track (K.isend_k comm K.Internal ~dst:right ~tag out) in
+      let sreq = track tracked (K.isend_k comm K.Internal ~dst:right ~tag out) in
       ignore (K.recv_k comm K.Internal ~source:left ~tag inc);
       ignore (Mpi.wait sreq)
     done
@@ -146,7 +142,8 @@ let allgather comm ~send ~recv =
 let alltoall comm ~send ~recv =
   let n = Mpi.size comm and me = Mpi.rank comm in
   let seq = K.fresh_seq comm in
-  protected comm @@ fun track ->
+  let tracked = ref [] in
+  protected ~tracked comm @@ fun () ->
   let tag = tag_of ~seq ~op:op_move ~round:1 in
   (* pairwise exchange schedule: in round r, partner = me xor r (for
      power-of-two sizes) falling back to shifted pairing otherwise *)
@@ -154,7 +151,7 @@ let alltoall comm ~send ~recv =
   for peer = 0 to n - 1 do
     if peer <> me then
       reqs :=
-        track (K.isend_k comm K.Internal ~dst:peer ~tag (send peer)) :: !reqs
+        track tracked (K.isend_k comm K.Internal ~dst:peer ~tag (send peer)) :: !reqs
   done;
   for peer = 0 to n - 1 do
     if peer <> me then
@@ -164,14 +161,11 @@ let alltoall comm ~send ~recv =
 
 (* --- float64 reductions --- *)
 
-let buf_of_floats fs =
-  let n = Array.length fs in
-  let b = Buf.create (8 * n) in
-  Buf.blit_from_floats fs ~src_pos:0 ~dst:b ~dst_pos:0 ~len:n;
-  b
-
 let floats_into b fs =
   Buf.blit_to_floats ~src:b ~src_pos:0 ~dst:fs ~dst_pos:0 ~len:(Array.length fs)
+
+let floats_out fs b =
+  Buf.blit_from_floats fs ~src_pos:0 ~dst:b ~dst_pos:0 ~len:(Array.length fs)
 
 (* One loop per operator: applying [( +. )] as a closure would box both
    operands of every element. *)
@@ -191,18 +185,18 @@ let apply_op op (a : float array) (incoming : float array) =
         a.(i) <- Float.min a.(i) incoming.(i)
       done
 
-let reduce_f64 comm ~root ~op data =
+(* Binomial-tree reduction to [root] through [staging], an [8 * length
+   data] byte buffer: every child's message lands in it, and the
+   partial result leaves from it. *)
+let reduce_staged comm ~root ~op data staging =
   let n = Mpi.size comm and me = Mpi.rank comm in
   if root < 0 || root >= n then invalid_arg "Collectives.reduce_f64: bad root";
   let seq = K.fresh_seq comm in
-  protected comm @@ fun _track ->
+  protected comm @@ fun () ->
   if n > 1 then begin
     let vrank = (me - root + n) mod n in
-    (* Receive-side staging, shared by every child message of this call
-       and allocated only when the first one arrives — leaf ranks (half
-       the tree) send immediately and never pay for it. *)
-    let scratch = lazy (Array.make (Array.length data) 0.) in
-    let inbuf = lazy (Buf.create (8 * Array.length data)) in
+    let msg = Mpi.Bytes staging in
+    let tag = tag_of ~seq ~op:op_reduce ~round:0 in
     let mask = ref 1 in
     let continue = ref true in
     while !continue && !mask < n do
@@ -210,34 +204,41 @@ let reduce_f64 comm ~root ~op data =
         let vchild = vrank + !mask in
         if vchild < n then begin
           let child = (vchild + root) mod n in
-          let tag = tag_of ~seq ~op:op_reduce ~round:0 in
-          let inbuf = Lazy.force inbuf and scratch = Lazy.force scratch in
-          ignore (K.recv_k comm K.Internal ~source:child ~tag (Mpi.Bytes inbuf));
-          floats_into inbuf scratch;
-          apply_op op data scratch
+          ignore (K.recv_k comm K.Internal ~source:child ~tag msg);
+          (* decoded right away, so nothing of it outlives the receive *)
+          let incoming = Array.make (Array.length data) 0. in
+          floats_into staging incoming;
+          apply_op op data incoming
         end
       end
       else begin
         let parent = ((vrank - !mask) + root) mod n in
-        let tag = tag_of ~seq ~op:op_reduce ~round:0 in
-        K.send_k comm K.Internal ~dst:parent ~tag (Mpi.Bytes (buf_of_floats data));
+        floats_out data staging;
+        K.send_k comm K.Internal ~dst:parent ~tag msg;
         continue := false
       end;
       mask := !mask * 2
     done
   end
 
+let reduce_f64 comm ~root ~op data =
+  reduce_staged comm ~root ~op data (Buf.create (8 * Array.length data))
+
+(* One staging buffer carries the whole call: the children's messages,
+   the send to the parent, and the broadcast, which only the root's
+   reduced values fill before it travels.  The rank keeps it for its
+   next call, so a waiting rank holds an old buffer, not a fresh
+   bigarray that the minor GC would promote and the major GC free. *)
 let allreduce_f64 comm ~op data =
-  reduce_f64 comm ~root:0 ~op data;
-  (* Only the root's reduced values travel: non-root ranks receive into
-     the staging buffer, so serializing their scratch data into it
-     first would be wasted work. *)
-  let b =
-    if Mpi.rank comm = 0 then buf_of_floats data
-    else Buf.create (8 * Array.length data)
-  in
-  bcast comm ~root:0 (Mpi.Bytes b);
-  floats_into b data
+  let staging = K.staging comm (8 * Array.length data) in
+  reduce_staged comm ~root:0 ~op data staging;
+  if Mpi.rank comm = 0 then floats_out data staging;
+  bcast comm ~root:0 (Mpi.Bytes staging);
+  floats_into staging data;
+  (* only a clean call hands it back: a failed one has poisoned the
+     communicator's collectives, and may have left a transfer that
+     still writes into the buffer *)
+  if Option.is_none (K.collective_ready comm) then K.keep_staging comm staging
 
 (* --- fault-tolerant allreduce --- *)
 

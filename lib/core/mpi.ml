@@ -112,18 +112,6 @@ type errhandler = Errors_raise | Errors_abort | Errors_return
 
 exception Aborted of { rank : int; error : error }
 
-(* An operation registered for failure-triggered cancellation: enough to
-   decide whether a declared failure or a communicator revocation makes
-   it undeliverable, plus the transport request to cancel. *)
-type oentry = {
-  oe_req : Ucx.request;
-  oe_tag : int64;
-  oe_cid : int;
-  oe_rank : int;  (* world rank of the posting side *)
-  oe_peer : int;  (* world rank of the peer; -1 for any-source receives *)
-  oe_internal : bool;  (* posted on the Internal (collective) channel *)
-}
-
 (* Shared-state slot for the fault-tolerant agreement protocol behind
    [comm_agree] and [comm_shrink].  Each participant folds its
    contribution in and the slot completes once every group member has
@@ -152,18 +140,20 @@ type agree_slot = {
   mutable s_waiters : int Engine.resumer list;
 }
 
+type status = { source : int; tag : int; len : int }
+
 (* A rank's registered operations, newest first, with their count kept
    alongside so the prune check on every post is O(1).  [prune_at] is
    the count that triggers the next prune of completed entries; it
    follows the pending population, so the list stays within a small
    factor of the operations still in flight. *)
 type olist = {
-  mutable ops : oentry list;
+  mutable ops : request list;
   mutable n_ops : int;
   mutable prune_at : int;
 }
 
-type world = {
+and world = {
   engine : Engine.t;
   config : Config.t;
   stats : Stats.t;
@@ -193,7 +183,7 @@ type world = {
       (* (cid, opcode, per-rank call index) -> agreement slot *)
 }
 
-type comm = {
+and comm = {
   w : world;
   c_rank : int;  (* rank within this communicator *)
   group : int array;  (* comm rank -> world rank *)
@@ -201,7 +191,36 @@ type comm = {
   mutable bar_seq : int;
   mutable agree_seq : int;  (* per-rank [comm_agree] call index *)
   mutable shrink_seq : int;  (* per-rank [comm_shrink] call index *)
+  mutable staging : Buf.t;
+      (* a collective's staging buffer, kept for this rank's next call
+         (see [Internal.staging]); [empty_buf] while lent out *)
 }
+
+(* One record per operation: the handle [wait]/[test] finalize and,
+   while pending, the poster's cancellation-registry entry, holding
+   what decides whether a failure or a revocation dooms it. *)
+and request = {
+  ucx_req : Ucx.request;
+  r_comm : comm;  (* the posting side's communicator *)
+  r_span : Obs.span;  (* the op's "p2p" span; [Obs.null_span] if none *)
+  r_cleanup : Ucx.status -> unit;  (* runs once, at finalization *)
+  r_tag : int64;  (* transport tag *)
+  r_peer : int;  (* world rank of the peer; -1 for any-source receives *)
+  r_internal : bool;
+      (* posted on the Internal (collective) channel: an error raises
+         [Mpi_error] past the communicator's error handler *)
+  r_reg : olist;  (* the registry holding it, or [no_registry] *)
+  mutable outcome : (status, exn) result option;
+      (* memoized finalization: cleanup and error handling run exactly
+         once; a second wait/test replays the same status or exception *)
+}
+
+(* The registry of operations complete at post time: always empty. *)
+let no_registry = { ops = []; n_ops = 0; prune_at = max_int }
+
+(* One shared zero-byte buffer: nothing is ever written to or read
+   from it, and a fresh one would cost a malloc'd bigarray each time. *)
+let empty_buf = Buf.create 0
 
 let alloc_cid w =
   let cid = w.next_cid in
@@ -218,7 +237,7 @@ let alloc_cid w =
 let min_prune_at = 8
 
 let prune_completed ol =
-  ol.ops <- List.filter (fun e -> not (Ucx.is_completed e.oe_req)) ol.ops;
+  ol.ops <- List.filter (fun r -> not (Ucx.is_completed r.ucx_req)) ol.ops;
   ol.n_ops <- List.length ol.ops;
   ol.prune_at <- max min_prune_at (2 * ol.n_ops)
 
@@ -230,26 +249,33 @@ let cancel_outstanding w ~owner ~pred err =
   | Some ol ->
       prune_completed ol;
       List.iter
-        (fun e ->
-          if pred e then
-            ignore (Ucx.try_cancel w.ucx e.oe_req ~tag:e.oe_tag err))
+        (fun r ->
+          if pred r then
+            ignore (Ucx.try_cancel w.ucx r.ucx_req ~tag:r.r_tag err))
         ol.ops
 
-let register_outstanding w (e : oentry) =
-  if Ucx.is_completed e.oe_req then ()
-  else begin
-    let ol =
-      match Hashtbl.find_opt w.outstanding e.oe_rank with
-      | Some ol -> ol
-      | None ->
-          let ol = { ops = []; n_ops = 0; prune_at = min_prune_at } in
-          Hashtbl.add w.outstanding e.oe_rank ol;
-          ol
-    in
-    if ol.n_ops >= ol.prune_at then prune_completed ol;
-    ol.ops <- e :: ol.ops;
-    ol.n_ops <- ol.n_ops + 1
-  end
+(* The registry a new operation of world rank [owner] goes to: its
+   own if the transport request is still pending, else none. *)
+let registry_for w ~owner ureq =
+  if Ucx.is_completed ureq then no_registry
+  else
+    match Hashtbl.find_opt w.outstanding owner with
+    | Some ol -> ol
+    | None ->
+        let ol = { ops = []; n_ops = 0; prune_at = min_prune_at } in
+        Hashtbl.add w.outstanding owner ol;
+        ol
+
+(* A finalized request that is its registry's newest entry, as a
+   blocking operation's is, leaves it at once, instead of pinning its
+   buffers until the next prune. *)
+let release (r : request) =
+  let ol = r.r_reg in
+  match ol.ops with
+  | r' :: rest when r' == r ->
+      ol.ops <- rest;
+      ol.n_ops <- ol.n_ops - 1
+  | _ -> ()
 
 (* Complete an agreement slot if every group member has contributed or
    died; idempotent.  Called by each contributor and re-checked by the
@@ -311,7 +337,7 @@ let handle_rank_failure w ~rank ~time =
       if owner = rank then
         cancel_outstanding w ~owner ~pred:(fun _ -> true) err
       else
-        cancel_outstanding w ~owner ~pred:(fun e -> e.oe_peer = rank) err)
+        cancel_outstanding w ~owner ~pred:(fun r -> r.r_peer = rank) err)
     w.outstanding;
   Hashtbl.iter (fun _ slot -> try_complete_slot w slot) w.slots
 
@@ -383,6 +409,7 @@ let comm_for_rank w r =
     bar_seq = 0;
     agree_seq = 0;
     shrink_seq = 0;
+    staging = empty_buf;
   }
 
 let set_errhandler c h = Hashtbl.replace c.w.errh c.cid h
@@ -453,34 +480,34 @@ let check_user_tag tag =
     invalid_arg (Printf.sprintf "Mpi: tag %d out of range" tag)
 
 (* Receive-side tag and mask for a (source, tag) filter.  [source] is a
-   WORLD rank here; communicator translation happens in the callers. *)
-let recv_tag_mask ~kind ~cid ~source ~tag =
-  let base_mask =
-    Int64.logor
-      (Int64.shift_left 7L kind_shift)
-      (Int64.shift_left 0x3FL cid_shift)
+   WORLD rank here; communicator translation happens in the callers.
+   The mask depends only on which of the two are wildcards, so it is
+   one of four shared constants, not a fresh box per receive. *)
+let recv_tag ~kind ~cid ~source ~tag =
+  let src_part =
+    if source = any_source then 0L
+    else Int64.shift_left (Int64.of_int source) src_shift
   in
-  let src_part, src_mask =
-    if source = any_source then (0L, 0L)
-    else
-      ( Int64.shift_left (Int64.of_int source) src_shift,
-        Int64.shift_left 0x7FFFL src_shift )
-  in
-  let tag_part, tag_mask =
-    if tag = any_tag then (0L, 0L)
+  let tag_part =
+    if tag = any_tag then 0L
     else begin
       check_user_tag tag;
-      (Int64.of_int tag, user_mask)
+      Int64.of_int tag
     end
   in
-  let t =
-    Int64.logor src_part
-      (Int64.logor
-         (Int64.shift_left (Int64.of_int (kind_code kind)) kind_shift)
-         (Int64.logor (Int64.shift_left (Int64.of_int cid) cid_shift) tag_part))
-  in
-  let m = Int64.logor base_mask (Int64.logor src_mask tag_mask) in
-  (t, m)
+  Int64.logor src_part
+    (Int64.logor
+       (Int64.shift_left (Int64.of_int (kind_code kind)) kind_shift)
+       (Int64.logor (Int64.shift_left (Int64.of_int cid) cid_shift) tag_part))
+
+let recv_masks =
+  let kind_cid =
+    Int64.logor (Int64.shift_left 7L kind_shift) (Int64.shift_left 0x3FL cid_shift)
+  and src = Int64.shift_left 0x7FFFL src_shift in
+  Array.map (Int64.logor kind_cid) [| 0L; user_mask; src; Int64.logor src user_mask |]
+
+let recv_mask ~source ~tag =
+  recv_masks.((if source = any_source then 0 else 2) + if tag = any_tag then 0 else 1)
 
 (* --- buffers --- *)
 
@@ -488,8 +515,6 @@ type buffer =
   | Bytes of Buf.t
   | Typed of { dt : Datatype.t; count : int; base : Buf.t }
   | Custom : { dt : 'o Custom.t; obj : 'o; count : int } -> buffer
-
-type status = { source : int; tag : int; len : int }
 
 let charge c t = Engine.sleep c.w.engine t
 let cpu c = c.w.config.cpu
@@ -744,17 +769,6 @@ let make_recv_dt c = function
 
 (* --- requests --- *)
 
-type request = {
-  ucx_req : Ucx.request;
-  finalize : Ucx.status -> status;
-  mutable outcome : (status, exn) result option;
-      (* memoized finalization: cleanup and error handling run exactly
-         once; a second wait/test replays the same status or exception *)
-  r_engine : Engine.t;
-  r_obs : Obs.t;
-  r_track : int;  (* world rank of the posting side *)
-}
-
 let lift_error : Ucx.error -> error = function
   | Ucx.Truncated { expected; capacity } -> Truncated { expected; capacity }
   | Ucx.Callback_failed code -> Callback_failed code
@@ -785,8 +799,43 @@ let comm_source c world_rank =
 let decode_status c (st : Ucx.status) =
   { source = comm_source c (decode_source st.tag); tag = decode_utag st.tag; len = st.len }
 
+let finalize r (u : Ucx.status) =
+  let c = r.r_comm in
+  (* Close the op span first so a cleanup/status exception still
+     leaves a finished trace. *)
+  if r.r_span != Obs.null_span then begin
+    let args =
+      ("len", Obs.Int u.len)
+      ::
+      (match Ucx.request_seq r.ucx_req with
+      | -1 -> []
+      | m -> [ ("mseq", Obs.Int m) ])
+    in
+    Obs.span_end c.w.obs ~time:(Engine.now c.w.engine) ~args r.r_span
+  end;
+  r.r_cleanup u;
+  match u.error with
+  | Some e -> (
+      let err = lift_error e in
+      (* [r_internal] is set on the collectives' internal channel: the
+         collective itself must observe the error (to poison the
+         operation on its peers), so the communicator's error handler
+         is applied by the collective wrapper, not here. *)
+      if r.r_internal then raise (Mpi_error err)
+      else
+        match get_errhandler c with
+        | Errors_raise -> raise (Mpi_error err)
+        | Errors_abort -> raise (Aborted { rank = c.c_rank; error = err })
+        | Errors_return ->
+            (* degraded continuation: stash the error for [last_error]
+               and hand back a zero-length status *)
+            Hashtbl.replace c.w.last_errors (c.cid, c.c_rank) err;
+            decode_status c u)
+  | None -> decode_status c u
+
 let finalize_once r (u : Ucx.status) =
-  match r.finalize u with
+  release r;
+  match finalize r u with
   | s ->
       r.outcome <- Some (Ok s);
       s
@@ -801,20 +850,21 @@ let wait r =
   | None ->
       (* A wait that actually blocks gets its own span; an immediately
          satisfied one stays invisible. *)
+      let w = r.r_comm.w in
       let sp =
-        if Obs.enabled r.r_obs && not (Ucx.is_completed r.ucx_req) then
-          Obs.span_begin r.r_obs ~time:(Engine.now r.r_engine) ~track:r.r_track
-            ~cat:"p2p" "wait"
+        if Obs.enabled w.obs && not (Ucx.is_completed r.ucx_req) then
+          Obs.span_begin w.obs ~time:(Engine.now w.engine)
+            ~track:(my_world_rank r.r_comm) ~cat:"p2p" "wait"
         else Obs.null_span
       in
       let u = Ucx.wait r.ucx_req in
-      if Obs.enabled r.r_obs then begin
+      if Obs.enabled w.obs then begin
         let args =
           match Ucx.request_seq r.ucx_req with
           | -1 -> []
           | m -> [ ("mseq", Obs.Int m) ]
         in
-        Obs.span_end r.r_obs ~time:(Engine.now r.r_engine) ~args sp
+        Obs.span_end w.obs ~time:(Engine.now w.engine) ~args sp
       end;
       finalize_once r u
 
@@ -842,7 +892,7 @@ let waitany rs =
   | None ->
       (* race: one helper fiber per request; the first to complete
          resumes the caller, the others notice and stand down *)
-      let engine = (List.hd rs).r_engine in
+      let engine = (List.hd rs).r_comm.w.engine in
       let outcome =
         Engine.suspend engine (fun resume ->
             let fired = ref false in
@@ -862,48 +912,26 @@ let waitany rs =
       in
       (match outcome with Ok hit -> hit | Error e -> raise e)
 
-let make_request ?span ?(force_raise = false) c ucx_req cleanup =
-  {
-    ucx_req;
-    finalize =
-      (fun (u : Ucx.status) ->
-        (* Close the op span first so a cleanup/status exception still
-           leaves a finished trace. *)
-        (match span with
-        | Some sp ->
-            let args =
-              ("len", Obs.Int u.len)
-              ::
-              (match Ucx.request_seq ucx_req with
-              | -1 -> []
-              | m -> [ ("mseq", Obs.Int m) ])
-            in
-            Obs.span_end c.w.obs ~time:(Engine.now c.w.engine) ~args sp
-        | None -> ());
-        cleanup u;
-        match u.error with
-        | Some e -> (
-            let err = lift_error e in
-            (* [force_raise] is set on the collectives' internal channel:
-               the collective itself must observe the error (to poison
-               the operation on its peers), so the communicator's error
-               handler is applied by the collective wrapper, not here. *)
-            if force_raise then raise (Mpi_error err)
-            else
-              match get_errhandler c with
-              | Errors_raise -> raise (Mpi_error err)
-              | Errors_abort -> raise (Aborted { rank = c.c_rank; error = err })
-              | Errors_return ->
-                  (* degraded continuation: stash the error for
-                     [last_error] and hand back a zero-length status *)
-                  Hashtbl.replace c.w.last_errors (c.cid, c.c_rank) err;
-                  decode_status c u)
-        | None -> decode_status c u);
-    outcome = None;
-    r_engine = c.w.engine;
-    r_obs = c.w.obs;
-    r_track = c.group.(c.c_rank);
-  }
+let make_request ~span ~internal ~tag ~peer ~reg c ucx_req cleanup =
+  let r =
+    {
+      ucx_req;
+      r_comm = c;
+      r_span = span;
+      r_cleanup = cleanup;
+      r_tag = tag;
+      r_peer = peer;
+      r_internal = internal;
+      r_reg = reg;
+      outcome = None;
+    }
+  in
+  if reg != no_registry then begin
+    if reg.n_ops >= reg.prune_at then prune_completed reg;
+    reg.ops <- r :: reg.ops;
+    reg.n_ops <- reg.n_ops + 1
+  end;
+  r
 
 let check_dst c r name =
   if r < 0 || r >= size c then
@@ -1011,18 +1039,17 @@ let op_span c ~blocking ~send ~peer ~tag buf =
       | true, false -> "recv"
       | false, false -> "irecv"
     in
-    Some
-      (Obs.span_begin c.w.obs ~time:(Engine.now c.w.engine)
-         ~track:(my_world_rank c) ~cat:"p2p" ~nest:false
-         ~args:
-           [
-             ("peer", Obs.Int peer);
-             ("tag", Obs.Int tag);
-             ("bytes", Obs.Int (buffer_wire_bytes buf));
-             ("dt", Obs.Str (dt_label buf));
-           ]
-         name)
-  else None
+    Obs.span_begin c.w.obs ~time:(Engine.now c.w.engine)
+      ~track:(my_world_rank c) ~cat:"p2p" ~nest:false
+      ~args:
+        [
+          ("peer", Obs.Int peer);
+          ("tag", Obs.Int tag);
+          ("bytes", Obs.Int (buffer_wire_bytes buf));
+          ("dt", Obs.Str (dt_label buf));
+        ]
+      name
+  else Obs.null_span
 
 (* Fail-fast check run before posting: an operation on a communicator
    this rank knows is revoked, or directed at (or posted by) a declared-
@@ -1063,56 +1090,46 @@ let isend_gen c kind ~blocking ~dst ~tag buf =
   let span = op_span c ~blocking ~send:true ~peer:dst ~tag buf in
   let me = c.group.(c.c_rank) and peer = c.group.(dst) in
   let t64 = encode_tag ~src:me ~kind ~cid:c.cid ~utag:tag in
-  let force_raise = force_raise_of kind in
+  let internal = force_raise_of kind in
   match fail_fast c kind ~peer_world:peer with
   | Some err ->
       let req = Ucx.completed_request c.w.ucx ~tag:t64 err in
       monitor_record c kind ~op_kind:Monitor.Send ~peer ~tag ~blocking buf req;
-      make_request ?span ~force_raise c req (fun _ -> ())
+      make_request ~span ~internal ~tag:t64 ~peer ~reg:no_registry c req ignore
   | None ->
       let dt, cleanup = make_send_dt c buf in
-      let ep = Ucx.connect c.w.workers.(me) c.w.workers.(peer) in
-      let req = Ucx.tag_send ep ~tag:t64 dt in
+      let req =
+        Ucx.tag_send_from c.w.workers.(me) ~dst:c.w.workers.(peer) ~tag:t64 dt
+      in
       monitor_record c kind ~op_kind:Monitor.Send ~peer ~tag ~blocking buf req;
-      register_outstanding c.w
-        {
-          oe_req = req;
-          oe_tag = t64;
-          oe_cid = c.cid;
-          oe_rank = me;
-          oe_peer = peer;
-          oe_internal = force_raise;
-        };
-      make_request ?span ~force_raise c req cleanup
+      make_request ~span ~internal ~tag:t64 ~peer
+        ~reg:(registry_for c.w ~owner:me req)
+        c req cleanup
 
 let irecv_gen c kind ~blocking ?(source = any_source) ?(tag = any_tag) buf =
   if source <> any_source then check_dst c source "irecv";
   let span = op_span c ~blocking ~send:false ~peer:source ~tag buf in
   let me = c.group.(c.c_rank) in
   let source = if source = any_source then any_source else c.group.(source) in
-  let t64, mask = recv_tag_mask ~kind ~cid:c.cid ~source ~tag in
-  let force_raise = force_raise_of kind in
+  let t64 = recv_tag ~kind ~cid:c.cid ~source ~tag in
+  let internal = force_raise_of kind in
   match fail_fast c kind ~peer_world:source with
   | Some err ->
       let req = Ucx.completed_request c.w.ucx ~tag:t64 err in
       monitor_record c kind ~op_kind:Monitor.Recv ~peer:source ~tag ~blocking
         buf req;
-      make_request ?span ~force_raise c req (fun _ -> ())
+      make_request ~span ~internal ~tag:t64 ~peer:source ~reg:no_registry c req
+        ignore
   | None ->
       let dt, cleanup = make_recv_dt c buf in
-      let req = Ucx.tag_recv c.w.workers.(me) ~tag:t64 ~mask dt in
+      let req =
+        Ucx.tag_recv c.w.workers.(me) ~tag:t64 ~mask:(recv_mask ~source ~tag) dt
+      in
       monitor_record c kind ~op_kind:Monitor.Recv ~peer:source ~tag ~blocking
         buf req;
-      register_outstanding c.w
-        {
-          oe_req = req;
-          oe_tag = t64;
-          oe_cid = c.cid;
-          oe_rank = me;
-          oe_peer = source;
-          oe_internal = force_raise;
-        };
-      make_request ?span ~force_raise c req cleanup
+      make_request ~span ~internal ~tag:t64 ~peer:source
+        ~reg:(registry_for c.w ~owner:me req)
+        c req cleanup
 
 let isend_k c kind ~dst ~tag buf = isend_gen c kind ~blocking:false ~dst ~tag buf
 let irecv_k c kind ?source ?tag buf = irecv_gen c kind ~blocking:false ?source ?tag buf
@@ -1139,7 +1156,7 @@ let probe_status c (info : Ucx.probe_info) =
 
 let probe_args c kind source tag =
   let source = if source = any_source then any_source else c.group.(source) in
-  recv_tag_mask ~kind ~cid:c.cid ~source ~tag
+  (recv_tag ~kind ~cid:c.cid ~source ~tag, recv_mask ~source ~tag)
 
 let my_worker c = c.w.workers.(c.group.(c.c_rank))
 
@@ -1164,7 +1181,9 @@ let mprobe_k c kind ?(source = any_source) ?(tag = any_tag) () =
 let mrecv_k c _kind msg buf =
   let dt, cleanup = make_recv_dt c buf in
   let req = Ucx.msg_recv (my_worker c) msg dt in
-  wait (make_request c req cleanup)
+  wait
+    (make_request ~span:Obs.null_span ~internal:false ~tag:0L
+       ~peer:(-1) ~reg:no_registry c req cleanup)
 
 let iprobe c ?source ?tag () = iprobe_k c Internal0.User ?source ?tag ()
 let probe c ?source ?tag () = probe_k c Internal0.User ?source ?tag ()
@@ -1249,7 +1268,7 @@ let poison_collective c err =
     if not (Hashtbl.mem w.col_poison (c.cid, rank)) then begin
       Hashtbl.replace w.col_poison (c.cid, rank) err;
       cancel_outstanding w ~owner:rank
-        ~pred:(fun e -> e.oe_internal && e.oe_cid = c.cid)
+        ~pred:(fun r -> r.r_internal && r.r_comm.cid = c.cid)
         (lower_error err)
     end
   in
@@ -1274,7 +1293,7 @@ let deliver_revoke w ~cid ~rank =
         ~args:[ ("cid", Obs.Int cid) ]
         "revoked";
     cancel_outstanding w ~owner:rank
-      ~pred:(fun e -> e.oe_cid = cid)
+      ~pred:(fun r -> r.r_comm.cid = cid)
       Ucx.Revoked
   end
 
@@ -1466,12 +1485,13 @@ let comm_shrink c =
     bar_seq = 0;
     agree_seq = 0;
     shrink_seq = 0;
+    staging = empty_buf;
   }
 
 (* --- barrier (linear; the harness only needs correctness) --- *)
 
-(* One shared empty payload: barrier messages carry no bytes. *)
-let empty_msg = Bytes (Buf.create 0)
+(* One shared empty payload for every message that carries no bytes. *)
+let empty_msg = Bytes empty_buf
 
 let fresh_seq c =
   let seq = c.bar_seq in
@@ -1593,6 +1613,7 @@ let comm_split c ~color ~key =
     bar_seq = 0;
     agree_seq = 0;
     shrink_seq = 0;
+    staging = empty_buf;
   }
 
 let comm_dup c = comm_split c ~color:0 ~key:c.c_rank
@@ -1609,6 +1630,18 @@ module Internal = struct
   let mprobe_k = mprobe_k
   let mrecv_k = mrecv_k
   let fresh_seq = fresh_seq
+  let empty = empty_msg
+
+  let staging c n =
+    let b = c.staging in
+    if Buf.length b = n then begin
+      c.staging <- empty_buf;
+      Buf.fill b '\000';
+      b
+    end
+    else Buf.create n
+
+  let keep_staging c b = c.staging <- b
   let registered_ops c =
     match Hashtbl.find_opt c.w.outstanding (my_world_rank c) with
     | Some ol -> ol.n_ops

@@ -441,6 +441,20 @@ module Internal : sig
       identify the same collective across ranks; used to build
       collision-free internal tag spaces. *)
 
+  val empty : buffer
+  (** A shared zero-byte buffer, for messages that carry no payload
+      (barrier rounds). *)
+
+  val staging : comm -> int -> Buf.t
+  (** [staging c n] lends a zeroed [n]-byte buffer for one collective
+      call: the one this rank last handed back with [keep_staging] if
+      it has [n] bytes, else a fresh one. *)
+
+  val keep_staging : comm -> Buf.t -> unit
+  (** Hand a staging buffer back for the rank's next call.  Only a
+      call that completed cleanly may: a failed one can leave a
+      transfer that still writes into its buffer. *)
+
   val registered_ops : comm -> int
   (** Entries, pending or completed but not yet pruned, in this rank's
       cancellation registry (a test accessor).  After any post it is at

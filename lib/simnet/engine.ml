@@ -10,6 +10,9 @@ module Metrics = Mpicd_obs.Metrics
 type fiber = {
   f_id : int;
   f_name : string;
+  mutable gen : int;
+      (* suspensions plus resumptions: a resumer is valid while this is
+         still the value its suspension set *)
   mutable prev : fiber;
   mutable next : fiber;
 }
@@ -40,7 +43,7 @@ type _ Effect.t +=
   | Suspend : t * ('a resumer -> unit) -> 'a Effect.t
 
 let create () =
-  let rec fibers = { f_id = 0; f_name = ""; prev = fibers; next = fibers } in
+  let rec fibers = { f_id = 0; f_name = ""; gen = 0; prev = fibers; next = fibers } in
   {
     clock = 0.;
     events = Evq.create ();
@@ -137,7 +140,8 @@ let exec_fiber t fib ~track f =
           fib.prev.next <- fib.next;
           fib.next.prev <- fib.prev;
           Obs.span_end t.obs ~time:t.clock fiber_span);
-      exnc = (fun e -> raise e);
+      exnc =
+        (fun e -> Printexc.raise_with_backtrace e (Printexc.get_raw_backtrace ()));
       effc =
         (fun (type a) (eff : a Effect.t) ->
           match eff with
@@ -148,16 +152,15 @@ let exec_fiber t fib ~track f =
           | Suspend (t', register) when t' == t ->
               Some
                 (fun (k : (a, unit) continuation) ->
-                  let resumed = ref false in
                   fiber_instant "suspend";
-                  let resume v =
-                    if !resumed then
-                      invalid_arg "Engine: resumer invoked twice";
-                    resumed := true;
-                    fiber_instant "resume";
-                    schedule t ~delay:0. (fun () -> continue k v)
-                  in
-                  register resume)
+                  let gen = fib.gen + 1 in
+                  fib.gen <- gen;
+                  register (fun v ->
+                      if fib.gen <> gen then
+                        invalid_arg "Engine: resumer invoked twice";
+                      fib.gen <- gen + 1;
+                      fiber_instant "resume";
+                      schedule t ~delay:0. (fun () -> continue k v)))
           | _ -> None);
     }
 
@@ -166,7 +169,7 @@ let spawn t ?(name = "fiber") ?track f =
   t.fiber_ids <- t.fiber_ids + 1;
   let id = t.fiber_ids in
   let ring = t.fibers in
-  let fib = { f_id = id; f_name = name; prev = ring.prev; next = ring } in
+  let fib = { f_id = id; f_name = name; gen = 0; prev = ring.prev; next = ring } in
   ring.prev.next <- fib;
   ring.prev <- fib;
   let track = match track with Some r -> r | None -> -id in
@@ -196,9 +199,10 @@ let run t =
       end
     end
     else begin
-      let time = Evq.min_time t.events in
+      (* [min_time]'s result is boxed: read it only when the clock
+         advances, a few percent of events in a lockstep world *)
+      if Evq.min_after t.events t.clock then t.clock <- Evq.min_time t.events;
       let f = Evq.pop_min t.events in
-      if time > t.clock then t.clock <- time;
       f ();
       loop ()
     end
@@ -270,27 +274,34 @@ module Mutex = struct
 end
 
 module Ivar = struct
-  (* Blocked readers, newest first.  Most cells are filled before anyone
-     reads them (an eager send request completes at post time), so a
-     cell allocates nothing for readers until one actually blocks. *)
-  type 'a t = { mutable value : 'a option; mutable readers : 'a resumer list }
+  (* The blocked readers as one resumer: a cell is mostly read by one
+     fiber, so a blocked read keeps no list cell reachable.  Later
+     readers are chained after earlier ones, so they wake FIFO. *)
+  type 'a t = { mutable value : 'a option; mutable readers : 'a resumer }
 
-  let create () = { value = None; readers = [] }
+  let no_readers _ = ()
+  let create () = { value = None; readers = no_readers }
 
   let fill t v =
     match t.value with
     | Some _ -> invalid_arg "Ivar.fill: already filled"
     | None ->
         t.value <- Some v;
-        let rs = t.readers in
-        t.readers <- [];
-        (* FIFO: wake in the order the readers blocked *)
-        List.iter (fun resume -> resume v) (List.rev rs)
+        let wake = t.readers in
+        t.readers <- no_readers;
+        wake v
 
   let read e t =
     match t.value with
     | Some v -> v
-    | None -> suspend e (fun resume -> t.readers <- resume :: t.readers)
+    | None ->
+        suspend e (fun resume ->
+            let earlier = t.readers in
+            t.readers <-
+              (if earlier == no_readers then resume
+               else fun v ->
+                 earlier v;
+                 resume v))
 
   let peek t = t.value
   let is_filled t = Option.is_some t.value

@@ -332,6 +332,11 @@ let min_time t =
   if t.peeked < 0 then scan t;
   Array.unsafe_get t.times t.peeked
 
+let min_after t x =
+  if t.len = 0 then invalid_arg "Evq.min_after: empty queue";
+  if t.peeked < 0 then scan t;
+  Array.unsafe_get t.times t.peeked > x
+
 let pop_min t =
   if t.len = 0 then invalid_arg "Evq.pop_min: empty queue";
   if t.peeked < 0 then scan t;

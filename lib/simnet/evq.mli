@@ -59,6 +59,11 @@ val min_time : 'a t -> float
     unless the scan rebuilds the calendar (see above).
     @raise Invalid_argument on an empty queue. *)
 
+val min_after : 'a t -> float -> bool
+(** [min_after t x] is [min_time t > x] without boxing the time, which
+    [min_time] returns boxed to a caller in another module.
+    @raise Invalid_argument on an empty queue. *)
+
 val pop_min : 'a t -> 'a
 (** Remove the minimum entry and return its value; non-allocating in
     steady state (the freed entry is reused by later pushes, and

@@ -45,6 +45,8 @@ type error =
 
 type status = { len : int; tag : int64; error : error option }
 
+(* A receive request is also its posted-queue entry: it carries the
+   match filter and the receive descriptor (constants in a send's). *)
 type request = {
   ivar : status Engine.Ivar.t;
   r_engine : Engine.t;
@@ -53,6 +55,9 @@ type request = {
          request sends or received; -1 until known.  Purely diagnostic:
          it joins send and receive spans across ranks in trace
          analysis and never influences matching or timing. *)
+  r_tag : int64;
+  r_mask : int64;
+  r_dt : recv_dt;
 }
 
 type payload =
@@ -85,8 +90,6 @@ type envelope = {
       (* set by [process_match]; guards the rendezvous-handshake timer *)
 }
 
-type posted = { pr_tag : int64; pr_mask : int64; pr_dt : recv_dt; pr_req : request }
-
 type probe_info = { p_tag : int64; p_len : int; p_src_worker : int }
 
 type message = envelope
@@ -94,15 +97,19 @@ type message = envelope
 (* Per-channel FIFO clocks, keyed by one int: [channel_key] packs the
    (src, dst) worker pair, so a lookup hashes an int instead of a
    boxed tuple through the polymorphic hash and compare.  The table is
-   only ever looked up, never iterated. *)
+   only ever looked up, never iterated.  A clock is an all-float
+   record, so advancing it stores the float in place instead of boxing
+   a new one per message. *)
 module Chan_tbl = Hashtbl.Make (Int)
+
+type chan = { mutable next_at : float }
 
 let channel_key ~src ~dst = (src lsl 31) lor dst
 
 type worker = {
   id : int;
   ctx : context;
-  mutable posted : posted list;  (* in post order *)
+  mutable posted : request list;  (* receives, in post order *)
   mutable unexpected : envelope list;  (* in arrival order *)
   mutable probe_waiters : (int64 * int64 * probe_info Engine.resumer) list;
   mutable mprobe_waiters :
@@ -116,7 +123,7 @@ and context = {
   mutable next_worker : int;
   mutable next_mseq : int;  (* message sequence allocator (see [e_seq]) *)
   mutable workers_list : worker list;  (* newest first; for cancellation *)
-  channels : float ref Chan_tbl.t;
+  channels : chan Chan_tbl.t;
       (* per (src,dst) pair: earliest next delivery time, for FIFO order *)
   mutable jitter : (unit -> float) option;
   mutable trace : Mpicd_simnet.Trace.t option;
@@ -311,18 +318,18 @@ let bounce_acquire ctx len =
 (* Return deposited fragments to the pool.  Only buffers of exactly
    [frag_size] qualify: a short tail fragment is a [Buf.sub] view of a
    larger allocation and must not be handed out as if it were whole. *)
-let bounce_recycle ctx frags =
-  if Option.is_none ctx.faults then begin
-    let frag_size = (link ctx).frag_size in
-    List.iter
-      (fun b ->
-        if Buf.length b = frag_size && ctx.bounce_pool_len < max_bounce_pool
-        then begin
-          ctx.bounce_pool <- b :: ctx.bounce_pool;
-          ctx.bounce_pool_len <- ctx.bounce_pool_len + 1
-        end)
-      frags
-  end
+let rec bounce_recycle ctx = function
+  | [] -> ()
+  | b :: rest ->
+      if
+        Option.is_none ctx.faults
+        && Buf.length b = (link ctx).frag_size
+        && ctx.bounce_pool_len < max_bounce_pool
+      then begin
+        ctx.bounce_pool <- b :: ctx.bounce_pool;
+        ctx.bounce_pool_len <- ctx.bounce_pool_len + 1
+      end;
+      bounce_recycle ctx rest
 
 (* --- fragment-wise generic packing (executes the callbacks) --- *)
 
@@ -425,7 +432,11 @@ let deposit ctx (dt : recv_dt) frags ~zcopy ~owned =
   let cpu_time =
     match dt with
     | Rd_contig b ->
-        scatter_fragments frags [ b ];
+        (match frags with
+        | [ f ] when Buf.length f <= Buf.length b ->
+            (* one fragment (every eager message): a single copy *)
+            Buf.blit ~src:f ~src_pos:0 ~dst:b ~dst_pos:0 ~len:(Buf.length f)
+        | _ -> scatter_fragments frags [ b ]);
         if zcopy then 0.
         else begin
           Stats.record_copy ctx.stats total;
@@ -464,7 +475,12 @@ let complete req status = Engine.Ivar.fill req.ivar status
 let complete_if_pending req status =
   if not (Engine.Ivar.is_filled req.ivar) then complete req status
 
-let make_request e = { ivar = Engine.Ivar.create (); r_engine = e; r_seq = -1 }
+let make_recv_request e ~tag ~mask dt =
+  { ivar = Engine.Ivar.create (); r_engine = e; r_seq = -1;
+    r_tag = tag; r_mask = mask; r_dt = dt }
+
+let make_request e = make_recv_request e ~tag:0L ~mask:0L (Rd_iov [])
+
 let request_seq (req : request) = req.r_seq
 
 (* --- reliable delivery (engaged only when a fault plan is attached) ---
@@ -569,10 +585,9 @@ let try_cancel ctx (req : request) ~tag error =
     Stats.record_op_cancelled ctx.stats;
     List.iter
       (fun w ->
-        let mine, rest = List.partition (fun pr -> pr.pr_req == req) w.posted in
-        if mine <> [] then begin
-          w.posted <- rest;
-          List.iter (fun pr -> dispose_recv_dt pr.pr_dt) mine
+        if List.memq req w.posted then begin
+          w.posted <- List.filter (fun pr -> pr != req) w.posted;
+          dispose_recv_dt req.r_dt
         end;
         let gone, keep =
           List.partition
@@ -935,7 +950,7 @@ let reliable_transfer ctx fr ~mseq ~src_id ~dst_id ~stream ~checksum =
    the reliable protocol sleeps; timing is phase-serial (handshake,
    pack, wire + recovery, unpack) rather than the fault-free overlapped
    model — reliability changes the clock by design. *)
-let process_match_faulty w (pr : posted) (env : envelope) (r : rndv) fr =
+let process_match_faulty w (pr : request) (env : envelope) (r : rndv) fr =
   let ctx = w.ctx in
   let e = ctx.engine in
   let l = link ctx in
@@ -943,7 +958,7 @@ let process_match_faulty w (pr : posted) (env : envelope) (r : rndv) fr =
   let size = env.e_total in
   let fail_both err =
     complete_if_pending r.r_request { len = 0; tag = env.e_tag; error = Some err };
-    complete_if_pending pr.pr_req { len = 0; tag = env.e_tag; error = Some err }
+    complete_if_pending pr { len = 0; tag = env.e_tag; error = Some err }
   in
   Engine.spawn e ~name:"rel_rndv" ~track:env.e_src (fun () ->
       Engine.sleep e (l.rndv_handshake_ns +. l.rndv_reg_ns);
@@ -1021,23 +1036,23 @@ let process_match_faulty w (pr : posted) (env : envelope) (r : rndv) fr =
               Engine.sleep e x.x_lag (* data lands *);
               let zcopy =
                 if fell_back then
-                  match pr.pr_dt with
+                  match pr.r_dt with
                   | Rd_generic _ -> false
                   | Rd_contig _ | Rd_iov _ -> true
                 else
-                  match (r.r_dt, pr.pr_dt) with
+                  match (r.r_dt, pr.r_dt) with
                   | (Sd_contig _ | Sd_iov _), (Rd_contig _ | Rd_iov _) -> true
                   | Sd_generic _, (Rd_contig _ | Rd_iov _) -> true
                   | _, Rd_generic _ -> false
               in
               match
-                deposit ctx pr.pr_dt (reslice l x.x_delivered) ~zcopy ~owned:false
+                deposit ctx pr.r_dt (reslice l x.x_delivered) ~zcopy ~owned:false
               with
               | exception Callback_error code ->
                   fail_both (Callback_failed code)
               | cpu_recv ->
                   Engine.sleep e (cpu_recv *. straggle ctx w.id);
-                  complete_if_pending pr.pr_req
+                  complete_if_pending pr
                     { len = size; tag = env.e_tag; error = None };
                   (* the sender completes when the final ack crosses back *)
                   Engine.at e ~delay:(path_latency ctx ~src:w.id ~dst:env.e_src)
@@ -1045,18 +1060,18 @@ let process_match_faulty w (pr : posted) (env : envelope) (r : rndv) fr =
                       complete_if_pending r.r_request
                         { len = size; tag = env.e_tag; error = None }))))
 
+let finish_recv e req ~delay status =
+  Engine.at e ~delay (fun () -> complete_if_pending req status)
+
 (* Process a matched (posted, envelope) pair at the current virtual
    time.  All data movement happens here; completions are scheduled
    after the modeled processing delay. *)
-let process_match w (pr : posted) (env : envelope) =
+let process_match w (pr : request) (env : envelope) =
   let ctx = w.ctx in
   let e = ctx.engine in
   env.e_matched <- true;
-  pr.pr_req.r_seq <- env.e_seq;
-  let capacity = recv_dt_capacity pr.pr_dt in
-  let finish_recv ~delay status =
-    Engine.at e ~delay (fun () -> complete_if_pending pr.pr_req status)
-  in
+  pr.r_seq <- env.e_seq;
+  let capacity = recv_dt_capacity pr.r_dt in
   (* How long the envelope sat in the unexpected queue before a
      matching receive arrived. *)
   if not (Float.is_nan env.e_queued_at) then
@@ -1075,7 +1090,7 @@ let process_match w (pr : posted) (env : envelope) =
         dispose_rndv r;
         complete_if_pending r.r_request
           { len = env.e_total; tag = env.e_tag; error = None });
-    finish_recv ~delay:0.
+    finish_recv e pr ~delay:0.
       {
         len = 0;
         tag = env.e_tag;
@@ -1088,7 +1103,7 @@ let process_match w (pr : posted) (env : envelope) =
         (* Poison envelope: the sender's transfer failed after the
            receive was (or would be) matched; complete the receive with
            the sender-side error instead of leaving it pending. *)
-        finish_recv ~delay:0. { len = 0; tag = env.e_tag; error = Some err }
+        finish_recv e pr ~delay:0. { len = 0; tag = env.e_tag; error = Some err }
     | P_rndv r when Option.is_some ctx.faults ->
         process_match_faulty w pr env r (Option.get ctx.faults)
     | P_eager frags -> (
@@ -1102,7 +1117,7 @@ let process_match w (pr : posted) (env : envelope) =
           end
           else 0.
         in
-        match deposit ctx pr.pr_dt frags ~zcopy:false ~owned:true with
+        match deposit ctx pr.r_dt frags ~zcopy:false ~owned:true with
         | cpu_time ->
             let sf = straggle ctx w.id in
             let alloc_delay = alloc_delay *. sf in
@@ -1122,7 +1137,7 @@ let process_match w (pr : posted) (env : envelope) =
                       ]
                     "unpack"
                 in
-                match pr.pr_dt with
+                match pr.r_dt with
                 | Rd_generic _ ->
                     tile_callbacks ctx ~track:w.id ~t0:(t0 +. alloc_delay)
                       ~t1:(t0 +. delay) ~n:(List.length frags) ~name:"unpack_cb"
@@ -1131,10 +1146,10 @@ let process_match w (pr : posted) (env : envelope) =
               end;
               observe ctx "msg_latency_ns_eager" (t0 +. delay -. env.e_sent_at)
             end;
-            finish_recv ~delay
+            finish_recv e pr ~delay
               { len = env.e_total; tag = env.e_tag; error = None }
         | exception Callback_error code ->
-            finish_recv ~delay:alloc_delay
+            finish_recv e pr ~delay:alloc_delay
               { len = 0; tag = env.e_tag; error = Some (Callback_failed code) })
     | P_rndv r -> (
         let l = link ctx in
@@ -1150,7 +1165,7 @@ let process_match w (pr : posted) (env : envelope) =
           (* A callback failure poisons both sides of the transfer. *)
           complete_if_pending r.r_request
             { len = 0; tag = env.e_tag; error = Some (Callback_failed code) };
-          finish_recv ~delay:0.
+          finish_recv e pr ~delay:0.
             { len = 0; tag = env.e_tag; error = Some (Callback_failed code) }
         in
         r.r_done <- true (* materialize owns descriptor disposal from here *);
@@ -1158,7 +1173,7 @@ let process_match w (pr : posted) (env : envelope) =
         | exception Callback_error code -> fail code
         | frags, send_cbs -> (
             let frags, owned =
-              match (r.r_dt, pr.pr_dt) with
+              match (r.r_dt, pr.r_dt) with
               | Sd_generic _, _ -> (frags, true)
               | Sd_iov _, Rd_generic _ ->
                   (* a generic receiver unpacks the gathered stream in
@@ -1180,14 +1195,14 @@ let process_match w (pr : posted) (env : envelope) =
             | Sd_generic _ -> Stats.record_copy ctx.stats size
             | Sd_contig _ | Sd_iov _ -> ());
             let zcopy =
-              match (r.r_dt, pr.pr_dt) with
+              match (r.r_dt, pr.r_dt) with
               | (Sd_contig _ | Sd_iov _), (Rd_contig _ | Rd_iov _) -> true
               | Sd_generic _, (Rd_contig _ | Rd_iov _) ->
                   (* packed stream lands directly in receiver memory *)
                   true
               | _, Rd_generic _ -> false
             in
-            match deposit ctx pr.pr_dt frags ~zcopy ~owned with
+            match deposit ctx pr.r_dt frags ~zcopy ~owned with
             | cpu_recv ->
                 let duration =
                   l.rndv_handshake_ns +. l.rndv_reg_ns
@@ -1234,7 +1249,7 @@ let process_match w (pr : posted) (env : envelope) =
                       Obs.span_complete ctx.obs ~track:w.id ~cat:"proto"
                         ~t0:hs_end ~t1:(hs_end +. cpu_recv) ~parent:sp "unpack"
                     in
-                    match pr.pr_dt with
+                    match pr.r_dt with
                     | Rd_generic _ ->
                         tile_callbacks ctx ~track:w.id ~t0:hs_end
                           ~t1:(hs_end +. cpu_recv) ~n:(List.length frags)
@@ -1248,27 +1263,29 @@ let process_match w (pr : posted) (env : envelope) =
                 Engine.at e ~delay:duration (fun () ->
                     complete_if_pending r.r_request
                       { len = size; tag = env.e_tag; error = None };
-                    complete_if_pending pr.pr_req
+                    complete_if_pending pr
                       { len = size; tag = env.e_tag; error = None })
             | exception Callback_error code -> fail code))
 
 (* Try to match a new envelope against posted receives / probe waiters;
    otherwise queue it as unexpected. *)
+(* Unlink and return the oldest posted receive matching [env].  The
+   head usually matches, and taking it allocates nothing. *)
+let rec take_posted w env acc = function
+  | [] -> raise Not_found
+  | pr :: rest ->
+      if tag_matches ~tag:pr.r_tag ~mask:pr.r_mask env.e_tag then begin
+        w.posted <- List.rev_append acc rest;
+        pr
+      end
+      else take_posted w env (pr :: acc) rest
+
 let deliver w env =
   if tracing w.ctx then
     trace w.ctx "arrive" "worker %d <- src %d tag=%Lx %dB" w.id env.e_src
       env.e_tag env.e_total;
-  let rec find_posted acc = function
-    | [] -> None
-    | pr :: rest ->
-        if tag_matches ~tag:pr.pr_tag ~mask:pr.pr_mask env.e_tag then begin
-          w.posted <- List.rev_append acc rest;
-          Some pr
-        end
-        else find_posted (pr :: acc) rest
-  in
-  match find_posted [] w.posted with
-  | Some pr ->
+  match take_posted w env [] w.posted with
+  | pr ->
       if tracing w.ctx then
         trace w.ctx "match" "worker %d matched posted recv tag=%Lx" w.id
           env.e_tag;
@@ -1283,7 +1300,7 @@ let deliver w env =
             ]
           "match";
       process_match w pr env
-  | None ->
+  | exception Not_found ->
       if tracing w.ctx then
         trace w.ctx "unexpected" "worker %d queued tag=%Lx %dB" w.id env.e_tag
           env.e_total;
@@ -1339,21 +1356,21 @@ let deliver w env =
 
 (* Schedule envelope arrival over the link, preserving per-channel
    FIFO ordering. *)
-let ship ep ~after env =
-  let ctx = ep.ep_src.ctx in
+let ship src dst ~after env =
+  let ctx = src.ctx in
   let e = ctx.engine in
   let jitter = match ctx.jitter with None -> 0. | Some f -> f () in
-  let key = channel_key ~src:ep.ep_src.id ~dst:ep.ep_dst.id in
+  let key = channel_key ~src:src.id ~dst:dst.id in
   let chan =
-    match Chan_tbl.find_opt ctx.channels key with
-    | Some r -> r
-    | None ->
-        let r = ref 0. in
-        Chan_tbl.add ctx.channels key r;
-        r
+    match Chan_tbl.find ctx.channels key with
+    | c -> c
+    | exception Not_found ->
+        let c = { next_at = 0. } in
+        Chan_tbl.add ctx.channels key c;
+        c
   in
-  let arrival = Float.max (Engine.now e +. after +. jitter) !chan in
-  chan := arrival;
+  let arrival = Float.max (Engine.now e +. after +. jitter) chan.next_at in
+  chan.next_at <- arrival;
   if obs_on ctx then begin
     (* Eager payload bytes ride this delivery; a rendezvous only ships
        its RTS control message here (data moves at match time). *)
@@ -1364,33 +1381,53 @@ let ship ep ~after env =
       | P_nack _ -> "nack"
     in
     ignore
-      (Obs.span_complete ctx.obs ~track:ep.ep_src.id ~cat:"proto"
+      (Obs.span_complete ctx.obs ~track:src.id ~cat:"proto"
          ~t0:(Engine.now e) ~t1:arrival
          ~args:
            [
-             ("dst", Obs.Int ep.ep_dst.id);
+             ("dst", Obs.Int dst.id);
              ("bytes", Obs.Int env.e_total);
              ("mseq", Obs.Int env.e_seq);
            ]
          name)
   end;
-  Engine.at e ~delay:(arrival -. Engine.now e) (fun () -> deliver ep.ep_dst env)
+  Engine.at e ~delay:(arrival -. Engine.now e) (fun () -> deliver dst env)
+
+(* A new envelope from [src], stamped now. *)
+let envelope src ~tag ~total ~seq payload =
+  {
+    e_tag = tag;
+    e_total = total;
+    e_src = src.id;
+    e_seq = seq;
+    e_payload = payload;
+    e_unexpected_alloc = 0;
+    e_sent_at = Engine.now src.ctx.engine;
+    e_queued_at = Float.nan;
+    e_matched = false;
+  }
+
+(* A poison envelope: tells [dst] that a send of [tag] failed, so a
+   receive posted for it completes with the error. *)
+let ship_nack src dst ~tag ~seq err =
+  ship src dst ~after:(path_latency src.ctx ~src:src.id ~dst:dst.id)
+    (envelope src ~tag ~total:0 ~seq (P_nack err))
 
 (* Fault-mode RTS shipping: the rendezvous control message itself
    traverses the reliable protocol (it can be dropped and
    retransmitted), and an optional handshake timer abandons the send if
    no matching receive turns up in time. *)
-let ship_rts_reliable ep fr (env : envelope) (req : request) =
-  let ctx = ep.ep_src.ctx in
+let ship_rts_reliable src dst fr (env : envelope) (req : request) =
+  let ctx = src.ctx in
   let e = ctx.engine in
   let plan = Fault.plan fr in
-  Engine.spawn e ~name:"rel_rts" ~track:ep.ep_src.id (fun () ->
+  Engine.spawn e ~name:"rel_rts" ~track:src.id (fun () ->
       match
-        reliable_transfer ctx fr ~mseq:env.e_seq ~src_id:ep.ep_src.id
-          ~dst_id:ep.ep_dst.id ~stream:(Buf.create 0) ~checksum:true
+        reliable_transfer ctx fr ~mseq:env.e_seq ~src_id:src.id
+          ~dst_id:dst.id ~stream:(Buf.create 0) ~checksum:true
       with
       | Ok x ->
-          ship ep ~after:x.x_lag env;
+          ship src dst ~after:x.x_lag env;
           if plan.Fault.rndv_timeout_ns > 0. then
             Engine.at e ~delay:(x.x_lag +. plan.Fault.rndv_timeout_ns)
               (fun () ->
@@ -1400,14 +1437,14 @@ let ship_rts_reliable ep fr (env : envelope) (req : request) =
                 then begin
                   Stats.record_delivery_timeout ctx.stats;
                   trace ctx "fault" "rndv handshake timeout %d->%d tag=%Lx"
-                    ep.ep_src.id ep.ep_dst.id env.e_tag;
-                  fault_instant ctx ~track:ep.ep_src.id ~time:(Engine.now e)
+                    src.id dst.id env.e_tag;
+                  fault_instant ctx ~track:src.id ~time:(Engine.now e)
                     "rndv_timeout"
-                    [ ("dst", Obs.Int ep.ep_dst.id) ];
+                    [ ("dst", Obs.Int dst.id) ];
                   (* withdraw the RTS so a late receive cannot match it,
                      and release the send-descriptor state it carried *)
-                  ep.ep_dst.unexpected <-
-                    List.filter (fun x -> x != env) ep.ep_dst.unexpected;
+                  dst.unexpected <-
+                    List.filter (fun x -> x != env) dst.unexpected;
                   (match env.e_payload with
                   | P_rndv r -> dispose_rndv r
                   | P_eager _ | P_nack _ -> ());
@@ -1425,21 +1462,22 @@ let ship_rts_reliable ep fr (env : envelope) (req : request) =
           | P_eager _ | P_nack _ -> ());
           complete_if_pending req { len = 0; tag = env.e_tag; error = Some err };
           (* poison the receiver so a posted receive completes too *)
-          ship ep ~after:(path_latency ctx ~src:ep.ep_src.id ~dst:ep.ep_dst.id)
-            {
-              e_tag = env.e_tag;
-              e_total = 0;
-              e_src = ep.ep_src.id;
-              e_seq = env.e_seq;
-              e_payload = P_nack err;
-              e_unexpected_alloc = 0;
-              e_sent_at = Engine.now e;
-              e_queued_at = Float.nan;
-              e_matched = false;
-            })
+          ship_nack src dst ~tag:env.e_tag ~seq:env.e_seq err)
 
-let tag_send ep ~tag dt =
-  let ctx = ep.ep_src.ctx in
+(* Ship a rendezvous send's RTS: only the control message travels now;
+   the data moves at match time. *)
+let ship_rts src dst ~tag ~total ~seq dt req =
+  let env =
+    envelope src ~tag ~total ~seq
+      (P_rndv { r_dt = dt; r_request = req; r_done = false })
+  in
+  match src.ctx.faults with
+  | None ->
+      ship src dst ~after:(path_latency src.ctx ~src:src.id ~dst:dst.id) env
+  | Some fr -> ship_rts_reliable src dst fr env req
+
+let tag_send_from src ~dst ~tag dt =
+  let ctx = src.ctx in
   let e = ctx.engine in
   let l = link ctx in
   let c = cpu ctx in
@@ -1450,7 +1488,7 @@ let tag_send ep ~tag dt =
   let mseq = ctx.next_mseq in
   ctx.next_mseq <- mseq + 1;
   req.r_seq <- mseq;
-  Engine.sleep e (l.per_msg_overhead_ns *. straggle ctx ep.ep_src.id);
+  Engine.sleep e (l.per_msg_overhead_ns *. straggle ctx src.id);
   let total = send_dt_size dt in
   (match dt with
   | Sd_iov bufs ->
@@ -1459,27 +1497,11 @@ let tag_send ep ~tag dt =
       let entries = List.length bufs in
       if tracing ctx then
         trace ctx "send" "worker %d iov tag=%Lx %dB in %d entries"
-          ep.ep_src.id tag total entries;
+          src.id tag total entries;
       Stats.record_message ctx.stats ~eager:false ~wire_bytes:total;
       Stats.record_iov_entries ctx.stats entries;
       observe ctx "msg_bytes_iov" (float_of_int total);
-      let env =
-        {
-          e_tag = tag;
-          e_total = total;
-          e_src = ep.ep_src.id;
-          e_seq = mseq;
-          e_payload = P_rndv { r_dt = dt; r_request = req; r_done = false };
-          e_unexpected_alloc = 0;
-          e_sent_at = Engine.now e;
-          e_queued_at = Float.nan;
-          e_matched = false;
-        }
-      in
-      (match ctx.faults with
-      | None ->
-          ship ep ~after:(path_latency ctx ~src:ep.ep_src.id ~dst:ep.ep_dst.id) env
-      | Some fr -> ship_rts_reliable ep fr env req)
+      ship_rts src dst ~tag ~total ~seq:mseq dt req
   | Sd_contig _ | Sd_generic _ ->
       if total <= l.eager_limit then begin
         (* Eager: snapshot/pack synchronously, then fire and forget. *)
@@ -1511,10 +1533,10 @@ let tag_send ep ~tag dt =
           | Sd_iov _ -> assert false
         with
         | (frags, ncb), cpu_time ->
-            let cpu_time = cpu_time *. straggle ctx ep.ep_src.id in
+            let cpu_time = cpu_time *. straggle ctx src.id in
             Engine.sleep e cpu_time;
             if tracing ctx then
-              trace ctx "send" "worker %d eager tag=%Lx %dB" ep.ep_src.id tag
+              trace ctx "send" "worker %d eager tag=%Lx %dB" src.id tag
                 total;
             Stats.record_message ctx.stats ~eager:true ~wire_bytes:total;
             if obs_on ctx then begin
@@ -1524,39 +1546,27 @@ let tag_send ep ~tag dt =
               if cpu_time > 0. then begin
                 let t1 = Engine.now e in
                 let sp =
-                  Obs.span_complete ctx.obs ~track:ep.ep_src.id ~cat:"proto"
+                  Obs.span_complete ctx.obs ~track:src.id ~cat:"proto"
                     ~t0:(t1 -. cpu_time) ~t1
                     ~args:
                       [
                         ("bytes", Obs.Int total);
-                        ("dst", Obs.Int ep.ep_dst.id);
+                        ("dst", Obs.Int dst.id);
                         ("mseq", Obs.Int mseq);
                       ]
                     "pack"
                 in
-                tile_callbacks ctx ~track:ep.ep_src.id ~t0:(t1 -. cpu_time) ~t1
+                tile_callbacks ctx ~track:src.id ~t0:(t1 -. cpu_time) ~t1
                   ~n:ncb ~name:"pack_cb" ~hist:"pack_cb_ns" ~parent:sp ()
               end
             end;
             (match ctx.faults with
             | None ->
-                let env =
-                  {
-                    e_tag = tag;
-                    e_total = total;
-                    e_src = ep.ep_src.id;
-                    e_seq = mseq;
-                    e_payload = P_eager frags;
-                    e_unexpected_alloc = 0;
-                    e_sent_at = Engine.now e;
-                    e_queued_at = Float.nan;
-                    e_matched = false;
-                  }
-                in
-                ship ep
+                let env = envelope src ~tag ~total ~seq:mseq (P_eager frags) in
+                ship src dst
                   ~after:
-                    (path_latency ctx ~src:ep.ep_src.id ~dst:ep.ep_dst.id
-                    +. path_serialize ctx ~src:ep.ep_src.id ~dst:ep.ep_dst.id
+                    (path_latency ctx ~src:src.id ~dst:dst.id
+                    +. path_serialize ctx ~src:src.id ~dst:dst.id
                          total)
                   env;
                 complete_if_pending req { len = total; tag; error = None }
@@ -1564,99 +1574,45 @@ let tag_send ep ~tag dt =
                 (* Reliable eager: fragments traverse the protocol and
                    the send completes only at the final ack, so retry
                    exhaustion can surface Timeout to the sender. *)
-                Engine.spawn e ~name:"rel_eager" ~track:ep.ep_src.id
+                Engine.spawn e ~name:"rel_eager" ~track:src.id
                   (fun () ->
                     let stream = Buf.concat frags in
                     match
-                      reliable_transfer ctx fr ~mseq ~src_id:ep.ep_src.id
-                        ~dst_id:ep.ep_dst.id ~stream ~checksum:true
+                      reliable_transfer ctx fr ~mseq ~src_id:src.id
+                        ~dst_id:dst.id ~stream ~checksum:true
                     with
                     | Ok x ->
-                        let env =
-                          {
-                            e_tag = tag;
-                            e_total = total;
-                            e_src = ep.ep_src.id;
-                            e_seq = mseq;
-                            e_payload = P_eager (reslice l x.x_delivered);
-                            e_unexpected_alloc = 0;
-                            e_sent_at = Engine.now e;
-                            e_queued_at = Float.nan;
-                            e_matched = false;
-                          }
-                        in
-                        ship ep ~after:x.x_lag env;
+                        ship src dst ~after:x.x_lag
+                          (envelope src ~tag ~total ~seq:mseq
+                             (P_eager (reslice l x.x_delivered)));
                         Engine.sleep e x.x_lag;
                         complete_if_pending req { len = total; tag; error = None }
                     | Error err ->
                         complete_if_pending req
                           { len = 0; tag; error = Some err };
-                        ship ep
-                          ~after:
-                            (path_latency ctx ~src:ep.ep_src.id
-                               ~dst:ep.ep_dst.id)
-                          {
-                            e_tag = tag;
-                            e_total = 0;
-                            e_src = ep.ep_src.id;
-                            e_seq = mseq;
-                            e_payload = P_nack err;
-                            e_unexpected_alloc = 0;
-                            e_sent_at = Engine.now e;
-                            e_queued_at = Float.nan;
-                            e_matched = false;
-                          }))
+                        ship_nack src dst ~tag ~seq:mseq err))
         | exception Callback_error code ->
             let err = Callback_failed code in
             complete_if_pending req { len = 0; tag; error = Some err };
             (* A failed pack must not leave the peer's posted receive
                pending forever: notify it with a poison envelope. *)
             Stats.record_nack ctx.stats;
-            ship ep
-              ~after:(path_latency ctx ~src:ep.ep_src.id ~dst:ep.ep_dst.id)
-              {
-                e_tag = tag;
-                e_total = 0;
-                e_src = ep.ep_src.id;
-                e_seq = mseq;
-                e_payload = P_nack err;
-                e_unexpected_alloc = 0;
-                e_sent_at = Engine.now e;
-                e_queued_at = Float.nan;
-                e_matched = false;
-              }
+            ship_nack src dst ~tag ~seq:mseq err
       end
       else begin
         (* Rendezvous: only the RTS travels now. *)
         if tracing ctx then
-          trace ctx "send" "worker %d rndv tag=%Lx %dB" ep.ep_src.id tag total;
+          trace ctx "send" "worker %d rndv tag=%Lx %dB" src.id tag total;
         Stats.record_message ctx.stats ~eager:false ~wire_bytes:total;
         observe ctx "msg_bytes_rndv" (float_of_int total);
-        let env =
-          {
-            e_tag = tag;
-            e_total = total;
-            e_src = ep.ep_src.id;
-            e_seq = mseq;
-            e_payload = P_rndv { r_dt = dt; r_request = req; r_done = false };
-            e_unexpected_alloc = 0;
-            e_sent_at = Engine.now e;
-            e_queued_at = Float.nan;
-            e_matched = false;
-          }
-        in
-        (match ctx.faults with
-        | None ->
-            ship ep
-              ~after:(path_latency ctx ~src:ep.ep_src.id ~dst:ep.ep_dst.id)
-              env
-        | Some fr -> ship_rts_reliable ep fr env req)
+        ship_rts src dst ~tag ~total ~seq:mseq dt req
       end);
   req
 
+let tag_send ep ~tag dt = tag_send_from ep.ep_src ~dst:ep.ep_dst ~tag dt
+
 let tag_recv w ~tag ~mask dt =
-  let req = make_request w.ctx.engine in
-  let pr = { pr_tag = tag; pr_mask = mask; pr_dt = dt; pr_req = req } in
+  let req = make_recv_request w.ctx.engine ~tag ~mask dt in
   (* Match against the unexpected queue in arrival order. *)
   let rec find acc = function
     | [] -> None
@@ -1681,9 +1637,9 @@ let tag_recv w ~tag ~mask dt =
               ("mseq", Obs.Int env.e_seq);
             ]
           "match";
-      process_match w pr env
+      process_match w req env
   | None ->
-      w.posted <- w.posted @ [ pr ];
+      w.posted <- w.posted @ [ req ];
       if obs_on w.ctx then
         Metrics.set
           (Metrics.gauge (Obs.metrics w.ctx.obs)
@@ -1733,9 +1689,8 @@ let tag_mprobe_wait w ~tag ~mask =
           w.mprobe_waiters <- w.mprobe_waiters @ [ (tag, mask, resume) ])
 
 let msg_recv w (env : message) dt =
-  let req = make_request w.ctx.engine in
-  let pr = { pr_tag = env.e_tag; pr_mask = -1L; pr_dt = dt; pr_req = req } in
-  process_match w pr env;
+  let req = make_recv_request w.ctx.engine ~tag:env.e_tag ~mask:(-1L) dt in
+  process_match w req env;
   req
 
 let is_completed (req : request) = Engine.Ivar.is_filled req.ivar

@@ -146,6 +146,10 @@ val tag_send : endpoint -> tag:int64 -> send_dt -> request
     of the same message: a fault-free rendezvous reads contiguous and
     iovec send buffers in place, with no intermediate copy. *)
 
+val tag_send_from : worker -> dst:worker -> tag:int64 -> send_dt -> request
+(** [tag_send_from src ~dst] is [tag_send (connect src dst)] without
+    the endpoint record: the MPI layer's per-message entry point. *)
+
 val tag_recv : worker -> tag:int64 -> mask:int64 -> recv_dt -> request
 (** Post a receive matching envelopes with [(env_tag land mask) = (tag
     land mask)].  Posted receives match in post order; unexpected

@@ -4,6 +4,7 @@ module Buf = Mpicd_buf.Buf
 module Mpi = Mpicd.Mpi
 module Custom = Mpicd.Custom
 module Coll = Mpicd_collectives.Collectives
+module Engine = Mpicd_simnet.Engine
 module B = Mpicd_bench_types.Bench_types
 
 let check_int = Alcotest.(check int)
@@ -310,7 +311,7 @@ let prop_allreduce_random =
    so the guard cannot flake.  The round's event count is pinned too:
    a host-side change must not change what is simulated. *)
 let events_per_round = 10_230
-let max_words_per_event = 85.
+let max_words_per_event = 55.
 
 let test_allreduce_alloc_ceiling () =
   let ranks = 1024 and warmup = 2 and rounds = 5 in
@@ -339,6 +340,43 @@ let test_allreduce_alloc_ceiling () =
     Alcotest.failf "%.1f minor words per event, ceiling %.0f" per_event
       max_words_per_event
 
+(* A deterministic survival ceiling: what a waiting rank keeps
+   reachable, which the minor GC must promote and the major GC mark.
+   Halfway through a round of [allreduce_f64] (rank 0 has finished its
+   reduce and the other 1023 ranks wait in the broadcast), an engine
+   event runs a full major collection; the live heap words the world
+   added, per rank, count every pending receive's requests, transport
+   state, staging buffer and suspended fiber. *)
+let max_live_words_per_rank = 170.
+
+let test_waiting_rank_live_ceiling () =
+  let ranks = 1024 and rounds = 3 in
+  Gc.full_major ();
+  let base = (Gc.stat ()).Gc.live_words in
+  let w = Mpi.create_world ~size:ranks () in
+  let e = Mpi.world_engine w in
+  let live = ref 0 and start = ref 0. and round_ns = ref 0. in
+  Mpi.run w (fun comm ->
+      let me = Mpi.rank comm in
+      let data = Array.make 9 (float_of_int (me mod 7)) in
+      for k = 1 to rounds do
+        if me = 0 then begin
+          start := Engine.now e;
+          (* read halfway through, going by the previous round *)
+          if k = rounds then
+            Engine.at e ~delay:(0.5 *. !round_ns) (fun () ->
+                Gc.full_major ();
+                live := (Gc.stat ()).Gc.live_words)
+        end;
+        Coll.allreduce_f64 comm ~op:`Sum data;
+        if me = 0 then round_ns := Engine.now e -. !start
+      done);
+  check_int "reading taken" 1 (Bool.to_int (!live > 0));
+  let per_rank = float_of_int (!live - base) /. float_of_int ranks in
+  if per_rank > max_live_words_per_rank then
+    Alcotest.failf "%.1f live words per waiting rank, ceiling %.0f" per_rank
+      max_live_words_per_rank
+
 let suite =
   let tc = Alcotest.test_case in
   ( "collectives",
@@ -359,6 +397,8 @@ let suite =
       tc "dissemination beats linear barrier" `Quick test_barrier_faster_than_linear;
       tc "1024-rank allreduce: words per event ceiling" `Quick
         test_allreduce_alloc_ceiling;
+      tc "1024-rank allreduce: live words per waiting rank" `Quick
+        test_waiting_rank_live_ceiling;
       QCheck_alcotest.to_alcotest prop_bcast_random;
       QCheck_alcotest.to_alcotest prop_allreduce_random;
     ] )

@@ -89,6 +89,39 @@ let test_crash_mid_barrier_terminates () =
   check_bool "operations were cancelled" true
     ((Mpi.world_stats w).Stats.ops_cancelled > 0)
 
+(* [allreduce_f64] stages through a buffer its rank keeps between
+   calls.  A clean call hands it back, and it is zeroed when lent
+   again; a failed call does not, even when the error handler lets it
+   return, since a transfer it abandoned may still write into it. *)
+let test_allreduce_staging_kept_only_when_clean () =
+  let w = Mpi.create_world ~size:3 () in
+  Mpi.set_faults w (Some (crash_plan ~rank:1 ~at:30_000. ()));
+  let reused = ref 0 and zeroed = ref true and dropped = ref false in
+  Mpi.run w (fun comm ->
+      Mpi.set_errhandler comm Mpi.Errors_return;
+      let data = Array.make 9 1. in
+      let lent () = Mpi.Internal.staging comm 72 in
+      let last = ref (lent ()) and k = ref 0 in
+      while !k < 200 && Mpi.last_error comm = None do
+        incr k;
+        Buf.fill !last '\255';
+        Mpi.Internal.keep_staging comm !last;
+        Coll.allreduce_f64 comm ~op:`Sum data;
+        let b = lent () in
+        if Mpi.rank comm = 0 then
+          if Mpi.last_error comm = None then begin
+            if b == !last then incr reused
+          end
+          else dropped := b != !last;
+        for i = 0 to 71 do
+          if Buf.get b i <> '\000' then zeroed := false
+        done;
+        last := b
+      done);
+  check_bool "clean calls ran before the crash" true (!reused > 0);
+  check_bool "a kept buffer is lent zeroed" true !zeroed;
+  check_bool "the failed call kept nothing" true !dropped
+
 (* --- comm_revoke: pending and future operations fail fast --- *)
 
 let test_revoke () =
@@ -180,11 +213,13 @@ let test_registry_bounded () =
    registers a receive on both ranks that is pending when posted and
    completes within the round, so the registry prunes every few posts.
    Receives posted after 120 and 180 such rounds must survive the
-   prunes that follow and both be cancelled by a revocation. *)
+   prunes that follow and both be cancelled by a revocation, newest
+   first: two fibers blocked on them wake in cancellation order. *)
 let test_revoke_after_many_completed () =
   let w = Mpi.create_world ~size:2 () in
+  let engine = Mpi.world_engine w in
   let msg () = Mpi.Bytes (Buf.create 8) in
-  let during = ref 0 in
+  let during = ref 0 and woke = ref [] in
   Mpi.run w (fun comm ->
       if Mpi.rank comm = 0 then begin
         let rounds first last =
@@ -199,6 +234,15 @@ let test_revoke_after_many_completed () =
         rounds 121 180;
         let newer = Mpi.irecv comm ~source:1 ~tag:998 (msg ()) in
         rounds 181 240;
+        List.iter
+          (fun (name, r) ->
+            Engine.spawn engine (fun () ->
+                (match Mpi.wait r with
+                | _ -> ()
+                | exception Mpi.Mpi_error Mpi.Revoked -> ());
+                woke := name :: !woke))
+          [ ("older", older); ("newer", newer) ];
+        Engine.sleep engine 0. (* both waiters block *);
         during := Mpi.Internal.registered_ops comm;
         Mpi.comm_revoke comm;
         List.iter
@@ -216,7 +260,9 @@ let test_revoke_after_many_completed () =
   if !during < 2 || !during > 8 then
     Alcotest.failf "registry held %d entries with two pending" !during;
   check_int "only the pending recvs were cancelled" 2
-    (Mpi.world_stats w).Stats.ops_cancelled
+    (Mpi.world_stats w).Stats.ops_cancelled;
+  Alcotest.(check (list string)) "cancelled newest first" [ "newer"; "older" ]
+    (List.rev !woke)
 
 (* --- comm_agree: failure mid-agreement, acknowledgement --- *)
 
@@ -374,6 +420,8 @@ let suite =
       tc "detector declares within the bound" `Quick test_detector_latency;
       tc "crash mid-barrier: all ranks terminate" `Quick
         test_crash_mid_barrier_terminates;
+      tc "allreduce keeps its staging only after a clean call" `Quick
+        test_allreduce_staging_kept_only_when_clean;
       tc "revoke interrupts pending and future ops" `Quick test_revoke;
       tc "revoke finds a pending op after pruning" `Quick
         test_revoke_after_pruning;

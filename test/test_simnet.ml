@@ -224,6 +224,23 @@ let test_stale_resumer_raises () =
     !got;
   check_int "the fiber finished" 0 (Engine.live_fibers e)
 
+(* Readers parked on one cell, whether in its first-reader slot or
+   behind it, are reported by fiber id. *)
+let test_deadlock_names_ivar_readers () =
+  let e = Engine.create () in
+  let iv : unit Engine.Ivar.t = Engine.Ivar.create () in
+  List.iter
+    (fun (name, at) ->
+      Engine.spawn e ~name (fun () ->
+          Engine.sleep e at;
+          Engine.Ivar.read e iv))
+    [ ("x", 3.); ("y", 1.); ("z", 2.) ];
+  match Engine.run e with
+  | () -> Alcotest.fail "expected Deadlock"
+  | exception Engine.Deadlock msg ->
+      Alcotest.(check string) "the readers, by id"
+        "simulation deadlock: 3 fiber(s) still blocked [x#1, y#2, z#3]" msg
+
 (* Readers blocked on one cell wake in the order they blocked. *)
 let test_ivar_readers_fifo () =
   let e = Engine.create () in
@@ -344,6 +361,27 @@ let contains hay needle =
   let nl = String.length needle and hl = String.length hay in
   let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
   go 0
+
+let[@inline never] raise_in_helper n =
+  if n > 0 then failwith "helper boom";
+  n
+
+(* An exception escaping a fiber keeps the backtrace of the site that
+   raised it, not of the engine's handler that passed it on. *)
+let test_fiber_exception_backtrace () =
+  let recording = Printexc.backtrace_status () in
+  Printexc.record_backtrace true;
+  Fun.protect ~finally:(fun () -> Printexc.record_backtrace recording)
+  @@ fun () ->
+  let e = Engine.create () in
+  (* not a tail call: the helper's frame is on the stack when it raises *)
+  Engine.spawn e (fun () -> ignore (raise_in_helper 1 + 1));
+  match Engine.run e with
+  | () -> Alcotest.fail "expected exception"
+  | exception Failure _ ->
+      let bt = Printexc.get_backtrace () in
+      if not (contains bt "Stdlib.failwith" && contains bt "raise_in_helper")
+      then Alcotest.failf "backtrace lost the raise site:\n%s" bt
 
 let test_stats_pp_smoke () =
   let s = Stats.create () in
@@ -852,6 +890,8 @@ let suite =
         test_deadlock_names_live_after_churn;
       tc "stale resumer raises" `Quick test_stale_resumer_raises;
       tc "ivar readers wake FIFO" `Quick test_ivar_readers_fifo;
+      tc "deadlock names ivar readers by id" `Quick
+        test_deadlock_names_ivar_readers;
       tc "at callback" `Quick test_at_callback;
       tc "spawn from fiber" `Quick test_spawn_from_fiber;
       tc "waitq broadcast" `Quick test_waitq_broadcast;
@@ -862,6 +902,8 @@ let suite =
       tc "rng shuffle permutes" `Quick test_rng_shuffle_permutes;
       tc "rng split independent" `Quick test_rng_split_independent;
       tc "fiber exception propagates" `Quick test_fiber_exception_propagates;
+      tc "fiber exception keeps its backtrace" `Quick
+        test_fiber_exception_backtrace;
       tc "stats pp smoke" `Quick test_stats_pp_smoke;
       tc "mutex excludes + fifo" `Quick test_mutex_excludes;
       tc "mutex unlock errors" `Quick test_mutex_unlock_errors;
