@@ -203,14 +203,9 @@ let kernel_cmd =
           (Mpicd_ddtbench.Blocks.count K.blocks);
         Format.printf "cost model: %a@.@." Config.pp config;
         let rows =
-          [
-            ("reference", Some (bw (Figures.Methods.k_reference k)));
-            ("manual-pack", Some (bw (Figures.Methods.k_manual k)));
-            ("mpi-ddt", Some (bw (Figures.Methods.k_ddt_direct k)));
-            ("mpi-pack-ddt", Some (bw (Figures.Methods.k_ddt_pack k)));
-            ("custom-pack", Some (bw (Figures.Methods.k_custom_pack k)));
-            ("custom-regions", Option.map bw (Figures.Methods.k_custom_regions k));
-          ]
+          List.map
+            (fun (m, make) -> (m, Option.map bw make))
+            (Figures.Methods.kernel_methods k (Figures.Methods.slabs k))
         in
         Report.print_kv_table
           ~title:(Printf.sprintf "%s bandwidth (MiB/s)" K.name)

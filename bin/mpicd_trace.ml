@@ -17,24 +17,16 @@ module Obs = Mpicd_obs.Obs
 module Export = Mpicd_obs.Export
 module Json = Mpicd_obs.Json
 
-let methods = [
-  "reference"; "manual-pack"; "mpi-ddt"; "mpi-pack-ddt"; "custom-pack";
-  "custom-regions";
-]
+let methods = Figures.Fig_ddtbench.method_names
 
 let impl_of_method name k =
-  match name with
-  | "reference" -> Ok (Figures.Methods.k_reference k)
-  | "manual-pack" -> Ok (Figures.Methods.k_manual k)
-  | "mpi-ddt" -> Ok (Figures.Methods.k_ddt_direct k)
-  | "mpi-pack-ddt" -> Ok (Figures.Methods.k_ddt_pack k)
-  | "custom-pack" -> Ok (Figures.Methods.k_custom_pack k)
-  | "custom-regions" ->
-      Option.to_result ~none:"custom-regions is impracticable for this kernel"
-        (Figures.Methods.k_custom_regions k)
-  | m ->
+  let slabs = Figures.Methods.slabs k in
+  match List.assoc_opt name (Figures.Methods.kernel_methods k slabs) with
+  | Some (Some make) -> Ok make
+  | Some None -> Error "custom-regions is impracticable for this kernel"
+  | None ->
       Error
-        (Printf.sprintf "unknown method %S (one of: %s)" m
+        (Printf.sprintf "unknown method %S (one of: %s)" name
            (String.concat ", " methods))
 
 let read_file path =

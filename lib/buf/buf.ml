@@ -311,3 +311,138 @@ let overlaps a b =
   a.base == b.base && a.len > 0 && b.len > 0
   && a.off < b.off + b.len
   && b.off < a.off + a.len
+
+(* --- recycling ---
+
+   A buffer's bigarray bytes are off-heap, but OCaml charges them to the
+   major GC's budget, so a buffer allocated and dropped per message
+   paces major collections by bytes, not by live data.  A pool keeps
+   whole buffers that their one user gave back, in exact-length
+   classes, and hands them out again zeroed.  It accepts only the very
+   buffers it lent: each class remembers its last [max_class_buffers]
+   loans by physical identity, so a view (a new record, even over the
+   same bytes), a buffer of another class, a buffer given twice or a
+   buffer the pool never lent is ignored. *)
+
+module Pool = struct
+  type buf = t
+
+  let fresh = create
+  let max_class_buffers = 64
+  let max_bytes = 32 * 1024 * 1024
+  let max_classes = 64
+  let empty = of_bigstring (Bigarray.Array1.create Bigarray.char Bigarray.c_layout 0)
+
+  type cls = {
+    len : int;
+    free : buf array;  (* a stack of [nfree] buffers ready to lend *)
+    mutable nfree : int;
+    lent : buf array;  (* ring of loans; [empty] marks a returned slot *)
+    mutable next_loan : int;
+  }
+
+  type t = {
+    mutable classes : cls list;  (* newest first; none until the first take *)
+    mutable retained : int;
+    mutable inert : bool;
+    mutable hits : int;
+    mutable misses : int;
+  }
+
+  let create () = { classes = []; retained = 0; inert = false; hits = 0; misses = 0 }
+
+  let rec find_class n = function
+    | [] -> None
+    | c :: rest -> if c.len = n then Some c else find_class n rest
+
+  (* The oldest class goes when a new one would exceed [max_classes];
+     its free buffers stop counting as retained. *)
+  let add_class p n =
+    let c =
+      {
+        len = n;
+        free = Array.make max_class_buffers empty;
+        nfree = 0;
+        lent = Array.make max_class_buffers empty;
+        next_loan = 0;
+      }
+    in
+    p.classes <- c :: p.classes;
+    if List.length p.classes > max_classes then
+      p.classes <-
+        List.filteri
+          (fun i c ->
+            i < max_classes
+            || begin
+                 p.retained <- p.retained - (c.nfree * c.len);
+                 false
+               end)
+          p.classes;
+    c
+
+  let take p n =
+    if n < 0 then invalid_arg "Buf.Pool.take: negative length";
+    if p.inert then fresh n
+    else begin
+      let c =
+        match find_class n p.classes with Some c -> c | None -> add_class p n
+      in
+      let b =
+        if c.nfree > 0 then begin
+          c.nfree <- c.nfree - 1;
+          let b = c.free.(c.nfree) in
+          c.free.(c.nfree) <- empty;
+          p.retained <- p.retained - n;
+          p.hits <- p.hits + 1;
+          fill b '\000';
+          b
+        end
+        else begin
+          p.misses <- p.misses + 1;
+          fresh n
+        end
+      in
+      (* a full ring forgets its oldest loan, which can then not return *)
+      c.lent.(c.next_loan) <- b;
+      c.next_loan <- (c.next_loan + 1) mod max_class_buffers;
+      b
+    end
+
+  (* Clear the ring slot holding [b] itself (not a view of the same
+     bytes, which is a different record); newest loans first. *)
+  let return_loan c (b : buf) =
+    let rec go k =
+      k < max_class_buffers
+      &&
+      let i = (c.next_loan - 1 - k + max_class_buffers) mod max_class_buffers in
+      if c.lent.(i) == b then begin
+        c.lent.(i) <- empty;
+        true
+      end
+      else go (k + 1)
+    in
+    go 0
+
+  let give p (b : buf) =
+    if not p.inert then
+      match find_class b.len p.classes with
+      | Some c when return_loan c b ->
+          if c.nfree < max_class_buffers && p.retained + b.len <= max_bytes
+          then begin
+            c.free.(c.nfree) <- b;
+            c.nfree <- c.nfree + 1;
+            p.retained <- p.retained + b.len
+          end
+      | Some _ | None -> ()
+
+  let set_inert p inert =
+    p.inert <- inert;
+    if inert then begin
+      p.classes <- [];
+      p.retained <- 0
+    end
+
+  let retained_bytes p = p.retained
+  let hits p = p.hits
+  let misses p = p.misses
+end

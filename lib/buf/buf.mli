@@ -117,3 +117,66 @@ val same_memory : t -> t -> bool
 
 val overlaps : t -> t -> bool
 (** Whether the two slices share at least one byte of storage. *)
+
+(** {1 Recycling} *)
+
+(** A bounded recycler of whole buffers, in exact-length classes.
+
+    Every buffer allocated and dropped costs more than its [malloc]:
+    OCaml charges its off-heap bytes to the major GC's budget, so a
+    stream of short-lived buffers paces major collections by bytes.
+    A pool lets the one owner of a buffer give it back for the next
+    request of the same length.  Its rules:
+
+    - {!Pool.take} returns a zero-filled buffer, recycled or fresh, so a
+      reuse is indistinguishable from {!create};
+    - {!Pool.give} accepts only a whole buffer that this pool lent and
+      that has not come back since.  A {!sub} view, a buffer of another
+      length, a buffer given twice or one the pool never lent is
+      ignored.  Each length class remembers its
+      {!Pool.max_class_buffers} most recent loans, and so keeps them
+      reachable; an older loan can no longer return;
+    - it keeps at most {!Pool.max_class_buffers} free buffers per
+      length, at most {!Pool.max_classes} lengths, and at most
+      {!Pool.max_bytes} free bytes in all ({!Pool.retained_bytes});
+    - while inert ({!Pool.set_inert}) it lends fresh buffers and takes
+      nothing back.
+
+    Giving a buffer back is a promise that nothing reads or writes it
+    any more.  A pool allocates nothing until its first {!Pool.take}. *)
+module Pool : sig
+  type buf := t
+  type t
+
+  val max_bytes : int
+  (** 32 MiB. *)
+
+  val max_class_buffers : int
+  (** 64. *)
+
+  val max_classes : int
+  (** 64. *)
+
+  val create : unit -> t
+  (** An empty pool. *)
+
+  val take : t -> int -> buf
+  (** [take p n] lends a zero-filled [n]-byte buffer.
+      @raise Invalid_argument if [n < 0]. *)
+
+  val give : t -> buf -> unit
+  (** Return a buffer that [take] lent; anything else is ignored. *)
+
+  val set_inert : t -> bool -> unit
+  (** [set_inert p true] drops every free buffer and loan; until
+      [set_inert p false], [take] allocates and [give] keeps nothing. *)
+
+  val retained_bytes : t -> int
+  (** Bytes held in free buffers. *)
+
+  val hits : t -> int
+  (** Takes served by a recycled buffer. *)
+
+  val misses : t -> int
+  (** Takes that allocated (inert takes excluded). *)
+end

@@ -384,6 +384,7 @@ let create_world ?(config = Config.default) ?topology ~size () =
 let world_engine w = w.engine
 let world_stats w = w.stats
 let world_config w = w.config
+let world_pool w = Ucx.pool w.ucx
 let world_size w = Array.length w.workers
 let set_unpack_shuffle w ~seed = w.shuffle <- Option.map Rng.create seed
 let set_trace w t = Ucx.set_trace w.ucx t
@@ -558,11 +559,12 @@ let custom_query c op =
   in
   (psize, regs)
 
-(* Pack the packed part of a custom op into a fresh bounce buffer,
-   fragment by fragment (exercising partial packing). *)
+(* Pack the packed part of a custom op into a bounce buffer from the
+   world's pool, fragment by fragment (exercising partial packing).  A
+   failed pack drops the buffer. *)
 let custom_pack_bounce c op psize =
   let frag = c.w.config.link.frag_size in
-  let b = Buf.create psize in
+  let b = Buf.Pool.take (Ucx.pool c.w.ucx) psize in
   Stats.record_alloc c.w.stats psize;
   charge c (Config.alloc_time (cpu c) psize);
   let t0 = Engine.now c.w.engine in
@@ -716,7 +718,12 @@ let make_send_dt c = function
       in
       let iov = packed @ Array.to_list regs in
       ( Ucx.Sd_iov iov,
-        fun _ ->
+        fun (st : Ucx.status) ->
+          (* the transfer has read the bounce buffer by the time the
+             send completes; after an error the transport may not have *)
+          (match (st.error, packed) with
+          | None, [ b ] -> Buf.Pool.give (Ucx.pool c.w.ucx) b
+          | _ -> ());
           if psize > 0 then Stats.record_free c.w.stats psize;
           Custom.finish op )
 
@@ -751,7 +758,7 @@ let make_recv_dt c = function
       in
       let packed =
         if psize > 0 then begin
-          let b = Buf.create psize in
+          let b = Buf.Pool.take (Ucx.pool c.w.ucx) psize in
           Stats.record_alloc c.w.stats psize;
           charge c (Config.alloc_time (cpu c) psize);
           [ b ]
@@ -762,7 +769,9 @@ let make_recv_dt c = function
       ( Ucx.Rd_iov iov,
         fun (st : Ucx.status) ->
           (match (st.error, packed) with
-          | None, [ b ] -> custom_unpack_bounce c op b
+          | None, [ b ] ->
+              custom_unpack_bounce c op b;
+              Buf.Pool.give (Ucx.pool c.w.ucx) b
           | _ -> ());
           if psize > 0 then Stats.record_free c.w.stats psize;
           Custom.finish op )

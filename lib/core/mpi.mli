@@ -46,6 +46,13 @@ val create_world :
 val world_engine : world -> Engine.t
 val world_stats : world -> Stats.t
 val world_config : world -> Config.t
+
+val world_pool : world -> Buf.Pool.t
+(** The world's buffer recycler ({!Mpicd_ucx.Ucx.pool}).  Custom
+    datatype bounce buffers come from it and go back after a clean
+    completion; it is inert while a fault plan is attached and dies
+    with the world. *)
+
 val world_size : world -> int
 
 type comm

@@ -222,16 +222,7 @@ let profile_shares ?(kernel = "NAS_MG_x") () =
   | None -> (kernel, [])
   | Some (module K : Kernel.KERNEL) ->
       let k = (module K : Kernel.KERNEL) in
-      let methods =
-        [
-          ("reference", Some (Methods.k_reference k));
-          ("manual-pack", Some (Methods.k_manual k));
-          ("mpi-ddt", Some (Methods.k_ddt_direct k));
-          ("mpi-pack-ddt", Some (Methods.k_ddt_pack k));
-          ("custom-pack", Some (Methods.k_custom_pack k));
-          ("custom-regions", Methods.k_custom_regions k);
-        ]
-      in
+      let methods = Methods.kernel_methods k (Methods.slabs k) in
       ( K.name,
         List.map
           (fun (name, make) ->

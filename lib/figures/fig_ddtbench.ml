@@ -18,18 +18,16 @@ let method_names =
   ]
 
 (* Bandwidth (MiB/s) of one kernel under every method; [None] when the
-   method does not apply (regions impracticable). *)
+   method does not apply (regions impracticable).  The methods share
+   one slab pair. *)
 let kernel_row (module K : Kernel.KERNEL) =
-  let bw make = (H.pingpong ~reps ~bytes:K.wire_bytes make).H.bandwidth_mib_s in
   let k = (module K : Kernel.KERNEL) in
-  [
-    Some (bw (Methods.k_reference k));
-    Some (bw (Methods.k_manual k));
-    Some (bw (Methods.k_ddt_direct k));
-    Some (bw (Methods.k_ddt_pack k));
-    Some (bw (Methods.k_custom_pack k));
-    Option.map bw (Methods.k_custom_regions k);
-  ]
+  List.map
+    (fun (_, make) ->
+      Option.map
+        (fun make -> (H.pingpong ~reps ~bytes:K.wire_bytes make).H.bandwidth_mib_s)
+        make)
+    (Methods.kernel_methods k (Methods.slabs k))
 
 let fig10_rows ?(kernels = Registry.paper_kernels) () =
   List.map

@@ -115,10 +115,20 @@ let st_rsmpi (module S : B.STRUCT) ~count () =
 
 (* --- DDTBench kernels (Fig. 10 methods) --- *)
 
+type slabs = { src : Buf.t; sink : Buf.t }
+
+let slabs (module K : Kernel.KERNEL) = { src = K.create (); sink = K.create_sink () }
+
+(* Every method of a row shares the row's slabs; each starts from an
+   all-zero sink. *)
+let sink_of { sink; _ } =
+  Buf.fill sink '\000';
+  sink
+
 let k_reference (module K : Kernel.KERNEL) () = bytes_baseline ~total:K.wire_bytes ()
 
-let k_manual (module K : Kernel.KERNEL) () =
-  let src = K.create () and sink = K.create_sink () in
+let k_manual (module K : Kernel.KERNEL) slabs () =
+  let src = slabs.src and sink = sink_of slabs in
   let pieces = Blocks.count K.blocks in
   {
     H.send =
@@ -139,8 +149,8 @@ let k_manual (module K : Kernel.KERNEL) () =
         H.charged_free comm buf);
   }
 
-let k_ddt_direct (module K : Kernel.KERNEL) () =
-  let src = K.create () and sink = K.create_sink () in
+let k_ddt_direct (module K : Kernel.KERNEL) slabs () =
+  let src = slabs.src and sink = sink_of slabs in
   {
     H.send =
       (fun comm ~dst ~tag ->
@@ -156,8 +166,8 @@ let k_ddt_direct (module K : Kernel.KERNEL) () =
    kernel's compiled plan packs the bytes [Datatype.pack] would; the charge
    stays the interpreter's block count, which is the plan's entry
    count. *)
-let k_ddt_pack (module K : Kernel.KERNEL) () =
-  let src = K.create () and sink = K.create_sink () in
+let k_ddt_pack (module K : Kernel.KERNEL) slabs () =
+  let src = slabs.src and sink = sink_of slabs in
   let blocks = Plan.block_count K.plan in
   {
     H.send =
@@ -178,31 +188,30 @@ let k_ddt_pack (module K : Kernel.KERNEL) () =
         H.charged_free comm buf);
   }
 
-let k_custom_pack (module K : Kernel.KERNEL) () =
-  let src = K.create () and sink = K.create_sink () in
+let custom_impl dt slabs =
+  let src = slabs.src and sink = sink_of slabs in
   {
     H.send =
       (fun comm ~dst ~tag ->
-        Mpi.send comm ~dst ~tag
-          (Mpi.Custom { dt = K.custom_pack; obj = src; count = 1 }));
+        Mpi.send comm ~dst ~tag (Mpi.Custom { dt; obj = src; count = 1 }));
     H.recv =
       (fun comm ~source ~tag ->
         ignore
-          (Mpi.recv comm ~source ~tag
-             (Mpi.Custom { dt = K.custom_pack; obj = sink; count = 1 })));
+          (Mpi.recv comm ~source ~tag (Mpi.Custom { dt; obj = sink; count = 1 })));
   }
 
-let k_custom_regions (module K : Kernel.KERNEL) =
-  Option.map
-    (fun dt () ->
-      let src = K.create () and sink = K.create_sink () in
-      {
-        H.send =
-          (fun comm ~dst ~tag ->
-            Mpi.send comm ~dst ~tag (Mpi.Custom { dt; obj = src; count = 1 }));
-        H.recv =
-          (fun comm ~source ~tag ->
-            ignore
-              (Mpi.recv comm ~source ~tag (Mpi.Custom { dt; obj = sink; count = 1 })));
-      })
-    K.custom_regions
+let k_custom_pack (module K : Kernel.KERNEL) slabs () =
+  custom_impl K.custom_pack slabs
+
+let k_custom_regions (module K : Kernel.KERNEL) slabs =
+  Option.map (fun dt () -> custom_impl dt slabs) K.custom_regions
+
+let kernel_methods k slabs =
+  [
+    ("reference", Some (k_reference k));
+    ("manual-pack", Some (k_manual k slabs));
+    ("mpi-ddt", Some (k_ddt_direct k slabs));
+    ("mpi-pack-ddt", Some (k_ddt_pack k slabs));
+    ("custom-pack", Some (k_custom_pack k slabs));
+    ("custom-regions", k_custom_regions k slabs);
+  ]

@@ -21,13 +21,16 @@ type result = {
 let charge comm t = Engine.sleep (Mpi.world_engine (Mpi.world_of comm)) t
 
 let charged_alloc comm n =
-  let b = Buf.create n in
-  Stats.record_alloc (Mpi.world_stats (Mpi.world_of comm)) n;
-  charge comm (Config.alloc_time (Mpi.world_config (Mpi.world_of comm)).cpu n);
+  let w = Mpi.world_of comm in
+  let b = Buf.Pool.take (Mpi.world_pool w) n in
+  Stats.record_alloc (Mpi.world_stats w) n;
+  charge comm (Config.alloc_time (Mpi.world_config w).cpu n);
   b
 
 let charged_free comm b =
-  Stats.record_free (Mpi.world_stats (Mpi.world_of comm)) (Buf.length b)
+  let w = Mpi.world_of comm in
+  Stats.record_free (Mpi.world_stats w) (Buf.length b);
+  Buf.Pool.give (Mpi.world_pool w) b
 
 let charge_copy comm n =
   Stats.record_copy (Mpi.world_stats (Mpi.world_of comm)) n;

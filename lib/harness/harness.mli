@@ -97,9 +97,12 @@ val scale_allreduce :
     clock like everything else. *)
 
 val charged_alloc : Mpi.comm -> int -> Buf.t
-(** Allocate a buffer, recording and charging allocation cost. *)
+(** Allocate a zero-filled buffer, recording and charging allocation
+    cost.  The bytes come from the world's pool ({!Mpi.world_pool}). *)
 
 val charged_free : Mpi.comm -> Buf.t -> unit
+(** Record the free and give the buffer back to the world's pool: the
+    caller must not touch it afterwards. *)
 
 val charge_copy : Mpi.comm -> int -> unit
 (** Charge a [bytes]-sized CPU copy (call after performing it). *)

@@ -62,46 +62,82 @@ let op_dict = 0x64
 let op_ndarray = 0x41
 let op_stop = 0x2E
 
-(* --- writer --- *)
+(* --- writer ---
+
+   Two passes: [size] computes the exact stream length, then the writer
+   fills one buffer of that length front to back, so no growable
+   buffer, intermediate string or final copy ever holds the stream. *)
 
 module Writer = struct
-  type w = { buf : Buffer.t; mutable oob : Buf.t list; oob_threshold : int option }
-  (* oob_threshold = None -> everything in-band (protocol 4) *)
+  type w = {
+    buf : Buf.t;
+    mutable pos : int;
+    mutable oob : Buf.t list;  (* newest first *)
+    mutable noob : int;
+    oob_threshold : int option;  (* None -> everything in-band (protocol 4) *)
+  }
 
-  let create oob_threshold = { buf = Buffer.create 256; oob = []; oob_threshold }
+  let goes_oob oob_threshold b ~force_oob =
+    match oob_threshold with
+    | None -> false
+    | Some thr -> force_oob || Buf.length b >= thr
 
-  let u8 w v = Buffer.add_char w.buf (Char.chr (v land 0xff))
+  (* opcode + i32 index + i32 length, or opcode + i32 length + bytes *)
+  let payload_size thr b ~force_oob =
+    if goes_oob thr b ~force_oob then 9 else 5 + Buf.length b
 
+  let rec size thr = function
+    | None_ | Bool _ -> 1
+    | Int _ | Float _ -> 9
+    | Str s -> 5 + String.length s
+    | Bytes b -> payload_size thr b ~force_oob:false
+    | List items | Tuple items ->
+        List.fold_left (fun acc v -> acc + size thr v) 5 items
+    | Dict pairs ->
+        List.fold_left (fun acc (k, v) -> acc + size thr k + size thr v) 5 pairs
+    | Ndarray a ->
+        3 + (4 * Array.length a.shape) + payload_size thr a.data ~force_oob:true
+
+  (* Every byte of the stream is written, so its storage starts
+     uninitialised. *)
+  let create oob_threshold v =
+    let n = size oob_threshold v + 1 (* stop *) in
+    {
+      buf =
+        Buf.of_bigstring (Bigarray.Array1.create Bigarray.char Bigarray.c_layout n);
+      pos = 0;
+      oob = [];
+      noob = 0;
+      oob_threshold;
+    }
+
+  let u8 w v =
+    Buf.set_u8 w.buf w.pos v;
+    w.pos <- w.pos + 1
+
+  (* the low 32 bits, little-endian *)
   let i32 w v =
-    u8 w v;
-    u8 w (v lsr 8);
-    u8 w (v lsr 16);
-    u8 w (v lsr 24)
+    Buf.set_u32 w.buf w.pos v;
+    w.pos <- w.pos + 4
 
   let i64 w v =
-    for k = 0 to 7 do
-      u8 w (Int64.to_int (Int64.shift_right_logical v (8 * k)) land 0xff)
-    done
-
-  let raw w (b : Buf.t) = Buffer.add_string w.buf (Buf.to_string b)
+    Buf.set_i64 w.buf w.pos v;
+    w.pos <- w.pos + 8
 
   (* Emit a payload either in-band or as an out-of-band reference. *)
   let payload w (b : Buf.t) ~force_oob =
-    let oob =
-      match w.oob_threshold with
-      | None -> false
-      | Some thr -> force_oob || Buf.length b >= thr
-    in
-    if oob then begin
+    if goes_oob w.oob_threshold b ~force_oob then begin
       u8 w op_oob;
-      i32 w (List.length w.oob);
+      i32 w w.noob;
       i32 w (Buf.length b);
-      w.oob <- b :: w.oob
+      w.oob <- b :: w.oob;
+      w.noob <- w.noob + 1
     end
     else begin
       u8 w op_bytes;
       i32 w (Buf.length b);
-      raw w b
+      Buf.blit ~src:b ~src_pos:0 ~dst:w.buf ~dst_pos:w.pos ~len:(Buf.length b);
+      w.pos <- w.pos + Buf.length b
     end
 
   let rec value w = function
@@ -117,7 +153,9 @@ module Writer = struct
     | Str s ->
         u8 w op_str;
         i32 w (String.length s);
-        Buffer.add_string w.buf s
+        Buf.blit_from_string s ~src_pos:0 ~dst:w.buf ~dst_pos:w.pos
+          ~len:(String.length s);
+        w.pos <- w.pos + String.length s
     | Bytes b -> payload w b ~force_oob:false
     | List items ->
         u8 w op_list;
@@ -143,20 +181,17 @@ module Writer = struct
         (* NumPy buffers always go out-of-band under protocol 5. *)
         payload w a.data ~force_oob:true
 
-  let finish w =
+  let run oob_threshold v =
+    let w = create oob_threshold v in
+    value w v;
     u8 w op_stop;
-    (Buf.of_string (Buffer.contents w.buf), List.rev w.oob)
+    assert (w.pos = Buf.length w.buf);
+    (w.buf, List.rev w.oob)
 end
 
-let dumps v =
-  let w = Writer.create None in
-  Writer.value w v;
-  fst (Writer.finish w)
+let dumps v = fst (Writer.run None v)
 
-let dumps_oob ?(oob_threshold = 1024) v =
-  let w = Writer.create (Some oob_threshold) in
-  Writer.value w v;
-  Writer.finish w
+let dumps_oob ?(oob_threshold = 1024) v = Writer.run (Some oob_threshold) v
 
 (* --- reader --- *)
 
@@ -208,6 +243,18 @@ module Reader = struct
     end
     else raise (Corrupt (Printf.sprintf "expected payload, got opcode 0x%02x" op))
 
+  (* [numel * itemsize], or [Corrupt] if that product overflows: a
+     wrapped product could match a short payload.  Dimensions are read
+     unsigned, so none is negative. *)
+  let shape_bytes shape dtype =
+    if Array.mem 0 shape then 0
+    else
+      Array.fold_left
+        (fun acc d ->
+          if acc > max_int / d then raise (Corrupt "ndarray shape overflows");
+          acc * d)
+        (dtype_size dtype) shape
+
   let rec value r =
     let op = u8 r in
     if op = op_none then None_
@@ -241,8 +288,7 @@ module Reader = struct
       let ndim = u8 r in
       let shape = Array.init ndim (fun _ -> i32 r) in
       let data = payload r (u8 r) in
-      let expected = Array.fold_left ( * ) 1 shape * dtype_size dtype in
-      if Buf.length data <> expected then
+      if Buf.length data <> shape_bytes shape dtype then
         raise (Corrupt "ndarray payload size mismatch");
       Ndarray { shape; dtype; data }
     end

@@ -51,8 +51,8 @@ type t = {
   mutable plan_cache_misses : int;
       (** typed operations that had to flatten a datatype into a plan *)
   mutable bounce_reuses : int;
-      (** eager/rendezvous bounce fragments served from the transport
-          pool instead of a fresh allocation *)
+      (** full-size generic pack bounce fragments served from the
+          world's buffer pool instead of a fresh allocation *)
   (* Checkpoint/restart counters (see docs/RESILIENCE.md): driven by the
      lib/restart runtime.  All remain 0 unless a checkpoint runtime is
      in use. *)

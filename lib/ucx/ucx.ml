@@ -139,11 +139,11 @@ and context = {
   failed : (int, float) Hashtbl.t;  (* worker id -> detection time *)
   mutable any_failed : bool;  (* cheap guard for fail-fast checks *)
   mutable fail_listeners : (rank:int -> time:float -> unit) list;
-  mutable bounce_pool : Buf.t list;
-      (* recycled full-size pack bounce fragments (fault-free path only:
-         the reliable protocol may still reference frags after deposit,
-         so pooling there could perturb exact replays) *)
-  mutable bounce_pool_len : int;
+  pool : Buf.Pool.t;
+      (* the world's buffer recycler: pack bounce fragments here, and
+         the MPI layer's custom and manual-pack staging buffers.  Inert
+         while a fault plan is attached: the reliable protocol may still
+         reference fragments after deposit *)
   mutable topology : Topology.t option;
       (* [None] (the default) is the flat wire: every path helper below
          reduces exactly to [latency_ns] / [wire_time], so existing
@@ -171,14 +171,14 @@ let create_context ~engine ~config ~stats =
     failed = Hashtbl.create 8;
     any_failed = false;
     fail_listeners = [];
-    bounce_pool = [];
-    bounce_pool_len = 0;
+    pool = Buf.Pool.create ();
     topology = None;
   }
 
 let engine c = c.engine
 let config c = c.config
 let stats c = c.stats
+let pool c = c.pool
 let set_channel_jitter c j = c.jitter <- j
 let set_topology c topo = c.topology <- topo
 let topology c = c.topology
@@ -292,49 +292,11 @@ let path_serialize c ~src ~dst bytes =
       Topology.serialize topo ~ns_per_byte:(link c).ns_per_byte ~src ~dst
         ~bytes ~now:(Engine.now c.engine)
 
-(* --- bounce-buffer pool ---
-
-   The generic pack path allocates one bounce buffer per fragment; on a
-   long stream that is pure allocator/GC churn because every fragment
-   dies as soon as [deposit] consumes it.  Full-size fragments cycle
-   through a small per-context free list instead.  Recycled buffers are
-   re-zeroed so a reuse is indistinguishable from a fresh [Buf.create].
-   The pool stays out of fault-mode runs: the reliable protocol copies
-   and reslices streams on its own schedule, and exact fixed-seed
-   replays must not depend on buffer recycling. *)
-
-let max_bounce_pool = 64
-
-let bounce_acquire ctx len =
-  match ctx.bounce_pool with
-  | b :: rest when Option.is_none ctx.faults && len = (link ctx).frag_size ->
-      ctx.bounce_pool <- rest;
-      ctx.bounce_pool_len <- ctx.bounce_pool_len - 1;
-      Stats.record_bounce_reuse ctx.stats;
-      Buf.fill b '\000';
-      b
-  | _ -> Buf.create len
-
-(* Return deposited fragments to the pool.  Only buffers of exactly
-   [frag_size] qualify: a short tail fragment is a [Buf.sub] view of a
-   larger allocation and must not be handed out as if it were whole. *)
-let rec bounce_recycle ctx = function
-  | [] -> ()
-  | b :: rest ->
-      if
-        Option.is_none ctx.faults
-        && Buf.length b = (link ctx).frag_size
-        && ctx.bounce_pool_len < max_bounce_pool
-      then begin
-        ctx.bounce_pool <- b :: ctx.bounce_pool;
-        ctx.bounce_pool_len <- ctx.bounce_pool_len + 1
-      end;
-      bounce_recycle ctx rest
-
 (* --- fragment-wise generic packing (executes the callbacks) --- *)
 
-(* Pack the whole stream into fragment buffers of [frag_size] (fresh or
-   recycled).  Returns the fragments and the number of callback
+(* Pack the whole stream into bounce fragments of [frag_size] from the
+   context's pool; each dies as soon as [deposit] consumes it, which
+   gives it back.  Returns the fragments and the number of callback
    invocations. *)
 let pack_fragments ctx (g : send_generic) =
   let frag_size = (link ctx).frag_size in
@@ -344,7 +306,10 @@ let pack_fragments ctx (g : send_generic) =
   let off = ref 0 in
   while !off < total do
     let want = min frag_size (total - !off) in
-    let dst = bounce_acquire ctx want in
+    let hits = Buf.Pool.hits ctx.pool in
+    let dst = Buf.Pool.take ctx.pool want in
+    if want = frag_size && Buf.Pool.hits ctx.pool > hits then
+      Stats.record_bounce_reuse ctx.stats;
     let used = g.sg_pack ~offset:!off ~dst in
     incr ncb;
     Stats.record_pack_cb ctx.stats;
@@ -406,8 +371,8 @@ let scatter_fragments frags regions =
    buffers, read in place: MPI forbids a receive buffer that overlaps
    the pending send buffer of the same message, so no snapshot is
    needed.  These buffers belong to the application and must never
-   reach the bounce pool.  Generic descriptors pack into fresh or
-   recycled bounce fragments that the transport owns. *)
+   reach the pool.  Generic descriptors pack into bounce fragments
+   that the transport owns. *)
 let materialize ctx (dt : send_dt) =
   match dt with
   | Sd_contig b -> ([ b ], 0)
@@ -423,9 +388,18 @@ let materialize ctx (dt : send_dt) =
           g.sg_finish ();
           raise exn)
 
+(* A loop, not [List.iter] of a partial application, which would
+   allocate a closure per deposit on every eager message. *)
+let rec give_back pool = function
+  | [] -> ()
+  | b :: rest ->
+      Buf.Pool.give pool b;
+      give_back pool rest
+
 (* Deliver packed fragments into a receive descriptor.  Returns the
    receiver CPU time consumed.  [owned] says the fragments are the
-   transport's own bounce buffers, which may be recycled afterwards. *)
+   transport's own bounce buffers, which go back to the pool
+   afterwards. *)
 let deposit ctx (dt : recv_dt) frags ~zcopy ~owned =
   let c = cpu ctx in
   let total = List.fold_left (fun a b -> a + Buf.length b) 0 frags in
@@ -457,10 +431,10 @@ let deposit ctx (dt : recv_dt) frags ~zcopy ~owned =
         +. (float_of_int ncb *. c.pack_cb_overhead_ns)
         +. g.rg_overhead_ns
   in
-  (* The fragments are fully consumed: full-size bounce buffers go back
-     to the pool for the next pack.  (On a callback error we fall
-     through without recycling — ownership is unclear mid-unpack.) *)
-  if owned then bounce_recycle ctx frags;
+  (* The fragments are fully consumed: those the pool lent go back for
+     the next pack.  (On a callback error we fall through without
+     recycling — ownership is unclear mid-unpack.) *)
+  if owned then give_back ctx.pool frags;
   cpu_time
 
 (* --- matching --- *)
@@ -655,6 +629,7 @@ let spawn_detector ctx events =
 
 let set_faults c p =
   c.faults <- Option.map Fault.start p;
+  Buf.Pool.set_inert c.pool (Option.is_some p);
   (* The jitter stream reseeds with the plan so a given (plan, seed)
      replay is deterministic even with jitter enabled.  XOR'd constant:
      keeps it distinct from the fault-decision stream of the same seed. *)

@@ -46,6 +46,13 @@ val engine : context -> Engine.t
 val config : context -> Config.t
 val stats : context -> Stats.t
 
+val pool : context -> Buf.Pool.t
+(** The context's buffer recycler ({!Buf.Pool}).  Generic sends pack
+    into bounce fragments taken from it, and a fault-free deposit gives
+    them back; the MPI layer recycles its own staging buffers through
+    it.  It is inert while a fault plan is attached ({!set_faults}) and
+    lives as long as the context. *)
+
 type worker
 
 val create_worker : context -> worker

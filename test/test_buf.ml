@@ -617,6 +617,82 @@ let test_float_blit_bad_ranges () =
   Buf.blit_from_floats fs ~src_pos:4 ~dst:b ~dst_pos:32 ~len:0;
   Buf.blit_to_floats ~src:b ~src_pos:32 ~dst:fs ~dst_pos:4 ~len:0
 
+(* --- the buffer pool --- *)
+
+module Pool = Buf.Pool
+
+let test_pool_take_zeroed () =
+  let p = Pool.create () in
+  let a = Pool.take p 100 in
+  Buf.fill a '\xff';
+  Pool.give p a;
+  let b = Pool.take p 100 in
+  Alcotest.(check bool) "recycled" true (Buf.same_memory a b);
+  check_str "zeroed" (String.make 100 '\000') (Buf.to_string b);
+  check_int "hits" 1 (Pool.hits p);
+  check_int "misses" 1 (Pool.misses p)
+
+(* Only a whole buffer the pool lent comes back, and only once: no two
+   buffers in use ever share storage. *)
+let test_pool_never_aliases () =
+  let p = Pool.create () in
+  let held = Pool.take p 64 in
+  Pool.give p (Buf.sub held ~pos:0 ~len:32);
+  Pool.give p (Buf.sub held ~pos:8 ~len:56);
+  Pool.give p (Buf.sub held ~pos:0 ~len:64);
+  let user = Buf.create 64 in
+  Pool.give p user;
+  let twice = Pool.take p 64 in
+  Pool.give p twice;
+  Pool.give p twice;
+  let in_use =
+    held :: user :: [ Pool.take p 64; Pool.take p 64; Pool.take p 32; Pool.take p 56 ]
+  in
+  List.iteri
+    (fun i a ->
+      List.iteri
+        (fun j b ->
+          if i < j && Buf.overlaps a b then
+            Alcotest.failf "buffers %d and %d share storage" i j)
+        in_use)
+    in_use;
+  check_int "only the buffer given back is reused" 1 (Pool.hits p)
+
+let test_pool_bounded () =
+  let give_all p bs = List.iter (Pool.give p) bs in
+  let p = Pool.create () in
+  let mib = 1024 * 1024 in
+  give_all p (List.init ((Pool.max_bytes / mib) + 8) (fun _ -> Pool.take p mib));
+  check_int "byte bound" Pool.max_bytes (Pool.retained_bytes p);
+  let p = Pool.create () in
+  give_all p (List.init 100 (fun _ -> Pool.take p 8));
+  check_int "per-length bound" (Pool.max_class_buffers * 8) (Pool.retained_bytes p);
+  let p = Pool.create () in
+  for n = 1 to 2 * Pool.max_classes do
+    Pool.give p (Pool.take p n)
+  done;
+  (* the oldest lengths were forgotten, with their buffers *)
+  let newest = List.init Pool.max_classes (fun i -> (2 * Pool.max_classes) - i) in
+  check_int "length-count bound" (List.fold_left ( + ) 0 newest)
+    (Pool.retained_bytes p);
+  Alcotest.(check bool) "under the byte bound" true
+    (Pool.retained_bytes p <= Pool.max_bytes)
+
+let test_pool_inert () =
+  let p = Pool.create () in
+  let a = Pool.take p 64 in
+  Pool.give p a;
+  Pool.set_inert p true;
+  check_int "free buffers dropped" 0 (Pool.retained_bytes p);
+  let b = Pool.take p 64 in
+  Alcotest.(check bool) "fresh while inert" false (Buf.same_memory a b);
+  Pool.give p b;
+  check_int "nothing kept while inert" 0 (Pool.retained_bytes p);
+  Pool.set_inert p false;
+  let c = Pool.take p 64 in
+  Alcotest.(check bool) "nothing recycled" false (Buf.same_memory b c);
+  check_int "no hits" 0 (Pool.hits p)
+
 let suite =
   let tc = Alcotest.test_case in
   ( "buf",
@@ -661,4 +737,9 @@ let suite =
       QCheck_alcotest.to_alcotest prop_equal_lengths_differ;
       QCheck_alcotest.to_alcotest prop_blit_from_floats;
       QCheck_alcotest.to_alcotest prop_blit_to_floats;
+      tc "pool: a taken buffer is zeroed" `Quick test_pool_take_zeroed;
+      tc "pool: views, strangers and double gives never alias" `Quick
+        test_pool_never_aliases;
+      tc "pool: retained bytes bounded" `Quick test_pool_bounded;
+      tc "pool: inert recycles nothing" `Quick test_pool_inert;
     ] )

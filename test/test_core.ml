@@ -273,6 +273,67 @@ let test_custom_unpack_error_propagates () =
         | exception Mpi.Mpi_error (Mpi.Callback_failed 99) -> saw := true);
   Alcotest.(check bool) "error seen" true !saw
 
+(* A custom datatype over one buffer, all of it packed. *)
+let packed_dt : Buf.t Custom.t =
+  Custom.create
+    {
+      state = (fun _ ~count:_ -> ());
+      state_free = ignore;
+      query = (fun () b ~count:_ -> Buf.length b);
+      pack =
+        (fun () b ~count:_ ~offset ~dst ->
+          let n = min (Buf.length dst) (Buf.length b - offset) in
+          Buf.blit ~src:b ~src_pos:offset ~dst ~dst_pos:0 ~len:n;
+          n);
+      unpack =
+        (fun () b ~count:_ ~offset ~src ->
+          Buf.blit ~src ~src_pos:0 ~dst:b ~dst_pos:offset ~len:(Buf.length src));
+      region_count = None;
+      regions = None;
+    }
+
+(* Bounce buffers go back to the world's pool only after a clean
+   completion: a clean transfer returns both, a send whose pack
+   callback fails returns none, and a receive that completes with an
+   error keeps its own. *)
+let test_custom_bounce_returned_only_when_clean () =
+  let retained ~send_len ~recv_len ~send_dt =
+    let w = Mpi.create_world ~size:2 () in
+    Mpi.run w (fun comm ->
+        if Mpi.rank comm = 0 then
+          let obj = Mpi.Custom { dt = send_dt; obj = pattern send_len; count = 1 } in
+          match Mpi.send comm ~dst:1 ~tag:0 obj with
+          | () -> ()
+          | exception Mpi.Mpi_error (Mpi.Callback_failed _) ->
+              Mpi.send comm ~dst:1 ~tag:0 (Mpi.Bytes (pattern recv_len))
+        else
+          let sink = Buf.create recv_len in
+          let obj = Mpi.Custom { dt = packed_dt; obj = sink; count = 1 } in
+          match Mpi.recv comm obj with
+          | _ -> ()
+          | exception Mpi.Mpi_error (Mpi.Truncated _) -> ());
+    Buf.Pool.retained_bytes (Mpi.world_pool w)
+  in
+  check_int "clean: both bounce buffers back" 128
+    (retained ~send_len:64 ~recv_len:64 ~send_dt:packed_dt);
+  let failing : Buf.t Custom.t =
+    Custom.create
+      {
+        state = (fun _ ~count:_ -> ());
+        state_free = ignore;
+        query = (fun () b ~count:_ -> Buf.length b);
+        pack = (fun () _ ~count:_ ~offset:_ ~dst:_ -> raise (Custom.Error 13));
+        unpack = (fun () _ ~count:_ ~offset:_ ~src:_ -> ());
+        region_count = None;
+        regions = None;
+      }
+  in
+  (* the receiver's bounce buffer is a custom one; the send's is not *)
+  check_int "failed pack: only the receiver's" 64
+    (retained ~send_len:64 ~recv_len:64 ~send_dt:failing);
+  check_int "truncated receive: only the sender's" 128
+    (retained ~send_len:128 ~recv_len:64 ~send_dt:packed_dt)
+
 let test_truncation_error () =
   let w = Mpi.create_world ~size:2 () in
   let saw = ref false in
@@ -867,4 +928,6 @@ let suite =
       QCheck_alcotest.to_alcotest prop_storm;
       QCheck_alcotest.to_alcotest prop_wire_equivalence;
       QCheck_alcotest.to_alcotest prop_comm_split_partitions;
+      tc "custom bounce buffers recycled only when clean" `Quick
+        test_custom_bounce_returned_only_when_clean;
     ] )

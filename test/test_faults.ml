@@ -356,7 +356,8 @@ let test_zero_overhead_golden () =
   let (module K : Kernel.KERNEL) = kernel in
   let r =
     H.pingpong ~reps:3 ~bytes:K.wire_bytes
-      (Mpicd_figures.Methods.k_custom_pack kernel)
+      (Mpicd_figures.Methods.k_custom_pack kernel
+         (Mpicd_figures.Methods.slabs kernel))
   in
   let s = r.H.stats in
   check_float "custom_pack latency" 77.654223999999957 r.H.latency_us;

@@ -157,14 +157,15 @@ let kernel_bw name method_ =
   | None -> Alcotest.failf "missing kernel %s" name
   | Some (module K : Kernel.KERNEL) ->
       let k = (module K : Kernel.KERNEL) in
+      let slabs = Methods.slabs k in
       let make =
         match method_ with
         | `Reference -> Methods.k_reference k
-        | `Manual -> Methods.k_manual k
-        | `Ddt -> Methods.k_ddt_direct k
-        | `Custom_pack -> Methods.k_custom_pack k
+        | `Manual -> Methods.k_manual k slabs
+        | `Ddt -> Methods.k_ddt_direct k slabs
+        | `Custom_pack -> Methods.k_custom_pack k slabs
         | `Custom_regions ->
-            Option.get (Methods.k_custom_regions k)
+            Option.get (Methods.k_custom_regions k slabs)
       in
       bw ~bytes:K.wire_bytes make
 
@@ -215,6 +216,52 @@ let test_fig10_reference_fastest () =
         [ `Manual; `Ddt; `Custom_pack ])
     Registry.paper_kernels
 
+(* --- the world's buffer pool under the manual-pack methods --- *)
+
+(* The pool of the world a pingpong of [make] ran in. *)
+let pingpong_pool ?faults ~reps make =
+  let pool = ref None in
+  let watched () =
+    let impl = make () in
+    {
+      impl with
+      H.send =
+        (fun comm ~dst ~tag ->
+          pool := Some (Mpi.world_pool (Mpi.world_of comm));
+          impl.H.send comm ~dst ~tag);
+    }
+  in
+  ignore (H.pingpong ?faults ~reps ~bytes:0 watched);
+  Option.get !pool
+
+let manual_methods () =
+  let k = Option.get (Registry.find "NAS_MG_x") in
+  [
+    ("k_manual", Methods.k_manual k (Methods.slabs k));
+    ("st_manual", Methods.st_manual (module B.Struct_simple) ~count:1000);
+  ]
+
+(* Exact work count: after the first rounds every staging buffer is a
+   recycled one, so twice the rounds allocate nothing more. *)
+let test_pool_misses_constant () =
+  List.iter
+    (fun (name, make) ->
+      let m10 = Mpicd_buf.Buf.Pool.misses (pingpong_pool ~reps:10 make) in
+      let m20 = Mpicd_buf.Buf.Pool.misses (pingpong_pool ~reps:20 make) in
+      Alcotest.(check int) (name ^ ": misses at reps 10 = reps 20") m10 m20;
+      Alcotest.(check bool) (name ^ ": a few misses") true (m10 > 0 && m10 <= 4))
+    (manual_methods ())
+
+let test_pool_inert_under_faults () =
+  let faults = Mpicd_simnet.Fault.make ~seed:3 () in
+  List.iter
+    (fun (name, make) ->
+      let p = pingpong_pool ~faults ~reps:5 make in
+      Alcotest.(check int) (name ^ ": no reuse") 0 (Mpicd_buf.Buf.Pool.hits p);
+      Alcotest.(check int) (name ^ ": nothing kept") 0
+        (Mpicd_buf.Buf.Pool.retained_bytes p))
+    (manual_methods ())
+
 let suite =
   let tc = Alcotest.test_case in
   ( "figures",
@@ -233,4 +280,7 @@ let suite =
         test_fig10_regions_lose_for_small_blocks;
       tc "Fig10: custom-pack competitive" `Slow test_fig10_custom_competitive;
       tc "Fig10: reference is upper bound" `Slow test_fig10_reference_fastest;
+      tc "pool: manual-pack misses are a constant" `Quick test_pool_misses_constant;
+      tc "pool: nothing recycled under a fault plan" `Quick
+        test_pool_inert_under_faults;
     ] )

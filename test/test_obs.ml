@@ -284,7 +284,9 @@ let test_zero_overhead () =
     | Some k -> k
     | None -> Alcotest.fail "NAS_MG_x kernel missing"
   in
-  let make = Mpicd_figures.Methods.k_custom_pack kernel in
+  let make =
+    Mpicd_figures.Methods.k_custom_pack kernel (Mpicd_figures.Methods.slabs kernel)
+  in
   let bytes =
     let (module K : Kernel.KERNEL) = kernel in
     K.wire_bytes
@@ -444,7 +446,8 @@ let test_profile_conservation () =
   in
   let _, kp =
     H.pingpong_profiled ~reps:2 ~bytes
-      (Mpicd_figures.Methods.k_custom_pack kernel)
+      (Mpicd_figures.Methods.k_custom_pack kernel
+         (Mpicd_figures.Methods.slabs kernel))
   in
   check_conserved "NAS_MG_x custom-pack" kp;
   Alcotest.(check bool) "kernel run spends time waiting" true
@@ -494,7 +497,9 @@ let test_zero_overhead_faulted_replay () =
     | Some k -> k
     | None -> Alcotest.fail "NAS_MG_x kernel missing"
   in
-  let make = Mpicd_figures.Methods.k_custom_pack kernel in
+  let make =
+    Mpicd_figures.Methods.k_custom_pack kernel (Mpicd_figures.Methods.slabs kernel)
+  in
   let bytes =
     let (module K : Kernel.KERNEL) = kernel in
     K.wire_bytes

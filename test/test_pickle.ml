@@ -192,6 +192,163 @@ let prop_roundtrip_oob =
       let header, buffers = P.dumps_oob ~oob_threshold:16 v in
       P.equal v (P.loads ~buffers header))
 
+(* A shape whose element count overflows a native int must not load as
+   an empty array: [2^31 * 2^31 * 2] wraps to 0, which would match an
+   empty in-band payload. *)
+let test_shape_overflow_rejected () =
+  let stream =
+    Buf.of_string
+      "\x41\x04\x03\x00\x00\x00\x80\x00\x00\x00\x80\x02\x00\x00\x00\x42\x00\x00\x00\x00\x2e"
+  in
+  match P.loads stream with
+  | v -> Alcotest.failf "loaded %a" P.pp v
+  | exception P.Corrupt _ -> ()
+
+(* One object that uses every opcode: its streams are pinned byte for
+   byte. *)
+let pinned_object () =
+  let pattern n =
+    let b = Buf.create n in
+    for i = 0 to n - 1 do
+      Buf.set_u8 b i ((i * 7) + 3)
+    done;
+    b
+  in
+  let arr = P.ndarray ~dtype:P.I32 [| 2; 3 |] in
+  for i = 0 to 5 do
+    Buf.set_i32 arr.P.data (4 * i) (Int32.of_int (i - 2))
+  done;
+  P.Dict
+    [
+      (P.Str "name", P.Str "mpicd");
+      ( P.Str "meta",
+        P.Tuple
+          [ P.Int 3L; P.Tuple [ P.Float 1.5; P.None_; P.Bool true; P.Bool false ] ] );
+      (P.Str "small", P.Bytes (pattern 5));
+      (P.Str "big", P.Bytes (pattern 20));
+      (P.Str "arr", P.Ndarray arr);
+      (P.Str "list", P.List [ P.Int (-1L) ]);
+    ]
+
+let hex b =
+  String.concat ""
+    (List.init (Buf.length b) (fun i -> Printf.sprintf "%02x" (Buf.get_u8 b i)))
+
+(* The expected streams, one value per segment, captured from the
+   writer that grew a [Stdlib.Buffer]. *)
+let pinned_stream ~big ~arr =
+  String.concat ""
+    [
+      "6406000000" (* dict of 6 pairs *);
+      "55040000006e616d65" (* "name" *);
+      "55050000006d70696364" (* "mpicd" *);
+      "55040000006d657461" (* "meta" *);
+      "7402000000" (* tuple of 2 *);
+      "490300000000000000" (* 3L *);
+      "7404000000" (* tuple of 4 *);
+      "47000000000000f83f" (* 1.5 *);
+      "4e5446" (* None, true, false *);
+      "5505000000736d616c6c" (* "small" *);
+      "4205000000030a11181f" (* 5 bytes in-band *);
+      "5503000000626967" (* "big" *);
+      big;
+      "5503000000617272" (* "arr" *);
+      "4103020200000003000000" (* I32 ndarray of shape [2; 3] *);
+      arr;
+      "55040000006c697374" (* "list" *);
+      "6c0100000049ffffffffffffffff" (* list of 1: -1L *);
+      "2e" (* stop *);
+    ]
+
+let test_pinned_streams () =
+  let v = pinned_object () in
+  Alcotest.(check string) "dumps"
+    (pinned_stream
+       ~big:"4214000000030a11181f262d343b424950575e656c737a8188" (* in-band *)
+       ~arr:"4218000000feffffffffffffff00000000010000000200000003000000")
+    (hex (P.dumps v));
+  let header, buffers = P.dumps_oob ~oob_threshold:16 v in
+  Alcotest.(check string) "dumps_oob header"
+    (pinned_stream
+       ~big:"4f0000000014000000" (* out-of-band buffer 0, 20 bytes *)
+       ~arr:"4f0100000018000000" (* out-of-band buffer 1, 24 bytes *))
+    (hex header);
+  Alcotest.(check (list string)) "dumps_oob buffers"
+    [
+      "030a11181f262d343b424950575e656c737a8188";
+      "feffffffffffffff00000000010000000200000003000000";
+    ]
+    (List.map hex buffers)
+
+(* The stream length from the format alone: opcode 1 B, lengths and
+   counts i32, scalars i64, one stop byte. *)
+let expected_size ?oob_threshold v =
+  let payload ~force_oob b =
+    match oob_threshold with
+    | Some thr when force_oob || Buf.length b >= thr -> 9
+    | _ -> 5 + Buf.length b
+  in
+  let rec go = function
+    | P.None_ | P.Bool _ -> 1
+    | P.Int _ | P.Float _ -> 9
+    | P.Str s -> 5 + String.length s
+    | P.Bytes b -> payload ~force_oob:false b
+    | P.List l | P.Tuple l -> List.fold_left (fun a v -> a + go v) 5 l
+    | P.Dict kv -> List.fold_left (fun a (k, v) -> a + go k + go v) 5 kv
+    | P.Ndarray a ->
+        3 + (4 * Array.length a.P.shape) + payload ~force_oob:true a.P.data
+  in
+  go v + 1
+
+let gen_with_bytes =
+  let open QCheck.Gen in
+  let bytes_ =
+    map
+      (fun s -> P.Bytes (Buf.of_string s))
+      (string_size (0 -- 40))
+  in
+  let nd =
+    map2
+      (fun dtype dims -> P.Ndarray (P.ndarray ~dtype (Array.of_list dims)))
+      (oneofl [ P.F64; P.F32; P.I64; P.I32; P.U8 ])
+      (list_size (0 -- 3) (0 -- 5))
+  in
+  frequency
+    [
+      (2, gen_pickle);
+      (1, bytes_);
+      (1, nd);
+      ( 1,
+        map (fun l -> P.Tuple l) (list_size (0 -- 5) (oneof [ gen_pickle; bytes_; nd ])) );
+    ]
+
+let prop_exact_size =
+  QCheck.Test.make ~name:"pickle: stream length is the precomputed size" ~count:300
+    (QCheck.make ~print:(Format.asprintf "%a" P.pp) gen_with_bytes)
+    (fun v ->
+      let s = P.dumps v in
+      let header, buffers = P.dumps_oob ~oob_threshold:16 v in
+      Buf.length s = expected_size v
+      && P.equal v (P.loads s)
+      && Buf.length header = expected_size ~oob_threshold:16 v
+      && P.equal v (P.loads ~buffers header))
+
+(* The A5 object: 64 arrays of 128 KiB.  Its 8 MiB stream is written
+   straight into one buffer, so the OCaml heap sees only the walk. *)
+let test_dumps_heap_words () =
+  let obj =
+    P.List (List.init 64 (fun _ -> P.Ndarray (P.ndarray ~dtype:P.U8 [| 128 * 1024 |])))
+  in
+  let words () =
+    let minor, _, major = Gc.counters () in
+    minor +. major
+  in
+  let w0 = words () in
+  let s = P.dumps obj in
+  let used = words () -. w0 in
+  check_int "stream bytes" ((8 * 1024 * 1024) + (64 * 12) + 6) (Buf.length s);
+  if used > 65536. then Alcotest.failf "dumps allocated %.0f heap words" used
+
 let suite =
   let tc = Alcotest.test_case in
   ( "pickle",
@@ -213,4 +370,8 @@ let suite =
       tc "payload_bytes" `Quick test_payload_bytes;
       QCheck_alcotest.to_alcotest prop_roundtrip_inband;
       QCheck_alcotest.to_alcotest prop_roundtrip_oob;
+      tc "ndarray shape overflow rejected" `Quick test_shape_overflow_rejected;
+      tc "streams pinned byte for byte" `Quick test_pinned_streams;
+      tc "dumps of 8 MiB allocates no stream on the heap" `Quick test_dumps_heap_words;
+      QCheck_alcotest.to_alcotest prop_exact_size;
     ] )
