@@ -1,11 +1,13 @@
 (* mpicd-bench: command-line front end for the reproduction benchmarks.
 
-   Unlike bench/main.exe (which regenerates the paper's artifacts with
-   the calibrated default cost model), this CLI also exposes the
-   cost-model parameters for per-kernel what-if runs, e.g.
+   [figure] regenerates the paper's artifacts (Table I, Figs. 1-10 and
+   the ablations) with the calibrated default cost model; the other
+   commands expose the cost-model parameters for per-kernel what-if
+   runs, e.g.
 
      mpicd_bench list
-     mpicd_bench figure fig7 --csv results
+     mpicd_bench figure                        # every artifact
+     mpicd_bench figure fig7 fig10 --csv results
      mpicd_bench kernel NAS_MG_x --iov-entry-ns 40 --eager-limit 16384 *)
 
 open Cmdliner
@@ -17,8 +19,53 @@ module Figures = Mpicd_figures
 module Registry = Mpicd_ddtbench.Registry
 module Kernel = Mpicd_ddtbench.Kernel
 
-let all_series_figures =
-  Figures.Fig_rust.all @ Figures.Fig_python.all @ Figures.Ablations.all
+(* The paper's artifacts in regeneration order: key, title, and the
+   action that prints the artifact and, given a CSV directory, writes
+   [KEY.csv] into it when the artifact has a CSV form. *)
+let artifacts =
+  let series (key, title, ylabel, f) =
+    ( key,
+      title,
+      fun csv_dir ->
+        let series = f () in
+        Report.print ~ylabel ~title ~xlabel:"size" series;
+        Option.iter
+          (fun dir ->
+            Report.to_csv
+              ~path:(Filename.concat dir (key ^ ".csv"))
+              ~xlabel:"size" series)
+          csv_dir )
+  in
+  let table key title print = (key, title, fun _ -> print ()) in
+  let module Ddt = Figures.Fig_ddtbench in
+  let module Abl = Figures.Ablations in
+  [ table "table1" "Table I: Benchmark characteristics" Ddt.print_table1 ]
+  @ List.map series (Figures.Fig_rust.all @ Figures.Fig_python.all)
+  @ [
+      ( "fig10",
+        "Fig. 10: DDTBench bandwidth per kernel and method",
+        fun csv_dir ->
+          Ddt.print_fig10 ();
+          Option.iter
+            (fun dir ->
+              Ddt.fig10_csv ~path:(Filename.concat dir "fig10.csv") ())
+            csv_dir );
+      table "fig10-extras" "Fig. 10 over the extra kernels" (fun () ->
+          Ddt.print_fig10 ~kernels:Registry.extra_kernels ());
+    ]
+  @ List.map series Abl.all
+  @ [
+      table "ablation-objmsg"
+        "Ablation A5: per-strategy costs for one Python object"
+        Abl.print_objmsg_costs;
+      table "ablation-threads" "Ablation A6: multithreaded senders"
+        Abl.print_threading;
+      table "ablation-device" "Ablation A7: device-resident halo exchange"
+        Abl.print_device;
+      table "ablation-profile"
+        "Ablation A8: per-method time attribution on NAS_MG_x"
+        Abl.print_profile_shares;
+    ]
 
 (* --- cost-model flags --- *)
 
@@ -96,15 +143,9 @@ let faults_term =
 let list_cmd =
   let run () =
     print_endline "figures / tables:";
-    print_endline "  table1";
-    List.iter (fun (k, title, _, _) -> Printf.printf "  %-18s %s\n" k title)
-      all_series_figures;
-    print_endline "  fig10";
-    print_endline "  fig10-extras";
-    print_endline "  ablation-objmsg";
-    print_endline "  ablation-threads";
-    print_endline "  ablation-device";
-    print_endline "  ablation-profile";
+    List.iter
+      (fun (k, title, _) -> Printf.printf "  %-18s %s\n" k title)
+      artifacts;
     print_endline "";
     print_endline "kernels (for `mpicd_bench kernel`):";
     List.iter
@@ -118,11 +159,12 @@ let list_cmd =
     Term.(const run $ const ())
 
 let figure_cmd =
-  let key =
+  let keys =
     Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"FIGURE" ~doc:"Figure key (see `mpicd_bench list`).")
+      value
+      & pos_all string []
+      & info [] ~docv:"FIGURE"
+          ~doc:"Figure keys (see `mpicd_bench list`); none means all of them.")
   in
   let csv =
     Arg.(
@@ -130,43 +172,35 @@ let figure_cmd =
       & opt (some string) None
       & info [ "csv" ] ~docv:"DIR" ~doc:"Also write CSV output into $(docv).")
   in
-  let run key csv_dir =
-    (match csv_dir with
-    | Some dir -> (try Sys.mkdir dir 0o755 with Sys_error _ -> ())
-    | None -> ());
-    match key with
-    | "table1" -> Figures.Fig_ddtbench.print_table1 ()
-    | "fig10" ->
-        Figures.Fig_ddtbench.print_fig10 ();
-        Option.iter
-          (fun dir ->
-            Figures.Fig_ddtbench.fig10_csv
-              ~path:(Filename.concat dir "fig10.csv") ())
-          csv_dir
-    | "fig10-extras" ->
-        Figures.Fig_ddtbench.print_fig10 ~kernels:Registry.extra_kernels ()
-    | "ablation-objmsg" -> Figures.Ablations.print_objmsg_costs ()
-    | "ablation-threads" -> Figures.Ablations.print_threading ()
-    | "ablation-device" -> Figures.Ablations.print_device ()
-    | "ablation-profile" -> Figures.Ablations.print_profile_shares ()
-    | key -> (
-        match List.find_opt (fun (k, _, _, _) -> k = key) all_series_figures with
-        | Some (key, title, ylabel, f) ->
-            let series = f () in
-            Report.print ~ylabel ~title ~xlabel:"size" series;
-            Option.iter
-              (fun dir ->
-                Report.to_csv
-                  ~path:(Filename.concat dir (key ^ ".csv"))
-                  ~xlabel:"size" series)
-              csv_dir
-        | None ->
-            Printf.eprintf "unknown figure %S (try `mpicd_bench list`)\n" key;
-            exit 2)
+  (* Every key and the CSV directory are checked before any artifact
+     runs, so a bad invocation exits 2 having written nothing. *)
+  let run keys csv_dir =
+    let fail fmt = Printf.ksprintf (fun msg -> prerr_endline msg; exit 2) fmt in
+    let selected =
+      if keys = [] then artifacts
+      else
+        List.map
+          (fun key ->
+            match List.find_opt (fun (k, _, _) -> k = key) artifacts with
+            | Some a -> a
+            | None -> fail "unknown figure %S (try `mpicd_bench list`)" key)
+          keys
+    in
+    Option.iter
+      (fun dir ->
+        if not (Sys.file_exists dir && Sys.is_directory dir) then
+          try Sys.mkdir dir 0o755
+          with Sys_error msg -> fail "mpicd_bench figure: --csv: %s" msg)
+      csv_dir;
+    if keys = [] then begin
+      print_endline "mpicd benchmark suite — regenerating all paper artifacts";
+      Format.printf "(cost model: %a)@.@." Config.pp Config.default
+    end;
+    List.iter (fun (_, _, regenerate) -> regenerate csv_dir) selected
   in
   Cmd.v
-    (Cmd.info "figure" ~doc:"Regenerate one figure/table of the paper.")
-    Term.(const run $ key $ csv)
+    (Cmd.info "figure" ~doc:"Regenerate figures/tables of the paper.")
+    Term.(const run $ keys $ csv)
 
 let kernel_cmd =
   let kernel_arg =

@@ -77,6 +77,7 @@ type 'a t = {
   mutable pushes : int;
   mutable reuses : int;
   mutable max_live : int;
+  mutable scans : int;
 }
 
 let initial_capacity = 256
@@ -113,6 +114,7 @@ let create () =
     pushes = 0;
     reuses = 0;
     max_live = 0;
+    scans = 0;
   }
 
 let is_empty t = t.len = 0
@@ -120,6 +122,7 @@ let size t = t.len
 let pushes t = t.pushes
 let reuses t = t.reuses
 let max_live t = t.max_live
+let scans t = t.scans
 
 let grow_entries t =
   let cap = Array.length t.times in
@@ -324,6 +327,7 @@ let scan t =
       end
     end
   done;
+  t.scans <- t.scans + !scanned;
   t.peeked <- !found;
   t.peeked_b <- !fb
 

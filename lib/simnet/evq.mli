@@ -39,8 +39,9 @@
     — and the 4-ary heap plateaued at ~3x, stuck on data-dependent
     branch mispredicts in the child scan.  The calendar queue's
     branches are predictable, which is where the rest of the speedup
-    comes from; [bench/bench_sim.ml] guards the resulting
-    throughput.) *)
+    comes from.  Its cost follows the buckets a pop scans, which
+    [test_simnet.ml] pins per pop on the 1k/4k hold pattern through
+    {!scans}.) *)
 
 type 'a t
 
@@ -79,8 +80,8 @@ val peek_time : 'a t -> float option
 
 (** {1 Engine-overhead accounting}
 
-    Monotone counters over the queue's lifetime, feeding the
-    [events_scheduled_total] / [events_pooled_reuses] /
+    Monotone counters over the queue's lifetime.  The first three feed
+    the [events_scheduled_total] / [events_pooled_reuses] /
     [max_live_events] Stats counters and Obs metrics. *)
 
 val pushes : 'a t -> int
@@ -93,3 +94,8 @@ val reuses : 'a t -> int
 
 val max_live : 'a t -> int
 (** High-water mark of simultaneously queued events. *)
+
+val scans : 'a t -> int
+(** Total number of empty or out-of-window buckets the minimum search
+    stepped past; a pop that finds its entry in the cursor's bucket
+    adds nothing. *)

@@ -345,6 +345,31 @@ let test_resilient_allreduce_shrink () =
   check_int "one shrink" 1 s.Stats.comm_shrinks;
   check_bool "failure detected" true (s.Stats.failures_detected >= 1)
 
+(* --- the communicator-id space: 64 ids per world, never reclaimed ---
+
+   The world communicator holds id 0 and every shrink takes the next
+   one, so a shrink loop fails on its 64th shrink even when nothing
+   ever fails (docs/RESILIENCE.md, "Communicator ids"). *)
+
+let test_cid_space_exhausts () =
+  let w = Mpi.create_world ~size:2 () in
+  let shrinks = Array.make 2 0 in
+  match
+    Mpi.run w (fun comm ->
+        let me = Mpi.rank comm in
+        let c = ref comm in
+        while true do
+          c := Mpi.comm_shrink !c;
+          shrinks.(me) <- shrinks.(me) + 1
+        done)
+  with
+  | () -> Alcotest.fail "an endless shrink loop returned"
+  | exception Failure msg ->
+      Alcotest.(check string)
+        "failure" "Mpi: communicator id space exhausted" msg;
+      check_int "rank 0 shrinks before the ids run out" 63 shrinks.(0);
+      check_int "rank 1 shrinks before the ids run out" 63 shrinks.(1)
+
 (* --- custom-datatype state is released exactly once on abort --- *)
 
 let counting_dt created freed : Buf.t Custom.t =
@@ -430,6 +455,8 @@ let suite =
         test_revoke_after_many_completed;
       tc "agree survives mid-agreement failure" `Quick test_agree_with_failure;
       tc "shrink + resilient allreduce" `Quick test_resilient_allreduce_shrink;
+      tc "communicator ids run out after 63 shrinks" `Quick
+        test_cid_space_exhausts;
       tc "rndv abort frees custom state once" `Quick
         test_rndv_abort_frees_state_once;
       tc "failed wait replays, cleanup runs once" `Quick

@@ -102,6 +102,19 @@ let prop_snapshot_roundtrip =
       let img =
         Snapshot.encode ~epoch:3 ~rank:1 ~cid:7 ~dt ~count ~src ()
       in
+      (* the image is the header plus the packed stream, nothing more *)
+      if Buf.length img <> Snapshot.header_size + Dt.packed_size dt ~count
+      then QCheck.Test.fail_report "image is not header + packed size";
+      (* so a strided layout's gaps are elided: the image is smaller
+         than the extent footprint a layout-blind checkpoint persists *)
+      let strided = Dt.vector ~count:256 ~blocklength:4 ~stride:8 Dt.float64 in
+      let footprint = src_len strided ~count in
+      let strided_img =
+        Snapshot.encode ~epoch:3 ~rank:1 ~cid:7 ~dt:strided ~count
+          ~src:(Buf.create footprint) ()
+      in
+      if Buf.length strided_img >= footprint then
+        QCheck.Test.fail_report "strided image not below its footprint";
       (* payload = wire pack bytes *)
       let wire = Buf.create (Dt.packed_size dt ~count) in
       ignore (Dt.pack dt ~count ~src ~dst:wire : int);
