@@ -687,26 +687,30 @@ let () =
   | argv when List.mem "--replay" argv ->
       replay_die "--replay needs a repro.json path"
   | _ -> ());
-  (* --ranks / --topology parameterize the scale sweep *)
+  (* --ranks / --topology parameterize the scale sweep.  Anything
+     unrecognised, or a flag without its value, exits 2 before any
+     scenario runs. *)
+  let die msg =
+    Printf.eprintf "mpicd_chaos: %s\n" msg;
+    exit 2
+  in
   let rec scan = function
     | "--ranks" :: v :: rest ->
         (match int_of_string_opt v with
         | Some r when r >= 2 -> scale_ranks := r
-        | _ ->
-            Printf.eprintf "mpicd_chaos: --ranks needs an integer >= 2\n";
-            exit 2);
+        | _ -> die "--ranks needs an integer >= 2");
         scan rest
     | "--topology" :: v :: rest ->
         (try ignore (Topology.of_string v ~nranks:2)
-         with Invalid_argument msg ->
-           Printf.eprintf "mpicd_chaos: %s\n" msg;
-           exit 2);
+         with Invalid_argument msg -> die msg);
         scale_topology := v;
         scan rest
-    | _ :: rest -> scan rest
+    | [ ("--ranks" | "--topology") as flag ] -> die (flag ^ " needs a value")
+    | ("--crashes" | "--ckpt" | "--scale") :: rest -> scan rest
+    | arg :: _ -> die (Printf.sprintf "unknown argument %S" arg)
     | [] -> ()
   in
-  scan (Array.to_list Sys.argv);
+  scan (List.tl (Array.to_list Sys.argv));
   let only_crashes = Array.mem "--crashes" Sys.argv in
   let only_ckpt = Array.mem "--ckpt" Sys.argv in
   let only_scale = Array.mem "--scale" Sys.argv in

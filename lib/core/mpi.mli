@@ -365,12 +365,12 @@ val barrier : comm -> unit
 
     A miniature of the MPI User-Level Failure Mitigation proposal; see
     docs/RESILIENCE.md.  Failures are declared by the transport's
-    heartbeat detector (or piggybacked on traffic; see
-    {!Mpicd_ucx.Ucx.notify_failure}); a declared failure cancels every
-    pending operation it makes undeliverable, so within a bounded
-    amount of virtual time all victims observe [Peer_failed] rather
-    than blocking forever.  Any-source receives with no failed explicit
-    peer are left pending, as in ULFM. *)
+    heartbeat detector, or piggybacked on traffic when the reliable
+    protocol exhausts its retries against a crashed peer; a declared
+    failure cancels every pending operation it makes undeliverable,
+    so within a bounded amount of virtual time all victims observe
+    [Peer_failed] rather than blocking forever.  Any-source receives
+    with no failed explicit peer are left pending, as in ULFM. *)
 
 val failed_ranks : comm -> int list
 (** Members of this communicator declared failed so far, as comm ranks,

@@ -175,13 +175,9 @@ let create_context ~engine ~config ~stats =
     topology = None;
   }
 
-let engine c = c.engine
-let config c = c.config
-let stats c = c.stats
 let pool c = c.pool
 let set_channel_jitter c j = c.jitter <- j
 let set_topology c topo = c.topology <- topo
-let topology c = c.topology
 let set_trace c t = c.trace <- t
 let set_obs c o = c.obs <- o
 let faults c = Option.map Fault.plan c.faults
@@ -246,9 +242,6 @@ let create_worker ctx =
   ctx.workers_list <- w :: ctx.workers_list;
   w
 
-let worker_id w = w.id
-let worker_context w = w.ctx
-
 let connect src dst = { ep_src = src; ep_dst = dst }
 
 let send_dt_size = function
@@ -266,11 +259,31 @@ let recv_dt_capacity = function
 let link c = c.config.link
 let cpu c = c.config.cpu
 
-let iov_cost c entries =
-  let l = link c in
-  let chunks = (entries + l.iov_max_entries - 1) / l.iov_max_entries in
-  (float_of_int entries *. l.iov_entry_ns)
-  +. (float_of_int (max 0 (chunks - 1)) *. l.per_msg_overhead_ns)
+(* Per-entry scatter/gather setup of an iov descriptor; nothing for
+   the others. *)
+let iov_cost c (dt : send_dt) =
+  match dt with
+  | Sd_iov bufs ->
+      let l = link c in
+      let entries = List.length bufs in
+      let chunks = (entries + l.iov_max_entries - 1) / l.iov_max_entries in
+      (float_of_int entries *. l.iov_entry_ns)
+      +. (float_of_int (max 0 (chunks - 1)) *. l.per_msg_overhead_ns)
+  | Sd_contig _ | Sd_generic _ -> 0.
+
+(* Sender CPU to stage a descriptor.  A generic pack stages through
+   [alloc] bytes of bounce buffer: the whole message for eager, one
+   reused [frag_size] fragment for a pipelined rendezvous.  The NIC
+   reads contig and iov descriptors in place. *)
+let[@inline] staging_cpu ctx (dt : send_dt) ~alloc ~ncb =
+  match dt with
+  | Sd_generic g ->
+      let c = cpu ctx in
+      Config.alloc_time c alloc
+      +. Config.memcpy_time c g.sg_packed_size
+      +. (float_of_int ncb *. c.pack_cb_overhead_ns)
+      +. g.sg_overhead_ns
+  | Sd_contig _ | Sd_iov _ -> 0.
 
 (* Topology-aware path costs.  Every timing site that moves message
    payload (or a control message standing in for one) between two
@@ -296,37 +309,49 @@ let path_serialize c ~src ~dst bytes =
 
 (* Pack the whole stream into bounce fragments of [frag_size] from the
    context's pool; each dies as soon as [deposit] consumes it, which
-   gives it back.  Returns the fragments and the number of callback
-   invocations. *)
+   gives it back.  The one place pack callbacks run: the stream counts
+   as one copy, and [sg_finish] runs exactly once whether it completes
+   or a callback fails partway through.  Returns the fragments and the
+   number of callback invocations. *)
 let pack_fragments ctx (g : send_generic) =
   let frag_size = (link ctx).frag_size in
   let total = g.sg_packed_size in
   let frags = ref [] in
   let ncb = ref 0 in
   let off = ref 0 in
-  while !off < total do
-    let want = min frag_size (total - !off) in
-    let hits = Buf.Pool.hits ctx.pool in
-    let dst = Buf.Pool.take ctx.pool want in
-    if want = frag_size && Buf.Pool.hits ctx.pool > hits then
-      Stats.record_bounce_reuse ctx.stats;
-    let used = g.sg_pack ~offset:!off ~dst in
-    incr ncb;
-    Stats.record_pack_cb ctx.stats;
-    (* Contract (paper Listing 4): while the stream is not exhausted a
-       pack callback must produce 0 < n <= length dst.  A zero/negative
-       return would loop forever; a long return would claim bytes that
-       were never written and silently corrupt the packed stream. *)
-    if used <= 0 || used > want then
-      raise (Callback_error (-1))
-    else begin
-      frags := (if used = want then dst else Buf.sub dst ~pos:0 ~len:used) :: !frags;
-      off := !off + used
-    end
-  done;
-  (List.rev !frags, !ncb)
+  match
+    while !off < total do
+      let want = min frag_size (total - !off) in
+      let hits = Buf.Pool.hits ctx.pool in
+      let dst = Buf.Pool.take ctx.pool want in
+      if want = frag_size && Buf.Pool.hits ctx.pool > hits then
+        Stats.record_bounce_reuse ctx.stats;
+      let used = g.sg_pack ~offset:!off ~dst in
+      incr ncb;
+      Stats.record_pack_cb ctx.stats;
+      (* Contract (paper Listing 4): while the stream is not exhausted a
+         pack callback must produce 0 < n <= length dst.  A zero/negative
+         return would loop forever; a long return would claim bytes that
+         were never written and silently corrupt the packed stream. *)
+      if used <= 0 || used > want then
+        raise (Callback_error (-1))
+      else begin
+        frags := (if used = want then dst else Buf.sub dst ~pos:0 ~len:used) :: !frags;
+        off := !off + used
+      end
+    done
+  with
+  | () ->
+      g.sg_finish ();
+      Stats.record_copy ctx.stats total;
+      (List.rev !frags, !ncb)
+  | exception exn ->
+      g.sg_finish ();
+      raise exn
 
-(* Unpack a list of fragments through the receive callbacks. *)
+(* Unpack a list of fragments through the receive callbacks, then
+   release the descriptor.  A failing callback leaves the release to
+   whoever catches it ([refuse_recv], [rndv_failed]). *)
 let unpack_fragments ctx (g : recv_generic) frags =
   let off = ref 0 in
   List.iter
@@ -377,16 +402,7 @@ let materialize ctx (dt : send_dt) =
   match dt with
   | Sd_contig b -> ([ b ], 0)
   | Sd_iov bs -> (bs, 0)
-  | Sd_generic g -> (
-      (* [sg_finish] runs exactly once whether the pack stream completes
-         or a callback fails partway through *)
-      match pack_fragments ctx g with
-      | frags, ncb ->
-          g.sg_finish ();
-          (frags, ncb)
-      | exception exn ->
-          g.sg_finish ();
-          raise exn)
+  | Sd_generic g -> pack_fragments ctx g
 
 (* A loop, not [List.iter] of a partial application, which would
    allocate a closure per deposit on every eager message. *)
@@ -396,12 +412,22 @@ let rec give_back pool = function
       Buf.Pool.give pool b;
       give_back pool rest
 
+(* Receiver CPU to copy [total] landed bytes into place; nothing when
+   the stream landed there zero-copy. *)
+let[@inline] copy_cpu ctx ~zcopy total =
+  if zcopy then 0.
+  else begin
+    Stats.record_copy ctx.stats total;
+    Config.memcpy_time (cpu ctx) total
+  end
+
 (* Deliver packed fragments into a receive descriptor.  Returns the
-   receiver CPU time consumed.  [owned] says the fragments are the
-   transport's own bounce buffers, which go back to the pool
-   afterwards. *)
+   receiver CPU time consumed.  [zcopy] says contiguous and iov
+   receivers take the stream in place (every rendezvous); a generic
+   receiver always copies through its unpack callbacks.  [owned] says
+   the fragments are the transport's own bounce buffers, which go back
+   to the pool afterwards. *)
 let deposit ctx (dt : recv_dt) frags ~zcopy ~owned =
-  let c = cpu ctx in
   let total = List.fold_left (fun a b -> a + Buf.length b) 0 frags in
   let cpu_time =
     match dt with
@@ -411,24 +437,15 @@ let deposit ctx (dt : recv_dt) frags ~zcopy ~owned =
             (* one fragment (every eager message): a single copy *)
             Buf.blit ~src:f ~src_pos:0 ~dst:b ~dst_pos:0 ~len:(Buf.length f)
         | _ -> scatter_fragments frags [ b ]);
-        if zcopy then 0.
-        else begin
-          Stats.record_copy ctx.stats total;
-          Config.memcpy_time c total
-        end
+        copy_cpu ctx ~zcopy total
     | Rd_iov regions ->
         scatter_fragments frags regions;
-        if zcopy then 0.
-        else begin
-          Stats.record_copy ctx.stats total;
-          Config.memcpy_time c total
-        end
+        copy_cpu ctx ~zcopy total
     | Rd_generic g ->
         let ncb = List.length frags in
         unpack_fragments ctx g frags;
-        Stats.record_copy ctx.stats total;
-        Config.memcpy_time c total
-        +. (float_of_int ncb *. c.pack_cb_overhead_ns)
+        copy_cpu ctx ~zcopy:false total
+        +. (float_of_int ncb *. (cpu ctx).pack_cb_overhead_ns)
         +. g.rg_overhead_ns
   in
   (* The fragments are fully consumed: those the pool lent go back for
@@ -509,6 +526,12 @@ let dispose_rndv (r : rndv) =
     dispose_send_dt r.r_dt
   end
 
+(* Release what a withdrawn envelope holds of its send descriptor. *)
+let dispose_payload env =
+  match env.e_payload with
+  | P_rndv r -> dispose_rndv r
+  | P_eager _ | P_nack _ -> ()
+
 let dispose_recv_dt = function
   | Rd_generic g -> g.rg_finish ()
   | Rd_contig _ | Rd_iov _ -> ()
@@ -573,12 +596,7 @@ let try_cancel ctx (req : request) ~tag error =
         in
         if gone <> [] then begin
           w.unexpected <- keep;
-          List.iter
-            (fun env ->
-              match env.e_payload with
-              | P_rndv r -> dispose_rndv r
-              | P_eager _ | P_nack _ -> ())
-            gone
+          List.iter dispose_payload gone
         end)
       ctx.workers_list;
     true
@@ -664,8 +682,10 @@ let wire_frag_sizes (l : Config.link) total =
     in
     go 0 []
 
-(* Cut a stream into fragment-sized slices (zero-copy subs), so
-   deposit-side callback counts match the fault-free protocol. *)
+(* Cut a stream into fragment-sized slices (zero-copy subs).  A generic
+   receiver unpacks one slice per callback.  The fault-free rendezvous
+   hands a contig or iov sender's stream to it whole, in one callback,
+   so the two modes' unpack callback counts differ there. *)
 let reslice (l : Config.link) stream =
   let total = Buf.length stream in
   let rec go off acc =
@@ -921,122 +941,204 @@ let reliable_transfer ctx fr ~mseq ~src_id ~dst_id ~stream ~checksum =
              "rel_xfer");
       Ok { x_lag = !last_lag; x_delivered = delivered; x_dirty = !dirty }
 
-(* Fault-mode rendezvous data movement.  Runs in its own fiber because
-   the reliable protocol sleeps; timing is phase-serial (handshake,
-   pack, wire + recovery, unpack) rather than the fault-free overlapped
-   model — reliability changes the clock by design. *)
-let process_match_faulty w (pr : request) (env : envelope) (r : rndv) fr =
+let finish_recv e req ~delay status =
+  Engine.at e ~delay (fun () -> complete_if_pending req status)
+
+(* End a matched receive that moves no data: release its descriptor
+   ([rg_finish]) and complete it with [err] after [delay]. *)
+let refuse_recv e (pr : request) ~delay ~tag err =
+  dispose_recv_dt pr.r_dt;
+  finish_recv e pr ~delay { len = 0; tag; error = Some err }
+
+(* Span arguments naming a message, built only under [obs_on].  Match
+   and queue events lead with the source, data phases with the size;
+   the trace format keeps both orders. *)
+let msg_args env =
+  [
+    ("src", Obs.Int env.e_src);
+    ("bytes", Obs.Int env.e_total);
+    ("mseq", Obs.Int env.e_seq);
+  ]
+
+let data_args env =
+  [
+    ("bytes", Obs.Int env.e_total);
+    ("src", Obs.Int env.e_src);
+    ("mseq", Obs.Int env.e_seq);
+  ]
+
+(* --- rendezvous data movement ---
+
+   A matched RTS moves its data in three steps.  Stage materializes the
+   send descriptor: the pack callbacks run and the sender's copy is
+   counted.  Wire moves the bytes.  Land deposits them into the receive
+   descriptor and yields the receiver CPU.  Stage and land are the same
+   in both modes; the fault plan picks only the wire step. *)
+
+(* Stage: from here on [materialize] owns the descriptor's disposal. *)
+let stage ctx (r : rndv) =
+  r.r_done <- true;
+  materialize ctx r.r_dt
+
+(* Land: the stream lands in receiver memory without a copy unless the
+   receiver unpacks it, and only a generic sender's bounce fragments
+   are the transport's to recycle (the pool is inert under a plan). *)
+let land_stream ctx (r : rndv) (pr : request) frags =
+  deposit ctx pr.r_dt frags ~zcopy:true
+    ~owned:(match r.r_dt with Sd_generic _ -> true | Sd_contig _ | Sd_iov _ -> false)
+
+(* A failed rendezvous poisons both sides of the transfer and releases
+   the receive descriptor.  The overlapped wire completes the receive
+   from a zero-delay event, like every receive that moves no data; the
+   reliable wire's fiber completes it at once. *)
+let rndv_failed e (pr : request) (env : envelope) (r : rndv) ~deferred err =
+  let st = { len = 0; tag = env.e_tag; error = Some err } in
+  complete_if_pending r.r_request st;
+  if deferred then refuse_recv e pr ~delay:0. ~tag:env.e_tag err
+  else begin
+    dispose_recv_dt pr.r_dt;
+    complete_if_pending pr st
+  end
+
+(* The reliable wire's transfer.  Per-fragment CRC32 protects
+   bounce-buffer streams (generic pack) and plain contiguous RDMA
+   (NIC-level ICRC).  The iov scatter/gather DMA validates only an
+   end-to-end digest after the scatter, so its corruption is detected
+   too late to nack a fragment: the transfer then falls back, exactly
+   once, to the CRC-protected packed path before surfacing an error. *)
+let reliable_wire ctx fr w (env : envelope) (dt : send_dt) stream =
+  let e = ctx.engine in
+  let c = cpu ctx in
+  let size = env.e_total in
+  let checksum =
+    match dt with Sd_iov _ -> false | Sd_contig _ | Sd_generic _ -> true
+  in
+  match
+    reliable_transfer ctx fr ~mseq:env.e_seq ~src_id:env.e_src ~dst_id:w.id
+      ~stream ~checksum
+  with
+  | (Error _ | Ok { x_dirty = false; _ }) as res -> res
+  | Ok x ->
+      Engine.sleep e x.x_lag (* the bad data had to land first *);
+      Stats.record_iov_fallback ctx.stats;
+      trace ctx "fault" "iov e2e digest mismatch %d->%d: falling back to packed path"
+        env.e_src w.id;
+      fault_instant ctx ~track:w.id ~time:(Engine.now e) "iov_fallback"
+        [ ("bytes", Obs.Int size) ];
+      (* the retry stages through a packed bounce buffer *)
+      Stats.record_copy ctx.stats size;
+      Engine.sleep e
+        ((Config.alloc_time c size +. Config.memcpy_time c size)
+        *. straggle ctx env.e_src);
+      reliable_transfer ctx fr ~mseq:env.e_seq ~src_id:env.e_src ~dst_id:w.id
+        ~stream ~checksum:true
+
+(* With no plan, the overlapped wire: the links are reserved at match
+   time, before the pack runs, and the transfer takes [handshake + max
+   (wire, cpu_send, cpu_recv)] before both sides complete.  With a
+   plan, the reliable wire runs in its own fiber because the protocol
+   sleeps, and its timing is phase-serial (handshake, stage, wire and
+   recovery, land): reliability changes the clock by design.  A failing
+   pack or unpack callback fails the transfer in either mode. *)
+let rndv_match w (pr : request) (env : envelope) (r : rndv) =
   let ctx = w.ctx in
   let e = ctx.engine in
   let l = link ctx in
-  let c = cpu ctx in
   let size = env.e_total in
-  let fail_both err =
-    complete_if_pending r.r_request { len = 0; tag = env.e_tag; error = Some err };
-    complete_if_pending pr { len = 0; tag = env.e_tag; error = Some err }
-  in
-  Engine.spawn e ~name:"rel_rndv" ~track:env.e_src (fun () ->
-      Engine.sleep e (l.rndv_handshake_ns +. l.rndv_reg_ns);
-      r.r_done <- true (* materialize owns descriptor disposal from here *);
-      match materialize ctx r.r_dt with
-      | exception Callback_error code -> fail_both (Callback_failed code)
-      | frags, send_cbs -> (
-          (* sender-side staging CPU, as in the fault-free model *)
-          let cpu_send =
-            match r.r_dt with
-            | Sd_generic g ->
-                Config.alloc_time c l.frag_size
-                +. Config.memcpy_time c size
-                +. (float_of_int send_cbs *. c.pack_cb_overhead_ns)
-                +. g.sg_overhead_ns
-            | Sd_iov bufs ->
-                (* per-entry scatter/gather setup, as in the fault-free
-                   wire-time formula *)
-                iov_cost ctx (List.length bufs)
-            | Sd_contig _ -> 0.
+  let handshake = l.rndv_handshake_ns +. l.rndv_reg_ns in
+  match ctx.faults with
+  | None -> (
+      let wire = path_serialize ctx ~src:env.e_src ~dst:w.id size +. iov_cost ctx r.r_dt in
+      try
+        let frags, send_cbs = stage ctx r in
+        let cpu_send = staging_cpu ctx r.r_dt ~alloc:l.frag_size ~ncb:send_cbs in
+        let frags =
+          match (r.r_dt, pr.r_dt) with
+          | Sd_iov _, Rd_generic _ ->
+              (* a generic receiver unpacks the gathered stream in one
+                 callback *)
+              [ Buf.concat frags ]
+          | _ -> frags
+        in
+        let cpu_recv = land_stream ctx r pr frags in
+        let duration = handshake +. Float.max wire (Float.max cpu_send cpu_recv) in
+        (* Phase spans for the rendezvous: handshake, then the wire
+           transfer overlapped with sender pack and receiver unpack —
+           the same decomposition the duration formula above models. *)
+        if obs_on ctx then begin
+          let t0 = Engine.now e in
+          let sp =
+            Obs.span_complete ctx.obs ~track:w.id ~cat:"proto" ~t0
+              ~t1:(t0 +. duration) ~args:(data_args env) "rndv"
           in
-          let cpu_send = cpu_send *. straggle ctx env.e_src in
-          (match r.r_dt with
-          | Sd_generic _ -> Stats.record_copy ctx.stats size
-          | Sd_contig _ | Sd_iov _ -> ());
-          let stream = Buf.concat frags in
-          Engine.sleep e cpu_send;
-          (* Per-fragment CRC32 protects bounce-buffer streams (generic
-             pack) and plain contiguous RDMA (NIC-level ICRC).  The iov
-             scatter/gather DMA validates only an end-to-end digest
-             after the scatter, so its corruption is detected too late
-             to nack a fragment — that is what triggers the one-shot
-             packed-path fallback below. *)
-          let checksum =
-            match r.r_dt with
-            | Sd_iov _ -> false
-            | Sd_contig _ | Sd_generic _ -> true
-          in
-          let final =
-            match
-              reliable_transfer ctx fr ~mseq:env.e_seq ~src_id:env.e_src
-                ~dst_id:w.id ~stream ~checksum
-            with
-            | Error _ as err -> err
-            | Ok x when not x.x_dirty -> Ok (x, false)
-            | Ok x -> (
-                (* End-to-end digest mismatch on the zero-copy path:
-                   fall back — exactly once — to the CRC-protected
-                   packed path before surfacing an error. *)
-                Engine.sleep e x.x_lag (* the bad data had to land first *);
-                Stats.record_iov_fallback ctx.stats;
-                trace ctx "fault"
-                  "iov e2e digest mismatch %d->%d: falling back to packed path"
-                  env.e_src w.id;
-                fault_instant ctx ~track:w.id ~time:(Engine.now e)
-                  "iov_fallback"
-                  [ ("bytes", Obs.Int size) ];
-                (* the retry stages through a packed bounce buffer *)
-                Stats.record_copy ctx.stats size;
-                Engine.sleep e
-                  ((Config.alloc_time c size +. Config.memcpy_time c size)
-                  *. straggle ctx env.e_src);
-                match
-                  reliable_transfer ctx fr ~mseq:env.e_seq ~src_id:env.e_src
-                    ~dst_id:w.id ~stream ~checksum:true
-                with
-                | Error _ as err -> err
-                | Ok x2 -> Ok (x2, true))
-          in
-          match final with
-          | Error err ->
-              trace ctx "fault" "rndv %d->%d failed" env.e_src w.id;
-              fail_both err
-          | Ok (x, fell_back) -> (
-              Engine.sleep e x.x_lag (* data lands *);
-              let zcopy =
-                if fell_back then
-                  match pr.r_dt with
-                  | Rd_generic _ -> false
-                  | Rd_contig _ | Rd_iov _ -> true
-                else
-                  match (r.r_dt, pr.r_dt) with
-                  | (Sd_contig _ | Sd_iov _), (Rd_contig _ | Rd_iov _) -> true
-                  | Sd_generic _, (Rd_contig _ | Rd_iov _) -> true
-                  | _, Rd_generic _ -> false
-              in
-              match
-                deposit ctx pr.r_dt (reslice l x.x_delivered) ~zcopy ~owned:false
-              with
-              | exception Callback_error code ->
-                  fail_both (Callback_failed code)
-              | cpu_recv ->
-                  Engine.sleep e (cpu_recv *. straggle ctx w.id);
-                  complete_if_pending pr
-                    { len = size; tag = env.e_tag; error = None };
-                  (* the sender completes when the final ack crosses back *)
-                  Engine.at e ~delay:(path_latency ctx ~src:w.id ~dst:env.e_src)
-                    (fun () ->
-                      complete_if_pending r.r_request
-                        { len = size; tag = env.e_tag; error = None }))))
-
-let finish_recv e req ~delay status =
-  Engine.at e ~delay (fun () -> complete_if_pending req status)
+          (* summed from [t0], not [t0 +. handshake]: float addition
+             does not associate, and the trace pins these stamps *)
+          let hs_end = t0 +. l.rndv_handshake_ns +. l.rndv_reg_ns in
+          ignore
+            (Obs.span_complete ctx.obs ~track:w.id ~cat:"proto" ~t0 ~t1:hs_end
+               ~parent:sp "handshake");
+          if wire > 0. then
+            ignore
+              (Obs.span_complete ctx.obs ~track:env.e_src ~cat:"proto"
+                 ~t0:hs_end ~t1:(hs_end +. wire)
+                 ~args:[ ("bytes", Obs.Int size) ]
+                 ~parent:sp "wire");
+          if cpu_send > 0. then begin
+            let sp_pack =
+              Obs.span_complete ctx.obs ~track:env.e_src ~cat:"proto" ~t0:hs_end
+                ~t1:(hs_end +. cpu_send) ~parent:sp "pack"
+            in
+            tile_callbacks ctx ~track:env.e_src ~t0:hs_end
+              ~t1:(hs_end +. cpu_send) ~n:send_cbs ~name:"pack_cb"
+              ~hist:"pack_cb_ns" ~parent:sp_pack ()
+          end;
+          if cpu_recv > 0. then begin
+            let sp_un =
+              Obs.span_complete ctx.obs ~track:w.id ~cat:"proto" ~t0:hs_end
+                ~t1:(hs_end +. cpu_recv) ~parent:sp "unpack"
+            in
+            match pr.r_dt with
+            | Rd_generic _ ->
+                tile_callbacks ctx ~track:w.id ~t0:hs_end
+                  ~t1:(hs_end +. cpu_recv) ~n:(List.length frags)
+                  ~name:"unpack_cb" ~hist:"unpack_cb_ns" ~parent:sp_un ()
+            | Rd_contig _ | Rd_iov _ -> ()
+          end;
+          observe ctx "msg_latency_ns_rndv" (t0 +. duration -. env.e_sent_at)
+        end;
+        let ok = { len = size; tag = env.e_tag; error = None } in
+        Engine.at e ~delay:duration (fun () ->
+            complete_if_pending r.r_request ok;
+            complete_if_pending pr ok)
+      with Callback_error code ->
+        rndv_failed e pr env r ~deferred:true (Callback_failed code))
+  | Some fr ->
+      Engine.spawn e ~name:"rel_rndv" ~track:env.e_src (fun () ->
+          Engine.sleep e handshake;
+          try
+            let frags, send_cbs = stage ctx r in
+            let cpu_send =
+              (staging_cpu ctx r.r_dt ~alloc:l.frag_size ~ncb:send_cbs
+              +. iov_cost ctx r.r_dt)
+              *. straggle ctx env.e_src
+            in
+            let stream = Buf.concat frags in
+            Engine.sleep e cpu_send;
+            match reliable_wire ctx fr w env r.r_dt stream with
+            | Error err ->
+                trace ctx "fault" "rndv %d->%d failed" env.e_src w.id;
+                rndv_failed e pr env r ~deferred:false err
+            | Ok x ->
+                Engine.sleep e x.x_lag (* data lands *);
+                let cpu_recv = land_stream ctx r pr (reslice l x.x_delivered) in
+                Engine.sleep e (cpu_recv *. straggle ctx w.id);
+                let ok = { len = size; tag = env.e_tag; error = None } in
+                complete_if_pending pr ok;
+                (* the sender completes when the final ack crosses back *)
+                Engine.at e ~delay:(path_latency ctx ~src:w.id ~dst:env.e_src)
+                  (fun () -> complete_if_pending r.r_request ok)
+          with Callback_error code ->
+            rndv_failed e pr env r ~deferred:false (Callback_failed code))
 
 (* Process a matched (posted, envelope) pair at the current virtual
    time.  All data movement happens here; completions are scheduled
@@ -1065,12 +1167,8 @@ let process_match w (pr : request) (env : envelope) =
         dispose_rndv r;
         complete_if_pending r.r_request
           { len = env.e_total; tag = env.e_tag; error = None });
-    finish_recv e pr ~delay:0.
-      {
-        len = 0;
-        tag = env.e_tag;
-        error = Some (Truncated { expected = env.e_total; capacity });
-      }
+    refuse_recv e pr ~delay:0. ~tag:env.e_tag
+      (Truncated { expected = env.e_total; capacity })
   end
   else
     match env.e_payload with
@@ -1078,9 +1176,8 @@ let process_match w (pr : request) (env : envelope) =
         (* Poison envelope: the sender's transfer failed after the
            receive was (or would be) matched; complete the receive with
            the sender-side error instead of leaving it pending. *)
-        finish_recv e pr ~delay:0. { len = 0; tag = env.e_tag; error = Some err }
-    | P_rndv r when Option.is_some ctx.faults ->
-        process_match_faulty w pr env r (Option.get ctx.faults)
+        refuse_recv e pr ~delay:0. ~tag:env.e_tag err
+    | P_rndv r -> rndv_match w pr env r
     | P_eager frags -> (
         (* Data already arrived in bounce buffers; receiver copies or
            unpacks it into place.  If it sat in the unexpected queue we
@@ -1103,14 +1200,7 @@ let process_match w (pr : request) (env : envelope) =
               if delay > 0. then begin
                 let sp =
                   Obs.span_complete ctx.obs ~track:w.id ~cat:"proto" ~t0
-                    ~t1:(t0 +. delay)
-                    ~args:
-                      [
-                        ("bytes", Obs.Int env.e_total);
-                        ("src", Obs.Int env.e_src);
-                        ("mseq", Obs.Int env.e_seq);
-                      ]
-                    "unpack"
+                    ~t1:(t0 +. delay) ~args:(data_args env) "unpack"
                 in
                 match pr.r_dt with
                 | Rd_generic _ ->
@@ -1124,126 +1214,15 @@ let process_match w (pr : request) (env : envelope) =
             finish_recv e pr ~delay
               { len = env.e_total; tag = env.e_tag; error = None }
         | exception Callback_error code ->
-            finish_recv e pr ~delay:alloc_delay
-              { len = 0; tag = env.e_tag; error = Some (Callback_failed code) })
-    | P_rndv r -> (
-        let l = link ctx in
-        let size = env.e_total in
-        let wire =
-          path_serialize ctx ~src:env.e_src ~dst:w.id size
-          +.
-          match r.r_dt with
-          | Sd_iov bufs -> iov_cost ctx (List.length bufs)
-          | Sd_contig _ | Sd_generic _ -> 0.
-        in
-        let fail code =
-          (* A callback failure poisons both sides of the transfer. *)
-          complete_if_pending r.r_request
-            { len = 0; tag = env.e_tag; error = Some (Callback_failed code) };
-          finish_recv e pr ~delay:0.
-            { len = 0; tag = env.e_tag; error = Some (Callback_failed code) }
-        in
-        r.r_done <- true (* materialize owns descriptor disposal from here *);
-        match materialize ctx r.r_dt with
-        | exception Callback_error code -> fail code
-        | frags, send_cbs -> (
-            let frags, owned =
-              match (r.r_dt, pr.r_dt) with
-              | Sd_generic _, _ -> (frags, true)
-              | Sd_iov _, Rd_generic _ ->
-                  (* a generic receiver unpacks the gathered stream in
-                     one callback *)
-                  ([ Buf.concat frags ], true)
-              | (Sd_contig _ | Sd_iov _), _ -> (frags, false)
-            in
-            let cpu_send =
-              match r.r_dt with
-              | Sd_generic g ->
-                  (* pipelined pack: one bounce fragment is reused *)
-                  Config.alloc_time (cpu ctx) l.frag_size
-                  +. Config.memcpy_time (cpu ctx) size
-                  +. (float_of_int send_cbs *. (cpu ctx).pack_cb_overhead_ns)
-                  +. g.sg_overhead_ns
-              | Sd_contig _ | Sd_iov _ -> 0.
-            in
-            (match r.r_dt with
-            | Sd_generic _ -> Stats.record_copy ctx.stats size
-            | Sd_contig _ | Sd_iov _ -> ());
-            let zcopy =
-              match (r.r_dt, pr.r_dt) with
-              | (Sd_contig _ | Sd_iov _), (Rd_contig _ | Rd_iov _) -> true
-              | Sd_generic _, (Rd_contig _ | Rd_iov _) ->
-                  (* packed stream lands directly in receiver memory *)
-                  true
-              | _, Rd_generic _ -> false
-            in
-            match deposit ctx pr.r_dt frags ~zcopy ~owned with
-            | cpu_recv ->
-                let duration =
-                  l.rndv_handshake_ns +. l.rndv_reg_ns
-                  +. Float.max wire (Float.max cpu_send cpu_recv)
-                in
-                (* Phase spans for the rendezvous: handshake, then the
-                   wire transfer overlapped with sender pack and
-                   receiver unpack — the same decomposition the
-                   duration formula above models. *)
-                if obs_on ctx then begin
-                  let t0 = Engine.now e in
-                  let sp =
-                    Obs.span_complete ctx.obs ~track:w.id ~cat:"proto" ~t0
-                      ~t1:(t0 +. duration)
-                      ~args:
-                        [
-                          ("bytes", Obs.Int size);
-                          ("src", Obs.Int env.e_src);
-                          ("mseq", Obs.Int env.e_seq);
-                        ]
-                      "rndv"
-                  in
-                  let hs_end = t0 +. l.rndv_handshake_ns +. l.rndv_reg_ns in
-                  ignore
-                    (Obs.span_complete ctx.obs ~track:w.id ~cat:"proto" ~t0
-                       ~t1:hs_end ~parent:sp "handshake");
-                  if wire > 0. then
-                    ignore
-                      (Obs.span_complete ctx.obs ~track:env.e_src ~cat:"proto"
-                         ~t0:hs_end ~t1:(hs_end +. wire)
-                         ~args:[ ("bytes", Obs.Int size) ]
-                         ~parent:sp "wire");
-                  if cpu_send > 0. then begin
-                    let sp_pack =
-                      Obs.span_complete ctx.obs ~track:env.e_src ~cat:"proto"
-                        ~t0:hs_end ~t1:(hs_end +. cpu_send) ~parent:sp "pack"
-                    in
-                    tile_callbacks ctx ~track:env.e_src ~t0:hs_end
-                      ~t1:(hs_end +. cpu_send) ~n:send_cbs ~name:"pack_cb"
-                      ~hist:"pack_cb_ns" ~parent:sp_pack ()
-                  end;
-                  if cpu_recv > 0. then begin
-                    let sp_un =
-                      Obs.span_complete ctx.obs ~track:w.id ~cat:"proto"
-                        ~t0:hs_end ~t1:(hs_end +. cpu_recv) ~parent:sp "unpack"
-                    in
-                    match pr.r_dt with
-                    | Rd_generic _ ->
-                        tile_callbacks ctx ~track:w.id ~t0:hs_end
-                          ~t1:(hs_end +. cpu_recv) ~n:(List.length frags)
-                          ~name:"unpack_cb" ~hist:"unpack_cb_ns" ~parent:sp_un
-                          ()
-                    | Rd_contig _ | Rd_iov _ -> ()
-                  end;
-                  observe ctx "msg_latency_ns_rndv"
-                    (t0 +. duration -. env.e_sent_at)
-                end;
-                Engine.at e ~delay:duration (fun () ->
-                    complete_if_pending r.r_request
-                      { len = size; tag = env.e_tag; error = None };
-                    complete_if_pending pr
-                      { len = size; tag = env.e_tag; error = None })
-            | exception Callback_error code -> fail code))
+            refuse_recv e pr ~delay:alloc_delay ~tag:env.e_tag (Callback_failed code))
 
-(* Try to match a new envelope against posted receives / probe waiters;
-   otherwise queue it as unexpected. *)
+(* The "match" instant: every joined message gets one, whether a
+   posted receive or the unexpected queue supplied its partner. *)
+let match_instant w env =
+  if obs_on w.ctx then
+    Obs.instant w.ctx.obs ~time:(Engine.now w.ctx.engine) ~track:w.id
+      ~cat:"proto" ~args:(msg_args env) "match"
+
 (* Unlink and return the oldest posted receive matching [env].  The
    head usually matches, and taking it allocates nothing. *)
 let rec take_posted w env acc = function
@@ -1255,6 +1234,25 @@ let rec take_posted w env acc = function
       end
       else take_posted w env (pr :: acc) rest
 
+(* Unlink and return the oldest unexpected envelope matching [tag]
+   under [mask]. *)
+let take_unexpected w ~tag ~mask =
+  let rec find acc = function
+    | [] -> None
+    | env :: rest ->
+        if tag_matches ~tag ~mask env.e_tag then begin
+          w.unexpected <- List.rev_append acc rest;
+          Some env
+        end
+        else find (env :: acc) rest
+  in
+  find [] w.unexpected
+
+let probe_info env =
+  { p_tag = env.e_tag; p_len = env.e_total; p_src_worker = env.e_src }
+
+(* Match a new envelope against posted receives / probe waiters;
+   otherwise queue it as unexpected. *)
 let deliver w env =
   if tracing w.ctx then
     trace w.ctx "arrive" "worker %d <- src %d tag=%Lx %dB" w.id env.e_src
@@ -1264,16 +1262,7 @@ let deliver w env =
       if tracing w.ctx then
         trace w.ctx "match" "worker %d matched posted recv tag=%Lx" w.id
           env.e_tag;
-      if obs_on w.ctx then
-        Obs.instant w.ctx.obs ~time:(Engine.now w.ctx.engine) ~track:w.id
-          ~cat:"proto"
-          ~args:
-            [
-              ("src", Obs.Int env.e_src);
-              ("bytes", Obs.Int env.e_total);
-              ("mseq", Obs.Int env.e_seq);
-            ]
-          "match";
+      match_instant w env;
       process_match w pr env
   | exception Not_found ->
       if tracing w.ctx then
@@ -1290,21 +1279,13 @@ let deliver w env =
       if obs_on w.ctx then begin
         let mx = Obs.metrics w.ctx.obs in
         Obs.instant w.ctx.obs ~time:env.e_queued_at ~track:w.id ~cat:"proto"
-          ~args:
-            [
-              ("src", Obs.Int env.e_src);
-              ("bytes", Obs.Int env.e_total);
-              ("mseq", Obs.Int env.e_seq);
-            ]
-          "unexpected";
+          ~args:(msg_args env) "unexpected";
         Metrics.inc (Metrics.counter mx "unexpected_total");
         Metrics.set
           (Metrics.gauge mx (Printf.sprintf "unexpected_depth.w%d" w.id))
           (float_of_int (List.length w.unexpected))
       end;
-      let info =
-        { p_tag = env.e_tag; p_len = env.e_total; p_src_worker = env.e_src }
-      in
+      let info = probe_info env in
       (* Wake blocking probes (peek: envelope stays queued). *)
       let wake, keep =
         List.partition
@@ -1420,9 +1401,7 @@ let ship_rts_reliable src dst fr (env : envelope) (req : request) =
                      and release the send-descriptor state it carried *)
                   dst.unexpected <-
                     List.filter (fun x -> x != env) dst.unexpected;
-                  (match env.e_payload with
-                  | P_rndv r -> dispose_rndv r
-                  | P_eager _ | P_nack _ -> ());
+                  dispose_payload env;
                   complete req
                     {
                       len = 0;
@@ -1432,9 +1411,7 @@ let ship_rts_reliable src dst fr (env : envelope) (req : request) =
                 end)
       | Error err ->
           (* the RTS never arrived: the data never moves either *)
-          (match env.e_payload with
-          | P_rndv r -> dispose_rndv r
-          | P_eager _ | P_nack _ -> ());
+          dispose_payload env;
           complete_if_pending req { len = 0; tag = env.e_tag; error = Some err };
           (* poison the receiver so a posted receive completes too *)
           ship_nack src dst ~tag:env.e_tag ~seq:env.e_seq err)
@@ -1455,7 +1432,6 @@ let tag_send_from src ~dst ~tag dt =
   let ctx = src.ctx in
   let e = ctx.engine in
   let l = link ctx in
-  let c = cpu ctx in
   let req = make_request e in
   (* Allocate the message sequence number unconditionally (not only when
      a sink is attached) so attaching observability never changes any
@@ -1488,27 +1464,14 @@ let tag_send_from src ~dst ~tag dt =
                  simulated sender may reuse its buffer immediately.  An
                  empty buffer has no bytes to reuse, so it travels
                  as is. *)
-              (([ (if Buf.length b = 0 then b else Buf.copy b) ], 0), 0.)
-          | Sd_generic g ->
-              let frags, ncb =
-                match pack_fragments ctx g with
-                | r ->
-                    g.sg_finish ();
-                    r
-                | exception exn ->
-                    g.sg_finish ();
-                    raise exn
-              in
-              Stats.record_copy ctx.stats total;
-              ( (frags, ncb),
-                Config.alloc_time c total
-                +. Config.memcpy_time c total
-                +. (float_of_int ncb *. c.pack_cb_overhead_ns)
-                +. g.sg_overhead_ns )
+              ([ (if Buf.length b = 0 then b else Buf.copy b) ], 0)
+          | Sd_generic g -> pack_fragments ctx g
           | Sd_iov _ -> assert false
         with
-        | (frags, ncb), cpu_time ->
-            let cpu_time = cpu_time *. straggle ctx src.id in
+        | frags, ncb ->
+            let cpu_time =
+              staging_cpu ctx dt ~alloc:total ~ncb *. straggle ctx src.id
+            in
             Engine.sleep e cpu_time;
             if tracing ctx then
               trace ctx "send" "worker %d eager tag=%Lx %dB" src.id tag
@@ -1589,29 +1552,9 @@ let tag_send ep ~tag dt = tag_send_from ep.ep_src ~dst:ep.ep_dst ~tag dt
 let tag_recv w ~tag ~mask dt =
   let req = make_recv_request w.ctx.engine ~tag ~mask dt in
   (* Match against the unexpected queue in arrival order. *)
-  let rec find acc = function
-    | [] -> None
-    | env :: rest ->
-        if tag_matches ~tag ~mask env.e_tag then begin
-          w.unexpected <- List.rev_append acc rest;
-          Some env
-        end
-        else find (env :: acc) rest
-  in
-  (match find [] w.unexpected with
+  (match take_unexpected w ~tag ~mask with
   | Some env ->
-      (* An unexpected-queue hit is still a match event; record it so
-         trace analysis sees a match instant for every joined message. *)
-      if obs_on w.ctx then
-        Obs.instant w.ctx.obs ~time:(Engine.now w.ctx.engine) ~track:w.id
-          ~cat:"proto"
-          ~args:
-            [
-              ("src", Obs.Int env.e_src);
-              ("bytes", Obs.Int env.e_total);
-              ("mseq", Obs.Int env.e_seq);
-            ]
-          "match";
+      match_instant w env;
       process_match w req env
   | None ->
       w.posted <- w.posted @ [ req ];
@@ -1627,8 +1570,7 @@ let wait (req : request) = Engine.Ivar.read req.r_engine req.ivar
 let tag_probe w ~tag ~mask =
   Stats.record_probe w.ctx.stats;
   List.find_opt (fun env -> tag_matches ~tag ~mask env.e_tag) w.unexpected
-  |> Option.map (fun env ->
-         { p_tag = env.e_tag; p_len = env.e_total; p_src_worker = env.e_src })
+  |> Option.map probe_info
 
 let tag_probe_wait w ~tag ~mask =
   match tag_probe w ~tag ~mask with
@@ -1639,22 +1581,7 @@ let tag_probe_wait w ~tag ~mask =
 
 let tag_mprobe w ~tag ~mask =
   Stats.record_probe w.ctx.stats;
-  let rec find acc = function
-    | [] -> None
-    | env :: rest ->
-        if tag_matches ~tag ~mask env.e_tag then begin
-          w.unexpected <- List.rev_append acc rest;
-          Some
-            ( {
-                p_tag = env.e_tag;
-                p_len = env.e_total;
-                p_src_worker = env.e_src;
-              },
-              env )
-        end
-        else find (env :: acc) rest
-  in
-  find [] w.unexpected
+  Option.map (fun env -> (probe_info env, env)) (take_unexpected w ~tag ~mask)
 
 let tag_mprobe_wait w ~tag ~mask =
   match tag_mprobe w ~tag ~mask with

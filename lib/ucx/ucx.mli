@@ -42,10 +42,6 @@ type context
 val create_context :
   engine:Engine.t -> config:Config.t -> stats:Stats.t -> context
 
-val engine : context -> Engine.t
-val config : context -> Config.t
-val stats : context -> Stats.t
-
 val pool : context -> Buf.Pool.t
 (** The context's buffer recycler ({!Buf.Pool}).  Generic sends pack
     into bounce fragments taken from it, and a fault-free deposit gives
@@ -56,8 +52,6 @@ val pool : context -> Buf.Pool.t
 type worker
 
 val create_worker : context -> worker
-val worker_id : worker -> int
-val worker_context : worker -> context
 
 type endpoint
 
@@ -87,6 +81,10 @@ type recv_generic = {
           stream, so the transport raises {!Callback_error} if the
           return differs from [length src]. *)
   rg_finish : unit -> unit;
+      (** called exactly once per matched receive, whatever its outcome:
+          after the last fragment is unpacked, or when the receive ends
+          without data (truncation, a failed callback or transfer, a
+          poison nack, cancellation) *)
   rg_overhead_ns : float;  (** extra receiver CPU time (cf. [sg_overhead_ns]) *)
 }
 
@@ -99,9 +97,6 @@ type recv_dt =
   | Rd_contig of Buf.t
   | Rd_iov of Buf.t list
   | Rd_generic of recv_generic
-
-val send_dt_size : send_dt -> int
-val recv_dt_capacity : recv_dt -> int
 
 (** {1 Requests} *)
 
@@ -259,10 +254,6 @@ val retx_backoff_ns :
     the ["failure_detect_latency_ns"] histogram.  See
     docs/RESILIENCE.md. *)
 
-val notify_failure : context -> rank:int -> unit
-(** Declare a worker failed (idempotent).  Runs the registered failure
-    listeners on first declaration. *)
-
 val is_failed : context -> rank:int -> bool
 val any_failures : context -> bool
 val failed_ranks : context -> int list
@@ -301,8 +292,6 @@ val set_topology : context -> Mpicd_simnet.Topology.t option -> unit
     runs bit-identically.  Heartbeat probing and failure-detection
     timing stay on the flat model (control plane).  Worker ids must lie
     inside the topology's rank set. *)
-
-val topology : context -> Mpicd_simnet.Topology.t option
 
 (** {1 Test-only knobs} *)
 

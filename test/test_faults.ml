@@ -649,6 +649,52 @@ let test_rndv_handshake_timeout () =
   | _ -> Alcotest.fail "expected a handshake Timeout with retries = 0");
   check_int "timeout recorded" 1 (Mpi.world_stats w).Stats.delivery_timeouts
 
+(* A reliable rendezvous whose RTS never arrives still releases each
+   datatype descriptor exactly once: the sender's when it gives up, the
+   receiver's when the poison nack ends its receive. *)
+let test_rndv_drop_finishes_once () =
+  let engine = Engine.create () in
+  let stats = Stats.create () in
+  let ctx = Ucx.create_context ~engine ~config:Config.default ~stats in
+  Ucx.set_faults ctx
+    (Some
+       (Fault.make
+          ~link:{ Fault.clean_link with drop_p = 1.0 }
+          ~max_retries:1 ~rto_ns:1000. ()));
+  let w0 = Ucx.create_worker ctx in
+  let w1 = Ucx.create_worker ctx in
+  let n = 64 * 1024 in
+  let sg_finishes = ref 0 and rg_finishes = ref 0 in
+  let send =
+    Ucx.Sd_generic
+      {
+        sg_packed_size = n;
+        sg_pack = (fun ~offset ~dst -> min (Buf.length dst) (n - offset));
+        sg_finish = (fun () -> incr sg_finishes);
+        sg_overhead_ns = 0.;
+      }
+  in
+  let recv =
+    Ucx.Rd_generic
+      {
+        rg_capacity = n;
+        rg_unpack = (fun ~offset:_ ~src -> Buf.length src);
+        rg_finish = (fun () -> incr rg_finishes);
+        rg_overhead_ns = 0.;
+      }
+  in
+  Engine.spawn engine (fun () ->
+      match (Ucx.wait (Ucx.tag_send (Ucx.connect w0 w1) ~tag:4L send)).Ucx.error with
+      | Some (Ucx.Timeout _) -> ()
+      | _ -> Alcotest.fail "sender: expected Timeout");
+  Engine.spawn engine (fun () ->
+      match (Ucx.wait (Ucx.tag_recv w1 ~tag:4L ~mask:(-1L) recv)).Ucx.error with
+      | Some (Ucx.Timeout _) -> ()
+      | _ -> Alcotest.fail "receiver: expected the poison nack's Timeout");
+  Engine.run engine;
+  check_int "sg_finish once" 1 !sg_finishes;
+  check_int "rg_finish once" 1 !rg_finishes
+
 (* --- per-communicator error handlers --- *)
 
 let lossy_plan () =
@@ -872,6 +918,8 @@ let suite =
       tc "retry exhaustion -> Timeout" `Quick test_retry_exhaustion;
       tc "peer crash -> Peer_failed" `Quick test_peer_crash;
       tc "rendezvous handshake timeout" `Quick test_rndv_handshake_timeout;
+      tc "dropped rendezvous finishes each descriptor once" `Quick
+        test_rndv_drop_finishes_once;
       tc "Errors_return stashes the error" `Quick test_errors_return;
       tc "Errors_abort raises Aborted" `Quick test_errors_abort;
       tc "errhandler inherited by comm_split" `Quick test_errhandler_inherited_by_split;

@@ -275,34 +275,54 @@ let test_rndv_user_buffers_stay_out_of_bounce_pool () =
             (Buf.equal (Buf.concat iov_generic) d_iov_generic);
           Alcotest.(check bool) "generic payload" true (Buf.equal generic d_generic)))
 
+(* A generic receiver that counts its [rg_finish] calls; the transport
+   must make exactly one per matched receive, whatever the outcome. *)
+let counting_recv ?(unpack = fun ~offset:_ ~src -> Buf.length src) capacity
+    finishes =
+  Ucx.Rd_generic
+    {
+      rg_capacity = capacity;
+      rg_unpack = unpack;
+      rg_finish = (fun () -> incr finishes);
+      rg_overhead_ns = 0.;
+    }
+
 let test_truncation_eager () =
-  with_pair (fun ~engine ~stats:_ ~w0:_ ~w1 ~ep01 ~ep10:_ ->
-      let src = pattern 100 in
-      let dst = Buf.create 50 in
-      Engine.spawn engine (fun () ->
-          expect_ok (Ucx.wait (Ucx.tag_send ep01 ~tag:9L (Ucx.Sd_contig src))));
-      Engine.spawn engine (fun () ->
-          let st = Ucx.wait (Ucx.tag_recv w1 ~tag:9L ~mask:(-1L) (Ucx.Rd_contig dst)) in
-          match st.error with
-          | Some (Ucx.Truncated { expected; capacity }) ->
-              check_int "expected" 100 expected;
-              check_int "capacity" 50 capacity
-          | _ -> Alcotest.fail "expected truncation error"))
+  let finishes = ref 0 in
+  List.iter
+    (fun recv_dt ->
+      with_pair (fun ~engine ~stats:_ ~w0:_ ~w1 ~ep01 ~ep10:_ ->
+          let src = pattern 100 in
+          Engine.spawn engine (fun () ->
+              expect_ok (Ucx.wait (Ucx.tag_send ep01 ~tag:9L (Ucx.Sd_contig src))));
+          Engine.spawn engine (fun () ->
+              let st = Ucx.wait (Ucx.tag_recv w1 ~tag:9L ~mask:(-1L) recv_dt) in
+              match st.error with
+              | Some (Ucx.Truncated { expected; capacity }) ->
+                  check_int "expected" 100 expected;
+                  check_int "capacity" 50 capacity
+              | _ -> Alcotest.fail "expected truncation error")))
+    [ Ucx.Rd_contig (Buf.create 50); counting_recv 50 finishes ];
+  check_int "rg_finish once" 1 !finishes
 
 let test_truncation_rndv_completes_sender () =
-  with_pair (fun ~engine ~stats:_ ~w0:_ ~w1 ~ep01 ~ep10:_ ->
-      let n = 64 * 1024 in
-      let src = pattern n in
-      let dst = Buf.create 10 in
-      Engine.spawn engine (fun () ->
-          let st = Ucx.wait (Ucx.tag_send ep01 ~tag:9L (Ucx.Sd_contig src)) in
-          (* sender sees success even though receiver truncated *)
-          check_int "sender len" n st.len);
-      Engine.spawn engine (fun () ->
-          let st = Ucx.wait (Ucx.tag_recv w1 ~tag:9L ~mask:(-1L) (Ucx.Rd_contig dst)) in
-          match st.error with
-          | Some (Ucx.Truncated _) -> ()
-          | _ -> Alcotest.fail "expected truncation error"))
+  let finishes = ref 0 in
+  List.iter
+    (fun recv_dt ->
+      with_pair (fun ~engine ~stats:_ ~w0:_ ~w1 ~ep01 ~ep10:_ ->
+          let n = 64 * 1024 in
+          let src = pattern n in
+          Engine.spawn engine (fun () ->
+              let st = Ucx.wait (Ucx.tag_send ep01 ~tag:9L (Ucx.Sd_contig src)) in
+              (* sender sees success even though receiver truncated *)
+              check_int "sender len" n st.len);
+          Engine.spawn engine (fun () ->
+              let st = Ucx.wait (Ucx.tag_recv w1 ~tag:9L ~mask:(-1L) recv_dt) in
+              match st.error with
+              | Some (Ucx.Truncated _) -> ()
+              | _ -> Alcotest.fail "expected truncation error")))
+    [ Ucx.Rd_contig (Buf.create 10); counting_recv 10 finishes ];
+  check_int "rg_finish once" 1 !finishes
 
 let test_pack_callback_error () =
   with_pair (fun ~engine ~stats:_ ~w0:_ ~w1:_ ~ep01 ~ep10:_ ->
@@ -322,16 +342,13 @@ let test_pack_callback_error () =
           | _ -> Alcotest.fail "expected callback failure"))
 
 let test_unpack_callback_error () =
+  let finishes = ref 0 in
   with_pair (fun ~engine ~stats:_ ~w0:_ ~w1 ~ep01 ~ep10:_ ->
       let src = pattern 100 in
       let failing =
-        Ucx.Rd_generic
-          {
-            rg_capacity = 100;
-            rg_unpack = (fun ~offset:_ ~src:_ -> raise (Ucx.Callback_error 7));
-            rg_finish = ignore;
-            rg_overhead_ns = 0.;
-          }
+        counting_recv
+          ~unpack:(fun ~offset:_ ~src:_ -> raise (Ucx.Callback_error 7))
+          100 finishes
       in
       Engine.spawn engine (fun () ->
           expect_ok (Ucx.wait (Ucx.tag_send ep01 ~tag:11L (Ucx.Sd_contig src))));
@@ -339,7 +356,8 @@ let test_unpack_callback_error () =
           let st = Ucx.wait (Ucx.tag_recv w1 ~tag:11L ~mask:(-1L) failing) in
           match st.error with
           | Some (Ucx.Callback_failed 7) -> ()
-          | _ -> Alcotest.fail "expected callback failure"))
+          | _ -> Alcotest.fail "expected callback failure"));
+  check_int "rg_finish once" 1 !finishes
 
 let test_tag_mask_matching () =
   with_pair (fun ~engine ~stats:_ ~w0:_ ~w1 ~ep01 ~ep10:_ ->
@@ -559,6 +577,204 @@ let test_trace_records_protocols () =
     (let ts = List.map (fun (e : Trace.event) -> e.time) (Trace.events tr) in
      List.sort compare ts = ts)
 
+(* --- transport timing matrix ---
+
+   Every data path of the transport, pinned to exact values: sender
+   and receiver completion times (IEEE bits), copies, copied bytes and
+   callback counts.  Rendezvous cases cross send {contig, iov(3),
+   generic} with receive {contig, iov(2), generic} at a size above the
+   eager limit that is not a multiple of [frag_size]; eager cases send
+   contig and generic into contig and generic receivers.  Each runs
+   with no plan, a clean plan, a sender straggler and, for iov ->
+   contig, a targeted corruption that forces the packed-path fallback.
+   A refactor of the transport must leave every row unchanged.  One
+   known mode difference is pinned here: a fault-free contig/iov ->
+   generic rendezvous unpacks in one callback, the reliable path in
+   [frag_size] slices. *)
+
+module Fault = Mpicd_simnet.Fault
+
+let matrix_rndv_bytes = 40_000
+let matrix_eager_bytes = 1000
+
+(* [b] cut into [k] consecutive slices, the last one taking the rest. *)
+let slices k b =
+  let n = Buf.length b in
+  let per = n / k in
+  List.init k (fun i ->
+      let len = if i = k - 1 then n - (per * i) else per in
+      Buf.sub b ~pos:(per * i) ~len)
+
+let matrix_send kind src =
+  let n = Buf.length src in
+  match kind with
+  | `Contig -> Ucx.Sd_contig src
+  | `Iov -> Ucx.Sd_iov (slices 3 src)
+  | `Generic ->
+      Ucx.Sd_generic
+        {
+          sg_packed_size = n;
+          sg_pack =
+            (fun ~offset ~dst ->
+              let len = min (Buf.length dst) (n - offset) in
+              Buf.blit ~src ~src_pos:offset ~dst ~dst_pos:0 ~len;
+              len);
+          sg_finish = ignore;
+          sg_overhead_ns = 250.;
+        }
+
+let matrix_recv kind dst =
+  match kind with
+  | `Contig -> Ucx.Rd_contig dst
+  | `Iov -> Ucx.Rd_iov (slices 2 dst)
+  | `Generic ->
+      Ucx.Rd_generic
+        {
+          rg_capacity = Buf.length dst;
+          rg_unpack =
+            (fun ~offset ~src ->
+              Buf.blit ~src ~src_pos:0 ~dst ~dst_pos:offset ~len:(Buf.length src);
+              Buf.length src);
+          rg_finish = ignore;
+          rg_overhead_ns = 175.;
+        }
+
+let matrix_plan = function
+  | `None -> None
+  | `Clean -> Some (Fault.make ())
+  | `Straggler -> Some (Fault.make ~stragglers:[ (0, 3.) ] ())
+  | `Corrupt ->
+      Some
+        (Fault.make
+           ~injections:
+             [
+               {
+                 Fault.inj_kind = Fault.Inj_corrupt;
+                 inj_src = 0;
+                 inj_dst = 1;
+                 inj_mseq = 0;
+                 inj_frag = 0;
+               };
+             ]
+           ())
+
+(* One transfer 0 -> 1 with the receive posted first. *)
+let matrix_run ~bytes ~send ~recv ~mode =
+  let engine = Engine.create () in
+  let stats = Stats.create () in
+  let ctx = Ucx.create_context ~engine ~config:Config.default ~stats in
+  Ucx.set_faults ctx (matrix_plan mode);
+  let w0 = Ucx.create_worker ctx in
+  let w1 = Ucx.create_worker ctx in
+  let src = pattern bytes in
+  let dst = Buf.create bytes in
+  let t_send = ref nan and t_recv = ref nan in
+  Engine.spawn engine (fun () ->
+      let st = Ucx.wait (Ucx.tag_recv w1 ~tag:1L ~mask:(-1L) (matrix_recv recv dst)) in
+      expect_ok st;
+      t_recv := Engine.now engine);
+  Engine.spawn engine (fun () ->
+      expect_ok (Ucx.wait (Ucx.tag_send (Ucx.connect w0 w1) ~tag:1L (matrix_send send src)));
+      t_send := Engine.now engine);
+  Engine.run engine;
+  Alcotest.(check bool) "payload" true (Buf.equal src dst);
+  if mode = `Corrupt then check_int "fell back once" 1 stats.iov_fallbacks;
+  ( Int64.bits_of_float !t_send,
+    Int64.bits_of_float !t_recv,
+    stats.memcpys,
+    stats.bytes_copied,
+    stats.pack_callbacks,
+    stats.unpack_callbacks )
+
+let matrix_cases =
+  let kind_name = function
+    | `Contig -> "contig"
+    | `Iov -> "iov"
+    | `Generic -> "generic"
+  in
+  let mode_name = function
+    | `None -> "none"
+    | `Clean -> "clean"
+    | `Straggler -> "straggler"
+    | `Corrupt -> "corrupt"
+  in
+  let case proto bytes send recv mode =
+    ( Printf.sprintf "%s %s->%s %s" proto (kind_name send) (kind_name recv)
+        (mode_name mode),
+      fun () -> matrix_run ~bytes ~send ~recv ~mode )
+  in
+  let modes = [ `None; `Clean; `Straggler ] in
+  let cross proto bytes sends recvs =
+    List.concat_map
+      (fun s ->
+        List.concat_map
+          (fun r -> List.map (fun m -> case proto bytes s r m) modes)
+          recvs)
+      sends
+  in
+  cross "rndv" matrix_rndv_bytes [ `Contig; `Iov; `Generic ] [ `Contig; `Iov; `Generic ]
+  @ [ case "rndv" matrix_rndv_bytes `Iov `Contig `Corrupt ]
+  @ cross "eager" matrix_eager_bytes [ `Contig; `Generic ] [ `Contig; `Generic ]
+
+(* name, sender done, receiver done, memcpys, bytes copied, pack
+   callbacks, unpack callbacks *)
+let matrix_expected =
+  [
+    ("rndv contig->contig none", 0x40c45f0000000000L, 0x40c45f0000000000L, 0, 0, 0, 0);
+    ("rndv contig->contig clean", 0x40c972ffffffffffL, 0x40c6e8ffffffffffL, 0, 0, 0, 0);
+    ("rndv contig->contig straggler", 0x40ca6cffffffffffL, 0x40c7e2ffffffffffL, 0, 0, 0, 0);
+    ("rndv contig->iov none", 0x40c45f0000000000L, 0x40c45f0000000000L, 0, 0, 0, 0);
+    ("rndv contig->iov clean", 0x40c972ffffffffffL, 0x40c6e8ffffffffffL, 0, 0, 0, 0);
+    ("rndv contig->iov straggler", 0x40ca6cffffffffffL, 0x40c7e2ffffffffffL, 0, 0, 0, 0);
+    ("rndv contig->generic none", 0x40c45f0000000000L, 0x40c45f0000000000L, 1, 40000, 0, 1);
+    ("rndv contig->generic clean", 0x40ce7a7fffffffffL, 0x40cbf07fffffffffL, 1, 40000, 0, 5);
+    ("rndv contig->generic straggler", 0x40cf747fffffffffL, 0x40ccea7fffffffffL, 1, 40000, 0, 5);
+    ("rndv iov->contig none", 0x40c5130000000000L, 0x40c5130000000000L, 0, 0, 0, 0);
+    ("rndv iov->contig clean", 0x40ca26ffffffffffL, 0x40c79cffffffffffL, 0, 0, 0, 0);
+    ("rndv iov->contig straggler", 0x40cc88ffffffffffL, 0x40c9feffffffffffL, 0, 0, 0, 0);
+    ("rndv iov->iov none", 0x40c5130000000000L, 0x40c5130000000000L, 0, 0, 0, 0);
+    ("rndv iov->iov clean", 0x40ca26ffffffffffL, 0x40c79cffffffffffL, 0, 0, 0, 0);
+    ("rndv iov->iov straggler", 0x40cc88ffffffffffL, 0x40c9feffffffffffL, 0, 0, 0, 0);
+    ("rndv iov->generic none", 0x40c5130000000000L, 0x40c5130000000000L, 1, 40000, 0, 1);
+    ("rndv iov->generic clean", 0x40cf2e7fffffffffL, 0x40cca47fffffffffL, 1, 40000, 0, 5);
+    ("rndv iov->generic straggler", 0x40d0c84000000000L, 0x40cf067fffffffffL, 1, 40000, 0, 5);
+    ("rndv generic->contig none", 0x40c461ae147ae148L, 0x40c461ae147ae148L, 1, 40000, 5, 0);
+    ("rndv generic->contig clean", 0x40d020d70a3d70a4L, 0x40cdb7ae147ae147L, 1, 40000, 5, 0);
+    ("rndv generic->contig straggler", 0x40d76c851eb851eeL, 0x40d627851eb851eeL, 1, 40000, 5, 0);
+    ("rndv generic->iov none", 0x40c461ae147ae148L, 0x40c461ae147ae148L, 1, 40000, 5, 0);
+    ("rndv generic->iov clean", 0x40d020d70a3d70a4L, 0x40cdb7ae147ae147L, 1, 40000, 5, 0);
+    ("rndv generic->iov straggler", 0x40d76c851eb851eeL, 0x40d627851eb851eeL, 1, 40000, 5, 0);
+    ("rndv generic->generic none", 0x40c461ae147ae148L, 0x40c461ae147ae148L, 2, 80000, 5, 5);
+    ("rndv generic->generic clean", 0x40d2a4970a3d70a4L, 0x40d15f970a3d70a4L, 2, 80000, 5, 5);
+    ("rndv generic->generic straggler", 0x40d9f0451eb851eeL, 0x40d8ab451eb851eeL, 2, 80000, 5, 5);
+    ("rndv iov->contig corrupt", 0x40f2c3eb43958105L, 0x40f272ab43958105L, 1, 40000, 0, 0);
+    ("eager contig->contig none", 0x406f400000000000L, 0x409a5c0000000000L, 1, 1000, 0, 0);
+    ("eager contig->contig clean", 0x4099940000000000L, 0x409a5c0000000000L, 1, 1000, 0, 0);
+    ("eager contig->contig straggler", 0x40a0b20000000000L, 0x40a1160000000000L, 1, 1000, 0, 0);
+    ("eager contig->generic none", 0x406f400000000000L, 0x409e580000000000L, 1, 1000, 0, 1);
+    ("eager contig->generic clean", 0x4099940000000000L, 0x409e580000000000L, 1, 1000, 0, 1);
+    ("eager contig->generic straggler", 0x40a0b20000000000L, 0x40a3140000000000L, 1, 1000, 0, 1);
+    ("eager generic->contig none", 0x408bd00000000000L, 0x40a22e0000000000L, 2, 2000, 1, 0);
+    ("eager generic->contig clean", 0x40a1ca0000000000L, 0x40a22e0000000000L, 2, 2000, 1, 0);
+    ("eager generic->contig straggler", 0x40afb20000000000L, 0x40b00b0000000000L, 2, 2000, 1, 0);
+    ("eager generic->generic none", 0x408bd00000000000L, 0x40a42c0000000000L, 2, 2000, 1, 1);
+    ("eager generic->generic clean", 0x40a1ca0000000000L, 0x40a42c0000000000L, 2, 2000, 1, 1);
+    ("eager generic->generic straggler", 0x40afb20000000000L, 0x40b10a0000000000L, 2, 2000, 1, 1);
+  ]
+
+let test_timing_matrix () =
+  let row (name, (ts, tr, m, b, p, u)) =
+    Printf.sprintf "(%S, 0x%LxL, 0x%LxL, %d, %d, %d, %d);" name ts tr m b p u
+  in
+  let actual = List.map (fun (name, run) -> (name, run ())) matrix_cases in
+  let expected =
+    List.map (fun (n, ts, tr, m, b, p, u) -> (n, (ts, tr, m, b, p, u))) matrix_expected
+  in
+  let wrong = List.filter (fun r -> not (List.mem r expected)) actual in
+  if wrong <> [] || List.length expected <> List.length actual then
+    Alcotest.failf "timing matrix moved; actual rows that differ:\n%s"
+      (String.concat "\n" (List.map row wrong))
+
 (* CRC32 (IEEE 802.3, reflected, as used by the wire checksums) against
    the published check value and a couple of structural identities. *)
 let test_crc32_vectors () =
@@ -638,4 +854,5 @@ let suite =
       tc "unexpected message alloc accounting" `Quick test_unexpected_alloc_accounting;
       tc "jitter preserves per-channel FIFO" `Quick test_jitter_preserves_fifo;
       tc "trace records protocol events" `Quick test_trace_records_protocols;
+      tc "timing matrix pinned" `Quick test_timing_matrix;
     ] )
