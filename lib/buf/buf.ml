@@ -168,6 +168,12 @@ let blit ~src ~src_pos ~dst ~dst_pos ~len =
 let fill t c =
   if t.off = 0 && t.len = Bigarray.Array1.dim t.base then
     Bigarray.Array1.fill t.base c (* a whole buffer: no view to allocate *)
+  else if t.len <= word_copy_max then
+    (* a short view: a loop, where a bigarray view would cost a
+       custom block *)
+    for i = t.off to t.off + t.len - 1 do
+      Bigarray.Array1.unsafe_set t.base i c
+    done
   else Bigarray.Array1.fill (Bigarray.Array1.sub t.base t.off t.len) c
 
 (* Each round copies everything written so far, so a buffer of [n]
@@ -445,4 +451,77 @@ module Pool = struct
   let retained_bytes p = p.retained
   let hits p = p.hits
   let misses p = p.misses
+end
+
+module Slabs = struct
+  type buf = t
+
+  let chunk_bytes = 65_536
+
+  (* Class [c] carves [2^c]-byte slots out of chunks of up to
+     [chunk_bytes], and stacks the slots given back as (base, offset)
+     pairs in two arrays, so a free slot costs two words. *)
+  type cls = {
+    mutable bases : bigstring array;
+    mutable offs : int array;
+    mutable nfree : int;
+    mutable chunk : bigstring;
+    mutable carved : int;  (* bytes of [chunk] handed out *)
+  }
+
+  type t = { mutable classes : cls array }
+
+  let create () = { classes = [||] }
+  let empty = of_bigstring (Bigarray.Array1.create Bigarray.char Bigarray.c_layout 0)
+
+  let rec size_class len c = if 1 lsl c >= len then c else size_class len (c + 1)
+
+  let cls s len =
+    let c = size_class len 0 in
+    let n = Array.length s.classes in
+    if c >= n then
+      s.classes <-
+        Array.append s.classes
+          (Array.init (c + 1 - n) (fun _ ->
+               { bases = [||]; offs = [||]; nfree = 0; chunk = empty.base; carved = 0 }));
+    s.classes.(c)
+
+  let take s len =
+    if len <= 0 then empty
+    else begin
+      let k = cls s len in
+      if k.nfree > 0 then begin
+        k.nfree <- k.nfree - 1;
+        { base = k.bases.(k.nfree); off = k.offs.(k.nfree); len }
+      end
+      else begin
+        let size = 1 lsl size_class len 0 in
+        let dim = Bigarray.Array1.dim k.chunk in
+        if k.carved + size > dim then begin
+          (* chunks double from one slot, so a small world stays small *)
+          k.chunk <-
+            Bigarray.Array1.create Bigarray.char Bigarray.c_layout
+              (max size (min chunk_bytes (2 * dim)));
+          k.carved <- 0
+        end;
+        let off = k.carved in
+        k.carved <- off + size;
+        { base = k.chunk; off; len }
+      end
+    end
+
+  let give s (b : buf) =
+    if b.len > 0 then begin
+      let k = cls s b.len in
+      let n = k.nfree in
+      if n = Array.length k.offs then begin
+        k.bases <- Array.append k.bases (Array.make (max 8 n) b.base);
+        k.offs <- Array.append k.offs (Array.make (max 8 n) 0)
+      end;
+      k.bases.(n) <- b.base;
+      k.offs.(n) <- b.off;
+      k.nfree <- n + 1
+    end
+
+  let free_slots s = Array.fold_left (fun a k -> a + k.nfree) 0 s.classes
 end

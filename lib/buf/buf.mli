@@ -180,3 +180,27 @@ module Pool : sig
   val misses : t -> int
   (** Takes that allocated (inert takes excluded). *)
 end
+
+(** Storage for buffers that live until a matching {!Slabs.give}, in
+    any order: each is a view of a [2^c]-byte slot, for the smallest
+    [c] that fits, carved out of a shared chunk of up to 64 KiB.  Given-back slots
+    are reused by later takes of their class, so the storage grows to
+    the largest number of buffers alive at once and then allocates
+    nothing but the views; no buffer is a bigarray of its own. *)
+module Slabs : sig
+  type buf := t
+  type t
+
+  val create : unit -> t
+
+  val take : t -> int -> buf
+  (** [take s n] is an [n]-byte buffer of unspecified contents.  [n <= 0]
+      gives an empty buffer. *)
+
+  val give : t -> buf -> unit
+  (** Return a buffer that {!take} lent and nothing reads or writes any
+      more, exactly once.  An empty buffer is ignored. *)
+
+  val free_slots : t -> int
+  (** Slots held for reuse. *)
+end

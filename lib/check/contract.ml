@@ -76,6 +76,67 @@ let pack_fault_finding ~subject = function
             stream"
            ret offset remaining)
 
+(* Whether any two regions share bytes, in O(R log R): regions are
+   grouped by storage (physical [base], bucketed by its length), each
+   group is sorted by offset, and one sweep per group compares each
+   region with the furthest end seen so far.  [count] accumulates the
+   comparisons made, as it does in [first_overlap]. *)
+let any_overlap ?(count = ref 0) regs =
+  let groups = Hashtbl.create 16 in
+  Array.iter
+    (fun (r : Buf.t) ->
+      if r.len > 0 then begin
+        let key = Bigarray.Array1.dim r.base in
+        let bucket = Option.value ~default:[] (Hashtbl.find_opt groups key) in
+        let rec add = function
+          | [] -> [ ref [ r ] ]
+          | g :: rest ->
+              incr count;
+              if (List.hd !g).Buf.base == r.base then begin
+                g := r :: !g;
+                g :: rest
+              end
+              else g :: add rest
+        in
+        Hashtbl.replace groups key (add bucket)
+      end)
+    regs;
+  let overlapping g =
+    let sorted =
+      List.sort
+        (fun (a : Buf.t) (b : Buf.t) ->
+          incr count;
+          compare a.off b.off)
+        !g
+    in
+    let rec sweep reach = function
+      | [] -> false
+      | (r : Buf.t) :: rest ->
+          incr count;
+          r.off < reach || sweep (max reach (r.off + r.len)) rest
+    in
+    sweep min_int sorted
+  in
+  Hashtbl.fold (fun _ gs acc -> acc || List.exists overlapping gs) groups false
+
+(* The first pair [(i, j)], [i < j], of regions sharing bytes, in the
+   order the pairwise search finds it; the search runs only when the
+   sweep says there is a pair. *)
+let first_overlap ?(count = ref 0) regs =
+  if not (any_overlap ~count regs) then None
+  else begin
+    let n = Array.length regs in
+    let rec search i j =
+      if i >= n then None
+      else if j >= n then search (i + 1) (i + 2)
+      else begin
+        incr count;
+        if Buf.overlaps regs.(i) regs.(j) then Some (i, j) else search i (j + 1)
+      end
+    in
+    search 0 1
+  end
+
 let check ?(seed = 0x5eed) ?(rounds = 8) s =
   let subject = s.name in
   let findings = ref [] in
@@ -110,27 +171,15 @@ let check ?(seed = 0x5eed) ?(rounds = 8) s =
              "region_count promised %d regions but the region callback \
               produced %d"
              rc (Array.length regs);
-         (try
-            Array.iteri
-              (fun i ri ->
-                Array.iteri
-                  (fun j rj ->
-                    if j > i && Buf.length ri > 0 && Buf.length rj > 0
-                       && Buf.overlaps ri rj
-                    then begin
-                      addf ~id:"CB-REGION-OVERLAP" ~severity:Finding.Error
-                        ~suggestion:
-                          "regions are gathered/scattered independently by the \
-                           transport; aliasing ranges make the result depend \
-                           on delivery order"
-                        "regions %d and %d share bytes of the same underlying \
-                         memory"
-                        i j;
-                      raise Exit
-                    end)
-                  regs)
-              regs
-          with Exit -> ());
+         (match first_overlap regs with
+         | Some (i, j) ->
+             addf ~id:"CB-REGION-OVERLAP" ~severity:Finding.Error
+               ~suggestion:
+                 "regions are gathered/scattered independently by the \
+                  transport; aliasing ranges make the result depend on \
+                  delivery order"
+               "regions %d and %d share bytes of the same underlying memory" i j
+         | None -> ());
          let rbytes = Array.fold_left (fun a r -> a + Buf.length r) 0 regs in
          (match s.expected_wire with
          | Some w when q1 + rbytes <> w ->

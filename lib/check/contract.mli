@@ -42,3 +42,10 @@ val check : ?seed:int -> ?rounds:int -> 'obj spec -> Finding.t list
 (** [check spec] runs the full battery; [rounds] (default 8) is the
     number of fragment-boundary fuzz rounds, derived deterministically
     from [seed].  Findings are deduplicated by rule id. *)
+
+val first_overlap : ?count:int ref -> Mpicd_buf.Buf.t array -> (int * int) option
+(** The first pair [(i, j)], [i < j] (smallest [i], then smallest [j]),
+    of non-empty regions that share bytes, if any.  Whether such a pair
+    exists is decided in O(R log R) comparisons over R regions (when
+    few storages of one length hold them); only then does the pairwise
+    search run.  [count] accumulates the comparisons of both. *)

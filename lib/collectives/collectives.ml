@@ -19,26 +19,31 @@ let tag_of ~seq ~op ~round =
      the encoding is unchanged. *)
   (seq * 4096) + (op * 1024) + (round land 1023)
 
-(* Failure protection shared by every collective.  The sequence number
-   must already have been taken (so ranks that fail fast stay aligned
-   with ranks that run the body).  A body that posts nonblocking sends
-   passes [tracked] and applies [track tracked] to each one.  When any
-   internal operation raises, we poison the collective for our peers,
-   then drain the tracked requests — [Mpi.wait] on an already-finalized
-   request replays its memoized outcome, so datatype callback state is
-   released exactly once even on abort — and finally surface the error
-   through the communicator's error handler. *)
-let protected ?tracked comm body =
+(* Failure protection shared by every collective, written as
+   [if ready comm then try body with Mpi.Mpi_error err -> failed comm
+   err] so that a waiting rank holds no closure of its body.  The
+   sequence number must already have been taken (so ranks that fail
+   fast stay aligned with ranks that run the body).  A body that posts
+   nonblocking sends passes [tracked] and applies [track tracked] to
+   each one.  When any internal operation raises, we poison the
+   collective for our peers, then drain the tracked requests —
+   [Mpi.wait] on an already-finalized request replays its memoized
+   outcome, so datatype callback state is released exactly once even
+   on abort — and finally surface the error through the communicator's
+   error handler. *)
+let ready comm =
   match K.collective_ready comm with
-  | Some err -> K.collective_error comm err
-  | None -> (
-      try body ()
-      with Mpi.Mpi_error err ->
-        K.poison_collective comm err;
-        (match tracked with
-        | Some t -> List.iter (fun r -> try ignore (Mpi.wait r) with _ -> ()) !t
-        | None -> ());
-        K.collective_error comm err)
+  | Some err ->
+      K.collective_error comm err;
+      false
+  | None -> true
+
+let failed ?tracked comm err =
+  K.poison_collective comm err;
+  (match tracked with
+  | Some t -> List.iter (fun r -> try ignore (Mpi.wait r) with _ -> ()) !t
+  | None -> ());
+  K.collective_error comm err
 
 let track tracked r =
   tracked := r :: !tracked;
@@ -48,118 +53,130 @@ let barrier comm =
   let n = Mpi.size comm and me = Mpi.rank comm in
   let seq = K.fresh_seq comm in
   let tracked = ref [] in
-  protected ~tracked comm @@ fun () ->
-  if n > 1 then begin
-    let round = ref 0 in
-    let dist = ref 1 in
-    while !dist < n do
-      let to_ = (me + !dist) mod n in
-      let from = (me - !dist + n) mod n in
-      let tag = tag_of ~seq ~op:op_barrier ~round:!round in
-      let s = track tracked (K.isend_k comm K.Internal ~dst:to_ ~tag K.empty) in
-      ignore (K.recv_k comm K.Internal ~source:from ~tag K.empty);
-      ignore (Mpi.wait s);
-      incr round;
-      dist := !dist * 2
-    done
-  end
+  if ready comm then
+    try
+      if n > 1 then begin
+        let round = ref 0 in
+        let dist = ref 1 in
+        while !dist < n do
+          let to_ = (me + !dist) mod n in
+          let from = (me - !dist + n) mod n in
+          let tag = tag_of ~seq ~op:op_barrier ~round:!round in
+          let s = track tracked (K.isend_k comm K.Internal ~dst:to_ ~tag K.empty) in
+          ignore (K.recv_k comm K.Internal ~source:from ~tag K.empty);
+          ignore (Mpi.wait s);
+          incr round;
+          dist := !dist * 2
+        done
+      end
+    with Mpi.Mpi_error err -> failed ~tracked comm err
 
 let bcast comm ~root buf =
   let n = Mpi.size comm and me = Mpi.rank comm in
   if root < 0 || root >= n then invalid_arg "Collectives.bcast: bad root";
   let seq = K.fresh_seq comm in
-  protected comm @@ fun () ->
-  if n > 1 then begin
-    let tag = tag_of ~seq ~op:op_bcast ~round:0 in
-    let vrank = (me - root + n) mod n in
-    (* find the lowest set bit of vrank (or the first power >= n for
-       the root), receiving from the parent on the way *)
-    let mask = ref 1 in
-    while !mask < n && vrank land !mask = 0 do
-      mask := !mask * 2
-    done;
-    if vrank <> 0 then begin
-      let parent = (vrank - !mask + root) mod n in
-      ignore (K.recv_k comm K.Internal ~source:parent ~tag buf)
-    end;
-    (* forward to children *)
-    mask := !mask / 2;
-    while !mask >= 1 do
-      let vchild = vrank + !mask in
-      if vchild < n then begin
-        let child = (vchild + root) mod n in
-        K.send_k comm K.Internal ~dst:child ~tag buf
-      end;
-      mask := !mask / 2
-    done
-  end
+  if ready comm then
+    try
+      if n > 1 then begin
+        let tag = tag_of ~seq ~op:op_bcast ~round:0 in
+        let vrank = (me - root + n) mod n in
+        (* find the lowest set bit of vrank (or the first power >= n for
+           the root), receiving from the parent on the way *)
+        let mask = ref 1 in
+        while !mask < n && vrank land !mask = 0 do
+          mask := !mask * 2
+        done;
+        if vrank <> 0 then begin
+          let parent = (vrank - !mask + root) mod n in
+          ignore (K.recv_k comm K.Internal ~source:parent ~tag buf)
+        end;
+        (* forward to children *)
+        mask := !mask / 2;
+        while !mask >= 1 do
+          let vchild = vrank + !mask in
+          if vchild < n then begin
+            let child = (vchild + root) mod n in
+            K.send_k comm K.Internal ~dst:child ~tag buf
+          end;
+          mask := !mask / 2
+        done
+      end
+    with Mpi.Mpi_error err -> failed comm err
 
 let gather comm ~root ~send ~recv =
   let n = Mpi.size comm and me = Mpi.rank comm in
   if root < 0 || root >= n then invalid_arg "Collectives.gather: bad root";
   let seq = K.fresh_seq comm in
-  protected comm @@ fun () ->
-  let tag = tag_of ~seq ~op:op_move ~round:0 in
-  if me = root then
-    for i = 0 to n - 1 do
-      if i <> root then ignore (K.recv_k comm K.Internal ~source:i ~tag (recv i))
-    done
-  else K.send_k comm K.Internal ~dst:root ~tag send
+  if ready comm then
+    try
+      let tag = tag_of ~seq ~op:op_move ~round:0 in
+      if me = root then
+        for i = 0 to n - 1 do
+          if i <> root then ignore (K.recv_k comm K.Internal ~source:i ~tag (recv i))
+        done
+      else K.send_k comm K.Internal ~dst:root ~tag send
+    with Mpi.Mpi_error err -> failed comm err
 
 let scatter comm ~root ~send ~recv =
   let n = Mpi.size comm and me = Mpi.rank comm in
   if root < 0 || root >= n then invalid_arg "Collectives.scatter: bad root";
   let seq = K.fresh_seq comm in
-  protected comm @@ fun () ->
-  let tag = tag_of ~seq ~op:op_move ~round:0 in
-  if me = root then
-    for i = 0 to n - 1 do
-      if i <> root then K.send_k comm K.Internal ~dst:i ~tag (send i)
-    done
-  else ignore (K.recv_k comm K.Internal ~source:root ~tag recv)
+  if ready comm then
+    try
+      let tag = tag_of ~seq ~op:op_move ~round:0 in
+      if me = root then
+        for i = 0 to n - 1 do
+          if i <> root then K.send_k comm K.Internal ~dst:i ~tag (send i)
+        done
+      else ignore (K.recv_k comm K.Internal ~source:root ~tag recv)
+    with Mpi.Mpi_error err -> failed comm err
 
 let allgather comm ~send ~recv =
   let n = Mpi.size comm and me = Mpi.rank comm in
   let seq = K.fresh_seq comm in
   let tracked = ref [] in
-  protected ~tracked comm @@ fun () ->
-  if n > 1 then begin
-    let right = (me + 1) mod n and left = (me - 1 + n) mod n in
-    (* ring: in round s we forward the contribution of rank
-       (me - s) mod n and receive that of (me - s - 1) mod n *)
-    for s = 0 to n - 2 do
-      let tag = tag_of ~seq ~op:op_move ~round:s in
-      let outgoing_owner = (me - s + n) mod n in
-      let incoming_owner = (me - s - 1 + n) mod n in
-      let out = if outgoing_owner = me then send else recv outgoing_owner in
-      let inc = recv incoming_owner in
-      let sreq = track tracked (K.isend_k comm K.Internal ~dst:right ~tag out) in
-      ignore (K.recv_k comm K.Internal ~source:left ~tag inc);
-      ignore (Mpi.wait sreq)
-    done
-  end
+  if ready comm then
+    try
+      if n > 1 then begin
+        let right = (me + 1) mod n and left = (me - 1 + n) mod n in
+        (* ring: in round s we forward the contribution of rank
+           (me - s) mod n and receive that of (me - s - 1) mod n *)
+        for s = 0 to n - 2 do
+          let tag = tag_of ~seq ~op:op_move ~round:s in
+          let outgoing_owner = (me - s + n) mod n in
+          let incoming_owner = (me - s - 1 + n) mod n in
+          let out = if outgoing_owner = me then send else recv outgoing_owner in
+          let inc = recv incoming_owner in
+          let sreq = track tracked (K.isend_k comm K.Internal ~dst:right ~tag out) in
+          ignore (K.recv_k comm K.Internal ~source:left ~tag inc);
+          ignore (Mpi.wait sreq)
+        done
+      end
+    with Mpi.Mpi_error err -> failed ~tracked comm err
 
 let alltoall comm ~send ~recv =
   let n = Mpi.size comm and me = Mpi.rank comm in
   let seq = K.fresh_seq comm in
   let tracked = ref [] in
-  protected ~tracked comm @@ fun () ->
-  let tag = tag_of ~seq ~op:op_move ~round:1 in
-  (* pairwise exchange schedule: in round r, partner = me xor r (for
-     power-of-two sizes) falling back to shifted pairing otherwise *)
-  let reqs = ref [] in
-  for peer = 0 to n - 1 do
-    if peer <> me then
-      reqs :=
-        track tracked (K.isend_k comm K.Internal ~dst:peer ~tag (send peer)) :: !reqs
-  done;
-  for peer = 0 to n - 1 do
-    if peer <> me then
-      ignore (K.irecv_k comm K.Internal ~source:peer ~tag (recv peer) |> Mpi.wait)
-  done;
-  List.iter (fun r -> ignore (Mpi.wait r)) !reqs
+  if ready comm then
+    try
+      let tag = tag_of ~seq ~op:op_move ~round:1 in
+      (* pairwise exchange schedule: in round r, partner = me xor r (for
+         power-of-two sizes) falling back to shifted pairing otherwise *)
+      let reqs = ref [] in
+      for peer = 0 to n - 1 do
+        if peer <> me then
+          reqs :=
+            track tracked (K.isend_k comm K.Internal ~dst:peer ~tag (send peer)) :: !reqs
+      done;
+      for peer = 0 to n - 1 do
+        if peer <> me then
+          ignore (K.irecv_k comm K.Internal ~source:peer ~tag (recv peer) |> Mpi.wait)
+      done;
+      List.iter (fun r -> ignore (Mpi.wait r)) !reqs
 
-(* --- float64 reductions --- *)
+    (* --- float64 reductions --- *)
+    with Mpi.Mpi_error err -> failed ~tracked comm err
 
 let floats_into b fs =
   Buf.blit_to_floats ~src:b ~src_pos:0 ~dst:fs ~dst_pos:0 ~len:(Array.length fs)
@@ -192,34 +209,36 @@ let reduce_staged comm ~root ~op data staging =
   let n = Mpi.size comm and me = Mpi.rank comm in
   if root < 0 || root >= n then invalid_arg "Collectives.reduce_f64: bad root";
   let seq = K.fresh_seq comm in
-  protected comm @@ fun () ->
-  if n > 1 then begin
-    let vrank = (me - root + n) mod n in
-    let msg = Mpi.Bytes staging in
-    let tag = tag_of ~seq ~op:op_reduce ~round:0 in
-    let mask = ref 1 in
-    let continue = ref true in
-    while !continue && !mask < n do
-      if vrank land !mask = 0 then begin
-        let vchild = vrank + !mask in
-        if vchild < n then begin
-          let child = (vchild + root) mod n in
-          ignore (K.recv_k comm K.Internal ~source:child ~tag msg);
-          (* decoded right away, so nothing of it outlives the receive *)
-          let incoming = Array.make (Array.length data) 0. in
-          floats_into staging incoming;
-          apply_op op data incoming
-        end
+  if ready comm then
+    try
+      if n > 1 then begin
+        let vrank = (me - root + n) mod n in
+        let msg = Mpi.Bytes staging in
+        let tag = tag_of ~seq ~op:op_reduce ~round:0 in
+        let mask = ref 1 in
+        let continue = ref true in
+        while !continue && !mask < n do
+          if vrank land !mask = 0 then begin
+            let vchild = vrank + !mask in
+            if vchild < n then begin
+              let child = (vchild + root) mod n in
+              ignore (K.recv_k comm K.Internal ~source:child ~tag msg);
+              (* decoded right away, so nothing of it outlives the receive *)
+              let incoming = Array.make (Array.length data) 0. in
+              floats_into staging incoming;
+              apply_op op data incoming
+            end
+          end
+          else begin
+            let parent = ((vrank - !mask) + root) mod n in
+            floats_out data staging;
+            K.send_k comm K.Internal ~dst:parent ~tag msg;
+            continue := false
+          end;
+          mask := !mask * 2
+        done
       end
-      else begin
-        let parent = ((vrank - !mask) + root) mod n in
-        floats_out data staging;
-        K.send_k comm K.Internal ~dst:parent ~tag msg;
-        continue := false
-      end;
-      mask := !mask * 2
-    done
-  end
+    with Mpi.Mpi_error err -> failed comm err
 
 let reduce_f64 comm ~root ~op data =
   reduce_staged comm ~root ~op data (Buf.create (8 * Array.length data))

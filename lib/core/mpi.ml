@@ -95,7 +95,7 @@ module Monitor = struct
           go s (count - 1)
 end
 
-type error =
+type error = Ucx.error =
   | Truncated of { expected : int; capacity : int }
   | Callback_failed of int
   | Timeout of { retries : int }
@@ -142,18 +142,7 @@ type agree_slot = {
 
 type status = { source : int; tag : int; len : int }
 
-(* A rank's registered operations, newest first, with their count kept
-   alongside so the prune check on every post is O(1).  [prune_at] is
-   the count that triggers the next prune of completed entries; it
-   follows the pending population, so the list stays within a small
-   factor of the operations still in flight. *)
-type olist = {
-  mutable ops : request list;
-  mutable n_ops : int;
-  mutable prune_at : int;
-}
-
-and world = {
+type world = {
   engine : Engine.t;
   config : Config.t;
   stats : Stats.t;
@@ -168,9 +157,21 @@ and world = {
   mutable obs : Obs.t;
   errh : (int, errhandler) Hashtbl.t;  (* cid -> handler; absent = raise *)
   last_errors : (int * int, error) Hashtbl.t;  (* (cid, comm rank) -> error *)
+  slabs : Buf.Slabs.t;  (* the ranks' collective staging buffers *)
   (* --- resilience state (all empty on a healthy run) --- *)
-  outstanding : (int, olist) Hashtbl.t;
-      (* world rank -> its pending operations, for cancellation *)
+  (* Each rank's cancellation registry: its registered operations,
+     newest first, linked through the requests themselves
+     ([Ucx.set_link]), with their count kept alongside so the prune
+     check on every post is O(1).  [prune_at] is the count that
+     triggers the next prune of completed entries; it follows the
+     pending population, so the list stays within a small factor of
+     the operations still in flight. *)
+  ops : Ucx.request array;  (* world rank -> newest; [Ucx.no_request] ends *)
+  n_ops : int array;
+  prune_at : int array;  (* 0 until the rank's first registration *)
+  registrants : (int, unit) Hashtbl.t;
+      (* the ranks with a registry, walked in this table's order by a
+         failure sweep *)
   revoked : (int, float) Hashtbl.t;  (* cid -> first revoke time *)
   revoked_seen : (int * int, float) Hashtbl.t;
       (* (cid, world rank) -> when the revocation reached that rank *)
@@ -194,29 +195,41 @@ and comm = {
   mutable staging : Buf.t;
       (* a collective's staging buffer, kept for this rank's next call
          (see [Internal.staging]); [empty_buf] while lent out *)
+  mutable plain : Ucx.owner;  (* [Op] of this communicator, made once *)
+  mutable bytes_rd : Ucx.recv_dt;
+      (* the descriptor of the last [Bytes] receive: a collective
+         receives into the same staging buffer call after call *)
 }
 
-(* One record per operation: the handle [wait]/[test] finalize and,
-   while pending, the poster's cancellation-registry entry, holding
-   what decides whether a failure or a revocation dooms it. *)
-and request = {
-  ucx_req : Ucx.request;
-  r_comm : comm;  (* the posting side's communicator *)
-  r_span : Obs.span;  (* the op's "p2p" span; [Obs.null_span] if none *)
-  r_cleanup : Ucx.status -> unit;  (* runs once, at finalization *)
-  r_tag : int64;  (* transport tag *)
-  r_peer : int;  (* world rank of the peer; -1 for any-source receives *)
-  r_internal : bool;
-      (* posted on the Internal (collective) channel: an error raises
-         [Mpi_error] past the communicator's error handler *)
-  r_reg : olist;  (* the registry holding it, or [no_registry] *)
-  mutable outcome : (status, exn) result option;
-      (* memoized finalization: cleanup and error handling run exactly
-         once; a second wait/test replays the same status or exception *)
-}
+(* One record per operation: the transport request, whose owner slot
+   says what [wait]/[test] finalize and, while pending, what decides
+   whether a failure or a revocation dooms it.  [r_peer] is the world
+   rank of the peer (-1 for any-source receives); an operation on the
+   Internal (collective) channel, whose tag says so, raises [Mpi_error]
+   past the communicator's error handler. *)
+type request = Ucx.request
 
-(* The registry of operations complete at post time: always empty. *)
-let no_registry = { ops = []; n_ops = 0; prune_at = max_int }
+(* What finalization does besides decoding the status: release a
+   custom datatype's state and its packed bounce buffer (empty when
+   it packs nothing); a receive first unpacks the bounce buffer. *)
+type cleanup =
+  | No_cleanup
+  | Custom_send : _ Custom.op * Buf.t -> cleanup
+  | Custom_recv : _ Custom.op * Buf.t -> cleanup
+
+type Ucx.owner +=
+  | Op of comm  (* the posting side's communicator; nothing else to do *)
+  | Op_ext of { comm : comm; span : Obs.span; cleanup : cleanup }
+      (* [span] is the op's "p2p" span, or [Obs.null_span] *)
+  (* Memoized finalization: cleanup and error handling run exactly
+     once, and a second wait/test replays the status or exception. *)
+  | Done of status
+  | Raised of exn
+
+let op_comm (r : request) =
+  match r.r_owner with
+  | Op c | Op_ext { comm = c; _ } -> c
+  | _ -> invalid_arg "Mpi: request has no pending operation"
 
 (* One shared zero-byte buffer: nothing is ever written to or read
    from it, and a fresh one would cost a malloc'd bigarray each time. *)
@@ -236,46 +249,58 @@ let alloc_cid w =
    released within a few posts of completing. *)
 let min_prune_at = 8
 
-let prune_completed ol =
-  ol.ops <- List.filter (fun r -> not (Ucx.is_completed r.ucx_req)) ol.ops;
-  ol.n_ops <- List.length ol.ops;
-  ol.prune_at <- max min_prune_at (2 * ol.n_ops)
+let prune_completed w owner =
+  let n = ref 0 and prev = ref Ucx.no_request and r = ref w.ops.(owner) in
+  while !r != Ucx.no_request do
+    let next = !r.r_link in
+    if Ucx.is_completed !r then begin
+      Ucx.set_link !r Ucx.no_request;
+      if !prev == Ucx.no_request then w.ops.(owner) <- next
+      else Ucx.set_link !prev next
+    end
+    else begin
+      incr n;
+      prev := !r
+    end;
+    r := next
+  done;
+  w.n_ops.(owner) <- !n;
+  w.prune_at.(owner) <- max min_prune_at (2 * !n)
 
 (* Cancel [owner]'s live registered operations matching [pred],
    completing each with [err].  Completed entries are pruned. *)
 let cancel_outstanding w ~owner ~pred err =
-  match Hashtbl.find_opt w.outstanding owner with
-  | None -> ()
-  | Some ol ->
-      prune_completed ol;
-      List.iter
-        (fun r ->
-          if pred r then
-            ignore (Ucx.try_cancel w.ucx r.ucx_req ~tag:r.r_tag err))
-        ol.ops
+  if w.prune_at.(owner) > 0 then begin
+    prune_completed w owner;
+    let rec go (r : request) =
+      if r != Ucx.no_request then begin
+        if pred r then ignore (Ucx.try_cancel w.ucx r err);
+        go r.r_link
+      end
+    in
+    go w.ops.(owner)
+  end
 
-(* The registry a new operation of world rank [owner] goes to: its
-   own if the transport request is still pending, else none. *)
-let registry_for w ~owner ureq =
-  if Ucx.is_completed ureq then no_registry
-  else
-    match Hashtbl.find_opt w.outstanding owner with
-    | Some ol -> ol
-    | None ->
-        let ol = { ops = []; n_ops = 0; prune_at = min_prune_at } in
-        Hashtbl.add w.outstanding owner ol;
-        ol
+(* Register a pending operation of world rank [owner] for cancellation. *)
+let register w ~owner (r : request) =
+  if w.prune_at.(owner) = 0 then begin
+    Hashtbl.add w.registrants owner ();
+    w.prune_at.(owner) <- min_prune_at
+  end;
+  if w.n_ops.(owner) >= w.prune_at.(owner) then prune_completed w owner;
+  Ucx.set_link r w.ops.(owner);
+  w.ops.(owner) <- r;
+  w.n_ops.(owner) <- w.n_ops.(owner) + 1
 
 (* A finalized request that is its registry's newest entry, as a
    blocking operation's is, leaves it at once, instead of pinning its
    buffers until the next prune. *)
-let release (r : request) =
-  let ol = r.r_reg in
-  match ol.ops with
-  | r' :: rest when r' == r ->
-      ol.ops <- rest;
-      ol.n_ops <- ol.n_ops - 1
-  | _ -> ()
+let release w ~owner (r : request) =
+  if w.ops.(owner) == r then begin
+    w.ops.(owner) <- r.r_link;
+    Ucx.set_link r Ucx.no_request;
+    w.n_ops.(owner) <- w.n_ops.(owner) - 1
+  end
 
 (* Complete an agreement slot if every group member has contributed or
    died; idempotent.  Called by each contributor and re-checked by the
@@ -331,14 +356,14 @@ let handle_rank_failure w ~rank ~time =
     Obs.instant w.obs ~time ~track:rank ~cat:"resilience"
       ~args:[ ("rank", Obs.Int rank) ]
       "proc_failed";
-  let err = Ucx.Peer_failed { peer = rank } in
+  let err = Peer_failed { peer = rank } in
   Hashtbl.iter
     (fun owner _ ->
       if owner = rank then
         cancel_outstanding w ~owner ~pred:(fun _ -> true) err
       else
-        cancel_outstanding w ~owner ~pred:(fun r -> r.r_peer = rank) err)
-    w.outstanding;
+        cancel_outstanding w ~owner ~pred:(fun (r : request) -> r.r_peer = rank) err)
+    w.registrants;
   Hashtbl.iter (fun _ slot -> try_complete_slot w slot) w.slots
 
 let create_world ?(config = Config.default) ?topology ~size () =
@@ -370,7 +395,11 @@ let create_world ?(config = Config.default) ?topology ~size () =
       obs = Obs.null;
       errh = Hashtbl.create 8;
       last_errors = Hashtbl.create 8;
-      outstanding = Hashtbl.create 8;
+      slabs = Buf.Slabs.create ();
+      ops = Array.make size Ucx.no_request;
+      n_ops = Array.make size 0;
+      prune_at = Array.make size 0;
+      registrants = Hashtbl.create 8;
       revoked = Hashtbl.create 4;
       revoked_seen = Hashtbl.create 8;
       col_poison = Hashtbl.create 8;
@@ -400,18 +429,27 @@ let set_obs w o =
   Ucx.set_obs w.ucx o;
   Engine.set_obs w.engine o
 
+let make_comm w ~c_rank ~group ~cid =
+  let c =
+    {
+      w;
+      c_rank;
+      group;
+      cid;
+      bar_seq = 0;
+      agree_seq = 0;
+      shrink_seq = 0;
+      staging = empty_buf;
+      plain = Ucx.No_owner;
+      bytes_rd = Ucx.Rd_contig empty_buf;
+    }
+  in
+  c.plain <- Op c;
+  c
+
 let comm_for_rank w r =
   if r < 0 || r >= world_size w then invalid_arg "Mpi.comm_for_rank: bad rank";
-  {
-    w;
-    c_rank = r;
-    group = w.world_group;
-    cid = 0;
-    bar_seq = 0;
-    agree_seq = 0;
-    shrink_seq = 0;
-    staging = empty_buf;
-  }
+  make_comm w ~c_rank:r ~group:w.world_group ~cid:0
 
 let set_errhandler c h = Hashtbl.replace c.w.errh c.cid h
 
@@ -441,7 +479,7 @@ let any_source = -1
 let any_tag = -1
 
 (* --- tag encoding ---
-   bit layout of the 64-bit transport tag:
+   bit layout of the transport tag, a native int (bits 0-62):
      [62..48] source rank  (15 bits)
      [46..44] kind         (3 bits)
      [43..38] communicator (6 bits)
@@ -461,20 +499,16 @@ let kind_code : Internal0.kind -> int = function
 let src_shift = 48
 let kind_shift = 44
 let cid_shift = 38
-let user_mask = 0x3F_FFFF_FFFFL (* 38 bits *)
 let max_user_tag = 0x3F_FFFF_FFFF (* 2^38 - 1 *)
 
 let encode_tag ~src ~kind ~cid ~utag =
-  Int64.logor
-    (Int64.shift_left (Int64.of_int src) src_shift)
-    (Int64.logor
-       (Int64.shift_left (Int64.of_int (kind_code kind)) kind_shift)
-       (Int64.logor
-          (Int64.shift_left (Int64.of_int cid) cid_shift)
-          (Int64.of_int utag)))
+  (src lsl src_shift) lor (kind_code kind lsl kind_shift) lor (cid lsl cid_shift)
+  lor utag
 
-let decode_source t64 = Int64.to_int (Int64.shift_right_logical t64 src_shift)
-let decode_utag t64 = Int64.to_int (Int64.logand t64 user_mask)
+let decode_source t = t lsr src_shift
+let decode_utag t = t land max_user_tag
+let is_internal (r : request) =
+  (r.r_tag lsr kind_shift) land 7 = kind_code Internal0.Internal
 
 let check_user_tag tag =
   if tag < 0 || tag > max_user_tag then
@@ -482,33 +516,23 @@ let check_user_tag tag =
 
 (* Receive-side tag and mask for a (source, tag) filter.  [source] is a
    WORLD rank here; communicator translation happens in the callers.
-   The mask depends only on which of the two are wildcards, so it is
-   one of four shared constants, not a fresh box per receive. *)
+   The mask covers the kind and communicator, and the source and user
+   tag unless they are wildcards. *)
 let recv_tag ~kind ~cid ~source ~tag =
-  let src_part =
-    if source = any_source then 0L
-    else Int64.shift_left (Int64.of_int source) src_shift
-  in
-  let tag_part =
-    if tag = any_tag then 0L
+  let src = if source = any_source then 0 else source in
+  let utag =
+    if tag = any_tag then 0
     else begin
       check_user_tag tag;
-      Int64.of_int tag
+      tag
     end
   in
-  Int64.logor src_part
-    (Int64.logor
-       (Int64.shift_left (Int64.of_int (kind_code kind)) kind_shift)
-       (Int64.logor (Int64.shift_left (Int64.of_int cid) cid_shift) tag_part))
-
-let recv_masks =
-  let kind_cid =
-    Int64.logor (Int64.shift_left 7L kind_shift) (Int64.shift_left 0x3FL cid_shift)
-  and src = Int64.shift_left 0x7FFFL src_shift in
-  Array.map (Int64.logor kind_cid) [| 0L; user_mask; src; Int64.logor src user_mask |]
+  encode_tag ~src ~kind ~cid ~utag
 
 let recv_mask ~source ~tag =
-  recv_masks.((if source = any_source then 0 else 2) + if tag = any_tag then 0 else 1)
+  (7 lsl kind_shift) lor (0x3F lsl cid_shift)
+  lor (if source = any_source then 0 else 0x7FFF lsl src_shift)
+  lor if tag = any_tag then 0 else max_user_tag
 
 (* --- buffers --- *)
 
@@ -661,6 +685,12 @@ let typed_overheads c plan count =
   Stats.record_ddt_blocks c.w.stats blocks;
   float_of_int blocks *. (cpu c).ddt_block_ns
 
+(* A custom op's iov: its packed bounce buffer, if any, then its
+   regions. *)
+let bounce_iov packed regs =
+  let regs = Array.to_list regs in
+  if Buf.length packed > 0 then packed :: regs else regs
+
 let buffer_size = function
   | Bytes b -> Buf.length b
   | Typed { dt; count; _ } -> Datatype.packed_size dt ~count
@@ -672,33 +702,35 @@ let buffer_size = function
       Custom.finish op;
       psize + rbytes
 
-(* Build the transport descriptors.  Returns the descriptor plus a
-   cleanup to run (in the waiting fiber) once the operation completes. *)
+(* Build the transport descriptors of a [Bytes] or [Typed] buffer;
+   [custom_send_dt]/[custom_recv_dt] also return the cleanup that
+   finalization runs (in the waiting fiber) for a [Custom] one. *)
 let make_send_dt c = function
-  | Bytes b -> (Ucx.Sd_contig b, fun _ -> ())
+  | Bytes b -> Ucx.Sd_contig b
+  | Custom _ -> invalid_arg "Mpi: custom buffer"
   | Typed { dt; count; base } ->
       let plan = plan_of c dt in
       let psize = Plan.packed_size plan ~count in
       if psize = 0 || Plan.is_contiguous plan then
-        (Ucx.Sd_contig (Buf.sub base ~pos:0 ~len:psize), fun _ -> ())
+        Ucx.Sd_contig (Buf.sub base ~pos:0 ~len:psize)
       else
         let overhead = typed_overheads c plan count in
         (* One cursor per descriptor: the transport produces fragments
            in stream order, so each pack resumes in O(1) where the
            previous one stopped. *)
         let cur = Plan.cursor plan in
-        ( Ucx.Sd_generic
-            {
-              sg_packed_size = psize;
-              sg_pack =
-                (fun ~offset ~dst ->
-                  Plan.pack_range ~cursor:cur plan ~count ~src:base
-                    ~packed_off:offset ~dst);
-              sg_finish = ignore;
-              sg_overhead_ns = overhead;
-            },
-          fun _ -> () )
-  | Custom { dt; obj; count } ->
+        Ucx.Sd_generic
+          {
+            sg_packed_size = psize;
+            sg_pack =
+              (fun ~offset ~dst ->
+                Plan.pack_range ~cursor:cur plan ~count ~src:base
+                  ~packed_off:offset ~dst);
+            sg_finish = ignore;
+            sg_overhead_ns = overhead;
+          }
+
+let custom_send_dt c dt obj ~count =
       let op = Custom.start dt obj ~count in
       let psize, regs =
         try custom_query c op
@@ -709,46 +741,43 @@ let make_send_dt c = function
       let packed =
         if psize > 0 then begin
           match custom_pack_bounce c op psize with
-          | b -> [ b ]
+          | b -> b
           | exception e ->
               Custom.finish op;
               raise e
         end
-        else []
+        else empty_buf
       in
-      let iov = packed @ Array.to_list regs in
-      ( Ucx.Sd_iov iov,
-        fun (st : Ucx.status) ->
-          (* the transfer has read the bounce buffer by the time the
-             send completes; after an error the transport may not have *)
-          (match (st.error, packed) with
-          | None, [ b ] -> Buf.Pool.give (Ucx.pool c.w.ucx) b
-          | _ -> ());
-          if psize > 0 then Stats.record_free c.w.stats psize;
-          Custom.finish op )
+      (Ucx.Sd_iov (bounce_iov packed regs), Custom_send (op, packed))
 
 let make_recv_dt c = function
-  | Bytes b -> (Ucx.Rd_contig b, fun _ -> ())
+  | Bytes b -> (
+      match c.bytes_rd with
+      | Ucx.Rd_contig b' when b' == b -> c.bytes_rd
+      | _ ->
+          c.bytes_rd <- Ucx.Rd_contig b;
+          c.bytes_rd)
+  | Custom _ -> invalid_arg "Mpi: custom buffer"
   | Typed { dt; count; base } ->
       let plan = plan_of c dt in
       let psize = Plan.packed_size plan ~count in
       if psize = 0 || Plan.is_contiguous plan then
-        (Ucx.Rd_contig (Buf.sub base ~pos:0 ~len:psize), fun _ -> ())
+        Ucx.Rd_contig (Buf.sub base ~pos:0 ~len:psize)
       else
         let overhead = typed_overheads c plan count in
         let cur = Plan.cursor plan in
-        ( Ucx.Rd_generic
-            {
-              rg_capacity = psize;
-              rg_unpack =
-                (fun ~offset ~src ->
-                  Plan.unpack_range ~cursor:cur plan ~count ~src
-                    ~packed_off:offset ~dst:base);
-              rg_finish = ignore;
-              rg_overhead_ns = overhead;
-            },
-          fun _ -> () )
-  | Custom { dt; obj; count } ->
+        Ucx.Rd_generic
+          {
+            rg_capacity = psize;
+            rg_unpack =
+              (fun ~offset ~src ->
+                Plan.unpack_range ~cursor:cur plan ~count ~src
+                  ~packed_off:offset ~dst:base);
+            rg_finish = ignore;
+            rg_overhead_ns = overhead;
+          }
+
+let custom_recv_dt c dt obj ~count =
       let op = Custom.start dt obj ~count in
       let psize, regs =
         try custom_query c op
@@ -761,38 +790,35 @@ let make_recv_dt c = function
           let b = Buf.Pool.take (Ucx.pool c.w.ucx) psize in
           Stats.record_alloc c.w.stats psize;
           charge c (Config.alloc_time (cpu c) psize);
-          [ b ]
+          b
         end
-        else []
+        else empty_buf
       in
-      let iov = packed @ Array.to_list regs in
-      ( Ucx.Rd_iov iov,
-        fun (st : Ucx.status) ->
-          (match (st.error, packed) with
-          | None, [ b ] ->
-              custom_unpack_bounce c op b;
-              Buf.Pool.give (Ucx.pool c.w.ucx) b
-          | _ -> ());
-          if psize > 0 then Stats.record_free c.w.stats psize;
-          Custom.finish op )
+      (Ucx.Rd_iov (bounce_iov packed regs), Custom_recv (op, packed))
+
+(* Once the operation completes: a receive unpacks its bounce buffer,
+   which goes back to the pool (the transfer has read a send's by the
+   time it completes; after an error the transport may not have), and
+   the custom state is released. *)
+let run_cleanup c (st : Ucx.status) = function
+  | No_cleanup -> ()
+  | Custom_send (op, b) ->
+      if Buf.length b > 0 then begin
+        if Option.is_none st.error then Buf.Pool.give (Ucx.pool c.w.ucx) b;
+        Stats.record_free c.w.stats (Buf.length b)
+      end;
+      Custom.finish op
+  | Custom_recv (op, b) ->
+      if Buf.length b > 0 then begin
+        if Option.is_none st.error then begin
+          custom_unpack_bounce c op b;
+          Buf.Pool.give (Ucx.pool c.w.ucx) b
+        end;
+        Stats.record_free c.w.stats (Buf.length b)
+      end;
+      Custom.finish op
 
 (* --- requests --- *)
-
-let lift_error : Ucx.error -> error = function
-  | Ucx.Truncated { expected; capacity } -> Truncated { expected; capacity }
-  | Ucx.Callback_failed code -> Callback_failed code
-  | Ucx.Timeout { retries } -> Timeout { retries }
-  | Ucx.Peer_failed { peer } -> Peer_failed { peer }
-  | Ucx.Data_corrupted -> Data_corrupted
-  | Ucx.Revoked -> Revoked
-
-let lower_error : error -> Ucx.error = function
-  | Truncated { expected; capacity } -> Ucx.Truncated { expected; capacity }
-  | Callback_failed code -> Ucx.Callback_failed code
-  | Timeout { retries } -> Ucx.Timeout { retries }
-  | Peer_failed { peer } -> Ucx.Peer_failed { peer }
-  | Data_corrupted -> Ucx.Data_corrupted
-  | Revoked -> Ucx.Revoked
 
 (* Statuses report communicator-relative source ranks: translate the
    world rank in the wire tag back through the group.  The world group
@@ -808,29 +834,27 @@ let comm_source c world_rank =
 let decode_status c (st : Ucx.status) =
   { source = comm_source c (decode_source st.tag); tag = decode_utag st.tag; len = st.len }
 
-let finalize r (u : Ucx.status) =
-  let c = r.r_comm in
-  (* Close the op span first so a cleanup/status exception still
-     leaves a finished trace. *)
-  if r.r_span != Obs.null_span then begin
-    let args =
-      ("len", Obs.Int u.len)
-      ::
-      (match Ucx.request_seq r.ucx_req with
-      | -1 -> []
-      | m -> [ ("mseq", Obs.Int m) ])
-    in
-    Obs.span_end c.w.obs ~time:(Engine.now c.w.engine) ~args r.r_span
-  end;
-  r.r_cleanup u;
+let finalize c (r : request) (u : Ucx.status) =
+  (match r.r_owner with
+  | Op_ext { span; cleanup; _ } ->
+      (* Close the op span first so a cleanup/status exception still
+         leaves a finished trace. *)
+      if span != Obs.null_span then begin
+        let args =
+          ("len", Obs.Int u.len)
+          :: (match r.r_seq with -1 -> [] | m -> [ ("mseq", Obs.Int m) ])
+        in
+        Obs.span_end c.w.obs ~time:(Engine.now c.w.engine) ~args span
+      end;
+      run_cleanup c u cleanup
+  | _ -> ());
   match u.error with
-  | Some e -> (
-      let err = lift_error e in
-      (* [r_internal] is set on the collectives' internal channel: the
-         collective itself must observe the error (to poison the
-         operation on its peers), so the communicator's error handler
-         is applied by the collective wrapper, not here. *)
-      if r.r_internal then raise (Mpi_error err)
+  | Some err -> (
+      (* On the collectives' internal channel the collective itself
+         must observe the error (to poison the operation on its peers),
+         so the communicator's error handler is applied by the
+         collective wrapper, not here. *)
+      if is_internal r then raise (Mpi_error err)
       else
         match get_errhandler c with
         | Errors_raise -> raise (Mpi_error err)
@@ -842,51 +866,48 @@ let finalize r (u : Ucx.status) =
             decode_status c u)
   | None -> decode_status c u
 
-let finalize_once r (u : Ucx.status) =
-  release r;
-  match finalize r u with
-  | s ->
-      r.outcome <- Some (Ok s);
-      s
-  | exception e ->
-      r.outcome <- Some (Error e);
-      raise e
+(* Finalize a completed request, or replay its outcome: several
+   fibers may have waited on it. *)
+let finalize_once (r : request) (u : Ucx.status) =
+  match r.r_owner with
+  | Done s -> s
+  | Raised e -> raise e
+  | _ -> (
+      let c = op_comm r in
+      release c.w ~owner:(my_world_rank c) r;
+      match finalize c r u with
+      | s ->
+          Ucx.set_owner r (Done s);
+          s
+      | exception e ->
+          Ucx.set_owner r (Raised e);
+          raise e)
 
-let wait r =
-  match r.outcome with
-  | Some (Ok s) -> s
-  | Some (Error e) -> raise e
-  | None ->
+let wait (r : request) =
+  match r.r_owner with
+  | Done _ | Raised _ -> finalize_once r r.r_status
+  | _ ->
       (* A wait that actually blocks gets its own span; an immediately
          satisfied one stays invisible. *)
-      let w = r.r_comm.w in
+      let c = op_comm r in
+      let w = c.w in
       let sp =
-        if Obs.enabled w.obs && not (Ucx.is_completed r.ucx_req) then
+        if Obs.enabled w.obs && not (Ucx.is_completed r) then
           Obs.span_begin w.obs ~time:(Engine.now w.engine)
-            ~track:(my_world_rank r.r_comm) ~cat:"p2p" "wait"
+            ~track:(my_world_rank c) ~cat:"p2p" "wait"
         else Obs.null_span
       in
-      let u = Ucx.wait r.ucx_req in
+      let u = Ucx.wait r in
       if Obs.enabled w.obs then begin
-        let args =
-          match Ucx.request_seq r.ucx_req with
-          | -1 -> []
-          | m -> [ ("mseq", Obs.Int m) ]
-        in
+        let args = match r.r_seq with -1 -> [] | m -> [ ("mseq", Obs.Int m) ] in
         Obs.span_end w.obs ~time:(Engine.now w.engine) ~args sp
       end;
       finalize_once r u
 
 let waitall rs = List.map wait rs
 
-let test r =
-  match r.outcome with
-  | Some (Ok s) -> Some s
-  | Some (Error e) -> raise e
-  | None -> (
-      match Ucx.peek r.ucx_req with
-      | None -> None
-      | Some u -> Some (finalize_once r u))
+let test (r : request) =
+  if Ucx.is_completed r then Some (finalize_once r r.r_status) else None
 
 let waitany rs =
   if rs = [] then invalid_arg "Mpi.waitany: empty request list";
@@ -901,7 +922,7 @@ let waitany rs =
   | None ->
       (* race: one helper fiber per request; the first to complete
          resumes the caller, the others notice and stand down *)
-      let engine = (List.hd rs).r_comm.w.engine in
+      let engine = (op_comm (List.hd rs)).w.engine in
       let outcome =
         Engine.suspend engine (fun resume ->
             let fired = ref false in
@@ -921,25 +942,13 @@ let waitany rs =
       in
       (match outcome with Ok hit -> hit | Error e -> raise e)
 
-let make_request ~span ~internal ~tag ~peer ~reg c ucx_req cleanup =
-  let r =
-    {
-      ucx_req;
-      r_comm = c;
-      r_span = span;
-      r_cleanup = cleanup;
-      r_tag = tag;
-      r_peer = peer;
-      r_internal = internal;
-      r_reg = reg;
-      outcome = None;
-    }
-  in
-  if reg != no_registry then begin
-    if reg.n_ops >= reg.prune_at then prune_completed reg;
-    reg.ops <- r :: reg.ops;
-    reg.n_ops <- reg.n_ops + 1
-  end;
+(* Fill a posted operation's owner slot; one that is still pending
+   joins [me]'s cancellation registry. *)
+let own c ~me ~span ~cleanup (r : request) =
+  Ucx.set_owner r
+    (if span == Obs.null_span && cleanup == No_cleanup then c.plain
+     else Op_ext { comm = c; span; cleanup });
+  if me >= 0 && not (Ucx.is_completed r) then register c.w ~owner:me r;
   r
 
 let check_dst c r name =
@@ -994,18 +1003,18 @@ let monitor_record c kind ~op_kind ~peer ~tag ~blocking buf (ureq : Ucx.request)
                 o_error =
                   (match u.error with
                   | None -> None
-                  | Some (Ucx.Truncated { expected; capacity }) ->
+                  | Some (Truncated { expected; capacity }) ->
                       Some
                         (Printf.sprintf "truncated: expected %d bytes, capacity %d"
                            expected capacity)
-                  | Some (Ucx.Callback_failed code) ->
+                  | Some (Callback_failed code) ->
                       Some (Printf.sprintf "callback failed with code %d" code)
-                  | Some (Ucx.Timeout { retries }) ->
+                  | Some (Timeout { retries }) ->
                       Some (Printf.sprintf "timeout after %d retries" retries)
-                  | Some (Ucx.Peer_failed { peer }) ->
+                  | Some (Peer_failed { peer }) ->
                       Some (Printf.sprintf "peer %d failed" peer)
-                  | Some Ucx.Data_corrupted -> Some "data corrupted"
-                  | Some Ucx.Revoked -> Some "communicator revoked");
+                  | Some Data_corrupted -> Some "data corrupted"
+                  | Some Revoked -> Some "communicator revoked");
               }
       in
       Monitor.add m op peek
@@ -1060,85 +1069,96 @@ let op_span c ~blocking ~send ~peer ~tag buf =
       name
   else Obs.null_span
 
+(* The error, if any, that dooms an operation on [c] before it starts:
+   a revocation this rank has seen, a poisoned collective (if
+   [poisoned]), or a declared-failed rank: this one, [peer] (if not
+   [-1]) or, with [group], any member. *)
+let doomed c ~poisoned ~peer ~group =
+  let w = c.w in
+  let me = c.group.(c.c_rank) in
+  (* both tables stay empty until a revoke or a poisoned collective,
+     so a healthy world never hashes a key here *)
+  if Hashtbl.length w.revoked_seen > 0 && Hashtbl.mem w.revoked_seen (c.cid, me)
+  then Some Revoked
+  else
+    match
+      if poisoned && Hashtbl.length w.col_poison > 0 then
+        Hashtbl.find_opt w.col_poison (c.cid, me)
+      else None
+    with
+    | Some err -> Some err
+    | None when not (Ucx.any_failures w.ucx) -> None
+    | None ->
+        let failed r = r >= 0 && Ucx.is_failed w.ucx ~rank:r in
+        if failed me then Some (Peer_failed { peer = me })
+        else if failed peer then Some (Peer_failed { peer })
+        else if not group then None
+        else
+          Option.map (fun peer -> Peer_failed { peer }) (Array.find_opt failed c.group)
+
 (* Fail-fast check run before posting: an operation on a communicator
    this rank knows is revoked, or directed at (or posted by) a declared-
    failed rank, completes immediately with the corresponding error — no
    descriptors are built, no callback state is started, nothing touches
    the wire.  [peer_world] is [-1] for any-source receives (which, as in
    ULFM, stay pending: a live sender may still match them). *)
-let fail_fast c kind ~peer_world : Ucx.error option =
-  let w = c.w in
-  let me = c.group.(c.c_rank) in
-  (* both tables stay empty until a revoke or a poisoned collective,
-     so a healthy world never hashes a key here *)
-  if Hashtbl.length w.revoked_seen > 0 && Hashtbl.mem w.revoked_seen (c.cid, me)
-  then Some Ucx.Revoked
-  else
-    match
-      if
-        Hashtbl.length w.col_poison > 0
-        && kind_code kind = kind_code Internal0.Internal
-      then Hashtbl.find_opt w.col_poison (c.cid, me)
-      else None
-    with
-    | Some err -> Some (lower_error err)
-    | None ->
-        if Ucx.any_failures w.ucx then
-          if Ucx.is_failed w.ucx ~rank:me then
-            Some (Ucx.Peer_failed { peer = me })
-          else if peer_world >= 0 && Ucx.is_failed w.ucx ~rank:peer_world then
-            Some (Ucx.Peer_failed { peer = peer_world })
-          else None
-        else None
+let fail_fast c kind ~peer_world =
+  doomed c ~poisoned:(kind_code kind = kind_code Internal0.Internal) ~peer:peer_world
+    ~group:false
 
-let force_raise_of kind = kind_code kind = kind_code Internal0.Internal
+let post_send c kind ~blocking ~me ~peer ~tag ~span ~cleanup t buf dt =
+  let req = Ucx.tag_send_from c.w.workers.(me) ~dst:c.w.workers.(peer) ~tag:t dt in
+  monitor_record c kind ~op_kind:Monitor.Send ~peer ~tag ~blocking buf req;
+  own c ~me ~span ~cleanup req
 
 let isend_gen c kind ~blocking ~dst ~tag buf =
   check_dst c dst "isend";
   check_user_tag tag;
   let span = op_span c ~blocking ~send:true ~peer:dst ~tag buf in
   let me = c.group.(c.c_rank) and peer = c.group.(dst) in
-  let t64 = encode_tag ~src:me ~kind ~cid:c.cid ~utag:tag in
-  let internal = force_raise_of kind in
+  let t = encode_tag ~src:me ~kind ~cid:c.cid ~utag:tag in
   match fail_fast c kind ~peer_world:peer with
   | Some err ->
-      let req = Ucx.completed_request c.w.ucx ~tag:t64 err in
+      let req = Ucx.completed_request ~tag:t err in
       monitor_record c kind ~op_kind:Monitor.Send ~peer ~tag ~blocking buf req;
-      make_request ~span ~internal ~tag:t64 ~peer ~reg:no_registry c req ignore
-  | None ->
-      let dt, cleanup = make_send_dt c buf in
-      let req =
-        Ucx.tag_send_from c.w.workers.(me) ~dst:c.w.workers.(peer) ~tag:t64 dt
-      in
-      monitor_record c kind ~op_kind:Monitor.Send ~peer ~tag ~blocking buf req;
-      make_request ~span ~internal ~tag:t64 ~peer
-        ~reg:(registry_for c.w ~owner:me req)
-        c req cleanup
+      own c ~me:(-1) ~span ~cleanup:No_cleanup req
+  | None -> (
+      match buf with
+      | Custom { dt; obj; count } ->
+          let dt, cleanup = custom_send_dt c dt obj ~count in
+          post_send c kind ~blocking ~me ~peer ~tag ~span ~cleanup t buf dt
+      | Bytes _ | Typed _ ->
+          post_send c kind ~blocking ~me ~peer ~tag ~span ~cleanup:No_cleanup t
+            buf (make_send_dt c buf))
+
+let post_recv c kind ~blocking ~me ~source ~tag ~span ~cleanup t buf dt =
+  let req =
+    Ucx.post_recv c.w.workers.(me) ~tag:t ~mask:(recv_mask ~source ~tag)
+      ~peer:source dt
+  in
+  monitor_record c kind ~op_kind:Monitor.Recv ~peer:source ~tag ~blocking buf req;
+  own c ~me ~span ~cleanup req
 
 let irecv_gen c kind ~blocking ?(source = any_source) ?(tag = any_tag) buf =
   if source <> any_source then check_dst c source "irecv";
   let span = op_span c ~blocking ~send:false ~peer:source ~tag buf in
   let me = c.group.(c.c_rank) in
   let source = if source = any_source then any_source else c.group.(source) in
-  let t64 = recv_tag ~kind ~cid:c.cid ~source ~tag in
-  let internal = force_raise_of kind in
+  let t = recv_tag ~kind ~cid:c.cid ~source ~tag in
   match fail_fast c kind ~peer_world:source with
   | Some err ->
-      let req = Ucx.completed_request c.w.ucx ~tag:t64 err in
+      let req = Ucx.completed_request ~tag:t err in
       monitor_record c kind ~op_kind:Monitor.Recv ~peer:source ~tag ~blocking
         buf req;
-      make_request ~span ~internal ~tag:t64 ~peer:source ~reg:no_registry c req
-        ignore
-  | None ->
-      let dt, cleanup = make_recv_dt c buf in
-      let req =
-        Ucx.tag_recv c.w.workers.(me) ~tag:t64 ~mask:(recv_mask ~source ~tag) dt
-      in
-      monitor_record c kind ~op_kind:Monitor.Recv ~peer:source ~tag ~blocking
-        buf req;
-      make_request ~span ~internal ~tag:t64 ~peer:source
-        ~reg:(registry_for c.w ~owner:me req)
-        c req cleanup
+      own c ~me:(-1) ~span ~cleanup:No_cleanup req
+  | None -> (
+      match buf with
+      | Custom { dt; obj; count } ->
+          let dt, cleanup = custom_recv_dt c dt obj ~count in
+          post_recv c kind ~blocking ~me ~source ~tag ~span ~cleanup t buf dt
+      | Bytes _ | Typed _ ->
+          post_recv c kind ~blocking ~me ~source ~tag ~span ~cleanup:No_cleanup
+            t buf (make_recv_dt c buf))
 
 let isend_k c kind ~dst ~tag buf = isend_gen c kind ~blocking:false ~dst ~tag buf
 let irecv_k c kind ?source ?tag buf = irecv_gen c kind ~blocking:false ?source ?tag buf
@@ -1170,29 +1190,31 @@ let probe_args c kind source tag =
 let my_worker c = c.w.workers.(c.group.(c.c_rank))
 
 let iprobe_k c kind ?(source = any_source) ?(tag = any_tag) () =
-  let t64, mask = probe_args c kind source tag in
-  Ucx.tag_probe (my_worker c) ~tag:t64 ~mask |> Option.map (probe_status c)
+  let t, mask = probe_args c kind source tag in
+  Ucx.tag_probe (my_worker c) ~tag:t ~mask |> Option.map (probe_status c)
 
 let probe_k c kind ?(source = any_source) ?(tag = any_tag) () =
-  let t64, mask = probe_args c kind source tag in
-  probe_status c (Ucx.tag_probe_wait (my_worker c) ~tag:t64 ~mask)
+  let t, mask = probe_args c kind source tag in
+  probe_status c (Ucx.tag_probe_wait (my_worker c) ~tag:t ~mask)
 
 let improbe_k c kind ?(source = any_source) ?(tag = any_tag) () =
-  let t64, mask = probe_args c kind source tag in
-  Ucx.tag_mprobe (my_worker c) ~tag:t64 ~mask
+  let t, mask = probe_args c kind source tag in
+  Ucx.tag_mprobe (my_worker c) ~tag:t ~mask
   |> Option.map (fun (info, msg) -> (probe_status c info, msg))
 
 let mprobe_k c kind ?(source = any_source) ?(tag = any_tag) () =
-  let t64, mask = probe_args c kind source tag in
-  let info, msg = Ucx.tag_mprobe_wait (my_worker c) ~tag:t64 ~mask in
+  let t, mask = probe_args c kind source tag in
+  let info, msg = Ucx.tag_mprobe_wait (my_worker c) ~tag:t ~mask in
   (probe_status c info, msg)
 
 let mrecv_k c _kind msg buf =
-  let dt, cleanup = make_recv_dt c buf in
-  let req = Ucx.msg_recv (my_worker c) msg dt in
+  let dt, cleanup =
+    match buf with
+    | Custom { dt; obj; count } -> custom_recv_dt c dt obj ~count
+    | Bytes _ | Typed _ -> (make_recv_dt c buf, No_cleanup)
+  in
   wait
-    (make_request ~span:Obs.null_span ~internal:false ~tag:0L
-       ~peer:(-1) ~reg:no_registry c req cleanup)
+    (own c ~me:(-1) ~span:Obs.null_span ~cleanup (Ucx.msg_recv (my_worker c) msg dt))
 
 let iprobe c ?source ?tag () = iprobe_k c Internal0.User ?source ?tag ()
 let probe c ?source ?tag () = probe_k c Internal0.User ?source ?tag ()
@@ -1237,31 +1259,7 @@ let collective_error c err =
    a seen revocation, an earlier poisoned collective, or a declared-
    failed member (ULFM requires collectives to fail across the whole
    communicator when any member has failed). *)
-let collective_ready c =
-  let w = c.w in
-  let me = c.group.(c.c_rank) in
-  if Hashtbl.length w.revoked_seen > 0 && Hashtbl.mem w.revoked_seen (c.cid, me)
-  then Some Revoked
-  else
-    match
-      if Hashtbl.length w.col_poison > 0 then
-        Hashtbl.find_opt w.col_poison (c.cid, me)
-      else None
-    with
-    | Some err -> Some err
-    | None ->
-        if Ucx.any_failures w.ucx then
-          if Ucx.is_failed w.ucx ~rank:me then Some (Peer_failed { peer = me })
-          else
-            let n = Array.length c.group in
-            let rec chk i =
-              if i >= n then None
-              else if Ucx.is_failed w.ucx ~rank:c.group.(i) then
-                Some (Peer_failed { peer = c.group.(i) })
-              else chk (i + 1)
-            in
-            chk 0
-        else None
+let collective_ready c = doomed c ~poisoned:true ~peer:(-1) ~group:true
 
 (* A collective that observed [err] poisons the operation for its peers:
    their pending internal-channel operations on this communicator are
@@ -1277,8 +1275,8 @@ let poison_collective c err =
     if not (Hashtbl.mem w.col_poison (c.cid, rank)) then begin
       Hashtbl.replace w.col_poison (c.cid, rank) err;
       cancel_outstanding w ~owner:rank
-        ~pred:(fun r -> r.r_internal && r.r_comm.cid = c.cid)
-        (lower_error err)
+        ~pred:(fun r -> is_internal r && (op_comm r).cid = c.cid)
+        err
     end
   in
   mark me;
@@ -1302,8 +1300,8 @@ let deliver_revoke w ~cid ~rank =
         ~args:[ ("cid", Obs.Int cid) ]
         "revoked";
     cancel_outstanding w ~owner:rank
-      ~pred:(fun r -> r.r_comm.cid = cid)
-      Ucx.Revoked
+      ~pred:(fun r -> (op_comm r).cid = cid)
+      Revoked
   end
 
 let comm_revoked c =
@@ -1486,16 +1484,9 @@ let comm_shrink c =
   (match Hashtbl.find_opt w.errh c.cid with
   | Some h -> Hashtbl.replace w.errh new_cid h
   | None -> ());
-  {
-    w;
-    c_rank = !my_new_rank;
-    group = Array.map (fun cr -> c.group.(cr)) survivors;
-    cid = new_cid;
-    bar_seq = 0;
-    agree_seq = 0;
-    shrink_seq = 0;
-    staging = empty_buf;
-  }
+  make_comm w ~c_rank:!my_new_rank
+    ~group:(Array.map (fun cr -> c.group.(cr)) survivors)
+    ~cid:new_cid
 
 (* --- barrier (linear; the harness only needs correctness) --- *)
 
@@ -1614,16 +1605,7 @@ let comm_split c ~color ~key =
   (match Hashtbl.find_opt c.w.errh c.cid with
   | Some h -> Hashtbl.replace c.w.errh my_cid h
   | None -> ());
-  {
-    w = c.w;
-    c_rank = new_rank;
-    group;
-    cid = my_cid;
-    bar_seq = 0;
-    agree_seq = 0;
-    shrink_seq = 0;
-    staging = empty_buf;
-  }
+  make_comm c.w ~c_rank:new_rank ~group ~cid:my_cid
 
 let comm_dup c = comm_split c ~color:0 ~key:c.c_rank
 
@@ -1643,18 +1625,19 @@ module Internal = struct
 
   let staging c n =
     let b = c.staging in
-    if Buf.length b = n then begin
-      c.staging <- empty_buf;
-      Buf.fill b '\000';
-      b
-    end
-    else Buf.create n
+    c.staging <- empty_buf;
+    let b =
+      if Buf.length b = n then b
+      else begin
+        Buf.Slabs.give c.w.slabs b;
+        Buf.Slabs.take c.w.slabs n
+      end
+    in
+    Buf.fill b '\000';
+    b
 
   let keep_staging c b = c.staging <- b
-  let registered_ops c =
-    match Hashtbl.find_opt c.w.outstanding (my_world_rank c) with
-    | Some ol -> ol.n_ops
-    | None -> 0
+  let registered_ops c = c.w.n_ops.(my_world_rank c)
   let collective_ready = collective_ready
   let poison_collective = poison_collective
   let collective_error = collective_error

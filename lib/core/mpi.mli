@@ -221,7 +221,7 @@ val buffer_size : buffer -> int
 
 (** {1 Errors and status} *)
 
-type error =
+type error = Mpicd_ucx.Ucx.error =
   | Truncated of { expected : int; capacity : int }
   | Callback_failed of int
   | Timeout of { retries : int }
@@ -455,11 +455,12 @@ module Internal : sig
   val staging : comm -> int -> Buf.t
   (** [staging c n] lends a zeroed [n]-byte buffer for one collective
       call: the one this rank last handed back with [keep_staging] if
-      it has [n] bytes, else a fresh one. *)
+      it has [n] bytes, else a fresh one carved from the world's
+      {!Buf.Slabs} (which takes back a kept buffer of another length). *)
 
   val keep_staging : comm -> Buf.t -> unit
-  (** Hand a staging buffer back for the rank's next call.  Only a
-      call that completed cleanly may: a failed one can leave a
+  (** Hand a buffer that [staging] lent back for the rank's next call.
+      Only a call that completed cleanly may: a failed one can leave a
       transfer that still writes into its buffer. *)
 
   val registered_ops : comm -> int

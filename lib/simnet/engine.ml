@@ -10,14 +10,14 @@ module Metrics = Mpicd_obs.Metrics
 type fiber = {
   f_id : int;
   f_name : string;
-  mutable gen : int;
-      (* suspensions plus resumptions: a resumer is valid while this is
-         still the value its suspension set *)
+  f_track : int;  (* observability track of its spans and instants *)
+  f_engine : t;
+  mutable f_span : Obs.span;  (* its lifetime span, if observed *)
   mutable prev : fiber;
   mutable next : fiber;
 }
 
-type t = {
+and t = {
   mutable clock : float;
   events : (unit -> unit) Evq.t;
   mutable seq : int;
@@ -32,30 +32,42 @@ type t = {
   mutable metric_handles : (Metrics.counter * Metrics.counter * Metrics.gauge) option;
       (* cached (scheduled, pooled, live) handles: interned once at
          [set_obs] so the per-event path never does a name lookup *)
+  mutable current : fiber;
+      (* the fiber running, or last to run: every start and resumption
+         sets it, so one handler per engine serves all its fibers *)
+  mutable handler : (unit, unit) Effect.Deep.handler;
+  sleep : unit Effect.t;  (* this engine's one [Sleep] value *)
+  sleep_for : Float.Array.t;
+      (* the pending sleep's duration, stored unboxed: [sleep] writes
+         it and the handler reads it before anything else can run *)
 }
 
 exception Deadlock of string
 
 type 'a resumer = 'a -> unit
 
-type _ Effect.t +=
-  | Sleep : t * float -> unit Effect.t
-  | Suspend : t * ('a resumer -> unit) -> 'a Effect.t
+(* The fibers parked on one cell, newest first: each holds its own
+   continuation, and waking resumes the earliest first (FIFO).  A lone
+   reader, the usual case, needs no link. *)
+type 'a waiter =
+  | Idle
+  | Parked of { k : ('a, unit) Effect.Deep.continuation; fib : fiber }
+  | Parked_after of {
+      k : ('a, unit) Effect.Deep.continuation;
+      fib : fiber;
+      earlier : 'a waiter;
+    }
 
-let create () =
-  let rec fibers = { f_id = 0; f_name = ""; gen = 0; prev = fibers; next = fibers } in
-  {
-    clock = 0.;
-    events = Evq.create ();
-    seq = 0;
-    reuses_seen = 0;
-    live = 0;
-    fibers;
-    fiber_ids = 0;
-    obs = Obs.null;
-    stats = None;
-    metric_handles = None;
-  }
+let idle = Idle
+
+(* How to reach a cell's waiter field: one static pair per cell type,
+   so waiting on a cell allocates no closure over the cell. *)
+type ('c, 'a) slot = { get : 'c -> 'a waiter; set : 'c -> 'a waiter -> unit }
+
+type _ Effect.t +=
+  | Sleep : t -> unit Effect.t
+  | Suspend : t * ('a resumer -> unit) -> 'a Effect.t
+  | Await : ('c, 'a) slot * 'c -> 'a Effect.t
 
 let now t = t.clock
 
@@ -84,7 +96,7 @@ let check_delay ~who delay =
   else if delay = Float.neg_infinity then
     invalid_arg (who ^ ": -infinity delay")
 
-let schedule t ~delay f =
+let[@inline] schedule t ~delay f =
   check_delay ~who:"Engine.schedule" delay;
   t.seq <- t.seq + 1;
   Evq.push t.events ~time:(t.clock +. Float.max 0. delay) ~seq:t.seq f;
@@ -110,70 +122,140 @@ let sleep t d =
      rejected rather than clamped (NaN likewise, via [schedule]). *)
   if Float.is_nan d then invalid_arg "Engine.sleep: NaN duration"
   else if d < 0. then invalid_arg "Engine.sleep: negative duration";
-  Effect.perform (Sleep (t, d))
+  Float.Array.unsafe_set t.sleep_for 0 d;
+  Effect.perform t.sleep
 let suspend t register = Effect.perform (Suspend (t, register))
+let await slot cell = Effect.perform (Await (slot, cell))
 
-let exec_fiber t fib ~track f =
+(* Observability: one span per fiber lifetime, plus suspend/resume
+   instants.  All recording is guarded so a detached sink costs a
+   single branch and allocates nothing. *)
+let fiber_instant fib what =
+  let t = fib.f_engine in
+  if Obs.enabled t.obs then
+    Obs.instant t.obs ~time:t.clock ~track:fib.f_track ~cat:"fiber"
+      ~args:[ ("fiber", Obs.Str (Printf.sprintf "%s#%d" fib.f_name fib.f_id)) ]
+      what
+
+let resume_with fib k v =
+  fib.f_engine.current <- fib;
+  Effect.Deep.continue k v
+
+let resume fib k v =
+  fiber_instant fib "resume";
+  schedule fib.f_engine ~delay:0. (fun () -> resume_with fib k v)
+
+(* Wake a cell's parked fibers, earliest first, with [v]. *)
+let rec resume_parked w v =
+  match w with
+  | Idle -> ()
+  | Parked { k; fib } -> resume fib k v
+  | Parked_after { k; fib; earlier } ->
+      resume_parked earlier v;
+      resume fib k v
+
+let wake slot cell v =
+  match slot.get cell with
+  | Idle -> ()
+  | w ->
+      slot.set cell Idle;
+      resume_parked w v
+
+(* The one handler of an engine's fibers: [t.current] says which fiber
+   performed an effect or returned. *)
+let make_handler t : (unit, unit) Effect.Deep.handler =
   let open Effect.Deep in
-  let id = fib.f_id and name = fib.f_name in
-  (* Observability: one span per fiber lifetime, plus suspend/resume
-     instants.  All recording is guarded so a detached sink costs a
-     single branch and allocates nothing. *)
-  let fiber_span =
-    if Obs.enabled t.obs then
-      Obs.span_begin t.obs ~time:t.clock ~track ~cat:"fiber"
-        ~args:[ ("id", Obs.Int id) ]
-        name
-    else Obs.null_span
+  let on_sleep =
+    Some
+      (fun (k : (unit, unit) continuation) ->
+        let fib = t.current in
+        schedule t ~delay:(Float.Array.unsafe_get t.sleep_for 0) (fun () ->
+            resume_with fib k ()))
   in
-  let fiber_instant what =
-    if Obs.enabled t.obs then
-      Obs.instant t.obs ~time:t.clock ~track ~cat:"fiber"
-        ~args:[ ("fiber", Obs.Str (Printf.sprintf "%s#%d" name id)) ]
-        what
-  in
-  match_with f ()
+  {
+    retc =
+      (fun () ->
+        let fib = t.current in
+        t.live <- t.live - 1;
+        fib.prev.next <- fib.next;
+        fib.next.prev <- fib.prev;
+        Obs.span_end t.obs ~time:t.clock fib.f_span);
+    exnc =
+      (fun e -> Printexc.raise_with_backtrace e (Printexc.get_raw_backtrace ()));
+    effc =
+      (fun (type a) (eff : a Effect.t) : ((a, unit) continuation -> unit) option ->
+        match eff with
+        | Sleep t' when t' == t -> on_sleep
+        | Await (slot, cell) ->
+            Some
+              (fun k ->
+                let fib = t.current in
+                fiber_instant fib "suspend";
+                slot.set cell
+                  (match slot.get cell with
+                  | Idle -> Parked { k; fib }
+                  | earlier -> Parked_after { k; fib; earlier }))
+        | Suspend (t', register) when t' == t ->
+            Some
+              (fun k ->
+                let fib = t.current in
+                fiber_instant fib "suspend";
+                let resumed = ref false in
+                register (fun v ->
+                    if !resumed then invalid_arg "Engine: resumer invoked twice";
+                    resumed := true;
+                    fiber_instant fib "resume";
+                    schedule t ~delay:0. (fun () -> resume_with fib k v)))
+        | _ -> None);
+  }
+
+let create () =
+  let rec t =
     {
-      retc =
-        (fun () ->
-          t.live <- t.live - 1;
-          fib.prev.next <- fib.next;
-          fib.next.prev <- fib.prev;
-          Obs.span_end t.obs ~time:t.clock fiber_span);
-      exnc =
-        (fun e -> Printexc.raise_with_backtrace e (Printexc.get_raw_backtrace ()));
-      effc =
-        (fun (type a) (eff : a Effect.t) ->
-          match eff with
-          | Sleep (t', d) when t' == t ->
-              Some
-                (fun (k : (a, unit) continuation) ->
-                  schedule t ~delay:d (fun () -> continue k ()))
-          | Suspend (t', register) when t' == t ->
-              Some
-                (fun (k : (a, unit) continuation) ->
-                  fiber_instant "suspend";
-                  let gen = fib.gen + 1 in
-                  fib.gen <- gen;
-                  register (fun v ->
-                      if fib.gen <> gen then
-                        invalid_arg "Engine: resumer invoked twice";
-                      fib.gen <- gen + 1;
-                      fiber_instant "resume";
-                      schedule t ~delay:0. (fun () -> continue k v)))
-          | _ -> None);
+      clock = 0.;
+      events = Evq.create ();
+      seq = 0;
+      reuses_seen = 0;
+      live = 0;
+      fibers = ring;
+      fiber_ids = 0;
+      obs = Obs.null;
+      stats = None;
+      metric_handles = None;
+      current = ring;
+      handler = { retc = Fun.id; exnc = raise; effc = (fun _ -> None) };
+      sleep = Sleep t;
+      sleep_for = Float.Array.make 1 0.;
     }
+  and ring =
+    { f_id = 0; f_name = ""; f_track = 0; f_engine = t; f_span = Obs.null_span;
+      prev = ring; next = ring }
+  in
+  t.handler <- make_handler t;
+  t
+
+let exec_fiber t fib f =
+  if Obs.enabled t.obs then
+    fib.f_span <-
+      Obs.span_begin t.obs ~time:t.clock ~track:fib.f_track ~cat:"fiber"
+        ~args:[ ("id", Obs.Int fib.f_id) ]
+        fib.f_name;
+  t.current <- fib;
+  Effect.Deep.match_with f () t.handler
 
 let spawn t ?(name = "fiber") ?track f =
   t.live <- t.live + 1;
   t.fiber_ids <- t.fiber_ids + 1;
   let id = t.fiber_ids in
   let ring = t.fibers in
-  let fib = { f_id = id; f_name = name; gen = 0; prev = ring.prev; next = ring } in
+  let f_track = match track with Some r -> r | None -> -id in
+  let fib =
+    { f_id = id; f_name = name; f_track; f_engine = t; f_span = Obs.null_span;
+      prev = ring.prev; next = ring }
+  in
   ring.prev.next <- fib;
   ring.prev <- fib;
-  let track = match track with Some r -> r | None -> -id in
-  schedule t ~delay:0. (fun () -> exec_fiber t fib ~track f)
+  schedule t ~delay:0. (fun () -> exec_fiber t fib f)
 
 let at t ~delay f = schedule t ~delay f
 
@@ -274,35 +356,22 @@ module Mutex = struct
 end
 
 module Ivar = struct
-  (* The blocked readers as one resumer: a cell is mostly read by one
-     fiber, so a blocked read keeps no list cell reachable.  Later
-     readers are chained after earlier ones, so they wake FIFO. *)
-  type 'a t = { mutable value : 'a option; mutable readers : 'a resumer }
+  (* The blocked readers are parked in the cell itself, so a blocked
+     read keeps only its continuation and one [Parked] node reachable.
+     Later readers wake after earlier ones (FIFO). *)
+  type 'a t = { mutable value : 'a option; mutable readers : 'a waiter }
 
-  let no_readers _ = ()
-  let create () = { value = None; readers = no_readers }
+  let slot = { get = (fun t -> t.readers); set = (fun t w -> t.readers <- w) }
+  let create () = { value = None; readers = Idle }
 
   let fill t v =
     match t.value with
     | Some _ -> invalid_arg "Ivar.fill: already filled"
     | None ->
         t.value <- Some v;
-        let wake = t.readers in
-        t.readers <- no_readers;
-        wake v
+        wake slot t v
 
-  let read e t =
-    match t.value with
-    | Some v -> v
-    | None ->
-        suspend e (fun resume ->
-            let earlier = t.readers in
-            t.readers <-
-              (if earlier == no_readers then resume
-               else fun v ->
-                 earlier v;
-                 resume v))
-
+  let read _ t = match t.value with Some v -> v | None -> await slot t
   let peek t = t.value
   let is_filled t = Option.is_some t.value
 end

@@ -78,6 +78,30 @@ val suspend : t -> ('a resumer -> unit) -> 'a
     resumer which, when invoked (from another fiber or an event), reschedules
     this fiber at the then-current virtual time with the given value. *)
 
+(** {2 Typed waits}
+
+    A cell that fibers block on keeps its parked readers in a field of
+    its own, so a blocked fiber holds its continuation and one node,
+    and allocates no resumer. *)
+
+type 'a waiter
+(** The fibers parked on one cell, waiting for an ['a]. *)
+
+val idle : 'a waiter
+(** No fiber parked. *)
+
+type ('c, 'a) slot = { get : 'c -> 'a waiter; set : 'c -> 'a waiter -> unit }
+(** How to reach the waiter field of a cell of type ['c]. *)
+
+val await : ('c, 'a) slot -> 'c -> 'a
+(** [await slot cell] parks the calling fiber on [cell] until {!wake}
+    delivers a value.  Must be called from inside a fiber. *)
+
+val wake : ('c, 'a) slot -> 'c -> 'a -> unit
+(** [wake slot cell v] empties [cell]'s waiter field and reschedules
+    every fiber parked on it at the current virtual time with [v], in
+    the order they parked. *)
+
 val at : t -> delay:float -> (unit -> unit) -> unit
 (** [at t ~delay f] schedules callback [f] to run at [now t +. delay].
     Callbacks run outside any fiber and must not perform effects; they

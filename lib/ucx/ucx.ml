@@ -43,25 +43,53 @@ type error =
   | Data_corrupted
   | Revoked
 
-type status = { len : int; tag : int64; error : error option }
+type status = { len : int; tag : int; error : error option }
 
-(* A receive request is also its posted-queue entry: it carries the
-   match filter and the receive descriptor (constants in a send's). *)
+(* A request's status until it completes, compared physically. *)
+let pending = { len = -1; tag = 0; error = None }
+
+type owner = ..
+type owner += No_owner
+
+(* One record per operation.  It is the completion cell (status and
+   parked waiters), a receive's posted-queue entry (match filter,
+   descriptor and link), and the upper layer's per-operation state
+   (owner slot and a list link). *)
 type request = {
-  ivar : status Engine.Ivar.t;
-  r_engine : Engine.t;
+  mutable r_status : status;  (* [pending] until complete *)
+  mutable r_waiter : status Engine.waiter;
   mutable r_seq : int;
       (* per-context message sequence number ("mseq") of the message this
          request sends or received; -1 until known.  Purely diagnostic:
          it joins send and receive spans across ranks in trace
          analysis and never influences matching or timing. *)
-  r_tag : int64;
-  r_mask : int64;
+  r_tag : int;
+  r_mask : int;
+  r_peer : int;
   r_dt : recv_dt;
+  mutable r_next : request;  (* posted-queue link; [no_request] ends it *)
+  mutable r_owner : owner;
+  mutable r_link : request;
 }
 
+let no_recv = Rd_iov []
+
+let rec no_request =
+  { r_status = pending; r_waiter = Engine.idle; r_seq = -1; r_tag = 0; r_mask = 0;
+    r_peer = -1; r_dt = no_recv; r_next = no_request; r_owner = No_owner;
+    r_link = no_request }
+
+let make_request ~tag ~mask ~peer dt =
+  { no_request with r_tag = tag; r_mask = mask; r_peer = peer; r_dt = dt }
+
+let waiter_slot =
+  { Engine.get = (fun r -> r.r_waiter); set = (fun r w -> r.r_waiter <- w) }
+
 type payload =
-  | P_eager of Buf.t list  (* snapshot fragments *)
+  | P_eager  (* the bytes are [e_data], a snapshot the context recycles *)
+  | P_frags of Buf.t list
+      (* pool-lent pack fragments, one per callback, or the reliable
+         path's delivered slices *)
   | P_rndv of rndv
   | P_nack of error
       (* poison envelope: a failed transfer notifying the receiver, so a
@@ -76,11 +104,12 @@ and rndv = {
 }
 
 type envelope = {
-  e_tag : int64;
+  e_tag : int;
   e_total : int;
   e_src : int;
   e_seq : int;  (* context-wide message sequence number, for trace joins *)
   e_payload : payload;
+  e_data : Buf.t;  (* [P_eager]'s bytes; empty otherwise *)
   mutable e_unexpected_alloc : int;
       (* receiver bytes allocated to hold this envelope while unexpected *)
   e_sent_at : float;  (* virtual send-post time, for latency histograms *)
@@ -88,33 +117,68 @@ type envelope = {
       (* when it entered the unexpected queue; NaN if never queued *)
   mutable e_matched : bool;
       (* set by [process_match]; guards the rendezvous-handshake timer *)
+  mutable e_next : envelope;  (* unexpected-queue link; [no_env] ends it *)
 }
 
-type probe_info = { p_tag : int64; p_len : int; p_src_worker : int }
+let no_data = Buf.create 0
+
+let rec no_env =
+  { e_tag = 0; e_total = 0; e_src = -1; e_seq = -1; e_payload = P_eager; e_data = no_data;
+    e_unexpected_alloc = 0; e_sent_at = 0.; e_queued_at = Float.nan; e_matched = false;
+    e_next = no_env }
+
+type probe_info = { p_tag : int; p_len : int; p_src_worker : int }
 
 type message = envelope
 
 (* Per-channel FIFO clocks, keyed by one int: [channel_key] packs the
-   (src, dst) worker pair, so a lookup hashes an int instead of a
-   boxed tuple through the polymorphic hash and compare.  The table is
-   only ever looked up, never iterated.  A clock is an all-float
-   record, so advancing it stores the float in place instead of boxing
-   a new one per message. *)
-module Chan_tbl = Hashtbl.Make (Int)
-
-type chan = { mutable next_at : float }
+   (src, dst) worker pair.  An open-addressing table with linear
+   probing, grown at three-quarters load, holds them: a key array ([-1]
+   is a free slot) and a float array of clocks, unboxed, so a channel
+   costs three to six words and advancing its clock stores the float in
+   place. *)
+type chans = { mutable keys : int array; mutable at : Float.Array.t; mutable used : int }
 
 let channel_key ~src ~dst = (src lsl 31) lor dst
 
+let rec chan_slot ch key i =
+  let k = Array.unsafe_get ch.keys i in
+  if k = key || k < 0 then i else chan_slot ch key ((i + 1) land (Array.length ch.keys - 1))
+
+let rec chan_index ch key =
+  let i = chan_slot ch key (Hashtbl.hash key land (Array.length ch.keys - 1)) in
+  if ch.keys.(i) = key then i
+  else if 4 * (ch.used + 1) <= 3 * Array.length ch.keys then begin
+    ch.keys.(i) <- key;
+    ch.used <- ch.used + 1;
+    i
+  end
+  else begin
+    let keys = ch.keys and at = ch.at in
+    ch.keys <- Array.make (2 * Array.length keys) (-1);
+    ch.at <- Float.Array.make (2 * Array.length keys) 0.;
+    ch.used <- 0;
+    Array.iteri (fun j k -> if k >= 0 then Float.Array.set ch.at (chan_index ch k) (Float.Array.get at j)) keys;
+    chan_index ch key
+  end
+
+(* Both queues are linked through their entries, oldest first, with
+   the newest kept for an O(1) append. *)
 type worker = {
   id : int;
   ctx : context;
-  mutable posted : request list;  (* receives, in post order *)
-  mutable unexpected : envelope list;  (* in arrival order *)
-  mutable probe_waiters : (int64 * int64 * probe_info Engine.resumer) list;
-  mutable mprobe_waiters :
-    (int64 * int64 * (probe_info * message) Engine.resumer) list;
+  mutable posted : request;  (* receives, in post order *)
+  mutable posted_last : request;
+  mutable unexpected : envelope;  (* in arrival order *)
+  mutable unexpected_last : envelope;
+  mutable probers : prober list;  (* blocked probes, in blocking order *)
 }
+
+(* A blocked probe of [(tag, mask)]: a [Peek] leaves the envelope
+   queued, a [Take] dequeues it. *)
+and prober =
+  | Peek of int * int * probe_info Engine.resumer
+  | Take of int * int * (probe_info * message) Engine.resumer
 
 and context = {
   engine : Engine.t;
@@ -123,7 +187,7 @@ and context = {
   mutable next_worker : int;
   mutable next_mseq : int;  (* message sequence allocator (see [e_seq]) *)
   mutable workers_list : worker list;  (* newest first; for cancellation *)
-  channels : chan Chan_tbl.t;
+  channels : chans;
       (* per (src,dst) pair: earliest next delivery time, for FIFO order *)
   mutable jitter : (unit -> float) option;
   mutable trace : Mpicd_simnet.Trace.t option;
@@ -150,6 +214,9 @@ and context = {
          virtual-time results are bit-identical.  With a topology
          attached, message motion routes over its links and shares
          their bandwidth *)
+  snaps : Buf.Slabs.t;
+      (* eager snapshots with no fault plan: a deposit gives each back,
+         so the storage stops growing at the in-flight depth *)
 }
 
 type endpoint = { ep_src : worker; ep_dst : worker }
@@ -162,7 +229,7 @@ let create_context ~engine ~config ~stats =
     next_worker = 0;
     next_mseq = 0;
     workers_list = [];
-    channels = Chan_tbl.create 16;
+    channels = { keys = Array.make 16 (-1); at = Float.Array.make 16 0.; used = 0 };
     jitter = None;
     trace = None;
     obs = Obs.null;
@@ -173,6 +240,7 @@ let create_context ~engine ~config ~stats =
     fail_listeners = [];
     pool = Buf.Pool.create ();
     topology = None;
+    snaps = Buf.Slabs.create ();
   }
 
 let pool c = c.pool
@@ -233,10 +301,11 @@ let create_worker ctx =
     {
       id;
       ctx;
-      posted = [];
-      unexpected = [];
-      probe_waiters = [];
-      mprobe_waiters = [];
+      posted = no_request;
+      posted_last = no_request;
+      unexpected = no_env;
+      unexpected_last = no_env;
+      probers = [];
     }
   in
   ctx.workers_list <- w :: ctx.workers_list;
@@ -273,15 +342,16 @@ let iov_cost c (dt : send_dt) =
 
 (* Sender CPU to stage a descriptor.  A generic pack stages through
    [alloc] bytes of bounce buffer: the whole message for eager, one
-   reused [frag_size] fragment for a pipelined rendezvous.  The NIC
-   reads contig and iov descriptors in place. *)
-let[@inline] staging_cpu ctx (dt : send_dt) ~alloc ~ncb =
+   reused [frag_size] fragment for a pipelined rendezvous, and each of
+   its [frags] took one pack callback.  The NIC reads contig and iov
+   descriptors in place. *)
+let[@inline] staging_cpu ctx (dt : send_dt) ~alloc frags =
   match dt with
   | Sd_generic g ->
       let c = cpu ctx in
       Config.alloc_time c alloc
       +. Config.memcpy_time c g.sg_packed_size
-      +. (float_of_int ncb *. c.pack_cb_overhead_ns)
+      +. (float_of_int (List.length frags) *. c.pack_cb_overhead_ns)
       +. g.sg_overhead_ns
   | Sd_contig _ | Sd_iov _ -> 0.
 
@@ -311,13 +381,12 @@ let path_serialize c ~src ~dst bytes =
    context's pool; each dies as soon as [deposit] consumes it, which
    gives it back.  The one place pack callbacks run: the stream counts
    as one copy, and [sg_finish] runs exactly once whether it completes
-   or a callback fails partway through.  Returns the fragments and the
-   number of callback invocations. *)
+   or a callback fails partway through.  Returns the fragments, one
+   per callback invocation. *)
 let pack_fragments ctx (g : send_generic) =
   let frag_size = (link ctx).frag_size in
   let total = g.sg_packed_size in
   let frags = ref [] in
-  let ncb = ref 0 in
   let off = ref 0 in
   match
     while !off < total do
@@ -327,7 +396,6 @@ let pack_fragments ctx (g : send_generic) =
       if want = frag_size && Buf.Pool.hits ctx.pool > hits then
         Stats.record_bounce_reuse ctx.stats;
       let used = g.sg_pack ~offset:!off ~dst in
-      incr ncb;
       Stats.record_pack_cb ctx.stats;
       (* Contract (paper Listing 4): while the stream is not exhausted a
          pack callback must produce 0 < n <= length dst.  A zero/negative
@@ -344,7 +412,7 @@ let pack_fragments ctx (g : send_generic) =
   | () ->
       g.sg_finish ();
       Stats.record_copy ctx.stats total;
-      (List.rev !frags, !ncb)
+      List.rev !frags
   | exception exn ->
       g.sg_finish ();
       raise exn
@@ -400,8 +468,8 @@ let scatter_fragments frags regions =
    that the transport owns. *)
 let materialize ctx (dt : send_dt) =
   match dt with
-  | Sd_contig b -> ([ b ], 0)
-  | Sd_iov bs -> (bs, 0)
+  | Sd_contig b -> [ b ]
+  | Sd_iov bs -> bs
   | Sd_generic g -> pack_fragments ctx g
 
 (* A loop, not [List.iter] of a partial application, which would
@@ -454,25 +522,82 @@ let deposit ctx (dt : recv_dt) frags ~zcopy ~owned =
   if owned then give_back ctx.pool frags;
   cpu_time
 
+(* Deposit an eager snapshot (as [deposit] would its one fragment),
+   then recycle its storage. *)
+let land_snapshot ctx (dt : recv_dt) data =
+  let cpu_time =
+    match dt with
+    | Rd_contig b ->
+        Buf.blit ~src:data ~src_pos:0 ~dst:b ~dst_pos:0 ~len:(Buf.length data);
+        copy_cpu ctx ~zcopy:false (Buf.length data)
+    | Rd_iov _ | Rd_generic _ -> deposit ctx dt [ data ] ~zcopy:false ~owned:false
+  in
+  Buf.Slabs.give ctx.snaps data;
+  cpu_time
+
 (* --- matching --- *)
 
-let tag_matches ~tag ~mask env_tag =
-  Int64.logand env_tag mask = Int64.logand tag mask
+let tag_matches ~tag ~mask env_tag = env_tag land mask = tag land mask
 
-let complete req status = Engine.Ivar.fill req.ivar status
+let is_completed (req : request) = req.r_status != pending
+
+let complete req status =
+  if is_completed req then invalid_arg "Ucx: request already complete";
+  req.r_status <- status;
+  Engine.wake waiter_slot req status
 
 (* Fault paths can race a completion against a timeout timer; whichever
-   fires second must not double-fill the ivar. *)
+   fires second must not complete the request twice. *)
 let complete_if_pending req status =
-  if not (Engine.Ivar.is_filled req.ivar) then complete req status
+  if not (is_completed req) then complete req status
 
-let make_recv_request e ~tag ~mask dt =
-  { ivar = Engine.Ivar.create (); r_engine = e; r_seq = -1;
-    r_tag = tag; r_mask = mask; r_dt = dt }
 
-let make_request e = make_recv_request e ~tag:0L ~mask:0L (Rd_iov [])
+(* --- the two match queues, linked through their entries --- *)
 
-let request_seq (req : request) = req.r_seq
+type ('q, 'a) links = {
+  nil : 'a;
+  next : 'a -> 'a;
+  set_next : 'a -> 'a -> unit;
+  head : 'q -> 'a;
+  set_head : 'q -> 'a -> unit;
+  last : 'q -> 'a;
+  set_last : 'q -> 'a -> unit;
+}
+
+let posted =
+  { nil = no_request; next = (fun r -> r.r_next); set_next = (fun r n -> r.r_next <- n);
+    head = (fun w -> w.posted); set_head = (fun w r -> w.posted <- r);
+    last = (fun w -> w.posted_last); set_last = (fun w r -> w.posted_last <- r) }
+
+let unexpected =
+  { nil = no_env; next = (fun e -> e.e_next); set_next = (fun e n -> e.e_next <- n);
+    head = (fun w -> w.unexpected); set_head = (fun w e -> w.unexpected <- e);
+    last = (fun w -> w.unexpected_last); set_last = (fun w e -> w.unexpected_last <- e) }
+
+let push l w x =
+  if l.head w == l.nil then l.set_head w x else l.set_next (l.last w) x;
+  l.set_last w x;
+  l.set_next x l.nil
+
+(* Unlink and return the oldest entry [x] with [hit arg x], searching
+   from [x] (after [prev]); [l.nil] if none. *)
+let rec take_from l w hit arg prev x =
+  if x == l.nil then x
+  else if hit arg x then begin
+    let next = l.next x in
+    if prev == l.nil then l.set_head w next else l.set_next prev next;
+    if l.last w == x then l.set_last w prev;
+    l.set_next x l.nil;
+    x
+  end
+  else take_from l w hit arg x (l.next x)
+
+let take l w hit arg = take_from l w hit arg l.nil (l.head w)
+
+let rec find l hit arg x = if x == l.nil || hit arg x then x else find l hit arg (l.next x)
+let rec length l x n = if x == l.nil then n else length l (l.next x) (n + 1)
+let matches_env env (pr : request) = tag_matches ~tag:pr.r_tag ~mask:pr.r_mask env.e_tag
+let matches_req (pr : request) env = matches_env env pr
 
 (* --- reliable delivery (engaged only when a fault plan is attached) ---
 
@@ -530,7 +655,7 @@ let dispose_rndv (r : rndv) =
 let dispose_payload env =
   match env.e_payload with
   | P_rndv r -> dispose_rndv r
-  | P_eager _ | P_nack _ -> ()
+  | P_eager | P_frags _ | P_nack _ -> ()
 
 let dispose_recv_dt = function
   | Rd_generic g -> g.rg_finish ()
@@ -566,38 +691,36 @@ let notify_failure ctx ~rank =
 
 (* A request that is already complete with [error] — what a fail-fast
    operation on a revoked/broken communicator returns. *)
-let completed_request ctx ~tag error =
-  let req = make_request ctx.engine in
-  complete req { len = 0; tag; error = Some error };
+let completed_request ~tag error =
+  let req = make_request ~tag ~mask:0 ~peer:(-1) no_recv in
+  req.r_status <- { len = 0; tag; error = Some error };
   req
 
 (* Complete a pending request early with [error] and withdraw any
    transport state referring to it (posted receives, queued RTS
    envelopes), releasing descriptor callback state exactly once.
    Returns false if the request had already completed. *)
-let try_cancel ctx (req : request) ~tag error =
-  if Engine.Ivar.is_filled req.ivar then false
+let try_cancel ctx (req : request) error =
+  if is_completed req then false
   else begin
-    complete req { len = 0; tag; error = Some error };
+    complete req { len = 0; tag = req.r_tag; error = Some error };
     Stats.record_op_cancelled ctx.stats;
+    let carries req env =
+      match env.e_payload with
+      | P_rndv r -> r.r_request == req
+      | P_eager | P_frags _ | P_nack _ -> false
+    in
     List.iter
       (fun w ->
-        if List.memq req w.posted then begin
-          w.posted <- List.filter (fun pr -> pr != req) w.posted;
-          dispose_recv_dt req.r_dt
-        end;
-        let gone, keep =
-          List.partition
-            (fun env ->
-              match env.e_payload with
-              | P_rndv r -> r.r_request == req
-              | P_eager _ | P_nack _ -> false)
-            w.unexpected
+        if take posted w ( == ) req != no_request then dispose_recv_dt req.r_dt;
+        let rec withdraw () =
+          let env = take unexpected w carries req in
+          if env != no_env then begin
+            dispose_payload env;
+            withdraw ()
+          end
         in
-        if gone <> [] then begin
-          w.unexpected <- keep;
-          List.iter dispose_payload gone
-        end)
+        withdraw ())
       ctx.workers_list;
     true
   end
@@ -1050,8 +1173,9 @@ let rndv_match w (pr : request) (env : envelope) (r : rndv) =
   | None -> (
       let wire = path_serialize ctx ~src:env.e_src ~dst:w.id size +. iov_cost ctx r.r_dt in
       try
-        let frags, send_cbs = stage ctx r in
-        let cpu_send = staging_cpu ctx r.r_dt ~alloc:l.frag_size ~ncb:send_cbs in
+        let frags = stage ctx r in
+        let send_cbs = List.length frags in
+        let cpu_send = staging_cpu ctx r.r_dt ~alloc:l.frag_size frags in
         let frags =
           match (r.r_dt, pr.r_dt) with
           | Sd_iov _, Rd_generic _ ->
@@ -1116,9 +1240,9 @@ let rndv_match w (pr : request) (env : envelope) (r : rndv) =
       Engine.spawn e ~name:"rel_rndv" ~track:env.e_src (fun () ->
           Engine.sleep e handshake;
           try
-            let frags, send_cbs = stage ctx r in
+            let frags = stage ctx r in
             let cpu_send =
-              (staging_cpu ctx r.r_dt ~alloc:l.frag_size ~ncb:send_cbs
+              (staging_cpu ctx r.r_dt ~alloc:l.frag_size frags
               +. iov_cost ctx r.r_dt)
               *. straggle ctx env.e_src
             in
@@ -1162,7 +1286,8 @@ let process_match w (pr : request) (env : envelope) =
        (it either already did, for eager, or completes now).  The data
        never moves, so the send descriptor is disposed here. *)
     (match env.e_payload with
-    | P_eager _ | P_nack _ -> ()
+    | P_eager -> Buf.Slabs.give ctx.snaps env.e_data
+    | P_frags _ | P_nack _ -> ()
     | P_rndv r ->
         dispose_rndv r;
         complete_if_pending r.r_request
@@ -1178,7 +1303,7 @@ let process_match w (pr : request) (env : envelope) =
            the sender-side error instead of leaving it pending. *)
         refuse_recv e pr ~delay:0. ~tag:env.e_tag err
     | P_rndv r -> rndv_match w pr env r
-    | P_eager frags -> (
+    | (P_eager | P_frags _) as payload -> (
         (* Data already arrived in bounce buffers; receiver copies or
            unpacks it into place.  If it sat in the unexpected queue we
            also pay the allocation that buffered it. *)
@@ -1189,7 +1314,11 @@ let process_match w (pr : request) (env : envelope) =
           end
           else 0.
         in
-        match deposit ctx pr.r_dt frags ~zcopy:false ~owned:true with
+        match
+          match payload with
+          | P_frags frags -> deposit ctx pr.r_dt frags ~zcopy:false ~owned:true
+          | _ -> land_snapshot ctx pr.r_dt env.e_data
+        with
         | cpu_time ->
             let sf = straggle ctx w.id in
             let alloc_delay = alloc_delay *. sf in
@@ -1204,8 +1333,9 @@ let process_match w (pr : request) (env : envelope) =
                 in
                 match pr.r_dt with
                 | Rd_generic _ ->
+                    let n = match payload with P_frags f -> List.length f | _ -> 1 in
                     tile_callbacks ctx ~track:w.id ~t0:(t0 +. alloc_delay)
-                      ~t1:(t0 +. delay) ~n:(List.length frags) ~name:"unpack_cb"
+                      ~t1:(t0 +. delay) ~n ~name:"unpack_cb"
                       ~hist:"unpack_cb_ns" ~parent:sp ()
                 | Rd_contig _ | Rd_iov _ -> ()
               end;
@@ -1223,92 +1353,69 @@ let match_instant w env =
     Obs.instant w.ctx.obs ~time:(Engine.now w.ctx.engine) ~track:w.id
       ~cat:"proto" ~args:(msg_args env) "match"
 
-(* Unlink and return the oldest posted receive matching [env].  The
-   head usually matches, and taking it allocates nothing. *)
-let rec take_posted w env acc = function
-  | [] -> raise Not_found
-  | pr :: rest ->
-      if tag_matches ~tag:pr.r_tag ~mask:pr.r_mask env.e_tag then begin
-        w.posted <- List.rev_append acc rest;
-        pr
-      end
-      else take_posted w env (pr :: acc) rest
-
-(* Unlink and return the oldest unexpected envelope matching [tag]
-   under [mask]. *)
-let take_unexpected w ~tag ~mask =
-  let rec find acc = function
-    | [] -> None
-    | env :: rest ->
-        if tag_matches ~tag ~mask env.e_tag then begin
-          w.unexpected <- List.rev_append acc rest;
-          Some env
-        end
-        else find (env :: acc) rest
-  in
-  find [] w.unexpected
-
 let probe_info env =
   { p_tag = env.e_tag; p_len = env.e_total; p_src_worker = env.e_src }
+
+(* Wake the blocked probes [env] matches: every [Peek], then at most one
+   [Take], which dequeues it. *)
+let wake_probers w env =
+  let info = probe_info env in
+  let hit = function
+    | Peek (tag, mask, _) -> tag_matches ~tag ~mask env.e_tag
+    | Take _ -> false
+  in
+  let peeks, rest = List.partition hit w.probers in
+  w.probers <- rest;
+  List.iter (function Peek (_, _, resume) -> resume info | Take _ -> ()) peeks;
+  let rec wake_take acc = function
+    | [] -> ()
+    | (Take (tag, mask, resume) as p) :: rest ->
+        if tag_matches ~tag ~mask env.e_tag && take unexpected w ( == ) env != no_env
+        then begin
+          w.probers <- List.rev_append acc rest;
+          resume (info, env)
+        end
+        else wake_take (p :: acc) rest
+    | p :: rest -> wake_take (p :: acc) rest
+  in
+  wake_take [] w.probers
 
 (* Match a new envelope against posted receives / probe waiters;
    otherwise queue it as unexpected. *)
 let deliver w env =
   if tracing w.ctx then
-    trace w.ctx "arrive" "worker %d <- src %d tag=%Lx %dB" w.id env.e_src
+    trace w.ctx "arrive" "worker %d <- src %d tag=%x %dB" w.id env.e_src
       env.e_tag env.e_total;
-  match take_posted w env [] w.posted with
-  | pr ->
-      if tracing w.ctx then
-        trace w.ctx "match" "worker %d matched posted recv tag=%Lx" w.id
-          env.e_tag;
-      match_instant w env;
-      process_match w pr env
-  | exception Not_found ->
-      if tracing w.ctx then
-        trace w.ctx "unexpected" "worker %d queued tag=%Lx %dB" w.id env.e_tag
-          env.e_total;
-      (* Buffer it.  Eager payloads consume receiver memory. *)
-      (match env.e_payload with
-      | P_eager _ ->
-          env.e_unexpected_alloc <- env.e_total;
-          Stats.record_alloc w.ctx.stats env.e_total
-      | P_rndv _ | P_nack _ -> ());
-      env.e_queued_at <- Engine.now w.ctx.engine;
-      w.unexpected <- w.unexpected @ [ env ];
-      if obs_on w.ctx then begin
-        let mx = Obs.metrics w.ctx.obs in
-        Obs.instant w.ctx.obs ~time:env.e_queued_at ~track:w.id ~cat:"proto"
-          ~args:(msg_args env) "unexpected";
-        Metrics.inc (Metrics.counter mx "unexpected_total");
-        Metrics.set
-          (Metrics.gauge mx (Printf.sprintf "unexpected_depth.w%d" w.id))
-          (float_of_int (List.length w.unexpected))
-      end;
-      let info = probe_info env in
-      (* Wake blocking probes (peek: envelope stays queued). *)
-      let wake, keep =
-        List.partition
-          (fun (tag, mask, _) -> tag_matches ~tag ~mask env.e_tag)
-          w.probe_waiters
-      in
-      w.probe_waiters <- keep;
-      List.iter (fun (_, _, resume) -> resume info) wake;
-      (* Wake at most one blocking mprobe (take: envelope dequeued). *)
-      let rec wake_mprobe acc = function
-        | [] -> ()
-        | ((tag, mask, resume) as waiter) :: rest ->
-            if
-              tag_matches ~tag ~mask env.e_tag
-              && List.memq env w.unexpected
-            then begin
-              w.mprobe_waiters <- List.rev_append acc rest;
-              w.unexpected <- List.filter (fun x -> x != env) w.unexpected;
-              resume (info, env)
-            end
-            else wake_mprobe (waiter :: acc) rest
-    in
-      wake_mprobe [] w.mprobe_waiters
+  let pr = take posted w matches_env env in
+  if pr != no_request then begin
+    if tracing w.ctx then
+      trace w.ctx "match" "worker %d matched posted recv tag=%x" w.id env.e_tag;
+    match_instant w env;
+    process_match w pr env
+  end
+  else begin
+    if tracing w.ctx then
+      trace w.ctx "unexpected" "worker %d queued tag=%x %dB" w.id env.e_tag
+        env.e_total;
+    (* Buffer it.  Eager payloads consume receiver memory. *)
+    (match env.e_payload with
+    | P_eager | P_frags _ ->
+        env.e_unexpected_alloc <- env.e_total;
+        Stats.record_alloc w.ctx.stats env.e_total
+    | P_rndv _ | P_nack _ -> ());
+    env.e_queued_at <- Engine.now w.ctx.engine;
+    push unexpected w env;
+    if obs_on w.ctx then begin
+      let mx = Obs.metrics w.ctx.obs in
+      Obs.instant w.ctx.obs ~time:env.e_queued_at ~track:w.id ~cat:"proto"
+        ~args:(msg_args env) "unexpected";
+      Metrics.inc (Metrics.counter mx "unexpected_total");
+      Metrics.set
+        (Metrics.gauge mx (Printf.sprintf "unexpected_depth.w%d" w.id))
+        (float_of_int (length unexpected w.unexpected 0))
+    end;
+    match w.probers with [] -> () | _ -> wake_probers w env
+  end
 
 (* Schedule envelope arrival over the link, preserving per-channel
    FIFO ordering. *)
@@ -1316,23 +1423,16 @@ let ship src dst ~after env =
   let ctx = src.ctx in
   let e = ctx.engine in
   let jitter = match ctx.jitter with None -> 0. | Some f -> f () in
-  let key = channel_key ~src:src.id ~dst:dst.id in
-  let chan =
-    match Chan_tbl.find ctx.channels key with
-    | c -> c
-    | exception Not_found ->
-        let c = { next_at = 0. } in
-        Chan_tbl.add ctx.channels key c;
-        c
-  in
-  let arrival = Float.max (Engine.now e +. after +. jitter) chan.next_at in
-  chan.next_at <- arrival;
+  let ch = ctx.channels in
+  let i = chan_index ch (channel_key ~src:src.id ~dst:dst.id) in
+  let arrival = Float.max (Engine.now e +. after +. jitter) (Float.Array.get ch.at i) in
+  Float.Array.set ch.at i arrival;
   if obs_on ctx then begin
     (* Eager payload bytes ride this delivery; a rendezvous only ships
        its RTS control message here (data moves at match time). *)
     let name =
       match env.e_payload with
-      | P_eager _ -> "wire"
+      | P_eager | P_frags _ -> "wire"
       | P_rndv _ -> "rts"
       | P_nack _ -> "nack"
     in
@@ -1350,24 +1450,26 @@ let ship src dst ~after env =
   Engine.at e ~delay:(arrival -. Engine.now e) (fun () -> deliver dst env)
 
 (* A new envelope from [src], stamped now. *)
-let envelope src ~tag ~total ~seq payload =
+let envelope src ~tag ~total ~seq ~data payload =
   {
     e_tag = tag;
     e_total = total;
     e_src = src.id;
     e_seq = seq;
     e_payload = payload;
+    e_data = data;
     e_unexpected_alloc = 0;
     e_sent_at = Engine.now src.ctx.engine;
     e_queued_at = Float.nan;
     e_matched = false;
+    e_next = no_env;
   }
 
 (* A poison envelope: tells [dst] that a send of [tag] failed, so a
    receive posted for it completes with the error. *)
 let ship_nack src dst ~tag ~seq err =
   ship src dst ~after:(path_latency src.ctx ~src:src.id ~dst:dst.id)
-    (envelope src ~tag ~total:0 ~seq (P_nack err))
+    (envelope src ~tag ~total:0 ~seq ~data:no_data (P_nack err))
 
 (* Fault-mode RTS shipping: the rendezvous control message itself
    traverses the reliable protocol (it can be dropped and
@@ -1387,20 +1489,16 @@ let ship_rts_reliable src dst fr (env : envelope) (req : request) =
           if plan.Fault.rndv_timeout_ns > 0. then
             Engine.at e ~delay:(x.x_lag +. plan.Fault.rndv_timeout_ns)
               (fun () ->
-                if
-                  (not env.e_matched)
-                  && not (Engine.Ivar.is_filled req.ivar)
-                then begin
+                if (not env.e_matched) && not (is_completed req) then begin
                   Stats.record_delivery_timeout ctx.stats;
-                  trace ctx "fault" "rndv handshake timeout %d->%d tag=%Lx"
+                  trace ctx "fault" "rndv handshake timeout %d->%d tag=%x"
                     src.id dst.id env.e_tag;
                   fault_instant ctx ~track:src.id ~time:(Engine.now e)
                     "rndv_timeout"
                     [ ("dst", Obs.Int dst.id) ];
                   (* withdraw the RTS so a late receive cannot match it,
                      and release the send-descriptor state it carried *)
-                  dst.unexpected <-
-                    List.filter (fun x -> x != env) dst.unexpected;
+                  ignore (take unexpected dst ( == ) env);
                   dispose_payload env;
                   complete req
                     {
@@ -1420,7 +1518,7 @@ let ship_rts_reliable src dst fr (env : envelope) (req : request) =
    the data moves at match time. *)
 let ship_rts src dst ~tag ~total ~seq dt req =
   let env =
-    envelope src ~tag ~total ~seq
+    envelope src ~tag ~total ~seq ~data:no_data
       (P_rndv { r_dt = dt; r_request = req; r_done = false })
   in
   match src.ctx.faults with
@@ -1432,7 +1530,7 @@ let tag_send_from src ~dst ~tag dt =
   let ctx = src.ctx in
   let e = ctx.engine in
   let l = link ctx in
-  let req = make_request e in
+  let req = make_request ~tag ~mask:0 ~peer:dst.id no_recv in
   (* Allocate the message sequence number unconditionally (not only when
      a sink is attached) so attaching observability never changes any
      program-visible state. *)
@@ -1447,7 +1545,7 @@ let tag_send_from src ~dst ~tag dt =
          transfer; never switches protocol with size. *)
       let entries = List.length bufs in
       if tracing ctx then
-        trace ctx "send" "worker %d iov tag=%Lx %dB in %d entries"
+        trace ctx "send" "worker %d iov tag=%x %dB in %d entries"
           src.id tag total entries;
       Stats.record_message ctx.stats ~eager:false ~wire_bytes:total;
       Stats.record_iov_entries ctx.stats entries;
@@ -1455,26 +1553,31 @@ let tag_send_from src ~dst ~tag dt =
       ship_rts src dst ~tag ~total ~seq:mseq dt req
   | Sd_contig _ | Sd_generic _ ->
       if total <= l.eager_limit then begin
-        (* Eager: snapshot/pack synchronously, then fire and forget. *)
+        (* Eager: snapshot/pack synchronously, then fire and forget.
+           eager-zcopy: the NIC reads the registered user buffer
+           directly; the snapshot exists only so the simulated sender
+           may reuse its buffer immediately. *)
+        let data =
+          match dt with
+          | Sd_contig b when Buf.length b = 0 -> b
+          | Sd_contig b when Option.is_none ctx.faults ->
+              let snap = Buf.Slabs.take ctx.snaps (Buf.length b) in
+              Buf.blit ~src:b ~src_pos:0 ~dst:snap ~dst_pos:0 ~len:(Buf.length b);
+              snap
+          | Sd_contig b -> Buf.copy b
+          | Sd_generic _ | Sd_iov _ -> no_data
+        in
         match
           match dt with
-          | Sd_contig b ->
-              (* eager-zcopy: the NIC reads the registered user buffer
-                 directly; the snapshot below exists only so the
-                 simulated sender may reuse its buffer immediately.  An
-                 empty buffer has no bytes to reuse, so it travels
-                 as is. *)
-              ([ (if Buf.length b = 0 then b else Buf.copy b) ], 0)
+          | Sd_contig _ -> []
           | Sd_generic g -> pack_fragments ctx g
           | Sd_iov _ -> assert false
         with
-        | frags, ncb ->
-            let cpu_time =
-              staging_cpu ctx dt ~alloc:total ~ncb *. straggle ctx src.id
-            in
+        | frags ->
+            let cpu_time = staging_cpu ctx dt ~alloc:total frags *. straggle ctx src.id in
             Engine.sleep e cpu_time;
             if tracing ctx then
-              trace ctx "send" "worker %d eager tag=%Lx %dB" src.id tag
+              trace ctx "send" "worker %d eager tag=%x %dB" src.id tag
                 total;
             Stats.record_message ctx.stats ~eager:true ~wire_bytes:total;
             if obs_on ctx then begin
@@ -1495,12 +1598,17 @@ let tag_send_from src ~dst ~tag dt =
                     "pack"
                 in
                 tile_callbacks ctx ~track:src.id ~t0:(t1 -. cpu_time) ~t1
-                  ~n:ncb ~name:"pack_cb" ~hist:"pack_cb_ns" ~parent:sp ()
+                  ~n:(List.length frags) ~name:"pack_cb" ~hist:"pack_cb_ns" ~parent:sp ()
               end
             end;
             (match ctx.faults with
             | None ->
-                let env = envelope src ~tag ~total ~seq:mseq (P_eager frags) in
+                let env =
+                  match dt with
+                  | Sd_contig _ -> envelope src ~tag ~total ~seq:mseq ~data P_eager
+                  | Sd_generic _ | Sd_iov _ ->
+                      envelope src ~tag ~total ~seq:mseq ~data:no_data (P_frags frags)
+                in
                 ship src dst
                   ~after:
                     (path_latency ctx ~src:src.id ~dst:dst.id
@@ -1514,15 +1622,19 @@ let tag_send_from src ~dst ~tag dt =
                    exhaustion can surface Timeout to the sender. *)
                 Engine.spawn e ~name:"rel_eager" ~track:src.id
                   (fun () ->
-                    let stream = Buf.concat frags in
+                    let stream =
+                      match dt with
+                      | Sd_contig _ -> data
+                      | Sd_generic _ | Sd_iov _ -> Buf.concat frags
+                    in
                     match
                       reliable_transfer ctx fr ~mseq ~src_id:src.id
                         ~dst_id:dst.id ~stream ~checksum:true
                     with
                     | Ok x ->
                         ship src dst ~after:x.x_lag
-                          (envelope src ~tag ~total ~seq:mseq
-                             (P_eager (reslice l x.x_delivered)));
+                          (envelope src ~tag ~total ~seq:mseq ~data:no_data
+                             (P_frags (reslice l x.x_delivered)));
                         Engine.sleep e x.x_lag;
                         complete_if_pending req { len = total; tag; error = None }
                     | Error err ->
@@ -1540,60 +1652,69 @@ let tag_send_from src ~dst ~tag dt =
       else begin
         (* Rendezvous: only the RTS travels now. *)
         if tracing ctx then
-          trace ctx "send" "worker %d rndv tag=%Lx %dB" src.id tag total;
+          trace ctx "send" "worker %d rndv tag=%x %dB" src.id tag total;
         Stats.record_message ctx.stats ~eager:false ~wire_bytes:total;
         observe ctx "msg_bytes_rndv" (float_of_int total);
         ship_rts src dst ~tag ~total ~seq:mseq dt req
       end);
   req
 
-let tag_send ep ~tag dt = tag_send_from ep.ep_src ~dst:ep.ep_dst ~tag dt
+let tag_send ep ~tag dt =
+  tag_send_from ep.ep_src ~dst:ep.ep_dst ~tag:(Int64.to_int tag) dt
 
-let tag_recv w ~tag ~mask dt =
-  let req = make_recv_request w.ctx.engine ~tag ~mask dt in
+let post_recv w ~tag ~mask ~peer dt =
+  let req = make_request ~tag ~mask ~peer dt in
   (* Match against the unexpected queue in arrival order. *)
-  (match take_unexpected w ~tag ~mask with
-  | Some env ->
-      match_instant w env;
-      process_match w req env
-  | None ->
-      w.posted <- w.posted @ [ req ];
-      if obs_on w.ctx then
-        Metrics.set
-          (Metrics.gauge (Obs.metrics w.ctx.obs)
-             (Printf.sprintf "posted_depth.w%d" w.id))
-          (float_of_int (List.length w.posted)));
+  let env = take unexpected w matches_req req in
+  if env != no_env then begin
+    match_instant w env;
+    process_match w req env
+  end
+  else begin
+    push posted w req;
+    if obs_on w.ctx then
+      Metrics.set
+        (Metrics.gauge (Obs.metrics w.ctx.obs)
+           (Printf.sprintf "posted_depth.w%d" w.id))
+        (float_of_int (length posted w.posted 0))
+  end;
   req
 
-let wait (req : request) = Engine.Ivar.read req.r_engine req.ivar
+let tag_recv w ~tag ~mask dt =
+  post_recv w ~tag:(Int64.to_int tag) ~mask:(Int64.to_int mask) ~peer:(-1) dt
+
+let wait (req : request) =
+  if is_completed req then req.r_status else Engine.await waiter_slot req
 
 let tag_probe w ~tag ~mask =
   Stats.record_probe w.ctx.stats;
-  List.find_opt (fun env -> tag_matches ~tag ~mask env.e_tag) w.unexpected
-  |> Option.map probe_info
+  let env = find unexpected (fun (tag, mask) env -> tag_matches ~tag ~mask env.e_tag) (tag, mask) w.unexpected in
+  if env == no_env then None else Some (probe_info env)
 
 let tag_probe_wait w ~tag ~mask =
   match tag_probe w ~tag ~mask with
   | Some info -> info
   | None ->
       Engine.suspend w.ctx.engine (fun resume ->
-          w.probe_waiters <- w.probe_waiters @ [ (tag, mask, resume) ])
+          w.probers <- w.probers @ [ Peek (tag, mask, resume) ])
 
 let tag_mprobe w ~tag ~mask =
   Stats.record_probe w.ctx.stats;
-  Option.map (fun env -> (probe_info env, env)) (take_unexpected w ~tag ~mask)
+  let env = take unexpected w (fun (tag, mask) env -> tag_matches ~tag ~mask env.e_tag) (tag, mask) in
+  if env == no_env then None else Some (probe_info env, env)
 
 let tag_mprobe_wait w ~tag ~mask =
   match tag_mprobe w ~tag ~mask with
   | Some r -> r
   | None ->
       Engine.suspend w.ctx.engine (fun resume ->
-          w.mprobe_waiters <- w.mprobe_waiters @ [ (tag, mask, resume) ])
+          w.probers <- w.probers @ [ Take (tag, mask, resume) ])
 
 let msg_recv w (env : message) dt =
-  let req = make_recv_request w.ctx.engine ~tag:env.e_tag ~mask:(-1L) dt in
+  let req = make_request ~tag:env.e_tag ~mask:(-1) ~peer:env.e_src dt in
   process_match w req env;
   req
 
-let is_completed (req : request) = Engine.Ivar.is_filled req.ivar
-let peek (req : request) = Engine.Ivar.peek req.ivar
+let peek (req : request) = if is_completed req then Some req.r_status else None
+let set_owner (req : request) o = req.r_owner <- o
+let set_link (req : request) next = req.r_link <- next

@@ -117,24 +117,50 @@ type error =
           [MPI_ERR_REVOKED]); set by the upper layer through
           {!try_cancel}/{!completed_request} *)
 
-type status = { len : int; tag : int64; error : error option }
+type status = { len : int; tag : int; error : error option }
+(** Tags and masks inside the transport are native ints: the MPI tag
+    layout uses bits 0-62. *)
 
-type request
+type owner = ..
+(** What the upper layer keeps per operation, in the request itself. *)
+
+type owner += No_owner
+
+(** One record per operation: its completion cell, a receive's
+    posted-queue entry, and the upper layer's owner slot and list
+    link ({!set_owner}, {!set_link}). *)
+type request = private {
+  mutable r_status : status;
+  mutable r_waiter : status Engine.waiter;
+  mutable r_seq : int;
+      (** the context-wide sequence number ("mseq") of the message it
+          sent or received, or [-1]; the transport's trace spans carry
+          it as an ["mseq"] arg, joining a message's send and receive
+          spans.  Never affects matching or timing. *)
+  r_tag : int;  (** a send's tag; a receive's match filter *)
+  r_mask : int;
+  r_peer : int;
+      (** a send's destination worker; for a receive, the source the
+          poster restricted it to, or [-1] (never read here) *)
+  r_dt : recv_dt;
+  mutable r_next : request;
+  mutable r_owner : owner;
+  mutable r_link : request;
+}
+
+val no_request : request
+(** A never-posted request that ends every list of requests. *)
+
+val set_owner : request -> owner -> unit
+val set_link : request -> request -> unit
 
 val wait : request -> status
-(** Block the calling fiber until the request completes. *)
+(** Block the calling fiber until the request completes.  Several
+    fibers may wait on one request; they wake in the order they
+    waited. *)
 
 val is_completed : request -> bool
 val peek : request -> status option
-
-val request_seq : request -> int
-(** The context-wide message sequence number ("mseq") of the message
-    this request sent or received, or [-1] if none was ever associated
-    (e.g. {!completed_request}, or a receive that never matched).  The
-    same mseq appears as an ["mseq"] arg on the transport's trace spans,
-    so offline analysis can join send- and receive-side spans of one
-    message across ranks.  Purely diagnostic: never affects matching or
-    timing. *)
 
 (** {1 Tagged communication} *)
 
@@ -148,30 +174,35 @@ val tag_send : endpoint -> tag:int64 -> send_dt -> request
     of the same message: a fault-free rendezvous reads contiguous and
     iovec send buffers in place, with no intermediate copy. *)
 
-val tag_send_from : worker -> dst:worker -> tag:int64 -> send_dt -> request
+val tag_send_from : worker -> dst:worker -> tag:int -> send_dt -> request
 (** [tag_send_from src ~dst] is [tag_send (connect src dst)] without
-    the endpoint record: the MPI layer's per-message entry point. *)
+    the endpoint record, with a native-int tag: the MPI layer's
+    per-message entry point. *)
 
 val tag_recv : worker -> tag:int64 -> mask:int64 -> recv_dt -> request
 (** Post a receive matching envelopes with [(env_tag land mask) = (tag
     land mask)].  Posted receives match in post order; unexpected
     messages match in arrival order. *)
 
+val post_recv : worker -> tag:int -> mask:int -> peer:int -> recv_dt -> request
+(** {!tag_recv} with native-int tags, recording [peer] in the request:
+    the MPI layer's entry point. *)
+
 (** {1 Probing} *)
 
-type probe_info = { p_tag : int64; p_len : int; p_src_worker : int }
+type probe_info = { p_tag : int; p_len : int; p_src_worker : int }
 
-val tag_probe : worker -> tag:int64 -> mask:int64 -> probe_info option
+val tag_probe : worker -> tag:int -> mask:int -> probe_info option
 (** Non-blocking probe of the unexpected queue (does not dequeue). *)
 
-val tag_probe_wait : worker -> tag:int64 -> mask:int64 -> probe_info
+val tag_probe_wait : worker -> tag:int -> mask:int -> probe_info
 (** Blocking probe: waits until a matching envelope arrives. *)
 
 type message
 (** A matched-and-dequeued envelope (MPI_Mprobe semantics). *)
 
-val tag_mprobe : worker -> tag:int64 -> mask:int64 -> (probe_info * message) option
-val tag_mprobe_wait : worker -> tag:int64 -> mask:int64 -> probe_info * message
+val tag_mprobe : worker -> tag:int -> mask:int -> (probe_info * message) option
+val tag_mprobe_wait : worker -> tag:int -> mask:int -> probe_info * message
 val msg_recv : worker -> message -> recv_dt -> request
 (** Receive a previously mprobed message. *)
 
@@ -266,13 +297,14 @@ val on_failure : context -> (rank:int -> time:float -> unit) -> unit
 
 (** {1 Operation cancellation} *)
 
-val completed_request : context -> tag:int64 -> error -> request
+val completed_request : tag:int -> error -> request
 (** A request born complete with [error]: what fail-fast operations on
     a revoked or failure-poisoned communicator return without touching
     the wire. *)
 
-val try_cancel : context -> request -> tag:int64 -> error -> bool
-(** Complete a pending request early with [error], withdrawing any
+val try_cancel : context -> request -> error -> bool
+(** Complete a pending request early with [error] (its status carries
+    the request's own tag), withdrawing any
     transport state that refers to it (posted receives, queued
     rendezvous envelopes) and releasing datatype callback state
     ([sg_finish]/[rg_finish]) exactly once.  Returns [false] — and does

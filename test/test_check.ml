@@ -264,6 +264,41 @@ let test_contract_region_overlap () =
   in
   has "CB-REGION-OVERLAP" (contract (spec 32 cb))
 
+(* The overlap decision is a count, not a timing: 16,384 disjoint
+   8-byte regions of one storage in shuffled order (NAS_MG_x's count)
+   cost O(R log R) comparisons, where the pairwise search took R^2/2. *)
+let test_contract_region_check_cost () =
+  let n = 16_384 in
+  let storage = Buf.create (8 * n) in
+  let order = Array.init n Fun.id in
+  Mpicd_simnet.Rng.shuffle (Mpicd_simnet.Rng.create 7) order;
+  let regs = Array.map (fun k -> Buf.sub storage ~pos:(8 * k) ~len:8) order in
+  let count = ref 0 in
+  Alcotest.(check bool) "disjoint" true (Check.Contract.first_overlap ~count regs = None);
+  let bound = 2 * n * 16 in
+  if !count > bound then
+    Alcotest.failf "%d comparisons for %d regions, bound %d" !count n bound
+
+(* Whatever the storages and layout, the first pair found is the one
+   the pairwise search over [i < j] finds. *)
+let prop_first_overlap_matches_pairwise =
+  QCheck.Test.make ~count:300 ~name:"contract: first region overlap = pairwise search"
+    QCheck.(list_of_size Gen.(0 -- 12) (triple (int_bound 2) (int_bound 40) (int_bound 9)))
+    (fun specs ->
+      let stores = Array.init 3 (fun _ -> Buf.create 64) in
+      let regs =
+        Array.of_list
+          (List.map (fun (s, pos, len) -> Buf.sub stores.(s) ~pos ~len) specs)
+      in
+      let n = Array.length regs in
+      let pairwise = ref None in
+      for i = n - 1 downto 0 do
+        for j = n - 1 downto i + 1 do
+          if Buf.overlaps regs.(i) regs.(j) then pairwise := Some (i, j)
+        done
+      done;
+      Check.Contract.first_overlap regs = !pairwise)
+
 let test_contract_wire_mismatch () =
   has "CB-WIRE-MISMATCH"
     (contract (spec ~expected_wire:33 32 (good_callbacks 32)))
@@ -552,4 +587,7 @@ let suite =
       tc "report: golden finding JSON" `Quick test_json_golden_finding;
       tc "report: schema covers every analyzer" `Quick
         test_json_schema_all_analyzers;
+      tc "contract: region overlap check is O(R log R)" `Quick
+        test_contract_region_check_cost;
+      QCheck_alcotest.to_alcotest prop_first_overlap_matches_pairwise;
     ] )

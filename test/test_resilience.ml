@@ -436,7 +436,30 @@ let test_failed_wait_replays_once () =
         | exception Mpi.Mpi_error (Mpi.Timeout _) -> ()
       end);
   check_int "state allocated once" 1 !created;
-  check_int "state freed exactly once despite two waits" 1 !freed
+  check_int "state freed exactly once despite two waits" 1 !freed;
+  (* [Custom.finish] is idempotent, so count the layer's own cleanup:
+     its bounce buffer is freed once *)
+  check_int "bounce buffer freed once" 0 (Mpi.world_stats w).live_alloc_bytes
+
+(* The same on success: a second wait on a finished custom receive
+   returns the same status without unpacking or freeing again. *)
+let test_second_wait_replays_once () =
+  let created = ref 0 and freed = ref 0 in
+  let dt = counting_dt created freed in
+  let w = Mpi.create_world ~size:2 () in
+  Mpi.run w (fun comm ->
+      let obj = Buf.create 512 in
+      if Mpi.rank comm = 0 then
+        Mpi.send comm ~dst:1 ~tag:1 (Mpi.Custom { dt; obj; count = 1 })
+      else begin
+        let r = Mpi.irecv comm ~source:0 ~tag:1 (Mpi.Custom { dt; obj; count = 1 }) in
+        let st = Mpi.wait r in
+        let unpacks = (Mpi.world_stats w).unpack_callbacks in
+        Alcotest.(check bool) "same status" true (Mpi.wait r = st);
+        check_int "no second unpack" unpacks (Mpi.world_stats w).unpack_callbacks
+      end);
+  check_int "states freed once each" 2 !freed;
+  check_int "bounce buffers freed once each" 0 (Mpi.world_stats w).live_alloc_bytes
 
 let suite =
   let tc = Alcotest.test_case in
@@ -461,4 +484,6 @@ let suite =
         test_rndv_abort_frees_state_once;
       tc "failed wait replays, cleanup runs once" `Quick
         test_failed_wait_replays_once;
+      tc "second wait replays, cleanup runs once" `Quick
+        test_second_wait_replays_once;
     ] )

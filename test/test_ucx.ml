@@ -371,12 +371,12 @@ let test_tag_mask_matching () =
           let st1 =
             Ucx.wait (Ucx.tag_recv w1 ~tag:5L ~mask:0xFFFFL (Ucx.Rd_contig d1))
           in
-          Alcotest.(check int64) "first tag" 0x1_0005L st1.tag;
+          check_int "first tag" 0x1_0005 st1.tag;
           (* Exact match on the second. *)
           let st2 =
             Ucx.wait (Ucx.tag_recv w1 ~tag:0x2_0005L ~mask:(-1L) (Ucx.Rd_contig d2))
           in
-          Alcotest.(check int64) "second tag" 0x2_0005L st2.tag;
+          check_int "second tag" 0x2_0005 st2.tag;
           Alcotest.(check string) "payloads" "aabb"
             (Buf.to_string d1 ^ Buf.to_string d2)))
 
@@ -404,7 +404,7 @@ let test_probe () =
       Engine.spawn engine (fun () ->
           expect_ok (Ucx.wait (Ucx.tag_send ep01 ~tag:12L (Ucx.Sd_contig src))));
       Engine.spawn engine (fun () ->
-          let info = Ucx.tag_probe_wait w1 ~tag:12L ~mask:(-1L) in
+          let info = Ucx.tag_probe_wait w1 ~tag:12 ~mask:(-1) in
           check_int "probe len" 300 info.p_len;
           check_int "probe src" 0 info.p_src_worker;
           (* envelope still queued: a normal recv gets it *)
@@ -417,7 +417,7 @@ let test_probe_nonblocking_empty () =
   with_pair (fun ~engine ~stats:_ ~w0:_ ~w1 ~ep01:_ ~ep10:_ ->
       Engine.spawn engine (fun () ->
           Alcotest.(check bool) "no message" true
-            (Ucx.tag_probe w1 ~tag:0L ~mask:(-1L) = None)))
+            (Ucx.tag_probe w1 ~tag:0 ~mask:(-1) = None)))
 
 let test_mprobe_dequeues () =
   with_pair (fun ~engine ~stats:_ ~w0:_ ~w1 ~ep01 ~ep10:_ ->
@@ -425,11 +425,11 @@ let test_mprobe_dequeues () =
       Engine.spawn engine (fun () ->
           expect_ok (Ucx.wait (Ucx.tag_send ep01 ~tag:13L (Ucx.Sd_contig src))));
       Engine.spawn engine (fun () ->
-          let info, msg = Ucx.tag_mprobe_wait w1 ~tag:13L ~mask:(-1L) in
+          let info, msg = Ucx.tag_mprobe_wait w1 ~tag:13 ~mask:(-1) in
           check_int "len" 40 info.p_len;
           (* after mprobe the message is invisible to probe *)
           Alcotest.(check bool) "dequeued" true
-            (Ucx.tag_probe w1 ~tag:13L ~mask:(-1L) = None);
+            (Ucx.tag_probe w1 ~tag:13 ~mask:(-1) = None);
           let dst = Buf.create 40 in
           expect_ok (Ucx.wait (Ucx.msg_recv w1 msg (Ucx.Rd_contig dst)));
           Alcotest.(check bool) "payload" true (Buf.equal src dst)))
@@ -819,6 +819,94 @@ let test_crc32_bad_ranges_raise () =
   Alcotest.(check int32) "empty slice at the end is fine" 0l
     (Crc32.digest_sub b ~pos:9 ~len:0)
 
+(* Eager snapshots live in storage the transport recycles: eight
+   messages in flight at once from one reused source buffer each keep
+   their own bytes, and so does a second batch on recycled storage. *)
+let test_eager_snapshots_in_flight () =
+  with_pair (fun ~engine ~stats:_ ~w0:_ ~w1 ~ep01 ~ep10:_ ->
+      let src = Buf.create 100 in
+      Engine.spawn engine (fun () ->
+          for k = 0 to 15 do
+            Buf.fill src (Char.chr (65 + k));
+            expect_ok (Ucx.wait (Ucx.tag_send ep01 ~tag:(Int64.of_int k) (Ucx.Sd_contig src)));
+            if k = 7 then Engine.sleep engine 1e6
+          done);
+      Engine.spawn engine (fun () ->
+          Engine.sleep engine 5e5;
+          for k = 0 to 15 do
+            let dst = Buf.create 100 in
+            expect_ok
+              (Ucx.wait (Ucx.tag_recv w1 ~tag:(Int64.of_int k) ~mask:(-1L) (Ucx.Rd_contig dst)));
+            Alcotest.(check string)
+              (Printf.sprintf "message %d" k)
+              (String.make 100 (Char.chr (65 + k)))
+              (Buf.to_string dst)
+          done))
+
+(* Minor words per message of a warmed-up 2-worker ping-pong: a
+   deterministic count per transport path, not a timing.  The ceilings
+   sit just above the counts (127, 156, 157, 151 and 274). *)
+let pingpong_words send_dt recv_dt =
+  let n = 50 in
+  let words = Array.make 2 0. in
+  with_pair (fun ~engine ~stats:_ ~w0 ~w1 ~ep01 ~ep10 ->
+      Engine.spawn engine (fun () ->
+          for i = 1 to 2 * n do
+            if i = n + 1 then words.(0) <- Gc.minor_words ();
+            expect_ok (Ucx.wait (Ucx.tag_send ep01 ~tag:1L send_dt));
+            expect_ok (Ucx.wait (Ucx.tag_recv w0 ~tag:2L ~mask:(-1L) recv_dt))
+          done;
+          words.(1) <- Gc.minor_words ());
+      Engine.spawn engine (fun () ->
+          for _ = 1 to 2 * n do
+            expect_ok (Ucx.wait (Ucx.tag_recv w1 ~tag:1L ~mask:(-1L) recv_dt));
+            expect_ok (Ucx.wait (Ucx.tag_send ep10 ~tag:2L send_dt))
+          done));
+  (words.(1) -. words.(0)) /. float_of_int (2 * n)
+
+let test_pingpong_words () =
+  let rndv = 65_536 in
+  let iov n = Ucx.Sd_iov [ pattern (n / 2); pattern (n / 2) ] in
+  let iov_recv n = Ucx.Rd_iov [ Buf.create (n / 2); Buf.create (n / 2) ] in
+  List.iter
+    (fun (path, send_dt, recv_dt, ceiling) ->
+      let w = pingpong_words send_dt recv_dt in
+      if w > ceiling then
+        Alcotest.failf "%s: %.1f minor words per message, ceiling %.0f" path w ceiling)
+    [
+      ("eager contig", Ucx.Sd_contig (pattern 64), Ucx.Rd_contig (Buf.create 64), 130.);
+      ("eager generic", reversing_send (pattern 64), reversing_recv (Buf.create 64), 159.);
+      ("rendezvous contig", Ucx.Sd_contig (pattern rndv), Ucx.Rd_contig (Buf.create rndv), 160.);
+      ("iov", iov 64, iov_recv 64, 154.);
+      ("rendezvous generic", reversing_send (pattern rndv), reversing_recv (Buf.create rndv), 280.);
+    ]
+
+(* The bitwise CRC-32 that the slicing-by-8 digest must agree with:
+   one byte, then eight shifts, per step, and no table. *)
+let crc32_reference b ~pos ~len =
+  let crc = ref 0xFFFFFFFF in
+  for i = pos to pos + len - 1 do
+    crc := !crc lxor Buf.get_u8 b i;
+    for _ = 1 to 8 do
+      crc := if !crc land 1 <> 0 then 0xEDB88320 lxor (!crc lsr 1) else !crc lsr 1
+    done
+  done;
+  Int32.of_int (!crc lxor 0xFFFFFFFF)
+
+(* Any view offset, slice start and length from 0 to 4 KiB: the word
+   loop, its byte tail and the unaligned loads all agree. *)
+let prop_crc32_matches_reference =
+  QCheck.Test.make ~count:300 ~name:"crc32: slicing-by-8 = bitwise reference"
+    QCheck.(quad (int_bound 7) (int_bound 9) (int_bound 9) (string_of_size Gen.(0 -- 4096)))
+    (fun (view_off, pos, tail, s) ->
+      let n = String.length s in
+      let parent = Buf.create (n + 8) in
+      Buf.blit_from_string s ~src_pos:0 ~dst:parent ~dst_pos:view_off ~len:n;
+      let view = Buf.sub parent ~pos:view_off ~len:n in
+      let pos = min pos n in
+      let len = max 0 (n - pos - tail) in
+      Mpicd_ucx.Crc32.digest_sub view ~pos ~len = crc32_reference view ~pos ~len)
+
 let suite =
   let tc = Alcotest.test_case in
   ( "ucx",
@@ -855,4 +943,7 @@ let suite =
       tc "jitter preserves per-channel FIFO" `Quick test_jitter_preserves_fifo;
       tc "trace records protocol events" `Quick test_trace_records_protocols;
       tc "timing matrix pinned" `Quick test_timing_matrix;
+      QCheck_alcotest.to_alcotest prop_crc32_matches_reference;
+      tc "eager snapshots in flight stay distinct" `Quick test_eager_snapshots_in_flight;
+      tc "ping-pong minor words per message" `Quick test_pingpong_words;
     ] )
