@@ -137,7 +137,9 @@ type agree_slot = {
          mutate them) *)
   mutable s_new_cid : int;  (* shrink only; -1 until completion *)
   mutable s_survivors : int array;  (* shrink only; comm ranks, at completion *)
-  mutable s_waiters : int Engine.resumer list;
+  mutable s_waiters : int Engine.Ivar.t list;
+      (* one cell per blocked caller, newest first, and filled in that
+         order: the order decides virtual time *)
 }
 
 type status = { source : int; tag : int; len : int }
@@ -342,7 +344,7 @@ let try_complete_slot w (slot : agree_slot) =
             (if slot.s_shrink then "shrink_complete" else "agree_complete");
         let ws = slot.s_waiters in
         slot.s_waiters <- [];
-        List.iter (fun resume -> resume r) ws
+        List.iter (fun cell -> Engine.Ivar.fill cell r) ws
       end
 
 (* Failure listener: runs once per declared failure, from the detector
@@ -920,27 +922,10 @@ let waitany rs =
   match find 0 rs with
   | Some hit -> hit
   | None ->
-      (* race: one helper fiber per request; the first to complete
-         resumes the caller, the others notice and stand down *)
-      let engine = (op_comm (List.hd rs)).w.engine in
-      let outcome =
-        Engine.suspend engine (fun resume ->
-            let fired = ref false in
-            List.iteri
-              (fun i r ->
-                Engine.spawn engine ~name:"waitany" (fun () ->
-                    let res =
-                      match wait r with
-                      | s -> Ok (i, s)
-                      | exception e -> Error e
-                    in
-                    if not !fired then begin
-                      fired := true;
-                      resume res
-                    end))
-              rs)
-      in
-      (match outcome with Ok hit -> hit | Error e -> raise e)
+      (* park once on every request: the first to complete wins, and
+         the others stay pending, as in MPI *)
+      let i, u = Ucx.wait_any rs in
+      (i, finalize_once (List.nth rs i) u)
 
 (* Fill a posted operation's owner slot; one that is still pending
    joins [me]'s cancellation registry. *)
@@ -1189,18 +1174,13 @@ let probe_args c kind source tag =
 
 let my_worker c = c.w.workers.(c.group.(c.c_rank))
 
-let iprobe_k c kind ?(source = any_source) ?(tag = any_tag) () =
-  let t, mask = probe_args c kind source tag in
+let iprobe c ?(source = any_source) ?(tag = any_tag) () =
+  let t, mask = probe_args c Internal0.User source tag in
   Ucx.tag_probe (my_worker c) ~tag:t ~mask |> Option.map (probe_status c)
 
-let probe_k c kind ?(source = any_source) ?(tag = any_tag) () =
-  let t, mask = probe_args c kind source tag in
+let probe c ?(source = any_source) ?(tag = any_tag) () =
+  let t, mask = probe_args c Internal0.User source tag in
   probe_status c (Ucx.tag_probe_wait (my_worker c) ~tag:t ~mask)
-
-let improbe_k c kind ?(source = any_source) ?(tag = any_tag) () =
-  let t, mask = probe_args c kind source tag in
-  Ucx.tag_mprobe (my_worker c) ~tag:t ~mask
-  |> Option.map (fun (info, msg) -> (probe_status c info, msg))
 
 let mprobe_k c kind ?(source = any_source) ?(tag = any_tag) () =
   let t, mask = probe_args c kind source tag in
@@ -1216,9 +1196,6 @@ let mrecv_k c _kind msg buf =
   wait
     (own c ~me:(-1) ~span:Obs.null_span ~cleanup (Ucx.msg_recv (my_worker c) msg dt))
 
-let iprobe c ?source ?tag () = iprobe_k c Internal0.User ?source ?tag ()
-let probe c ?source ?tag () = probe_k c Internal0.User ?source ?tag ()
-let improbe c ?source ?tag () = improbe_k c Internal0.User ?source ?tag ()
 let mprobe c ?source ?tag () = mprobe_k c Internal0.User ?source ?tag ()
 let mrecv c msg buf = mrecv_k c Internal0.User msg buf
 
@@ -1412,8 +1389,9 @@ let agree_gen c ~opcode ~shrink ~init ~combine ~contribution ~ack ~failed =
     match slot.s_result with
     | Some r -> r
     | None ->
-        Engine.suspend w.engine (fun resume ->
-            slot.s_waiters <- resume :: slot.s_waiters)
+        let cell = Engine.Ivar.create () in
+        slot.s_waiters <- cell :: slot.s_waiters;
+        Engine.Ivar.read w.engine cell
   in
   (* two traversals of a binomial tree over the group *)
   let rounds =
@@ -1616,8 +1594,6 @@ module Internal = struct
   let recv_k = recv_k
   let isend_k = isend_k
   let irecv_k = irecv_k
-  let iprobe_k = iprobe_k
-  let probe_k = probe_k
   let mprobe_k = mprobe_k
   let mrecv_k = mrecv_k
   let fresh_seq = fresh_seq

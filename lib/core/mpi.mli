@@ -14,7 +14,7 @@
       zero-copy memory regions.
 
     Every rank of a world runs as one simulation fiber; all blocking
-    calls ([send], [recv], [wait], [probe], [barrier]) suspend the
+    calls ([send], [recv], [wait], [probe], [barrier]) park the
     calling fiber on the virtual clock. *)
 
 module Buf = Mpicd_buf.Buf
@@ -56,12 +56,6 @@ val world_pool : world -> Buf.Pool.t
 val world_size : world -> int
 
 type comm
-
-val comm_for_rank : world -> int -> comm
-(** The world communicator as seen by rank [i]. *)
-
-val spawn_rank : world -> int -> (comm -> unit) -> unit
-(** Spawn one rank's program as a fiber (does not run the engine). *)
 
 val run : world -> (comm -> unit) -> unit
 (** SPMD convenience: spawn [f] on every rank and run the simulation to
@@ -177,9 +171,6 @@ module Monitor : sig
   val pending : t -> op list
   (** Operations posted but not completed, in posting order: the raw
       material of the wait-for graph and unmatched-at-finalize checks. *)
-
-  val rle_repeat : ('a * int) list -> int -> ('a * int) list
-  (** Repeat a run-length-encoded sequence, keeping it canonical. *)
 end
 
 val set_monitor : world -> Monitor.t option -> unit
@@ -288,10 +279,10 @@ val test : request -> status option
 
 val waitany : request list -> int * status
 (** Block until some request completes; returns its index
-    (MPI_Waitany).  As in MPI, the remaining requests stay outstanding
-    and must eventually be completed with {!wait}/{!test} — a request
-    that never completes leaves its progress fiber blocked and shows up
-    as a deadlock when the simulation drains.
+    (MPI_Waitany).  The caller parks once on every request, and the
+    first to complete in event order wins.  As in MPI, the remaining
+    requests stay outstanding, to be completed with {!wait}/{!test} or
+    left pending: nothing is left blocked on them.
     @raise Invalid_argument on an empty list. *)
 
 val sendrecv :
@@ -345,7 +336,6 @@ val probe : comm -> ?source:int -> ?tag:int -> unit -> status
 
 type message
 
-val improbe : comm -> ?source:int -> ?tag:int -> unit -> (status * message) option
 val mprobe : comm -> ?source:int -> ?tag:int -> unit -> status * message
 val mrecv : comm -> message -> buffer -> status
 
@@ -437,8 +427,6 @@ module Internal : sig
   val recv_k : comm -> kind -> ?source:int -> ?tag:int -> buffer -> status
   val isend_k : comm -> kind -> dst:int -> tag:int -> buffer -> request
   val irecv_k : comm -> kind -> ?source:int -> ?tag:int -> buffer -> request
-  val iprobe_k : comm -> kind -> ?source:int -> ?tag:int -> unit -> status option
-  val probe_k : comm -> kind -> ?source:int -> ?tag:int -> unit -> status
   val mprobe_k : comm -> kind -> ?source:int -> ?tag:int -> unit -> status * message
   val mrecv_k : comm -> kind -> message -> buffer -> status
 

@@ -2,7 +2,7 @@
 
     A DDTBench kernel's exchange is, at bottom, an ordered list of
     (slab offset, length) blocks.  The paper packs such lists with C++
-    coroutines ([std::generator]) so the pack callback can suspend
+    coroutines ([std::generator]) so the pack callback can pause
     mid-loop-nest when its destination fragment fills up; this module is
     the equivalent explicit state machine: the prefix-sum table lets a
     pack/unpack callback resume at any virtual offset of the packed

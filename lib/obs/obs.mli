@@ -20,8 +20,8 @@
       rendezvous handshake, unpack);
     - category ["callback"]: individual pack/unpack callback
       invocations, tiled across their phase's modeled duration;
-    - category ["fiber"]: scheduler fiber lifetimes plus
-      suspend/resume instants;
+    - category ["fiber"]: scheduler fiber lifetimes plus park and
+      wake instants (named ["suspend"] and ["resume"]);
     - category ["ckpt"]: checkpoint/restart activity from
       [Mpicd_restart] (commit/restore/recovery spans; epoch-marker,
       snapshot-completion, duplicate-suppression and log-replay

@@ -4,9 +4,9 @@ module Metrics = Mpicd_obs.Metrics
 (* A live fiber, linked into its engine's ring of live fibers: linked
    at spawn, unlinked when it returns, both O(1) and allocation-free
    beyond this record.  Spawn appends, so the ring is in id order.
-   When the queue runs dry every live fiber is suspended (a runnable or
+   When the queue runs dry every live fiber is parked (a runnable or
    sleeping one would have an event queued), so the ring is exactly
-   the deadlock report, and a suspend or resume does no bookkeeping. *)
+   the deadlock report, and parking or waking does no bookkeeping. *)
 type fiber = {
   f_id : int;
   f_name : string;
@@ -44,17 +44,25 @@ and t = {
 
 exception Deadlock of string
 
-type 'a resumer = 'a -> unit
-
 (* The fibers parked on one cell, newest first: each holds its own
    continuation, and waking resumes the earliest first (FIFO).  A lone
-   reader, the usual case, needs no link. *)
+   reader, the usual case, needs no link.  A [Parked_any] node is one
+   of an [await_any]'s nodes, one per cell: they share [won], so only
+   the first to be woken resumes the fiber and the rest go stale in
+   their cells, skipped by a later wake. *)
 type 'a waiter =
   | Idle
   | Parked of { k : ('a, unit) Effect.Deep.continuation; fib : fiber }
   | Parked_after of {
       k : ('a, unit) Effect.Deep.continuation;
       fib : fiber;
+      earlier : 'a waiter;
+    }
+  | Parked_any of {
+      k : (int * 'a, unit) Effect.Deep.continuation;
+      fib : fiber;
+      won : bool ref;
+      index : int;
       earlier : 'a waiter;
     }
 
@@ -66,8 +74,8 @@ type ('c, 'a) slot = { get : 'c -> 'a waiter; set : 'c -> 'a waiter -> unit }
 
 type _ Effect.t +=
   | Sleep : t -> unit Effect.t
-  | Suspend : t * ('a resumer -> unit) -> 'a Effect.t
   | Await : ('c, 'a) slot * 'c -> 'a Effect.t
+  | Await_any : ('c, 'a) slot * 'c list -> (int * 'a) Effect.t
 
 let now t = t.clock
 
@@ -124,12 +132,15 @@ let sleep t d =
   else if d < 0. then invalid_arg "Engine.sleep: negative duration";
   Float.Array.unsafe_set t.sleep_for 0 d;
   Effect.perform t.sleep
-let suspend t register = Effect.perform (Suspend (t, register))
 let await slot cell = Effect.perform (Await (slot, cell))
 
-(* Observability: one span per fiber lifetime, plus suspend/resume
-   instants.  All recording is guarded so a detached sink costs a
-   single branch and allocates nothing. *)
+let await_any slot cells =
+  if cells = [] then invalid_arg "Engine.await_any: no cells";
+  Effect.perform (Await_any (slot, cells))
+
+(* Observability: one span per fiber lifetime, plus park ("suspend")
+   and wake ("resume") instants.  All recording is guarded so a
+   detached sink costs a single branch and allocates nothing. *)
 let fiber_instant fib what =
   let t = fib.f_engine in
   if Obs.enabled t.obs then
@@ -153,6 +164,12 @@ let rec resume_parked w v =
   | Parked_after { k; fib; earlier } ->
       resume_parked earlier v;
       resume fib k v
+  | Parked_any { k; fib; won; index; earlier } ->
+      resume_parked earlier v;
+      if not !won then begin
+        won := true;
+        resume fib k (index, v)
+      end
 
 let wake slot cell v =
   match slot.get cell with
@@ -195,17 +212,16 @@ let make_handler t : (unit, unit) Effect.Deep.handler =
                   (match slot.get cell with
                   | Idle -> Parked { k; fib }
                   | earlier -> Parked_after { k; fib; earlier }))
-        | Suspend (t', register) when t' == t ->
+        | Await_any (slot, cells) ->
             Some
               (fun k ->
                 let fib = t.current in
                 fiber_instant fib "suspend";
-                let resumed = ref false in
-                register (fun v ->
-                    if !resumed then invalid_arg "Engine: resumer invoked twice";
-                    resumed := true;
-                    fiber_instant fib "resume";
-                    schedule t ~delay:0. (fun () -> resume_with fib k v)))
+                let won = ref false in
+                List.iteri
+                  (fun index cell ->
+                    slot.set cell (Parked_any { k; fib; won; index; earlier = slot.get cell }))
+                  cells)
         | _ -> None);
   }
 
@@ -291,47 +307,49 @@ let run t =
   in
   loop ()
 
+module Ivar = struct
+  (* The blocked readers are parked in the cell itself, so a blocked
+     read keeps only its continuation and one [Parked] node reachable.
+     Later readers wake after earlier ones (FIFO). *)
+  type 'a t = { mutable value : 'a option; mutable readers : 'a waiter }
+
+  let slot = { get = (fun t -> t.readers); set = (fun t w -> t.readers <- w) }
+  let create () = { value = None; readers = Idle }
+
+  let fill t v =
+    match t.value with
+    | Some _ -> invalid_arg "Ivar.fill: already filled"
+    | None ->
+        t.value <- Some v;
+        wake slot t v
+
+  let read _ t = match t.value with Some v -> v | None -> await slot t
+end
+
 module Waitq = struct
-  type nonrec engine = t
-  type 'a t = ('a resumer) Queue.t
+  type 'a t = 'a Ivar.t Queue.t  (* one cell per waiter, oldest first *)
 
   let create () = Queue.create ()
 
-  let wait (e : engine) t = suspend e (fun resume -> Queue.push resume t)
+  let wait e t =
+    let cell = Ivar.create () in
+    Queue.push cell t;
+    Ivar.read e cell
 
   let signal t v =
     match Queue.take_opt t with
     | None -> false
-    | Some resume ->
-        resume v;
+    | Some cell ->
+        Ivar.fill cell v;
         true
 
   let broadcast t v =
     let n = Queue.length t in
-    for _ = 1 to n do
-      match Queue.take_opt t with
-      | Some resume -> resume v
-      | None -> ()
-    done;
+    Queue.iter (fun cell -> Ivar.fill cell v) t;
+    Queue.clear t;
     n
 
   let waiters t = Queue.length t
-end
-
-module Mailbox = struct
-  type 'a t = { items : 'a Queue.t; readers : 'a Waitq.t }
-
-  let create () = { items = Queue.create (); readers = Waitq.create () }
-
-  let send t v = if not (Waitq.signal t.readers v) then Queue.push v t.items
-
-  let recv e t =
-    match Queue.take_opt t.items with
-    | Some v -> v
-    | None -> Waitq.wait e t.readers
-
-  let try_recv t = Queue.take_opt t.items
-  let length t = Queue.length t.items
 end
 
 module Mutex = struct
@@ -353,25 +371,4 @@ module Mutex = struct
     Fun.protect ~finally:(fun () -> unlock t) f
 
   let is_locked t = t.locked
-end
-
-module Ivar = struct
-  (* The blocked readers are parked in the cell itself, so a blocked
-     read keeps only its continuation and one [Parked] node reachable.
-     Later readers wake after earlier ones (FIFO). *)
-  type 'a t = { mutable value : 'a option; mutable readers : 'a waiter }
-
-  let slot = { get = (fun t -> t.readers); set = (fun t w -> t.readers <- w) }
-  let create () = { value = None; readers = Idle }
-
-  let fill t v =
-    match t.value with
-    | Some _ -> invalid_arg "Ivar.fill: already filled"
-    | None ->
-        t.value <- Some v;
-        wake slot t v
-
-  let read _ t = match t.value with Some v -> v | None -> await slot t
-  let peek t = t.value
-  let is_filled t = Option.is_some t.value
 end

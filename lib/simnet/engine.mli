@@ -3,9 +3,11 @@
     The engine runs a set of cooperative fibers against a virtual clock
     measured in nanoseconds.  Fibers are implemented with OCaml 5
     effects: a fiber may {!sleep} (advance its own timeline) or
-    {!suspend} (block until some other fiber or scheduled event resumes
-    it).  Every MPI rank in the simulated cluster is one fiber; network
-    deliveries are plain scheduled events.
+    {!await} a cell (park on it until some other fiber or scheduled
+    event {!wake}s it).  Parking on a cell is the one way to block: the
+    structures below are cells that fibers park on.  Every MPI rank in
+    the simulated cluster is one fiber; network deliveries are plain
+    scheduled events.
 
     Determinism — the [(time, seq)] tie-break contract: every scheduled
     event carries its target virtual time plus a strictly increasing
@@ -31,8 +33,8 @@
 type t
 
 exception Deadlock of string
-(** Raised by {!run} when suspended fibers remain but no future event can
-    resume them.  The message names every blocked fiber as [name#id],
+(** Raised by {!run} when parked fibers remain but no future event can
+    wake them.  The message names every blocked fiber as [name#id],
     in increasing fiber-id (spawn) order. *)
 
 val create : unit -> t
@@ -42,10 +44,11 @@ val now : t -> float
 
 val set_obs : t -> Mpicd_obs.Obs.t -> unit
 (** Attach an observability sink: each fiber gets a ["fiber"]-category
-    lifetime span and suspend/resume instants, and the engine interns
-    [events_scheduled_total] / [events_pooled_reuses] counters plus a
-    [live_events] gauge in the sink's metrics registry (handles are
-    cached here, so the per-event path never does a name lookup).
+    lifetime span and park/wake instants (named ["suspend"] and
+    ["resume"]), and the engine interns [events_scheduled_total] /
+    [events_pooled_reuses] counters plus a [live_events] gauge in the
+    sink's metrics registry (handles are cached here, so the per-event
+    path never does a name lookup).
     Detached (the default, {!Mpicd_obs.Obs.null}) costs one branch per
     site and records nothing; attaching never perturbs timing or
     scheduling order. *)
@@ -70,19 +73,11 @@ val sleep : t -> float -> unit
     events interleave deterministically).
     @raise Invalid_argument on NaN or negative durations. *)
 
-type 'a resumer = 'a -> unit
-(** One-shot: calling a resumer twice raises [Invalid_argument]. *)
-
-val suspend : t -> ('a resumer -> unit) -> 'a
-(** [suspend t register] blocks the current fiber.  [register] receives a
-    resumer which, when invoked (from another fiber or an event), reschedules
-    this fiber at the then-current virtual time with the given value. *)
-
-(** {2 Typed waits}
+(** {2 Waits}
 
     A cell that fibers block on keeps its parked readers in a field of
     its own, so a blocked fiber holds its continuation and one node,
-    and allocates no resumer. *)
+    and allocates no closure. *)
 
 type 'a waiter
 (** The fibers parked on one cell, waiting for an ['a]. *)
@@ -97,28 +92,37 @@ val await : ('c, 'a) slot -> 'c -> 'a
 (** [await slot cell] parks the calling fiber on [cell] until {!wake}
     delivers a value.  Must be called from inside a fiber. *)
 
+val await_any : ('c, 'a) slot -> 'c list -> int * 'a
+(** [await_any slot cells] parks the calling fiber once, on every cell
+    of [cells] (none of which may be woken already), and returns the
+    index and value of the first one woken.  The other cells keep a
+    stale node that a later {!wake} skips.
+    @raise Invalid_argument if [cells] is empty. *)
+
 val wake : ('c, 'a) slot -> 'c -> 'a -> unit
 (** [wake slot cell v] empties [cell]'s waiter field and reschedules
     every fiber parked on it at the current virtual time with [v], in
-    the order they parked. *)
+    the order they parked, skipping an {!await_any} that another cell
+    already woke. *)
 
 val at : t -> delay:float -> (unit -> unit) -> unit
 (** [at t ~delay f] schedules callback [f] to run at [now t +. delay].
     Callbacks run outside any fiber and must not perform effects; they
-    typically resume suspended fibers or spawn new ones. *)
+    typically wake parked fibers or spawn new ones. *)
 
 val run : t -> unit
 (** Execute events until none remain.  @raise Deadlock if fibers are
-    still suspended when the queue drains. *)
+    still parked when the queue drains. *)
 
 val live_fibers : t -> int
 (** Number of fibers spawned but not yet finished. *)
 
-(** {1 Blocking primitives built on [suspend]} *)
+(** {1 Blocking structures built on [await]} *)
 
 module Waitq : sig
-  (** A queue of parked fibers, each waiting for a value: the building
-      block for completion queues and condition variables. *)
+  (** A FIFO queue of parked fibers, each waiting for a value on a
+      one-shot cell of its own: the building block for completion
+      queues and condition variables. *)
 
   type engine := t
   type 'a t
@@ -132,21 +136,6 @@ module Waitq : sig
   (** Resume all current waiters; returns how many were resumed. *)
 
   val waiters : 'a t -> int
-end
-
-module Mailbox : sig
-  (** Unbounded FIFO channel between fibers. *)
-
-  type engine := t
-  type 'a t
-
-  val create : unit -> 'a t
-  val send : 'a t -> 'a -> unit
-  val recv : engine -> 'a t -> 'a
-  (** Blocks until a value is available. *)
-
-  val try_recv : 'a t -> 'a option
-  val length : 'a t -> int
 end
 
 module Mutex : sig
@@ -178,6 +167,4 @@ module Ivar : sig
   (** @raise Invalid_argument if already filled. *)
 
   val read : engine -> 'a t -> 'a
-  val peek : 'a t -> 'a option
-  val is_filled : 'a t -> bool
 end

@@ -162,8 +162,8 @@ let rec chan_index ch key =
     chan_index ch key
   end
 
-(* Both queues are linked through their entries, oldest first, with
-   the newest kept for an O(1) append. *)
+(* Every queue is linked through its entries, oldest first, with the
+   newest kept for an O(1) append. *)
 type worker = {
   id : int;
   ctx : context;
@@ -171,14 +171,26 @@ type worker = {
   mutable posted_last : request;
   mutable unexpected : envelope;  (* in arrival order *)
   mutable unexpected_last : envelope;
-  mutable probers : prober list;  (* blocked probes, in blocking order *)
+  mutable probes : probes;
+      (* [no_probes] until a probe first blocks on this worker: a
+         waiting rank's worker keeps one word for its probe queues *)
 }
 
-(* A blocked probe of [(tag, mask)]: a [Peek] leaves the envelope
-   queued, a [Take] dequeues it. *)
-and prober =
-  | Peek of int * int * probe_info Engine.resumer
-  | Take of int * int * (probe_info * message) Engine.resumer
+and probes = {
+  mutable peekers : prober;  (* blocked probes, in blocking order *)
+  mutable peekers_last : prober;
+  mutable takers : prober;  (* blocked mprobes, in blocking order *)
+  mutable takers_last : prober;
+}
+
+(* A blocked probe of [(tag, mask)], parked until a matching envelope
+   arrives: a peeker leaves the envelope queued, a taker dequeues it. *)
+and prober = {
+  pb_tag : int;
+  pb_mask : int;
+  mutable pb_waiter : message Engine.waiter;
+  mutable pb_next : prober;  (* queue link; [no_prober] ends it *)
+}
 
 and context = {
   engine : Engine.t;
@@ -220,6 +232,17 @@ and context = {
 }
 
 type endpoint = { ep_src : worker; ep_dst : worker }
+
+let rec no_prober = { pb_tag = 0; pb_mask = 0; pb_waiter = Engine.idle; pb_next = no_prober }
+
+let empty_probes () =
+  { peekers = no_prober; peekers_last = no_prober; takers = no_prober; takers_last = no_prober }
+
+(* Shared by every worker no probe has blocked on, so never pushed to. *)
+let no_probes = empty_probes ()
+
+let prober_slot =
+  { Engine.get = (fun p -> p.pb_waiter); set = (fun p w -> p.pb_waiter <- w) }
 
 let create_context ~engine ~config ~stats =
   {
@@ -305,7 +328,7 @@ let create_worker ctx =
       posted_last = no_request;
       unexpected = no_env;
       unexpected_last = no_env;
-      probers = [];
+      probes = no_probes;
     }
   in
   ctx.workers_list <- w :: ctx.workers_list;
@@ -574,9 +597,25 @@ let unexpected =
     head = (fun w -> w.unexpected); set_head = (fun w e -> w.unexpected <- e);
     last = (fun w -> w.unexpected_last); set_last = (fun w e -> w.unexpected_last <- e) }
 
+let peekers =
+  { nil = no_prober; next = (fun p -> p.pb_next); set_next = (fun p n -> p.pb_next <- n);
+    head = (fun q -> q.peekers); set_head = (fun q p -> q.peekers <- p);
+    last = (fun q -> q.peekers_last); set_last = (fun q p -> q.peekers_last <- p) }
+
+let takers =
+  { peekers with
+    head = (fun q -> q.takers); set_head = (fun q p -> q.takers <- p);
+    last = (fun q -> q.takers_last); set_last = (fun q p -> q.takers_last <- p) }
+
 let push l w x =
   if l.head w == l.nil then l.set_head w x else l.set_next (l.last w) x;
   l.set_last w x;
+  l.set_next x l.nil
+
+(* Unlink the entry [x], which follows [prev] ([l.nil] at the head). *)
+let unlink l w prev x =
+  if prev == l.nil then l.set_head w (l.next x) else l.set_next prev (l.next x);
+  if l.last w == x then l.set_last w prev;
   l.set_next x l.nil
 
 (* Unlink and return the oldest entry [x] with [hit arg x], searching
@@ -584,10 +623,7 @@ let push l w x =
 let rec take_from l w hit arg prev x =
   if x == l.nil then x
   else if hit arg x then begin
-    let next = l.next x in
-    if prev == l.nil then l.set_head w next else l.set_next prev next;
-    if l.last w == x then l.set_last w prev;
-    l.set_next x l.nil;
+    unlink l w prev x;
     x
   end
   else take_from l w hit arg x (l.next x)
@@ -1356,29 +1392,31 @@ let match_instant w env =
 let probe_info env =
   { p_tag = env.e_tag; p_len = env.e_total; p_src_worker = env.e_src }
 
-(* Wake the blocked probes [env] matches: every [Peek], then at most one
-   [Take], which dequeues it. *)
+let prober_hits env p = tag_matches ~tag:p.pb_tag ~mask:p.pb_mask env.e_tag
+
+(* Unlink and wake every peeker from [p] on (after [prev]) that [env]
+   matches, in blocking order. *)
+let rec wake_peekers q env prev p =
+  if p != no_prober then begin
+    let next = p.pb_next in
+    if prober_hits env p then begin
+      unlink peekers q prev p;
+      Engine.wake prober_slot p env;
+      wake_peekers q env prev next
+    end
+    else wake_peekers q env p next
+  end
+
+(* Wake the blocked probes [env], just queued as unexpected, matches:
+   every peeker, then the oldest matching taker, which dequeues it. *)
 let wake_probers w env =
-  let info = probe_info env in
-  let hit = function
-    | Peek (tag, mask, _) -> tag_matches ~tag ~mask env.e_tag
-    | Take _ -> false
-  in
-  let peeks, rest = List.partition hit w.probers in
-  w.probers <- rest;
-  List.iter (function Peek (_, _, resume) -> resume info | Take _ -> ()) peeks;
-  let rec wake_take acc = function
-    | [] -> ()
-    | (Take (tag, mask, resume) as p) :: rest ->
-        if tag_matches ~tag ~mask env.e_tag && take unexpected w ( == ) env != no_env
-        then begin
-          w.probers <- List.rev_append acc rest;
-          resume (info, env)
-        end
-        else wake_take (p :: acc) rest
-    | p :: rest -> wake_take (p :: acc) rest
-  in
-  wake_take [] w.probers
+  let q = w.probes in
+  wake_peekers q env no_prober q.peekers;
+  let p = take takers q prober_hits env in
+  if p != no_prober then begin
+    ignore (take unexpected w ( == ) env);
+    Engine.wake prober_slot p env
+  end
 
 (* Match a new envelope against posted receives / probe waiters;
    otherwise queue it as unexpected. *)
@@ -1414,7 +1452,7 @@ let deliver w env =
         (Metrics.gauge mx (Printf.sprintf "unexpected_depth.w%d" w.id))
         (float_of_int (length unexpected w.unexpected 0))
     end;
-    match w.probers with [] -> () | _ -> wake_probers w env
+    if w.probes != no_probes then wake_probers w env
   end
 
 (* Schedule envelope arrival over the link, preserving per-channel
@@ -1686,29 +1724,30 @@ let tag_recv w ~tag ~mask dt =
 let wait (req : request) =
   if is_completed req then req.r_status else Engine.await waiter_slot req
 
+let wait_any reqs = Engine.await_any waiter_slot reqs
+
 let tag_probe w ~tag ~mask =
   Stats.record_probe w.ctx.stats;
   let env = find unexpected (fun (tag, mask) env -> tag_matches ~tag ~mask env.e_tag) (tag, mask) w.unexpected in
   if env == no_env then None else Some (probe_info env)
 
+(* Park on a fresh prober queued on [l] until an envelope matches. *)
+let block_probe l w ~tag ~mask =
+  if w.probes == no_probes then w.probes <- empty_probes ();
+  let p = { pb_tag = tag; pb_mask = mask; pb_waiter = Engine.idle; pb_next = no_prober } in
+  push l w.probes p;
+  Engine.await prober_slot p
+
 let tag_probe_wait w ~tag ~mask =
   match tag_probe w ~tag ~mask with
   | Some info -> info
-  | None ->
-      Engine.suspend w.ctx.engine (fun resume ->
-          w.probers <- w.probers @ [ Peek (tag, mask, resume) ])
-
-let tag_mprobe w ~tag ~mask =
-  Stats.record_probe w.ctx.stats;
-  let env = take unexpected w (fun (tag, mask) env -> tag_matches ~tag ~mask env.e_tag) (tag, mask) in
-  if env == no_env then None else Some (probe_info env, env)
+  | None -> probe_info (block_probe peekers w ~tag ~mask)
 
 let tag_mprobe_wait w ~tag ~mask =
-  match tag_mprobe w ~tag ~mask with
-  | Some r -> r
-  | None ->
-      Engine.suspend w.ctx.engine (fun resume ->
-          w.probers <- w.probers @ [ Take (tag, mask, resume) ])
+  Stats.record_probe w.ctx.stats;
+  let env = take unexpected w (fun (tag, mask) env -> tag_matches ~tag ~mask env.e_tag) (tag, mask) in
+  let env = if env == no_env then block_probe takers w ~tag ~mask else env in
+  (probe_info env, env)
 
 let msg_recv w (env : message) dt =
   let req = make_request ~tag:env.e_tag ~mask:(-1) ~peer:env.e_src dt in

@@ -159,6 +159,12 @@ val wait : request -> status
     fibers may wait on one request; they wake in the order they
     waited. *)
 
+val wait_any : request list -> int * status
+(** Block the calling fiber until one of the requests, none of them
+    complete yet, completes; return its index and status.  The first to
+    complete wins; the others stay pending.
+    @raise Invalid_argument if the list is empty. *)
+
 val is_completed : request -> bool
 val peek : request -> status option
 
@@ -201,8 +207,12 @@ val tag_probe_wait : worker -> tag:int -> mask:int -> probe_info
 type message
 (** A matched-and-dequeued envelope (MPI_Mprobe semantics). *)
 
-val tag_mprobe : worker -> tag:int -> mask:int -> (probe_info * message) option
 val tag_mprobe_wait : worker -> tag:int -> mask:int -> probe_info * message
+(** Blocking matched probe: dequeues the oldest matching envelope,
+    waiting for one to arrive if none is queued.  An arrival wakes every
+    blocked probe it matches, in blocking order, then the oldest
+    blocked mprobe it matches. *)
+
 val msg_recv : worker -> message -> recv_dt -> request
 (** Receive a previously mprobed message. *)
 

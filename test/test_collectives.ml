@@ -385,7 +385,7 @@ let test_gather_linear_in_ranks () =
    reduce and the other 1023 ranks wait in the broadcast), an engine
    event runs a full major collection; the live heap words the world
    added, per rank, count every pending receive's requests, transport
-   state, staging buffer and suspended fiber. *)
+   state, staging buffer and parked fiber. *)
 let max_live_words_per_rank = 100.
 
 let test_waiting_rank_live_ceiling () =

@@ -594,6 +594,35 @@ let test_waitany_nonhead_first () =
         Mpi.send comm ~dst:0 ~tag:99 (Mpi.Bytes (pattern 4))
       end)
 
+(* A loser that never completes leaves nothing blocked: the world
+   finishes with it still pending, and revoking its communicator
+   afterwards cancels it. *)
+let test_waitany_loser_left_pending () =
+  let w = Mpi.create_world ~size:2 () in
+  let kept = ref None in
+  Mpi.run w (fun comm ->
+      if Mpi.rank comm = 0 then begin
+        let never = Mpi.irecv comm ~source:1 ~tag:99 (Mpi.Bytes (Buf.create 4)) in
+        let soon = Mpi.irecv comm ~source:1 ~tag:1 (Mpi.Bytes (Buf.create 4)) in
+        let idx, st = Mpi.waitany [ never; soon ] in
+        check_int "second request won" 1 idx;
+        check_int "len" 4 st.len;
+        kept := Some (comm, never)
+      end
+      else Mpi.send comm ~dst:0 ~tag:1 (Mpi.Bytes (pattern 4)));
+  match !kept with
+  | None -> Alcotest.fail "rank 0 did not finish"
+  | Some (comm, never) ->
+      Alcotest.(check bool) "the loser is still pending" true (Mpi.test never = None);
+      let e = Mpi.world_engine w in
+      Engine.spawn e (fun () ->
+          Mpi.comm_revoke comm;
+          match Mpi.wait never with
+          | _ -> Alcotest.fail "the loser survived a revocation"
+          | exception Mpi.Mpi_error Mpi.Revoked -> ());
+      Engine.run e;
+      check_int "the loser was cancelled" 1 (Mpi.world_stats w).Mpicd_simnet.Stats.ops_cancelled
+
 let test_mpi_pack_unpack () =
   let w = Mpi.create_world ~size:1 () in
   Mpi.run w (fun comm ->
@@ -919,6 +948,7 @@ let suite =
       tc "request test (MPI_Test)" `Quick test_request_test;
       tc "waitany" `Quick test_waitany;
       tc "waitany non-head completes first" `Quick test_waitany_nonhead_first;
+      tc "waitany loser left pending" `Quick test_waitany_loser_left_pending;
       tc "MPI_Pack/Unpack with position" `Quick test_mpi_pack_unpack;
       tc "8-rank ring" `Quick test_many_ranks_ring;
       tc "message storm" `Quick test_message_storm;

@@ -99,31 +99,33 @@ let test_ivar_double_fill () =
     (Invalid_argument "Ivar.fill: already filled") (fun () ->
       Engine.Ivar.fill iv 2)
 
-let test_mailbox_fifo () =
+(* [signal] wakes the oldest waiter, each signal with its own value. *)
+let test_waitq_signal_fifo () =
   let e = Engine.create () in
-  let mb = Engine.Mailbox.create () in
-  let received = ref [] in
-  Engine.spawn e (fun () ->
-      for _ = 1 to 3 do
-        received := Engine.Mailbox.recv e mb :: !received
-      done);
-  Engine.spawn e (fun () ->
-      Engine.Mailbox.send mb 1;
-      Engine.sleep e 1.;
-      Engine.Mailbox.send mb 2;
-      Engine.Mailbox.send mb 3);
+  let wq = Engine.Waitq.create () in
+  let got = ref [] in
+  List.iter
+    (fun (name, at) ->
+      Engine.spawn e (fun () ->
+          Engine.sleep e at;
+          let v = Engine.Waitq.wait e wq in
+          got := (name, v) :: !got))
+    [ ("second", 2.); ("first", 1.); ("third", 3.) ];
+  Engine.at e ~delay:10. (fun () ->
+      List.iter
+        (fun v -> Alcotest.(check bool) "a waiter" true (Engine.Waitq.signal wq v))
+        [ 1; 2; 3 ];
+      Alcotest.(check bool) "nobody left" false (Engine.Waitq.signal wq 4));
   Engine.run e;
-  Alcotest.(check (list int)) "fifo" [ 1; 2; 3 ] (List.rev !received)
+  Alcotest.(check (list (pair string int))) "oldest first"
+    [ ("first", 1); ("second", 2); ("third", 3) ]
+    (List.rev !got)
 
-let test_mailbox_buffering () =
-  let e = Engine.create () in
-  let mb = Engine.Mailbox.create () in
-  Engine.Mailbox.send mb "x";
-  check_int "buffered" 1 (Engine.Mailbox.length mb);
-  Alcotest.(check (option string)) "try_recv" (Some "x")
-    (Engine.Mailbox.try_recv mb);
-  Alcotest.(check (option string)) "empty" None (Engine.Mailbox.try_recv mb);
-  ignore e
+(* A bare cell for [await_any]: a waiter field and nothing else. *)
+type cell = { mutable parked : int Engine.waiter }
+
+let cell_slot = { Engine.get = (fun c -> c.parked); set = (fun c w -> c.parked <- w) }
+let new_cell () = { parked = Engine.idle }
 
 let test_deadlock_detection () =
   let e = Engine.create () in
@@ -144,9 +146,9 @@ let test_deadlock_detection () =
         in
         contains msg "stuck"))
 
-(* The blocked-fiber bookkeeping: a resumed fiber leaves the deadlock
+(* The blocked-fiber bookkeeping: a woken fiber leaves the deadlock
    report, and the report is in fiber-id order whatever order the
-   fibers suspended in ([c] suspends last here). *)
+   fibers parked in ([c] parks last here). *)
 let test_deadlock_names_blocked () =
   let e = Engine.create () in
   let iv_a = Engine.Ivar.create ()
@@ -166,17 +168,24 @@ let test_deadlock_names_blocked () =
       Alcotest.(check string) "exactly the blocked fibers, by id"
         "simulation deadlock: 2 fiber(s) still blocked [a#1, c#3]" msg
 
-let test_resumer_twice_raises () =
+(* Two cells of one [await_any] woken in the same callback: the fiber
+   resumes once, with the first cell woken. *)
+let test_await_any_resumes_once () =
   let e = Engine.create () in
-  let resumer = ref (fun () -> ()) in
-  Engine.spawn e (fun () -> Engine.suspend e (fun r -> resumer := r));
+  let a = new_cell () and b = new_cell () in
+  let got = ref [] in
+  Engine.spawn e (fun () ->
+      let hit = Engine.await_any cell_slot [ a; b ] in
+      got := hit :: !got);
   Engine.at e ~delay:1. (fun () ->
-      !resumer ();
-      Alcotest.check_raises "second call"
-        (Invalid_argument "Engine: resumer invoked twice") (fun () ->
-          !resumer ()));
+      Engine.wake cell_slot b 2;
+      Engine.wake cell_slot a 1);
   Engine.run e;
-  check_int "the fiber finished" 0 (Engine.live_fibers e)
+  Alcotest.(check (list (pair int int))) "one resumption, by [b]" [ (1, 2) ] !got;
+  check_int "the fiber finished" 0 (Engine.live_fibers e);
+  Alcotest.check_raises "no cells"
+    (Invalid_argument "Engine.await_any: no cells") (fun () ->
+      ignore (Engine.await_any cell_slot []))
 
 (* The deadlock report lists live fibers: one that finished before the
    queue ran dry is gone from it, whether it was spawned first or
@@ -202,26 +211,21 @@ let test_deadlock_names_live_after_churn () =
          late#4]"
         msg
 
-(* A resumer belongs to one suspension: calling it again after its
-   fiber has suspended a second time raises, and does not wake the
-   second suspension. *)
-let test_stale_resumer_raises () =
+(* An [await_any] loser keeps a stale node in its cell: waking the
+   cell later skips it and wakes only the fiber's later wait there. *)
+let test_await_any_loser_goes_stale () =
   let e = Engine.create () in
-  let first = ref (fun (_ : int) -> ()) in
-  let second = ref (fun (_ : int) -> ()) in
+  let a = new_cell () and b = new_cell () in
   let got = ref [] in
   Engine.spawn e (fun () ->
-      got := Engine.suspend e (fun r -> first := r) :: !got;
-      got := Engine.suspend e (fun r -> second := r) :: !got);
-  Engine.at e ~delay:1. (fun () -> !first 1);
-  Engine.at e ~delay:2. (fun () ->
-      Alcotest.check_raises "stale resumer"
-        (Invalid_argument "Engine: resumer invoked twice") (fun () ->
-          !first 99);
-      !second 2);
+      let hit = Engine.await_any cell_slot [ a; b ] in
+      let v = Engine.await cell_slot b in
+      got := [ (-1, v); hit ]);
+  Engine.at e ~delay:1. (fun () -> Engine.wake cell_slot a 1);
+  Engine.at e ~delay:2. (fun () -> Engine.wake cell_slot b 2);
   Engine.run e;
-  Alcotest.(check (list int)) "each suspension got its own value" [ 2; 1 ]
-    !got;
+  Alcotest.(check (list (pair int int))) "each wait got its own value"
+    [ (-1, 2); (0, 1) ] !got;
   check_int "the fiber finished" 0 (Engine.live_fibers e)
 
 (* Readers parked on one cell, whether in its first-reader slot or
@@ -928,15 +932,14 @@ let suite =
       tc "fibers interleave by time" `Quick test_two_fibers_interleave;
       tc "ivar blocks until filled" `Quick test_ivar_blocks;
       tc "ivar double fill" `Quick test_ivar_double_fill;
-      tc "mailbox fifo" `Quick test_mailbox_fifo;
-      tc "mailbox buffering" `Quick test_mailbox_buffering;
+      tc "waitq signal wakes oldest" `Quick test_waitq_signal_fifo;
       tc "deadlock detection" `Quick test_deadlock_detection;
       tc "deadlock names exactly the blocked fibers" `Quick
         test_deadlock_names_blocked;
-      tc "resumer twice raises" `Quick test_resumer_twice_raises;
+      tc "await_any resumes once" `Quick test_await_any_resumes_once;
       tc "deadlock names live fibers after churn" `Quick
         test_deadlock_names_live_after_churn;
-      tc "stale resumer raises" `Quick test_stale_resumer_raises;
+      tc "await_any loser goes stale" `Quick test_await_any_loser_goes_stale;
       tc "ivar readers wake FIFO" `Quick test_ivar_readers_fifo;
       tc "deadlock names ivar readers by id" `Quick
         test_deadlock_names_ivar_readers;

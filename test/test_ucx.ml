@@ -434,6 +434,61 @@ let test_mprobe_dequeues () =
           expect_ok (Ucx.wait (Ucx.msg_recv w1 msg (Ucx.Rd_contig dst)));
           Alcotest.(check bool) "payload" true (Buf.equal src dst)))
 
+(* An arrival wakes every blocked probe it matches, in blocking order,
+   then the oldest blocked mprobe it matches, which dequeues it.  A
+   woken mprobe leaves the queue: the next arrival goes to the next. *)
+let test_probe_wake_order () =
+  let order = ref [] in
+  with_pair (fun ~engine ~stats:_ ~w0:_ ~w1 ~ep01 ~ep10:_ ->
+      let block name probe =
+        Engine.spawn engine (fun () ->
+            let len = probe () in
+            order := (name, len) :: !order)
+      in
+      let take () = (fst (Ucx.tag_mprobe_wait w1 ~tag:7 ~mask:(-1))).Ucx.p_len in
+      let peek () = (Ucx.tag_probe_wait w1 ~tag:7 ~mask:(-1)).Ucx.p_len in
+      block "take1" take;
+      block "peek1" peek;
+      block "take2" take;
+      block "peek2" peek;
+      Engine.spawn engine (fun () ->
+          Engine.sleep engine 10.;
+          expect_ok (Ucx.wait (Ucx.tag_send ep01 ~tag:7L (Ucx.Sd_contig (pattern 10))));
+          Engine.sleep engine 1e5;
+          expect_ok (Ucx.wait (Ucx.tag_send ep01 ~tag:7L (Ucx.Sd_contig (pattern 20))))));
+  Alcotest.(check (list (pair string int))) "wake order"
+    [ ("peek1", 10); ("peek2", 10); ("take1", 10); ("take2", 20) ]
+    (List.rev !order)
+
+(* Minor words per blocked probe: [n] fibers block on distinct tags of
+   one worker, then [n] eager sends wake them one at a time.  Blocking
+   and waking cost the same at any queue depth. *)
+let blocked_probe_words ~take n =
+  let words = Array.make 2 0. in
+  let src = pattern 8 in
+  with_pair (fun ~engine ~stats:_ ~w0:_ ~w1 ~ep01 ~ep10:_ ->
+      words.(0) <- Gc.minor_words ();
+      for tag = 0 to n - 1 do
+        Engine.spawn engine (fun () ->
+            if take then ignore (Ucx.tag_mprobe_wait w1 ~tag ~mask:(-1))
+            else ignore (Ucx.tag_probe_wait w1 ~tag ~mask:(-1)))
+      done;
+      Engine.spawn engine (fun () ->
+          for tag = 0 to n - 1 do
+            expect_ok (Ucx.wait (Ucx.tag_send ep01 ~tag:(Int64.of_int tag) (Ucx.Sd_contig src)))
+          done));
+  words.(1) <- Gc.minor_words ();
+  (words.(1) -. words.(0)) /. float_of_int n
+
+let test_blocked_probes_linear () =
+  List.iter
+    (fun (name, take) ->
+      let small = blocked_probe_words ~take 512 and large = blocked_probe_words ~take 2048 in
+      if large > 1.2 *. small then
+        Alcotest.failf "%s: %.0f minor words per blocked probe at 2048, %.0f at 512" name
+          large small)
+    [ ("mprobe", true); ("probe", false) ]
+
 let test_bidirectional () =
   with_pair (fun ~engine ~stats:_ ~w0 ~w1 ~ep01 ~ep10 ->
       let a = pattern 64 and b = pattern 64 in
@@ -934,6 +989,8 @@ let suite =
       tc "probe" `Quick test_probe;
       tc "probe nonblocking empty" `Quick test_probe_nonblocking_empty;
       tc "mprobe dequeues" `Quick test_mprobe_dequeues;
+      tc "probe wake order" `Quick test_probe_wake_order;
+      tc "blocked probes linear" `Quick test_blocked_probes_linear;
       tc "bidirectional" `Quick test_bidirectional;
       tc "timing monotone in size" `Quick test_timing_monotone_in_size;
       tc "timing rndv jump at eager limit" `Quick test_timing_rndv_jump;
