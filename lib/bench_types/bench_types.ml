@@ -64,10 +64,8 @@ module Double_vec = struct
         unpack =
           (fun h _ ~count:_ ~offset ~src ->
             (* announced subvector lengths must match the local shape *)
-            for i = 0 to Buf.length src - 1 do
-              if Buf.get src i <> Buf.get h (offset + i) then
-                raise (Custom.Error 86)
-            done);
+            if not (Buf.equal src (Buf.sub h ~pos:offset ~len:(Buf.length src)))
+            then raise (Custom.Error 86));
         region_count = Some (fun _ t ~count:_ -> Array.length t);
         regions = Some (fun _ t ~count:_ -> t);
       }

@@ -18,7 +18,18 @@ type t = {
   lens : int array;  (* byte length of block i *)
   prefix : int array;  (* prefix.(i) = packed offset of block i; length B+1 *)
   contiguous : bool;
+  lo : int;  (* least element-relative typed offset a block touches *)
+  hi : int;  (* one past the greatest; [lo = hi = 0] without blocks *)
+  wtyped : int array;
+      (* when every block is 8-32 bytes and they take at most
+         [max_words]: the element-relative typed offset of each 8-byte
+         word that copies them, block by block; else empty *)
+  wstream : int array;  (* the packed offset of each such word *)
 }
+
+(* A plan copies an element as 8-byte words only when it takes at
+   most this many. *)
+let max_words = 256
 
 let build dt =
   let rev_blocks = ref [] and n = ref 0 in
@@ -45,7 +56,45 @@ let build dt =
     && Datatype.lb dt = 0
     && (nb = 0 || (nb = 1 && disps.(0) = 0))
   in
-  { elem_size; elem_extent; disps; lens; prefix; contiguous }
+  let lo = ref max_int and hi = ref min_int in
+  let small = ref true and nw = ref 0 in
+  for j = 0 to nb - 1 do
+    lo := min !lo disps.(j);
+    hi := max !hi (disps.(j) + lens.(j));
+    small := !small && lens.(j) >= 8 && lens.(j) <= 32;
+    nw := !nw + ((lens.(j) + 7) / 8)
+  done;
+  let lo, hi = if nb = 0 then (0, 0) else (!lo, !hi) in
+  (* A block of [len] bytes is the words at 0, 8, ... below [len - 8],
+     then the one at [len - 8], which may overlap its predecessor.  An
+     element of many blocks keeps only its block arrays: its run loop
+     is long anyway, and the words would cost 16 bytes each per plan. *)
+  let nw = if !small && !nw <= max_words then !nw else 0 in
+  let wtyped = Array.make nw 0 and wstream = Array.make nw 0 in
+  if nw > 0 then begin
+    let w = ref 0 in
+    for j = 0 to nb - 1 do
+      let k = (lens.(j) + 7) / 8 in
+      for i = 0 to k - 1 do
+        let o = if i = k - 1 then lens.(j) - 8 else 8 * i in
+        wtyped.(!w) <- disps.(j) + o;
+        wstream.(!w) <- prefix.(j) + o;
+        incr w
+      done
+    done
+  end;
+  {
+    elem_size;
+    elem_extent;
+    disps;
+    lens;
+    prefix;
+    contiguous;
+    lo;
+    hi;
+    wtyped;
+    wstream;
+  }
 
 let size p = p.elem_size
 let extent p = p.elem_extent
@@ -121,23 +170,35 @@ let get ?stats dt = fst (get_outcome ?stats dt)
 
    Dune's dev profile compiles every library with [-opaque], so a
    [Buf.blit] per block is a real call with two range checks, and most
-   plan blocks are only 4-32 bytes.  The copy is therefore inlined here:
-   after one range test, a short block between two distinct bigstrings
-   moves as two 4-byte or two to four 8-byte words, which may overlap.
-   Every other block (longer, typed buffer and stream cut from one
-   bigstring, out of range) goes to [Buf.blit], which raises or copies
-   exactly as before. *)
+   plan blocks are only 4-32 bytes.  The copy is therefore inlined here,
+   in two shapes:
+
+   - a run of whole elements is checked once: the typed span of its
+     first and last element ([lo]/[hi]), the stream window, and that
+     typed buffer and stream are distinct bigstrings.  It is then
+     copied with no range test ([copy_elems]): as 8-byte words, which
+     may overlap, when the plan has them ([wtyped]), else block by
+     block;
+   - a run that fails the check, and a window's partial first and last
+     element, go block by block ([copy_block]): a 4-32 byte block
+     between distinct bigstrings moves as words after one range test,
+     and every other block (longer, typed buffer and stream cut from
+     one bigstring, out of range) goes to [Buf.blit].
+
+   So results, and on a bad range the [Invalid_argument] and the blocks
+   written before it, are those of one [Buf.blit] per block. *)
 
 external get32 : Buf.bigstring -> int -> int32 = "%caml_bigstring_get32u"
 external set32 : Buf.bigstring -> int -> int32 -> unit = "%caml_bigstring_set32u"
 external get64 : Buf.bigstring -> int -> int64 = "%caml_bigstring_get64u"
 external set64 : Buf.bigstring -> int -> int64 -> unit = "%caml_bigstring_set64u"
 
-let[@inline] copy_block (src : Buf.t) src_pos (dst : Buf.t) dst_pos len =
-  if
-    len >= 4 && len <= 32 && src.base != dst.base && src_pos >= 0
-    && dst_pos >= 0 && src_pos <= src.len - len && dst_pos <= dst.len - len
-  then begin
+(* One in-range block between distinct bigstrings, with no range test:
+   4-32 bytes move as two 4-byte or two to four 8-byte words, which may
+   overlap; any other length goes to [Buf.blit]. *)
+let[@inline] move_block (src : Buf.t) src_pos (dst : Buf.t) dst_pos len =
+  if len < 4 || len > 32 then Buf.blit ~src ~src_pos ~dst ~dst_pos ~len
+  else begin
     let s = src.base and so = src.off + src_pos in
     let d = dst.base and d_o = dst.off + dst_pos in
     if len < 8 then begin
@@ -153,7 +214,43 @@ let[@inline] copy_block (src : Buf.t) src_pos (dst : Buf.t) dst_pos len =
       set64 d (d_o + len - 8) (get64 s (so + len - 8))
     end
   end
+
+let[@inline] copy_block (src : Buf.t) src_pos (dst : Buf.t) dst_pos len =
+  if
+    src.base != dst.base && src_pos >= 0 && dst_pos >= 0
+    && src_pos <= src.len - len && dst_pos <= dst.len - len
+  then move_block src src_pos dst dst_pos len
   else Buf.blit ~src ~src_pos ~dst ~dst_pos ~len
+
+(* Whether elements [first, first + n) may be copied with no per-block
+   test, against stream bytes from [pos]: every block of the first and
+   the last element (so of all between) lies in [typed], the window
+   lies in [stream], and the two are distinct bigstrings. *)
+let run_fits p ~typed ~stream ~first ~n ~pos =
+  n > 0
+  && (typed : Buf.t).base != (stream : Buf.t).base
+  &&
+  let a = first * p.elem_extent and b = (first + n - 1) * p.elem_extent in
+  min a b + p.lo >= 0
+  && max a b + p.hi <= typed.len
+  && pos >= 0
+  && pos <= stream.len - (n * p.elem_size)
+
+(* [n] elements' words from [s] to [d]: element [e]'s word [w] moves
+   from [so + e * s_step + s_words.(w)] to the like offset in [d].
+   The word arrays have the same length. *)
+let move_words s so s_step s_words d d_o d_step d_words ~n =
+  let nw = Array.length s_words in
+  let so = ref so and d_o = ref d_o in
+  for _ = 1 to n do
+    for w = 0 to nw - 1 do
+      set64 d
+        (!d_o + Array.unsafe_get d_words w)
+        (get64 s (!so + Array.unsafe_get s_words w))
+    done;
+    so := !so + s_step;
+    d_o := !d_o + d_step
+  done
 
 (* --- whole-stream pack/unpack --- *)
 
@@ -164,40 +261,52 @@ let[@inline] record_block stats bytes =
       Stats.record_ddt_blocks s 1;
       Stats.record_copy s bytes
 
-(* The element loops below index [lens] and [disps], which have the
-   same length, by [i < nb = Array.length lens] without a bounds check. *)
+(* Elements [first, first + n) from stream byte [pos].  Without
+   [stats], a run that [run_fits] moves as words when the plan has
+   them, else block by block with no range test; anything else goes
+   block by block through [copy_block].  The element loop indexes
+   [lens] and [disps], which have the same length, by
+   [i < nb = Array.length lens] without a bounds check. *)
+let copy_elems stats p ~pack ~(typed : Buf.t) ~(stream : Buf.t) ~first ~n ~pos =
+  let fits =
+    match stats with
+    | None -> run_fits p ~typed ~stream ~first ~n ~pos
+    | Some _ -> false
+  in
+  if fits && Array.length p.wtyped > 0 then begin
+    let t = typed.off + (first * p.elem_extent) and s = stream.off + pos in
+    if pack then
+      move_words typed.base t p.elem_extent p.wtyped stream.base s p.elem_size
+        p.wstream ~n
+    else
+      move_words stream.base s p.elem_size p.wstream typed.base t p.elem_extent
+        p.wtyped ~n
+  end
+  else begin
+    let nb = Array.length p.lens in
+    let pos = ref pos in
+    for e = first to first + n - 1 do
+      let base = e * p.elem_extent in
+      for i = 0 to nb - 1 do
+        let len = Array.unsafe_get p.lens i in
+        let tp = base + Array.unsafe_get p.disps i in
+        if fits then
+          if pack then move_block typed tp stream !pos len
+          else move_block stream !pos typed tp len
+        else if pack then copy_block typed tp stream !pos len
+        else copy_block stream !pos typed tp len;
+        record_block stats len;
+        pos := !pos + len
+      done
+    done
+  end
 
 let pack ?stats p ~count ~src ~dst =
-  let nb = Array.length p.lens in
-  let pos = ref 0 in
-  for e = 0 to count - 1 do
-    let base = e * p.elem_extent in
-    for i = 0 to nb - 1 do
-      let len = Array.unsafe_get p.lens i in
-      copy_block src (base + Array.unsafe_get p.disps i) dst !pos len;
-      record_block stats len;
-      pos := !pos + len
-    done
-  done;
-  !pos
+  copy_elems stats p ~pack:true ~typed:src ~stream:dst ~first:0 ~n:count ~pos:0;
+  packed_size p ~count
 
 let unpack ?stats p ~count ~src ~dst =
-  let nb = Array.length p.lens in
-  let pos = ref 0 in
-  for e = 0 to count - 1 do
-    let base = e * p.elem_extent in
-    for i = 0 to nb - 1 do
-      let len = Array.unsafe_get p.lens i in
-      copy_block src !pos dst (base + Array.unsafe_get p.disps i) len;
-      record_block stats len;
-      pos := !pos + len
-    done
-  done;
-  let expected = packed_size p ~count in
-  if !pos <> expected then
-    invalid_arg
-      (Printf.sprintf "Plan.unpack: consumed %d bytes, expected %d" !pos
-         expected)
+  copy_elems stats p ~pack:false ~typed:dst ~stream:src ~first:0 ~n:count ~pos:0
 
 (* --- fragment entry points --- *)
 
@@ -252,19 +361,8 @@ let range_apply stats cur p ~elem ~block ~within ~want ~pack ~typed ~stream =
   while !done_ < want do
     if !block = 0 && !within = 0 && want - !done_ >= p.elem_size then begin
       let whole = (want - !done_) / p.elem_size in
-      let pos = ref !done_ in
-      for e = !elem to !elem + whole - 1 do
-        let base = e * p.elem_extent in
-        for i = 0 to nb - 1 do
-          let len = Array.unsafe_get p.lens i in
-          let disp = Array.unsafe_get p.disps i in
-          if pack then copy_block typed (base + disp) stream !pos len
-          else copy_block stream !pos typed (base + disp) len;
-          record_block stats len;
-          pos := !pos + len
-        done
-      done;
-      done_ := !pos;
+      copy_elems stats p ~pack ~typed ~stream ~first:!elem ~n:whole ~pos:!done_;
+      done_ := !done_ + (whole * p.elem_size);
       elem := !elem + whole
     end
     else begin

@@ -64,14 +64,23 @@ val is_contiguous : t -> bool
     including the per-block [stats] accounting
     ([record_ddt_blocks] + [record_copy]).
 
-    Blocks are copied by a kernel inlined into the plan's loops: a
-    4-32 byte block between two distinct bigstrings moves as two or
-    four word loads and stores after one range test, and any other
-    block (longer, typed buffer and stream cut from one bigstring, out
-    of range) goes through {!Mpicd_buf.Buf.blit}.  So the results, and
-    on a bad range the [Invalid_argument] and the blocks written before
-    it, are those of one [Buf.blit] per block.  Without [stats] these
-    entry points, and {!pack_range}/{!unpack_range}, allocate nothing. *)
+    Blocks are copied by a kernel inlined into the plan's loops.
+    Without [stats], a run of whole elements (all [count] of them, or
+    the whole elements of a {!pack_range}/{!unpack_range} window) is
+    checked once: the typed span of its first and last element, the
+    stream window, and that the typed buffer and the stream are
+    distinct bigstrings.  A run that passes is copied with no per-block
+    range test: as 8-byte word loads and stores, which may overlap,
+    when every block is 8-32 bytes and an element takes at most 256
+    words, else block by block.  Everything else goes block by block
+    with one range test each: a 4-32 byte block between two distinct
+    bigstrings moves as two or four word loads and stores, and any
+    other block (longer, typed buffer and stream cut from one
+    bigstring, out of range) goes through {!Mpicd_buf.Buf.blit}.  So
+    the results, and on a bad range the [Invalid_argument] and the
+    blocks written before it, are those of one [Buf.blit] per block.
+    Without [stats] these entry points, and {!pack_range}/{!unpack_range},
+    allocate nothing. *)
 
 val pack :
   ?stats:Mpicd_simnet.Stats.t -> t -> count:int -> src:Mpicd_buf.Buf.t ->

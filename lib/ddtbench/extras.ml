@@ -71,20 +71,16 @@ module Specfem3d_oc = Kernel.Make (struct
     Blocks.of_list (Array.to_list (Array.map (fun i -> (i * elem, elem)) indices))
 
   let manual_pack base ~dst =
-    let pos = ref 0 in
-    Array.iter
-      (fun i ->
-        Buf.set_u32 dst !pos (Buf.get_u32 base (i * elem));
-        pos := !pos + elem)
-      indices
+    for k = 0 to m - 1 do
+      Buf.blit ~src:base ~src_pos:(indices.(k) * elem) ~dst ~dst_pos:(k * elem)
+        ~len:elem
+    done
 
   let manual_unpack ~src base =
-    let pos = ref 0 in
-    Array.iter
-      (fun i ->
-        Buf.set_u32 base (i * elem) (Buf.get_u32 src !pos);
-        pos := !pos + elem)
-      indices
+    for k = 0 to m - 1 do
+      Buf.blit ~src ~src_pos:(k * elem) ~dst:base ~dst_pos:(indices.(k) * elem)
+        ~len:elem
+    done
 
   let derived =
     Datatype.indexed_block ~blocklength:1 ~displacements:indices
@@ -118,25 +114,20 @@ module Specfem3d_mt = Kernel.Make (struct
     Blocks.of_list
       (Array.to_list (Array.map (fun p -> (p * elem, 3 * elem)) indices))
 
+  (* a point's 3 components are adjacent: one 12-byte copy each *)
+  let point = 3 * elem
+
   let manual_pack base ~dst =
-    let pos = ref 0 in
-    Array.iter
-      (fun p ->
-        for c = 0 to 2 do
-          Buf.set_u32 dst !pos (Buf.get_u32 base ((p + c) * elem));
-          pos := !pos + elem
-        done)
-      indices
+    for k = 0 to m - 1 do
+      Buf.blit ~src:base ~src_pos:(indices.(k) * elem) ~dst ~dst_pos:(k * point)
+        ~len:point
+    done
 
   let manual_unpack ~src base =
-    let pos = ref 0 in
-    Array.iter
-      (fun p ->
-        for c = 0 to 2 do
-          Buf.set_u32 base ((p + c) * elem) (Buf.get_u32 src !pos);
-          pos := !pos + elem
-        done)
-      indices
+    for k = 0 to m - 1 do
+      Buf.blit ~src ~src_pos:(k * point) ~dst:base ~dst_pos:(indices.(k) * elem)
+        ~len:point
+    done
 
   let derived =
     Datatype.indexed_block ~blocklength:3 ~displacements:indices
@@ -180,10 +171,8 @@ module Milc_su3_xdown = Kernel.Make (struct
       for y = 0 to ny - 1 do
         for z = 0 to nz - 1 do
           let site = site_off ~t ~y ~z ~x:x0 * site_bytes in
-          for f = 0 to 17 do
-            Buf.set_u32 dst !pos (Buf.get_u32 base (site + (f * 4)));
-            pos := !pos + 4
-          done
+          Buf.blit ~src:base ~src_pos:site ~dst ~dst_pos:!pos ~len:site_bytes;
+          pos := !pos + site_bytes
         done
       done
     done
@@ -194,10 +183,8 @@ module Milc_su3_xdown = Kernel.Make (struct
       for y = 0 to ny - 1 do
         for z = 0 to nz - 1 do
           let site = site_off ~t ~y ~z ~x:x0 * site_bytes in
-          for f = 0 to 17 do
-            Buf.set_u32 base (site + (f * 4)) (Buf.get_u32 src !pos);
-            pos := !pos + 4
-          done
+          Buf.blit ~src ~src_pos:!pos ~dst:base ~dst_pos:site ~len:site_bytes;
+          pos := !pos + site_bytes
         done
       done
     done

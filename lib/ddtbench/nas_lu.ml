@@ -24,6 +24,10 @@ let off ~j ~i ~k = ((((j * nx) + i) * ncomp) + k) * elem
 let jfix = 1
 let ifix = 1
 
+(* The [ncomp] doubles of one grid point are adjacent, so the pack
+   loops move one point per copy. *)
+let point = ncomp * elem
+
 module X = Kernel.Make (struct
   let name = "NAS_LU_x"
   let datatypes_desc = "contiguous"
@@ -36,19 +40,17 @@ module X = Kernel.Make (struct
   let manual_pack base ~dst =
     let pos = ref 0 in
     for i = 0 to nx - 1 do
-      for k = 0 to ncomp - 1 do
-        Buf.set_f64 dst !pos (Buf.get_f64 base (off ~j:jfix ~i ~k));
-        pos := !pos + elem
-      done
+      Buf.blit ~src:base ~src_pos:(off ~j:jfix ~i ~k:0) ~dst ~dst_pos:!pos
+        ~len:point;
+      pos := !pos + point
     done
 
   let manual_unpack ~src base =
     let pos = ref 0 in
     for i = 0 to nx - 1 do
-      for k = 0 to ncomp - 1 do
-        Buf.set_f64 base (off ~j:jfix ~i ~k) (Buf.get_f64 src !pos);
-        pos := !pos + elem
-      done
+      Buf.blit ~src ~src_pos:!pos ~dst:base ~dst_pos:(off ~j:jfix ~i ~k:0)
+        ~len:point;
+      pos := !pos + point
     done
 
   let derived =
@@ -71,19 +73,17 @@ module Y = Kernel.Make (struct
   let manual_pack base ~dst =
     let pos = ref 0 in
     for j = 0 to ny - 1 do
-      for k = 0 to ncomp - 1 do
-        Buf.set_f64 dst !pos (Buf.get_f64 base (off ~j ~i:ifix ~k));
-        pos := !pos + elem
-      done
+      Buf.blit ~src:base ~src_pos:(off ~j ~i:ifix ~k:0) ~dst ~dst_pos:!pos
+        ~len:point;
+      pos := !pos + point
     done
 
   let manual_unpack ~src base =
     let pos = ref 0 in
     for j = 0 to ny - 1 do
-      for k = 0 to ncomp - 1 do
-        Buf.set_f64 base (off ~j ~i:ifix ~k) (Buf.get_f64 src !pos);
-        pos := !pos + elem
-      done
+      Buf.blit ~src ~src_pos:!pos ~dst:base ~dst_pos:(off ~j ~i:ifix ~k:0)
+        ~len:point;
+      pos := !pos + point
     done
 
   let derived =

@@ -26,6 +26,10 @@ let ifix = 1
 let jfix = 1
 let kfix = 1
 
+(* The pack loops move one double of the x-face, or one row of [nx]
+   doubles of the y- and z-faces, per copy. *)
+let row = nx * elem
+
 module X = Kernel.Make (struct
   let name = "NAS_MG_x"
   let datatypes_desc = "strided vector"
@@ -43,7 +47,8 @@ module X = Kernel.Make (struct
     let pos = ref 0 in
     for k = 0 to nz - 1 do
       for j = 0 to ny - 1 do
-        Buf.set_f64 dst !pos (Buf.get_f64 base (off ~k ~j ~i:ifix));
+        Buf.blit ~src:base ~src_pos:(off ~k ~j ~i:ifix) ~dst ~dst_pos:!pos
+          ~len:elem;
         pos := !pos + elem
       done
     done
@@ -52,7 +57,8 @@ module X = Kernel.Make (struct
     let pos = ref 0 in
     for k = 0 to nz - 1 do
       for j = 0 to ny - 1 do
-        Buf.set_f64 base (off ~k ~j ~i:ifix) (Buf.get_f64 src !pos);
+        Buf.blit ~src ~src_pos:!pos ~dst:base ~dst_pos:(off ~k ~j ~i:ifix)
+          ~len:elem;
         pos := !pos + elem
       done
     done
@@ -77,19 +83,17 @@ module Y = Kernel.Make (struct
   let manual_pack base ~dst =
     let pos = ref 0 in
     for k = 0 to nz - 1 do
-      for i = 0 to nx - 1 do
-        Buf.set_f64 dst !pos (Buf.get_f64 base (off ~k ~j:jfix ~i));
-        pos := !pos + elem
-      done
+      Buf.blit ~src:base ~src_pos:(off ~k ~j:jfix ~i:0) ~dst ~dst_pos:!pos
+        ~len:row;
+      pos := !pos + row
     done
 
   let manual_unpack ~src base =
     let pos = ref 0 in
     for k = 0 to nz - 1 do
-      for i = 0 to nx - 1 do
-        Buf.set_f64 base (off ~k ~j:jfix ~i) (Buf.get_f64 src !pos);
-        pos := !pos + elem
-      done
+      Buf.blit ~src ~src_pos:!pos ~dst:base ~dst_pos:(off ~k ~j:jfix ~i:0)
+        ~len:row;
+      pos := !pos + row
     done
 
   let derived =
@@ -111,19 +115,17 @@ module Z = Kernel.Make (struct
   let manual_pack base ~dst =
     let pos = ref 0 in
     for j = 0 to ny - 1 do
-      for i = 0 to nx - 1 do
-        Buf.set_f64 dst !pos (Buf.get_f64 base (off ~k:kfix ~j ~i));
-        pos := !pos + elem
-      done
+      Buf.blit ~src:base ~src_pos:(off ~k:kfix ~j ~i:0) ~dst ~dst_pos:!pos
+        ~len:row;
+      pos := !pos + row
     done
 
   let manual_unpack ~src base =
     let pos = ref 0 in
     for j = 0 to ny - 1 do
-      for i = 0 to nx - 1 do
-        Buf.set_f64 base (off ~k:kfix ~j ~i) (Buf.get_f64 src !pos);
-        pos := !pos + elem
-      done
+      Buf.blit ~src ~src_pos:!pos ~dst:base ~dst_pos:(off ~k:kfix ~j ~i:0)
+        ~len:row;
+      pos := !pos + row
     done
 
   let derived =

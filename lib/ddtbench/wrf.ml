@@ -41,15 +41,19 @@ let y_blocks =
          List.init nk (fun k -> (off ~f ~k ~j:j0 ~i:0, halo * ni * elem)))
        (List.init nfields Fun.id))
 
+(* The halo loops copy one row at a time: [halo] floats of the
+   x-direction halo, or all [ni] floats of a y-direction halo row. *)
+let x_row = halo * elem
+let y_row = ni * elem
+
 let x_manual_pack base ~dst =
   let pos = ref 0 in
   for f = 0 to nfields - 1 do
     for k = 0 to nk - 1 do
       for j = 0 to nj - 1 do
-        for i = i0 to i0 + halo - 1 do
-          Buf.set_u32 dst !pos (Buf.get_u32 base (off ~f ~k ~j ~i));
-          pos := !pos + elem
-        done
+        Buf.blit ~src:base ~src_pos:(off ~f ~k ~j ~i:i0) ~dst ~dst_pos:!pos
+          ~len:x_row;
+        pos := !pos + x_row
       done
     done
   done
@@ -59,10 +63,9 @@ let x_manual_unpack ~src base =
   for f = 0 to nfields - 1 do
     for k = 0 to nk - 1 do
       for j = 0 to nj - 1 do
-        for i = i0 to i0 + halo - 1 do
-          Buf.set_u32 base (off ~f ~k ~j ~i) (Buf.get_u32 src !pos);
-          pos := !pos + elem
-        done
+        Buf.blit ~src ~src_pos:!pos ~dst:base ~dst_pos:(off ~f ~k ~j ~i:i0)
+          ~len:x_row;
+        pos := !pos + x_row
       done
     done
   done
@@ -72,10 +75,9 @@ let y_manual_pack base ~dst =
   for f = 0 to nfields - 1 do
     for k = 0 to nk - 1 do
       for j = j0 to j0 + halo - 1 do
-        for i = 0 to ni - 1 do
-          Buf.set_u32 dst !pos (Buf.get_u32 base (off ~f ~k ~j ~i));
-          pos := !pos + elem
-        done
+        Buf.blit ~src:base ~src_pos:(off ~f ~k ~j ~i:0) ~dst ~dst_pos:!pos
+          ~len:y_row;
+        pos := !pos + y_row
       done
     done
   done
@@ -85,10 +87,9 @@ let y_manual_unpack ~src base =
   for f = 0 to nfields - 1 do
     for k = 0 to nk - 1 do
       for j = j0 to j0 + halo - 1 do
-        for i = 0 to ni - 1 do
-          Buf.set_u32 base (off ~f ~k ~j ~i) (Buf.get_u32 src !pos);
-          pos := !pos + elem
-        done
+        Buf.blit ~src ~src_pos:!pos ~dst:base ~dst_pos:(off ~f ~k ~j ~i:0)
+          ~len:y_row;
+        pos := !pos + y_row
       done
     done
   done

@@ -21,7 +21,13 @@ val barrier_scaling : unit -> Report.series list
 
 val objmsg_costs : unit -> int * string list list
 (** A5: per-strategy message counts, peak memory and copy
-    amplification for one large Python object. *)
+    amplification for one 8 MiB Python object, built once and sent
+    under every strategy: [(bytes, objmsg_rows obj ~bytes)]. *)
+
+val objmsg_rows : Mpicd_pickle.Pickle.t -> bytes:int -> string list list
+(** A5's rows for [obj], one per strategy, each in its own 2-rank
+    world, with peak memory and copies per [bytes].  The senders only
+    read [obj]. *)
 
 val print_objmsg_costs : unit -> unit
 

@@ -71,6 +71,26 @@ let test_dv_custom_zero_copy () =
   Alcotest.(check bool) "payload not CPU-copied" true
     (stats.bytes_copied < total / 100)
 
+(* The receive side checks each header fragment against its own
+   shape: a fragment that differs only in its last byte still raises
+   [Custom.Error 86], and a matching one passes. *)
+let test_dv_header_mismatch () =
+  let t = B.Double_vec.generate ~subvec_bytes:100 ~total_bytes:700 in
+  let op = Mpicd.Custom.start B.Double_vec.custom_dt t ~count:1 in
+  let header = Buf.create (Mpicd.Custom.packed_size op) in
+  ignore (Mpicd.Custom.pack op ~offset:0 ~dst:header);
+  List.iter
+    (fun (offset, len) ->
+      let frag = Buf.copy (Buf.sub header ~pos:offset ~len) in
+      Mpicd.Custom.unpack op ~offset ~src:frag;
+      Buf.set_u8 frag (len - 1) (Buf.get_u8 frag (len - 1) lxor 1);
+      match Mpicd.Custom.unpack op ~offset ~src:frag with
+      | () -> Alcotest.failf "fragment (%d, %d): mismatch accepted" offset len
+      | exception Mpicd.Custom.Error code ->
+          check_int (Printf.sprintf "fragment (%d, %d) code" offset len) 86 code)
+    [ (0, 28); (0, 5); (8, 9); (27, 1) ];
+  Mpicd.Custom.finish op
+
 (* --- struct types (generic checks over the three modules) --- *)
 
 let struct_cases : (string * (module B.STRUCT)) list =
@@ -393,6 +413,7 @@ let suite =
       tc "double-vec manual shape mismatch" `Quick test_dv_manual_shape_mismatch;
       tc "double-vec custom over MPI" `Quick test_dv_custom_over_mpi;
       tc "double-vec custom zero copy" `Quick test_dv_custom_zero_copy;
+      tc "double-vec header mismatch raises 86" `Quick test_dv_header_mismatch;
       tc "struct sizes match paper" `Quick test_struct_sizes;
       tc "struct manual roundtrips" `Quick test_struct_manual_roundtrip;
       tc "struct custom over MPI" `Quick test_struct_custom_over_mpi;

@@ -106,10 +106,10 @@ let test_manual_matches_blocks () =
       Alcotest.(check bool) (K.name ^ " manual = cursor") true
         (Buf.equal manual cursor))
 
-(* Float32 kernels pack word by word.  Widening a float32 to a double
-   and back quiets a signalling NaN (0x7f800001 returns as 0x7fc00001),
-   so the packers must move raw words: a slab of signalling-NaN words of
-   both signs must survive manual_pack and manual_unpack bit for bit. *)
+(* Widening a float32 to a double and back quiets a signalling NaN
+   (0x7f800001 returns as 0x7fc00001), so the packers must move raw
+   bytes: a slab of signalling-NaN words of both signs must survive
+   manual_pack and manual_unpack bit for bit. *)
 let test_manual_keeps_signalling_nans () =
   for_each_kernel (fun (module K) ->
       let src = Buf.create K.slab_bytes in
@@ -129,12 +129,12 @@ let test_manual_keeps_signalling_nans () =
       Alcotest.(check bool) (K.name ^ " manual_unpack keeps sNaN words") true
         (K.equal src sink))
 
-(* The word-by-word and block-by-block packers allocate nothing per
-   call (a boxed float per word before raw-word access). *)
+(* Every kernel's manual packers allocate nothing per call (a boxed
+   float per [Buf.get_f64], or a closure per [Array.iter], would show). *)
 let test_manual_packs_alloc_free () =
   List.iter
-    (fun name ->
-      let (module K : Kernel.KERNEL) = Option.get (Registry.find name) in
+    (fun (module K : Kernel.KERNEL) ->
+      let name = K.name in
       let src = K.create () and sink = K.create_sink () in
       let packed = Buf.create K.wire_bytes in
       let words f = Test_bench_types.minor_words_per_call f in
@@ -142,7 +142,7 @@ let test_manual_packs_alloc_free () =
         (words (fun () -> K.manual_pack src ~dst:packed));
       check_int (name ^ " manual_unpack minor words") 0
         (words (fun () -> K.manual_unpack ~src:packed sink)))
-    [ "MILC_su3_zdown"; "WRF_x_vec"; "WRF_y_vec"; "LAMMPS_full"; "LAMMPS_atomic" ]
+    Registry.all
 
 let test_derived_matches_manual () =
   (* The derived datatype's pack must match the manual pack stream. *)

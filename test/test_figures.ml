@@ -262,6 +262,40 @@ let test_pool_inert_under_faults () =
         (Mpicd_buf.Buf.Pool.retained_bytes p))
     (manual_methods ())
 
+(* A5: the table EXPERIMENTS.md records, for the 8 MiB object. *)
+let a5_rows =
+  [
+    [ "pickle-basic"; "1"; "2.00"; "2.00" ];
+    [ "pickle-oob"; "66"; "1.00"; "0.00" ];
+    [ "pickle-oob-cdt"; "2"; "1.00"; "0.00" ];
+  ]
+
+let test_a5_table () =
+  let bytes, rows = Mpicd_figures.Ablations.objmsg_costs () in
+  Alcotest.(check int) "A5 object bytes" 8388608 bytes;
+  Alcotest.(check (list (list string))) "A5 rows" a5_rows rows
+
+(* One object serves all three strategies, so no sender may write it:
+   a patterned object of the same shape gives the same rows and keeps
+   every byte. *)
+let test_a5_object_unchanged () =
+  let chunk = 128 * 1024 in
+  let arrays =
+    List.init 64 (fun i ->
+        let a = P.ndarray ~dtype:P.U8 [| chunk |] in
+        B.fill_pattern ~seed:i a.P.data;
+        a)
+  in
+  let copies = List.map (fun a -> Mpicd_buf.Buf.copy a.P.data) arrays in
+  let obj = P.List (List.map (fun a -> P.Ndarray a) arrays) in
+  let rows = Mpicd_figures.Ablations.objmsg_rows obj ~bytes:(64 * chunk) in
+  Alcotest.(check (list (list string))) "A5 rows" a5_rows rows;
+  List.iter2
+    (fun a c ->
+      Alcotest.(check bool) "array bytes unchanged" true
+        (Mpicd_buf.Buf.equal a.P.data c))
+    arrays copies
+
 let suite =
   let tc = Alcotest.test_case in
   ( "figures",
@@ -283,4 +317,6 @@ let suite =
       tc "pool: manual-pack misses are a constant" `Quick test_pool_misses_constant;
       tc "pool: nothing recycled under a fault plan" `Quick
         test_pool_inert_under_faults;
+      tc "A5 table pinned" `Quick test_a5_table;
+      tc "A5 shared object unchanged" `Quick test_a5_object_unchanged;
     ] )

@@ -371,64 +371,138 @@ let prop_shared_bigstring =
       && Buf.equal unpack_i unpack_p && Buf.equal unpack_i unpack_r)
 
 (* The reference for an out-of-range block: one [Buf.blit] per block,
-   element by element, as plans copied before the block kernel. *)
-let per_block_blit t ~count ~pack ~typed ~stream =
+   element by element, as plans copied before the block kernel.  Only
+   the part of each block inside the window of [want] packed bytes from
+   [off] is copied; [stream] holds that window. *)
+let per_block_blit ?(off = 0) ?want t ~count ~pack ~typed ~stream =
+  let want = Option.value want ~default:(Dt.packed_size t ~count) in
   let pos = ref 0 in
   for e = 0 to count - 1 do
     Dt.iter_blocks t ~count:1 ~f:(fun ~disp ~len ->
-        let tp = (e * Dt.extent t) + disp in
-        if pack then Buf.blit ~src:typed ~src_pos:tp ~dst:stream ~dst_pos:!pos ~len
-        else Buf.blit ~src:stream ~src_pos:!pos ~dst:typed ~dst_pos:tp ~len;
+        let a = max !pos off and b = min (!pos + len) (off + want) in
+        if a < b then begin
+          let tp = (e * Dt.extent t) + disp + (a - !pos) and sp = a - off in
+          let len = b - a in
+          if pack then Buf.blit ~src:typed ~src_pos:tp ~dst:stream ~dst_pos:sp ~len
+          else Buf.blit ~src:stream ~src_pos:sp ~dst:typed ~dst_pos:tp ~len
+        end;
         pos := !pos + len)
   done
 
 let outcome f =
   match f () with () -> None | exception Invalid_argument m -> Some m
 
+(* With [count >= 2] a plan checks a run of whole elements once, so a
+   buffer one byte short fails that check and must fall back to the
+   per-block copies: the same [Invalid_argument] after the same writes.
+   Cases: a typed buffer one byte short, for the whole stream and for a
+   window that starts mid-element; and a stream one byte short.  Short
+   views are cut from longer buffers, so a copy that skipped a check
+   would land in memory the reference never writes. *)
 let prop_short_typed_buffer =
   QCheck.Test.make
     ~name:"plan: typed buffer one byte short raises after the same writes"
     ~count:300
-    QCheck.(pair arb_datatype (int_range 1 3))
-    (fun (t, count) ->
+    QCheck.(triple arb_datatype (int_range 2 4) small_nat)
+    (fun (t, count, seed) ->
       let psize = Dt.packed_size t ~count in
       QCheck.assume (psize > 0);
       let p = Plan.build t in
       let n = src_len t ~count in
-      let short b = Buf.sub b ~pos:0 ~len:(n - 1) in
-      let typed = short (pattern n) in
-      (* pack from a short typed buffer: whole call and one window *)
-      let pack_with f =
-        let stream = Buf.create psize in
-        let o = outcome (fun () -> f ~stream) in
-        (o, Buf.to_string stream)
+      let esize = Dt.size t in
+      (* a window that starts inside one of the first [count - 1] elements *)
+      let off =
+        if esize >= 2 then
+          (seed mod (count - 1) * esize) + 1 + (seed mod (esize - 1))
+        else seed mod psize
       in
-      let want = pack_with (per_block_blit t ~count ~pack:true ~typed) in
-      let got =
-        pack_with (fun ~stream -> ignore (Plan.pack p ~count ~src:typed ~dst:stream))
+      let short b = Buf.sub b ~pos:0 ~len:(Buf.length b - 1) in
+      (* run [f] on a typed buffer and a stream of [slen] bytes, each
+         cut one byte short when asked; report the outcome and both
+         underlying buffers *)
+      let run ~pack ~typed_short ~slen f =
+        let typed_b = if pack then pattern (n + 1) else Buf.create (n + 1) in
+        let stream_b = if pack then Buf.create (slen + 1) else pattern (slen + 1) in
+        let typed = Buf.sub typed_b ~pos:0 ~len:n in
+        let typed = if typed_short then short typed else typed in
+        let stream = Buf.sub stream_b ~pos:0 ~len:slen in
+        let stream = if typed_short then stream else short stream in
+        let o = outcome (fun () -> f ~typed ~stream) in
+        (o, Buf.to_string typed_b, Buf.to_string stream_b)
       in
-      let got_r =
-        pack_with (fun ~stream ->
-            ignore (Plan.pack_range p ~count ~src:typed ~packed_off:0 ~dst:stream))
+      let same ~pack ~typed_short ~slen reference plan =
+        run ~pack ~typed_short ~slen reference = run ~pack ~typed_short ~slen plan
       in
-      (* unpack into a short typed buffer *)
-      let stream = pattern psize in
-      let unpack_with f =
-        let b = Buf.create n in
-        let o = outcome (fun () -> f ~typed:(short b)) in
-        (o, Buf.to_string b)
+      let whole ~pack ~typed_short =
+        let reference ~typed ~stream =
+          per_block_blit t ~count ~pack ~typed ~stream
+        in
+        let plan ~typed ~stream =
+          if pack then ignore (Plan.pack p ~count ~src:typed ~dst:stream)
+          else Plan.unpack p ~count ~src:stream ~dst:typed
+        in
+        same ~pack ~typed_short ~slen:psize reference plan
       in
-      let want_u =
-        unpack_with (fun ~typed -> per_block_blit t ~count ~pack:false ~typed ~stream)
+      let window ~pack ~off =
+        let want = psize - off in
+        let reference ~typed ~stream =
+          per_block_blit ~off ~want t ~count ~pack ~typed ~stream
+        in
+        let plan ~typed ~stream =
+          ignore
+            (if pack then
+               Plan.pack_range p ~count ~src:typed ~packed_off:off ~dst:stream
+             else
+               Plan.unpack_range p ~count ~src:stream ~packed_off:off
+                 ~dst:typed)
+        in
+        same ~pack ~typed_short:true ~slen:want reference plan
       in
-      let got_u =
-        unpack_with (fun ~typed -> Plan.unpack p ~count ~src:stream ~dst:typed)
+      List.for_all
+        (fun pack ->
+          whole ~pack ~typed_short:true
+          && whole ~pack ~typed_short:false
+          && window ~pack ~off:0 && window ~pack ~off)
+        [ true; false ])
+
+(* Typed buffer and stream overlapping in one bigstring: each block
+   must still move as one [Buf.blit] (a memmove) would move it, which
+   a word copy of an overlapping block does not. *)
+let prop_overlapping_views =
+  QCheck.Test.make
+    ~name:"plan: overlapping typed buffer and stream = per-block blits"
+    ~count:200
+    QCheck.(triple arb_datatype (int_range 1 4) (int_range 1 15))
+    (fun (t, count, shift) ->
+      let psize = Dt.packed_size t ~count in
+      let p = Plan.build t in
+      let n = src_len t ~count in
+      let run pack f =
+        let b = pattern (max n psize + shift) in
+        let typed = Buf.sub b ~pos:0 ~len:n in
+        let stream = Buf.sub b ~pos:shift ~len:psize in
+        f ~pack ~typed ~stream;
+        Buf.to_string b
       in
-      let got_ur =
-        unpack_with (fun ~typed ->
-            ignore (Plan.unpack_range p ~count ~src:stream ~packed_off:0 ~dst:typed))
+      let reference ~pack ~typed ~stream =
+        per_block_blit t ~count ~pack ~typed ~stream
       in
-      want = got && want = got_r && want_u = got_u && want_u = got_ur)
+      let plan ~pack ~typed ~stream =
+        if pack then ignore (Plan.pack p ~count ~src:typed ~dst:stream)
+        else Plan.unpack p ~count ~src:stream ~dst:typed
+      in
+      let window ~pack ~typed ~stream =
+        ignore
+          (if pack then
+             Plan.pack_range p ~count ~src:typed ~packed_off:0 ~dst:stream
+           else
+             Plan.unpack_range p ~count ~src:stream ~packed_off:0 ~dst:typed)
+      in
+      List.for_all
+        (fun pack ->
+          let want = run pack reference in
+          want = run pack plan && want = run pack window)
+        [ true; false ])
 
 (* "Blocks copied per pack = plan entry count": with a trailing gap the
    interpreter cannot merge across elements, so every entry point counts
@@ -495,5 +569,6 @@ let suite =
       QCheck_alcotest.to_alcotest prop_odd_offset_views;
       QCheck_alcotest.to_alcotest prop_shared_bigstring;
       QCheck_alcotest.to_alcotest prop_short_typed_buffer;
+      QCheck_alcotest.to_alcotest prop_overlapping_views;
       QCheck_alcotest.to_alcotest prop_stats_counts;
     ] )
