@@ -467,6 +467,7 @@ module Slabs = struct
     mutable nfree : int;
     mutable chunk : bigstring;
     mutable carved : int;  (* bytes of [chunk] handed out *)
+    mutable slots : int;  (* slots carved from every chunk so far *)
   }
 
   type t = { mutable classes : cls array }
@@ -483,7 +484,8 @@ module Slabs = struct
       s.classes <-
         Array.append s.classes
           (Array.init (c + 1 - n) (fun _ ->
-               { bases = [||]; offs = [||]; nfree = 0; chunk = empty.base; carved = 0 }));
+               { bases = [||]; offs = [||]; nfree = 0; chunk = empty.base; carved = 0;
+                 slots = 0 }));
     s.classes.(c)
 
   let take s len =
@@ -506,6 +508,7 @@ module Slabs = struct
         end;
         let off = k.carved in
         k.carved <- off + size;
+        k.slots <- k.slots + 1;
         { base = k.chunk; off; len }
       end
     end
@@ -524,4 +527,5 @@ module Slabs = struct
     end
 
   let free_slots s = Array.fold_left (fun a k -> a + k.nfree) 0 s.classes
+  let carved_slots s = Array.fold_left (fun a k -> a + k.slots) 0 s.classes
 end

@@ -203,4 +203,9 @@ module Slabs : sig
 
   val free_slots : t -> int
   (** Slots held for reuse. *)
+
+  val carved_slots : t -> int
+  (** Slots carved so far.  Once every buffer {!take} lent has been
+      given back, exactly once, this equals {!free_slots}: fewer free
+      slots is a leak, more is a slot given back twice. *)
 end

@@ -140,6 +140,12 @@ let patterns =
 
 let check_pattern ~src b = Buf.equal b patterns.(src)
 
+(* One send and one receive buffer per rank, shared by every run: a
+   send refills its buffer from the rank's pattern, and a receive zeroes
+   its buffer first, so a receive that lands nothing reads as damaged. *)
+let send_bufs = Array.init revoke_rescue_size (fun _ -> Buf.create payload_bytes)
+let recv_bufs = Array.init revoke_rescue_size (fun _ -> Buf.create payload_bytes)
+
 let tag_a = 1
 let tag_b = 2
 let tag_pp = 3
@@ -148,10 +154,13 @@ let revoke_rescue_body c outcomes =
   let me = Mpi.rank c in
   let result = ref "ok" in
   let send_pat dst tag =
-    Mpi.send c ~dst ~tag (Mpi.Bytes (Buf.copy patterns.(me)))
+    let b = send_bufs.(me) in
+    Buf.blit ~src:patterns.(me) ~src_pos:0 ~dst:b ~dst_pos:0 ~len:payload_bytes;
+    Mpi.send c ~dst ~tag (Mpi.Bytes b)
   in
   let recv_pat src tag =
-    let b = Buf.create payload_bytes in
+    let b = recv_bufs.(me) in
+    Buf.fill b '\000';
     ignore (Mpi.recv c ~source:src ~tag (Mpi.Bytes b));
     if not (check_pattern ~src b) then
       result := Printf.sprintf "damaged: from rank %d" src

@@ -89,7 +89,7 @@ type payload =
   | P_eager  (* the bytes are [e_data], a snapshot the context recycles *)
   | P_frags of Buf.t list
       (* pool-lent pack fragments, one per callback, or the reliable
-         path's delivered slices *)
+         path's delivered slices (of [e_data] for a contig send) *)
   | P_rndv of rndv
   | P_nack of error
       (* poison envelope: a failed transfer notifying the receiver, so a
@@ -109,7 +109,10 @@ type envelope = {
   e_src : int;
   e_seq : int;  (* context-wide message sequence number, for trace joins *)
   e_payload : payload;
-  e_data : Buf.t;  (* [P_eager]'s bytes; empty otherwise *)
+  e_data : Buf.t;
+      (* an eager contig send's snapshot slot, given back to [snaps]
+         once it lands: [P_eager]'s bytes, or the stream a reliable
+         [P_frags] slices; empty otherwise *)
   mutable e_unexpected_alloc : int;
       (* receiver bytes allocated to hold this envelope while unexpected *)
   e_sent_at : float;  (* virtual send-post time, for latency histograms *)
@@ -227,8 +230,9 @@ and context = {
          attached, message motion routes over its links and shares
          their bandwidth *)
   snaps : Buf.Slabs.t;
-      (* eager snapshots with no fault plan: a deposit gives each back,
-         so the storage stops growing at the in-flight depth *)
+      (* eager contig snapshots, with or without a plan: a deposit, a
+         truncation or a failed transfer gives each back, so the storage
+         stops growing at the in-flight depth *)
 }
 
 type endpoint = { ep_src : worker; ep_dst : worker }
@@ -267,6 +271,7 @@ let create_context ~engine ~config ~stats =
   }
 
 let pool c = c.pool
+let snapshots c = c.snaps
 let set_channel_jitter c j = c.jitter <- j
 let set_topology c topo = c.topology <- topo
 let set_trace c t = c.trace <- t
@@ -545,18 +550,13 @@ let deposit ctx (dt : recv_dt) frags ~zcopy ~owned =
   if owned then give_back ctx.pool frags;
   cpu_time
 
-(* Deposit an eager snapshot (as [deposit] would its one fragment),
-   then recycle its storage. *)
+(* Deposit an eager snapshot, as [deposit] would its one fragment. *)
 let land_snapshot ctx (dt : recv_dt) data =
-  let cpu_time =
-    match dt with
-    | Rd_contig b ->
-        Buf.blit ~src:data ~src_pos:0 ~dst:b ~dst_pos:0 ~len:(Buf.length data);
-        copy_cpu ctx ~zcopy:false (Buf.length data)
-    | Rd_iov _ | Rd_generic _ -> deposit ctx dt [ data ] ~zcopy:false ~owned:false
-  in
-  Buf.Slabs.give ctx.snaps data;
-  cpu_time
+  match dt with
+  | Rd_contig b ->
+      Buf.blit ~src:data ~src_pos:0 ~dst:b ~dst_pos:0 ~len:(Buf.length data);
+      copy_cpu ctx ~zcopy:false (Buf.length data)
+  | Rd_iov _ | Rd_generic _ -> deposit ctx dt [ data ] ~zcopy:false ~owned:false
 
 (* --- matching --- *)
 
@@ -859,10 +859,11 @@ type xfer = {
   x_lag : float;
       (* delivery lag: the last fragment lands [x_lag] ns after the
          transfer call returns (its latency + any extra fault delay) *)
-  x_delivered : Buf.t;  (* the receiver's view of the stream *)
-  x_dirty : bool;
-      (* delivered <> sent: corruption slipped through; only possible
-         when [checksum] was false (zero-copy DMA path) *)
+  x_delivered : Buf.t;
+      (* the receiver's view of the stream: the stream itself, or, once
+         a corruption slipped through unchecked (only possible when
+         [checksum] was false: the zero-copy DMA path), a private copy
+         with the flipped bits *)
 }
 
 (* The deterministic backoff sleep before retransmission [attempt + 1]:
@@ -882,8 +883,7 @@ let reliable_transfer ctx fr ~mseq ~src_id ~dst_id ~stream ~checksum =
   let l = link ctx in
   let plan = Fault.plan fr in
   let t_start = Engine.now e in
-  let delivered = Buf.copy stream in
-  let dirty = ref false in
+  let delivered = ref stream in
   let retx = ref 0 in
   let failure = ref None in
   let frag_sizes = wire_frag_sizes l (Buf.length stream) in
@@ -1039,9 +1039,10 @@ let reliable_transfer ctx fr ~mseq ~src_id ~dst_id ~stream ~checksum =
       if f_corrupt && len > 0 then begin
         Stats.record_frag_corrupt ctx.stats;
         let byte, bit = Fault.corrupt_bit fr ~len in
-        Buf.set_u8 delivered (off + byte)
-          (Buf.get_u8 delivered (off + byte) lxor (1 lsl bit));
-        dirty := true;
+        (* copy on the first write: the stream may be the sender's *)
+        if !delivered == stream then delivered := Buf.copy stream;
+        let d = !delivered in
+        Buf.set_u8 d (off + byte) (Buf.get_u8 d (off + byte) lxor (1 lsl bit));
         trace ctx "fault" "corrupt seq=%d %d->%d passed unchecked" seq src_id
           dst_id;
         fault_instant ctx ~track:dst_id ~time:now "frag_corrupt"
@@ -1098,7 +1099,16 @@ let reliable_transfer ctx fr ~mseq ~src_id ~dst_id ~stream ~checksum =
                :: ("dst", Obs.Int dst_id)
                :: (if mseq >= 0 then [ ("mseq", Obs.Int mseq) ] else []))
              "rel_xfer");
-      Ok { x_lag = !last_lag; x_delivered = delivered; x_dirty = !dirty }
+      Ok { x_lag = !last_lag; x_delivered = !delivered }
+
+let reliable_stream src ~dst ~mseq ~checksum stream =
+  match src.ctx.faults with
+  | None -> invalid_arg "Ucx.reliable_stream: no fault plan attached"
+  | Some fr ->
+      Result.map
+        (fun x -> x.x_delivered)
+        (reliable_transfer src.ctx fr ~mseq ~src_id:src.id ~dst_id:dst.id ~stream
+           ~checksum)
 
 let finish_recv e req ~delay status =
   Engine.at e ~delay (fun () -> complete_if_pending req status)
@@ -1176,8 +1186,7 @@ let reliable_wire ctx fr w (env : envelope) (dt : send_dt) stream =
     reliable_transfer ctx fr ~mseq:env.e_seq ~src_id:env.e_src ~dst_id:w.id
       ~stream ~checksum
   with
-  | (Error _ | Ok { x_dirty = false; _ }) as res -> res
-  | Ok x ->
+  | Ok x when x.x_delivered != stream ->
       Engine.sleep e x.x_lag (* the bad data had to land first *);
       Stats.record_iov_fallback ctx.stats;
       trace ctx "fault" "iov e2e digest mismatch %d->%d: falling back to packed path"
@@ -1191,6 +1200,7 @@ let reliable_wire ctx fr w (env : envelope) (dt : send_dt) stream =
         *. straggle ctx env.e_src);
       reliable_transfer ctx fr ~mseq:env.e_seq ~src_id:env.e_src ~dst_id:w.id
         ~stream ~checksum:true
+  | res -> res
 
 (* With no plan, the overlapped wire: the links are reserved at match
    time, before the pack runs, and the transfer takes [handshake + max
@@ -1322,8 +1332,8 @@ let process_match w (pr : request) (env : envelope) =
        (it either already did, for eager, or completes now).  The data
        never moves, so the send descriptor is disposed here. *)
     (match env.e_payload with
-    | P_eager -> Buf.Slabs.give ctx.snaps env.e_data
-    | P_frags _ | P_nack _ -> ()
+    | P_eager | P_frags _ -> Buf.Slabs.give ctx.snaps env.e_data
+    | P_nack _ -> ()
     | P_rndv r ->
         dispose_rndv r;
         complete_if_pending r.r_request
@@ -1356,6 +1366,7 @@ let process_match w (pr : request) (env : envelope) =
           | _ -> land_snapshot ctx pr.r_dt env.e_data
         with
         | cpu_time ->
+            Buf.Slabs.give ctx.snaps env.e_data;
             let sf = straggle ctx w.id in
             let alloc_delay = alloc_delay *. sf in
             let cpu_time = cpu_time *. sf in
@@ -1380,6 +1391,8 @@ let process_match w (pr : request) (env : envelope) =
             finish_recv e pr ~delay
               { len = env.e_total; tag = env.e_tag; error = None }
         | exception Callback_error code ->
+            (* the callbacks are done with the bytes, failed or not *)
+            Buf.Slabs.give ctx.snaps env.e_data;
             refuse_recv e pr ~delay:alloc_delay ~tag:env.e_tag (Callback_failed code))
 
 (* The "match" instant: every joined message gets one, whether a
@@ -1520,7 +1533,7 @@ let ship_rts_reliable src dst fr (env : envelope) (req : request) =
   Engine.spawn e ~name:"rel_rts" ~track:src.id (fun () ->
       match
         reliable_transfer ctx fr ~mseq:env.e_seq ~src_id:src.id
-          ~dst_id:dst.id ~stream:(Buf.create 0) ~checksum:true
+          ~dst_id:dst.id ~stream:no_data ~checksum:true
       with
       | Ok x ->
           ship src dst ~after:x.x_lag env;
@@ -1594,15 +1607,14 @@ let tag_send_from src ~dst ~tag dt =
         (* Eager: snapshot/pack synchronously, then fire and forget.
            eager-zcopy: the NIC reads the registered user buffer
            directly; the snapshot exists only so the simulated sender
-           may reuse its buffer immediately. *)
+           may reuse its buffer immediately.  Under a plan it is also
+           the reliable stream. *)
         let data =
           match dt with
-          | Sd_contig b when Buf.length b = 0 -> b
-          | Sd_contig b when Option.is_none ctx.faults ->
+          | Sd_contig b ->
               let snap = Buf.Slabs.take ctx.snaps (Buf.length b) in
               Buf.blit ~src:b ~src_pos:0 ~dst:snap ~dst_pos:0 ~len:(Buf.length b);
               snap
-          | Sd_contig b -> Buf.copy b
           | Sd_generic _ | Sd_iov _ -> no_data
         in
         match
@@ -1670,12 +1682,16 @@ let tag_send_from src ~dst ~tag dt =
                         ~dst_id:dst.id ~stream ~checksum:true
                     with
                     | Ok x ->
+                        (* a checked stream lands as sent: [x_delivered]
+                           is [stream], and a contig send's slot stays
+                           lent until the envelope lands *)
                         ship src dst ~after:x.x_lag
-                          (envelope src ~tag ~total ~seq:mseq ~data:no_data
+                          (envelope src ~tag ~total ~seq:mseq ~data
                              (P_frags (reslice l x.x_delivered)));
                         Engine.sleep e x.x_lag;
                         complete_if_pending req { len = total; tag; error = None }
                     | Error err ->
+                        Buf.Slabs.give ctx.snaps data;
                         complete_if_pending req
                           { len = 0; tag; error = Some err };
                         ship_nack src dst ~tag ~seq:mseq err))

@@ -49,6 +49,14 @@ val pool : context -> Buf.Pool.t
     it.  It is inert while a fault plan is attached ({!set_faults}) and
     lives as long as the context. *)
 
+val snapshots : context -> Buf.Slabs.t
+(** The slots eager contiguous sends snapshot into, with or without a
+    fault plan.  Each goes back exactly once: when its message lands
+    (or a failing unpack callback refuses it), is truncated or fails to
+    transfer.  Once a world is quiet, [Buf.Slabs.free_slots] equals
+    [Buf.Slabs.carved_slots] unless a message was never received.
+    Exposed so tests can count; take nothing from it. *)
+
 type worker
 
 val create_worker : context -> worker
@@ -273,6 +281,17 @@ val retx_backoff_ns :
     path sleeps when [Config.retx_jitter] is off (jittered sleeps are
     clamped at the same ceiling), exposed pure so tests can pin the
     clamp boundary. *)
+
+val reliable_stream :
+  worker -> dst:worker -> mseq:int -> checksum:bool -> Buf.t -> (Buf.t, error) result
+(** [reliable_stream src ~dst ~mseq ~checksum stream] moves [stream]
+    from [src] to [dst] through the attached plan's reliable-delivery
+    protocol as message [mseq], and returns the bytes the receiver would
+    land: [stream] itself, unless a corruption slipped through because
+    [checksum] is false (the iovec DMA path), in which case a private
+    copy with the flipped bits.  [stream] is never written.  Must run in
+    a fiber of the context's engine, with a plan attached; returns once
+    the last fragment has been serialized.  Exposed for tests. *)
 
 (** {1 Process-failure detection (ULFM building blocks)}
 

@@ -898,6 +898,162 @@ let test_eager_snapshots_in_flight () =
               (Buf.to_string dst)
           done))
 
+(* Eager contig messages 0 -> 1 under [plan], all in flight at once
+   from one reused source buffer: message [k] is [len] bytes of
+   ['A' + k].  The receiver starts [recv_after] ns later and receives
+   them in order, [recv k] giving message [k]'s descriptor and the
+   check of its status; with a late start every message waits in the
+   unexpected queue.  Returns the snapshot slabs' carved and free slots
+   once the world is quiet, and the stats. *)
+let snapshot_run ?(msgs = 8) ?(len = 1000) ~recv_after ~recv plan =
+  let engine = Engine.create () in
+  let stats = Stats.create () in
+  let ctx = Ucx.create_context ~engine ~config:Config.default ~stats in
+  Ucx.set_faults ctx plan;
+  let w0 = Ucx.create_worker ctx in
+  let w1 = Ucx.create_worker ctx in
+  let ep = Ucx.connect w0 w1 in
+  Engine.spawn engine (fun () ->
+      let src = Buf.create len in
+      let reqs = ref [] in
+      for k = 0 to msgs - 1 do
+        Buf.fill src (Char.chr (65 + k));
+        reqs := Ucx.tag_send ep ~tag:(Int64.of_int k) (Ucx.Sd_contig src) :: !reqs
+      done;
+      List.iter (fun r -> ignore (Ucx.wait r)) !reqs);
+  Engine.spawn engine (fun () ->
+      Engine.sleep engine recv_after;
+      for k = 0 to msgs - 1 do
+        let dt, check = recv k in
+        check (Ucx.wait (Ucx.tag_recv w1 ~tag:(Int64.of_int k) ~mask:(-1L) dt))
+      done);
+  Engine.run engine;
+  let s = Ucx.snapshots ctx in
+  (Buf.Slabs.carved_slots s, Buf.Slabs.free_slots s, stats)
+
+(* Message [k] lands whole. *)
+let lands len k =
+  let dst = Buf.create len in
+  ( Ucx.Rd_contig dst,
+    fun st ->
+      expect_ok st;
+      Alcotest.(check string)
+        (Printf.sprintf "message %d" k)
+        (String.make len (Char.chr (65 + k)))
+        (Buf.to_string dst) )
+
+(* The receive completes with an error [pred] accepts. *)
+let fails_with what pred (st : Ucx.status) =
+  match st.error with
+  | Some e when pred e -> ()
+  | _ -> Alcotest.failf "%s: expected the receive to fail" what
+
+(* Every snapshot slot an eager contig send carves goes back exactly
+   once, whatever the message's fate, and under a plan the snapshot
+   comes from the slabs too.  Fewer free than carved slots is a leak;
+   more is a slot given back twice.  The receivers check each message's
+   bytes, so a slot given back while its message still waits to land
+   (and retaken by the next send) shows as a wrong payload. *)
+let test_snapshot_slots_given_back () =
+  let lossy =
+    Fault.make ~seed:3 ~max_retries:30 ~rto_ns:5_000.
+      ~link:{ Fault.clean_link with drop_p = 0.2; corrupt_p = 0.2; dup_p = 0.3 }
+      ()
+  in
+  let dead_link =
+    Fault.make ~max_retries:2 ~rto_ns:1_000.
+      ~link:{ Fault.clean_link with drop_p = 1. } ()
+  in
+  let failing_unpack _ =
+    let raises ~offset:_ ~src:_ = raise (Ucx.Callback_error 7) in
+    ( counting_recv ~unpack:raises 1000 (ref 0),
+      fails_with "unpack" (function Ucx.Callback_failed 7 -> true | _ -> false) )
+  in
+  let truncated _ =
+    ( Ucx.Rd_contig (Buf.create 500),
+      fails_with "truncation" (function Ucx.Truncated _ -> true | _ -> false) )
+  in
+  let timed_out _ =
+    ( Ucx.Rd_contig (Buf.create 1000),
+      fails_with "timeout" (function Ucx.Timeout _ -> true | _ -> false) )
+  in
+  let faults (s : Stats.t) =
+    s.retransmits > 0 && s.frags_duplicated > 0 && s.frags_corrupted > 0
+  in
+  let any _ = true in
+  let cases =
+    [
+      ("no plan", None, 1000, lands 1000, any);
+      ("clean plan", Some (Fault.make ()), 1000, lands 1000, any);
+      ("clean plan, three fragments", Some (Fault.make ()), 20_000, lands 20_000, any);
+      ("drop, dup and corrupt fates", Some lossy, 20_000, lands 20_000, faults);
+      ("truncated, no plan", None, 1000, truncated, any);
+      ("truncated, clean plan", Some (Fault.make ()), 1000, truncated, any);
+      ("unpack fails, no plan", None, 1000, failing_unpack, any);
+      ("unpack fails, lossy plan", Some lossy, 1000, failing_unpack, faults);
+      ( "retries run out", Some dead_link, 1000, timed_out,
+        fun (s : Stats.t) -> s.delivery_timeouts = 8 );
+    ]
+  in
+  List.iter
+    (fun (what, plan, len, recv, fates) ->
+      List.iter
+        (fun recv_after ->
+          let carved, free, stats = snapshot_run ~len ~recv_after ~recv plan in
+          let what = Printf.sprintf "%s, receiver after %.0f ns" what recv_after in
+          if carved = 0 then Alcotest.failf "%s: no snapshot slot carved" what;
+          check_int (what ^ ": every carved slot free once quiet") carved free;
+          Alcotest.(check bool) (what ^ ": the plan's fates happened") true (fates stats))
+        [ 0.; 1e7 ])
+    cases
+
+(* An unchecked corruption (checksum off: the iovec DMA path) lands in
+   a private copy with exactly one flipped bit, and the sent stream,
+   which may be the sender's own buffer, keeps every byte.  A clean
+   transfer, and a checked one that recovers by retransmitting, land
+   the stream itself: no private copy. *)
+let test_unchecked_corruption_copies_on_write () =
+  let n = 20_000 in
+  let inj mseq =
+    { Fault.inj_kind = Fault.Inj_corrupt; inj_src = 0; inj_dst = 1; inj_mseq = mseq;
+      inj_frag = 1 }
+  in
+  let engine = Engine.create () in
+  let stats = Stats.create () in
+  let ctx = Ucx.create_context ~engine ~config:Config.default ~stats in
+  Ucx.set_faults ctx (Some (Fault.make ~injections:[ inj 0; inj 2 ] ()));
+  let w0 = Ucx.create_worker ctx in
+  let w1 = Ucx.create_worker ctx in
+  let flipped_bits a b =
+    let bits = ref 0 in
+    for i = 0 to Buf.length a - 1 do
+      let x = ref (Buf.get_u8 a i lxor Buf.get_u8 b i) in
+      while !x <> 0 do
+        bits := !bits + (!x land 1);
+        x := !x lsr 1
+      done
+    done;
+    !bits
+  in
+  let stream = pattern n in
+  let transfer mseq ~checksum =
+    match Ucx.reliable_stream w0 ~dst:w1 ~mseq ~checksum stream with
+    | Ok d -> d
+    | Error _ -> Alcotest.failf "message %d failed" mseq
+  in
+  Engine.spawn engine (fun () ->
+      let d = transfer 0 ~checksum:false in
+      Alcotest.(check bool) "corrupted: a private copy" false (Buf.same_memory d stream);
+      check_int "corrupted: one flipped bit" 1 (flipped_bits d stream);
+      Alcotest.(check bool) "sent stream untouched" true (Buf.equal stream (pattern n));
+      Alcotest.(check bool) "clean: the stream itself" true
+        (Buf.same_memory (transfer 1 ~checksum:false) stream);
+      Alcotest.(check bool) "checked and retransmitted: the stream itself" true
+        (Buf.same_memory (transfer 2 ~checksum:true) stream);
+      check_int "two corruptions" 2 stats.frags_corrupted;
+      check_int "one retransmit" 1 stats.retransmits);
+  Engine.run engine
+
 (* Minor words per message of a warmed-up 2-worker ping-pong: a
    deterministic count per transport path, not a timing.  The ceilings
    sit just above the counts (127, 156, 157, 151 and 274). *)
@@ -1002,5 +1158,8 @@ let suite =
       tc "timing matrix pinned" `Quick test_timing_matrix;
       QCheck_alcotest.to_alcotest prop_crc32_matches_reference;
       tc "eager snapshots in flight stay distinct" `Quick test_eager_snapshots_in_flight;
+      tc "snapshot slots given back once" `Quick test_snapshot_slots_given_back;
+      tc "unchecked corruption copies on write" `Quick
+        test_unchecked_corruption_copies_on_write;
       tc "ping-pong minor words per message" `Quick test_pingpong_words;
     ] )
