@@ -5,35 +5,60 @@ module Derive = Mpicd_derive.Derive
 module Custom = Mpicd.Custom
 
 (* Byte [i] is [(31 i + seed + 11) mod 256], which repeats every 256
-   bytes: one period is written byte by byte and then doubled. *)
+   bytes.  Since [31 * 223 = 1 (mod 256)], that is byte [i + 223 seed]
+   of the seed-0 pattern, so every seed's period is a 256-byte window
+   of two seed-0 periods: one blit, then doubled. *)
+let period = String.init 512 (fun j -> Char.chr (((31 * j) + 11) land 0xff))
+
 let fill_pattern ?(seed = 0) b =
-  for i = 0 to min 256 (Buf.length b) - 1 do
-    Buf.set_u8 b i ((i * 31 + seed + 11) land 0xff)
-  done;
+  Buf.blit_from_string period
+    ~src_pos:((223 * seed) land 0xff)
+    ~dst:b ~dst_pos:0
+    ~len:(min 256 (Buf.length b));
   Buf.repeat_prefix b ~period:256
 
 module Double_vec = struct
   type t = Buf.t array
 
+  (* [n] subvectors of [len] bytes, carved in order from one fresh
+     zero-filled buffer. *)
+  let carve ~n ~len =
+    let all = Buf.create (n * len) in
+    Array.init n (fun i -> Buf.sub all ~pos:(i * len) ~len)
+
+  (* The paper's shape: [total / subvec] subvectors, or one of [total]
+     bytes when the message is smaller than a subvector. *)
+  let shape ~subvec_bytes ~total_bytes =
+    if total_bytes < subvec_bytes then (1, total_bytes)
+    else (total_bytes / subvec_bytes, subvec_bytes)
+
   let generate ~subvec_bytes ~total_bytes =
     if subvec_bytes <= 0 || total_bytes <= 0 then
       invalid_arg "Double_vec.generate: sizes must be positive";
-    if total_bytes < subvec_bytes then begin
-      let b = Buf.create total_bytes in
-      fill_pattern b;
-      [| b |]
-    end
-    else begin
-      let n = total_bytes / subvec_bytes in
-      Array.init n (fun i ->
-          let b = Buf.create subvec_bytes in
-          fill_pattern ~seed:i b;
-          b)
-    end
+    let n, len = shape ~subvec_bytes ~total_bytes in
+    let t = carve ~n ~len in
+    Array.iteri (fun i b -> fill_pattern ~seed:i b) t;
+    t
 
   let make_sink ~subvec_bytes ~total_bytes =
-    if total_bytes < subvec_bytes then [| Buf.create total_bytes |]
-    else Array.init (total_bytes / subvec_bytes) (fun _ -> Buf.create subvec_bytes)
+    let n, len = shape ~subvec_bytes ~total_bytes in
+    carve ~n ~len
+
+  (* A run of subvectors that follow each other in one buffer, as
+     [carve] leaves them, is zeroed as one span. *)
+  let clear (t : t) =
+    let n = Array.length t in
+    let i = ref 0 in
+    while !i < n do
+      let first = t.(!i) in
+      let stop = ref (first.off + first.len) and j = ref (!i + 1) in
+      while !j < n && t.(!j).base == first.base && t.(!j).off = !stop do
+        stop := !stop + t.(!j).len;
+        incr j
+      done;
+      Buf.fill { first with len = !stop - first.off } '\000';
+      i := !j
+    done
 
   let total_bytes t = Array.fold_left (fun a b -> a + Buf.length b) 0 t
 
@@ -72,31 +97,34 @@ module Double_vec = struct
 
   let manual_pack_size t = 4 + (4 * Array.length t) + total_bytes t
 
+  (* The lengths are written and read as unsigned 32-bit words: the
+     same bytes as an i32 for any real length, and no boxed [int32]. *)
   let manual_pack t ~dst =
     if Buf.length dst < manual_pack_size t then
       invalid_arg "Double_vec.manual_pack: destination too small";
-    Buf.set_i32 dst 0 (Int32.of_int (Array.length t));
-    let pos = ref (4 + (4 * Array.length t)) in
-    Array.iteri
-      (fun i b ->
-        Buf.set_i32 dst (4 + (4 * i)) (Int32.of_int (Buf.length b));
-        Buf.blit ~src:b ~src_pos:0 ~dst ~dst_pos:!pos ~len:(Buf.length b);
-        pos := !pos + Buf.length b)
-      t
+    let n = Array.length t in
+    Buf.set_u32 dst 0 n;
+    let pos = ref (4 + (4 * n)) in
+    for i = 0 to n - 1 do
+      let b = t.(i) in
+      Buf.set_u32 dst (4 + (4 * i)) (Buf.length b);
+      Buf.blit ~src:b ~src_pos:0 ~dst ~dst_pos:!pos ~len:(Buf.length b);
+      pos := !pos + Buf.length b
+    done
 
   let manual_unpack ~src t =
-    let n = Int32.to_int (Buf.get_i32 src 0) in
-    if n <> Array.length t then
+    let n = Array.length t in
+    if Buf.get_u32 src 0 <> n then
       invalid_arg "Double_vec.manual_unpack: shape mismatch";
     let pos = ref (4 + (4 * n)) in
-    Array.iteri
-      (fun i b ->
-        let len = Int32.to_int (Buf.get_i32 src (4 + (4 * i))) in
-        if len <> Buf.length b then
-          invalid_arg "Double_vec.manual_unpack: subvector length mismatch";
-        Buf.blit ~src ~src_pos:!pos ~dst:b ~dst_pos:0 ~len;
-        pos := !pos + len)
-      t
+    for i = 0 to n - 1 do
+      let b = t.(i) in
+      let len = Buf.get_u32 src (4 + (4 * i)) in
+      if len <> Buf.length b then
+        invalid_arg "Double_vec.manual_unpack: subvector length mismatch";
+      Buf.blit ~src ~src_pos:!pos ~dst:b ~dst_pos:0 ~len;
+      pos := !pos + len
+    done
 end
 
 module type STRUCT = sig

@@ -27,15 +27,21 @@ val fill_pattern : ?seed:int -> Buf.t -> unit
 
 module Double_vec : sig
   type t = Buf.t array
-  (** Each entry is one heap-allocated subvector of i32s. *)
+  (** Each entry is one subvector of i32s.  {!generate} and
+      {!make_sink} carve a value's subvectors, in order and without
+      overlap, from one allocation of their total size. *)
 
   val generate : subvec_bytes:int -> total_bytes:int -> t
-  (** Deterministically filled subvectors.  If [total_bytes <
-      subvec_bytes], a single subvector of [total_bytes] is produced
-      (the paper's rule for small messages). *)
+  (** Deterministically filled subvectors: subvector [s] is
+      {!fill_pattern} with seed [s].  If [total_bytes < subvec_bytes], a
+      single subvector of [total_bytes] is produced (the paper's rule
+      for small messages). *)
 
   val make_sink : subvec_bytes:int -> total_bytes:int -> t
   (** Zeroed structure of the same shape (receive side). *)
+
+  val clear : t -> unit
+  (** Zero every subvector: one fill for the whole of a carved value. *)
 
   val total_bytes : t -> int
   val equal : t -> t -> bool

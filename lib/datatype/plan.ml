@@ -366,14 +366,26 @@ let range_apply stats cur p ~elem ~block ~within ~want ~pack ~typed ~stream =
       elem := !elem + whole
     end
     else begin
-      (* this element's blocks, the first and the last possibly partial *)
+      (* this element's blocks, the first and the last possibly
+         partial: checked once as [run_fits] checks whole elements (the
+         element's typed span, the window, distinct bigstrings), else
+         block by block *)
       let base = !elem * p.elem_extent in
+      let fits =
+        typed.base != stream.base
+        && base + p.lo >= 0
+        && base + p.hi <= typed.len
+        && want <= stream.len
+      in
       let i = ref !block in
       while !i < nb && !done_ < want do
-        let rest = p.lens.(!i) - !within in
+        let rest = Array.unsafe_get p.lens !i - !within in
         let n = if want - !done_ < rest then want - !done_ else rest in
-        let typed_pos = base + p.disps.(!i) + !within in
-        if pack then copy_block typed typed_pos stream !done_ n
+        let typed_pos = base + Array.unsafe_get p.disps !i + !within in
+        if fits then
+          if pack then move_block typed typed_pos stream !done_ n
+          else move_block stream !done_ typed typed_pos n
+        else if pack then copy_block typed typed_pos stream !done_ n
         else copy_block stream !done_ typed typed_pos n;
         record_block stats n;
         done_ := !done_ + n;

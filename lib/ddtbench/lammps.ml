@@ -11,6 +11,22 @@
 module Buf = Mpicd_buf.Buf
 module Datatype = Mpicd_datatype.Datatype
 
+external get32 : Buf.bigstring -> int -> int32 = "%caml_bigstring_get32u"
+external set32 : Buf.bigstring -> int -> int32 -> unit = "%caml_bigstring_set32u"
+external get64 : Buf.bigstring -> int -> int64 = "%caml_bigstring_get64u"
+external set64 : Buf.bigstring -> int -> int64 -> unit = "%caml_bigstring_set64u"
+
+(* One field of one particle, [bytes] (a multiple of 4) from [s] at
+   [so] to [d] at [d_o], with no range test: 8-byte words, then at most
+   one 4-byte tail. *)
+let[@inline] move_field s so d d_o bytes =
+  let i = ref 0 in
+  while !i + 8 <= bytes do
+    set64 d (d_o + !i) (get64 s (so + !i));
+    i := !i + 8
+  done;
+  if !i < bytes then set32 d (d_o + !i) (get32 s (so + !i))
+
 (* field name, bytes per particle *)
 let full_fields =
   [ ("x", 24); ("v", 24); ("tag", 4); ("type", 4); ("mask", 4); ("q", 8) ]
@@ -69,31 +85,54 @@ end) = Kernel.Make (struct
   let field_base = Array.map (fun (_, fbase, _) -> fbase) fields
   let field_bytes = Array.map (fun (_, _, bytes) -> bytes) fields
   let idx = Config.indices C.config
+  let wire = Blocks.total blocks
 
-  let manual_pack base ~dst =
-    (* single loop over the index list, packing from all arrays *)
-    let pos = ref 0 in
-    for k = 0 to Array.length idx - 1 do
-      let p = idx.(k) in
-      for f = 0 to Array.length fields - 1 do
-        let bytes = field_bytes.(f) in
-        Buf.blit ~src:base ~src_pos:(field_base.(f) + (p * bytes)) ~dst
-          ~dst_pos:!pos ~len:bytes;
-        pos := !pos + bytes
-      done
-    done
+  (* [move_field] needs every field to be whole 32-bit words. *)
+  let () =
+    if not (Array.for_all (fun b -> b mod 4 = 0) field_bytes) then
+      invalid_arg "Lammps: field widths must be multiples of 4 bytes"
 
-  let manual_unpack ~src base =
-    let pos = ref 0 in
-    for k = 0 to Array.length idx - 1 do
-      let p = idx.(k) in
-      for f = 0 to Array.length fields - 1 do
-        let bytes = field_bytes.(f) in
-        Buf.blit ~src ~src_pos:!pos ~dst:base
-          ~dst_pos:(field_base.(f) + (p * bytes)) ~len:bytes;
-        pos := !pos + bytes
+  (* The single loop over the index list, moving every field of each
+     selected particle between the slab ([typed]) and the packed
+     stream.  The slab must hold every field array and the stream the
+     whole exchange, and the two must be distinct bigstrings: checked
+     once, the fields then move as words; otherwise each field is one
+     [Buf.blit], which raises on the first that does not fit. *)
+  let exchange ~pack ~(typed : Buf.t) ~(stream : Buf.t) =
+    if
+      typed.base != stream.base
+      && Buf.length typed >= slab_bytes
+      && Buf.length stream >= wire
+    then begin
+      let pos = ref stream.off in
+      for k = 0 to Array.length idx - 1 do
+        let p = Array.unsafe_get idx k in
+        for f = 0 to Array.length field_bytes - 1 do
+          let bytes = Array.unsafe_get field_bytes f in
+          let t = typed.off + Array.unsafe_get field_base f + (p * bytes) in
+          if pack then move_field typed.base t stream.base !pos bytes
+          else move_field stream.base !pos typed.base t bytes;
+          pos := !pos + bytes
+        done
       done
-    done
+    end
+    else begin
+      let pos = ref 0 in
+      for k = 0 to Array.length idx - 1 do
+        let p = idx.(k) in
+        for f = 0 to Array.length field_bytes - 1 do
+          let bytes = field_bytes.(f) in
+          let t = field_base.(f) + (p * bytes) in
+          if pack then
+            Buf.blit ~src:typed ~src_pos:t ~dst:stream ~dst_pos:!pos ~len:bytes
+          else Buf.blit ~src:stream ~src_pos:!pos ~dst:typed ~dst_pos:t ~len:bytes;
+          pos := !pos + bytes
+        done
+      done
+    end
+
+  let manual_pack base ~dst = exchange ~pack:true ~typed:base ~stream:dst
+  let manual_unpack ~src base = exchange ~pack:false ~typed:base ~stream:src
 
   let derived = Kernel.hindexed_bytes_of_blocks blocks
 end)

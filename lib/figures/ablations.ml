@@ -15,82 +15,75 @@ module B = Mpicd_bench_types.Bench_types
 
 let reps = 4
 
+(* One series per swept value [v], one point per size [n]: [point n]
+   builds the size's inputs once and returns the message bytes and a
+   method on those inputs, measured under [config v] for every [v]. *)
+let sweep ~label ~config ~value values sizes point =
+  Report.of_rows (List.map label values)
+    (List.map
+       (fun n ->
+         let bytes, make = point n in
+         ( n,
+           List.map
+             (fun v -> value (H.pingpong ~config:(config v) ~reps ~bytes make))
+             values ))
+       sizes)
+
+(* A struct-simple point: the element count whose packed size best
+   matches [n], and [meth] on one input pair of that many. *)
+let struct_simple_point
+    (meth : ?inputs:Methods.slabs -> (module B.STRUCT) -> count:int -> unit -> H.impl)
+    n =
+  let m = (module B.Struct_simple : B.STRUCT) in
+  let count = B.Struct_simple.count_for_packed_bytes n in
+  let inputs = Methods.st_inputs m ~count in
+  (count * B.Struct_simple.packed_elem_size, meth ~inputs m ~count)
+
 (* A1: the Fig. 7 dip is the eager->rendezvous switch: sweeping the
    eager limit moves the dip. *)
 let eager_limit_sweep () =
-  let sizes = List.init 10 (fun i -> 1 lsl (i + 12)) in
-  List.map
-    (fun limit ->
-      let config =
-        { Config.default with link = { Config.default.link with eager_limit = limit } }
-      in
-      {
-        Report.label = Printf.sprintf "manual-pack(eager<=%s)" (Report.human_bytes limit);
-        points =
-          List.map
-            (fun n ->
-              let count = B.Struct_simple.count_for_packed_bytes n in
-              let bytes = count * B.Struct_simple.packed_elem_size in
-              ( n,
-                (H.pingpong ~config ~reps ~bytes
-                   (Methods.st_manual (module B.Struct_simple) ~count))
-                  .bandwidth_mib_s ))
-            sizes;
-      })
+  sweep
+    ~label:(fun limit ->
+      Printf.sprintf "manual-pack(eager<=%s)" (Report.human_bytes limit))
+    ~config:(fun limit ->
+      { Config.default with link = { Config.default.link with eager_limit = limit } })
+    ~value:(fun r -> r.H.bandwidth_mib_s)
     [ 8 * 1024; 32 * 1024; 128 * 1024 ]
+    (List.init 10 (fun i -> 1 lsl (i + 12)))
+    (struct_simple_point Methods.st_manual)
 
 (* A2: the custom path's sensitivity to the per-iov-entry cost (the
    Fig. 1 small-subvector penalty). *)
 let iov_entry_sweep () =
   let total = 1 lsl 20 in
-  let subvecs = [ 64; 128; 256; 512; 1024; 2048; 4096 ] in
-  List.map
-    (fun entry_ns ->
-      let config =
-        {
-          Config.default with
-          link = { Config.default.link with iov_entry_ns = float_of_int entry_ns };
-        }
-      in
+  sweep
+    ~label:(Printf.sprintf "custom(iov=%dns/entry)")
+    ~config:(fun entry_ns ->
       {
-        Report.label = Printf.sprintf "custom(iov=%dns/entry)" entry_ns;
-        points =
-          List.map
-            (fun subvec ->
-              ( subvec,
-                (H.pingpong ~config ~reps ~bytes:total
-                   (Methods.dv_custom ~subvec ~total))
-                  .bandwidth_mib_s ))
-            subvecs;
+        Config.default with
+        link = { Config.default.link with iov_entry_ns = float_of_int entry_ns };
       })
+    ~value:(fun r -> r.H.bandwidth_mib_s)
     [ 0; 120; 480 ]
+    [ 64; 128; 256; 512; 1024; 2048; 4096 ]
+    (fun subvec ->
+      let inputs = Methods.dv_inputs ~subvec ~total in
+      (total, Methods.dv_custom ~inputs ~subvec ~total))
 
 (* A3: the per-typemap-block cost drives the Fig. 5 gap between the
    derived-datatype baseline and everything else. *)
 let ddt_block_sweep () =
-  let sizes = List.init 9 (fun i -> 1 lsl (i + 8)) in
-  List.map
-    (fun block_ns ->
-      let config =
-        {
-          Config.default with
-          cpu = { Config.default.cpu with ddt_block_ns = float_of_int block_ns };
-        }
-      in
+  sweep
+    ~label:(Printf.sprintf "rsmpi(ddt=%dns/block)")
+    ~config:(fun block_ns ->
       {
-        Report.label = Printf.sprintf "rsmpi(ddt=%dns/block)" block_ns;
-        points =
-          List.map
-            (fun n ->
-              let count = B.Struct_simple.count_for_packed_bytes n in
-              let bytes = count * B.Struct_simple.packed_elem_size in
-              ( n,
-                (H.pingpong ~config ~reps ~bytes
-                   (Methods.st_rsmpi (module B.Struct_simple) ~count))
-                  .latency_us ))
-            sizes;
+        Config.default with
+        cpu = { Config.default.cpu with ddt_block_ns = float_of_int block_ns };
       })
+    ~value:(fun r -> r.H.latency_us)
     [ 0; 5; 18; 45 ]
+    (List.init 9 (fun i -> 1 lsl (i + 8)))
+    (struct_simple_point Methods.st_rsmpi)
 
 (* A4: barrier algorithms across world sizes. *)
 let barrier_scaling () =

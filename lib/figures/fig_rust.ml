@@ -12,13 +12,25 @@ let reps = 4
 let pow2 lo hi = List.init (hi - lo + 1) (fun i -> 1 lsl (lo + i))
 
 let measure ~bytes make = H.pingpong ~warmup:1 ~reps ~bytes make
+let latency (r : H.result) = r.latency_us
+let bandwidth (r : H.result) = r.bandwidth_mib_s
 
-let bandwidth_series label ~sizes ~make =
-  {
-    Report.label;
-    points =
-      List.map (fun n -> (n, (measure ~bytes:n (make n)).bandwidth_mib_s)) sizes;
-  }
+(* Every figure below is measured point by point: the methods of one
+   point share the source and sink built for it.  Each pingpong is its
+   own world, so the order of measurement changes no value. *)
+
+let dv_labels = [ "custom"; "manual-pack"; "rsmpi-bytes-baseline" ]
+
+(* One double-vec point: custom and manual-pack on one input pair, then
+   the contiguous byte baseline. *)
+let dv_point value ~subvec ~total =
+  let inputs = Methods.dv_inputs ~subvec ~total in
+  let v make = value (measure ~bytes:total make) in
+  [
+    v (Methods.dv_custom ~inputs ~subvec ~total);
+    v (Methods.dv_manual ~inputs ~subvec ~total);
+    v (Methods.bytes_baseline ~total);
+  ]
 
 (* Fig. 1: double-vec latency while varying the subvector size from
    64 B to 4 KiB (fixed 64 KiB message).  Expected shape: custom falls
@@ -27,72 +39,44 @@ let bandwidth_series label ~sizes ~make =
    baseline is lowest. *)
 let fig1 () =
   let total = 64 * 1024 in
-  let subvecs = [ 64; 128; 256; 512; 1024; 2048; 4096 ] in
-  let series label make =
-    {
-      Report.label;
-      points =
-        List.map
-          (fun subvec -> (subvec, (measure ~bytes:total (make subvec)).latency_us))
-          subvecs;
-    }
-  in
-  [
-    series "custom" (fun subvec -> Methods.dv_custom ~subvec ~total);
-    series "manual-pack" (fun subvec -> Methods.dv_manual ~subvec ~total);
-    series "rsmpi-bytes-baseline" (fun _ -> Methods.bytes_baseline ~total);
-  ]
+  Report.of_rows dv_labels
+    (List.map
+       (fun subvec -> (subvec, dv_point latency ~subvec ~total))
+       [ 64; 128; 256; 512; 1024; 2048; 4096 ])
 
 (* Fig. 2: double-vec bandwidth, subvector size 1024 B. *)
 let fig2 () =
-  let sizes = pow2 10 22 in
-  [
-    bandwidth_series "custom" ~sizes ~make:(fun n ->
-        Methods.dv_custom ~subvec:1024 ~total:n);
-    bandwidth_series "manual-pack" ~sizes ~make:(fun n ->
-        Methods.dv_manual ~subvec:1024 ~total:n);
-    bandwidth_series "rsmpi-bytes-baseline" ~sizes ~make:(fun n ->
-        Methods.bytes_baseline ~total:n);
-  ]
+  Report.of_rows dv_labels
+    (List.map (fun n -> (n, dv_point bandwidth ~subvec:1024 ~total:n)) (pow2 10 22))
 
 (* Figs. 3/4: struct-vec — counts chosen so the packed size (~8212 B
    per element) matches the x value. *)
-let struct_series which (module S : B.STRUCT) ~sizes =
-  let make_of m n =
-    let count = S.count_for_packed_bytes n in
-    m (module S : B.STRUCT) ~count
-  in
-  let series label m =
-    {
-      Report.label;
-      points =
-        List.map
-          (fun n ->
-            let count = S.count_for_packed_bytes n in
-            let bytes = count * S.packed_elem_size in
-            let r = measure ~bytes (make_of m n) in
-            ( bytes,
-              match which with
-              | `Latency -> r.latency_us
-              | `Bandwidth -> r.bandwidth_mib_s ))
-          sizes;
-    }
-  in
-  [
-    series "custom" Methods.st_custom;
-    series "manual-pack" Methods.st_manual;
-    series "rsmpi-derived-datatype" Methods.st_rsmpi;
-  ]
+let struct_series value (module S : B.STRUCT) ~sizes =
+  let m = (module S : B.STRUCT) in
+  Report.of_rows [ "custom"; "manual-pack"; "rsmpi-derived-datatype" ]
+    (List.map
+       (fun n ->
+         let count = S.count_for_packed_bytes n in
+         let bytes = count * S.packed_elem_size in
+         let inputs = Methods.st_inputs m ~count in
+         let v make = value (measure ~bytes make) in
+         ( bytes,
+           [
+             v (Methods.st_custom ~inputs m ~count);
+             v (Methods.st_manual ~inputs m ~count);
+             v (Methods.st_rsmpi ~inputs m ~count);
+           ] ))
+       sizes)
 
-let fig3 () = struct_series `Latency (module B.Struct_vec) ~sizes:(pow2 13 22)
-let fig4 () = struct_series `Bandwidth (module B.Struct_vec) ~sizes:(pow2 15 22)
-let fig5 () = struct_series `Latency (module B.Struct_simple) ~sizes:(pow2 6 19)
+let fig3 () = struct_series latency (module B.Struct_vec) ~sizes:(pow2 13 22)
+let fig4 () = struct_series bandwidth (module B.Struct_vec) ~sizes:(pow2 15 22)
+let fig5 () = struct_series latency (module B.Struct_simple) ~sizes:(pow2 6 19)
 
 let fig6 () =
-  struct_series `Latency (module B.Struct_simple_no_gap) ~sizes:(pow2 6 19)
+  struct_series latency (module B.Struct_simple_no_gap) ~sizes:(pow2 6 19)
 
 let fig7 () =
-  struct_series `Bandwidth (module B.Struct_simple) ~sizes:(pow2 10 22)
+  struct_series bandwidth (module B.Struct_simple) ~sizes:(pow2 10 22)
 
 let all : (string * string * string * (unit -> Report.series list)) list =
   [

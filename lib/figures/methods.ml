@@ -10,11 +10,35 @@ module DV = B.Double_vec
 module Blocks = Mpicd_ddtbench.Blocks
 module Kernel = Mpicd_ddtbench.Kernel
 
+(* --- shared inputs --- *)
+
+type 'a inputs = { src : 'a; sink : 'a }
+type slabs = Buf.t inputs
+
+let zero b = Buf.fill b '\000'
+
+(* A method handed [inputs] shares them with every other method handed
+   the same: each starts from a sink it zeroes when built.  Without
+   them it builds its own, which start zeroed. *)
+let own ~zero_sink fresh = function
+  | None -> fresh ()
+  | Some inputs ->
+      zero_sink inputs.sink;
+      inputs
+
 (* --- double-vec (Vec<Vec<i32>>) --- *)
 
-let dv_custom ~subvec ~total () =
-  let src = DV.generate ~subvec_bytes:subvec ~total_bytes:total in
-  let sink = DV.make_sink ~subvec_bytes:subvec ~total_bytes:total in
+let dv_inputs ~subvec ~total =
+  {
+    src = DV.generate ~subvec_bytes:subvec ~total_bytes:total;
+    sink = DV.make_sink ~subvec_bytes:subvec ~total_bytes:total;
+  }
+
+let dv_own ~subvec ~total =
+  own ~zero_sink:DV.clear (fun () -> dv_inputs ~subvec ~total)
+
+let dv_custom ?inputs ~subvec ~total () =
+  let { src; sink } = dv_own ~subvec ~total inputs in
   {
     H.send =
       (fun comm ~dst ~tag ->
@@ -27,9 +51,8 @@ let dv_custom ~subvec ~total () =
              (Mpi.Custom { dt = DV.custom_dt; obj = sink; count = 1 })));
   }
 
-let dv_manual ~subvec ~total () =
-  let src = DV.generate ~subvec_bytes:subvec ~total_bytes:total in
-  let sink = DV.make_sink ~subvec_bytes:subvec ~total_bytes:total in
+let dv_manual ?inputs ~subvec ~total () =
+  let { src; sink } = dv_own ~subvec ~total inputs in
   let psize = DV.manual_pack_size src in
   let nvec = Array.length src in
   {
@@ -51,21 +74,30 @@ let dv_manual ~subvec ~total () =
         H.charged_free comm buf);
   }
 
-(* The paper's rsmpi-bytes-baseline: RSMPI cannot express Vec<Vec<i32>>,
-   so the absolute baseline just moves the same bytes contiguously. *)
-let bytes_baseline ~total () =
-  let src = Buf.create total and sink = Buf.create total in
-  Kernel.fill src;
+(* Send [src], receive into [sink]: one contiguous buffer each way. *)
+let bytes_impl src sink =
   {
     H.send = (fun comm ~dst ~tag -> Mpi.send comm ~dst ~tag (Mpi.Bytes src));
     H.recv =
       (fun comm ~source ~tag -> ignore (Mpi.recv comm ~source ~tag (Mpi.Bytes sink)));
   }
 
+(* The paper's rsmpi-bytes-baseline: RSMPI cannot express Vec<Vec<i32>>,
+   so the absolute baseline just moves the same bytes contiguously. *)
+let bytes_baseline ~total () =
+  let src = Buf.create total in
+  Kernel.fill src;
+  bytes_impl src (Buf.create total)
+
 (* --- the struct types --- *)
 
-let st_custom (module S : B.STRUCT) ~count () =
-  let src = S.generate ~count and sink = S.make_sink ~count in
+let st_inputs (module S : B.STRUCT) ~count =
+  { src = S.generate ~count; sink = S.make_sink ~count }
+
+let st_own m ~count = own ~zero_sink:zero (fun () -> st_inputs m ~count)
+
+let st_custom ?inputs (module S : B.STRUCT) ~count () =
+  let { src; sink } = st_own (module S : B.STRUCT) ~count inputs in
   {
     H.send =
       (fun comm ~dst ~tag ->
@@ -77,8 +109,8 @@ let st_custom (module S : B.STRUCT) ~count () =
              (Mpi.Custom { dt = S.custom_dt; obj = sink; count })));
   }
 
-let st_manual (module S : B.STRUCT) ~count () =
-  let src = S.generate ~count and sink = S.make_sink ~count in
+let st_manual ?inputs (module S : B.STRUCT) ~count () =
+  let { src; sink } = st_own (module S : B.STRUCT) ~count inputs in
   let psize = count * S.packed_elem_size in
   let pieces = count * max 1 S.pieces_per_elem in
   {
@@ -100,8 +132,8 @@ let st_manual (module S : B.STRUCT) ~count () =
         H.charged_free comm buf);
   }
 
-let st_rsmpi (module S : B.STRUCT) ~count () =
-  let src = S.generate ~count and sink = S.make_sink ~count in
+let st_rsmpi ?inputs (module S : B.STRUCT) ~count () =
+  let { src; sink } = st_own (module S : B.STRUCT) ~count inputs in
   {
     H.send =
       (fun comm ~dst ~tag ->
@@ -115,17 +147,18 @@ let st_rsmpi (module S : B.STRUCT) ~count () =
 
 (* --- DDTBench kernels (Fig. 10 methods) --- *)
 
-type slabs = { src : Buf.t; sink : Buf.t }
-
 let slabs (module K : Kernel.KERNEL) = { src = K.create (); sink = K.create_sink () }
 
 (* Every method of a row shares the row's slabs; each starts from an
    all-zero sink. *)
 let sink_of { sink; _ } =
-  Buf.fill sink '\000';
+  zero sink;
   sink
 
-let k_reference (module K : Kernel.KERNEL) () = bytes_baseline ~total:K.wire_bytes ()
+(* The reference moves the first [wire_bytes] of the row's slabs. *)
+let k_reference (module K : Kernel.KERNEL) slabs () =
+  let prefix b = Buf.sub b ~pos:0 ~len:K.wire_bytes in
+  bytes_impl (prefix slabs.src) (prefix (sink_of slabs))
 
 let k_manual (module K : Kernel.KERNEL) slabs () =
   let src = slabs.src and sink = sink_of slabs in
@@ -208,7 +241,7 @@ let k_custom_regions (module K : Kernel.KERNEL) slabs =
 
 let kernel_methods k slabs =
   [
-    ("reference", Some (k_reference k));
+    ("reference", Some (k_reference k slabs));
     ("manual-pack", Some (k_manual k slabs));
     ("mpi-ddt", Some (k_ddt_direct k slabs));
     ("mpi-pack-ddt", Some (k_ddt_pack k slabs));

@@ -1,19 +1,34 @@
 (** Transfer-method implementations — one {!Mpicd_harness.Harness.impl}
-    builder per method the paper's evaluation compares.  Each builder
-    allocates its own buffers so every measurement starts fresh. *)
+    builder per method the paper's evaluation compares.
+
+    A builder called with [?inputs] uses that source and sink, so the
+    methods of one figure point can share one pair: each re-zeroes the
+    sink when it is called, and none writes the source.  Without
+    [?inputs] a builder allocates its own. *)
 
 module Buf = Mpicd_buf.Buf
 module H = Mpicd_harness.Harness
 module B = Mpicd_bench_types.Bench_types
 module Kernel = Mpicd_ddtbench.Kernel
 
+type 'a inputs = { src : 'a; sink : 'a }
+(** A method's source and sink. *)
+
+type slabs = Buf.t inputs
+(** One buffer each way: a struct array or a DDTBench slab. *)
+
 (** {1 double-vec (Figs. 1–2)} *)
 
-val dv_custom : subvec:int -> total:int -> unit -> H.impl
+val dv_inputs : subvec:int -> total:int -> B.Double_vec.t inputs
+(** A generated double-vec and a sink of its shape. *)
+
+val dv_custom :
+  ?inputs:B.Double_vec.t inputs -> subvec:int -> total:int -> unit -> H.impl
 (** The custom datatype API: packed length header + one zero-copy
     region per subvector. *)
 
-val dv_manual : subvec:int -> total:int -> unit -> H.impl
+val dv_manual :
+  ?inputs:B.Double_vec.t inputs -> subvec:int -> total:int -> unit -> H.impl
 (** Manual packing into an allocated byte buffer (charged). *)
 
 val bytes_baseline : total:int -> unit -> H.impl
@@ -21,23 +36,24 @@ val bytes_baseline : total:int -> unit -> H.impl
 
 (** {1 struct types (Figs. 3–7)} *)
 
-val st_custom : (module B.STRUCT) -> count:int -> unit -> H.impl
-val st_manual : (module B.STRUCT) -> count:int -> unit -> H.impl
-val st_rsmpi : (module B.STRUCT) -> count:int -> unit -> H.impl
+val st_inputs : (module B.STRUCT) -> count:int -> slabs
+(** [count] generated elements and a sink for as many. *)
+
+val st_custom : ?inputs:slabs -> (module B.STRUCT) -> count:int -> unit -> H.impl
+val st_manual : ?inputs:slabs -> (module B.STRUCT) -> count:int -> unit -> H.impl
+val st_rsmpi : ?inputs:slabs -> (module B.STRUCT) -> count:int -> unit -> H.impl
 (** The derived-datatype baseline (RSMPI over the Open MPI engine). *)
 
 (** {1 DDTBench kernels (Fig. 10)}
 
-    The methods of one kernel share one source slab and one sink slab;
-    each builder re-zeroes the sink when it is called. *)
-
-type slabs = { src : Buf.t; sink : Buf.t }
+    The methods of one kernel share one source slab and one sink slab. *)
 
 val slabs : Kernel.kernel -> slabs
 (** A pattern-filled source slab and a sink slab for the kernel. *)
 
-val k_reference : Kernel.kernel -> unit -> H.impl
-(** Contiguous pingpong of the same wire size (upper bound). *)
+val k_reference : Kernel.kernel -> slabs -> unit -> H.impl
+(** Contiguous pingpong of the same wire size (upper bound): the first
+    [wire_bytes] of the source slab into those of the sink. *)
 
 val k_manual : Kernel.kernel -> slabs -> unit -> H.impl
 val k_ddt_direct : Kernel.kernel -> slabs -> unit -> H.impl

@@ -1,5 +1,10 @@
 type series = { label : string; points : (int * float) list }
 
+let of_rows labels rows =
+  List.mapi
+    (fun i label -> { label; points = List.map (fun (x, ys) -> (x, List.nth ys i)) rows })
+    labels
+
 let human_bytes n =
   if n >= 1 lsl 30 && n mod (1 lsl 30) = 0 then
     Printf.sprintf "%dG" (n lsr 30)

@@ -5,6 +5,10 @@
 type series = { label : string; points : (int * float) list }
 (** [points] are (x, y); x is usually a message size in bytes. *)
 
+val of_rows : string list -> (int * float list) list -> series list
+(** [of_rows labels rows] is one series per label: row [(x, ys)] gives
+    each label its point at [x], read from [ys] in label order. *)
+
 val human_bytes : int -> string
 (** 1024 -> "1K", 1048576 -> "1M", 3000 -> "3000". *)
 

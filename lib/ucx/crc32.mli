@@ -1,10 +1,12 @@
 (** CRC-32 (IEEE 802.3, polynomial 0xEDB88320, reflected) over {!Buf}
     slices.
 
-    The reliable-delivery protocol stamps every wire fragment with this
-    checksum; any single-bit in-flight corruption is guaranteed to
-    change the digest, which is what lets the receiver nack a corrupted
-    fragment instead of depositing garbage. *)
+    The reliable-delivery protocol models every wire fragment as
+    stamped with this checksum.  Any single-bit in-flight corruption is
+    guaranteed to change the digest (the tests check it for fragments
+    up to the fragment size), so a checked corrupt fragment is nacked
+    without digesting it.  Snapshots and the explorer's fingerprints
+    digest their bytes with it. *)
 
 val digest : Mpicd_buf.Buf.t -> int32
 

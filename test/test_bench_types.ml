@@ -71,6 +71,69 @@ let test_dv_custom_zero_copy () =
   Alcotest.(check bool) "payload not CPU-copied" true
     (stats.bytes_copied < total / 100)
 
+let is_zero b = Buf.equal b (Buf.create (Buf.length b))
+
+(* Subvector [s] holds byte [(31 i + s + 11) mod 256] at [i], for any
+   shape: a message smaller than a subvector, a total that is not a
+   multiple of it, and more than 256 subvectors (seeds that wrap). *)
+let test_dv_generate_bytes () =
+  List.iter
+    (fun (subvec, total) ->
+      let t = B.Double_vec.generate ~subvec_bytes:subvec ~total_bytes:total in
+      Array.iteri
+        (fun s b ->
+          for i = 0 to Buf.length b - 1 do
+            if Buf.get_u8 b i <> ((31 * i) + s + 11) land 0xff then
+              Alcotest.failf "(%d, %d): subvector %d byte %d" subvec total s i
+          done)
+        t)
+    [ (1024, 256); (1024, 4096); (100, 700); (300, 1000); (64, 65536); (4096, 1 lsl 20) ]
+
+(* The subvectors of a generated value and of a sink are disjoint
+   views, and a sink is all zero. *)
+let test_dv_views_disjoint () =
+  List.iter
+    (fun (subvec, total) ->
+      let src = B.Double_vec.generate ~subvec_bytes:subvec ~total_bytes:total in
+      let sink = B.Double_vec.make_sink ~subvec_bytes:subvec ~total_bytes:total in
+      let all = Array.append src sink in
+      Array.iteri
+        (fun i a ->
+          Array.iteri
+            (fun j b ->
+              if i < j && Buf.overlaps a b then
+                Alcotest.failf "(%d, %d): views %d and %d overlap" subvec total i j)
+            all)
+        all;
+      if not (Array.for_all is_zero sink) then
+        Alcotest.failf "(%d, %d): sink not zero" subvec total)
+    [ (1024, 256); (100, 700); (64, 4096) ]
+
+(* [clear] zeroes every subvector and nothing else: a generated value,
+   and views of one patterned buffer with a gap, out of order, and from
+   a second buffer. *)
+let test_dv_clear () =
+  let t = B.Double_vec.generate ~subvec_bytes:64 ~total_bytes:4096 in
+  B.Double_vec.clear t;
+  Alcotest.(check bool) "generated value zeroed" true (Array.for_all is_zero t);
+  let patterned n =
+    let b = Buf.create n in
+    B.fill_pattern b;
+    b
+  in
+  let a = patterned 40 and pristine = patterned 40 in
+  let view b pos len = Buf.sub b ~pos ~len in
+  let t = [| view a 0 8; view a 8 8; view a 20 4; view a 12 4; patterned 8; view a 24 0 |] in
+  B.Double_vec.clear t;
+  Alcotest.(check bool) "views zeroed" true (Array.for_all is_zero t);
+  List.iter
+    (fun (pos, len) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "gap [%d, %d) kept" pos (pos + len))
+        true
+        (Buf.equal (view a pos len) (view pristine pos len)))
+    [ (16, 4); (24, 16) ]
+
 (* The receive side checks each header fragment against its own
    shape: a fragment that differs only in its last byte still raises
    [Custom.Error 86], and a matching one passes. *)
@@ -409,6 +472,9 @@ let suite =
   ( "bench_types",
     [
       tc "double-vec shapes" `Quick test_dv_generate_shapes;
+      tc "double-vec pattern bytes" `Quick test_dv_generate_bytes;
+      tc "double-vec views disjoint" `Quick test_dv_views_disjoint;
+      tc "double-vec clear zeroes only subvectors" `Quick test_dv_clear;
       tc "double-vec manual roundtrip" `Quick test_dv_manual_roundtrip;
       tc "double-vec manual shape mismatch" `Quick test_dv_manual_shape_mismatch;
       tc "double-vec custom over MPI" `Quick test_dv_custom_over_mpi;

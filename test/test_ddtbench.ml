@@ -320,6 +320,41 @@ let test_fills_match_closed_form () =
     (fun (module K : Kernel.KERNEL) -> check K.name kernel_byte (K.create ()))
     Registry.paper_kernels
 
+(* The LAMMPS packers check the slab and the stream once and then move
+   words: the stream is the plan's, and its unpack restores the slab's
+   exchanged bytes.  A half slab (whose last fields hold selected
+   particles) or a stream one byte short, each a view of a longer
+   buffer, still raises [Invalid_argument]. *)
+let test_lammps_packers () =
+  List.iter
+    (fun name ->
+      let (module K : Kernel.KERNEL) = Option.get (Registry.find name) in
+      let src = K.create () in
+      let want = Buf.create K.wire_bytes in
+      ignore (Mpicd_datatype.Plan.pack K.plan ~count:1 ~src ~dst:want);
+      let packed = Buf.create K.wire_bytes in
+      K.manual_pack src ~dst:packed;
+      Alcotest.(check bool) (name ^ " manual_pack = Plan.pack") true
+        (Buf.equal want packed);
+      let sink = K.create_sink () in
+      K.manual_unpack ~src:packed sink;
+      Alcotest.(check bool) (name ^ " manual_unpack restores") true (K.equal src sink);
+      let view n = Buf.sub (Buf.create (K.slab_bytes + K.wire_bytes)) ~pos:0 ~len:n in
+      let raises what f =
+        match f () with
+        | () -> Alcotest.failf "%s %s: no Invalid_argument" name what
+        | exception Invalid_argument _ -> ()
+      in
+      raises "pack from a short slab" (fun () ->
+          K.manual_pack (view (K.slab_bytes / 2)) ~dst:packed);
+      raises "pack into a short stream" (fun () ->
+          K.manual_pack src ~dst:(view (K.wire_bytes - 1)));
+      raises "unpack into a short slab" (fun () ->
+          K.manual_unpack ~src:packed (view (K.slab_bytes / 2)));
+      raises "unpack from a short stream" (fun () ->
+          K.manual_unpack ~src:(view (K.wire_bytes - 1)) sink))
+    [ "LAMMPS_full"; "LAMMPS_atomic" ]
+
 let suite =
   let tc = Alcotest.test_case in
   ( "ddtbench",
@@ -336,6 +371,7 @@ let suite =
       tc "all kernels: manual packs keep signalling NaNs" `Quick
         test_manual_keeps_signalling_nans;
       tc "kernel manual packs allocate nothing" `Quick test_manual_packs_alloc_free;
+      tc "LAMMPS packers = plan, short buffers raise" `Quick test_lammps_packers;
       tc "all kernels: derived over MPI" `Slow test_derived_over_mpi;
       tc "all kernels: custom-pack over MPI" `Slow test_custom_pack_over_mpi;
       tc "all kernels: custom-regions over MPI" `Slow test_custom_regions_over_mpi;

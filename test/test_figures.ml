@@ -160,7 +160,7 @@ let kernel_bw name method_ =
       let slabs = Methods.slabs k in
       let make =
         match method_ with
-        | `Reference -> Methods.k_reference k
+        | `Reference -> Methods.k_reference k slabs
         | `Manual -> Methods.k_manual k slabs
         | `Ddt -> Methods.k_ddt_direct k slabs
         | `Custom_pack -> Methods.k_custom_pack k slabs
@@ -262,6 +262,77 @@ let test_pool_inert_under_faults () =
         (Mpicd_buf.Buf.Pool.retained_bytes p))
     (manual_methods ())
 
+(* Methods handed one input pair share it, in order: each must start
+   from an all-zero sink, leave the source as generated and deliver
+   it.  [zeroed], [pristine] and [delivered] read the shared pair. *)
+let check_shared what ~bytes ~zeroed ~pristine ~delivered methods =
+  List.iter
+    (fun (label, make) ->
+      let name = what ^ " " ^ label in
+      let built () =
+        let impl = make () in
+        Alcotest.(check bool) (name ^ ": starts from a zero sink") true (zeroed ());
+        impl
+      in
+      ignore (H.pingpong ~warmup:1 ~reps:1 ~bytes built);
+      Alcotest.(check bool) (name ^ ": source unchanged") true (pristine ());
+      Alcotest.(check bool) (name ^ ": delivered") true (delivered label))
+    methods
+
+let is_zero b = Mpicd_buf.Buf.(equal b (create (length b)))
+
+let test_shared_inputs () =
+  let subvec = 256 and total = 4096 in
+  let inputs = Methods.dv_inputs ~subvec ~total in
+  let fresh = B.Double_vec.generate ~subvec_bytes:subvec ~total_bytes:total in
+  check_shared "double-vec" ~bytes:total
+    ~zeroed:(fun () -> Array.for_all is_zero inputs.sink)
+    ~pristine:(fun () -> B.Double_vec.equal inputs.src fresh)
+    ~delivered:(fun _ -> B.Double_vec.equal inputs.src inputs.sink)
+    [
+      ("custom", Methods.dv_custom ~inputs ~subvec ~total);
+      ("manual-pack", Methods.dv_manual ~inputs ~subvec ~total);
+    ];
+  List.iter
+    (fun (what, ((module S : B.STRUCT) as m)) ->
+      let count = 7 in
+      let inputs = Methods.st_inputs m ~count in
+      let fresh = S.generate ~count in
+      check_shared what ~bytes:(count * S.packed_elem_size)
+        ~zeroed:(fun () -> is_zero inputs.sink)
+        ~pristine:(fun () -> Mpicd_buf.Buf.equal inputs.src fresh)
+        ~delivered:(fun _ -> S.equal_elems inputs.src inputs.sink ~count)
+        [
+          ("custom", Methods.st_custom ~inputs m ~count);
+          ("manual-pack", Methods.st_manual ~inputs m ~count);
+          ("rsmpi", Methods.st_rsmpi ~inputs m ~count);
+        ])
+    [
+      ("struct-vec", (module B.Struct_vec));
+      ("struct-simple", (module B.Struct_simple));
+      ("struct-simple-no-gap", (module B.Struct_simple_no_gap));
+    ];
+  let k = Option.get (Registry.find "WRF_x_vec") in
+  let module K = (val k : Kernel.KERNEL) in
+  let slabs = Methods.slabs k in
+  let fresh = K.create () in
+  let prefix b = Mpicd_buf.Buf.sub b ~pos:0 ~len:K.wire_bytes in
+  check_shared K.name ~bytes:K.wire_bytes
+    ~zeroed:(fun () -> is_zero slabs.sink)
+    ~pristine:(fun () -> Mpicd_buf.Buf.equal slabs.src fresh)
+    ~delivered:(function
+      | "reference" -> Mpicd_buf.Buf.equal (prefix slabs.src) (prefix slabs.sink)
+      | _ -> K.equal slabs.src slabs.sink)
+    (List.filter_map
+       (fun (label, make) -> Option.map (fun make -> (label, make)) make)
+       (Methods.kernel_methods k slabs));
+  (* the reference's prefix fits every kernel's slab *)
+  List.iter
+    (fun (module K : Kernel.KERNEL) ->
+      Alcotest.(check bool) (K.name ^ ": wire bytes fit the slab") true
+        (K.wire_bytes <= K.slab_bytes))
+    Registry.all
+
 (* A5: the table EXPERIMENTS.md records, for the 8 MiB object. *)
 let a5_rows =
   [
@@ -317,6 +388,7 @@ let suite =
       tc "pool: manual-pack misses are a constant" `Quick test_pool_misses_constant;
       tc "pool: nothing recycled under a fault plan" `Quick
         test_pool_inert_under_faults;
+      tc "methods share inputs from a zero sink" `Quick test_shared_inputs;
       tc "A5 table pinned" `Quick test_a5_table;
       tc "A5 shared object unchanged" `Quick test_a5_object_unchanged;
     ] )

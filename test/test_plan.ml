@@ -392,27 +392,41 @@ let per_block_blit ?(off = 0) ?want t ~count ~pack ~typed ~stream =
 let outcome f =
   match f () with () -> None | exception Invalid_argument m -> Some m
 
-(* With [count >= 2] a plan checks a run of whole elements once, so a
-   buffer one byte short fails that check and must fall back to the
-   per-block copies: the same [Invalid_argument] after the same writes.
-   Cases: a typed buffer one byte short, for the whole stream and for a
-   window that starts mid-element; and a stream one byte short.  Short
-   views are cut from longer buffers, so a copy that skipped a check
-   would land in memory the reference never writes. *)
+(* A packed offset strictly inside one of [t]'s blocks, picked by
+   [seed], or [0] when every block is one byte long. *)
+let mid_block_offset t seed =
+  let inner = ref [] and pos = ref 0 in
+  Dt.iter_blocks t ~count:1 ~f:(fun ~disp:_ ~len ->
+      for k = 1 to len - 1 do
+        inner := (!pos + k) :: !inner
+      done;
+      pos := !pos + len);
+  match !inner with [] -> 0 | l -> List.nth l (seed mod List.length l)
+
+(* A plan checks a run of whole elements once, and a window's partial
+   element once, so a buffer one byte short fails that check and must
+   fall back to the per-block copies: the same [Invalid_argument] after
+   the same writes.  Cases: a typed buffer one byte short, for the whole
+   stream and for a window that starts mid-element (with [count = 1],
+   mid-block); and a stream one byte short.  Short views are cut from
+   longer buffers, so a copy that skipped a check would land in memory
+   the reference never writes. *)
 let prop_short_typed_buffer =
   QCheck.Test.make
     ~name:"plan: typed buffer one byte short raises after the same writes"
     ~count:300
-    QCheck.(triple arb_datatype (int_range 2 4) small_nat)
+    QCheck.(triple arb_datatype (int_range 1 4) small_nat)
     (fun (t, count, seed) ->
       let psize = Dt.packed_size t ~count in
       QCheck.assume (psize > 0);
       let p = Plan.build t in
       let n = src_len t ~count in
       let esize = Dt.size t in
-      (* a window that starts inside one of the first [count - 1] elements *)
+      (* a window that starts inside one of the first [count - 1]
+         elements, or inside a block of the only one *)
       let off =
-        if esize >= 2 then
+        if count = 1 then mid_block_offset t seed
+        else if esize >= 2 then
           (seed mod (count - 1) * esize) + 1 + (seed mod (esize - 1))
         else seed mod psize
       in

@@ -1118,6 +1118,32 @@ let prop_crc32_matches_reference =
       let len = max 0 (n - pos - tail) in
       Mpicd_ucx.Crc32.digest_sub view ~pos ~len = crc32_reference view ~pos ~len)
 
+(* The checked-corruption path nacks a corrupt fragment without
+   digesting it: that relies on every single-bit flip of a fragment of
+   up to [frag_size] bytes changing its CRC32.  Each case flips the
+   fragment's first and last bit and 32 drawn ones, one at a time. *)
+let prop_crc32_detects_bit_flips =
+  QCheck.Test.make ~count:200 ~name:"crc32: every single-bit flip changes the digest"
+    QCheck.(
+      triple
+        (string_of_size Gen.(1 -- Config.default_link.Config.frag_size))
+        (int_bound 4)
+        (list_of_size (Gen.return 32) (int_bound 0xffff)))
+    (fun (s, view_off, drawn) ->
+      let n = String.length s in
+      let parent = Buf.create (n + 4) in
+      Buf.blit_from_string s ~src_pos:0 ~dst:parent ~dst_pos:view_off ~len:n;
+      let frag = Buf.sub parent ~pos:view_off ~len:n in
+      let sent = Mpicd_ucx.Crc32.digest frag in
+      let flip i = Buf.set_u8 frag (i / 8) (Buf.get_u8 frag (i / 8) lxor (1 lsl (i mod 8))) in
+      List.for_all
+        (fun i ->
+          flip i;
+          let changed = Mpicd_ucx.Crc32.digest frag <> sent in
+          flip i;
+          changed)
+        (0 :: ((8 * n) - 1) :: List.map (fun i -> i mod (8 * n)) drawn))
+
 let suite =
   let tc = Alcotest.test_case in
   ( "ucx",
@@ -1157,6 +1183,7 @@ let suite =
       tc "trace records protocol events" `Quick test_trace_records_protocols;
       tc "timing matrix pinned" `Quick test_timing_matrix;
       QCheck_alcotest.to_alcotest prop_crc32_matches_reference;
+      QCheck_alcotest.to_alcotest prop_crc32_detects_bit_flips;
       tc "eager snapshots in flight stay distinct" `Quick test_eager_snapshots_in_flight;
       tc "snapshot slots given back once" `Quick test_snapshot_slots_given_back;
       tc "unchecked corruption copies on write" `Quick
