@@ -2,11 +2,12 @@
 
    Runs every protocol path (eager/rendezvous x contiguous/generic/iov)
    under a catalogue of fault plans at three fixed seeds, verifying
-   payload integrity after every delivery; a crash sweep over a
-   resilient collective; and a checkpoint/restart sweep crashing a rank
-   at every point of the epoch timeline and requiring byte-identical
-   convergence with the fault-free run (--ckpt runs it alone; --crashes
-   runs the collective crash sweep alone).  The same sweep replays
+   payload integrity after every delivery and, once a cell is quiet,
+   that the transport gave back every message slot it carved; a crash
+   sweep over a resilient collective; and a checkpoint/restart sweep
+   crashing a rank at every point of the epoch timeline and requiring
+   byte-identical convergence with the fault-free run (--ckpt runs it
+   alone; --crashes runs the collective crash sweep alone).  The same sweep replays
    identically on every machine — plans are pure data and all fault
    decisions come from the plan's own RNG stream (docs/FAULTS.md).
 
@@ -19,9 +20,10 @@
 
    Run via `dune build @chaos` (part of `dune runtest`).  Ends with a
    per-scenario pass/fail summary table and exits non-zero if any
-   scenario records a failure: a damaged payload, a deadlocked run, a
-   fault-free baseline reporting reliability events (the zero-overhead
-   guarantee), or a recovered job that fails to converge. *)
+   scenario records a failure: a damaged payload, a leaked or twice
+   given message slot, a deadlocked run, a fault-free baseline
+   reporting reliability events (the zero-overhead guarantee), or a
+   recovered job that fails to converge. *)
 
 module Buf = Mpicd_buf.Buf
 module Engine = Mpicd_simnet.Engine
@@ -178,6 +180,15 @@ let plan_of ~seed spec =
       failf "plan %S: %s" s e;
       Fault.make ~seed ()
 
+(* Once every message has ended, each slot the transport carved for one
+   has gone back exactly once: fewer free slots is a leak, more a slot
+   given back twice. *)
+let check_slabs path w =
+  let s = Mpi.transport_slabs w in
+  let carved = Buf.Slabs.carved_slots s and free = Buf.Slabs.free_slots s in
+  if carved <> free then
+    failf "%s: %d message slot(s) carved, %d given back" path carved free
+
 (* One cell: [iters] verified messages 0 -> 1 under one plan. *)
 let run_cell ~plan ~path mk =
   let w = Mpi.create_world ~size:2 () in
@@ -197,6 +208,7 @@ let run_cell ~plan ~path mk =
            done)
    with e -> failf "%s: run raised %s" path (Printexc.to_string e));
   if !damaged > 0 then failf "%s: %d damaged payload(s)" path !damaged;
+  check_slabs path w;
   Mpi.world_stats w
 
 (* --- crash sweep: process failure during a collective ---
@@ -744,6 +756,7 @@ let () =
                   if not (verify ()) then
                     failf "baseline %s: payload damaged" path
                 done);
+          check_slabs ("baseline " ^ path) w;
           let s = Mpi.world_stats w in
           if Stats.reliability_events s <> 0 then
             failf "baseline %s: %d reliability events without a fault plan"

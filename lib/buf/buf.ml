@@ -3,8 +3,12 @@ type bigstring =
 
 type t = { base : bigstring; off : int; len : int }
 
+let fresh_count = ref 0
+let fresh_buffers () = !fresh_count
+
 (* Uninitialised storage, for callers that overwrite every byte. *)
 let alloc n =
+  incr fresh_count;
   { base = Bigarray.Array1.create Bigarray.char Bigarray.c_layout n; off = 0; len = n }
 
 let create n =
@@ -165,16 +169,24 @@ let blit ~src ~src_pos ~dst ~dst_pos ~len =
     Bigarray.Array1.blit s d
   end
 
+(* A view is filled eight bytes per store, then a byte tail: a bigarray
+   view for [Bigarray.Array1.fill] would cost a custom block.  The
+   repeated byte is the same in either byte order. *)
 let fill t c =
   if t.off = 0 && t.len = Bigarray.Array1.dim t.base then
-    Bigarray.Array1.fill t.base c (* a whole buffer: no view to allocate *)
-  else if t.len <= word_copy_max then
-    (* a short view: a loop, where a bigarray view would cost a
-       custom block *)
-    for i = t.off to t.off + t.len - 1 do
+    Bigarray.Array1.fill t.base c
+  else begin
+    let word = Int64.mul 0x0101_0101_0101_0101L (Int64.of_int (Char.code c)) in
+    let stop = t.off + (t.len land lnot 7) in
+    let i = ref t.off in
+    while !i < stop do
+      unsafe_set64 t.base !i word;
+      i := !i + 8
+    done;
+    for i = stop to t.off + t.len - 1 do
       Bigarray.Array1.unsafe_set t.base i c
     done
-  else Bigarray.Array1.fill (Bigarray.Array1.sub t.base t.off t.len) c
+  end
 
 (* Each round copies everything written so far, so a buffer of [n]
    bytes takes O(log (n / period)) block copies. *)
@@ -350,12 +362,11 @@ module Pool = struct
   type t = {
     mutable classes : cls list;  (* newest first; none until the first take *)
     mutable retained : int;
-    mutable inert : bool;
     mutable hits : int;
     mutable misses : int;
   }
 
-  let create () = { classes = []; retained = 0; inert = false; hits = 0; misses = 0 }
+  let create () = { classes = []; retained = 0; hits = 0; misses = 0 }
 
   let rec find_class n = function
     | [] -> None
@@ -388,31 +399,28 @@ module Pool = struct
 
   let take p n =
     if n < 0 then invalid_arg "Buf.Pool.take: negative length";
-    if p.inert then fresh n
-    else begin
-      let c =
-        match find_class n p.classes with Some c -> c | None -> add_class p n
-      in
-      let b =
-        if c.nfree > 0 then begin
-          c.nfree <- c.nfree - 1;
-          let b = c.free.(c.nfree) in
-          c.free.(c.nfree) <- empty;
-          p.retained <- p.retained - n;
-          p.hits <- p.hits + 1;
-          fill b '\000';
-          b
-        end
-        else begin
-          p.misses <- p.misses + 1;
-          fresh n
-        end
-      in
-      (* a full ring forgets its oldest loan, which can then not return *)
-      c.lent.(c.next_loan) <- b;
-      c.next_loan <- (c.next_loan + 1) mod max_class_buffers;
-      b
-    end
+    let c =
+      match find_class n p.classes with Some c -> c | None -> add_class p n
+    in
+    let b =
+      if c.nfree > 0 then begin
+        c.nfree <- c.nfree - 1;
+        let b = c.free.(c.nfree) in
+        c.free.(c.nfree) <- empty;
+        p.retained <- p.retained - n;
+        p.hits <- p.hits + 1;
+        fill b '\000';
+        b
+      end
+      else begin
+        p.misses <- p.misses + 1;
+        fresh n
+      end
+    in
+    (* a full ring forgets its oldest loan, which can then not return *)
+    c.lent.(c.next_loan) <- b;
+    c.next_loan <- (c.next_loan + 1) mod max_class_buffers;
+    b
 
   (* Clear the ring slot holding [b] itself (not a view of the same
      bytes, which is a different record); newest loans first. *)
@@ -430,23 +438,14 @@ module Pool = struct
     go 0
 
   let give p (b : buf) =
-    if not p.inert then
-      match find_class b.len p.classes with
-      | Some c when return_loan c b ->
-          if c.nfree < max_class_buffers && p.retained + b.len <= max_bytes
-          then begin
-            c.free.(c.nfree) <- b;
-            c.nfree <- c.nfree + 1;
-            p.retained <- p.retained + b.len
-          end
-      | Some _ | None -> ()
-
-  let set_inert p inert =
-    p.inert <- inert;
-    if inert then begin
-      p.classes <- [];
-      p.retained <- 0
-    end
+    match find_class b.len p.classes with
+    | Some c when return_loan c b ->
+        if c.nfree < max_class_buffers && p.retained + b.len <= max_bytes then begin
+          c.free.(c.nfree) <- b;
+          c.nfree <- c.nfree + 1;
+          p.retained <- p.retained + b.len
+        end
+    | Some _ | None -> ()
 
   let retained_bytes p = p.retained
   let hits p = p.hits

@@ -16,6 +16,12 @@ type t = { base : bigstring; off : int; len : int }
 val create : int -> t
 (** [create n] allocates a fresh zero-filled buffer of [n] bytes. *)
 
+val fresh_buffers : unit -> int
+(** Bigarrays allocated so far by {!create}, {!copy}, {!of_string},
+    {!concat} and a {!Pool} miss; {!Slabs} chunks are not counted (see
+    {!Slabs.carved_slots}).  The difference across a run counts the
+    fresh storage a path allocates. *)
+
 val of_bigstring : bigstring -> t
 
 val length : t -> int
@@ -69,6 +75,8 @@ val blit : src:t -> src_pos:int -> dst:t -> dst_pos:int -> len:int -> unit
 (** Copy [len] bytes.  Overlapping ranges behave like [memmove]. *)
 
 val fill : t -> char -> unit
+(** [fill b c] sets every byte of the view to [c], and allocates
+    nothing. *)
 
 val repeat_prefix : t -> period:int -> unit
 (** [repeat_prefix b ~period] copies the first [period] bytes of [b]
@@ -138,12 +146,12 @@ val overlaps : t -> t -> bool
       reachable; an older loan can no longer return;
     - it keeps at most {!Pool.max_class_buffers} free buffers per
       length, at most {!Pool.max_classes} lengths, and at most
-      {!Pool.max_bytes} free bytes in all ({!Pool.retained_bytes});
-    - while inert ({!Pool.set_inert}) it lends fresh buffers and takes
-      nothing back.
+      {!Pool.max_bytes} free bytes in all ({!Pool.retained_bytes}).
 
     Giving a buffer back is a promise that nothing reads or writes it
-    any more.  A pool allocates nothing until its first {!Pool.take}. *)
+    any more, with or without faults: a buffer a failed transfer may
+    still write into is dropped, not given.  A pool allocates nothing
+    until its first {!Pool.take}. *)
 module Pool : sig
   type buf := t
   type t
@@ -167,10 +175,6 @@ module Pool : sig
   val give : t -> buf -> unit
   (** Return a buffer that [take] lent; anything else is ignored. *)
 
-  val set_inert : t -> bool -> unit
-  (** [set_inert p true] drops every free buffer and loan; until
-      [set_inert p false], [take] allocates and [give] keeps nothing. *)
-
   val retained_bytes : t -> int
   (** Bytes held in free buffers. *)
 
@@ -178,7 +182,7 @@ module Pool : sig
   (** Takes served by a recycled buffer. *)
 
   val misses : t -> int
-  (** Takes that allocated (inert takes excluded). *)
+  (** Takes that allocated. *)
 end
 
 (** Storage for buffers that live until a matching {!Slabs.give}, in

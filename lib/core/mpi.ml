@@ -160,6 +160,9 @@ type world = {
   errh : (int, errhandler) Hashtbl.t;  (* cid -> handler; absent = raise *)
   last_errors : (int * int, error) Hashtbl.t;  (* (cid, comm rank) -> error *)
   slabs : Buf.Slabs.t;  (* the ranks' collective staging buffers *)
+  pool : Buf.Pool.t;
+      (* custom bounce buffers and [Harness.charged_alloc]'s; the same
+         with or without a fault plan (see [run_cleanup]) *)
   (* --- resilience state (all empty on a healthy run) --- *)
   (* Each rank's cancellation registry: its registered operations,
      newest first, linked through the requests themselves
@@ -398,6 +401,7 @@ let create_world ?(config = Config.default) ?topology ~size () =
       errh = Hashtbl.create 8;
       last_errors = Hashtbl.create 8;
       slabs = Buf.Slabs.create ();
+      pool = Buf.Pool.create ();
       ops = Array.make size Ucx.no_request;
       n_ops = Array.make size 0;
       prune_at = Array.make size 0;
@@ -415,7 +419,8 @@ let create_world ?(config = Config.default) ?topology ~size () =
 let world_engine w = w.engine
 let world_stats w = w.stats
 let world_config w = w.config
-let world_pool w = Ucx.pool w.ucx
+let world_pool w = w.pool
+let transport_slabs w = Ucx.slabs w.ucx
 let world_size w = Array.length w.workers
 let set_unpack_shuffle w ~seed = w.shuffle <- Option.map Rng.create seed
 let set_trace w t = Ucx.set_trace w.ucx t
@@ -590,7 +595,7 @@ let custom_query c op =
    failed pack drops the buffer. *)
 let custom_pack_bounce c op psize =
   let frag = c.w.config.link.frag_size in
-  let b = Buf.Pool.take (Ucx.pool c.w.ucx) psize in
+  let b = Buf.Pool.take c.w.pool psize in
   Stats.record_alloc c.w.stats psize;
   charge c (Config.alloc_time (cpu c) psize);
   let t0 = Engine.now c.w.engine in
@@ -789,7 +794,7 @@ let custom_recv_dt c dt obj ~count =
       in
       let packed =
         if psize > 0 then begin
-          let b = Buf.Pool.take (Ucx.pool c.w.ucx) psize in
+          let b = Buf.Pool.take c.w.pool psize in
           Stats.record_alloc c.w.stats psize;
           charge c (Config.alloc_time (cpu c) psize);
           b
@@ -799,14 +804,18 @@ let custom_recv_dt c dt obj ~count =
       (Ucx.Rd_iov (bounce_iov packed regs), Custom_recv (op, packed))
 
 (* Once the operation completes: a receive unpacks its bounce buffer,
-   which goes back to the pool (the transfer has read a send's by the
-   time it completes; after an error the transport may not have), and
-   the custom state is released. *)
+   and the custom state is released.  A bounce buffer goes back to the
+   pool only after a clean completion, the same with or without a fault
+   plan: by then the transport has landed a receive's bytes, and has
+   read a send's (an iovec send completes only after its data landed,
+   and under a plan it was first gathered into a transport slot).
+   After an error a transfer may still read or write the buffer later,
+   so it is dropped. *)
 let run_cleanup c (st : Ucx.status) = function
   | No_cleanup -> ()
   | Custom_send (op, b) ->
       if Buf.length b > 0 then begin
-        if Option.is_none st.error then Buf.Pool.give (Ucx.pool c.w.ucx) b;
+        if Option.is_none st.error then Buf.Pool.give c.w.pool b;
         Stats.record_free c.w.stats (Buf.length b)
       end;
       Custom.finish op
@@ -814,7 +823,7 @@ let run_cleanup c (st : Ucx.status) = function
       if Buf.length b > 0 then begin
         if Option.is_none st.error then begin
           custom_unpack_bounce c op b;
-          Buf.Pool.give (Ucx.pool c.w.ucx) b
+          Buf.Pool.give c.w.pool b
         end;
         Stats.record_free c.w.stats (Buf.length b)
       end;

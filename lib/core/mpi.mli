@@ -48,10 +48,16 @@ val world_stats : world -> Stats.t
 val world_config : world -> Config.t
 
 val world_pool : world -> Buf.Pool.t
-(** The world's buffer recycler ({!Mpicd_ucx.Ucx.pool}).  Custom
-    datatype bounce buffers come from it and go back after a clean
-    completion; it is inert while a fault plan is attached and dies
-    with the world. *)
+(** The world's buffer recycler.  Custom datatype bounce buffers come
+    from it and go back only after a clean completion, with or without
+    a fault plan: an operation that completes with an error drops its
+    buffer, which a transfer may still touch.  It dies with the
+    world. *)
+
+val transport_slabs : world -> Buf.Slabs.t
+(** The transport's message slots ({!Mpicd_ucx.Ucx.slabs}).  Once every
+    message sent has been received, [Buf.Slabs.carved_slots] equals
+    [Buf.Slabs.free_slots]. *)
 
 val world_size : world -> int
 

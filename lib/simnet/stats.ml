@@ -33,12 +33,10 @@ type t = {
   mutable comm_revokes : int;
   mutable comm_shrinks : int;
   mutable comm_agreements : int;
-  (* datatype pack-plan counters: compilation cache traffic and
-     bounce-buffer recycling.  Host-side only — they never feed the
-     virtual-time cost model. *)
+  (* datatype pack-plan counters: compilation cache traffic.
+     Host-side only — they never feed the virtual-time cost model. *)
   mutable plan_cache_hits : int;
   mutable plan_cache_misses : int;
-  mutable bounce_reuses : int;
   (* checkpoint/restart counters: driven by the lib/restart runtime
      (plan-serialized snapshots, sender-based message logging, recovery
      rounds).  All stay 0 unless a checkpoint runtime is in use. *)
@@ -100,7 +98,6 @@ let create () =
     comm_agreements = 0;
     plan_cache_hits = 0;
     plan_cache_misses = 0;
-    bounce_reuses = 0;
     checkpoints_taken = 0;
     checkpoint_bytes = 0;
     buffers_restored = 0;
@@ -150,7 +147,6 @@ let reset t =
   t.comm_agreements <- 0;
   t.plan_cache_hits <- 0;
   t.plan_cache_misses <- 0;
-  t.bounce_reuses <- 0;
   t.checkpoints_taken <- 0;
   t.checkpoint_bytes <- 0;
   t.buffers_restored <- 0;
@@ -213,7 +209,6 @@ let record_comm_shrink t = t.comm_shrinks <- t.comm_shrinks + 1
 let record_comm_agreement t = t.comm_agreements <- t.comm_agreements + 1
 let record_plan_hit t = t.plan_cache_hits <- t.plan_cache_hits + 1
 let record_plan_miss t = t.plan_cache_misses <- t.plan_cache_misses + 1
-let record_bounce_reuse t = t.bounce_reuses <- t.bounce_reuses + 1
 
 let record_checkpoint t ~bytes =
   t.checkpoints_taken <- t.checkpoints_taken + 1;
@@ -271,7 +266,6 @@ let diff ~after ~before =
     comm_agreements = after.comm_agreements - before.comm_agreements;
     plan_cache_hits = after.plan_cache_hits - before.plan_cache_hits;
     plan_cache_misses = after.plan_cache_misses - before.plan_cache_misses;
-    bounce_reuses = after.bounce_reuses - before.bounce_reuses;
     checkpoints_taken = after.checkpoints_taken - before.checkpoints_taken;
     checkpoint_bytes = after.checkpoint_bytes - before.checkpoint_bytes;
     buffers_restored = after.buffers_restored - before.buffers_restored;
@@ -310,8 +304,6 @@ let reliability_events t =
 let resilience_events t =
   t.ops_cancelled + t.comm_revokes + t.comm_shrinks + t.comm_agreements
 
-let plan_events t = t.plan_cache_hits + t.plan_cache_misses + t.bounce_reuses
-
 let ckpt_events t =
   t.checkpoints_taken + t.buffers_restored + t.msgs_logged + t.msgs_replayed
   + t.dups_suppressed + t.recoveries
@@ -348,9 +340,9 @@ let pp ppf t =
       t.ops_cancelled t.comm_revokes t.comm_shrinks t.comm_agreements;
   (* Like the reliability line: only rendered when plans were in play,
      so byte-only workloads print exactly as before. *)
-  if plan_events t > 0 then
-    Format.fprintf ppf "@,plans: cache_hits=%d cache_misses=%d bounce_reuses=%d"
-      t.plan_cache_hits t.plan_cache_misses t.bounce_reuses;
+  if t.plan_cache_hits + t.plan_cache_misses > 0 then
+    Format.fprintf ppf "@,plans: cache_hits=%d cache_misses=%d" t.plan_cache_hits
+      t.plan_cache_misses;
   (* Rendered only when a checkpoint runtime (or jitter) was in play, so
      every pre-restart workload prints exactly as before. *)
   if ckpt_events t > 0 || t.jittered_backoffs > 0 then

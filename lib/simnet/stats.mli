@@ -50,9 +50,6 @@ type t = {
       (** typed operations that found a compiled pack plan in the cache *)
   mutable plan_cache_misses : int;
       (** typed operations that had to flatten a datatype into a plan *)
-  mutable bounce_reuses : int;
-      (** full-size generic pack bounce fragments served from the
-          world's buffer pool instead of a fresh allocation *)
   (* Checkpoint/restart counters (see docs/RESILIENCE.md): driven by the
      lib/restart runtime.  All remain 0 unless a checkpoint runtime is
      in use. *)
@@ -131,12 +128,11 @@ val record_comm_revoke : t -> unit
 val record_comm_shrink : t -> unit
 val record_comm_agreement : t -> unit
 
-(** {1 Pack-plan events} (recorded by the datatype plan cache and the
-    transport bounce-buffer pool; see docs/PERFORMANCE.md) *)
+(** {1 Pack-plan events} (recorded by the datatype plan cache; see
+    docs/PERFORMANCE.md) *)
 
 val record_plan_hit : t -> unit
 val record_plan_miss : t -> unit
-val record_bounce_reuse : t -> unit
 
 (** {1 Checkpoint/restart events} (recorded by the lib/restart runtime;
     see docs/RESILIENCE.md) *)
@@ -153,23 +149,9 @@ val record_dup_suppressed : t -> unit
 val record_recovery : t -> unit
 val record_jittered_backoff : t -> unit
 
-val ckpt_events : t -> int
-(** Sum of the checkpoint/restart counters (excluding
-    [jittered_backoffs], which belongs to the transport); 0 iff no
-    checkpoint runtime touched this world. *)
-
-val plan_events : t -> int
-(** Sum of the pack-plan counters; 0 iff no typed traffic used the
-    compiled-plan machinery. *)
-
 val reliability_events : t -> int
 (** Sum of all reliability counters (including [failures_detected]);
     0 iff the run was fault-free. *)
-
-val resilience_events : t -> int
-(** Sum of the resilience counters.  Unlike {!reliability_events} these
-    can be nonzero without a fault plan (an application may revoke a
-    communicator on a healthy system). *)
 
 val snapshot : t -> t
 (** Independent copy of the current counters. *)

@@ -86,10 +86,10 @@ let waiter_slot =
   { Engine.get = (fun r -> r.r_waiter); set = (fun r w -> r.r_waiter <- w) }
 
 type payload =
-  | P_eager  (* the bytes are [e_data], a snapshot the context recycles *)
+  | P_eager  (* the bytes are [e_data], a contig send's snapshot *)
   | P_frags of Buf.t list
-      (* pool-lent pack fragments, one per callback, or the reliable
-         path's delivered slices (of [e_data] for a contig send) *)
+      (* views of [e_data]: a generic pack's fragments, one per
+         callback, or the reliable path's delivered slices *)
   | P_rndv of rndv
   | P_nack of error
       (* poison envelope: a failed transfer notifying the receiver, so a
@@ -109,10 +109,11 @@ type envelope = {
   e_src : int;
   e_seq : int;  (* context-wide message sequence number, for trace joins *)
   e_payload : payload;
-  e_data : Buf.t;
-      (* an eager contig send's snapshot slot, given back to [snaps]
-         once it lands: [P_eager]'s bytes, or the stream a reliable
-         [P_frags] slices; empty otherwise *)
+  mutable e_data : Buf.t;
+      (* the slot of [slabs] holding the message's bytes, given back
+         once by [release] when the message ends: an eager send's
+         snapshot or pack, or a rendezvous's pack or gather once
+         staged; empty otherwise *)
   mutable e_unexpected_alloc : int;
       (* receiver bytes allocated to hold this envelope while unexpected *)
   e_sent_at : float;  (* virtual send-post time, for latency histograms *)
@@ -218,19 +219,14 @@ and context = {
   failed : (int, float) Hashtbl.t;  (* worker id -> detection time *)
   mutable any_failed : bool;  (* cheap guard for fail-fast checks *)
   mutable fail_listeners : (rank:int -> time:float -> unit) list;
-  pool : Buf.Pool.t;
-      (* the world's buffer recycler: pack bounce fragments here, and
-         the MPI layer's custom and manual-pack staging buffers.  Inert
-         while a fault plan is attached: the reliable protocol may still
-         reference fragments after deposit *)
   mutable topology : Topology.t option;
       (* [None] (the default) is the flat wire: every path helper below
          reduces exactly to [latency_ns] / [wire_time], so existing
          virtual-time results are bit-identical.  With a topology
          attached, message motion routes over its links and shares
          their bandwidth *)
-  snaps : Buf.Slabs.t;
-      (* eager contig snapshots, with or without a plan: a deposit, a
+  slabs : Buf.Slabs.t;
+      (* message slots ([e_data]), with or without a plan: a deposit, a
          truncation or a failed transfer gives each back, so the storage
          stops growing at the in-flight depth *)
 }
@@ -265,13 +261,11 @@ let create_context ~engine ~config ~stats =
     failed = Hashtbl.create 8;
     any_failed = false;
     fail_listeners = [];
-    pool = Buf.Pool.create ();
     topology = None;
-    snaps = Buf.Slabs.create ();
+    slabs = Buf.Slabs.create ();
   }
 
-let pool c = c.pool
-let snapshots c = c.snaps
+let slabs c = c.slabs
 let set_channel_jitter c j = c.jitter <- j
 let set_topology c topo = c.topology <- topo
 let set_trace c t = c.trace <- t
@@ -405,13 +399,13 @@ let path_serialize c ~src ~dst bytes =
 
 (* --- fragment-wise generic packing (executes the callbacks) --- *)
 
-(* Pack the whole stream into bounce fragments of [frag_size] from the
-   context's pool; each dies as soon as [deposit] consumes it, which
-   gives it back.  The one place pack callbacks run: the stream counts
-   as one copy, and [sg_finish] runs exactly once whether it completes
-   or a callback fails partway through.  Returns the fragments, one
-   per callback invocation. *)
-let pack_fragments ctx (g : send_generic) =
+(* Pack the whole stream into [slot], a slot of the context's slabs
+   taken by the caller, handing its [frag_size] windows to the pack
+   callbacks in turn.  The one place pack callbacks run: the stream
+   counts as one copy, and [sg_finish] runs exactly once whether it
+   completes or a callback fails partway through.  Returns the slot's
+   views cut at the pack boundaries, one per callback. *)
+let pack_fragments ctx (g : send_generic) slot =
   let frag_size = (link ctx).frag_size in
   let total = g.sg_packed_size in
   let frags = ref [] in
@@ -419,10 +413,7 @@ let pack_fragments ctx (g : send_generic) =
   match
     while !off < total do
       let want = min frag_size (total - !off) in
-      let hits = Buf.Pool.hits ctx.pool in
-      let dst = Buf.Pool.take ctx.pool want in
-      if want = frag_size && Buf.Pool.hits ctx.pool > hits then
-        Stats.record_bounce_reuse ctx.stats;
+      let dst = if want = total then slot else Buf.sub slot ~pos:!off ~len:want in
       let used = g.sg_pack ~offset:!off ~dst in
       Stats.record_pack_cb ctx.stats;
       (* Contract (paper Listing 4): while the stream is not exhausted a
@@ -487,27 +478,6 @@ let scatter_fragments frags regions =
       done)
     frags
 
-(* A send descriptor's bytes as rendezvous fragments (models the RDMA
-   engine).  Contiguous and iov descriptors yield the sender's own
-   buffers, read in place: MPI forbids a receive buffer that overlaps
-   the pending send buffer of the same message, so no snapshot is
-   needed.  These buffers belong to the application and must never
-   reach the pool.  Generic descriptors pack into bounce fragments
-   that the transport owns. *)
-let materialize ctx (dt : send_dt) =
-  match dt with
-  | Sd_contig b -> [ b ]
-  | Sd_iov bs -> bs
-  | Sd_generic g -> pack_fragments ctx g
-
-(* A loop, not [List.iter] of a partial application, which would
-   allocate a closure per deposit on every eager message. *)
-let rec give_back pool = function
-  | [] -> ()
-  | b :: rest ->
-      Buf.Pool.give pool b;
-      give_back pool rest
-
 (* Receiver CPU to copy [total] landed bytes into place; nothing when
    the stream landed there zero-copy. *)
 let[@inline] copy_cpu ctx ~zcopy total =
@@ -520,35 +490,27 @@ let[@inline] copy_cpu ctx ~zcopy total =
 (* Deliver packed fragments into a receive descriptor.  Returns the
    receiver CPU time consumed.  [zcopy] says contiguous and iov
    receivers take the stream in place (every rendezvous); a generic
-   receiver always copies through its unpack callbacks.  [owned] says
-   the fragments are the transport's own bounce buffers, which go back
-   to the pool afterwards. *)
-let deposit ctx (dt : recv_dt) frags ~zcopy ~owned =
+   receiver always copies through its unpack callbacks.  The fragments
+   stay their holder's. *)
+let deposit ctx (dt : recv_dt) frags ~zcopy =
   let total = List.fold_left (fun a b -> a + Buf.length b) 0 frags in
-  let cpu_time =
-    match dt with
-    | Rd_contig b ->
-        (match frags with
-        | [ f ] when Buf.length f <= Buf.length b ->
-            (* one fragment (every eager message): a single copy *)
-            Buf.blit ~src:f ~src_pos:0 ~dst:b ~dst_pos:0 ~len:(Buf.length f)
-        | _ -> scatter_fragments frags [ b ]);
-        copy_cpu ctx ~zcopy total
-    | Rd_iov regions ->
-        scatter_fragments frags regions;
-        copy_cpu ctx ~zcopy total
-    | Rd_generic g ->
-        let ncb = List.length frags in
-        unpack_fragments ctx g frags;
-        copy_cpu ctx ~zcopy:false total
-        +. (float_of_int ncb *. (cpu ctx).pack_cb_overhead_ns)
-        +. g.rg_overhead_ns
-  in
-  (* The fragments are fully consumed: those the pool lent go back for
-     the next pack.  (On a callback error we fall through without
-     recycling — ownership is unclear mid-unpack.) *)
-  if owned then give_back ctx.pool frags;
-  cpu_time
+  match dt with
+  | Rd_contig b ->
+      (match frags with
+      | [ f ] when Buf.length f <= Buf.length b ->
+          (* one fragment (every eager message): a single copy *)
+          Buf.blit ~src:f ~src_pos:0 ~dst:b ~dst_pos:0 ~len:(Buf.length f)
+      | _ -> scatter_fragments frags [ b ]);
+      copy_cpu ctx ~zcopy total
+  | Rd_iov regions ->
+      scatter_fragments frags regions;
+      copy_cpu ctx ~zcopy total
+  | Rd_generic g ->
+      let ncb = List.length frags in
+      unpack_fragments ctx g frags;
+      copy_cpu ctx ~zcopy:false total
+      +. (float_of_int ncb *. (cpu ctx).pack_cb_overhead_ns)
+      +. g.rg_overhead_ns
 
 (* Deposit an eager snapshot, as [deposit] would its one fragment. *)
 let land_snapshot ctx (dt : recv_dt) data =
@@ -556,7 +518,11 @@ let land_snapshot ctx (dt : recv_dt) data =
   | Rd_contig b ->
       Buf.blit ~src:data ~src_pos:0 ~dst:b ~dst_pos:0 ~len:(Buf.length data);
       copy_cpu ctx ~zcopy:false (Buf.length data)
-  | Rd_iov _ | Rd_generic _ -> deposit ctx dt [ data ] ~zcopy:false ~owned:false
+  | Rd_iov _ | Rd_generic _ -> deposit ctx dt [ data ] ~zcopy:false
+
+(* A message has ended (landed, refused, truncated or failed): nothing
+   reads its slot any more. *)
+let release ctx env = Buf.Slabs.give ctx.slabs env.e_data
 
 (* --- matching --- *)
 
@@ -806,7 +772,6 @@ let spawn_detector ctx events =
 
 let set_faults c p =
   c.faults <- Option.map Fault.start p;
-  Buf.Pool.set_inert c.pool (Option.is_some p);
   (* The jitter stream reseeds with the plan so a given (plan, seed)
      replay is deterministic even with jitter enabled.  XOR'd constant:
      keeps it distinct from the fault-decision stream of the same seed. *)
@@ -1140,19 +1105,38 @@ let data_args env =
    send descriptor: the pack callbacks run and the sender's copy is
    counted.  Wire moves the bytes.  Land deposits them into the receive
    descriptor and yields the receiver CPU.  Stage and land are the same
-   in both modes; the fault plan picks only the wire step. *)
+   in both modes, except that the reliable wire needs one stream, so an
+   iov sender is gathered for it; the fault plan picks the wire step.
+   Whatever slot stage took goes back once the transfer ends. *)
 
-(* Stage: from here on [materialize] owns the descriptor's disposal. *)
-let stage ctx (r : rndv) =
+(* Stage: from here on the transfer owns the descriptor's disposal.
+   Returns the views to land.  Contiguous and iov descriptors yield the
+   sender's own buffers, read in place: MPI forbids a receive buffer
+   that overlaps the pending send buffer of the same message, and the
+   sender completes only after the data has landed, so these buffers
+   need no copy and never reach the slabs.  A generic descriptor packs
+   into a slot, and an iov one is gathered into a slot (no charged
+   copy: the NIC gathers) where [whole] asks for one stream; the slot
+   becomes [env.e_data], released once the transfer ends, failed or
+   not. *)
+let stage ctx (env : envelope) (r : rndv) ~whole =
   r.r_done <- true;
-  materialize ctx r.r_dt
-
-(* Land: the stream lands in receiver memory without a copy unless the
-   receiver unpacks it, and only a generic sender's bounce fragments
-   are the transport's to recycle (the pool is inert under a plan). *)
-let land_stream ctx (r : rndv) (pr : request) frags =
-  deposit ctx pr.r_dt frags ~zcopy:true
-    ~owned:(match r.r_dt with Sd_generic _ -> true | Sd_contig _ | Sd_iov _ -> false)
+  match r.r_dt with
+  | Sd_contig b -> [ b ]
+  | Sd_iov bs when not whole -> bs
+  | Sd_iov bs ->
+      env.e_data <- Buf.Slabs.take ctx.slabs env.e_total;
+      ignore
+        (List.fold_left
+           (fun pos b ->
+             Buf.blit ~src:b ~src_pos:0 ~dst:env.e_data ~dst_pos:pos ~len:(Buf.length b);
+             pos + Buf.length b)
+           0 bs
+          : int);
+      [ env.e_data ]
+  | Sd_generic g ->
+      env.e_data <- Buf.Slabs.take ctx.slabs env.e_total;
+      pack_fragments ctx g env.e_data
 
 (* A failed rendezvous poisons both sides of the transfer and releases
    the receive descriptor.  The overlapped wire completes the receive
@@ -1217,18 +1201,14 @@ let rndv_match w (pr : request) (env : envelope) (r : rndv) =
   | None -> (
       let wire = path_serialize ctx ~src:env.e_src ~dst:w.id size +. iov_cost ctx r.r_dt in
       try
-        let frags = stage ctx r in
+        (* a generic receiver unpacks a gathered iov stream in one
+           callback *)
+        let whole = match pr.r_dt with Rd_generic _ -> true | Rd_contig _ | Rd_iov _ -> false in
+        let frags = stage ctx env r ~whole in
         let send_cbs = List.length frags in
         let cpu_send = staging_cpu ctx r.r_dt ~alloc:l.frag_size frags in
-        let frags =
-          match (r.r_dt, pr.r_dt) with
-          | Sd_iov _, Rd_generic _ ->
-              (* a generic receiver unpacks the gathered stream in one
-                 callback *)
-              [ Buf.concat frags ]
-          | _ -> frags
-        in
-        let cpu_recv = land_stream ctx r pr frags in
+        let cpu_recv = deposit ctx pr.r_dt frags ~zcopy:true in
+        release ctx env;
         let duration = handshake +. Float.max wire (Float.max cpu_send cpu_recv) in
         (* Phase spans for the rendezvous: handshake, then the wire
            transfer overlapped with sender pack and receiver unpack —
@@ -1279,26 +1259,31 @@ let rndv_match w (pr : request) (env : envelope) (r : rndv) =
             complete_if_pending r.r_request ok;
             complete_if_pending pr ok)
       with Callback_error code ->
+        release ctx env;
         rndv_failed e pr env r ~deferred:true (Callback_failed code))
   | Some fr ->
       Engine.spawn e ~name:"rel_rndv" ~track:env.e_src (fun () ->
           Engine.sleep e handshake;
           try
-            let frags = stage ctx r in
+            let frags = stage ctx env r ~whole:true in
             let cpu_send =
               (staging_cpu ctx r.r_dt ~alloc:l.frag_size frags
               +. iov_cost ctx r.r_dt)
               *. straggle ctx env.e_src
             in
-            let stream = Buf.concat frags in
+            let stream =
+              match r.r_dt with Sd_contig b -> b | Sd_iov _ | Sd_generic _ -> env.e_data
+            in
             Engine.sleep e cpu_send;
             match reliable_wire ctx fr w env r.r_dt stream with
             | Error err ->
+                release ctx env;
                 trace ctx "fault" "rndv %d->%d failed" env.e_src w.id;
                 rndv_failed e pr env r ~deferred:false err
             | Ok x ->
                 Engine.sleep e x.x_lag (* data lands *);
-                let cpu_recv = land_stream ctx r pr (reslice l x.x_delivered) in
+                let cpu_recv = deposit ctx pr.r_dt (reslice l x.x_delivered) ~zcopy:true in
+                release ctx env;
                 Engine.sleep e (cpu_recv *. straggle ctx w.id);
                 let ok = { len = size; tag = env.e_tag; error = None } in
                 complete_if_pending pr ok;
@@ -1306,6 +1291,7 @@ let rndv_match w (pr : request) (env : envelope) (r : rndv) =
                 Engine.at e ~delay:(path_latency ctx ~src:w.id ~dst:env.e_src)
                   (fun () -> complete_if_pending r.r_request ok)
           with Callback_error code ->
+            release ctx env;
             rndv_failed e pr env r ~deferred:false (Callback_failed code))
 
 (* Process a matched (posted, envelope) pair at the current virtual
@@ -1330,7 +1316,7 @@ let process_match w (pr : request) (env : envelope) =
        (it either already did, for eager, or completes now).  The data
        never moves, so the send descriptor is disposed here. *)
     (match env.e_payload with
-    | P_eager | P_frags _ -> Buf.Slabs.give ctx.snaps env.e_data
+    | P_eager | P_frags _ -> release ctx env
     | P_nack _ -> ()
     | P_rndv r ->
         dispose_rndv r;
@@ -1360,11 +1346,11 @@ let process_match w (pr : request) (env : envelope) =
         in
         match
           match payload with
-          | P_frags frags -> deposit ctx pr.r_dt frags ~zcopy:false ~owned:true
+          | P_frags frags -> deposit ctx pr.r_dt frags ~zcopy:false
           | _ -> land_snapshot ctx pr.r_dt env.e_data
         with
         | cpu_time ->
-            Buf.Slabs.give ctx.snaps env.e_data;
+            release ctx env;
             let sf = straggle ctx w.id in
             let alloc_delay = alloc_delay *. sf in
             let cpu_time = cpu_time *. sf in
@@ -1390,7 +1376,7 @@ let process_match w (pr : request) (env : envelope) =
               { len = env.e_total; tag = env.e_tag; error = None }
         | exception Callback_error code ->
             (* the callbacks are done with the bytes, failed or not *)
-            Buf.Slabs.give ctx.snaps env.e_data;
+            release ctx env;
             refuse_recv e pr ~delay:alloc_delay ~tag:env.e_tag (Callback_failed code))
 
 (* The "match" instant: every joined message gets one, whether a
@@ -1602,23 +1588,18 @@ let tag_send_from src ~dst ~tag dt =
       ship_rts src dst ~tag ~total ~seq:mseq dt req
   | Sd_contig _ | Sd_generic _ ->
       if total <= l.eager_limit then begin
-        (* Eager: snapshot/pack synchronously, then fire and forget.
-           eager-zcopy: the NIC reads the registered user buffer
-           directly; the snapshot exists only so the simulated sender
-           may reuse its buffer immediately.  Under a plan it is also
-           the reliable stream. *)
-        let data =
-          match dt with
-          | Sd_contig b ->
-              let snap = Buf.Slabs.take ctx.snaps (Buf.length b) in
-              Buf.blit ~src:b ~src_pos:0 ~dst:snap ~dst_pos:0 ~len:(Buf.length b);
-              snap
-          | Sd_generic _ | Sd_iov _ -> no_data
-        in
+        (* Eager: snapshot or pack into one slot synchronously, then
+           fire and forget.  eager-zcopy: the NIC reads the registered
+           user buffer directly; the snapshot exists only so the
+           simulated sender may reuse its buffer immediately.  Under a
+           plan the slot is also the reliable stream. *)
+        let data = Buf.Slabs.take ctx.slabs total in
         match
           match dt with
-          | Sd_contig _ -> []
-          | Sd_generic g -> pack_fragments ctx g
+          | Sd_contig b ->
+              Buf.blit ~src:b ~src_pos:0 ~dst:data ~dst_pos:0 ~len:total;
+              []
+          | Sd_generic g -> pack_fragments ctx g data
           | Sd_iov _ -> assert false
         with
         | frags ->
@@ -1652,10 +1633,10 @@ let tag_send_from src ~dst ~tag dt =
             (match ctx.faults with
             | None ->
                 let env =
-                  match dt with
-                  | Sd_contig _ -> envelope src ~tag ~total ~seq:mseq ~data P_eager
-                  | Sd_generic _ | Sd_iov _ ->
-                      envelope src ~tag ~total ~seq:mseq ~data:no_data (P_frags frags)
+                  envelope src ~tag ~total ~seq:mseq ~data
+                    (match dt with
+                    | Sd_contig _ -> P_eager
+                    | Sd_generic _ | Sd_iov _ -> P_frags frags)
                 in
                 ship src dst
                   ~after:
@@ -1670,30 +1651,26 @@ let tag_send_from src ~dst ~tag dt =
                    exhaustion can surface Timeout to the sender. *)
                 Engine.spawn e ~name:"rel_eager" ~track:src.id
                   (fun () ->
-                    let stream =
-                      match dt with
-                      | Sd_contig _ -> data
-                      | Sd_generic _ | Sd_iov _ -> Buf.concat frags
-                    in
                     match
                       reliable_transfer ctx fr ~mseq ~src_id:src.id
-                        ~dst_id:dst.id ~stream ~checksum:true
+                        ~dst_id:dst.id ~stream:data ~checksum:true
                     with
                     | Ok x ->
                         (* a checked stream lands as sent: [x_delivered]
-                           is [stream], and a contig send's slot stays
-                           lent until the envelope lands *)
+                           is the slot, which stays lent until the
+                           envelope lands *)
                         ship src dst ~after:x.x_lag
                           (envelope src ~tag ~total ~seq:mseq ~data
                              (P_frags (reslice l x.x_delivered)));
                         Engine.sleep e x.x_lag;
                         complete_if_pending req { len = total; tag; error = None }
                     | Error err ->
-                        Buf.Slabs.give ctx.snaps data;
+                        Buf.Slabs.give ctx.slabs data;
                         complete_if_pending req
                           { len = 0; tag; error = Some err };
                         ship_nack src dst ~tag ~seq:mseq err))
         | exception Callback_error code ->
+            Buf.Slabs.give ctx.slabs data;
             let err = Callback_failed code in
             complete_if_pending req { len = 0; tag; error = Some err };
             (* A failed pack must not leave the peer's posted receive

@@ -42,20 +42,18 @@ type context
 val create_context :
   engine:Engine.t -> config:Config.t -> stats:Stats.t -> context
 
-val pool : context -> Buf.Pool.t
-(** The context's buffer recycler ({!Buf.Pool}).  Generic sends pack
-    into bounce fragments taken from it, and a fault-free deposit gives
-    them back; the MPI layer recycles its own staging buffers through
-    it.  It is inert while a fault plan is attached ({!set_faults}) and
-    lives as long as the context. *)
-
-val snapshots : context -> Buf.Slabs.t
-(** The slots eager contiguous sends snapshot into, with or without a
-    fault plan.  Each goes back exactly once: when its message lands
-    (or a failing unpack callback refuses it), is truncated or fails to
-    transfer.  Once a world is quiet, [Buf.Slabs.free_slots] equals
-    [Buf.Slabs.carved_slots] unless a message was never received.
-    Exposed so tests can count; take nothing from it. *)
+val slabs : context -> Buf.Slabs.t
+(** The slots that hold a message's bytes, the same with or without a
+    fault plan: an eager contiguous send's snapshot, a generic send's
+    pack (one slot, its pack callbacks writing consecutive windows),
+    and an iovec rendezvous's gather where one stream is needed (under
+    a plan, or into a generic receiver).  Contiguous and iovec send
+    buffers are read in place and never enter it.  Each slot goes back
+    exactly once: when its message lands (or a failing unpack callback
+    refuses it), is truncated or fails to transfer.  Once a world is
+    quiet, [Buf.Slabs.free_slots] equals [Buf.Slabs.carved_slots]
+    unless a message was never received.  Exposed so tests can count;
+    take nothing from it. *)
 
 type worker
 

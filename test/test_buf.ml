@@ -678,20 +678,54 @@ let test_pool_bounded () =
   Alcotest.(check bool) "under the byte bound" true
     (Pool.retained_bytes p <= Pool.max_bytes)
 
-let test_pool_inert () =
-  let p = Pool.create () in
-  let a = Pool.take p 64 in
-  Pool.give p a;
-  Pool.set_inert p true;
-  check_int "free buffers dropped" 0 (Pool.retained_bytes p);
-  let b = Pool.take p 64 in
-  Alcotest.(check bool) "fresh while inert" false (Buf.same_memory a b);
-  Pool.give p b;
-  check_int "nothing kept while inert" 0 (Pool.retained_bytes p);
-  Pool.set_inert p false;
-  let c = Pool.take p 64 in
-  Alcotest.(check bool) "nothing recycled" false (Buf.same_memory b c);
-  check_int "no hits" 0 (Pool.hits p)
+(* Minor words one warmed-up call of [f] allocates, net of an empty
+   call. *)
+let minor_words_per_call f =
+  f ();
+  let empty () = ignore (Sys.opaque_identity 0) in
+  let measure g =
+    let w0 = Gc.minor_words () in
+    g ();
+    Gc.minor_words () -. w0
+  in
+  int_of_float (measure f -. measure empty)
+
+(* A view fill writes exactly the view, whatever its offset and length
+   (word stores, then a byte tail), as a byte loop would. *)
+let prop_fill_view =
+  QCheck.Test.make ~name:"buf: view fill = byte loop, nothing outside" ~count:300
+    QCheck.(triple (int_bound 64) (int_bound 3072) char)
+    (fun (off, len, c) ->
+      let n = off + len + 16 in
+      let got = Buf.create n and want = Bytes.create n in
+      for i = 0 to n - 1 do
+        Buf.set_u8 got i ((i * 37) + 5);
+        Bytes.set want i (Char.chr (((i * 37) + 5) land 0xff))
+      done;
+      Buf.fill (Buf.sub got ~pos:off ~len) c;
+      Bytes.fill want off len c;
+      Buf.to_string got = Bytes.to_string want)
+
+let test_fill_view_allocates_nothing () =
+  let b = Buf.create 5000 in
+  let view = Buf.sub b ~pos:3 ~len:4096 in
+  check_int "minor words for a 4 KiB view fill" 0
+    (minor_words_per_call (fun () -> Buf.fill view '\x5a'));
+  check_str "filled" (String.make 4096 '\x5a') (Buf.to_string view);
+  check_int "byte before untouched" 0 (Buf.get_u8 b 2);
+  check_int "byte after untouched" 0 (Buf.get_u8 b 4099)
+
+(* A slot given back is the next take of its class, at any length the
+   class holds, and the ledger counts it once. *)
+let test_slabs_retake () =
+  let s = Buf.Slabs.create () in
+  let a = Buf.Slabs.take s 1000 in
+  Buf.Slabs.give s a;
+  let b = Buf.Slabs.take s 600 in
+  Alcotest.(check bool) "same bytes" true (Buf.same_memory b (Buf.sub a ~pos:0 ~len:600));
+  Buf.Slabs.give s b;
+  check_int "one slot carved" 1 (Buf.Slabs.carved_slots s);
+  check_int "one slot free" 1 (Buf.Slabs.free_slots s)
 
 let suite =
   let tc = Alcotest.test_case in
@@ -741,5 +775,7 @@ let suite =
       tc "pool: views, strangers and double gives never alias" `Quick
         test_pool_never_aliases;
       tc "pool: retained bytes bounded" `Quick test_pool_bounded;
-      tc "pool: inert recycles nothing" `Quick test_pool_inert;
+      QCheck_alcotest.to_alcotest prop_fill_view;
+      tc "view fill allocates nothing" `Quick test_fill_view_allocates_nothing;
+      tc "slabs: a slot given back is retaken" `Quick test_slabs_retake;
     ] )

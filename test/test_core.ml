@@ -3,6 +3,7 @@
 module Buf = Mpicd_buf.Buf
 module Engine = Mpicd_simnet.Engine
 module Config = Mpicd_simnet.Config
+module Fault = Mpicd_simnet.Fault
 module Dt = Mpicd_datatype.Datatype
 module Custom = Mpicd.Custom
 module Mpi = Mpicd.Mpi
@@ -293,12 +294,15 @@ let packed_dt : Buf.t Custom.t =
     }
 
 (* Bounce buffers go back to the world's pool only after a clean
-   completion: a clean transfer returns both, a send whose pack
-   callback fails returns none, and a receive that completes with an
-   error keeps its own. *)
+   completion, the same with no plan and with a clean one: a clean
+   transfer returns both, a send whose pack callback fails returns
+   none, and a receive that completes with an error keeps its own.  On
+   a link that drops everything both sides fail, and neither returns
+   its buffer. *)
 let test_custom_bounce_returned_only_when_clean () =
-  let retained ~send_len ~recv_len ~send_dt =
+  let retained ?plan ~send_len ~recv_len ~send_dt () =
     let w = Mpi.create_world ~size:2 () in
+    Mpi.set_faults w plan;
     Mpi.run w (fun comm ->
         if Mpi.rank comm = 0 then
           let obj = Mpi.Custom { dt = send_dt; obj = pattern send_len; count = 1 } in
@@ -306,16 +310,15 @@ let test_custom_bounce_returned_only_when_clean () =
           | () -> ()
           | exception Mpi.Mpi_error (Mpi.Callback_failed _) ->
               Mpi.send comm ~dst:1 ~tag:0 (Mpi.Bytes (pattern recv_len))
+          | exception Mpi.Mpi_error (Mpi.Timeout _) -> ()
         else
           let sink = Buf.create recv_len in
           let obj = Mpi.Custom { dt = packed_dt; obj = sink; count = 1 } in
           match Mpi.recv comm obj with
           | _ -> ()
-          | exception Mpi.Mpi_error (Mpi.Truncated _) -> ());
+          | exception Mpi.Mpi_error (Mpi.Truncated _ | Mpi.Timeout _) -> ());
     Buf.Pool.retained_bytes (Mpi.world_pool w)
   in
-  check_int "clean: both bounce buffers back" 128
-    (retained ~send_len:64 ~recv_len:64 ~send_dt:packed_dt);
   let failing : Buf.t Custom.t =
     Custom.create
       {
@@ -328,11 +331,22 @@ let test_custom_bounce_returned_only_when_clean () =
         regions = None;
       }
   in
-  (* the receiver's bounce buffer is a custom one; the send's is not *)
-  check_int "failed pack: only the receiver's" 64
-    (retained ~send_len:64 ~recv_len:64 ~send_dt:failing);
-  check_int "truncated receive: only the sender's" 128
-    (retained ~send_len:128 ~recv_len:64 ~send_dt:packed_dt)
+  List.iter
+    (fun (mode, plan) ->
+      let retained = retained ?plan in
+      check_int (mode ^ ": clean: both bounce buffers back") 128
+        (retained ~send_len:64 ~recv_len:64 ~send_dt:packed_dt ());
+      (* the receiver's bounce buffer is a custom one; the send's is not *)
+      check_int (mode ^ ": failed pack: only the receiver's") 64
+        (retained ~send_len:64 ~recv_len:64 ~send_dt:failing ());
+      check_int (mode ^ ": truncated receive: only the sender's") 128
+        (retained ~send_len:128 ~recv_len:64 ~send_dt:packed_dt ()))
+    [ ("no plan", None); ("clean plan", Some (Fault.make ())) ];
+  let dead_link =
+    Fault.make ~max_retries:2 ~rto_ns:1_000. ~link:{ Fault.clean_link with drop_p = 1. } ()
+  in
+  check_int "dead link: neither" 0
+    (retained ~plan:dead_link ~send_len:64 ~recv_len:64 ~send_dt:packed_dt ())
 
 let test_truncation_error () =
   let w = Mpi.create_world ~size:2 () in

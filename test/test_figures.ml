@@ -252,14 +252,22 @@ let test_pool_misses_constant () =
       Alcotest.(check bool) (name ^ ": a few misses") true (m10 > 0 && m10 <= 4))
     (manual_methods ())
 
-let test_pool_inert_under_faults () =
+(* A clean plan changes nothing for the pool: twice the rounds
+   allocate nothing more, and the misses are those of a fault-free
+   run. *)
+let test_pool_recycles_under_clean_plan () =
   let faults = Mpicd_simnet.Fault.make ~seed:3 () in
+  let misses ?faults reps make =
+    Mpicd_buf.Buf.Pool.misses (pingpong_pool ?faults ~reps make)
+  in
   List.iter
     (fun (name, make) ->
-      let p = pingpong_pool ~faults ~reps:5 make in
-      Alcotest.(check int) (name ^ ": no reuse") 0 (Mpicd_buf.Buf.Pool.hits p);
-      Alcotest.(check int) (name ^ ": nothing kept") 0
-        (Mpicd_buf.Buf.Pool.retained_bytes p))
+      let m10 = misses ~faults 10 make in
+      Alcotest.(check int) (name ^ ": misses at reps 10 = reps 20") m10
+        (misses ~faults 20 make);
+      Alcotest.(check int) (name ^ ": misses as with no plan") (misses 10 make) m10;
+      Alcotest.(check bool) (name ^ ": recycled") true
+        (Mpicd_buf.Buf.Pool.hits (pingpong_pool ~faults ~reps:10 make) > 0))
     (manual_methods ())
 
 (* Methods handed one input pair share it, in order: each must start
@@ -386,8 +394,8 @@ let suite =
       tc "Fig10: custom-pack competitive" `Slow test_fig10_custom_competitive;
       tc "Fig10: reference is upper bound" `Slow test_fig10_reference_fastest;
       tc "pool: manual-pack misses are a constant" `Quick test_pool_misses_constant;
-      tc "pool: nothing recycled under a fault plan" `Quick
-        test_pool_inert_under_faults;
+      tc "pool: recycles under a clean plan" `Quick
+        test_pool_recycles_under_clean_plan;
       tc "methods share inputs from a zero sink" `Quick test_shared_inputs;
       tc "A5 table pinned" `Quick test_a5_table;
       tc "A5 shared object unchanged" `Quick test_a5_object_unchanged;

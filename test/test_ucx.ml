@@ -4,6 +4,7 @@ module Buf = Mpicd_buf.Buf
 module Engine = Mpicd_simnet.Engine
 module Config = Mpicd_simnet.Config
 module Stats = Mpicd_simnet.Stats
+module Fault = Mpicd_simnet.Fault
 module Ucx = Mpicd_ucx.Ucx
 
 let check_int = Alcotest.(check int)
@@ -229,18 +230,38 @@ let copying_recv dst =
       rg_overhead_ns = 0.;
     }
 
-(* A fault-free rendezvous reads contiguous and iov send buffers in
-   place.  They stay the application's: were one recycled into the
-   bounce pool, the generic pack that follows would zero it and pack
-   into it. *)
-let test_rndv_user_buffers_stay_out_of_bounce_pool () =
+(* A 2-worker world under [plan] ([None]: fault-free); [f] gets the
+   context too, for its slabs. *)
+let with_ctx ?(config = Config.default) plan f =
+  let engine = Engine.create () in
+  let stats = Stats.create () in
+  let ctx = Ucx.create_context ~engine ~config ~stats in
+  Ucx.set_faults ctx plan;
+  let w0 = Ucx.create_worker ctx in
+  let w1 = Ucx.create_worker ctx in
+  f ~engine ~w0 ~w1 ~ep01:(Ucx.connect w0 w1) ~ep10:(Ucx.connect w1 w0);
+  Engine.run engine;
+  ctx
+
+let check_ledger what ctx =
+  let s = Ucx.slabs ctx in
+  check_int (what ^ ": every carved slot free once quiet")
+    (Buf.Slabs.carved_slots s) (Buf.Slabs.free_slots s)
+
+(* A rendezvous reads contiguous and iov send buffers in place, with or
+   without a plan, and never gives them to the slabs: were one given,
+   the slab ledger would count a slot it never carved, and the generic
+   sends that follow (at once, so that under a plan they hold slots
+   together) would take it as a pack slot and write into it. *)
+let test_rndv_user_buffers_never_reach_slabs () =
   let link = Config.default.link in
   let frag = link.frag_size in
   (* a frag_size contiguous message must take the rendezvous path *)
   let config =
     { Config.default with link = { link with eager_limit = frag / 2 } }
   in
-  with_pair ~config (fun ~engine ~stats ~w0:_ ~w1 ~ep01 ~ep10:_ ->
+  List.iter
+    (fun (mode, plan) ->
       let contig = pattern frag in
       let iov = [ pattern frag; Buf.sub (pattern (frag + 3)) ~pos:3 ~len:frag ] in
       let iov_generic = [ pattern frag; pattern 5 ] in
@@ -251,29 +272,46 @@ let test_rndv_user_buffers_stay_out_of_bounce_pool () =
       let d_contig = Buf.create frag and d_iov = Buf.create (2 * frag) in
       let d_iov_generic = Buf.create (frag + 5) in
       let d_generic = Buf.create (2 * frag) in
-      Engine.spawn engine (fun () ->
-          let send tag dt = expect_ok (Ucx.wait (Ucx.tag_send ep01 ~tag dt)) in
-          send 1L (Ucx.Sd_contig contig);
-          send 2L (Ucx.Sd_iov iov);
-          send 3L (Ucx.Sd_iov iov_generic);
-          send 4L (reversing_send generic);
-          List.iter
-            (fun (b, orig) ->
-              Alcotest.(check bool) "send buffer untouched" true (Buf.equal b orig))
-            originals;
-          check_int "no pooled fragment reused" 0 stats.bounce_reuses);
-      Engine.spawn engine (fun () ->
-          let recv tag dt = expect_ok (Ucx.wait (Ucx.tag_recv w1 ~tag ~mask:(-1L) dt)) in
-          recv 1L (Ucx.Rd_contig d_contig);
-          recv 2L (Ucx.Rd_contig d_iov);
-          recv 3L (copying_recv d_iov_generic);
-          recv 4L (reversing_recv d_generic);
-          Alcotest.(check bool) "contig payload" true (Buf.equal contig d_contig);
-          Alcotest.(check bool) "iov payload" true
-            (Buf.equal (Buf.concat iov) d_iov);
-          Alcotest.(check bool) "iov -> generic payload" true
-            (Buf.equal (Buf.concat iov_generic) d_iov_generic);
-          Alcotest.(check bool) "generic payload" true (Buf.equal generic d_generic)))
+      let followers = [ frag; frag; frag; frag; 5 ] in
+      let ctx =
+        with_ctx ~config plan (fun ~engine ~w0:_ ~w1 ~ep01 ~ep10:_ ->
+            Engine.spawn engine (fun () ->
+                let send tag dt = expect_ok (Ucx.wait (Ucx.tag_send ep01 ~tag dt)) in
+                send 1L (Ucx.Sd_contig contig);
+                send 2L (Ucx.Sd_iov iov);
+                send 3L (Ucx.Sd_iov iov_generic);
+                send 4L (reversing_send generic);
+                List.iter
+                  (fun r -> expect_ok (Ucx.wait r))
+                  (List.map
+                     (fun n -> Ucx.tag_send ep01 ~tag:5L (reversing_send (pattern n)))
+                     followers);
+                List.iter
+                  (fun (b, orig) ->
+                    Alcotest.(check bool)
+                      (mode ^ ": send buffer untouched")
+                      true (Buf.equal b orig))
+                  originals);
+            Engine.spawn engine (fun () ->
+                let recv tag dt =
+                  expect_ok (Ucx.wait (Ucx.tag_recv w1 ~tag ~mask:(-1L) dt))
+                in
+                recv 1L (Ucx.Rd_contig d_contig);
+                recv 2L (Ucx.Rd_contig d_iov);
+                recv 3L (copying_recv d_iov_generic);
+                recv 4L (reversing_recv d_generic);
+                List.iter (fun n -> recv 5L (Ucx.Rd_contig (Buf.create n))) followers;
+                Alcotest.(check bool) (mode ^ ": contig payload") true
+                  (Buf.equal contig d_contig);
+                Alcotest.(check bool) (mode ^ ": iov payload") true
+                  (Buf.equal (Buf.concat iov) d_iov);
+                Alcotest.(check bool) (mode ^ ": iov -> generic payload") true
+                  (Buf.equal (Buf.concat iov_generic) d_iov_generic);
+                Alcotest.(check bool) (mode ^ ": generic payload") true
+                  (Buf.equal generic d_generic)))
+      in
+      check_ledger mode ctx)
+    [ ("no plan", None); ("clean plan", Some (Fault.make ())) ]
 
 (* A generic receiver that counts its [rg_finish] calls; the transport
    must make exactly one per matched receive, whatever the outcome. *)
@@ -647,8 +685,6 @@ let test_trace_records_protocols () =
    generic rendezvous unpacks in one callback, the reliable path in
    [frag_size] slices. *)
 
-module Fault = Mpicd_simnet.Fault
-
 let matrix_rndv_bytes = 40_000
 let matrix_eager_bytes = 1000
 
@@ -898,14 +934,29 @@ let test_eager_snapshots_in_flight () =
               (Buf.to_string dst)
           done))
 
-(* Eager contig messages 0 -> 1 under [plan], all in flight at once
-   from one reused source buffer: message [k] is [len] bytes of
-   ['A' + k].  The receiver starts [recv_after] ns later and receives
-   them in order, [recv k] giving message [k]'s descriptor and the
-   check of its status; with a late start every message waits in the
-   unexpected queue.  Returns the snapshot slabs' carved and free slots
-   once the world is quiet, and the stats. *)
-let snapshot_run ?(msgs = 8) ?(len = 1000) ~recv_after ~recv plan =
+(* A generic descriptor packing [src] as it is. *)
+let copying_send src =
+  Ucx.Sd_generic
+    {
+      sg_packed_size = Buf.length src;
+      sg_pack =
+        (fun ~offset ~dst ->
+          let n = min (Buf.length dst) (Buf.length src - offset) in
+          Buf.blit ~src ~src_pos:offset ~dst ~dst_pos:0 ~len:n;
+          n);
+      sg_finish = ignore;
+      sg_overhead_ns = 0.;
+    }
+
+(* Messages 0 -> 1 under [plan], all in flight at once: message [k] is
+   [len] bytes of ['A' + k], sent contiguous from one reused source
+   buffer or, with [generic], packed from a source of its own.  The
+   receiver starts [recv_after] ns later and receives them in order,
+   [recv k] giving message [k]'s descriptor and the check of its
+   status; with a late start every message waits in the unexpected
+   queue.  Returns the transport slabs' carved and free slots once the
+   world is quiet, and the stats. *)
+let snapshot_run ?(msgs = 8) ?(len = 1000) ?(generic = false) ~recv_after ~recv plan =
   let engine = Engine.create () in
   let stats = Stats.create () in
   let ctx = Ucx.create_context ~engine ~config:Config.default ~stats in
@@ -914,11 +965,13 @@ let snapshot_run ?(msgs = 8) ?(len = 1000) ~recv_after ~recv plan =
   let w1 = Ucx.create_worker ctx in
   let ep = Ucx.connect w0 w1 in
   Engine.spawn engine (fun () ->
-      let src = Buf.create len in
+      let shared = Buf.create len in
       let reqs = ref [] in
       for k = 0 to msgs - 1 do
+        let src = if generic then Buf.create len else shared in
         Buf.fill src (Char.chr (65 + k));
-        reqs := Ucx.tag_send ep ~tag:(Int64.of_int k) (Ucx.Sd_contig src) :: !reqs
+        let dt = if generic then copying_send src else Ucx.Sd_contig src in
+        reqs := Ucx.tag_send ep ~tag:(Int64.of_int k) dt :: !reqs
       done;
       List.iter (fun r -> ignore (Ucx.wait r)) !reqs);
   Engine.spawn engine (fun () ->
@@ -928,7 +981,7 @@ let snapshot_run ?(msgs = 8) ?(len = 1000) ~recv_after ~recv plan =
         check (Ucx.wait (Ucx.tag_recv w1 ~tag:(Int64.of_int k) ~mask:(-1L) dt))
       done);
   Engine.run engine;
-  let s = Ucx.snapshots ctx in
+  let s = Ucx.slabs ctx in
   (Buf.Slabs.carved_slots s, Buf.Slabs.free_slots s, stats)
 
 (* Message [k] lands whole. *)
@@ -948,12 +1001,13 @@ let fails_with what pred (st : Ucx.status) =
   | Some e when pred e -> ()
   | _ -> Alcotest.failf "%s: expected the receive to fail" what
 
-(* Every snapshot slot an eager contig send carves goes back exactly
-   once, whatever the message's fate, and under a plan the snapshot
-   comes from the slabs too.  Fewer free than carved slots is a leak;
-   more is a slot given back twice.  The receivers check each message's
-   bytes, so a slot given back while its message still waits to land
-   (and retaken by the next send) shows as a wrong payload. *)
+(* Every slot a message carves goes back exactly once, whatever its
+   fate, with or without a plan: an eager contig send's snapshot, and a
+   generic send's pack, eager or rendezvous.  Fewer free than carved
+   slots is a leak; more is a slot given back twice.  The receivers
+   check each message's bytes, so a slot given back while its message
+   still waits to land (and retaken by the next send) shows as a wrong
+   payload. *)
 let test_snapshot_slots_given_back () =
   let lossy =
     Fault.make ~seed:3 ~max_retries:30 ~rto_ns:5_000.
@@ -964,9 +1018,9 @@ let test_snapshot_slots_given_back () =
     Fault.make ~max_retries:2 ~rto_ns:1_000.
       ~link:{ Fault.clean_link with drop_p = 1. } ()
   in
-  let failing_unpack _ =
+  let failing_unpack len _ =
     let raises ~offset:_ ~src:_ = raise (Ucx.Callback_error 7) in
-    ( counting_recv ~unpack:raises 1000 (ref 0),
+    ( counting_recv ~unpack:raises len (ref 0),
       fails_with "unpack" (function Ucx.Callback_failed 7 -> true | _ -> false) )
   in
   let truncated _ =
@@ -981,7 +1035,7 @@ let test_snapshot_slots_given_back () =
     s.retransmits > 0 && s.frags_duplicated > 0 && s.frags_corrupted > 0
   in
   let any _ = true in
-  let cases =
+  let both =
     [
       ("no plan", None, 1000, lands 1000, any);
       ("clean plan", Some (Fault.make ()), 1000, lands 1000, any);
@@ -989,23 +1043,96 @@ let test_snapshot_slots_given_back () =
       ("drop, dup and corrupt fates", Some lossy, 20_000, lands 20_000, faults);
       ("truncated, no plan", None, 1000, truncated, any);
       ("truncated, clean plan", Some (Fault.make ()), 1000, truncated, any);
-      ("unpack fails, no plan", None, 1000, failing_unpack, any);
-      ("unpack fails, lossy plan", Some lossy, 1000, failing_unpack, faults);
+      ("unpack fails, no plan", None, 1000, failing_unpack 1000, any);
+      ("unpack fails, lossy plan", Some lossy, 1000, failing_unpack 1000, faults);
       ( "retries run out", Some dead_link, 1000, timed_out,
         fun (s : Stats.t) -> s.delivery_timeouts = 8 );
     ]
   in
+  (* a rendezvous packs at match time, so only a matched one carves *)
+  let rendezvous =
+    [
+      ("rendezvous, no plan", None, 40_000, lands 40_000, any);
+      ("rendezvous, clean plan", Some (Fault.make ()), 40_000, lands 40_000, any);
+      ("rendezvous, drop, dup and corrupt fates", Some lossy, 40_000, lands 40_000, faults);
+      ("rendezvous unpack fails, no plan", None, 40_000, failing_unpack 40_000, any);
+      ("rendezvous unpack fails, lossy plan", Some lossy, 40_000, failing_unpack 40_000, faults);
+    ]
+  in
   List.iter
-    (fun (what, plan, len, recv, fates) ->
+    (fun (send, generic, cases) ->
       List.iter
-        (fun recv_after ->
-          let carved, free, stats = snapshot_run ~len ~recv_after ~recv plan in
-          let what = Printf.sprintf "%s, receiver after %.0f ns" what recv_after in
-          if carved = 0 then Alcotest.failf "%s: no snapshot slot carved" what;
-          check_int (what ^ ": every carved slot free once quiet") carved free;
-          Alcotest.(check bool) (what ^ ": the plan's fates happened") true (fates stats))
-        [ 0.; 1e7 ])
-    cases
+        (fun (what, plan, len, recv, fates) ->
+          List.iter
+            (fun recv_after ->
+              let carved, free, stats =
+                snapshot_run ~len ~generic ~recv_after ~recv plan
+              in
+              let what =
+                Printf.sprintf "%s %s, receiver after %.0f ns" send what recv_after
+              in
+              if carved = 0 then Alcotest.failf "%s: no slot carved" what;
+              check_int (what ^ ": every carved slot free once quiet") carved free;
+              Alcotest.(check bool) (what ^ ": the plan's fates happened") true
+                (fates stats))
+            [ 0.; 1e7 ])
+        cases)
+    [ ("contig", false, both); ("generic", true, both @ rendezvous) ]
+
+(* Messages 0 -> 1 one at a time under [plan], each acknowledged by an
+   empty message: the slots the transport carved and the fresh buffers
+   allocated while [msgs] of them went. *)
+let message_costs plan ~msgs send_dt recv_dt =
+  let ack = Buf.create 0 in
+  let fresh = ref 0 in
+  let ctx =
+    with_ctx plan (fun ~engine ~w0 ~w1 ~ep01 ~ep10 ->
+        fresh := Buf.fresh_buffers ();
+        Engine.spawn engine (fun () ->
+            for _ = 1 to msgs do
+              expect_ok (Ucx.wait (Ucx.tag_send ep01 ~tag:1L send_dt));
+              expect_ok (Ucx.wait (Ucx.tag_recv w0 ~tag:2L ~mask:(-1L) (Ucx.Rd_contig ack)))
+            done);
+        Engine.spawn engine (fun () ->
+            for _ = 1 to msgs do
+              expect_ok (Ucx.wait (Ucx.tag_recv w1 ~tag:1L ~mask:(-1L) recv_dt));
+              expect_ok (Ucx.wait (Ucx.tag_send ep10 ~tag:2L (Ucx.Sd_contig ack)))
+            done))
+  in
+  (Buf.Slabs.carved_slots (Ucx.slabs ctx), Buf.fresh_buffers () - !fresh)
+
+(* A message allocates the same with or without a plan: no fresh buffer
+   on any path, at 10 messages as at 20, and one reused slot for a
+   generic pack or a gather.  The one mode difference: under a plan an
+   iov rendezvous into a contig receiver is gathered into a slot,
+   because the reliable stream is one buffer. *)
+let test_message_costs () =
+  let n = 65_536 in
+  let iov () = Ucx.Sd_iov [ pattern (n / 2); pattern (n / 2) ] in
+  let rows =
+    [
+      ("generic eager 1000 B", reversing_send (pattern 1000), reversing_recv (Buf.create 1000), 1, 1);
+      ( "generic eager 20,000 B", reversing_send (pattern 20_000),
+        reversing_recv (Buf.create 20_000), 1, 1 );
+      ("contig rendezvous 64 KiB", Ucx.Sd_contig (pattern n), Ucx.Rd_contig (Buf.create n), 0, 0);
+      ("generic rendezvous 64 KiB", reversing_send (pattern n), reversing_recv (Buf.create n), 1, 1);
+      ("iov rendezvous 64 KiB", iov (), Ucx.Rd_contig (Buf.create n), 0, 1);
+      ("iov -> generic 64 KiB", iov (), copying_recv (Buf.create n), 1, 1);
+    ]
+  in
+  List.iter
+    (fun (row, send_dt, recv_dt, slots, plan_slots) ->
+      List.iter
+        (fun (mode, plan, slots) ->
+          List.iter
+            (fun msgs ->
+              let carved, fresh = message_costs plan ~msgs send_dt recv_dt in
+              let what = Printf.sprintf "%s, %s, %d messages" row mode msgs in
+              check_int (what ^ ": slots carved") slots carved;
+              check_int (what ^ ": fresh buffers") 0 fresh)
+            [ 10; 20 ])
+        [ ("no plan", None, slots); ("clean plan", Some (Fault.make ()), plan_slots) ])
+    rows
 
 (* An unchecked corruption (checksum off: the iovec DMA path) lands in
    a private copy with exactly one flipped bit, and the sent stream,
@@ -1160,8 +1287,8 @@ let suite =
       tc "generic eager callbacks" `Quick test_generic_eager;
       tc "generic rndv fragments" `Quick test_generic_rndv_fragments;
       tc "generic->contig packed stream" `Quick test_generic_to_contig;
-      tc "rndv user buffers stay out of bounce pool" `Quick
-        test_rndv_user_buffers_stay_out_of_bounce_pool;
+      tc "rndv user buffers never reach the slabs" `Quick
+        test_rndv_user_buffers_never_reach_slabs;
       tc "truncation (eager)" `Quick test_truncation_eager;
       tc "truncation (rndv) sender ok" `Quick test_truncation_rndv_completes_sender;
       tc "pack callback error" `Quick test_pack_callback_error;
@@ -1186,6 +1313,7 @@ let suite =
       QCheck_alcotest.to_alcotest prop_crc32_detects_bit_flips;
       tc "eager snapshots in flight stay distinct" `Quick test_eager_snapshots_in_flight;
       tc "snapshot slots given back once" `Quick test_snapshot_slots_given_back;
+      tc "a message allocates the same with or without a plan" `Quick test_message_costs;
       tc "unchecked corruption copies on write" `Quick
         test_unchecked_corruption_copies_on_write;
       tc "ping-pong minor words per message" `Quick test_pingpong_words;
