@@ -368,9 +368,13 @@ module Pool = struct
 
   let create () = { classes = []; retained = 0; hits = 0; misses = 0 }
 
+  (* What [find_class] returns when no class has the length: a lookup
+     allocates no option. *)
+  let no_class = { len = -1; free = [||]; nfree = 0; lent = [||]; next_loan = 0 }
+
   let rec find_class n = function
-    | [] -> None
-    | c :: rest -> if c.len = n then Some c else find_class n rest
+    | [] -> no_class
+    | c :: rest -> if c.len = n then c else find_class n rest
 
   (* The oldest class goes when a new one would exceed [max_classes];
      its free buffers stop counting as retained. *)
@@ -400,7 +404,8 @@ module Pool = struct
   let take p n =
     if n < 0 then invalid_arg "Buf.Pool.take: negative length";
     let c =
-      match find_class n p.classes with Some c -> c | None -> add_class p n
+      let c = find_class n p.classes in
+      if c != no_class then c else add_class p n
     in
     let b =
       if c.nfree > 0 then begin
@@ -423,29 +428,27 @@ module Pool = struct
     b
 
   (* Clear the ring slot holding [b] itself (not a view of the same
-     bytes, which is a different record); newest loans first. *)
-  let return_loan c (b : buf) =
-    let rec go k =
-      k < max_class_buffers
-      &&
-      let i = (c.next_loan - 1 - k + max_class_buffers) mod max_class_buffers in
-      if c.lent.(i) == b then begin
-        c.lent.(i) <- empty;
-        true
-      end
-      else go (k + 1)
-    in
-    go 0
+     bytes, which is a different record); newest loans first, from the
+     [k]th.  A plain recursive function: a local one would allocate its
+     closure on every give. *)
+  let rec return_loan c (b : buf) k =
+    k < max_class_buffers
+    &&
+    let i = (c.next_loan - 1 - k + max_class_buffers) mod max_class_buffers in
+    if c.lent.(i) == b then begin
+      c.lent.(i) <- empty;
+      true
+    end
+    else return_loan c b (k + 1)
 
   let give p (b : buf) =
-    match find_class b.len p.classes with
-    | Some c when return_loan c b ->
-        if c.nfree < max_class_buffers && p.retained + b.len <= max_bytes then begin
-          c.free.(c.nfree) <- b;
-          c.nfree <- c.nfree + 1;
-          p.retained <- p.retained + b.len
-        end
-    | Some _ | None -> ()
+    let c = find_class b.len p.classes in
+    if c != no_class && return_loan c b 0 then
+      if c.nfree < max_class_buffers && p.retained + b.len <= max_bytes then begin
+        c.free.(c.nfree) <- b;
+        c.nfree <- c.nfree + 1;
+        p.retained <- p.retained + b.len
+      end
 
   let retained_bytes p = p.retained
   let hits p = p.hits

@@ -154,6 +154,77 @@ let test_dv_header_mismatch () =
     [ (0, 28); (0, 5); (8, 9); (27, 1) ];
   Mpicd.Custom.finish op
 
+(* The header is one little-endian 32-bit length per subvector, and
+   any window of it, including one that cuts a length, packs those
+   bytes and unpacks them cleanly; every byte changed in a window
+   raises [Custom.Error 86].  Lengths above 255 make every byte of a
+   length count. *)
+let test_dv_header_windows () =
+  let lens = [| 300; 70_000; 5; 65_794 |] in
+  let all = Buf.create (Array.fold_left ( + ) 0 lens) in
+  let pos = ref 0 in
+  let t =
+    Array.map
+      (fun len ->
+        let v = Buf.sub all ~pos:!pos ~len in
+        pos := !pos + len;
+        v)
+      lens
+  in
+  let n = 4 * Array.length lens in
+  let oracle = Buf.create n in
+  Array.iteri (fun i len -> Buf.set_i32 oracle (4 * i) (Int32.of_int len)) lens;
+  let op = Mpicd.Custom.start B.Double_vec.custom_dt t ~count:1 in
+  check_int "packed size" n (Mpicd.Custom.packed_size op);
+  for offset = 0 to n - 1 do
+    for len = 1 to n - offset do
+      let where = Printf.sprintf "window (%d, %d)" offset len in
+      let dst = Buf.create len in
+      check_int (where ^ " packed") len (Mpicd.Custom.pack op ~offset ~dst);
+      let want = Buf.sub oracle ~pos:offset ~len in
+      Alcotest.(check string)
+        (where ^ " bytes") (Buf.to_string want) (Buf.to_string dst);
+      Mpicd.Custom.unpack op ~offset ~src:dst;
+      for j = 0 to len - 1 do
+        let bad = Buf.copy dst in
+        Buf.set_u8 bad j (Buf.get_u8 bad j lxor 0x10);
+        match Mpicd.Custom.unpack op ~offset ~src:bad with
+        | () -> Alcotest.failf "%s: byte %d changed, accepted" where j
+        | exception Mpicd.Custom.Error code -> check_int (where ^ " code") 86 code
+      done
+    done
+  done;
+  let dst = Buf.create 8 in
+  check_int "short at the end" 3 (Mpicd.Custom.pack op ~offset:(n - 3) ~dst);
+  Mpicd.Custom.finish op
+
+(* A receiver whose subvectors have the same count and total as the
+   sender's but other lengths fails the receive with code 86. *)
+let test_dv_shape_mismatch_over_mpi () =
+  let w = Mpi.create_world ~size:2 () in
+  let src = B.Double_vec.generate ~subvec_bytes:100 ~total_bytes:700 in
+  let all = Buf.create 700 in
+  let sink =
+    Array.of_list
+      (List.map2
+         (fun pos len -> Buf.sub all ~pos ~len)
+         [ 0; 50; 200; 300; 400; 500; 600 ]
+         [ 50; 150; 100; 100; 100; 100; 100 ])
+  in
+  let saw = ref false in
+  Mpi.run w (fun comm ->
+      if Mpi.rank comm = 0 then
+        Mpi.send comm ~dst:1 ~tag:0
+          (Mpi.Custom { dt = B.Double_vec.custom_dt; obj = src; count = 1 })
+      else
+        match
+          Mpi.recv comm
+            (Mpi.Custom { dt = B.Double_vec.custom_dt; obj = sink; count = 1 })
+        with
+        | _ -> Alcotest.fail "expected a shape mismatch"
+        | exception Mpi.Mpi_error (Mpi.Callback_failed 86) -> saw := true);
+  Alcotest.(check bool) "mismatch seen" true !saw
+
 (* --- struct types (generic checks over the three modules) --- *)
 
 let struct_cases : (string * (module B.STRUCT)) list =
@@ -480,6 +551,8 @@ let suite =
       tc "double-vec custom over MPI" `Quick test_dv_custom_over_mpi;
       tc "double-vec custom zero copy" `Quick test_dv_custom_zero_copy;
       tc "double-vec header mismatch raises 86" `Quick test_dv_header_mismatch;
+      tc "double-vec header windows split lengths" `Quick test_dv_header_windows;
+      tc "double-vec shape mismatch over MPI" `Quick test_dv_shape_mismatch_over_mpi;
       tc "struct sizes match paper" `Quick test_struct_sizes;
       tc "struct manual roundtrips" `Quick test_struct_manual_roundtrip;
       tc "struct custom over MPI" `Quick test_struct_custom_over_mpi;

@@ -715,6 +715,22 @@ let test_fill_view_allocates_nothing () =
   check_int "byte before untouched" 0 (Buf.get_u8 b 2);
   check_int "byte after untouched" 0 (Buf.get_u8 b 4099)
 
+(* Once a class holds a buffer, a take/give pair on it allocates
+   nothing: the class lookup returns no option. *)
+let test_pool_take_give_allocates_nothing () =
+  let p = Pool.create () in
+  Pool.give p (Pool.take p 32);
+  (* a newer class, so each lookup walks past one *)
+  Pool.give p (Pool.take p 64);
+  let pairs () =
+    for _ = 1 to 1000 do
+      Pool.give p (Pool.take p 32)
+    done
+  in
+  check_int "minor words for 1,000 take/give pairs" 0 (minor_words_per_call pairs);
+  check_int "every later take hits" 2000 (Pool.hits p);
+  check_int "misses" 2 (Pool.misses p)
+
 (* A slot given back is the next take of its class, at any length the
    class holds, and the ledger counts it once. *)
 let test_slabs_retake () =
@@ -777,5 +793,7 @@ let suite =
       tc "pool: retained bytes bounded" `Quick test_pool_bounded;
       QCheck_alcotest.to_alcotest prop_fill_view;
       tc "view fill allocates nothing" `Quick test_fill_view_allocates_nothing;
+      tc "pool: take/give allocate nothing" `Quick
+        test_pool_take_give_allocates_nothing;
       tc "slabs: a slot given back is retaken" `Quick test_slabs_retake;
     ] )

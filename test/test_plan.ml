@@ -568,6 +568,71 @@ let prop_stats_counts =
       && plan_pack = interp && plan_unpack = interp && plan_window = interp
       && frags `Plan = frags `Interp)
 
+(* A handle from [get] compiles on first use, through whichever entry
+   point comes first, to the plan [build] compiles at once: each check
+   below starts from a fresh, uncompiled handle. *)
+let prop_first_use_equiv =
+  QCheck.Test.make ~name:"plan: get compiled on first use = build" ~count:200
+    QCheck.(triple arb_datatype (int_range 1 3) (int_range 1 64))
+    (fun (t, count, frag) ->
+      let built = Plan.build t in
+      let fresh () =
+        Plan.clear_cache ();
+        Plan.get t
+      in
+      let n = src_len t ~count in
+      let src = pattern n in
+      let psize = Dt.packed_size t ~count in
+      let packed p =
+        let b = Buf.create psize in
+        ignore (Plan.pack p ~count ~src ~dst:b);
+        b
+      in
+      let whole = packed built in
+      let unpacked p =
+        let b = Buf.create n in
+        Plan.unpack p ~count ~src:whole ~dst:b;
+        b
+      in
+      (* the stream in [frag]-byte windows, packed or unpacked *)
+      let windows ?cursor p ~pack =
+        let out = Buf.create (if pack then psize else n) in
+        let off = ref 0 in
+        while !off < psize do
+          let len = min frag (psize - !off) in
+          let got =
+            if pack then
+              Plan.pack_range ?cursor p ~count ~src ~packed_off:!off
+                ~dst:(Buf.sub out ~pos:!off ~len)
+            else
+              Plan.unpack_range ?cursor p ~count ~src:(Buf.sub whole ~pos:!off ~len)
+                ~packed_off:!off ~dst:out
+          in
+          assert (got = len);
+          off := !off + len
+        done;
+        out
+      in
+      let with_cursor ~pack =
+        let p = fresh () in
+        windows ~cursor:(Plan.cursor p) p ~pack
+      in
+      let iov_i = Plan.iovec built ~count ~base:src in
+      let iov_p = Plan.iovec (fresh ()) ~count ~base:src in
+      Plan.size (fresh ()) = Plan.size built
+      && Plan.extent (fresh ()) = Plan.extent built
+      && Plan.block_count (fresh ()) = Plan.block_count built
+      && Plan.packed_size (fresh ()) ~count = psize
+      && Plan.is_contiguous (fresh ()) = Plan.is_contiguous built
+      && Buf.equal (packed (fresh ())) whole
+      && Buf.equal (unpacked (fresh ())) (unpacked built)
+      && Buf.equal (windows (fresh ()) ~pack:true) whole
+      && Buf.equal (with_cursor ~pack:true) whole
+      && Buf.equal (windows (fresh ()) ~pack:false) (unpacked built)
+      && Buf.equal (with_cursor ~pack:false) (unpacked built)
+      && List.length iov_i = List.length iov_p
+      && List.for_all2 Buf.same_memory iov_i iov_p)
+
 let suite =
   ( "plan",
     [
@@ -585,4 +650,5 @@ let suite =
       QCheck_alcotest.to_alcotest prop_short_typed_buffer;
       QCheck_alcotest.to_alcotest prop_overlapping_views;
       QCheck_alcotest.to_alcotest prop_stats_counts;
+      QCheck_alcotest.to_alcotest prop_first_use_equiv;
     ] )
