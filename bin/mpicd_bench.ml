@@ -12,6 +12,7 @@
 
 open Cmdliner
 module Config = Mpicd_simnet.Config
+module Stats = Mpicd_simnet.Stats
 module Topology = Mpicd_simnet.Topology
 module Report = Mpicd_harness.Report
 module H = Mpicd_harness.Harness
@@ -219,16 +220,11 @@ let kernel_cmd =
         exit 2
     | Some (module K : Kernel.KERNEL) ->
         let k = (module K : Kernel.KERNEL) in
-        let rel = Mpicd_simnet.Stats.create () in
+        let rel = Stats.create () in
         let bw make =
           let r = H.pingpong ~config ~reps ?faults ~bytes:K.wire_bytes make in
           let s = r.H.stats in
-          rel.retransmits <- rel.retransmits + s.retransmits;
-          rel.frags_dropped <- rel.frags_dropped + s.frags_dropped;
-          rel.frags_corrupted <- rel.frags_corrupted + s.frags_corrupted;
-          rel.frags_duplicated <- rel.frags_duplicated + s.frags_duplicated;
-          rel.iov_fallbacks <- rel.iov_fallbacks + s.iov_fallbacks;
-          rel.flap_waits <- rel.flap_waits + s.flap_waits;
+          List.iter (fun c -> Stats.add rel c (Stats.get s c)) Stats.all;
           r.H.bandwidth_mib_s
         in
         Format.printf "kernel %s: %s wire bytes, %d blocks@."
@@ -253,8 +249,9 @@ let kernel_cmd =
         Format.printf
           "@.reliability: retransmits=%d drops=%d corrupt=%d dups=%d \
            iov_fallbacks=%d flap_waits=%d@."
-          rel.retransmits rel.frags_dropped rel.frags_corrupted
-          rel.frags_duplicated rel.iov_fallbacks rel.flap_waits
+          (Stats.get rel Retransmits) (Stats.get rel Frags_dropped)
+          (Stats.get rel Frags_corrupted) (Stats.get rel Frags_duplicated)
+          (Stats.get rel Iov_fallbacks) (Stats.get rel Flap_waits)
   in
   Cmd.v
     (Cmd.info "kernel"

@@ -337,8 +337,9 @@ let check_crash_cell ~name ~seed ~plan outcomes =
 
 let crash_stats_str (s : Stats.t) =
   Printf.sprintf "retx=%d detect=%d cancel=%d revoke=%d shrink=%d agree=%d"
-    s.Stats.retransmits s.Stats.failures_detected s.Stats.ops_cancelled
-    s.Stats.comm_revokes s.Stats.comm_shrinks s.Stats.comm_agreements
+    (Stats.get s Retransmits) (Stats.get s Failures_detected)
+    (Stats.get s Ops_cancelled) (Stats.get s Comm_revokes)
+    (Stats.get s Comm_shrinks) (Stats.get s Comm_agreements)
 
 let crash_sweep_spec (name, spec) =
   List.iter
@@ -780,15 +781,16 @@ let () =
                      (acks flow) but must do zero recovery work *)
                   if
                     pname = "clean"
-                    && Stats.reliability_events s <> s.Stats.acks
+                    && Stats.reliability_events s <> Stats.get s Acks
                   then
                     failf
                       "clean plan %s seed %d: recovery work on a clean link"
                       path seed;
                   Printf.printf "%-8s %-8d %-14s %6d %6d %6d %6d %6d %6d\n"
-                    pname seed path s.Stats.retransmits s.Stats.frags_dropped
-                    s.Stats.frags_corrupted s.Stats.frags_duplicated
-                    s.Stats.flap_waits s.Stats.iov_fallbacks)
+                    pname seed path (Stats.get s Retransmits)
+                    (Stats.get s Frags_dropped) (Stats.get s Frags_corrupted)
+                    (Stats.get s Frags_duplicated)
+                    (Stats.get s Flap_waits) (Stats.get s Iov_fallbacks))
                 paths)
             seeds))
     plan_specs;

@@ -12,6 +12,7 @@
 
 module Buf = Mpicd_buf.Buf
 module Mpi = Mpicd.Mpi
+module Stats = Mpicd_simnet.Stats
 module Custom = Mpicd.Custom
 module Coll = Mpicd_collectives.Collectives
 
@@ -94,4 +95,4 @@ let () =
           nranks stat.(0));
   let stats = Mpi.world_stats world in
   Printf.printf "messages: %d, payload CPU copies: %d bytes\n"
-    stats.messages_sent stats.bytes_copied
+    (Stats.get stats Messages_sent) (Stats.get stats Bytes_copied)

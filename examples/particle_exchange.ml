@@ -13,6 +13,7 @@
 
 module Buf = Mpicd_buf.Buf
 module Mpi = Mpicd.Mpi
+module Stats = Mpicd_simnet.Stats
 module Custom = Mpicd.Custom
 
 let nparticles = 4096
@@ -137,4 +138,6 @@ let () =
   let stats = Mpi.world_stats world in
   Printf.printf
     "done: %d messages, %d bytes on the wire, peak buffer memory %d bytes\n"
-    stats.messages_sent stats.bytes_on_wire stats.peak_alloc_bytes
+    (Stats.get stats Messages_sent)
+    (Stats.get stats Bytes_on_wire)
+    stats.peak_alloc_bytes

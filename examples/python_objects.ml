@@ -9,6 +9,7 @@
 module Buf = Mpicd_buf.Buf
 module P = Mpicd_pickle.Pickle
 module Mpi = Mpicd.Mpi
+module Stats = Mpicd_simnet.Stats
 module Objmsg = Mpicd_objmsg.Objmsg
 
 let checkpoint () =
@@ -40,8 +41,8 @@ let run strategy =
   let stats = Mpi.world_stats world in
   let payload = P.payload_bytes obj in
   Printf.printf "%-16s delivered=%-5b messages=%-3d copies=%5.2fx payload  peak-mem=%5.2fx payload\n"
-    (Objmsg.strategy_name strategy) !ok stats.messages_sent
-    (float_of_int stats.bytes_copied /. float_of_int payload)
+    (Objmsg.strategy_name strategy) !ok (Stats.get stats Messages_sent)
+    (float_of_int (Stats.get stats Bytes_copied) /. float_of_int payload)
     (float_of_int stats.peak_alloc_bytes /. float_of_int payload)
 
 let () =

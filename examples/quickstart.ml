@@ -13,6 +13,7 @@
 
 module Buf = Mpicd_buf.Buf
 module Mpi = Mpicd.Mpi
+module Stats = Mpicd_simnet.Stats
 module Custom = Mpicd.Custom
 
 (* Our application type: a mutable record of rope fragments. *)
@@ -80,4 +81,4 @@ let () =
       end);
   let stats = Mpi.world_stats world in
   Printf.printf "wire messages: %d, CPU-copied payload bytes: %d (zero-copy!)\n"
-    stats.messages_sent stats.bytes_copied
+    (Stats.get stats Messages_sent) (Stats.get stats Bytes_copied)

@@ -13,6 +13,7 @@
 module Buf = Mpicd_buf.Buf
 module Dt = Mpicd_datatype.Datatype
 module Mpi = Mpicd.Mpi
+module Stats = Mpicd_simnet.Stats
 module S = Mpicd_serde.Serde
 module T = Mpicd_typed_mpi.Typed_mpi
 module Coll = Mpicd_collectives.Collectives
@@ -143,4 +144,4 @@ let () =
   let stats = Mpi.world_stats world in
   Printf.printf
     "halo exchange used %d messages; typed replies were datatype-validated\n"
-    stats.messages_sent
+    (Stats.get stats Messages_sent)

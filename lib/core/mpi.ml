@@ -324,7 +324,7 @@ let try_complete_slot w (slot : agree_slot) =
       done;
       if !all then begin
         if slot.s_shrink then begin
-          Stats.record_comm_shrink w.stats;
+          Stats.incr w.stats Comm_shrinks;
           slot.s_new_cid <- alloc_cid w;
           (* survivor set, fixed once at completion time so every
              caller — however late — sees the same membership *)
@@ -337,7 +337,7 @@ let try_complete_slot w (slot : agree_slot) =
           done;
           slot.s_survivors <- Array.of_list !surv
         end
-        else Stats.record_comm_agreement w.stats;
+        else Stats.incr w.stats Comm_agreements;
         let r = slot.s_acc in
         slot.s_result <- Some r;
         if Obs.enabled w.obs then
@@ -557,32 +557,15 @@ let guard f =
 
 let my_world_rank c = c.group.(c.c_rank)
 
-(* Tile [n] per-callback spans uniformly across a phase interval and
-   feed the per-callback cost histogram (cf. Ucx's internal helper). *)
-let obs_tile c ~track ~t0 ~t1 ~n ~name ~hist ~parent =
-  if Obs.enabled c.w.obs && n > 0 && t1 > t0 then begin
-    let per = (t1 -. t0) /. float_of_int n in
-    for i = 0 to n - 1 do
-      let s0 = t0 +. (per *. float_of_int i) in
-      ignore
-        (Obs.span_complete c.w.obs ~track ~cat:"callback" ~t0:s0 ~t1:(s0 +. per)
-           ~parent name)
-    done;
-    let h = Metrics.histogram (Obs.metrics c.w.obs) hist in
-    for _ = 1 to n do
-      Metrics.observe h per
-    done
-  end
-
 (* Run the query (+ optional region) callbacks of a custom op, charging
    their fixed costs. *)
 let custom_query c op =
   let psize = guard (fun () -> Custom.packed_size op) in
-  Stats.record_query_cb c.w.stats;
+  Stats.incr c.w.stats Query_callbacks;
   charge c (cpu c).pack_cb_overhead_ns;
   let regs =
     if guard (fun () -> Custom.region_count op) > 0 then begin
-      Stats.record_region_query c.w.stats;
+      Stats.incr c.w.stats Region_queries;
       charge c (cpu c).pack_cb_overhead_ns;
       guard (fun () -> Custom.regions op)
     end
@@ -605,7 +588,7 @@ let custom_pack_bounce c op psize =
     let used =
       guard (fun () -> Custom.pack op ~offset:!off ~dst:(Buf.sub b ~pos:!off ~len:want))
     in
-    Stats.record_pack_cb c.w.stats;
+    Stats.incr c.w.stats Pack_callbacks;
     incr ncb;
     if used <= 0 || used > want then
       raise (Mpi_error (Callback_failed (-1)));
@@ -624,8 +607,8 @@ let custom_pack_bounce c op psize =
         ~args:[ ("bytes", Obs.Int psize) ]
         "custom_pack"
     in
-    obs_tile c ~track ~t0 ~t1 ~n:!ncb ~name:"pack_cb" ~hist:"pack_cb_ns"
-      ~parent:sp
+    Obs.tile_callbacks c.w.obs ~track ~t0 ~t1 ~n:!ncb ~name:"pack_cb"
+      ~hist:"pack_cb_ns" ~parent:sp
   end;
   b
 
@@ -644,7 +627,7 @@ let custom_unpack_bounce c op b =
       let off = i * frag in
       let len = min frag (psize - off) in
       guard (fun () -> Custom.unpack op ~offset:off ~src:(Buf.sub b ~pos:off ~len));
-      Stats.record_unpack_cb c.w.stats)
+      Stats.incr c.w.stats Unpack_callbacks)
     order;
   Stats.record_copy c.w.stats psize;
   charge c
@@ -659,8 +642,8 @@ let custom_unpack_bounce c op b =
         ~args:[ ("bytes", Obs.Int psize) ]
         "custom_unpack"
     in
-    obs_tile c ~track ~t0 ~t1 ~n:nfrags ~name:"unpack_cb" ~hist:"unpack_cb_ns"
-      ~parent:sp
+    Obs.tile_callbacks c.w.obs ~track ~t0 ~t1 ~n:nfrags ~name:"unpack_cb"
+      ~hist:"unpack_cb_ns" ~parent:sp
   end
 
 (* Compiled pack plan for [dt], from the process-global memo cache.
@@ -689,7 +672,7 @@ let plan_of c dt =
    compiled plan. *)
 let typed_overheads c plan count =
   let blocks = Plan.block_count plan * count in
-  Stats.record_ddt_blocks c.w.stats blocks;
+  Stats.add c.w.stats Ddt_blocks_processed blocks;
   float_of_int blocks *. (cpu c).ddt_block_ns
 
 (* A custom op's iov: its packed bounce buffer, if any, then its
@@ -1323,7 +1306,7 @@ let comm_revoke c =
     let t0 = Engine.now w.engine in
     Hashtbl.replace w.revoked c.cid t0;
     if alive then begin
-      Stats.record_comm_revoke w.stats;
+      Stats.incr w.stats Comm_revokes;
       if Obs.enabled w.obs then
         ignore
           (Obs.span_complete w.obs ~track:me ~cat:"resilience" ~t0

@@ -413,7 +413,7 @@ let record_block stats bytes =
   match stats with
   | None -> ()
   | Some s ->
-      Stats.record_ddt_blocks s 1;
+      Stats.incr s Ddt_blocks_processed;
       Stats.record_copy s bytes
 
 let pack ?stats t ~count ~src ~dst =

@@ -166,8 +166,8 @@ let get_outcome ?stats dt =
   in
   Mutex.unlock cache_lock;
   (match (stats, snd result) with
-  | Some s, Hit -> Stats.record_plan_hit s
-  | Some s, Miss -> Stats.record_plan_miss s
+  | Some s, Hit -> Stats.incr s Plan_cache_hits
+  | Some s, Miss -> Stats.incr s Plan_cache_misses
   | None, _ -> ());
   result
 
@@ -265,7 +265,7 @@ let[@inline] record_block stats bytes =
   match stats with
   | None -> ()
   | Some s ->
-      Stats.record_ddt_blocks s 1;
+      Stats.incr s Ddt_blocks_processed;
       Stats.record_copy s bytes
 
 (* Elements [first, first + n) from stream byte [pos].  Without

@@ -47,7 +47,7 @@ val get : ?stats:Mpicd_simnet.Stats.t -> Datatype.t -> t
 (** Cached plan handle.  A miss stores a handle that compiles on first
     use; a hit returns the stored one, compiled or not.  When [stats] is
     given, records a plan-cache hit or miss
-    ({!Mpicd_simnet.Stats.record_plan_hit}). *)
+    ([Plan_cache_hits] or [Plan_cache_misses] in {!Mpicd_simnet.Stats}). *)
 
 val get_outcome : ?stats:Mpicd_simnet.Stats.t -> Datatype.t -> t * outcome
 
@@ -74,7 +74,7 @@ val is_contiguous : t -> bool
 
     Byte-for-byte identical to the [Datatype] interpreter engine,
     including the per-block [stats] accounting
-    ([record_ddt_blocks] + [record_copy]).
+    (one [Ddt_blocks_processed] and one [Stats.record_copy] per block).
 
     Blocks are copied by a kernel inlined into the plan's loops.
     Without [stats], a run of whole elements (all [count] of them, or

@@ -60,10 +60,11 @@ let stats_line (s : Stats.t) =
   Printf.sprintf
     "stats: retx=%d drops=%d parts=%d inj=%d timeouts=%d failures=%d \
      cancelled=%d revokes=%d shrinks=%d agreements=%d"
-    s.Stats.retransmits s.Stats.frags_dropped s.Stats.partition_drops
-    s.Stats.injections_fired s.Stats.delivery_timeouts
-    s.Stats.failures_detected s.Stats.ops_cancelled s.Stats.comm_revokes
-    s.Stats.comm_shrinks s.Stats.comm_agreements
+    (Stats.get s Retransmits) (Stats.get s Frags_dropped)
+    (Stats.get s Partition_drops) (Stats.get s Injections_fired)
+    (Stats.get s Delivery_timeouts) (Stats.get s Failures_detected)
+    (Stats.get s Ops_cancelled) (Stats.get s Comm_revokes)
+    (Stats.get s Comm_shrinks) (Stats.get s Comm_agreements)
 
 let render ~outcomes ~hang ~stats =
   String.concat "\n"

@@ -6,6 +6,7 @@ module Buf = Mpicd_buf.Buf
 module Config = Mpicd_simnet.Config
 module Engine = Mpicd_simnet.Engine
 module Mpi = Mpicd.Mpi
+module Stats = Mpicd_simnet.Stats
 module Coll = Mpicd_collectives.Collectives
 module P = Mpicd_pickle.Pickle
 module Objmsg = Mpicd_objmsg.Objmsg
@@ -123,11 +124,11 @@ let objmsg_rows obj ~bytes =
       let stats = Mpi.world_stats w in
       [
         Objmsg.strategy_name strategy;
-        string_of_int stats.messages_sent;
+        string_of_int (Stats.get stats Messages_sent);
         Printf.sprintf "%.2f"
           (float_of_int stats.peak_alloc_bytes /. float_of_int bytes);
         Printf.sprintf "%.2f"
-          (float_of_int stats.bytes_copied /. float_of_int bytes);
+          (float_of_int (Stats.get stats Bytes_copied) /. float_of_int bytes);
       ])
     [ Objmsg.Pickle_basic; Objmsg.Pickle_oob; Objmsg.Pickle_oob_cdt ]
 

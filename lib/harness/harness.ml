@@ -41,7 +41,7 @@ let charge_pieces comm n =
     (float_of_int n *. (Mpi.world_config (Mpi.world_of comm)).cpu.pack_piece_ns)
 
 let charge_ddt_blocks comm n =
-  Stats.record_ddt_blocks (Mpi.world_stats (Mpi.world_of comm)) n;
+  Stats.add (Mpi.world_stats (Mpi.world_of comm)) Ddt_blocks_processed n;
   charge comm
     (float_of_int n *. (Mpi.world_config (Mpi.world_of comm)).cpu.ddt_block_ns)
 

@@ -2,6 +2,7 @@ module Buf = Mpicd_buf.Buf
 module Engine = Mpicd_simnet.Engine
 module Pickle = Mpicd_pickle.Pickle
 module Mpi = Mpicd.Mpi
+module Stats = Mpicd_simnet.Stats
 
 type mode = Oob_locked | Oob_unlocked | Cdt_tagged
 
@@ -135,5 +136,5 @@ let run mode ~nthreads ~objects_per_thread ~arrays_per_object ~chunk_bytes =
   {
     elapsed_us = !elapsed /. 1000.;
     corrupted = !corrupted;
-    messages = (Mpi.world_stats w).messages_sent;
+    messages = Stats.get (Mpi.world_stats w) Messages_sent;
   }

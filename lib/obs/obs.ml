@@ -125,6 +125,20 @@ let span_complete t ~track ~cat ~t0 ~t1 ?parent ?(args = []) name =
     sp
   end
 
+let tile_callbacks t ~track ~t0 ~t1 ~n ~name ~hist ~parent =
+  if t.on && n > 0 && t1 > t0 then begin
+    let per = (t1 -. t0) /. float_of_int n in
+    for i = 0 to n - 1 do
+      let s0 = t0 +. (per *. float_of_int i) in
+      ignore
+        (span_complete t ~track ~cat:"callback" ~t0:s0 ~t1:(s0 +. per) ~parent name)
+    done;
+    let h = Metrics.histogram t.mx hist in
+    for _ = 1 to n do
+      Metrics.observe h per
+    done
+  end
+
 let instant t ~time ~track ~cat ?(args = []) name =
   if t.on && room t then
     t.rev_instants <-

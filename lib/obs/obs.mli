@@ -103,6 +103,22 @@ val span_complete :
 (** Record an already-finished span, e.g. a phase whose modeled duration
     is known up front.  [parent] overrides the nesting-stack parent. *)
 
+val tile_callbacks :
+  t ->
+  track:int ->
+  t0:float ->
+  t1:float ->
+  n:int ->
+  name:string ->
+  hist:string ->
+  parent:span ->
+  unit
+(** Tile [n] category-["callback"] spans named [name] uniformly across
+    the phase [\[t0, t1\]] under [parent], attributing the phase's
+    virtual time to its callback invocations, and feed each one's
+    duration to the histogram [hist].  A no-op when disabled, when
+    [n = 0] or when the phase is empty. *)
+
 val instant :
   t ->
   time:float ->

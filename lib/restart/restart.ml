@@ -183,12 +183,12 @@ let send rt ~dst ~tag buf =
                 "send %d->%d seq=%d epoch=%d: payload differs from logged \
                  envelope"
                 (wrank rt) wdst seq e));
-      Stats.record_msg_replayed st;
+      Stats.incr st Msgs_replayed;
       inst rt "log_replay_verified"
         [ ("dst", Obs.Int wdst); ("seq", Obs.Int seq) ]
   | _ ->
       Store.write rt.store path entry;
-      Stats.record_msg_logged st;
+      Stats.incr st Msgs_logged;
       charge rt (Buf.length entry));
   let env = Buf.create (header_size + plen) in
   Buf.set_i64 env 0 (Int64.of_int rt.incarnation);
@@ -212,7 +212,7 @@ let recv rt ~source ~tag buf =
     if seq < expected then begin
       (* duplicate (or stale pre-recovery) envelope: deterministic
          re-execution already delivered this sequence number *)
-      Stats.record_dup_suppressed st;
+      Stats.incr st Dups_suppressed;
       inst rt "dup_suppressed"
         [
           ("src", Obs.Int wsrc);
@@ -337,7 +337,7 @@ let restore_to rt ~epoch =
             (Snapshot.decode_exn ~stats:st ~dt:reg.r_dt ~count:reg.r_count
                ~dst:reg.r_buf img
               : Snapshot.meta);
-          Stats.record_restore st;
+          Stats.incr st Buffers_restored;
           charge rt (Buf.length img))
         rt.regs;
       rt.epoch <- epoch;
@@ -393,7 +393,7 @@ let epoch_mask e = (1 lsl (min e 58 + 2)) - 1
 
 let recover rt =
   let st = stats rt in
-  Stats.record_recovery st;
+  Stats.incr st Recoveries;
   span rt "recovery" (fun () ->
       let c = rt.comm in
       inst rt "recovery_begin"

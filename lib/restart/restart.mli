@@ -95,7 +95,7 @@ val send : t -> dst:int -> tag:int -> Mpi.buffer -> unit
 val recv : t -> source:int -> tag:int -> Mpi.buffer -> Mpi.status
 (** Matching receive: unwraps the header, drops duplicate/stale
     envelopes ([seq] below the expected cursor — counted in
-    [Stats.dups_suppressed]) and returns the payload's status.
+    [Stats.Dups_suppressed]) and returns the payload's status.
     @raise Replay_diverged on a sequence gap. *)
 
 (** {1 Epochs} *)

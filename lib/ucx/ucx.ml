@@ -298,24 +298,6 @@ let obs_on ctx = Obs.enabled ctx.obs
 let observe ctx name v =
   if obs_on ctx then Metrics.observe (Metrics.histogram (Obs.metrics ctx.obs) name) v
 
-(* Tile [n] per-callback spans uniformly across a phase's modeled
-   interval, attributing the phase's virtual time to its callback
-   invocations, and feed the per-callback cost histogram. *)
-let tile_callbacks ctx ~track ~t0 ~t1 ~n ~name ~hist ?parent () =
-  if obs_on ctx && n > 0 && t1 > t0 then begin
-    let per = (t1 -. t0) /. float_of_int n in
-    for i = 0 to n - 1 do
-      let s0 = t0 +. (per *. float_of_int i) in
-      ignore
-        (Obs.span_complete ctx.obs ~track ~cat:"callback" ~t0:s0 ~t1:(s0 +. per)
-           ?parent name)
-    done;
-    let h = Metrics.histogram (Obs.metrics ctx.obs) hist in
-    for _ = 1 to n do
-      Metrics.observe h per
-    done
-  end
-
 let create_worker ctx =
   let id = ctx.next_worker in
   ctx.next_worker <- id + 1;
@@ -415,7 +397,7 @@ let pack_fragments ctx (g : send_generic) slot =
       let want = min frag_size (total - !off) in
       let dst = if want = total then slot else Buf.sub slot ~pos:!off ~len:want in
       let used = g.sg_pack ~offset:!off ~dst in
-      Stats.record_pack_cb ctx.stats;
+      Stats.incr ctx.stats Pack_callbacks;
       (* Contract (paper Listing 4): while the stream is not exhausted a
          pack callback must produce 0 < n <= length dst.  A zero/negative
          return would loop forever; a long return would claim bytes that
@@ -444,7 +426,7 @@ let unpack_fragments ctx (g : recv_generic) frags =
   List.iter
     (fun frag ->
       let used = g.rg_unpack ~offset:!off ~src:frag in
-      Stats.record_unpack_cb ctx.stats;
+      Stats.incr ctx.stats Unpack_callbacks;
       (* Contract (mirror of the pack-side check): a delivered fragment
          lies wholly inside the packed stream, so the callback must
          consume exactly its length — anything else means receiver state
@@ -677,7 +659,7 @@ let notify_failure ctx ~rank =
     let now = Engine.now ctx.engine in
     Hashtbl.replace ctx.failed rank now;
     ctx.any_failed <- true;
-    Stats.record_failure_detected ctx.stats;
+    Stats.incr ctx.stats Failures_detected;
     trace ctx "fault" "rank %d declared failed" rank;
     fault_instant ctx ~track:rank ~time:now "rank_failed"
       [ ("rank", Obs.Int rank) ];
@@ -706,7 +688,7 @@ let try_cancel ctx (req : request) error =
   if is_completed req then false
   else begin
     complete req { len = 0; tag = req.r_tag; error = Some error };
-    Stats.record_op_cancelled ctx.stats;
+    Stats.incr ctx.stats Ops_cancelled;
     let carries req env =
       match env.e_payload with
       | P_rndv r -> r.r_request == req
@@ -824,11 +806,9 @@ type xfer = {
   x_lag : float;
       (* delivery lag: the last fragment lands [x_lag] ns after the
          transfer call returns (its latency + any extra fault delay) *)
-  x_delivered : Buf.t;
-      (* the receiver's view of the stream: the stream itself, or, once
-         a corruption slipped through unchecked (only possible when
-         [checksum] was false: the zero-copy DMA path), a private copy
-         with the flipped bits *)
+  x_unchecked : bool;
+      (* a corruption slipped through unchecked, which is only possible
+         when [checksum] was false: the zero-copy DMA path *)
 }
 
 (* The deterministic backoff sleep before retransmission [attempt + 1]:
@@ -839,19 +819,21 @@ type xfer = {
 let retx_backoff_ns (cfg : Config.t) plan ~attempt =
   Float.min cfg.Config.retx_backoff_max_ns (Fault.rto plan ~attempt)
 
-(* Move [stream] from [src_id] to [dst_id] under the attached fault
-   plan.  Must run in a fiber; returns once the last fragment has been
-   serialized (the caller schedules delivery [x_lag] later and the
-   cumulative ack one link latency after that). *)
-let reliable_transfer ctx fr ~mseq ~src_id ~dst_id ~stream ~checksum =
+(* Move a [bytes]-byte stream from [src_id] to [dst_id] under the
+   attached fault plan.  Only the stream's length matters: the fates
+   decide the timing, and the caller lands the bytes.  Must run in a
+   fiber; returns once the last fragment has been serialized (the
+   caller schedules delivery [x_lag] later and the cumulative ack one
+   link latency after that). *)
+let reliable_transfer ctx fr ~mseq ~src_id ~dst_id ~bytes ~checksum =
   let e = ctx.engine in
   let l = link ctx in
   let plan = Fault.plan fr in
   let t_start = Engine.now e in
-  let delivered = ref stream in
+  let unchecked = ref false in
   let retx = ref 0 in
   let failure = ref None in
-  let frag_sizes = wire_frag_sizes l (Buf.length stream) in
+  let frag_sizes = wire_frag_sizes l bytes in
   let last_lag = ref (path_latency ctx ~src:src_id ~dst:dst_id) in
   (* decorrelated-jitter state: previous backoff sleep of THIS transfer
      (each transfer de-correlates independently, which is what breaks
@@ -872,15 +854,15 @@ let reliable_transfer ctx fr ~mseq ~src_id ~dst_id ~stream ~checksum =
         let s = base +. Mpicd_simnet.Rng.float rng (Float.max 0. (hi -. base)) in
         let s = Float.min clamp_ns s in
         prev_sleep := s;
-        Stats.record_jittered_backoff ctx.stats;
+        Stats.incr ctx.stats Jittered_backoffs;
         s
   in
-  let rec send_frag seq off len attempt =
+  let rec send_frag seq len attempt =
     let now = Engine.now e in
     (* link flap: wait for the link to come back up *)
     let up = Fault.up_at plan ~src:src_id ~dst:dst_id ~now in
     if up > now then begin
-      Stats.record_flap_wait ctx.stats;
+      Stats.incr ctx.stats Flap_waits;
       trace ctx "fault" "link %d->%d down, waiting %.0fns" src_id dst_id
         (up -. now);
       fault_instant ctx ~track:src_id ~time:now "link_down"
@@ -915,7 +897,7 @@ let reliable_transfer ctx fr ~mseq ~src_id ~dst_id ~stream ~checksum =
         };
     let retry cause =
       if attempt >= plan.Fault.max_retries then begin
-        Stats.record_delivery_timeout ctx.stats;
+        Stats.incr ctx.stats Delivery_timeouts;
         fault_instant ctx ~track:src_id ~time:(Engine.now e)
           "delivery_timeout"
           [ ("seq", Obs.Int seq); ("attempts", Obs.Int (attempt + 1)) ];
@@ -941,12 +923,12 @@ let reliable_transfer ctx fr ~mseq ~src_id ~dst_id ~stream ~checksum =
       else begin
         Engine.sleep e (backoff_sleep attempt);
         incr retx;
-        Stats.record_retransmit ctx.stats;
+        Stats.incr ctx.stats Retransmits;
         trace ctx "fault" "retransmit seq=%d attempt=%d %d->%d" seq
           (attempt + 1) src_id dst_id;
         fault_instant ctx ~track:src_id ~time:(Engine.now e) "retransmit"
           [ ("seq", Obs.Int seq); ("attempt", Obs.Int (attempt + 1)) ];
-        send_frag seq off len (attempt + 1)
+        send_frag seq len (attempt + 1)
       end
     in
     let f_drop =
@@ -956,7 +938,7 @@ let reliable_transfer ctx fr ~mseq ~src_id ~dst_id ~stream ~checksum =
     in
     let f_corrupt = fate.Fault.f_corrupt || injected = Some Fault.Inj_corrupt in
     if injected <> None then begin
-      Stats.record_injection_fired ctx.stats;
+      Stats.incr ctx.stats Injections_fired;
       trace ctx "fault" "targeted injection mseq=%d frag=%d %d->%d" mseq seq
         src_id dst_id;
       fault_instant ctx ~track:src_id ~time:now "injection"
@@ -964,12 +946,12 @@ let reliable_transfer ctx fr ~mseq ~src_id ~dst_id ~stream ~checksum =
     end;
     if dead || f_drop then begin
       if cut && not dead && not fate.Fault.f_drop then begin
-        Stats.record_partition_drop ctx.stats;
+        Stats.incr ctx.stats Partition_drops;
         trace ctx "fault" "partition cut %d->%d seq=%d" src_id dst_id seq;
         fault_instant ctx ~track:src_id ~time:now "partition_drop"
           [ ("seq", Obs.Int seq) ]
       end;
-      Stats.record_frag_drop ctx.stats;
+      Stats.incr ctx.stats Frags_dropped;
       trace ctx "fault" "drop seq=%d %d->%d" seq src_id dst_id;
       fault_instant ctx ~track:src_id ~time:now "frag_drop"
         [ ("seq", Obs.Int seq) ];
@@ -980,14 +962,14 @@ let reliable_transfer ctx fr ~mseq ~src_id ~dst_id ~stream ~checksum =
          single-bit error, so its checksum no longer matches: the
          receiver nacks and the sender retransmits.  The flipped bit is
          still drawn, since the Rng stream decides every later fate. *)
-      Stats.record_frag_corrupt ctx.stats;
+      Stats.incr ctx.stats Frags_corrupted;
       ignore (Fault.corrupt_bit fr ~len : int * int);
       let fly =
         path_serialize ctx ~src:src_id ~dst:dst_id len
         +. path_latency ctx ~src:src_id ~dst:dst_id
         +. fate.Fault.f_delay_ns
       in
-      Stats.record_nack ctx.stats;
+      Stats.incr ctx.stats Nacks;
       trace ctx "fault" "corrupt seq=%d %d->%d: crc mismatch, nack" seq src_id
         dst_id;
       fault_instant ctx ~track:dst_id ~time:(now +. fly) "nack"
@@ -998,14 +980,11 @@ let reliable_transfer ctx fr ~mseq ~src_id ~dst_id ~stream ~checksum =
     end
     else begin
       (* Delivered.  On non-checksummed (zero-copy DMA) paths a corrupt
-         fate slips through into the receiver's copy. *)
+         fate slips through; the flipped bit is drawn all the same. *)
       if f_corrupt && len > 0 then begin
-        Stats.record_frag_corrupt ctx.stats;
-        let byte, bit = Fault.corrupt_bit fr ~len in
-        (* copy on the first write: the stream may be the sender's *)
-        if !delivered == stream then delivered := Buf.copy stream;
-        let d = !delivered in
-        Buf.set_u8 d (off + byte) (Buf.get_u8 d (off + byte) lxor (1 lsl bit));
+        Stats.incr ctx.stats Frags_corrupted;
+        ignore (Fault.corrupt_bit fr ~len : int * int);
+        unchecked := true;
         trace ctx "fault" "corrupt seq=%d %d->%d passed unchecked" seq src_id
           dst_id;
         fault_instant ctx ~track:dst_id ~time:now "frag_corrupt"
@@ -1013,7 +992,7 @@ let reliable_transfer ctx fr ~mseq ~src_id ~dst_id ~stream ~checksum =
       end;
       if fate.Fault.f_dup then begin
         (* the second copy is delivered and suppressed by seq number *)
-        Stats.record_frag_dup ctx.stats;
+        Stats.incr ctx.stats Frags_duplicated;
         trace ctx "fault" "dup seq=%d %d->%d suppressed" seq src_id dst_id;
         fault_instant ctx ~track:dst_id ~time:now "dup_suppressed"
           [ ("seq", Obs.Int seq) ]
@@ -1027,18 +1006,18 @@ let reliable_transfer ctx fr ~mseq ~src_id ~dst_id ~stream ~checksum =
         path_latency ctx ~src:src_id ~dst:dst_id +. fate.Fault.f_delay_ns
     end
   in
-  (let rec loop seq off = function
+  (let rec loop seq = function
      | [] -> ()
      | len :: rest ->
-         send_frag seq off len 0;
-         if !failure = None then loop (seq + 1) (off + len) rest
+         send_frag seq len 0;
+         if !failure = None then loop (seq + 1) rest
    in
-   loop 0 0 frag_sizes);
+   loop 0 frag_sizes);
   match !failure with
   | Some err -> Error err
   | None ->
       (* cumulative ack for the whole window *)
-      Stats.record_ack ctx.stats;
+      Stats.incr ctx.stats Acks;
       Fault.notify_tap fr
         {
           Fault.pb_kind = Fault.Pb_ack;
@@ -1046,32 +1025,23 @@ let reliable_transfer ctx fr ~mseq ~src_id ~dst_id ~stream ~checksum =
           pb_dst = dst_id;
           pb_mseq = mseq;
           pb_frag = -1;
-          pb_len = Buf.length stream;
+          pb_len = bytes;
           pb_time = Engine.now e +. !last_lag;
         };
       fault_instant ctx ~track:dst_id ~time:(Engine.now e +. !last_lag) "ack"
-        [ ("bytes", Obs.Int (Buf.length stream)) ];
+        [ ("bytes", Obs.Int bytes) ];
       if obs_on ctx then
         ignore
           (Obs.span_complete ctx.obs ~track:src_id ~cat:"proto" ~t0:t_start
              ~t1:(Engine.now e +. !last_lag)
              ~args:
-               (( "bytes", Obs.Int (Buf.length stream) )
+               (( "bytes", Obs.Int bytes )
                :: ("frags", Obs.Int (List.length frag_sizes))
                :: ("retx", Obs.Int !retx)
                :: ("dst", Obs.Int dst_id)
                :: (if mseq >= 0 then [ ("mseq", Obs.Int mseq) ] else []))
              "rel_xfer");
-      Ok { x_lag = !last_lag; x_delivered = !delivered }
-
-let reliable_stream src ~dst ~mseq ~checksum stream =
-  match src.ctx.faults with
-  | None -> invalid_arg "Ucx.reliable_stream: no fault plan attached"
-  | Some fr ->
-      Result.map
-        (fun x -> x.x_delivered)
-        (reliable_transfer src.ctx fr ~mseq ~src_id:src.id ~dst_id:dst.id ~stream
-           ~checksum)
+      Ok { x_lag = !last_lag; x_unchecked = !unchecked }
 
 let finish_recv e req ~delay status =
   Engine.at e ~delay (fun () -> complete_if_pending req status)
@@ -1104,10 +1074,10 @@ let data_args env =
    A matched RTS moves its data in three steps.  Stage materializes the
    send descriptor: the pack callbacks run and the sender's copy is
    counted.  Wire moves the bytes.  Land deposits them into the receive
-   descriptor and yields the receiver CPU.  Stage and land are the same
-   in both modes, except that the reliable wire needs one stream, so an
-   iov sender is gathered for it; the fault plan picks the wire step.
-   Whatever slot stage took goes back once the transfer ends. *)
+   descriptor and yields the receiver CPU.  Stage is the same in both
+   modes; the fault plan picks the wire step, and the reliable land
+   hands a generic receiver one slice per wire fragment.  Whatever slot
+   stage took goes back once the transfer ends. *)
 
 (* Stage: from here on the transfer owns the descriptor's disposal.
    Returns the views to land.  Contiguous and iov descriptors yield the
@@ -1116,9 +1086,9 @@ let data_args env =
    sender completes only after the data has landed, so these buffers
    need no copy and never reach the slabs.  A generic descriptor packs
    into a slot, and an iov one is gathered into a slot (no charged
-   copy: the NIC gathers) where [whole] asks for one stream; the slot
-   becomes [env.e_data], released once the transfer ends, failed or
-   not. *)
+   copy: the NIC gathers) where [whole] asks for one stream, which only
+   a generic receiver does; the slot becomes [env.e_data], released
+   once the transfer ends, failed or not. *)
 let stage ctx (env : envelope) (r : rndv) ~whole =
   r.r_done <- true;
   match r.r_dt with
@@ -1157,7 +1127,7 @@ let rndv_failed e (pr : request) (env : envelope) (r : rndv) ~deferred err =
    end-to-end digest after the scatter, so its corruption is detected
    too late to nack a fragment: the transfer then falls back, exactly
    once, to the CRC-protected packed path before surfacing an error. *)
-let reliable_wire ctx fr w (env : envelope) (dt : send_dt) stream =
+let reliable_wire ctx fr w (env : envelope) (dt : send_dt) =
   let e = ctx.engine in
   let c = cpu ctx in
   let size = env.e_total in
@@ -1166,11 +1136,11 @@ let reliable_wire ctx fr w (env : envelope) (dt : send_dt) stream =
   in
   match
     reliable_transfer ctx fr ~mseq:env.e_seq ~src_id:env.e_src ~dst_id:w.id
-      ~stream ~checksum
+      ~bytes:size ~checksum
   with
-  | Ok x when x.x_delivered != stream ->
+  | Ok x when x.x_unchecked ->
       Engine.sleep e x.x_lag (* the bad data had to land first *);
-      Stats.record_iov_fallback ctx.stats;
+      Stats.incr ctx.stats Iov_fallbacks;
       trace ctx "fault" "iov e2e digest mismatch %d->%d: falling back to packed path"
         env.e_src w.id;
       fault_instant ctx ~track:w.id ~time:(Engine.now e) "iov_fallback"
@@ -1181,7 +1151,7 @@ let reliable_wire ctx fr w (env : envelope) (dt : send_dt) stream =
         ((Config.alloc_time c size +. Config.memcpy_time c size)
         *. straggle ctx env.e_src);
       reliable_transfer ctx fr ~mseq:env.e_seq ~src_id:env.e_src ~dst_id:w.id
-        ~stream ~checksum:true
+        ~bytes:size ~checksum:true
   | res -> res
 
 (* With no plan, the overlapped wire: the links are reserved at match
@@ -1197,13 +1167,13 @@ let rndv_match w (pr : request) (env : envelope) (r : rndv) =
   let l = link ctx in
   let size = env.e_total in
   let handshake = l.rndv_handshake_ns +. l.rndv_reg_ns in
+  let whole = match pr.r_dt with Rd_generic _ -> true | Rd_contig _ | Rd_iov _ -> false in
   match ctx.faults with
   | None -> (
       let wire = path_serialize ctx ~src:env.e_src ~dst:w.id size +. iov_cost ctx r.r_dt in
       try
         (* a generic receiver unpacks a gathered iov stream in one
            callback *)
-        let whole = match pr.r_dt with Rd_generic _ -> true | Rd_contig _ | Rd_iov _ -> false in
         let frags = stage ctx env r ~whole in
         let send_cbs = List.length frags in
         let cpu_send = staging_cpu ctx r.r_dt ~alloc:l.frag_size frags in
@@ -1236,9 +1206,9 @@ let rndv_match w (pr : request) (env : envelope) (r : rndv) =
               Obs.span_complete ctx.obs ~track:env.e_src ~cat:"proto" ~t0:hs_end
                 ~t1:(hs_end +. cpu_send) ~parent:sp "pack"
             in
-            tile_callbacks ctx ~track:env.e_src ~t0:hs_end
+            Obs.tile_callbacks ctx.obs ~track:env.e_src ~t0:hs_end
               ~t1:(hs_end +. cpu_send) ~n:send_cbs ~name:"pack_cb"
-              ~hist:"pack_cb_ns" ~parent:sp_pack ()
+              ~hist:"pack_cb_ns" ~parent:sp_pack
           end;
           if cpu_recv > 0. then begin
             let sp_un =
@@ -1247,9 +1217,9 @@ let rndv_match w (pr : request) (env : envelope) (r : rndv) =
             in
             match pr.r_dt with
             | Rd_generic _ ->
-                tile_callbacks ctx ~track:w.id ~t0:hs_end
+                Obs.tile_callbacks ctx.obs ~track:w.id ~t0:hs_end
                   ~t1:(hs_end +. cpu_recv) ~n:(List.length frags)
-                  ~name:"unpack_cb" ~hist:"unpack_cb_ns" ~parent:sp_un ()
+                  ~name:"unpack_cb" ~hist:"unpack_cb_ns" ~parent:sp_un
             | Rd_contig _ | Rd_iov _ -> ()
           end;
           observe ctx "msg_latency_ns_rndv" (t0 +. duration -. env.e_sent_at)
@@ -1265,24 +1235,28 @@ let rndv_match w (pr : request) (env : envelope) (r : rndv) =
       Engine.spawn e ~name:"rel_rndv" ~track:env.e_src (fun () ->
           Engine.sleep e handshake;
           try
-            let frags = stage ctx env r ~whole:true in
+            let frags = stage ctx env r ~whole in
             let cpu_send =
               (staging_cpu ctx r.r_dt ~alloc:l.frag_size frags
               +. iov_cost ctx r.r_dt)
               *. straggle ctx env.e_src
             in
-            let stream =
-              match r.r_dt with Sd_contig b -> b | Sd_iov _ | Sd_generic _ -> env.e_data
-            in
             Engine.sleep e cpu_send;
-            match reliable_wire ctx fr w env r.r_dt stream with
+            match reliable_wire ctx fr w env r.r_dt with
             | Error err ->
                 release ctx env;
                 trace ctx "fault" "rndv %d->%d failed" env.e_src w.id;
                 rndv_failed e pr env r ~deferred:false err
             | Ok x ->
                 Engine.sleep e x.x_lag (* data lands *);
-                let cpu_recv = deposit ctx pr.r_dt (reslice l x.x_delivered) ~zcopy:true in
+                let landed =
+                  if not whole then frags
+                  else
+                    match r.r_dt with
+                    | Sd_contig b -> reslice l b
+                    | Sd_iov _ | Sd_generic _ -> reslice l env.e_data
+                in
+                let cpu_recv = deposit ctx pr.r_dt landed ~zcopy:true in
                 release ctx env;
                 Engine.sleep e (cpu_recv *. straggle ctx w.id);
                 let ok = { len = size; tag = env.e_tag; error = None } in
@@ -1314,9 +1288,12 @@ let process_match w (pr : request) (env : envelope) =
         "truncated";
     (* Truncation: no data is delivered; sender completes normally
        (it either already did, for eager, or completes now).  The data
-       never moves, so the send descriptor is disposed here. *)
+       never moves, so the send descriptor is disposed here, and the
+       bytes an unexpected eager message buffered are freed. *)
     (match env.e_payload with
-    | P_eager | P_frags _ -> release ctx env
+    | P_eager | P_frags _ ->
+        Stats.record_free ctx.stats env.e_unexpected_alloc;
+        release ctx env
     | P_nack _ -> ()
     | P_rndv r ->
         dispose_rndv r;
@@ -1365,9 +1342,9 @@ let process_match w (pr : request) (env : envelope) =
                 match pr.r_dt with
                 | Rd_generic _ ->
                     let n = match payload with P_frags f -> List.length f | _ -> 1 in
-                    tile_callbacks ctx ~track:w.id ~t0:(t0 +. alloc_delay)
+                    Obs.tile_callbacks ctx.obs ~track:w.id ~t0:(t0 +. alloc_delay)
                       ~t1:(t0 +. delay) ~n ~name:"unpack_cb"
-                      ~hist:"unpack_cb_ns" ~parent:sp ()
+                      ~hist:"unpack_cb_ns" ~parent:sp
                 | Rd_contig _ | Rd_iov _ -> ()
               end;
               observe ctx "msg_latency_ns_eager" (t0 +. delay -. env.e_sent_at)
@@ -1517,7 +1494,7 @@ let ship_rts_reliable src dst fr (env : envelope) (req : request) =
   Engine.spawn e ~name:"rel_rts" ~track:src.id (fun () ->
       match
         reliable_transfer ctx fr ~mseq:env.e_seq ~src_id:src.id
-          ~dst_id:dst.id ~stream:no_data ~checksum:true
+          ~dst_id:dst.id ~bytes:0 ~checksum:true
       with
       | Ok x ->
           ship src dst ~after:x.x_lag env;
@@ -1525,7 +1502,7 @@ let ship_rts_reliable src dst fr (env : envelope) (req : request) =
             Engine.at e ~delay:(x.x_lag +. plan.Fault.rndv_timeout_ns)
               (fun () ->
                 if (not env.e_matched) && not (is_completed req) then begin
-                  Stats.record_delivery_timeout ctx.stats;
+                  Stats.incr ctx.stats Delivery_timeouts;
                   trace ctx "fault" "rndv handshake timeout %d->%d tag=%x"
                     src.id dst.id env.e_tag;
                   fault_instant ctx ~track:src.id ~time:(Engine.now e)
@@ -1583,7 +1560,7 @@ let tag_send_from src ~dst ~tag dt =
         trace ctx "send" "worker %d iov tag=%x %dB in %d entries"
           src.id tag total entries;
       Stats.record_message ctx.stats ~eager:false ~wire_bytes:total;
-      Stats.record_iov_entries ctx.stats entries;
+      Stats.add ctx.stats Iov_entries entries;
       observe ctx "msg_bytes_iov" (float_of_int total);
       ship_rts src dst ~tag ~total ~seq:mseq dt req
   | Sd_contig _ | Sd_generic _ ->
@@ -1626,8 +1603,8 @@ let tag_send_from src ~dst ~tag dt =
                       ]
                     "pack"
                 in
-                tile_callbacks ctx ~track:src.id ~t0:(t1 -. cpu_time) ~t1
-                  ~n:(List.length frags) ~name:"pack_cb" ~hist:"pack_cb_ns" ~parent:sp ()
+                Obs.tile_callbacks ctx.obs ~track:src.id ~t0:(t1 -. cpu_time) ~t1
+                  ~n:(List.length frags) ~name:"pack_cb" ~hist:"pack_cb_ns" ~parent:sp
               end
             end;
             (match ctx.faults with
@@ -1653,15 +1630,14 @@ let tag_send_from src ~dst ~tag dt =
                   (fun () ->
                     match
                       reliable_transfer ctx fr ~mseq ~src_id:src.id
-                        ~dst_id:dst.id ~stream:data ~checksum:true
+                        ~dst_id:dst.id ~bytes:total ~checksum:true
                     with
                     | Ok x ->
-                        (* a checked stream lands as sent: [x_delivered]
-                           is the slot, which stays lent until the
-                           envelope lands *)
+                        (* a checked stream lands as sent: the slot,
+                           which stays lent until the envelope lands *)
                         ship src dst ~after:x.x_lag
                           (envelope src ~tag ~total ~seq:mseq ~data
-                             (P_frags (reslice l x.x_delivered)));
+                             (P_frags (reslice l data)));
                         Engine.sleep e x.x_lag;
                         complete_if_pending req { len = total; tag; error = None }
                     | Error err ->
@@ -1675,7 +1651,7 @@ let tag_send_from src ~dst ~tag dt =
             complete_if_pending req { len = 0; tag; error = Some err };
             (* A failed pack must not leave the peer's posted receive
                pending forever: notify it with a poison envelope. *)
-            Stats.record_nack ctx.stats;
+            Stats.incr ctx.stats Nacks;
             ship_nack src dst ~tag ~seq:mseq err
       end
       else begin
@@ -1718,7 +1694,7 @@ let wait (req : request) =
 let wait_any reqs = Engine.await_any waiter_slot reqs
 
 let tag_probe w ~tag ~mask =
-  Stats.record_probe w.ctx.stats;
+  Stats.incr w.ctx.stats Probes;
   let env = find unexpected (fun (tag, mask) env -> tag_matches ~tag ~mask env.e_tag) (tag, mask) w.unexpected in
   if env == no_env then None else Some (probe_info env)
 
@@ -1735,7 +1711,7 @@ let tag_probe_wait w ~tag ~mask =
   | None -> probe_info (block_probe peekers w ~tag ~mask)
 
 let tag_mprobe_wait w ~tag ~mask =
-  Stats.record_probe w.ctx.stats;
+  Stats.incr w.ctx.stats Probes;
   let env = take unexpected w (fun (tag, mask) env -> tag_matches ~tag ~mask env.e_tag) (tag, mask) in
   let env = if env == no_env then block_probe takers w ~tag ~mask else env in
   (probe_info env, env)

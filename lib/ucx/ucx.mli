@@ -280,17 +280,6 @@ val retx_backoff_ns :
     clamped at the same ceiling), exposed pure so tests can pin the
     clamp boundary. *)
 
-val reliable_stream :
-  worker -> dst:worker -> mseq:int -> checksum:bool -> Buf.t -> (Buf.t, error) result
-(** [reliable_stream src ~dst ~mseq ~checksum stream] moves [stream]
-    from [src] to [dst] through the attached plan's reliable-delivery
-    protocol as message [mseq], and returns the bytes the receiver would
-    land: [stream] itself, unless a corruption slipped through because
-    [checksum] is false (the iovec DMA path), in which case a private
-    copy with the flipped bits.  [stream] is never written.  Must run in
-    a fiber of the context's engine, with a plan attached; returns once
-    the last fragment has been serialized.  Exposed for tests. *)
-
 (** {1 Process-failure detection (ULFM building blocks)}
 
     A heartbeat liveness detector runs whenever the attached plan

@@ -4,6 +4,7 @@ module Buf = Mpicd_buf.Buf
 module Dt = Mpicd_datatype.Datatype
 module Plan = Mpicd_datatype.Plan
 module Mpi = Mpicd.Mpi
+module Stats = Mpicd_simnet.Stats
 module B = Mpicd_bench_types.Bench_types
 
 let check_int = Alcotest.(check int)
@@ -69,7 +70,7 @@ let test_dv_custom_zero_copy () =
           (Mpi.recv comm
              (Mpi.Custom { dt = B.Double_vec.custom_dt; obj = sink; count = 1 })));
   Alcotest.(check bool) "payload not CPU-copied" true
-    (stats.bytes_copied < total / 100)
+    (Stats.get stats Bytes_copied < total / 100)
 
 let is_zero b = Buf.equal b (Buf.create (Buf.length b))
 
@@ -328,7 +329,7 @@ let test_no_gap_custom_needs_no_packing () =
           (Mpi.recv comm
              (Mpi.Custom
                 { dt = B.Struct_simple_no_gap.custom_dt; obj = sink; count })));
-  check_int "no pack callbacks" 0 stats.pack_callbacks;
+  check_int "no pack callbacks" 0 (Stats.get stats Pack_callbacks);
   Alcotest.(check bool) "delivered" true
     (B.Struct_simple_no_gap.equal_elems src sink ~count)
 

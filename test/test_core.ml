@@ -7,6 +7,7 @@ module Fault = Mpicd_simnet.Fault
 module Dt = Mpicd_datatype.Datatype
 module Custom = Mpicd.Custom
 module Mpi = Mpicd.Mpi
+module Stats = Mpicd_simnet.Stats
 
 let check_int = Alcotest.(check int)
 
@@ -228,9 +229,9 @@ let test_custom_regions_zero_copy () =
   Alcotest.(check bool) "payload delivered" true
     (Buf.equal (List.hd parts) (List.hd sinks));
   Alcotest.(check bool)
-    (Printf.sprintf "copied bytes (%d) << payload" stats.bytes_copied)
+    (Printf.sprintf "copied bytes (%d) << payload" (Stats.get stats Bytes_copied))
     true
-    (stats.bytes_copied < big / 100)
+    (Stats.get stats Bytes_copied < big / 100)
 
 let test_custom_pack_error_propagates () =
   let w = Mpi.create_world ~size:2 () in
@@ -635,7 +636,7 @@ let test_waitany_loser_left_pending () =
           | _ -> Alcotest.fail "the loser survived a revocation"
           | exception Mpi.Mpi_error Mpi.Revoked -> ());
       Engine.run e;
-      check_int "the loser was cancelled" 1 (Mpi.world_stats w).Mpicd_simnet.Stats.ops_cancelled
+      check_int "the loser was cancelled" 1 (Stats.get (Mpi.world_stats w) Ops_cancelled)
 
 let test_mpi_pack_unpack () =
   let w = Mpi.create_world ~size:1 () in

@@ -3,6 +3,7 @@
 module Buf = Mpicd_buf.Buf
 module Dt = Mpicd_datatype.Datatype
 module Rng = Mpicd_simnet.Rng
+module Stats = Mpicd_simnet.Stats
 
 let check_int = Alcotest.(check int)
 
@@ -282,13 +283,13 @@ let test_signature () =
     (Dt.equal_signature t (Dt.contiguous 3 Dt.int32))
 
 let test_stats_blocks () =
-  let stats = Mpicd_simnet.Stats.create () in
+  let stats = Stats.create () in
   let t = Dt.vector ~count:4 ~blocklength:1 ~stride:2 Dt.int32 in
   let src = pattern (Dt.extent t) in
   let dst = Buf.create (Dt.size t) in
   ignore (Dt.pack ~stats t ~count:1 ~src ~dst);
-  check_int "blocks recorded" 4 stats.ddt_blocks_processed;
-  check_int "bytes recorded" 16 stats.bytes_copied
+  check_int "blocks recorded" 4 (Stats.get stats Ddt_blocks_processed);
+  check_int "bytes recorded" 16 (Stats.get stats Bytes_copied)
 
 let test_negative_args () =
   let expect f =

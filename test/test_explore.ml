@@ -54,10 +54,10 @@ let test_partition_heal_no_declaration () =
       ~rto_ns:5_000. ~max_retries:6 ~hb_period_ns:50_000. ()
   in
   let stats, _ = run_pair plan in
-  check_bool "partition dropped traffic" true (stats.Stats.partition_drops > 0);
-  check_bool "drops were retransmitted" true (stats.Stats.retransmits > 0);
+  check_bool "partition dropped traffic" true (Stats.get stats Partition_drops > 0);
+  check_bool "drops were retransmitted" true (Stats.get stats Retransmits > 0);
   check_int "no rank declared failed under a heal-before-budget partition" 0
-    stats.Stats.failures_detected
+    (Stats.get stats Failures_detected)
 
 (* The partitioned predicate itself: cut iff exactly one endpoint is
    inside the group and the window is open. *)
@@ -96,9 +96,9 @@ let straggle_elapsed ~factor =
 let test_straggler_below_threshold () =
   let base_stats, base_t = straggle_elapsed ~factor:None in
   let slow_stats, slow_t = straggle_elapsed ~factor:(Some 8.) in
-  check_int "baseline: no declarations" 0 base_stats.Stats.failures_detected;
+  check_int "baseline: no declarations" 0 (Stats.get base_stats Failures_detected);
   check_int "sub-threshold straggler: no false positive" 0
-    slow_stats.Stats.failures_detected;
+    (Stats.get slow_stats Failures_detected);
   check_bool "straggler actually slows the run" true (slow_t > base_t)
 
 (* A straggler past the threshold is falsely declared (slow-vs-dead

@@ -263,7 +263,7 @@ let clamp_first_retx_time ~clamp =
       else ignore (Mpi.recv comm ~source:0 ~tag:1 (Mpi.Bytes dst)));
   check_bool "payload intact" true (Buf.equal src dst);
   check_int "exactly one injection fired" 1
-    (Mpi.world_stats w).Stats.injections_fired;
+    (Stats.get (Mpi.world_stats w) Injections_fired);
   match
     List.filter_map
       (fun i -> if i.Obs.i_name = "retransmit" then Some i.Obs.i_time else None)
@@ -362,37 +362,37 @@ let test_zero_overhead_golden () =
   let s = r.H.stats in
   check_float "custom_pack latency" 77.654223999999957 r.H.latency_us;
   check_float "custom_pack bandwidth" 1609.6999436888336 r.H.bandwidth_mib_s;
-  check_int "custom_pack msgs" 6 s.Stats.messages_sent;
-  check_int "custom_pack wire" 786432 s.Stats.bytes_on_wire;
-  check_int "custom_pack rndv" 6 s.Stats.rndv_messages;
-  check_int "custom_pack iov entries" 6 s.Stats.iov_entries;
-  check_int "custom_pack memcpys" 13 s.Stats.memcpys;
-  check_int "custom_pack copied" 1572864 s.Stats.bytes_copied;
-  check_int "custom_pack allocs" 12 s.Stats.allocs;
-  check_int "custom_pack allocated" 1572864 s.Stats.bytes_allocated;
+  check_int "custom_pack msgs" 6 (Stats.get s Messages_sent);
+  check_int "custom_pack wire" 786432 (Stats.get s Bytes_on_wire);
+  check_int "custom_pack rndv" 6 (Stats.get s Rndv_messages);
+  check_int "custom_pack iov entries" 6 (Stats.get s Iov_entries);
+  check_int "custom_pack memcpys" 13 (Stats.get s Memcpys);
+  check_int "custom_pack copied" 1572864 (Stats.get s Bytes_copied);
+  check_int "custom_pack allocs" 12 (Stats.get s Allocs);
+  check_int "custom_pack allocated" 1572864 (Stats.get s Bytes_allocated);
   check_int "custom_pack peak alloc" 262144 s.Stats.peak_alloc_bytes;
-  check_int "custom_pack pack cbs" 96 s.Stats.pack_callbacks;
-  check_int "custom_pack unpack cbs" 96 s.Stats.unpack_callbacks;
-  check_int "custom_pack query cbs" 12 s.Stats.query_callbacks;
+  check_int "custom_pack pack cbs" 96 (Stats.get s Pack_callbacks);
+  check_int "custom_pack unpack cbs" 96 (Stats.get s Unpack_callbacks);
+  check_int "custom_pack query cbs" 12 (Stats.get s Query_callbacks);
   check_int "custom_pack reliability events" 0 (Stats.reliability_events s);
   let r = H.pingpong ~reps:3 ~bytes:1024 (bytes_impl 1024) in
   let s = r.H.stats in
   check_float "eager latency" 1.6902880000000007 r.H.latency_us;
   check_float "eager bandwidth" 577.74917647170162 r.H.bandwidth_mib_s;
-  check_int "eager msgs" 6 s.Stats.messages_sent;
-  check_int "eager wire" 6144 s.Stats.bytes_on_wire;
-  check_int "eager eager" 6 s.Stats.eager_messages;
-  check_int "eager memcpys" 7 s.Stats.memcpys;
-  check_int "eager copied" 6144 s.Stats.bytes_copied;
+  check_int "eager msgs" 6 (Stats.get s Messages_sent);
+  check_int "eager wire" 6144 (Stats.get s Bytes_on_wire);
+  check_int "eager eager" 6 (Stats.get s Eager_messages);
+  check_int "eager memcpys" 7 (Stats.get s Memcpys);
+  check_int "eager copied" 6144 (Stats.get s Bytes_copied);
   check_int "eager reliability events" 0 (Stats.reliability_events s);
   let r = H.pingpong ~reps:3 ~bytes:(128 * 1024) (bytes_impl (128 * 1024)) in
   let s = r.H.stats in
   check_float "rndv latency" 18.353263999999999 r.H.latency_us;
   check_float "rndv bandwidth" 6810.7776360651706 r.H.bandwidth_mib_s;
-  check_int "rndv msgs" 6 s.Stats.messages_sent;
-  check_int "rndv wire" 786432 s.Stats.bytes_on_wire;
-  check_int "rndv rndv" 6 s.Stats.rndv_messages;
-  check_int "rndv memcpys" 1 s.Stats.memcpys;
+  check_int "rndv msgs" 6 (Stats.get s Messages_sent);
+  check_int "rndv wire" 786432 (Stats.get s Bytes_on_wire);
+  check_int "rndv rndv" 6 (Stats.get s Rndv_messages);
+  check_int "rndv memcpys" 1 (Stats.get s Memcpys);
   check_int "rndv reliability events" 0 (Stats.reliability_events s)
 
 (* --- fault matrix: protocol paths x fault kinds ---
@@ -491,21 +491,12 @@ let fault_paths =
     ("iov-custom", fun () -> custom_path 40000 ());
   ]
 
-let sum_reliability (total : Stats.t) (s : Stats.t) =
-  total.Stats.retransmits <- total.Stats.retransmits + s.Stats.retransmits;
-  total.Stats.frags_dropped <- total.Stats.frags_dropped + s.Stats.frags_dropped;
-  total.Stats.frags_corrupted <-
-    total.Stats.frags_corrupted + s.Stats.frags_corrupted;
-  total.Stats.frags_duplicated <-
-    total.Stats.frags_duplicated + s.Stats.frags_duplicated;
-  total.Stats.iov_fallbacks <- total.Stats.iov_fallbacks + s.Stats.iov_fallbacks;
-  total.Stats.flap_waits <- total.Stats.flap_waits + s.Stats.flap_waits;
-  total.Stats.acks <- total.Stats.acks + s.Stats.acks
-
 let sweep plan =
   let total = Stats.create () in
   List.iter
-    (fun (_, mk) -> sum_reliability total (run_faulty ~plan ~iters:12 mk))
+    (fun (_, mk) ->
+      let s = run_faulty ~plan ~iters:12 mk in
+      List.iter (fun c -> Stats.add total c (Stats.get s c)) Stats.all)
     fault_paths;
   total
 
@@ -513,25 +504,25 @@ let test_matrix_drop () =
   let t =
     sweep (Fault.make ~seed:11 ~link:{ Fault.clean_link with drop_p = 0.05 } ~rto_ns:5000. ())
   in
-  check_bool "fragments were dropped" true (t.Stats.frags_dropped > 0);
+  check_bool "fragments were dropped" true (Stats.get t Frags_dropped > 0);
   check_bool "drops were repaired by retransmission" true
-    (t.Stats.retransmits >= t.Stats.frags_dropped)
+    (Stats.get t Retransmits >= Stats.get t Frags_dropped)
 
 let test_matrix_corrupt () =
   let t =
     sweep
       (Fault.make ~seed:12 ~link:{ Fault.clean_link with corrupt_p = 0.05 } ~rto_ns:5000. ())
   in
-  check_bool "fragments were corrupted" true (t.Stats.frags_corrupted > 0);
+  check_bool "fragments were corrupted" true (Stats.get t Frags_corrupted > 0);
   check_bool "corruption on the unchecksummed iov path fell back" true
-    (t.Stats.iov_fallbacks > 0)
+    (Stats.get t Iov_fallbacks > 0)
 
 let test_matrix_dup () =
   let t =
     sweep (Fault.make ~seed:13 ~link:{ Fault.clean_link with dup_p = 0.1 } ())
   in
-  check_bool "fragments were duplicated" true (t.Stats.frags_duplicated > 0);
-  check_int "duplicates cost no retransmissions" 0 t.Stats.retransmits
+  check_bool "fragments were duplicated" true (Stats.get t Frags_duplicated > 0);
+  check_int "duplicates cost no retransmissions" 0 (Stats.get t Retransmits)
 
 let test_matrix_flap () =
   let t =
@@ -545,8 +536,8 @@ let test_matrix_flap () =
            }
          ())
   in
-  check_bool "senders waited out down-windows" true (t.Stats.flap_waits > 0);
-  check_int "flaps alone cause no retransmissions" 0 t.Stats.retransmits
+  check_bool "senders waited out down-windows" true (Stats.get t Flap_waits > 0);
+  check_int "flaps alone cause no retransmissions" 0 (Stats.get t Retransmits)
 
 let test_matrix_delay () =
   let t =
@@ -556,8 +547,8 @@ let test_matrix_delay () =
          ())
   in
   (* delays reorder arrivals but lose nothing *)
-  check_int "no retransmissions" 0 t.Stats.retransmits;
-  check_bool "transfers still acked" true (t.Stats.acks > 0)
+  check_int "no retransmissions" 0 (Stats.get t Retransmits);
+  check_bool "transfers still acked" true (Stats.get t Acks > 0)
 
 (* --- replayability: same plan, same recovery, to the event --- *)
 
@@ -568,11 +559,11 @@ let reliability_fingerprint seed =
       ~rto_ns:5000. ()
   in
   let s = run_faulty ~plan ~iters:6 (fun () -> bytes_path (128 * 1024) ()) in
-  ( s.Stats.retransmits,
-    s.Stats.frags_dropped,
-    s.Stats.frags_corrupted,
-    s.Stats.acks,
-    s.Stats.nacks )
+  ( Stats.get s Retransmits,
+    Stats.get s Frags_dropped,
+    Stats.get s Frags_corrupted,
+    Stats.get s Acks,
+    Stats.get s Nacks )
 
 let test_fixed_seed_replay () =
   let a = reliability_fingerprint 8 in
@@ -611,7 +602,7 @@ let test_retry_exhaustion () =
   (match !got_recv with
   | Some (Mpi.Timeout _) -> ()
   | _ -> Alcotest.fail "receiver: expected the poison nack to carry Timeout");
-  check_int "gave up exactly once" 1 (Mpi.world_stats w).Stats.delivery_timeouts
+  check_int "gave up exactly once" 1 (Stats.get (Mpi.world_stats w) Delivery_timeouts)
 
 let test_peer_crash () =
   let plan = Fault.make ~crashes:[ (1, 0.) ] ~max_retries:1 ~rto_ns:1000. () in
@@ -647,7 +638,7 @@ let test_rndv_handshake_timeout () =
   (match !got with
   | Some (Mpi.Timeout { retries = 0 }) -> ()
   | _ -> Alcotest.fail "expected a handshake Timeout with retries = 0");
-  check_int "timeout recorded" 1 (Mpi.world_stats w).Stats.delivery_timeouts
+  check_int "timeout recorded" 1 (Stats.get (Mpi.world_stats w) Delivery_timeouts)
 
 (* A reliable rendezvous whose RTS never arrives still releases each
    datatype descriptor exactly once: the sender's when it gives up, the
@@ -758,7 +749,7 @@ let test_iov_fallback_once () =
       ~rto_ns:5000. ()
   in
   let s = run_faulty ~obs ~plan ~iters:1 (fun () -> custom_path 40000 ()) in
-  check_int "fell back to the packed path once" 1 s.Stats.iov_fallbacks;
+  check_int "fell back to the packed path once" 1 (Stats.get s Iov_fallbacks);
   let falls =
     List.filter
       (fun (i : Obs.instant) -> i.Obs.i_name = "iov_fallback")
@@ -812,7 +803,7 @@ let test_eager_pack_failure_nacks_receiver () =
   Engine.run engine;
   check_bool "sender completed" true !sender_done;
   check_bool "receiver completed (no deadlock)" true !receiver_done;
-  check_int "nack counted" 1 stats.Stats.nacks
+  check_int "nack counted" 1 (Stats.get stats Nacks)
 
 (* --- retransmit backoff jitter (Config.retx_jitter) ---
 
@@ -856,7 +847,7 @@ let jitter_retx_times ~jitter ~seed =
       (fun i -> if i.Obs.i_name = "retransmit" then Some i.Obs.i_time else None)
       (Obs.instants obs)
   in
-  (times, (Mpi.world_stats w).Stats.jittered_backoffs)
+  (times, (Stats.get (Mpi.world_stats w) Jittered_backoffs))
 
 (* Retransmits that follow another one within [window_ns]: the size of
    the retry storm's synchronized core.  The FIFO channel serializes

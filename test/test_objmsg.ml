@@ -3,6 +3,7 @@
 module Buf = Mpicd_buf.Buf
 module P = Mpicd_pickle.Pickle
 module Mpi = Mpicd.Mpi
+module Stats = Mpicd_simnet.Stats
 module Objmsg = Mpicd_objmsg.Objmsg
 
 let check_int = Alcotest.(check int)
@@ -78,7 +79,7 @@ let test_wire_message_counts_observed () =
   let obj = sample_object () in
   let count strategy =
     let _, _, stats = exchange strategy obj in
-    stats.messages_sent
+    (Stats.get stats Messages_sent)
   in
   let basic = count Objmsg.Pickle_basic in
   let oob = count Objmsg.Pickle_oob in
@@ -93,9 +94,9 @@ let test_basic_copies_payload_oob_does_not () =
   let _, _, s_basic = exchange Objmsg.Pickle_basic big in
   let _, _, s_cdt = exchange Objmsg.Pickle_oob_cdt big in
   Alcotest.(check bool) "basic copies >= 2x payload" true
-    (s_basic.bytes_copied >= 2 * payload);
+    (Stats.get s_basic Bytes_copied >= 2 * payload);
   Alcotest.(check bool) "cdt copies << payload" true
-    (s_cdt.bytes_copied < payload / 10)
+    (Stats.get s_cdt Bytes_copied < payload / 10)
 
 let test_memory_amplification () =
   (* peak allocation: basic buffers the serialized stream on both

@@ -59,8 +59,8 @@ let test_cache_hit_miss () =
   check_bool "first is a miss" true (o1 = Plan.Miss);
   check_bool "second is a hit" true (o2 = Plan.Hit);
   check_bool "same compiled plan" true (p1 == p2);
-  check_int "stats miss recorded" 1 s.Stats.plan_cache_misses;
-  check_int "stats hit recorded" 1 s.Stats.plan_cache_hits;
+  check_int "stats miss recorded" 1 (Stats.get s Plan_cache_misses);
+  check_int "stats hit recorded" 1 (Stats.get s Plan_cache_hits);
   (* Physical-equality keying: a structurally equal but distinct value
      compiles its own plan. *)
   let t' = Dt.vector ~count:3 ~blocklength:2 ~stride:4 Dt.int32 in
@@ -85,7 +85,7 @@ let test_stats_parity () =
     let s = Stats.create () in
     let dst = Buf.create (Dt.packed_size t ~count) in
     pack s ~dst;
-    (s.Stats.ddt_blocks_processed, s.Stats.memcpys, s.Stats.bytes_copied, dst)
+    (Stats.get s Ddt_blocks_processed, Stats.get s Memcpys, Stats.get s Bytes_copied, dst)
   in
   let bi, mi, ci, di = run (fun s ~dst -> ignore (Dt.pack ~stats:s t ~count ~src ~dst)) in
   let p = Plan.build t in
@@ -105,7 +105,7 @@ let test_stats_parity () =
     let s = Stats.create () in
     let dst = Buf.create (Dt.packed_size t' ~count) in
     pack s ~dst;
-    (s.Stats.bytes_copied, dst)
+    (Stats.get s Bytes_copied, dst)
   in
   let ci', di' =
     run' (fun s ~dst -> ignore (Dt.pack ~stats:s t' ~count ~src:src' ~dst))
@@ -534,7 +534,7 @@ let prop_stats_counts =
       let counts f =
         let s = Stats.create () in
         f s;
-        (s.Stats.ddt_blocks_processed, s.Stats.memcpys, s.Stats.bytes_copied)
+        (Stats.get s Ddt_blocks_processed, Stats.get s Memcpys, Stats.get s Bytes_copied)
       in
       let stream = Buf.create psize and sink = Buf.create n in
       let interp =

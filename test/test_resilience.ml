@@ -46,7 +46,7 @@ let test_detector_latency () =
   check_bool "is_failed" true (Ucx.is_failed ctx ~rank:1);
   check_bool "any_failures" true (Ucx.any_failures ctx);
   check_bool "failed_ranks" true (Ucx.failed_ranks ctx = [ 1 ]);
-  check_int "counted in stats" 1 stats.Stats.failures_detected
+  check_int "counted in stats" 1 (Stats.get stats Failures_detected)
 
 (* --- crash mid-collective: every rank terminates, none hangs --- *)
 
@@ -87,7 +87,7 @@ let test_crash_mid_barrier_terminates () =
         | exception Mpi.Mpi_error (Mpi.Peer_failed _) -> fast := true);
   check_bool "subsequent collective fails fast" true !fast;
   check_bool "operations were cancelled" true
-    ((Mpi.world_stats w).Stats.ops_cancelled > 0)
+    ((Stats.get (Mpi.world_stats w) Ops_cancelled) > 0)
 
 (* [allreduce_f64] stages through a buffer its rank keeps between
    calls.  A clean call hands it back, and it is zeroed when lent
@@ -149,8 +149,8 @@ let test_revoke () =
         | exception Mpi.Mpi_error Mpi.Revoked -> ()
       end);
   let s = Mpi.world_stats w in
-  check_int "one revocation" 1 s.Stats.comm_revokes;
-  check_int "the pending recv was cancelled" 1 s.Stats.ops_cancelled
+  check_int "one revocation" 1 (Stats.get s Comm_revokes);
+  check_int "the pending recv was cancelled" 1 (Stats.get s Ops_cancelled)
 
 (* A rank's registered-operation list is pruned of completed entries
    once it holds more than 64.  Rank 0 completes 100 receives, leaves
@@ -184,7 +184,7 @@ let test_revoke_after_pruning () =
         done
       end);
   check_int "only the pending recv was cancelled" 1
-    (Mpi.world_stats w).Stats.ops_cancelled
+    (Stats.get (Mpi.world_stats w) Ops_cancelled)
 
 (* The cancellation registry holds pending operations, not history: on
    a healthy 64-rank world, 200 allreduce rounds leave every rank with
@@ -260,7 +260,7 @@ let test_revoke_after_many_completed () =
   if !during < 2 || !during > 8 then
     Alcotest.failf "registry held %d entries with two pending" !during;
   check_int "only the pending recvs were cancelled" 2
-    (Mpi.world_stats w).Stats.ops_cancelled;
+    (Stats.get (Mpi.world_stats w) Ops_cancelled);
   Alcotest.(check (list string)) "cancelled newest first" [ "newer"; "older" ]
     (List.rev !woke)
 
@@ -301,7 +301,7 @@ let test_agree_with_failure () =
         check_int "second agreement value" 1 v;
         check_bool "no error this time" true (Mpi.last_error comm = None)
       end);
-  check_int "two agreements" 2 (Mpi.world_stats w).Stats.comm_agreements
+  check_int "two agreements" 2 (Stats.get (Mpi.world_stats w) Comm_agreements)
 
 (* --- comm_shrink + resilient allreduce on the survivors --- *)
 
@@ -341,9 +341,9 @@ let test_resilient_allreduce_shrink () =
       check_float (Printf.sprintf "rank %d sum" r) 7. sums.(r))
     [ 0; 1; 3 ];
   let s = Mpi.world_stats w in
-  check_int "one revoke" 1 s.Stats.comm_revokes;
-  check_int "one shrink" 1 s.Stats.comm_shrinks;
-  check_bool "failure detected" true (s.Stats.failures_detected >= 1)
+  check_int "one revoke" 1 (Stats.get s Comm_revokes);
+  check_int "one shrink" 1 (Stats.get s Comm_shrinks);
+  check_bool "failure detected" true (Stats.get s Failures_detected >= 1)
 
 (* --- the communicator-id space: 64 ids per world, never reclaimed ---
 
@@ -454,9 +454,9 @@ let test_second_wait_replays_once () =
       else begin
         let r = Mpi.irecv comm ~source:0 ~tag:1 (Mpi.Custom { dt; obj; count = 1 }) in
         let st = Mpi.wait r in
-        let unpacks = (Mpi.world_stats w).unpack_callbacks in
+        let unpacks = Stats.get (Mpi.world_stats w) Unpack_callbacks in
         Alcotest.(check bool) "same status" true (Mpi.wait r = st);
-        check_int "no second unpack" unpacks (Mpi.world_stats w).unpack_callbacks
+        check_int "no second unpack" unpacks (Stats.get (Mpi.world_stats w) Unpack_callbacks)
       end);
   check_int "states freed once each" 2 !freed;
   check_int "bounce buffers freed once each" 0 (Mpi.world_stats w).live_alloc_bytes

@@ -255,9 +255,9 @@ let test_dup_suppression () =
   check_bool "first payload" true (Buf.equal a got_a);
   check_bool "second payload (duplicate skipped)" true (Buf.equal b got_b);
   let s = Mpi.world_stats w in
-  check_int "one duplicate suppressed" 1 s.Stats.dups_suppressed;
-  check_int "both sends logged" 2 s.Stats.msgs_logged;
-  check_int "nothing replayed" 0 s.Stats.msgs_replayed
+  check_int "one duplicate suppressed" 1 (Stats.get s Dups_suppressed);
+  check_int "both sends logged" 2 (Stats.get s Msgs_logged);
+  check_int "nothing replayed" 0 (Stats.get s Msgs_replayed)
 
 (* --- epoch commits, restore, pruning --- *)
 
@@ -310,9 +310,9 @@ let test_commit_restore () =
     (Restart.latest_complete_epoch store ~job:"cr" ~nranks:3);
   let s = Mpi.world_stats w in
   (* 2 ranks x 2 epochs x 2 registered buffers (x + hidden cursors) *)
-  check_int "checkpoints taken" 8 s.Stats.checkpoints_taken;
-  check_int "restores" 4 s.Stats.buffers_restored;
-  check_bool "checkpoint bytes counted" true (s.Stats.checkpoint_bytes > 0)
+  check_int "checkpoints taken" 8 (Stats.get s Checkpoints_taken);
+  check_int "restores" 4 (Stats.get s Buffers_restored);
+  check_bool "checkpoint bytes counted" true (Stats.get s Checkpoint_bytes > 0)
 
 (* --- damaged snapshots fail closed through restore_to --- *)
 
@@ -438,9 +438,9 @@ let test_run_protected_shrink () =
     check_bool (Printf.sprintf "rank %d final counter" r) true (v = want)
   done;
   let s = Mpi.world_stats w in
-  check_bool "recovery ran on each survivor" true (s.Stats.recoveries >= 2);
+  check_bool "recovery ran on each survivor" true (Stats.get s Recoveries >= 2);
   check_bool "buffers restored during recovery" true
-    (s.Stats.buffers_restored > 0)
+    (Stats.get s Buffers_restored > 0)
 
 (* --- cross-world respawn: byte-identical convergence --- *)
 

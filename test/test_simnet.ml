@@ -387,14 +387,6 @@ let test_fiber_exception_backtrace () =
       if not (contains bt "Stdlib.failwith" && contains bt "raise_in_helper")
       then Alcotest.failf "backtrace lost the raise site:\n%s" bt
 
-let test_stats_pp_smoke () =
-  let s = Stats.create () in
-  Stats.record_message s ~eager:true ~wire_bytes:42;
-  let rendered = Format.asprintf "%a" Stats.pp s in
-  Alcotest.(check bool) "mentions wire bytes" true (contains rendered "42");
-  Alcotest.(check bool) "includes derived line" true
-    (contains rendered "mem_amplification")
-
 (* Mutex *)
 
 let test_mutex_excludes () =
@@ -499,11 +491,11 @@ let test_stats_counters () =
   Stats.record_alloc s 1000;
   Stats.record_alloc s 500;
   Stats.record_free s 1000;
-  check_int "messages" 2 s.messages_sent;
-  check_int "wire" 300 s.bytes_on_wire;
-  check_int "eager" 1 s.eager_messages;
-  check_int "rndv" 1 s.rndv_messages;
-  check_int "copied" 50 s.bytes_copied;
+  check_int "messages" 2 (Stats.get s Messages_sent);
+  check_int "wire" 300 (Stats.get s Bytes_on_wire);
+  check_int "eager" 1 (Stats.get s Eager_messages);
+  check_int "rndv" 1 (Stats.get s Rndv_messages);
+  check_int "copied" 50 (Stats.get s Bytes_copied);
   check_int "peak" 1500 s.peak_alloc_bytes;
   check_int "live" 500 s.live_alloc_bytes
 
@@ -512,11 +504,11 @@ let test_stats_diff () =
   Stats.record_message s ~eager:true ~wire_bytes:10;
   let before = Stats.snapshot s in
   Stats.record_message s ~eager:true ~wire_bytes:32;
-  Stats.record_pack_cb s;
+  Stats.incr s Pack_callbacks;
   let d = Stats.diff ~after:s ~before in
-  check_int "delta messages" 1 d.messages_sent;
-  check_int "delta wire" 32 d.bytes_on_wire;
-  check_int "delta pack" 1 d.pack_callbacks
+  check_int "delta messages" 1 (Stats.get d Messages_sent);
+  check_int "delta wire" 32 (Stats.get d Bytes_on_wire);
+  check_int "delta pack" 1 (Stats.get d Pack_callbacks)
 
 (* diff measures an interval, but live/peak are levels, not deltas: the
    result must carry the [after] values unchanged. *)
@@ -527,34 +519,89 @@ let test_stats_diff_live_peak_carry_over () =
   let before = Stats.snapshot s in
   Stats.record_alloc s 200;
   let d = Stats.diff ~after:s ~before in
-  check_int "delta allocs" 1 d.allocs;
-  check_int "delta allocated" 200 d.bytes_allocated;
+  check_int "delta allocs" 1 (Stats.get d Allocs);
+  check_int "delta allocated" 200 (Stats.get d Bytes_allocated);
   check_int "live carries after" 800 d.live_alloc_bytes;
   check_int "peak carries after" 1000 d.peak_alloc_bytes;
   check_int "after live unchanged" 800 s.live_alloc_bytes;
   check_int "after peak unchanged" 1000 s.peak_alloc_bytes
 
-let test_stats_derived () =
-  let s = Stats.create () in
-  check_float "amplification on empty" 0. (Stats.memory_amplification s);
-  check_float "mean iov on empty" 0. (Stats.mean_iov_entries s);
-  Stats.record_message s ~eager:true ~wire_bytes:1000;
-  Stats.record_message s ~eager:false ~wire_bytes:1000;
-  Stats.record_copy s 3000;
-  Stats.record_iov_entries s 7;
-  check_float "amplification" 1.5 (Stats.memory_amplification s);
-  check_float "mean iov" 3.5 (Stats.mean_iov_entries s)
+(* Every counter has its own non-empty name: reports and the
+   OBSERVABILITY.md table tell counters apart by name alone. *)
+let test_stats_names () =
+  let names = List.map Stats.name Stats.all in
+  List.iter (fun n -> if n = "" then Alcotest.fail "a counter has no name") names;
+  check_int "names are distinct" (List.length names)
+    (List.length (List.sort_uniq compare names))
 
-let test_stats_reset () =
-  let s = Stats.create () in
-  Stats.record_alloc s 10;
-  Stats.record_probe s;
-  Stats.reset s;
-  check_int "allocs" 0 s.allocs;
-  check_int "probes" 0 s.probes;
-  check_int "peak" 0 s.peak_alloc_bytes
+(* docs/OBSERVABILITY.md's counter table names exactly the counters
+   there are.  Run by dune from test/, or by hand from the root. *)
+let test_stats_names_documented () =
+  let path =
+    List.find Sys.file_exists [ "../docs/OBSERVABILITY.md"; "docs/OBSERVABILITY.md" ]
+  in
+  let lines =
+    String.split_on_char '\n' (In_channel.with_open_text path In_channel.input_all)
+  in
+  let rec section = function
+    | [] -> Alcotest.fail "no \"## Simulation counters\" section"
+    | l :: rest ->
+        if String.starts_with ~prefix:"## Simulation counters" l then rest
+        else section rest
+  in
+  let rec rows acc = function
+    | l :: rest when not (String.starts_with ~prefix:"## " l) ->
+        let acc =
+          if String.starts_with ~prefix:"| `" l then
+            List.nth (String.split_on_char '`' l) 1 :: acc
+          else acc
+        in
+        rows acc rest
+    | _ -> List.sort compare acc
+  in
+  Alcotest.(check (list string))
+    "table = Stats.name of every counter"
+    (List.sort compare (List.map Stats.name Stats.all))
+    (rows [] (section lines))
 
 (* Properties *)
+
+(* Random increments between two snapshots: [diff] returns exactly what
+   was added between them and carries the levels from [after], and
+   neither snapshot moves when the live counters do. *)
+let prop_stats_diff =
+  let counters = Array.of_list Stats.all in
+  let n = Array.length counters in
+  let op = QCheck.(pair (int_bound (n - 1)) (int_bound 1000)) in
+  QCheck.Test.make ~name:"stats: diff = increments applied" ~count:200
+    QCheck.(triple (list op) (list op) (pair small_nat small_nat))
+    (fun (pre, ops, (live, peak)) ->
+      (* [by = 0] stands for one [incr] *)
+      let apply s (i, by) =
+        if by = 0 then Stats.incr s counters.(i) else Stats.add s counters.(i) by
+      in
+      let applied ops i =
+        List.fold_left (fun a (j, by) -> if j = i then a + max by 1 else a) 0 ops
+      in
+      let s = Stats.create () in
+      List.iter (apply s) pre;
+      let before = Stats.snapshot s in
+      List.iter (apply s) ops;
+      s.live_alloc_bytes <- live;
+      s.peak_alloc_bytes <- peak;
+      let after = Stats.snapshot s in
+      List.iter (apply s) ops;
+      s.live_alloc_bytes <- live + 1;
+      let d = Stats.diff ~after ~before in
+      List.for_all
+        (fun i ->
+          let c = counters.(i) in
+          Stats.get d c = applied ops i
+          && Stats.get before c = applied pre i
+          && Stats.get after c = applied pre i + applied ops i)
+        (List.init n Fun.id)
+      && d.live_alloc_bytes = live && d.peak_alloc_bytes = peak
+      && after.live_alloc_bytes = live)
 
 let prop_heap_sorted =
   QCheck.Test.make ~name:"heap: pops are sorted" ~count:100
@@ -955,7 +1002,6 @@ let suite =
       tc "fiber exception propagates" `Quick test_fiber_exception_propagates;
       tc "fiber exception keeps its backtrace" `Quick
         test_fiber_exception_backtrace;
-      tc "stats pp smoke" `Quick test_stats_pp_smoke;
       tc "mutex excludes + fifo" `Quick test_mutex_excludes;
       tc "mutex unlock errors" `Quick test_mutex_unlock_errors;
       tc "mutex releases on exception" `Quick test_mutex_with_lock_releases_on_exn;
@@ -967,8 +1013,8 @@ let suite =
       tc "stats diff" `Quick test_stats_diff;
       tc "stats diff carries live/peak" `Quick
         test_stats_diff_live_peak_carry_over;
-      tc "stats derived metrics" `Quick test_stats_derived;
-      tc "stats reset" `Quick test_stats_reset;
+      tc "stats: counter names distinct" `Quick test_stats_names;
+      tc "stats: OBSERVABILITY.md table" `Quick test_stats_names_documented;
       tc "evq ordering" `Quick test_evq_ordering;
       tc "evq FIFO on ties" `Quick test_evq_fifo_ties;
       tc "evq pool counters" `Quick test_evq_counters;
@@ -987,6 +1033,7 @@ let suite =
       tc "topology of_string" `Quick test_topology_of_string;
       tc "topology validation" `Quick test_topology_validation;
       QCheck_alcotest.to_alcotest prop_heap_sorted;
+      QCheck_alcotest.to_alcotest prop_stats_diff;
       QCheck_alcotest.to_alcotest prop_rng_int_in_range;
       QCheck_alcotest.to_alcotest prop_evq_matches_heap;
       QCheck_alcotest.to_alcotest prop_evq_matches_heap_sim_shaped;

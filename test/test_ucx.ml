@@ -62,7 +62,7 @@ let test_contig_rndv_roundtrip () =
           let req = Ucx.tag_send ep01 ~tag:1L (Ucx.Sd_contig src) in
           expect_ok (Ucx.wait req);
           (* sender completion implies transfer done *)
-          Alcotest.(check bool) "rndv used" true (stats.rndv_messages >= 1));
+          Alcotest.(check bool) "rndv used" true (Stats.get stats Rndv_messages >= 1));
       Engine.spawn engine (fun () ->
           let req = Ucx.tag_recv w1 ~tag:1L ~mask:(-1L) (Ucx.Rd_contig dst) in
           expect_ok (Ucx.wait req);
@@ -111,7 +111,7 @@ let test_iov_roundtrip () =
       Engine.spawn engine (fun () ->
           let req = Ucx.tag_send ep01 ~tag:4L (Ucx.Sd_iov [ r1; r2; r3 ]) in
           expect_ok (Ucx.wait req);
-          check_int "iov entries recorded" 3 stats.iov_entries);
+          check_int "iov entries recorded" 3 (Stats.get stats Iov_entries));
       Engine.spawn engine (fun () ->
           let req =
             Ucx.tag_recv w1 ~tag:4L ~mask:(-1L) (Ucx.Rd_iov [ d1; d2; d3 ])
@@ -194,9 +194,9 @@ let run_generic_roundtrip n =
           Alcotest.(check bool) "callbacks ran on both sides" true
             (Buf.equal src dst);
           Alcotest.(check bool) "pack callbacks counted" true
-            (stats.pack_callbacks >= 1);
+            (Stats.get stats Pack_callbacks >= 1);
           Alcotest.(check bool) "unpack callbacks counted" true
-            (stats.unpack_callbacks >= 1)))
+            (Stats.get stats Unpack_callbacks >= 1)))
 
 let test_generic_eager () = run_generic_roundtrip 500
 
@@ -604,18 +604,31 @@ let test_timing_iov_entry_overhead () =
   Alcotest.(check bool) "per-entry cost visible" true
     (many > few +. (400. *. Config.default.link.iov_entry_ns))
 
+(* An unexpected eager message holds its buffered bytes until a receive
+   matches it, and gives them back whether that receive lands the data
+   or truncates it; a truncation completes at once. *)
 let test_unexpected_alloc_accounting () =
-  with_pair (fun ~engine ~stats ~w0:_ ~w1 ~ep01 ~ep10:_ ->
-      let src = pattern 512 in
-      Engine.spawn engine (fun () ->
-          expect_ok (Ucx.wait (Ucx.tag_send ep01 ~tag:1L (Ucx.Sd_contig src))));
-      Engine.spawn engine (fun () ->
-          Engine.sleep engine 1_000_000.;
-          (* message arrived unexpected: buffered on the receiver *)
-          check_int "buffered bytes" 512 stats.live_alloc_bytes;
-          let dst = Buf.create 512 in
-          expect_ok (Ucx.wait (Ucx.tag_recv w1 ~tag:1L ~mask:(-1L) (Ucx.Rd_contig dst)));
-          check_int "buffer released" 0 stats.live_alloc_bytes))
+  List.iter
+    (fun capacity ->
+      with_pair (fun ~engine ~stats ~w0:_ ~w1 ~ep01 ~ep10:_ ->
+          let src = pattern 512 in
+          Engine.spawn engine (fun () ->
+              expect_ok (Ucx.wait (Ucx.tag_send ep01 ~tag:1L (Ucx.Sd_contig src))));
+          Engine.spawn engine (fun () ->
+              Engine.sleep engine 1_000_000.;
+              (* message arrived unexpected: buffered on the receiver *)
+              check_int "buffered bytes" 512 stats.live_alloc_bytes;
+              let dst = Ucx.Rd_contig (Buf.create capacity) in
+              let st = Ucx.wait (Ucx.tag_recv w1 ~tag:1L ~mask:(-1L) dst) in
+              (match st.error with
+              | Some (Ucx.Truncated _) when capacity < 512 ->
+                  Alcotest.(check (float 0.)) "truncation completes at once" 1_000_000.
+                    (Engine.now engine)
+              | _ -> expect_ok st);
+              check_int
+                (Printf.sprintf "%d B receive: buffer released" capacity)
+                0 stats.live_alloc_bytes)))
+    [ 512; 256 ]
 
 let test_jitter_preserves_fifo () =
   (* With adversarial per-message jitter the per-channel FIFO guarantee
@@ -769,13 +782,13 @@ let matrix_run ~bytes ~send ~recv ~mode =
       t_send := Engine.now engine);
   Engine.run engine;
   Alcotest.(check bool) "payload" true (Buf.equal src dst);
-  if mode = `Corrupt then check_int "fell back once" 1 stats.iov_fallbacks;
+  if mode = `Corrupt then check_int "fell back once" 1 (Stats.get stats Iov_fallbacks);
   ( Int64.bits_of_float !t_send,
     Int64.bits_of_float !t_recv,
-    stats.memcpys,
-    stats.bytes_copied,
-    stats.pack_callbacks,
-    stats.unpack_callbacks )
+    Stats.get stats Memcpys,
+    Stats.get stats Bytes_copied,
+    Stats.get stats Pack_callbacks,
+    Stats.get stats Unpack_callbacks )
 
 let matrix_cases =
   let kind_name = function
@@ -1032,7 +1045,9 @@ let test_snapshot_slots_given_back () =
       fails_with "timeout" (function Ucx.Timeout _ -> true | _ -> false) )
   in
   let faults (s : Stats.t) =
-    s.retransmits > 0 && s.frags_duplicated > 0 && s.frags_corrupted > 0
+    Stats.get s Retransmits > 0
+    && Stats.get s Frags_duplicated > 0
+    && Stats.get s Frags_corrupted > 0
   in
   let any _ = true in
   let both =
@@ -1046,7 +1061,7 @@ let test_snapshot_slots_given_back () =
       ("unpack fails, no plan", None, 1000, failing_unpack 1000, any);
       ("unpack fails, lossy plan", Some lossy, 1000, failing_unpack 1000, faults);
       ( "retries run out", Some dead_link, 1000, timed_out,
-        fun (s : Stats.t) -> s.delivery_timeouts = 8 );
+        fun (s : Stats.t) -> Stats.get s Delivery_timeouts = 8 );
     ]
   in
   (* a rendezvous packs at match time, so only a matched one carves *)
@@ -1103,27 +1118,26 @@ let message_costs plan ~msgs send_dt recv_dt =
 
 (* A message allocates the same with or without a plan: no fresh buffer
    on any path, at 10 messages as at 20, and one reused slot for a
-   generic pack or a gather.  The one mode difference: under a plan an
-   iov rendezvous into a contig receiver is gathered into a slot,
-   because the reliable stream is one buffer. *)
+   generic pack or a gather; an iov sender is gathered only for a
+   generic receiver. *)
 let test_message_costs () =
   let n = 65_536 in
   let iov () = Ucx.Sd_iov [ pattern (n / 2); pattern (n / 2) ] in
   let rows =
     [
-      ("generic eager 1000 B", reversing_send (pattern 1000), reversing_recv (Buf.create 1000), 1, 1);
+      ("generic eager 1000 B", reversing_send (pattern 1000), reversing_recv (Buf.create 1000), 1);
       ( "generic eager 20,000 B", reversing_send (pattern 20_000),
-        reversing_recv (Buf.create 20_000), 1, 1 );
-      ("contig rendezvous 64 KiB", Ucx.Sd_contig (pattern n), Ucx.Rd_contig (Buf.create n), 0, 0);
-      ("generic rendezvous 64 KiB", reversing_send (pattern n), reversing_recv (Buf.create n), 1, 1);
-      ("iov rendezvous 64 KiB", iov (), Ucx.Rd_contig (Buf.create n), 0, 1);
-      ("iov -> generic 64 KiB", iov (), copying_recv (Buf.create n), 1, 1);
+        reversing_recv (Buf.create 20_000), 1 );
+      ("contig rendezvous 64 KiB", Ucx.Sd_contig (pattern n), Ucx.Rd_contig (Buf.create n), 0);
+      ("generic rendezvous 64 KiB", reversing_send (pattern n), reversing_recv (Buf.create n), 1);
+      ("iov rendezvous 64 KiB", iov (), Ucx.Rd_contig (Buf.create n), 0);
+      ("iov -> generic 64 KiB", iov (), copying_recv (Buf.create n), 1);
     ]
   in
   List.iter
-    (fun (row, send_dt, recv_dt, slots, plan_slots) ->
+    (fun (row, send_dt, recv_dt, slots) ->
       List.iter
-        (fun (mode, plan, slots) ->
+        (fun (mode, plan) ->
           List.iter
             (fun msgs ->
               let carved, fresh = message_costs plan ~msgs send_dt recv_dt in
@@ -1131,55 +1145,49 @@ let test_message_costs () =
               check_int (what ^ ": slots carved") slots carved;
               check_int (what ^ ": fresh buffers") 0 fresh)
             [ 10; 20 ])
-        [ ("no plan", None, slots); ("clean plan", Some (Fault.make ()), plan_slots) ])
+        [ ("no plan", None); ("clean plan", Some (Fault.make ())) ])
     rows
 
-(* An unchecked corruption (checksum off: the iovec DMA path) lands in
-   a private copy with exactly one flipped bit, and the sent stream,
-   which may be the sender's own buffer, keeps every byte.  A clean
-   transfer, and a checked one that recovers by retransmitting, land
-   the stream itself: no private copy. *)
-let test_unchecked_corruption_copies_on_write () =
+(* An iov send under a plan whose fragment 1 is corrupted on every
+   first try: the iovec DMA path lets the corruption through unchecked,
+   so the transfer falls back once to the checksummed path, where the
+   corruption is caught and the fragment retransmitted once.  The
+   receiver lands the sender's bytes, the sender's buffers keep theirs,
+   and no slot is taken. *)
+let test_unchecked_corruption_falls_back () =
   let n = 20_000 in
-  let inj mseq =
-    { Fault.inj_kind = Fault.Inj_corrupt; inj_src = 0; inj_dst = 1; inj_mseq = mseq;
-      inj_frag = 1 }
-  in
   let engine = Engine.create () in
   let stats = Stats.create () in
   let ctx = Ucx.create_context ~engine ~config:Config.default ~stats in
-  Ucx.set_faults ctx (Some (Fault.make ~injections:[ inj 0; inj 2 ] ()));
+  Ucx.set_faults ctx
+    (Some
+       (Fault.make
+          ~injections:
+            [
+              { Fault.inj_kind = Fault.Inj_corrupt; inj_src = 0; inj_dst = 1; inj_mseq = 0;
+                inj_frag = 1 };
+            ]
+          ()));
   let w0 = Ucx.create_worker ctx in
   let w1 = Ucx.create_worker ctx in
-  let flipped_bits a b =
-    let bits = ref 0 in
-    for i = 0 to Buf.length a - 1 do
-      let x = ref (Buf.get_u8 a i lxor Buf.get_u8 b i) in
-      while !x <> 0 do
-        bits := !bits + (!x land 1);
-        x := !x lsr 1
-      done
-    done;
-    !bits
-  in
-  let stream = pattern n in
-  let transfer mseq ~checksum =
-    match Ucx.reliable_stream w0 ~dst:w1 ~mseq ~checksum stream with
-    | Ok d -> d
-    | Error _ -> Alcotest.failf "message %d failed" mseq
-  in
+  let halves = [ pattern (n / 2); pattern (n / 2) ] in
+  let dst = Buf.create n in
   Engine.spawn engine (fun () ->
-      let d = transfer 0 ~checksum:false in
-      Alcotest.(check bool) "corrupted: a private copy" false (Buf.same_memory d stream);
-      check_int "corrupted: one flipped bit" 1 (flipped_bits d stream);
-      Alcotest.(check bool) "sent stream untouched" true (Buf.equal stream (pattern n));
-      Alcotest.(check bool) "clean: the stream itself" true
-        (Buf.same_memory (transfer 1 ~checksum:false) stream);
-      Alcotest.(check bool) "checked and retransmitted: the stream itself" true
-        (Buf.same_memory (transfer 2 ~checksum:true) stream);
-      check_int "two corruptions" 2 stats.frags_corrupted;
-      check_int "one retransmit" 1 stats.retransmits);
-  Engine.run engine
+      expect_ok (Ucx.wait (Ucx.tag_send (Ucx.connect w0 w1) ~tag:1L (Ucx.Sd_iov halves))));
+  Engine.spawn engine (fun () ->
+      expect_ok (Ucx.wait (Ucx.tag_recv w1 ~tag:1L ~mask:(-1L) (Ucx.Rd_contig dst))));
+  Engine.run engine;
+  check_int "two corruptions" 2 (Stats.get stats Frags_corrupted);
+  check_int "one fallback" 1 (Stats.get stats Iov_fallbacks);
+  check_int "one retransmit" 1 (Stats.get stats Retransmits);
+  Alcotest.(check bool) "sender's buffers untouched" true
+    (List.for_all (fun b -> Buf.equal b (pattern (n / 2))) halves);
+  List.iteri
+    (fun i b ->
+      Alcotest.(check bool) (Printf.sprintf "half %d landed" i) true
+        (Buf.equal (Buf.sub dst ~pos:(i * n / 2) ~len:(n / 2)) b))
+    halves;
+  check_int "no slot taken" 0 (Buf.Slabs.carved_slots (Ucx.slabs ctx))
 
 (* Minor words per message of a warmed-up 2-worker ping-pong: a
    deterministic count per transport path, not a timing.  The ceilings
@@ -1371,7 +1379,7 @@ let suite =
       tc "eager snapshots in flight stay distinct" `Quick test_eager_snapshots_in_flight;
       tc "snapshot slots given back once" `Quick test_snapshot_slots_given_back;
       tc "a message allocates the same with or without a plan" `Quick test_message_costs;
-      tc "unchecked corruption copies on write" `Quick
-        test_unchecked_corruption_copies_on_write;
+      tc "unchecked corruption falls back once" `Quick
+        test_unchecked_corruption_falls_back;
       tc "ping-pong minor words per message" `Quick test_pingpong_words;
     ] )
