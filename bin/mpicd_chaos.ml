@@ -133,7 +133,7 @@ let buf_region_dt () : Buf.t Custom.t =
             then raise (Custom.Error 99)
           done);
       region_count = Some (fun () _ ~count:_ -> 1);
-      regions = Some (fun () b ~count:_ -> [| b |]);
+      regions = Some (fun () b ~count:_ -> Buf.Iov.of_array [| b |]);
     }
 
 let custom_path n () =

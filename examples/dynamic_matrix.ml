@@ -43,7 +43,7 @@ let ragged_dt : ragged Custom.t =
               raise (Custom.Error 2)
           done);
       region_count = Some (fun _ m ~count:_ -> Array.length m.rows);
-      regions = Some (fun _ m ~count:_ -> m.rows);
+      regions = Some (fun _ m ~count:_ -> Buf.Iov.of_array m.rows);
     }
 
 (* Row i has 16 * (1 + i mod 7) i32 entries — genuinely ragged. *)

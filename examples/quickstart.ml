@@ -49,7 +49,7 @@ let rope_dt : rope Custom.t =
               raise (Custom.Error 1)
           done);
       region_count = Some (fun _ rope ~count:_ -> List.length rope.fragments);
-      regions = Some (fun _ rope ~count:_ -> Array.of_list rope.fragments);
+      regions = Some (fun _ rope ~count:_ -> Buf.Iov.of_list rope.fragments);
     }
 
 let () =

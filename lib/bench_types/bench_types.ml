@@ -68,10 +68,47 @@ module Double_vec = struct
 
   (* The packed header: one little-endian i32 length per subvector,
      written and checked straight from the subvector array.  Byte [k]
-     is byte [k mod 4] of subvector [k / 4]'s length. *)
+     is byte [k mod 4] of subvector [k / 4]'s length.  A window moves
+     whole lengths as 32-bit words, and bytes only where it cuts one. *)
   let header_bytes (t : t) = 4 * Array.length t
-  let[@inline] header_byte (t : t) k =
-    (Buf.length t.(k lsr 2) lsr (8 * (k land 3))) land 0xff
+  let[@inline] header_byte (t : t) k = (t.(k lsr 2).len lsr (8 * (k land 3))) land 0xff
+
+  (* Window [offset, offset + n) of the header: [i] is where the whole
+     words start in it and [stop] where they end. *)
+  let[@inline] word_span ~offset n =
+    let i = min n ((4 - (offset land 3)) land 3) in
+    (i, i + ((n - i) land lnot 3))
+
+  let pack_header (t : t) ~offset ~dst n =
+    let i, stop = word_span ~offset n in
+    for j = 0 to i - 1 do
+      Buf.set_u8 dst j (header_byte t (offset + j))
+    done;
+    let j = ref i in
+    while !j < stop do
+      Buf.set_u32 dst !j t.((offset + !j) lsr 2).len;
+      j := !j + 4
+    done;
+    for j = stop to n - 1 do
+      Buf.set_u8 dst j (header_byte t (offset + j))
+    done
+
+  let header_matches (t : t) ~offset ~src n =
+    let i, stop = word_span ~offset n in
+    let ok = ref true in
+    for j = 0 to i - 1 do
+      if Buf.get_u8 src j <> header_byte t (offset + j) then ok := false
+    done;
+    let j = ref i in
+    while !ok && !j < stop do
+      if Buf.get_u32 src !j <> t.((offset + !j) lsr 2).len land 0xffff_ffff then
+        ok := false;
+      j := !j + 4
+    done;
+    for j = stop to n - 1 do
+      if Buf.get_u8 src j <> header_byte t (offset + j) then ok := false
+    done;
+    !ok
 
   let custom_dt : t Custom.t =
     Custom.create
@@ -83,9 +120,7 @@ module Double_vec = struct
         pack =
           (fun t _ ~count:_ ~offset ~dst ->
             let len = min (Buf.length dst) (header_bytes t - offset) in
-            for i = 0 to len - 1 do
-              Buf.set_u8 dst i (header_byte t (offset + i))
-            done;
+            pack_header t ~offset ~dst len;
             len);
         unpack =
           (fun t _ ~count:_ ~offset ~src ->
@@ -93,44 +128,41 @@ module Double_vec = struct
             let len = Buf.length src in
             if offset < 0 || offset > header_bytes t - len then
               invalid_arg "Double_vec.custom_dt: header window out of range";
-            for i = 0 to len - 1 do
-              if Buf.get_u8 src i <> header_byte t (offset + i) then
-                raise (Custom.Error 86)
-            done);
+            if not (header_matches t ~offset ~src len) then raise (Custom.Error 86));
         region_count = Some (fun _ t ~count:_ -> Array.length t);
-        regions = Some (fun _ t ~count:_ -> t);
+        regions = Some (fun _ t ~count:_ -> Buf.Iov.of_array t);
       }
 
   let manual_pack_size t = 4 + (4 * Array.length t) + total_bytes t
 
   (* The lengths are written and read as unsigned 32-bit words: the
-     same bytes as an i32 for any real length, and no boxed [int32]. *)
+     same bytes as an i32 for any real length, and no boxed [int32].
+     The subvectors move as a region list, so a run of them that follow
+     each other in one buffer is one copy. *)
   let manual_pack t ~dst =
     if Buf.length dst < manual_pack_size t then
       invalid_arg "Double_vec.manual_pack: destination too small";
     let n = Array.length t in
     Buf.set_u32 dst 0 n;
-    let pos = ref (4 + (4 * n)) in
     for i = 0 to n - 1 do
-      let b = t.(i) in
-      Buf.set_u32 dst (4 + (4 * i)) (Buf.length b);
-      Buf.blit ~src:b ~src_pos:0 ~dst ~dst_pos:!pos ~len:(Buf.length b);
-      pos := !pos + Buf.length b
-    done
+      Buf.set_u32 dst (4 + (4 * i)) (Buf.length t.(i))
+    done;
+    let regions = Buf.Iov.of_array t in
+    Buf.Iov.gather regions
+      ~dst:(Buf.sub dst ~pos:(4 + (4 * n)) ~len:(Buf.Iov.total regions))
 
   let manual_unpack ~src t =
     let n = Array.length t in
     if Buf.get_u32 src 0 <> n then
       invalid_arg "Double_vec.manual_unpack: shape mismatch";
-    let pos = ref (4 + (4 * n)) in
     for i = 0 to n - 1 do
-      let b = t.(i) in
-      let len = Buf.get_u32 src (4 + (4 * i)) in
-      if len <> Buf.length b then
-        invalid_arg "Double_vec.manual_unpack: subvector length mismatch";
-      Buf.blit ~src ~src_pos:!pos ~dst:b ~dst_pos:0 ~len;
-      pos := !pos + len
-    done
+      if Buf.get_u32 src (4 + (4 * i)) <> Buf.length t.(i) then
+        invalid_arg "Double_vec.manual_unpack: subvector length mismatch"
+    done;
+    let regions = Buf.Iov.of_array t in
+    Buf.Iov.blit
+      ~src:(Buf.Iov.of_array [| Buf.sub src ~pos:(4 + (4 * n)) ~len:(Buf.Iov.total regions) |])
+      ~dst:regions
 end
 
 module type STRUCT = sig
@@ -230,12 +262,13 @@ end) : STRUCT = struct
           (if has_region then
              Some
                (fun () base ~count ->
-                 Array.init count (fun e ->
-                     Buf.sub base ~pos:((e * sizeof) + region_off) ~len:region_len))
+                 Buf.Iov.of_array
+                   (Array.init count (fun e ->
+                        Buf.sub base ~pos:((e * sizeof) + region_off) ~len:region_len)))
            else if scalar_packed = 0 then
              Some
                (fun () base ~count ->
-                 [| Buf.sub base ~pos:0 ~len:(count * sizeof) |])
+                 Buf.Iov.of_array [| Buf.sub base ~pos:0 ~len:(count * sizeof) |])
            else None);
       }
 

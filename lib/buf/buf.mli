@@ -213,3 +213,72 @@ module Slabs : sig
       given back, exactly once, this equals {!free_slots}: fewer free
       slots is a leak, more is a slot given back twice. *)
 end
+
+(** {1 Region lists} *)
+
+(** A list of memory regions as one value: what the paper's regions
+    callback returns as its [reg_bases]/[reg_lens] arrays (Listing 5),
+    and what the transport reads as [UCP_DATATYPE_IOV] reads its
+    (pointer, length) array.  Entry [i] is the {!len} bytes at byte
+    {!off} of the bigstring {!base}.
+
+    Building a list copies neither bytes nor entries: {!of_array}
+    wraps the views a callback built, and {!of_table} cuts entries out
+    of one buffer by an offset/length table that every list of the same
+    layout shares. *)
+module Iov : sig
+  type buf := t
+  type t
+
+  type table
+  (** Offsets and lengths of a layout's entries, relative to a base
+      buffer. *)
+
+  val table : offs:int array -> lens:int array -> table
+  (** [table ~offs ~lens] has entry [i] at offset [offs.(i)], [lens.(i)]
+      bytes long.  It shares the arrays, which must not change after.
+      @raise Invalid_argument if their lengths differ, or an offset or
+      a length is negative. *)
+
+  val empty : t
+  val of_array : buf array -> t
+  (** The views, in order.  It shares the array, which must not change
+      while the list is in use. *)
+
+  val of_list : buf list -> t
+
+  val of_table : buf -> table -> t
+  (** [of_table b tbl]: entry [i] is the view of [b] that [tbl]'s entry
+      [i] names.
+      @raise Invalid_argument if an entry does not fit in [b]. *)
+
+  val cons : buf -> t -> t
+  (** One view in front of a list. *)
+
+  val count : t -> int
+  (** Entries, empty ones included. *)
+
+  val total : t -> int
+  (** Bytes in all entries. *)
+
+  val base : t -> int -> bigstring
+  val off : t -> int -> int
+  val len : t -> int -> int
+
+  val get : t -> int -> buf
+  (** Entry [i] as a view.  Raises [Invalid_argument] out of range, as
+      {!base}, {!off} and {!len} do. *)
+
+  val blit : src:t -> dst:t -> unit
+  (** Copy the [total src] bytes of [src]'s entries, in order, into the
+      first bytes of [dst]'s, as entry-by-entry copies would.  A run of
+      adjacent entries, where each after the first has its
+      predecessor's base and starts where it ends, is copied as one
+      span on either side, so a stretch that is one run in both lists is
+      one copy.
+      @raise Invalid_argument if [total src > total dst] ("payload
+      exceeds receive regions"). *)
+
+  val gather : t -> dst:buf -> unit
+  (** [gather t ~dst] is {!blit} into the one entry [dst]. *)
+end

@@ -113,15 +113,16 @@ let mpi_type_create_custom ~statefn ~freefn ~queryfn ~packfn ~unpackfn
                     check
                       (rf ~state ~buf ~count ~region_count:n ~reg_bases
                          ~reg_lens);
-                    Array.mapi
-                      (fun i base ->
-                        match base with
-                        | None -> raise (Custom.Error mpi_err_arg)
-                        | Some b ->
-                            if Buf.length b <> reg_lens.(i) then
-                              raise (Custom.Error mpi_err_arg);
-                            b)
-                      reg_bases)
+                    Buf.Iov.of_array
+                      (Array.mapi
+                         (fun i base ->
+                           match base with
+                           | None -> raise (Custom.Error mpi_err_arg)
+                           | Some b ->
+                               if Buf.length b <> reg_lens.(i) then
+                                 raise (Custom.Error mpi_err_arg);
+                               b)
+                         reg_bases))
             | _ -> None);
         }
       in

@@ -119,6 +119,9 @@ let any_overlap ?(count = ref 0) regs =
   in
   Hashtbl.fold (fun _ gs acc -> acc || List.exists overlapping gs) groups false
 
+(* A region list's entries as views, to compare pairwise. *)
+let views iov = Array.init (Buf.Iov.count iov) (Buf.Iov.get iov)
+
 (* The first pair [(i, j)], [i < j], of regions sharing bytes, in the
    order the pairwise search finds it; the search runs only when the
    sweep says there is a pair. *)
@@ -165,7 +168,7 @@ let check ?(seed = 0x5eed) ?(rounds = 8) s =
          end;
          (* --- regions --- *)
          let rc = Custom.region_count op in
-         let regs = Custom.regions op in
+         let regs = views (Custom.regions op) in
          if rc <> Array.length regs then
            addf ~id:"CB-REGION-COUNT" ~severity:Finding.Error
              "region_count promised %d regions but the region callback \
@@ -297,7 +300,7 @@ let check ?(seed = 0x5eed) ?(rounds = 8) s =
                           off := !off + len
                         done;
                         (* region transfer: sender regions -> sink regions *)
-                        let sregs = Custom.regions sop in
+                        let sregs = views (Custom.regions sop) in
                         if
                           Array.length sregs <> Array.length regs
                           || Array.exists2

@@ -9,7 +9,7 @@ type ('obj, 'state) callbacks = {
   pack : 'state -> 'obj -> count:int -> offset:int -> dst:Buf.t -> int;
   unpack : 'state -> 'obj -> count:int -> offset:int -> src:Buf.t -> unit;
   region_count : ('state -> 'obj -> count:int -> int) option;
-  regions : ('state -> 'obj -> count:int -> Buf.t array) option;
+  regions : ('state -> 'obj -> count:int -> Buf.Iov.t) option;
 }
 
 type 'obj t =
@@ -70,7 +70,7 @@ let region_count (Op o) =
 
 let regions (Op o) =
   match o.cb.regions with
-  | None -> [||]
+  | None -> Buf.Iov.empty
   | Some f -> f o.state o.obj ~count:o.count
 
 let op_inorder (Op o) = o.inorder

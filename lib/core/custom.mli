@@ -47,11 +47,14 @@ type ('obj, 'state) callbacks = {
           starts at virtual [offset]. *)
   region_count : ('state -> 'obj -> count:int -> int) option;
       (** [region_countfn]: number of zero-copy regions, if any. *)
-  regions : ('state -> 'obj -> count:int -> Buf.t array) option;
-      (** [regionfn]: the region slices themselves.  On the send side
-          they are gathered onto the wire; on the receive side they are
-          scattered into.  All regions are byte-typed (the C API's
-          [reg_types] generalization is exposed in {!Mpicd_capi}). *)
+  regions : ('state -> 'obj -> count:int -> Buf.Iov.t) option;
+      (** [regionfn]: the regions themselves, as one list: the views the
+          callback built ({!Buf.Iov.of_array}), or a shared
+          offset/length table over one buffer ({!Buf.Iov.of_table}).
+          On the send side they are gathered onto the wire; on the
+          receive side they are scattered into.  All regions are
+          byte-typed (the C API's [reg_types] generalization is exposed
+          in {!Mpicd_capi}). *)
 }
 
 type 'obj t
@@ -92,8 +95,8 @@ val finish : _ op -> unit
 val packed_size : 'obj op -> int
 val pack : 'obj op -> offset:int -> dst:Buf.t -> int
 val unpack : 'obj op -> offset:int -> src:Buf.t -> unit
-val regions : 'obj op -> Buf.t array
-(** Empty array when the type exposes no regions. *)
+val regions : 'obj op -> Buf.Iov.t
+(** Empty when the type exposes no regions. *)
 
 val region_count : 'obj op -> int
 val op_inorder : _ op -> bool

@@ -569,7 +569,7 @@ let custom_query c op =
       charge c (cpu c).pack_cb_overhead_ns;
       guard (fun () -> Custom.regions op)
     end
-    else [||]
+    else Buf.Iov.empty
   in
   (psize, regs)
 
@@ -678,19 +678,27 @@ let typed_overheads c plan count =
 (* A custom op's iov: its packed bounce buffer, if any, then its
    regions. *)
 let bounce_iov packed regs =
-  let regs = Array.to_list regs in
-  if Buf.length packed > 0 then packed :: regs else regs
+  if Buf.length packed > 0 then Buf.Iov.cons packed regs else regs
 
+(* The op is finished however the callbacks end, and a failing one
+   surfaces as on the send path. *)
 let buffer_size = function
   | Bytes b -> Buf.length b
   | Typed { dt; count; _ } -> Datatype.packed_size dt ~count
-  | Custom { dt; obj; count } ->
+  | Custom { dt; obj; count } -> (
       let op = Custom.start dt obj ~count in
-      let psize = Custom.packed_size op in
-      let regs = if Custom.region_count op > 0 then Custom.regions op else [||] in
-      let rbytes = Array.fold_left (fun a r -> a + Buf.length r) 0 regs in
-      Custom.finish op;
-      psize + rbytes
+      match
+        guard (fun () ->
+            let psize = Custom.packed_size op in
+            if Custom.region_count op > 0 then psize + Buf.Iov.total (Custom.regions op)
+            else psize)
+      with
+      | n ->
+          Custom.finish op;
+          n
+      | exception e ->
+          Custom.finish op;
+          raise e)
 
 (* Build the transport descriptors of a [Bytes] or [Typed] buffer;
    [custom_send_dt]/[custom_recv_dt] also return the cleanup that
@@ -738,7 +746,7 @@ let custom_send_dt c dt obj ~count =
         end
         else empty_buf
       in
-      (Ucx.Sd_iov (bounce_iov packed regs), Custom_send (op, packed))
+      (Ucx.Sd_regions (bounce_iov packed regs), Custom_send (op, packed))
 
 let make_recv_dt c = function
   | Bytes b -> (
@@ -784,7 +792,7 @@ let custom_recv_dt c dt obj ~count =
         end
         else empty_buf
       in
-      (Ucx.Rd_iov (bounce_iov packed regs), Custom_recv (op, packed))
+      (Ucx.Rd_regions (bounce_iov packed regs), Custom_recv (op, packed))
 
 (* Once the operation completes: a receive unpacks its bounce buffer,
    and the custom state is released.  A bounce buffer goes back to the

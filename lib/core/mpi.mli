@@ -214,7 +214,10 @@ type buffer =
 val buffer_size : buffer -> int
 (** Wire footprint of the buffer: byte length, packed datatype size, or
     packed size + region bytes for custom buffers (runs the query and
-    region callbacks on a throwaway state). *)
+    region callbacks on a throwaway state, which is freed however they
+    end).
+    @raise Mpi_error [Callback_failed code] when a callback raises
+    [Custom.Error code], as a send would fail. *)
 
 (** {1 Errors and status} *)
 

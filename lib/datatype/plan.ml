@@ -453,6 +453,12 @@ let pack_range ?stats ?cursor p ~count ~src ~packed_off ~dst =
 let unpack_range ?stats ?cursor p ~count ~src ~packed_off ~dst =
   range ?stats ?cursor p ~count ~packed_off ~pack:false ~typed:dst ~stream:src
 
+(* One element's blocks, sharing the plan's arrays: the table only
+   reads them. *)
+let region_table p =
+  let p = force p in
+  Buf.Iov.table ~offs:p.disps ~lens:p.lens
+
 (* --- iovec from the plan arrays ---
 
    Same merged-region structure as [Datatype.iovec] (blocks that touch

@@ -133,6 +133,13 @@ val unpack_range :
     packed stream) into the typed layout [dst]; returns bytes consumed,
     mirroring {!pack_range}. *)
 
+val region_table : t -> Mpicd_buf.Buf.Iov.table
+(** One element's blocks as a region table: entry [i] is block [i] at
+    its typed displacement, so [Buf.Iov.of_table base (region_table p)]
+    lists the blocks of the element at [base], unmerged, with no copy.
+    It shares the plan's arrays.
+    @raise Invalid_argument if a displacement is negative. *)
+
 val iovec : t -> count:int -> base:Mpicd_buf.Buf.t -> Mpicd_buf.Buf.t list
 (** Zero-copy region list; entry-for-entry identical to
     [Datatype.iovec] (including cross-element merging). *)

@@ -81,11 +81,6 @@ let unpack_range b ~base ~offset ~src =
     done
   end
 
-let regions b ~base =
-  let t = table b in
-  Array.init (Array.length t.offs) (fun i ->
-      Buf.sub base ~pos:t.offs.(i) ~len:t.lens.(i))
-
 let equal_typed blocks a b =
   let t = table blocks in
   let ok = ref true in

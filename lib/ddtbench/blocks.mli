@@ -45,9 +45,6 @@ val pack_range : t -> base:Buf.t -> offset:int -> dst:Buf.t -> int
 val unpack_range : t -> base:Buf.t -> offset:int -> src:Buf.t -> unit
 (** Scatter a fragment starting at packed-stream [offset] into the slab. *)
 
-val regions : t -> base:Buf.t -> Buf.t array
-(** One zero-copy slice per block. *)
-
 val equal_typed : t -> Buf.t -> Buf.t -> bool
 (** Compare the block-covered bytes of two slabs. *)
 

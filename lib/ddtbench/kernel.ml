@@ -90,7 +90,10 @@ module Make (S : SPEC) : KERNEL = struct
         regions = None;
       }
 
-  (* Custom datatype exposing every block as a zero-copy region. *)
+  (* Custom datatype exposing every block as a zero-copy region: each
+     message's regions are the slab cut by the plan's one table. *)
+  let region_table = lazy (Plan.region_table plan)
+
   let custom_regions : Buf.t Custom.t option =
     if not S.regions_sensible then None
     else
@@ -102,8 +105,11 @@ module Make (S : SPEC) : KERNEL = struct
              query = (fun () _ ~count:_ -> 0);
              pack = (fun () _ ~count:_ ~offset:_ ~dst:_ -> 0);
              unpack = (fun () _ ~count:_ ~offset:_ ~src:_ -> ());
-             region_count = Some (fun () _ ~count:_ -> Blocks.count blocks);
-             regions = Some (fun () base ~count:_ -> Blocks.regions blocks ~base);
+             region_count = Some (fun () _ ~count:_ -> Plan.block_count plan);
+             regions =
+               Some
+                 (fun () base ~count:_ ->
+                   Buf.Iov.of_table base (Lazy.force region_table));
            })
 end
 

@@ -55,7 +55,7 @@ let pickled_dt : pickled Custom.t =
           Buf.blit ~src ~src_pos:0 ~dst:p.header ~dst_pos:offset
             ~len:(Buf.length src));
       region_count = Some (fun () p ~count:_ -> Array.length p.buffers);
-      regions = Some (fun () p ~count:_ -> p.buffers);
+      regions = Some (fun () p ~count:_ -> Buf.Iov.of_array p.buffers);
     }
 
 (* Length vector wire format: [n; header_len; len_0; ...; len_{n-1}]

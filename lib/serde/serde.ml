@@ -298,7 +298,7 @@ let to_custom (schema : 'a t) : 'a Custom.t =
                      ~buffers:(Array.to_list (Array.map Fun.id st.regions)));
                 ignore v));
       region_count = Some (fun st _ ~count:_ -> Array.length st.regions);
-      regions = Some (fun st _ ~count:_ -> st.regions);
+      regions = Some (fun st _ ~count:_ -> Buf.Iov.of_array st.regions);
     }
 
 let receive_into (schema : 'a t) (_cell : 'a ref) : 'a ref Custom.t =
@@ -326,5 +326,5 @@ let receive_into (schema : 'a t) (_cell : 'a ref) : 'a ref Custom.t =
                   decode_oob schema st.header
                     ~buffers:(Array.to_list st.regions)));
       region_count = Some (fun st _ ~count:_ -> Array.length st.regions);
-      regions = Some (fun st _ ~count:_ -> st.regions);
+      regions = Some (fun st _ ~count:_ -> Buf.Iov.of_array st.regions);
     }

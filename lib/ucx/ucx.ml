@@ -1,4 +1,5 @@
 module Buf = Mpicd_buf.Buf
+module Iov = Buf.Iov
 module Engine = Mpicd_simnet.Engine
 module Config = Mpicd_simnet.Config
 module Stats = Mpicd_simnet.Stats
@@ -25,15 +26,23 @@ type recv_generic = {
   rg_overhead_ns : float;
 }
 
+(* A posted [Sd_iov]/[Rd_iov] list becomes [Sd_regions]/[Rd_regions]
+   once, on entry ([regions_send]/[regions_recv]): the transport
+   carries no list. *)
 type send_dt =
   | Sd_contig of Buf.t
   | Sd_iov of Buf.t list
+  | Sd_regions of Iov.t
   | Sd_generic of send_generic
 
 type recv_dt =
   | Rd_contig of Buf.t
   | Rd_iov of Buf.t list
+  | Rd_regions of Iov.t
   | Rd_generic of recv_generic
+
+let[@inline] regions_send = function Sd_iov l -> Sd_regions (Iov.of_list l) | dt -> dt
+let[@inline] regions_recv = function Rd_iov l -> Rd_regions (Iov.of_list l) | dt -> dt
 
 type error =
   | Truncated of { expected : int; capacity : int }
@@ -72,7 +81,7 @@ type request = {
   mutable r_link : request;
 }
 
-let no_recv = Rd_iov []
+let no_recv = Rd_regions Iov.empty
 
 let rec no_request =
   { r_status = pending; r_waiter = Engine.idle; r_seq = -1; r_tag = 0; r_mask = 0;
@@ -295,7 +304,7 @@ let trace ctx category fmt =
 
 let obs_on ctx = Obs.enabled ctx.obs
 
-let observe ctx name v =
+let[@inline] observe ctx name v =
   if obs_on ctx then Metrics.observe (Metrics.histogram (Obs.metrics ctx.obs) name) v
 
 let create_worker ctx =
@@ -319,12 +328,14 @@ let connect src dst = { ep_src = src; ep_dst = dst }
 
 let send_dt_size = function
   | Sd_contig b -> Buf.length b
-  | Sd_iov bs -> List.fold_left (fun a b -> a + Buf.length b) 0 bs
+  | Sd_regions v -> Iov.total v
+  | Sd_iov _ -> assert false (* converted on entry *)
   | Sd_generic g -> g.sg_packed_size
 
 let recv_dt_capacity = function
   | Rd_contig b -> Buf.length b
-  | Rd_iov bs -> List.fold_left (fun a b -> a + Buf.length b) 0 bs
+  | Rd_regions v -> Iov.total v
+  | Rd_iov _ -> assert false (* converted on entry *)
   | Rd_generic g -> g.rg_capacity
 
 (* --- cost helpers --- *)
@@ -334,15 +345,15 @@ let cpu c = c.config.cpu
 
 (* Per-entry scatter/gather setup of an iov descriptor; nothing for
    the others. *)
-let iov_cost c (dt : send_dt) =
+let[@inline] iov_cost c (dt : send_dt) =
   match dt with
-  | Sd_iov bufs ->
+  | Sd_regions v ->
       let l = link c in
-      let entries = List.length bufs in
+      let entries = Iov.count v in
       let chunks = (entries + l.iov_max_entries - 1) / l.iov_max_entries in
       (float_of_int entries *. l.iov_entry_ns)
       +. (float_of_int (max 0 (chunks - 1)) *. l.per_msg_overhead_ns)
-  | Sd_contig _ | Sd_generic _ -> 0.
+  | Sd_contig _ | Sd_iov _ | Sd_generic _ -> 0.
 
 (* Sender CPU to stage a descriptor.  A generic pack stages through
    [alloc] bytes of bounce buffer: the whole message for eager, one
@@ -357,7 +368,7 @@ let[@inline] staging_cpu ctx (dt : send_dt) ~alloc frags =
       +. Config.memcpy_time c g.sg_packed_size
       +. (float_of_int (List.length frags) *. c.pack_cb_overhead_ns)
       +. g.sg_overhead_ns
-  | Sd_contig _ | Sd_iov _ -> 0.
+  | Sd_contig _ | Sd_iov _ | Sd_regions _ -> 0.
 
 (* Topology-aware path costs.  Every timing site that moves message
    payload (or a control message standing in for one) between two
@@ -436,30 +447,6 @@ let unpack_fragments ctx (g : recv_generic) frags =
     frags;
   g.rg_finish ()
 
-(* Copy a contiguous byte stream (as fragments) into a region list,
-   crossing region boundaries as needed. *)
-let scatter_fragments frags regions =
-  let regions = ref regions in
-  let reg_off = ref 0 in
-  List.iter
-    (fun frag ->
-      let fpos = ref 0 in
-      while !fpos < Buf.length frag do
-        match !regions with
-        | [] -> invalid_arg "Ucx: payload exceeds receive regions"
-        | r :: rest ->
-            let room = Buf.length r - !reg_off in
-            let n = min room (Buf.length frag - !fpos) in
-            Buf.blit ~src:frag ~src_pos:!fpos ~dst:r ~dst_pos:!reg_off ~len:n;
-            fpos := !fpos + n;
-            reg_off := !reg_off + n;
-            if !reg_off = Buf.length r then begin
-              regions := rest;
-              reg_off := 0
-            end
-      done)
-    frags
-
 (* Receiver CPU to copy [total] landed bytes into place; nothing when
    the stream landed there zero-copy. *)
 let[@inline] copy_cpu ctx ~zcopy total =
@@ -479,14 +466,15 @@ let deposit ctx (dt : recv_dt) frags ~zcopy =
   match dt with
   | Rd_contig b ->
       (match frags with
-      | [ f ] when Buf.length f <= Buf.length b ->
+      | [ f ] ->
           (* one fragment (every eager message): a single copy *)
           Buf.blit ~src:f ~src_pos:0 ~dst:b ~dst_pos:0 ~len:(Buf.length f)
-      | _ -> scatter_fragments frags [ b ]);
+      | _ -> Iov.gather (Iov.of_list frags) ~dst:b);
       copy_cpu ctx ~zcopy total
-  | Rd_iov regions ->
-      scatter_fragments frags regions;
+  | Rd_regions v ->
+      Iov.blit ~src:(Iov.of_list frags) ~dst:v;
       copy_cpu ctx ~zcopy total
+  | Rd_iov _ -> assert false (* converted on entry *)
   | Rd_generic g ->
       let ncb = List.length frags in
       unpack_fragments ctx g frags;
@@ -500,7 +488,7 @@ let land_snapshot ctx (dt : recv_dt) data =
   | Rd_contig b ->
       Buf.blit ~src:data ~src_pos:0 ~dst:b ~dst_pos:0 ~len:(Buf.length data);
       copy_cpu ctx ~zcopy:false (Buf.length data)
-  | Rd_iov _ | Rd_generic _ -> deposit ctx dt [ data ] ~zcopy:false
+  | Rd_iov _ | Rd_regions _ | Rd_generic _ -> deposit ctx dt [ data ] ~zcopy:false
 
 (* A message has ended (landed, refused, truncated or failed): nothing
    reads its slot any more. *)
@@ -627,7 +615,7 @@ let straggle ctx rank =
    transfer never moves data. *)
 let dispose_send_dt = function
   | Sd_generic g -> g.sg_finish ()
-  | Sd_contig _ | Sd_iov _ -> ()
+  | Sd_contig _ | Sd_iov _ | Sd_regions _ -> ()
 
 let dispose_rndv (r : rndv) =
   if not r.r_done then begin
@@ -643,7 +631,7 @@ let dispose_payload env =
 
 let dispose_recv_dt = function
   | Rd_generic g -> g.rg_finish ()
-  | Rd_contig _ | Rd_iov _ -> ()
+  | Rd_contig _ | Rd_iov _ | Rd_regions _ -> ()
 
 let is_failed ctx ~rank = Hashtbl.mem ctx.failed rank
 let any_failures ctx = ctx.any_failed
@@ -1080,33 +1068,42 @@ let data_args env =
    stage took goes back once the transfer ends. *)
 
 (* Stage: from here on the transfer owns the descriptor's disposal.
-   Returns the views to land.  Contiguous and iov descriptors yield the
+   Returns the views to land.  Contiguous and iov descriptors are the
    sender's own buffers, read in place: MPI forbids a receive buffer
    that overlaps the pending send buffer of the same message, and the
    sender completes only after the data has landed, so these buffers
-   need no copy and never reach the slabs.  A generic descriptor packs
-   into a slot, and an iov one is gathered into a slot (no charged
-   copy: the NIC gathers) where [whole] asks for one stream, which only
-   a generic receiver does; the slot becomes [env.e_data], released
-   once the transfer ends, failed or not. *)
+   need no copy and never reach the slabs.  A contiguous one is its one
+   view; an iov one yields none, and [land_staged] reads its regions.  A
+   generic descriptor packs into a slot, and an iov one is gathered into
+   a slot (no charged copy: the NIC gathers) where [whole] asks for one
+   stream, which only a generic receiver does; the slot becomes
+   [env.e_data], released once the transfer ends, failed or not. *)
 let stage ctx (env : envelope) (r : rndv) ~whole =
   r.r_done <- true;
   match r.r_dt with
   | Sd_contig b -> [ b ]
-  | Sd_iov bs when not whole -> bs
-  | Sd_iov bs ->
+  | Sd_regions _ when not whole -> []
+  | Sd_regions v ->
       env.e_data <- Buf.Slabs.take ctx.slabs env.e_total;
-      ignore
-        (List.fold_left
-           (fun pos b ->
-             Buf.blit ~src:b ~src_pos:0 ~dst:env.e_data ~dst_pos:pos ~len:(Buf.length b);
-             pos + Buf.length b)
-           0 bs
-          : int);
+      Iov.gather v ~dst:env.e_data;
       [ env.e_data ]
+  | Sd_iov _ -> assert false (* converted on entry *)
   | Sd_generic g ->
       env.e_data <- Buf.Slabs.take ctx.slabs env.e_total;
       pack_fragments ctx g env.e_data
+
+(* Land what [stage] returned: an iov sender read in place is copied
+   into a contiguous or iov receiver run by run, at no charge (the
+   stream lands zero-copy); anything else is [deposit]ed. *)
+let land_staged ctx (dt : recv_dt) (sdt : send_dt) frags =
+  match (sdt, dt, frags) with
+  | Sd_regions v, Rd_contig b, [] ->
+      Iov.gather v ~dst:b;
+      0.
+  | Sd_regions v, Rd_regions d, [] ->
+      Iov.blit ~src:v ~dst:d;
+      0.
+  | _ -> deposit ctx dt frags ~zcopy:true
 
 (* A failed rendezvous poisons both sides of the transfer and releases
    the receive descriptor.  The overlapped wire completes the receive
@@ -1132,7 +1129,7 @@ let reliable_wire ctx fr w (env : envelope) (dt : send_dt) =
   let c = cpu ctx in
   let size = env.e_total in
   let checksum =
-    match dt with Sd_iov _ -> false | Sd_contig _ | Sd_generic _ -> true
+    match dt with Sd_iov _ | Sd_regions _ -> false | Sd_contig _ | Sd_generic _ -> true
   in
   match
     reliable_transfer ctx fr ~mseq:env.e_seq ~src_id:env.e_src ~dst_id:w.id
@@ -1167,7 +1164,9 @@ let rndv_match w (pr : request) (env : envelope) (r : rndv) =
   let l = link ctx in
   let size = env.e_total in
   let handshake = l.rndv_handshake_ns +. l.rndv_reg_ns in
-  let whole = match pr.r_dt with Rd_generic _ -> true | Rd_contig _ | Rd_iov _ -> false in
+  let whole =
+    match pr.r_dt with Rd_generic _ -> true | Rd_contig _ | Rd_iov _ | Rd_regions _ -> false
+  in
   match ctx.faults with
   | None -> (
       let wire = path_serialize ctx ~src:env.e_src ~dst:w.id size +. iov_cost ctx r.r_dt in
@@ -1177,7 +1176,7 @@ let rndv_match w (pr : request) (env : envelope) (r : rndv) =
         let frags = stage ctx env r ~whole in
         let send_cbs = List.length frags in
         let cpu_send = staging_cpu ctx r.r_dt ~alloc:l.frag_size frags in
-        let cpu_recv = deposit ctx pr.r_dt frags ~zcopy:true in
+        let cpu_recv = land_staged ctx pr.r_dt r.r_dt frags in
         release ctx env;
         let duration = handshake +. Float.max wire (Float.max cpu_send cpu_recv) in
         (* Phase spans for the rendezvous: handshake, then the wire
@@ -1220,7 +1219,7 @@ let rndv_match w (pr : request) (env : envelope) (r : rndv) =
                 Obs.tile_callbacks ctx.obs ~track:w.id ~t0:hs_end
                   ~t1:(hs_end +. cpu_recv) ~n:(List.length frags)
                   ~name:"unpack_cb" ~hist:"unpack_cb_ns" ~parent:sp_un
-            | Rd_contig _ | Rd_iov _ -> ()
+            | Rd_contig _ | Rd_iov _ | Rd_regions _ -> ()
           end;
           observe ctx "msg_latency_ns_rndv" (t0 +. duration -. env.e_sent_at)
         end;
@@ -1254,9 +1253,9 @@ let rndv_match w (pr : request) (env : envelope) (r : rndv) =
                   else
                     match r.r_dt with
                     | Sd_contig b -> reslice l b
-                    | Sd_iov _ | Sd_generic _ -> reslice l env.e_data
+                    | Sd_iov _ | Sd_regions _ | Sd_generic _ -> reslice l env.e_data
                 in
-                let cpu_recv = deposit ctx pr.r_dt landed ~zcopy:true in
+                let cpu_recv = land_staged ctx pr.r_dt r.r_dt landed in
                 release ctx env;
                 Engine.sleep e (cpu_recv *. straggle ctx w.id);
                 let ok = { len = size; tag = env.e_tag; error = None } in
@@ -1345,7 +1344,7 @@ let process_match w (pr : request) (env : envelope) =
                     Obs.tile_callbacks ctx.obs ~track:w.id ~t0:(t0 +. alloc_delay)
                       ~t1:(t0 +. delay) ~n ~name:"unpack_cb"
                       ~hist:"unpack_cb_ns" ~parent:sp
-                | Rd_contig _ | Rd_iov _ -> ()
+                | Rd_contig _ | Rd_iov _ | Rd_regions _ -> ()
               end;
               observe ctx "msg_latency_ns_eager" (t0 +. delay -. env.e_sent_at)
             end;
@@ -1539,6 +1538,7 @@ let ship_rts src dst ~tag ~total ~seq dt req =
   | Some fr -> ship_rts_reliable src dst fr env req
 
 let tag_send_from src ~dst ~tag dt =
+  let dt = regions_send dt in
   let ctx = src.ctx in
   let e = ctx.engine in
   let l = link ctx in
@@ -1552,10 +1552,10 @@ let tag_send_from src ~dst ~tag dt =
   Engine.sleep e (l.per_msg_overhead_ns *. straggle ctx src.id);
   let total = send_dt_size dt in
   (match dt with
-  | Sd_iov bufs ->
+  | Sd_regions v ->
       (* iovec path: always a single zero-copy rendezvous-style
          transfer; never switches protocol with size. *)
-      let entries = List.length bufs in
+      let entries = Iov.count v in
       if tracing ctx then
         trace ctx "send" "worker %d iov tag=%x %dB in %d entries"
           src.id tag total entries;
@@ -1563,6 +1563,7 @@ let tag_send_from src ~dst ~tag dt =
       Stats.add ctx.stats Iov_entries entries;
       observe ctx "msg_bytes_iov" (float_of_int total);
       ship_rts src dst ~tag ~total ~seq:mseq dt req
+  | Sd_iov _ -> assert false (* converted above *)
   | Sd_contig _ | Sd_generic _ ->
       if total <= l.eager_limit then begin
         (* Eager: snapshot or pack into one slot synchronously, then
@@ -1577,7 +1578,7 @@ let tag_send_from src ~dst ~tag dt =
               Buf.blit ~src:b ~src_pos:0 ~dst:data ~dst_pos:0 ~len:total;
               []
           | Sd_generic g -> pack_fragments ctx g data
-          | Sd_iov _ -> assert false
+          | Sd_iov _ | Sd_regions _ -> assert false
         with
         | frags ->
             let cpu_time = staging_cpu ctx dt ~alloc:total frags *. straggle ctx src.id in
@@ -1613,7 +1614,7 @@ let tag_send_from src ~dst ~tag dt =
                   envelope src ~tag ~total ~seq:mseq ~data
                     (match dt with
                     | Sd_contig _ -> P_eager
-                    | Sd_generic _ | Sd_iov _ -> P_frags frags)
+                    | Sd_generic _ | Sd_iov _ | Sd_regions _ -> P_frags frags)
                 in
                 ship src dst
                   ~after:
@@ -1668,7 +1669,7 @@ let tag_send ep ~tag dt =
   tag_send_from ep.ep_src ~dst:ep.ep_dst ~tag:(Int64.to_int tag) dt
 
 let post_recv w ~tag ~mask ~peer dt =
-  let req = make_request ~tag ~mask ~peer dt in
+  let req = make_request ~tag ~mask ~peer (regions_recv dt) in
   (* Match against the unexpected queue in arrival order. *)
   let env = take unexpected w matches_req req in
   if env != no_env then begin
@@ -1717,7 +1718,7 @@ let tag_mprobe_wait w ~tag ~mask =
   (probe_info env, env)
 
 let msg_recv w (env : message) dt =
-  let req = make_request ~tag:env.e_tag ~mask:(-1) ~peer:env.e_src dt in
+  let req = make_request ~tag:env.e_tag ~mask:(-1) ~peer:env.e_src (regions_recv dt) in
   process_match w req env;
   req
 

@@ -4,8 +4,9 @@
     it exposes tagged sends and receives with three datatype classes —
 
     - {e contiguous} ([Sd_contig]/[Rd_contig], cf. [UCP_DATATYPE_CONTIG]);
-    - {e iovec} ([Sd_iov]/[Rd_iov], cf. [UCP_DATATYPE_IOV]): a
-      scatter/gather list of memory regions transferred zero-copy;
+    - {e iovec} ([Sd_regions]/[Rd_regions], cf. [UCP_DATATYPE_IOV]): a
+      scatter/gather list of memory regions transferred zero-copy,
+      where each run of adjacent regions moves as one span;
     - {e generic} ([Sd_generic]/[Rd_generic], cf. [UCP_DATATYPE_GENERIC]):
       the transport drives application callbacks to pack/unpack the data
       fragment by fragment, exactly the mechanism the paper's custom
@@ -97,11 +98,15 @@ type recv_generic = {
 type send_dt =
   | Sd_contig of Buf.t
   | Sd_iov of Buf.t list
+      (** [Sd_regions (Buf.Iov.of_list l)], converted once when posted *)
+  | Sd_regions of Buf.Iov.t
   | Sd_generic of send_generic
 
 type recv_dt =
   | Rd_contig of Buf.t
   | Rd_iov of Buf.t list
+      (** [Rd_regions (Buf.Iov.of_list l)], converted once when posted *)
+  | Rd_regions of Buf.Iov.t
   | Rd_generic of recv_generic
 
 (** {1 Requests} *)

@@ -110,6 +110,37 @@ let test_dv_views_disjoint () =
         Alcotest.failf "(%d, %d): sink not zero" subvec total)
     [ (1024, 256); (100, 700); (64, 4096) ]
 
+(* The manual packers copy each run of adjacent subvectors as one
+   span: views of one buffer with a gap, out of order and empty, and a
+   view of a second buffer, pack as their lengths and then their bytes
+   in order, and unpack into a sink of that shape, gaps untouched. *)
+let test_dv_manual_runs () =
+  let shape b other = [| Buf.sub b ~pos:0 ~len:8; Buf.sub b ~pos:8 ~len:8;
+                         Buf.sub b ~pos:20 ~len:4; Buf.sub b ~pos:12 ~len:4; other;
+                         Buf.sub b ~pos:24 ~len:0; Buf.sub b ~pos:24 ~len:6 |] in
+  let a = Buf.create 40 and b = Buf.create 8 in
+  B.fill_pattern ~seed:1 a;
+  B.fill_pattern ~seed:2 b;
+  let t = shape a b in
+  let n = Array.length t in
+  let packed = Buf.create (B.Double_vec.manual_pack_size t) in
+  B.Double_vec.manual_pack t ~dst:packed;
+  check_int "count" n (Buf.get_u32 packed 0);
+  Array.iteri (fun i v -> check_int "length" (Buf.length v) (Buf.get_u32 packed (4 + (4 * i)))) t;
+  let bytes = String.concat "" (Array.to_list (Array.map Buf.to_string t)) in
+  Alcotest.(check string) "bytes in order" bytes
+    (Buf.to_string (Buf.sub packed ~pos:(4 + (4 * n)) ~len:(String.length bytes)));
+  let sa = Buf.create 40 and sb = Buf.create 8 in
+  let sink = shape sa sb in
+  B.Double_vec.manual_unpack ~src:packed sink;
+  Alcotest.(check bool) "unpacked" true (B.Double_vec.equal t sink);
+  List.iter
+    (fun (pos, len) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "gap [%d, %d) untouched" pos (pos + len))
+        true (is_zero (Buf.sub sa ~pos ~len)))
+    [ (16, 4); (30, 10) ]
+
 (* [clear] zeroes every subvector and nothing else: a generated value,
    and views of one patterned buffer with a gap, out of order, and from
    a second buffer. *)
@@ -549,6 +580,7 @@ let suite =
       tc "double-vec clear zeroes only subvectors" `Quick test_dv_clear;
       tc "double-vec manual roundtrip" `Quick test_dv_manual_roundtrip;
       tc "double-vec manual shape mismatch" `Quick test_dv_manual_shape_mismatch;
+      tc "double-vec manual packers copy runs" `Quick test_dv_manual_runs;
       tc "double-vec custom over MPI" `Quick test_dv_custom_over_mpi;
       tc "double-vec custom zero copy" `Quick test_dv_custom_zero_copy;
       tc "double-vec header mismatch raises 86" `Quick test_dv_header_mismatch;

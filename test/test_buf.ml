@@ -743,6 +743,117 @@ let test_slabs_retake () =
   check_int "one slot carved" 1 (Buf.Slabs.carved_slots s);
   check_int "one slot free" 1 (Buf.Slabs.free_slots s)
 
+(* --- region lists --- *)
+
+let iov_base_size = 96
+
+(* Entries [(base, offset, length)] drawn one after another: each
+   follows the last in its base, follows it after a gap, starts where
+   it ended but in another base, or lands anywhere.  Lengths are 0-24
+   bytes; drawing stops at [min_total] bytes and [extra] more entries. *)
+let draw_entries st ~bases ~min_total ~extra =
+  let acc = ref [] and total = ref 0 and extra = ref extra in
+  let prev = ref (Random.State.int st bases, Random.State.int st iov_base_size) in
+  while !total < min_total || !extra > 0 do
+    if !total >= min_total then decr extra;
+    let pb, pend = !prev in
+    let len = Random.State.int st 25 in
+    let b, off =
+      match Random.State.int st 4 with
+      | 0 -> (pb, pend)
+      | 1 -> (pb, pend + 1 + Random.State.int st 8)
+      | 2 -> ((pb + 1 + Random.State.int st (max 1 (bases - 1))) mod bases, pend)
+      | _ -> (Random.State.int st bases, Random.State.int st iov_base_size)
+    in
+    let off =
+      if off + len > iov_base_size then Random.State.int st (iov_base_size - len + 1) else off
+    in
+    acc := (b, off, len) :: !acc;
+    total := !total + len;
+    prev := (b, off + len)
+  done;
+  List.rev !acc
+
+(* Base [i] of a side, a view at an odd offset of a longer buffer,
+   patterned by [seed] so that bytes of different bases differ. *)
+let iov_bases ~n ~seed =
+  Array.init n (fun i ->
+      let b = Buf.sub (Buf.create (iov_base_size + 3)) ~pos:3 ~len:iov_base_size in
+      if seed >= 0 then
+        for j = 0 to iov_base_size - 1 do
+          Buf.set_u8 b j ((j * 7) + (31 * i) + seed)
+        done;
+      b)
+
+let iov_views bases entries =
+  Array.of_list (List.map (fun (b, off, len) -> Buf.sub bases.(b) ~pos:off ~len) entries)
+
+(* The same entries as each producer lists them: views, a table over
+   one base (drawn with one base), or one view in front of the rest. *)
+let iov_of_form form bases entries =
+  match form with
+  | `Views -> Buf.Iov.of_array (iov_views bases entries)
+  | `Table ->
+      let offs = Array.of_list (List.map (fun (_, o, _) -> o) entries) in
+      let lens = Array.of_list (List.map (fun (_, _, l) -> l) entries) in
+      Buf.Iov.of_table bases.(0) (Buf.Iov.table ~offs ~lens)
+  | `Cons -> (
+      match Array.to_list (iov_views bases entries) with
+      | [] -> Buf.Iov.empty
+      | v :: rest -> Buf.Iov.cons v (Buf.Iov.of_list rest))
+
+let prop_iov_blit_runs =
+  QCheck.Test.make ~name:"buf: iov copy by runs = entry-by-entry copy" ~count:500
+    (QCheck.make
+       QCheck.Gen.(
+         pair (oneofl [ `Views; `Table; `Cons ]) (pair (oneofl [ `Views; `Table; `Cons ]) int)))
+    (fun (sform, (dform, seed)) ->
+      let st = Random.State.make [| seed |] in
+      let nb form = if form = `Table then 1 else 1 + Random.State.int st 3 in
+      let sn = nb sform and dn = nb dform in
+      let sent =
+        draw_entries st ~bases:sn ~min_total:0 ~extra:(1 + Random.State.int st 12)
+      in
+      let total = List.fold_left (fun a (_, _, l) -> a + l) 0 sent in
+      let recv =
+        draw_entries st ~bases:dn ~min_total:total ~extra:(Random.State.int st 3)
+      in
+      let src_bases = iov_bases ~n:sn ~seed:(Random.State.int st 256) in
+      let pristine = Array.map Buf.copy src_bases in
+      let src = iov_of_form sform src_bases sent in
+      (* the reference: the stream entry by entry, then byte by byte
+         into the receive entries, in order *)
+      let stream =
+        String.concat "" (List.map Buf.to_string (Array.to_list (iov_views src_bases sent)))
+      in
+      let want = iov_bases ~n:dn ~seed:(-1) in
+      let pos = ref 0 in
+      Array.iter
+        (fun v ->
+          for j = 0 to Buf.length v - 1 do
+            if !pos < String.length stream then begin
+              Buf.set v j stream.[!pos];
+              incr pos
+            end
+          done)
+        (iov_views want recv);
+      let got = iov_bases ~n:dn ~seed:(-1) in
+      Buf.Iov.blit ~src ~dst:(iov_of_form dform got recv);
+      Buf.Iov.total src = total
+      && Buf.Iov.count src = List.length sent
+      && Array.for_all2 Buf.equal got want
+      && Array.for_all2 Buf.equal src_bases pristine)
+
+let test_iov_blit_exceeds () =
+  let src = Buf.Iov.of_list [ Buf.create 4; Buf.create 5 ] in
+  let dst = Buf.Iov.of_list [ Buf.create 4; Buf.create 4 ] in
+  Alcotest.check_raises "payload exceeds receive regions"
+    (Invalid_argument "Buf.Iov.blit: payload exceeds receive regions") (fun () ->
+      Buf.Iov.blit ~src ~dst);
+  Alcotest.check_raises "table entry outside its buffer"
+    (Invalid_argument "Buf.Iov.of_table: an entry does not fit the buffer") (fun () ->
+      ignore (Buf.Iov.of_table (Buf.create 8) (Buf.Iov.table ~offs:[| 4 |] ~lens:[| 5 |])))
+
 let suite =
   let tc = Alcotest.test_case in
   ( "buf",
@@ -796,4 +907,6 @@ let suite =
       tc "pool: take/give allocate nothing" `Quick
         test_pool_take_give_allocates_nothing;
       tc "slabs: a slot given back is retaken" `Quick test_slabs_retake;
+      QCheck_alcotest.to_alcotest prop_iov_blit_runs;
+      tc "iov: payload exceeding the regions raises" `Quick test_iov_blit_exceeds;
     ] )

@@ -259,7 +259,7 @@ let test_contract_region_overlap () =
       regions =
         Some
           (fun () obj ~count:_ ->
-            [| Buf.sub obj ~pos:0 ~len:16; Buf.sub obj ~pos:8 ~len:16 |]);
+            Buf.Iov.of_array [| Buf.sub obj ~pos:0 ~len:16; Buf.sub obj ~pos:8 ~len:16 |]);
     }
   in
   has "CB-REGION-OVERLAP" (contract (spec 32 cb))

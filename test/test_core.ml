@@ -89,7 +89,7 @@ let regions_dt () : Buf.t list Custom.t =
               raise (Custom.Error 99)
           done);
       region_count = Some (fun () parts ~count:_ -> List.length parts);
-      regions = Some (fun () parts ~count:_ -> Array.of_list parts);
+      regions = Some (fun () parts ~count:_ -> Buf.Iov.of_list parts);
     }
 
 (* --- basic world / p2p --- *)
@@ -523,6 +523,34 @@ let test_buffer_size () =
   check_int "custom = header + regions" (8 + 30)
     (Mpi.buffer_size
        (Mpi.Custom { dt = cdt; obj = [ Buf.create 10; Buf.create 20 ]; count = 1 }))
+
+(* A query or regions callback that raises still frees the state,
+   exactly once, and surfaces as [Callback_failed], as a send would. *)
+let test_buffer_size_callback_fails () =
+  List.iter
+    (fun (what, query, regions) ->
+      let freed = ref 0 in
+      let dt : unit Custom.t =
+        Custom.create
+          {
+            state = (fun () ~count:_ -> ());
+            state_free = (fun () -> incr freed);
+            query;
+            pack = (fun () () ~count:_ ~offset:_ ~dst:_ -> 0);
+            unpack = (fun () () ~count:_ ~offset:_ ~src:_ -> ());
+            region_count = Some (fun () () ~count:_ -> 1);
+            regions = Some regions;
+          }
+      in
+      (match Mpi.buffer_size (Mpi.Custom { dt; obj = (); count = 1 }) with
+      | n -> Alcotest.failf "%s: size %d, expected a failure" what n
+      | exception Mpi.Mpi_error (Mpi.Callback_failed 7) -> ());
+      check_int (what ^ ": state freed once") 1 !freed)
+    [
+      ("query raises", (fun () () ~count:_ -> raise (Custom.Error 7)), fun () () ~count:_ ->
+        Buf.Iov.empty);
+      ("regions raise", (fun () () ~count:_ -> 0), fun () () ~count:_ -> raise (Custom.Error 7));
+    ]
 
 let test_bad_args () =
   let w = Mpi.create_world ~size:2 () in
@@ -958,6 +986,7 @@ let suite =
       tc "internal tag isolation" `Quick test_internal_tags_isolated;
       tc "out-of-order unpack (inorder=false)" `Quick test_unpack_shuffle_out_of_order;
       tc "buffer_size" `Quick test_buffer_size;
+      tc "buffer_size frees a failing op's state" `Quick test_buffer_size_callback_fails;
       tc "bad arguments" `Quick test_bad_args;
       tc "sendrecv ring" `Quick test_sendrecv_ring;
       tc "request test (MPI_Test)" `Quick test_request_test;

@@ -1191,7 +1191,9 @@ let test_unchecked_corruption_falls_back () =
 
 (* Minor words per message of a warmed-up 2-worker ping-pong: a
    deterministic count per transport path, not a timing.  The ceilings
-   sit just above the counts (127, 156, 157, 151 and 274). *)
+   sit above the counts (127, 151, 153, 152, 136 and 236).  An [Sd_iov]
+   or [Rd_iov] list costs 8 words per post to convert; "iov regions"
+   posts the converted form, as the MPI layer does. *)
 let pingpong_words send_dt recv_dt =
   let n = 50 in
   let words = Array.make 2 0. in
@@ -1224,6 +1226,10 @@ let test_pingpong_words () =
       ("eager generic", reversing_send (pattern 64), reversing_recv (Buf.create 64), 159.);
       ("rendezvous contig", Ucx.Sd_contig (pattern rndv), Ucx.Rd_contig (Buf.create rndv), 160.);
       ("iov", iov 64, iov_recv 64, 154.);
+      ( "iov regions",
+        Ucx.Sd_regions (Buf.Iov.of_list [ pattern 32; pattern 32 ]),
+        Ucx.Rd_regions (Buf.Iov.of_list [ Buf.create 32; Buf.create 32 ]),
+        138. );
       ("rendezvous generic", reversing_send (pattern rndv), reversing_recv (Buf.create rndv), 280.);
     ]
 
