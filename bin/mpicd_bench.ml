@@ -230,7 +230,7 @@ let kernel_cmd =
         Format.printf "kernel %s: %s wire bytes, %d blocks@."
           K.name
           (Report.human_bytes K.wire_bytes)
-          (Mpicd_ddtbench.Blocks.count K.blocks);
+          (Mpicd_datatype.Plan.block_count K.plan);
         Format.printf "cost model: %a@.@." Config.pp config;
         let rows =
           List.map

@@ -686,7 +686,7 @@ let buffer_size = function
   | Bytes b -> Buf.length b
   | Typed { dt; count; _ } -> Datatype.packed_size dt ~count
   | Custom { dt; obj; count } -> (
-      let op = Custom.start dt obj ~count in
+      let op = guard (fun () -> Custom.start dt obj ~count) in
       match
         guard (fun () ->
             let psize = Custom.packed_size op in
@@ -729,7 +729,7 @@ let make_send_dt c = function
           }
 
 let custom_send_dt c dt obj ~count =
-      let op = Custom.start dt obj ~count in
+      let op = guard (fun () -> Custom.start dt obj ~count) in
       let psize, regs =
         try custom_query c op
         with e ->
@@ -776,7 +776,7 @@ let make_recv_dt c = function
           }
 
 let custom_recv_dt c dt obj ~count =
-      let op = Custom.start dt obj ~count in
+      let op = guard (fun () -> Custom.start dt obj ~count) in
       let psize, regs =
         try custom_query c op
         with e ->

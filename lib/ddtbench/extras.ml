@@ -21,10 +21,6 @@ module Fft2 = Kernel.Make (struct
 
   let off ~row ~col = ((row * n) + col) * celem
 
-  let blocks =
-    Blocks.defer (fun () ->
-        List.init n (fun row -> (off ~row ~col:c0, w * celem)))
-
   let manual_pack base ~dst =
     let pos = ref 0 in
     for row = 0 to n - 1 do
@@ -68,9 +64,6 @@ module Specfem3d_oc = Kernel.Make (struct
      form so that only the derived datatype keeps a copy *)
   let index i = (i * 13 mod 16) + (i * (n / m))
 
-  let blocks =
-    Blocks.defer (fun () -> List.init m (fun i -> (index i * elem, elem)))
-
   let manual_pack base ~dst =
     for k = 0 to m - 1 do
       Buf.blit ~src:base ~src_pos:(index k * elem) ~dst ~dst_pos:(k * elem)
@@ -112,9 +105,6 @@ module Specfem3d_mt = Kernel.Make (struct
      keeps a copy. *)
   let index i = ((i * 4) + (i * 7 mod 3)) * 3
 
-  let blocks =
-    Blocks.defer (fun () -> List.init m (fun i -> (index i * elem, 3 * elem)))
-
   (* a point's 3 components are adjacent: one 12-byte copy each *)
   let point = 3 * elem
 
@@ -154,17 +144,6 @@ module Milc_su3_xdown = Kernel.Make (struct
   let slab_bytes = nt * ny * nz * nx * site_bytes
 
   let site_off ~t ~y ~z ~x = ((((t * ny) + y) * nz) + z) * nx + x
-
-  let blocks =
-    Blocks.defer (fun () ->
-        List.concat_map
-          (fun t ->
-            List.concat_map
-              (fun y ->
-                List.init nz (fun z ->
-                    (site_off ~t ~y ~z ~x:x0 * site_bytes, site_bytes)))
-              (List.init ny Fun.id))
-          (List.init nt Fun.id))
 
   let manual_pack base ~dst =
     let pos = ref 0 in

@@ -9,7 +9,6 @@ module type SPEC = sig
   val loop_desc : string
   val regions_sensible : bool
   val slab_bytes : int
-  val blocks : Blocks.t
   val manual_pack : Buf.t -> dst:Buf.t -> unit
   val manual_unpack : src:Buf.t -> Buf.t -> unit
   val derived : Datatype.t
@@ -18,7 +17,6 @@ end
 module type KERNEL = sig
   include SPEC
 
-  val blocks : Blocks.t
   val wire_bytes : int
   val plan : Plan.t
   val create : unit -> Buf.t
@@ -41,19 +39,13 @@ module Make (S : SPEC) : KERNEL = struct
 
   let wire_bytes = Datatype.size S.derived
 
-  (* The spec's layout, checked on its first use against the derived
-     datatype: both must describe the same packed stream. *)
-  let blocks =
-    Blocks.checked S.blocks ~check:(fun total ->
-        if total <> wire_bytes then
-          invalid_arg
-            (Printf.sprintf "Kernel %s: derived size %d <> blocks total %d"
-               S.name wire_bytes total))
-
   (* One handle per kernel in the global memo cache, compiled on first
      use and shared by every operation; each operation gets its own
-     cursor. *)
+     cursor.  Its block table is the kernel's one layout table. *)
   let plan = Plan.get S.derived
+
+  (* The plan's blocks as regions of a slab, shared by every message. *)
+  let region_table = lazy (Plan.region_table plan)
 
   let create () =
     let b = Buf.create S.slab_bytes in
@@ -62,17 +54,23 @@ module Make (S : SPEC) : KERNEL = struct
 
   let create_sink () = Buf.create S.slab_bytes
 
-  let equal a b = Blocks.equal_typed blocks a b
+  let equal a b =
+    let table = Lazy.force region_table in
+    let ra = Buf.Iov.of_table a table and rb = Buf.Iov.of_table b table in
+    let rec from i =
+      i = Buf.Iov.count ra
+      || (Buf.equal (Buf.Iov.get ra i) (Buf.Iov.get rb i) && from (i + 1))
+    in
+    from 0
 
   (* Custom datatype, packing everything through resumable callbacks.
      The per-operation state is a plan cursor, so a transport that walks
      the stream fragment by fragment resumes each callback in O(1)
-     instead of re-deriving the position (and, unlike the old
-     Blocks-based callbacks, [count] now scales the stream instead of
-     being silently ignored). *)
+     instead of re-deriving the position, and [count] scales the
+     stream. *)
   let custom_pack : Buf.t Custom.t =
     Custom.create
-      ~pack_pieces:(fun _ ~count:_ -> Blocks.count blocks)
+      ~pack_pieces:(fun _ ~count:_ -> Plan.block_count plan)
       {
         state = (fun _ ~count:_ -> Plan.cursor plan);
         state_free = ignore;
@@ -91,9 +89,7 @@ module Make (S : SPEC) : KERNEL = struct
       }
 
   (* Custom datatype exposing every block as a zero-copy region: each
-     message's regions are the slab cut by the plan's one table. *)
-  let region_table = lazy (Plan.region_table plan)
-
+     message's regions are the slab cut by the plan's table. *)
   let custom_regions : Buf.t Custom.t option =
     if not S.regions_sensible then None
     else

@@ -3,23 +3,25 @@
     Each kernel (cf. Schneider, Gerstenberger, Hoefler: "Micro-
     Applications for Communication Data Access Patterns and MPI
     Datatypes", EuroMPI'12) models the halo/boundary exchange of a real
-    application on a slab of raw memory.  A kernel provides:
+    application on a slab of raw memory.  A kernel's layout is its
+    [derived] datatype and that type's compiled {!KERNEL.plan}: the
+    plan's block table is the one description every method reads.  A
+    kernel provides:
 
-    - the exchange's block layout inside the slab,
+    - the derived datatype (the "MPI datatypes" methods),
     - hand-written [manual_pack]/[manual_unpack] loop nests (the
-      "manual packing using C code" method),
-    - a classic derived datatype equivalent (the "MPI datatypes"
-      methods), and
+      "manual packing using C code" method), which the tests check byte
+      for byte against the plan, and
     - via {!Make}, custom-API datatypes: [custom_pack] (pack/unpack
-      callbacks resumable at any offset) and, where the paper marks
-      memory regions as sensible, [custom_regions] (zero-copy iovecs).
+      callbacks resumable at any offset through a plan cursor) and,
+      where the paper marks memory regions as sensible,
+      [custom_regions] (zero-copy iovecs cut by the plan's table).
 
     All methods move exactly the same bytes, which the tests verify.
 
-    A kernel builds nothing big when its module initialises: its block
-    table and its plan are built the first time an operation uses them,
-    so a process that runs no kernel carries only each kernel's derived
-    datatype. *)
+    A kernel builds nothing big when its module initialises: its plan
+    is compiled the first time an operation uses it, so a process that
+    runs no kernel carries only each kernel's derived datatype. *)
 
 module Buf = Mpicd_buf.Buf
 module Datatype = Mpicd_datatype.Datatype
@@ -37,11 +39,6 @@ module type SPEC = sig
 
   val slab_bytes : int  (** size of the application's memory slab *)
 
-  val blocks : Blocks.t
-  (** The exchange layout, usually {!Blocks.defer}red so that it is
-      built the first time {!KERNEL.blocks} is used.  Kernels with one
-      layout may share one table. *)
-
   val manual_pack : Buf.t -> dst:Buf.t -> unit
   val manual_unpack : src:Buf.t -> Buf.t -> unit
   val derived : Datatype.t  (** equivalent derived datatype (count=1) *)
@@ -50,11 +47,6 @@ end
 (** What the benchmarks consume. *)
 module type KERNEL = sig
   include SPEC
-
-  val blocks : Blocks.t
-  (** The spec's layout, checked on its first use.  That first use
-      raises [Invalid_argument], naming the kernel, when the
-      blocks' total differs from [Datatype.size derived]. *)
 
   val wire_bytes : int  (** [Datatype.size derived] *)
 
@@ -65,7 +57,9 @@ module type KERNEL = sig
   val create : unit -> Buf.t  (** pattern-filled slab *)
 
   val create_sink : unit -> Buf.t
-  val equal : Buf.t -> Buf.t -> bool  (** compares exchange-covered bytes *)
+  val equal : Buf.t -> Buf.t -> bool
+  (** Compares the bytes of every region of the plan's table, the
+      exchange-covered bytes, and nothing else. *)
 
   val custom_pack : Buf.t Custom.t
   val custom_regions : Buf.t Custom.t option

@@ -51,16 +51,6 @@ module Config = struct
 
   (* Selected particle [k]: non-unit stride through the arrays. *)
   let index c k = k * c.stride mod c.n
-
-  (* Pack order: for each selected particle, each field in turn —
-     the single pack loop over six arrays of the real kernel. *)
-  let block_list c =
-    let offsets = field_offsets c in
-    List.concat_map
-      (fun k ->
-        let p = index c k in
-        List.map (fun (_, base, bytes) -> (base + (p * bytes), bytes)) offsets)
-      (List.init c.m Fun.id)
 end
 
 module Make_lammps (C : sig
@@ -77,7 +67,6 @@ end) = Kernel.Make (struct
 
   let regions_sensible = false
   let slab_bytes = Config.slab_bytes C.config
-  let blocks = Blocks.defer (fun () -> Config.block_list C.config)
 
   (* Field array bases and widths, fixed once so the pack loops
      allocate nothing. *)

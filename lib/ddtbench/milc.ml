@@ -28,14 +28,6 @@ module Spec = struct
   let regions_sensible = true
   let slab_bytes = nt * ny * nz * nx * site_bytes
 
-  let blocks =
-    Blocks.defer (fun () ->
-        List.concat_map
-          (fun t ->
-            List.init ny (fun y ->
-                (site_off ~t ~y ~z:z0 ~x:0 * site_bytes, nx * site_bytes)))
-          (List.init nt Fun.id))
-
   (* The real kernel packs float-by-float with five nested loops; the
      inner two (3 color rows of 3 complex f32) walk one whole site, so
      each site moves as one 72-byte copy. *)

@@ -35,8 +35,6 @@ module X = Kernel.Make (struct
   let regions_sensible = true
   let slab_bytes = ny * nx * ncomp * elem
 
-  let blocks = Blocks.of_list [ (off ~j:jfix ~i:0 ~k:0, nx * ncomp * elem) ]
-
   let manual_pack base ~dst =
     let pos = ref 0 in
     for i = 0 to nx - 1 do
@@ -65,10 +63,6 @@ module Y = Kernel.Make (struct
   let loop_desc = "2 nested loops (non-contiguous)"
   let regions_sensible = true
   let slab_bytes = ny * nx * ncomp * elem
-
-  let blocks =
-    Blocks.defer (fun () ->
-        List.init ny (fun j -> (off ~j ~i:ifix ~k:0, ncomp * elem)))
 
   let manual_pack base ~dst =
     let pos = ref 0 in

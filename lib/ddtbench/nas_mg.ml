@@ -37,12 +37,6 @@ module X = Kernel.Make (struct
   let regions_sensible = true
   let slab_bytes = nz * ny * nx * elem
 
-  let blocks =
-    Blocks.defer (fun () ->
-        List.concat_map
-          (fun k -> List.init ny (fun j -> (off ~k ~j ~i:ifix, elem)))
-          (List.init nz Fun.id))
-
   let manual_pack base ~dst =
     let pos = ref 0 in
     for k = 0 to nz - 1 do
@@ -77,10 +71,6 @@ module Y = Kernel.Make (struct
   let regions_sensible = true
   let slab_bytes = nz * ny * nx * elem
 
-  let blocks =
-    Blocks.defer (fun () ->
-        List.init nz (fun k -> (off ~k ~j:jfix ~i:0, nx * elem)))
-
   let manual_pack base ~dst =
     let pos = ref 0 in
     for k = 0 to nz - 1 do
@@ -110,8 +100,6 @@ module Z = Kernel.Make (struct
   let loop_desc = "2 nested loops"
   let regions_sensible = true
   let slab_bytes = nz * ny * nx * elem
-
-  let blocks = Blocks.of_list [ (off ~k:kfix ~j:0 ~i:0, ny * nx * elem) ]
 
   let manual_pack base ~dst =
     let pos = ref 0 in

@@ -24,24 +24,6 @@ let off ~f ~k ~j ~i = ((((((f * nk) + k) * nj) + j) * ni) + i) * elem
 let i0 = 1
 let j0 = 1
 
-(* Block tables shared between the _vec and _sa variants. *)
-let x_blocks =
-  Blocks.defer (fun () ->
-      List.concat_map
-        (fun f ->
-          List.concat_map
-            (fun k ->
-              List.init nj (fun j -> (off ~f ~k ~j ~i:i0, halo * elem)))
-            (List.init nk Fun.id))
-        (List.init nfields Fun.id))
-
-let y_blocks =
-  Blocks.defer (fun () ->
-      List.concat_map
-        (fun f ->
-          List.init nk (fun k -> (off ~f ~k ~j:j0 ~i:0, halo * ni * elem)))
-        (List.init nfields Fun.id))
-
 (* The halo loops copy one row at a time: [halo] floats of the
    x-direction halo, or all [ni] floats of a y-direction halo row. *)
 let x_row = halo * elem
@@ -144,7 +126,6 @@ module X_vec = Kernel.Make (struct
   let loop_desc = "4 nested loops (non-contiguous)"
   let regions_sensible = false
   let slab_bytes = nfields * field_bytes
-  let blocks = x_blocks
   let manual_pack = x_manual_pack
   let manual_unpack = x_manual_unpack
   let derived = x_vec_derived
@@ -156,7 +137,6 @@ module Y_vec = Kernel.Make (struct
   let loop_desc = "3 nested loops (non-contiguous)"
   let regions_sensible = false
   let slab_bytes = nfields * field_bytes
-  let blocks = y_blocks
   let manual_pack = y_manual_pack
   let manual_unpack = y_manual_unpack
   let derived = y_vec_derived
@@ -168,7 +148,6 @@ module X_sa = Kernel.Make (struct
   let loop_desc = "4 nested loops (non-contiguous)"
   let regions_sensible = false
   let slab_bytes = nfields * field_bytes
-  let blocks = x_blocks
   let manual_pack = x_manual_pack
   let manual_unpack = x_manual_unpack
   let derived = x_sa_derived
@@ -180,7 +159,6 @@ module Y_sa = Kernel.Make (struct
   let loop_desc = "3 nested loops (non-contiguous)"
   let regions_sensible = false
   let slab_bytes = nfields * field_bytes
-  let blocks = y_blocks
   let manual_pack = y_manual_pack
   let manual_unpack = y_manual_unpack
   let derived = y_sa_derived

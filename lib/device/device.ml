@@ -2,7 +2,7 @@ module Buf = Mpicd_buf.Buf
 module Engine = Mpicd_simnet.Engine
 module Config = Mpicd_simnet.Config
 module Stats = Mpicd_simnet.Stats
-module Blocks = Mpicd_ddtbench.Blocks
+module Plan = Mpicd_datatype.Plan
 module Mpi = Mpicd.Mpi
 module H = Mpicd_harness.Harness
 
@@ -53,24 +53,24 @@ let kernel_costs comm space ~bytes ~pieces =
       (c.memcpy_ns_per_byte *. float_of_int bytes)
       +. (c.pack_piece_ns *. float_of_int pieces)
 
-let pack_kernel comm blocks ~src ~dst =
-  same_space "Device.pack_kernel" src dst;
-  let n = Blocks.total blocks in
-  if length dst < n then invalid_arg "Device.pack_kernel: destination too small";
-  ignore (Blocks.pack_range blocks ~base:src.b_data ~offset:0
-            ~dst:(Buf.sub dst.b_data ~pos:0 ~len:n));
+(* One kernel run moves the plan's bytes as its blocks. *)
+let charge_kernel comm space plan =
+  let n = Plan.size plan in
   Stats.record_copy (Mpi.world_stats (Mpi.world_of comm)) n;
   charge comm
-    (kernel_costs comm src.b_space ~bytes:n ~pieces:(Blocks.count blocks))
+    (kernel_costs comm space ~bytes:n ~pieces:(Plan.block_count plan))
 
-let unpack_kernel comm blocks ~src ~dst =
+let pack_kernel comm plan ~src ~dst =
+  same_space "Device.pack_kernel" src dst;
+  if length dst < Plan.size plan then
+    invalid_arg "Device.pack_kernel: destination too small";
+  ignore (Plan.pack plan ~count:1 ~src:src.b_data ~dst:dst.b_data);
+  charge_kernel comm src.b_space plan
+
+let unpack_kernel comm plan ~src ~dst =
   same_space "Device.unpack_kernel" src dst;
-  let n = Blocks.total blocks in
-  Blocks.unpack_range blocks ~base:dst.b_data ~offset:0
-    ~src:(Buf.sub src.b_data ~pos:0 ~len:n);
-  Stats.record_copy (Mpi.world_stats (Mpi.world_of comm)) n;
-  charge comm
-    (kernel_costs comm src.b_space ~bytes:n ~pieces:(Blocks.count blocks))
+  Plan.unpack plan ~count:1 ~src:src.b_data ~dst:dst.b_data;
+  charge_kernel comm src.b_space plan
 
 type method_ = Staged_host_pack | Device_pack_staged | Device_pack_direct
 
@@ -80,10 +80,9 @@ let method_name = function
   | Device_pack_direct -> "device-pack-direct"
 
 (* A ping-pong side: the application data lives on the device; each
-   send must deliver the block layout's bytes into the peer's device
-   slab. *)
-let exchange_impl method_ ~blocks ~slab_bytes () =
-  let wire = Blocks.total blocks in
+   send must deliver the plan's bytes into the peer's device slab. *)
+let exchange_impl method_ ~plan ~slab_bytes () =
+  let wire = Plan.size plan in
   let dev_slab = create Device slab_bytes in
   Mpicd_ddtbench.Kernel.fill dev_slab.b_data;
   let dev_packed = create Device wire in
@@ -94,30 +93,30 @@ let exchange_impl method_ ~blocks ~slab_bytes () =
     | Staged_host_pack ->
         (* D2H the whole slab, then a host pack, then an ordinary send *)
         transfer comm ~src:dev_slab ~dst:host_slab;
-        pack_kernel comm blocks ~src:host_slab ~dst:host_packed;
+        pack_kernel comm plan ~src:host_slab ~dst:host_packed;
         Mpi.send comm ~dst ~tag (Mpi.Bytes (data host_packed))
     | Device_pack_staged ->
         (* pack with a device kernel, stage only the packed bytes *)
-        pack_kernel comm blocks ~src:dev_slab ~dst:dev_packed;
+        pack_kernel comm plan ~src:dev_slab ~dst:dev_packed;
         transfer comm ~src:dev_packed ~dst:host_packed;
         Mpi.send comm ~dst ~tag (Mpi.Bytes (data host_packed))
     | Device_pack_direct ->
         (* pack with a device kernel; the NIC reads device memory *)
-        pack_kernel comm blocks ~src:dev_slab ~dst:dev_packed;
+        pack_kernel comm plan ~src:dev_slab ~dst:dev_packed;
         Mpi.send comm ~dst ~tag (Mpi.Bytes (data dev_packed))
   in
   let recv comm ~source ~tag =
     match method_ with
     | Staged_host_pack ->
         ignore (Mpi.recv comm ~source ~tag (Mpi.Bytes (data host_packed)));
-        unpack_kernel comm blocks ~src:host_packed ~dst:host_slab;
+        unpack_kernel comm plan ~src:host_packed ~dst:host_slab;
         transfer comm ~src:host_slab ~dst:dev_slab
     | Device_pack_staged ->
         ignore (Mpi.recv comm ~source ~tag (Mpi.Bytes (data host_packed)));
         transfer comm ~src:host_packed ~dst:dev_packed;
-        unpack_kernel comm blocks ~src:dev_packed ~dst:dev_slab
+        unpack_kernel comm plan ~src:dev_packed ~dst:dev_slab
     | Device_pack_direct ->
         ignore (Mpi.recv comm ~source ~tag (Mpi.Bytes (data dev_packed)));
-        unpack_kernel comm blocks ~src:dev_packed ~dst:dev_slab
+        unpack_kernel comm plan ~src:dev_packed ~dst:dev_slab
   in
   { H.send; H.recv }

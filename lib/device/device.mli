@@ -21,7 +21,7 @@
     model. *)
 
 module Buf = Mpicd_buf.Buf
-module Blocks = Mpicd_ddtbench.Blocks
+module Plan = Mpicd_datatype.Plan
 module Mpi = Mpicd.Mpi
 
 type space = Host | Device
@@ -46,14 +46,15 @@ val transfer : Mpi.comm -> src:buf -> dst:buf -> unit
     cross-space at PCIe rate.  Raises [Invalid_argument] on length
     mismatch. *)
 
-val pack_kernel : Mpi.comm -> Blocks.t -> src:buf -> dst:buf -> unit
-(** Gather the block layout of [src] into contiguous [dst], both in the
-    same space.  On the device this charges one kernel launch plus
+val pack_kernel : Mpi.comm -> Plan.t -> src:buf -> dst:buf -> unit
+(** Gather one element of the plan's layout from [src] into contiguous
+    [dst], both in the same space.  Its [Plan.size] bytes are charged
+    and its [Plan.block_count] blocks are the pieces.  On the device this charges one kernel launch plus
     HBM-rate per byte and a small per-piece cost; on the host it
     charges the usual CPU pack costs.
     @raise Space_mismatch if [src] and [dst] live in different spaces. *)
 
-val unpack_kernel : Mpi.comm -> Blocks.t -> src:buf -> dst:buf -> unit
+val unpack_kernel : Mpi.comm -> Plan.t -> src:buf -> dst:buf -> unit
 (** Inverse scatter. *)
 
 (** {1 Transfer methods for device-resident exchanges} *)
@@ -66,7 +67,7 @@ type method_ =
 val method_name : method_ -> string
 
 val exchange_impl :
-  method_ -> blocks:Blocks.t -> slab_bytes:int -> unit -> Mpicd_harness.Harness.impl
-(** A ping-pong implementation exchanging a device-resident slab's
-    block layout between two ranks under the given method (used by the
+  method_ -> plan:Plan.t -> slab_bytes:int -> unit -> Mpicd_harness.Harness.impl
+(** A ping-pong implementation exchanging one element of the plan's
+    layout in a device-resident slab between two ranks under the given method (used by the
     device ablation bench and tests). *)

@@ -185,7 +185,7 @@ let print_device () =
           (fun (module K : Kernel.KERNEL) ->
             let bw m =
               (H.pingpong ~reps ~bytes:K.wire_bytes
-                 (D.exchange_impl m ~blocks:K.blocks ~slab_bytes:K.slab_bytes))
+                 (D.exchange_impl m ~plan:K.plan ~slab_bytes:K.slab_bytes))
                 .H.bandwidth_mib_s
             in
             name

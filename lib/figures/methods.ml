@@ -7,7 +7,6 @@ module Mpi = Mpicd.Mpi
 module H = Mpicd_harness.Harness
 module B = Mpicd_bench_types.Bench_types
 module DV = B.Double_vec
-module Blocks = Mpicd_ddtbench.Blocks
 module Kernel = Mpicd_ddtbench.Kernel
 
 (* --- shared inputs --- *)
@@ -162,7 +161,7 @@ let k_reference (module K : Kernel.KERNEL) slabs () =
 
 let k_manual (module K : Kernel.KERNEL) slabs () =
   let src = slabs.src and sink = sink_of slabs in
-  let pieces = Blocks.count K.blocks in
+  let pieces = Plan.block_count K.plan in
   {
     H.send =
       (fun comm ~dst ~tag ->

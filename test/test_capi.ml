@@ -213,6 +213,33 @@ let test_callback_error_code_surfaces () =
              ~source:0 ~tag:0 ~comm ~status)
       end)
 
+(* A failing state callback's code comes back as the status code of
+   MPI_Send and MPI_Recv, as a failing pack callback's does. *)
+let test_state_error_code_surfaces () =
+  let statefn ~context:_ ~src:_ ~src_count:_ ~state:_ = 5 in
+  let freefn ~state:_ = Capi.mpi_success in
+  let queryfn ~state:_ ~buf:_ ~count:_ ~packed_size =
+    packed_size := 8;
+    Capi.mpi_success
+  in
+  let packfn ~state:_ ~buf:_ ~count:_ ~offset:_ ~dst:_ ~used:_ = Capi.mpi_success in
+  let unpackfn ~state:_ ~buf:_ ~count:_ ~offset:_ ~src:_ = Capi.mpi_success in
+  let dt = ref Capi.mpi_byte in
+  check_int "create" Capi.mpi_success
+    (Capi.mpi_type_create_custom ~statefn ~freefn ~queryfn ~packfn ~unpackfn
+       ~region_countfn:None ~regionfn:None ~context:None ~inorder:1 dt);
+  let w = Mpi.create_world ~size:2 () in
+  Mpi.run w (fun comm ->
+      if Mpi.rank comm = 0 then begin
+        check_int "send: state error code returned" 5
+          (Capi.mpi_send ~buf:(Buf.create 8) ~count:1 ~datatype:!dt ~dest:1
+             ~tag:0 ~comm);
+        let status = Capi.mpi_status_ignore () in
+        check_int "recv: state error code returned" 5
+          (Capi.mpi_recv ~buf:(Buf.create 8) ~count:1 ~datatype:!dt ~source:1
+             ~tag:0 ~comm ~status)
+      end)
+
 let test_truncation_code () =
   let w = Mpi.create_world ~size:2 () in
   Mpi.run w (fun comm ->
@@ -310,4 +337,5 @@ let suite =
       tc "nonblocking isend/irecv/test/probe" `Quick test_nonblocking;
       tc "iprobe empty" `Quick test_iprobe_empty;
       tc "barrier" `Quick test_barrier;
+      tc "state error code surfaces" `Quick test_state_error_code_surfaces;
     ] )

@@ -259,6 +259,38 @@ let test_custom_pack_error_propagates () =
       else ignore (Mpi.recv comm (Mpi.Bytes (Buf.create 64))));
   Alcotest.(check bool) "error seen" true !saw_error
 
+(* A failing state callback surfaces as every other callback does:
+   send, isend, recv, irecv and buffer_size raise [Callback_failed]
+   with its code, and nothing is posted. *)
+let test_custom_state_error_propagates () =
+  let failing : unit Custom.t =
+    Custom.create
+      {
+        state = (fun _ ~count:_ -> raise (Custom.Error 5));
+        state_free = ignore;
+        query = (fun () () ~count:_ -> 64);
+        pack = (fun () () ~count:_ ~offset:_ ~dst:_ -> 0);
+        unpack = (fun () () ~count:_ ~offset:_ ~src:_ -> ());
+        region_count = None;
+        regions = None;
+      }
+  in
+  let buf = Mpi.Custom { dt = failing; obj = (); count = 1 } in
+  let expect what f =
+    match f () with
+    | () -> Alcotest.failf "%s: no error" what
+    | exception Mpi.Mpi_error (Mpi.Callback_failed 5) -> ()
+  in
+  expect "buffer_size" (fun () -> ignore (Mpi.buffer_size buf));
+  let w = Mpi.create_world ~size:2 () in
+  Mpi.run w (fun comm ->
+      if Mpi.rank comm = 0 then begin
+        expect "send" (fun () -> Mpi.send comm ~dst:1 ~tag:0 buf);
+        expect "isend" (fun () -> ignore (Mpi.isend comm ~dst:1 ~tag:0 buf));
+        expect "recv" (fun () -> ignore (Mpi.recv comm ~source:1 ~tag:0 buf));
+        expect "irecv" (fun () -> ignore (Mpi.irecv comm ~source:1 ~tag:0 buf))
+      end)
+
 let test_custom_unpack_error_propagates () =
   let w = Mpi.create_world ~size:2 () in
   let dt = regions_dt () in
@@ -1004,4 +1036,5 @@ let suite =
       QCheck_alcotest.to_alcotest prop_comm_split_partitions;
       tc "custom bounce buffers recycled only when clean" `Quick
         test_custom_bounce_returned_only_when_clean;
+      tc "custom state error propagates" `Quick test_custom_state_error_propagates;
     ] )

@@ -4,20 +4,25 @@
 module Buf = Mpicd_buf.Buf
 module Dt = Mpicd_datatype.Datatype
 module Mpi = Mpicd.Mpi
+module Plan = Mpicd_datatype.Plan
 module Stats = Mpicd_simnet.Stats
-module Blocks = Mpicd_ddtbench.Blocks
 module Kernel = Mpicd_ddtbench.Kernel
 module Registry = Mpicd_ddtbench.Registry
 
 let check_int = Alcotest.(check int)
 
-(* --- Blocks --- *)
+(* --- a kernel's table: the plan of its derived type --- *)
 
-let sample_blocks = Blocks.of_list [ (10, 4); (20, 8); (3, 2); (40, 1) ]
+(* Four blocks out of slab order, none adjacent: the plan keeps them as
+   four blocks in typemap order. *)
+let sample_plan =
+  Plan.build
+    (Dt.hindexed ~blocklengths:[| 4; 8; 2; 1 |]
+       ~displacements_bytes:[| 10; 20; 3; 40 |] Dt.byte)
 
 let test_blocks_total () =
-  check_int "total" 15 (Blocks.total sample_blocks);
-  check_int "count" 4 (Blocks.count sample_blocks)
+  check_int "total" 15 (Plan.size sample_plan);
+  check_int "count" 4 (Plan.block_count sample_plan)
 
 let test_blocks_pack_matches_manual () =
   let base = Buf.create 64 in
@@ -25,7 +30,7 @@ let test_blocks_pack_matches_manual () =
     Buf.set_u8 base i i
   done;
   let dst = Buf.create 15 in
-  ignore (Blocks.pack_range sample_blocks ~base ~offset:0 ~dst);
+  ignore (Plan.pack sample_plan ~count:1 ~src:base ~dst);
   let expect = [ 10; 11; 12; 13; 20; 21; 22; 23; 24; 25; 26; 27; 3; 4; 40 ] in
   List.iteri (fun i v -> check_int "byte" v (Buf.get_u8 dst i)) expect
 
@@ -33,14 +38,14 @@ let test_blocks_fragmented_equals_whole () =
   let base = Buf.create 64 in
   Mpicd_ddtbench.Kernel.fill base;
   let whole = Buf.create 15 in
-  ignore (Blocks.pack_range sample_blocks ~base ~offset:0 ~dst:whole);
+  ignore (Plan.pack sample_plan ~count:1 ~src:base ~dst:whole);
   for frag = 1 to 15 do
     let out = Buf.create 15 in
     let off = ref 0 in
     while !off < 15 do
       let len = min frag (15 - !off) in
       let n =
-        Blocks.pack_range sample_blocks ~base ~offset:!off
+        Plan.pack_range sample_plan ~count:1 ~src:base ~packed_off:!off
           ~dst:(Buf.sub out ~pos:!off ~len)
       in
       assert (n = len);
@@ -55,27 +60,36 @@ let test_blocks_unpack_roundtrip () =
   let base = Buf.create 64 in
   Mpicd_ddtbench.Kernel.fill base;
   let packed = Buf.create 15 in
-  ignore (Blocks.pack_range sample_blocks ~base ~offset:0 ~dst:packed);
+  ignore (Plan.pack sample_plan ~count:1 ~src:base ~dst:packed);
   let sink = Buf.create 64 in
   (* unpack in awkward fragments *)
   let off = ref 0 in
   while !off < 15 do
     let len = min 4 (15 - !off) in
-    Blocks.unpack_range sample_blocks ~base:sink ~offset:!off
-      ~src:(Buf.sub packed ~pos:!off ~len);
+    ignore
+      (Plan.unpack_range sample_plan ~count:1 ~src:(Buf.sub packed ~pos:!off ~len)
+         ~packed_off:!off ~dst:sink);
     off := !off + len
   done;
-  Alcotest.(check bool) "typed equal" true
-    (Blocks.equal_typed sample_blocks base sink)
+  let repacked = Buf.create 15 in
+  ignore (Plan.pack sample_plan ~count:1 ~src:sink ~dst:repacked);
+  Alcotest.(check bool) "typed equal" true (Buf.equal packed repacked)
 
 let test_blocks_past_end () =
   let base = Buf.create 64 in
   check_int "zero past end" 0
-    (Blocks.pack_range sample_blocks ~base ~offset:15 ~dst:(Buf.create 8))
+    (Plan.pack_range sample_plan ~count:1 ~src:base ~packed_off:15
+       ~dst:(Buf.create 8))
 
-(* A kernel's regions are its block table cut from the slab it sends:
-   the same (offset, length) entries, in order, each in the slab's
-   memory. *)
+(* The interpreter's merged blocks of one element of a kernel's derived
+   type, in order: a walk of the layout that does not use the plan. *)
+let derived_blocks (module K : Kernel.KERNEL) =
+  let acc = ref [] in
+  Dt.iter_blocks K.derived ~count:1 ~f:(fun ~disp ~len -> acc := (disp, len) :: !acc);
+  List.rev !acc
+
+(* A kernel's regions are its plan's table cut from the slab it sends:
+   the derived type's blocks, in order, each in the slab's memory. *)
 let test_blocks_regions_alias () =
   List.iter
     (fun (module K : Kernel.KERNEL) ->
@@ -85,14 +99,47 @@ let test_blocks_regions_alias () =
           let base = K.create () in
           let op = Mpicd.Custom.start dt base ~count:1 in
           let regs = Mpicd.Custom.regions op in
-          check_int (K.name ^ " count") (Blocks.count K.blocks) (Buf.Iov.count regs);
-          let i = ref 0 in
-          Blocks.iter K.blocks ~f:(fun ~off ~len ->
-              let r = Buf.Iov.get regs !i in
-              if not (Buf.same_memory r (Buf.sub base ~pos:off ~len)) then
-                Alcotest.failf "%s: region %d is not the slab's block" K.name !i;
-              incr i);
+          let table = Buf.Iov.of_table base (Plan.region_table K.plan) in
+          check_int (K.name ^ " count") (Plan.block_count K.plan) (Buf.Iov.count regs);
+          check_int (K.name ^ " table") (Plan.block_count K.plan) (Buf.Iov.count table);
+          List.iteri
+            (fun i (off, len) ->
+              let block = Buf.sub base ~pos:off ~len in
+              if not (Buf.same_memory (Buf.Iov.get table i) block) then
+                Alcotest.failf "%s: table entry %d is not the slab's block" K.name i;
+              if not (Buf.same_memory (Buf.Iov.get regs i) block) then
+                Alcotest.failf "%s: region %d is not the slab's block" K.name i)
+            (derived_blocks (module K));
           Mpicd.Custom.finish op)
+    Registry.all
+
+(* [equal] reads every region of the plan's table and nothing else: from
+   a sink equal to the source, one byte flipped inside the first or the
+   last region makes it false, and one flipped outside every region,
+   where the slab has such a byte, leaves it true. *)
+let test_kernel_equal_reads_regions () =
+  List.iter
+    (fun (module K : Kernel.KERNEL) ->
+      let src = K.create () and sink = K.create () in
+      let blocks = derived_blocks (module K) in
+      let flipped what pos ~want =
+        let v = Buf.get_u8 sink pos in
+        Buf.set_u8 sink pos (v lxor 0x5a);
+        Alcotest.(check bool) (Printf.sprintf "%s: %s" K.name what) want (K.equal src sink);
+        Buf.set_u8 sink pos v
+      in
+      Alcotest.(check bool) (K.name ^ ": equal slabs") true (K.equal src sink);
+      let first_off, first_len = List.hd blocks in
+      let last_off, last_len = List.nth blocks (List.length blocks - 1) in
+      flipped "first region" (first_off + (first_len / 2)) ~want:false;
+      flipped "last region" (last_off + last_len - 1) ~want:false;
+      (* the first byte no block covers *)
+      let rec first_gap pos = function
+        | (off, len) :: rest when off <= pos -> first_gap (max pos (off + len)) rest
+        | _ -> pos
+      in
+      let gap = first_gap 0 (List.sort compare blocks) in
+      if gap < K.slab_bytes then flipped "outside every region" gap ~want:true)
     Registry.all
 
 (* --- kernels: exhaustive per-kernel method agreement --- *)
@@ -111,13 +158,13 @@ let test_manual_roundtrip () =
 
 let test_manual_matches_blocks () =
   (* The hand-written loop nests must produce the same packed stream as
-     the block cursor (and hence the custom pack callbacks). *)
+     the kernel's plan (and hence the custom pack callbacks). *)
   for_each_kernel (fun (module K) ->
       let src = K.create () in
       let manual = Buf.create K.wire_bytes in
       K.manual_pack src ~dst:manual;
       let cursor = Buf.create K.wire_bytes in
-      ignore (Blocks.pack_range K.blocks ~base:src ~offset:0 ~dst:cursor);
+      ignore (Plan.pack K.plan ~count:1 ~src ~dst:cursor);
       Alcotest.(check bool) (K.name ^ " manual = cursor") true
         (Buf.equal manual cursor))
 
@@ -134,7 +181,7 @@ let test_manual_keeps_signalling_nans () =
         Buf.set_i32 src (4 * w) (Int32.of_int (sign lor 0x7f80_0000 lor payload))
       done;
       let want = Buf.create K.wire_bytes in
-      ignore (Blocks.pack_range K.blocks ~base:src ~offset:0 ~dst:want);
+      ignore (Plan.pack K.plan ~count:1 ~src ~dst:want);
       let packed = Buf.create K.wire_bytes in
       K.manual_pack src ~dst:packed;
       Alcotest.(check bool) (K.name ^ " manual_pack keeps sNaN words") true
@@ -261,42 +308,13 @@ let test_wire_sizes_sane () =
            K.slab_bytes)
         true
         (K.wire_bytes > 0 && K.wire_bytes <= K.slab_bytes);
-      check_int (K.name ^ " derived size") (Blocks.total K.blocks) (Dt.size K.derived))
-
-(* A kernel whose block layout disagrees with its derived datatype
-   builds nothing when it is made; its table's first use raises, naming
-   the kernel, and so does every later one; the spec's table itself
-   stays usable. *)
-let bad_blocks = Blocks.of_list [ (0, 8); (16, 8) ]
-
-module Bad_layout = Kernel.Make (struct
-  let name = "BAD_layout"
-  let datatypes_desc = "contiguous"
-  let loop_desc = "none"
-  let regions_sensible = true
-  let slab_bytes = 64
-  let blocks = bad_blocks
-  let manual_pack _ ~dst:_ = ()
-  let manual_unpack ~src:_ _ = ()
-  let derived = Dt.contiguous 12 Dt.byte
-end)
-
-let test_layout_checked_on_first_use () =
-  check_int "wire bytes from derived" 12 Bad_layout.wire_bytes;
-  let expect =
-    Invalid_argument "Kernel BAD_layout: derived size 12 <> blocks total 16"
-  in
-  Alcotest.check_raises "first use" expect (fun () ->
-      ignore (Blocks.total Bad_layout.blocks));
-  Alcotest.check_raises "second use" expect (fun () ->
-      ignore (Blocks.count Bad_layout.blocks));
-  check_int "spec table" 16 (Blocks.total bad_blocks)
+      check_int (K.name ^ " derived size") (Plan.size K.plan) (Dt.size K.derived))
 
 let test_expected_block_granularity () =
   (* The properties the paper's Fig. 10 analysis relies on. *)
   let count name =
     match Registry.find name with
-    | Some (module K) -> Blocks.count K.blocks
+    | Some (module K) -> Plan.block_count K.plan
     | None -> Alcotest.failf "kernel %s missing" name
   in
   (* contiguous exchanges: a single region *)
@@ -332,6 +350,8 @@ let test_table1_contents () =
   (* MILC, NAS_LU_x, NAS_LU_y, NAS_MG_x, NAS_MG_y carry the checkmark *)
   check_int "five region rows" 5 checkmarks
 
+(* The plan's fragment entry points, with and without a cursor, give
+   the stream one [Plan.pack] does. *)
 let prop_blocks_random_fragmentation =
   QCheck.Test.make ~name:"ddtbench: random kernel x fragment size packs equal"
     ~count:60
@@ -340,67 +360,22 @@ let prop_blocks_random_fragmentation =
       let (module K : Kernel.KERNEL) = List.nth Registry.all ki in
       let src = K.create () in
       let whole = Buf.create K.wire_bytes in
-      ignore (Blocks.pack_range K.blocks ~base:src ~offset:0 ~dst:whole);
-      let out = Buf.create K.wire_bytes in
-      let off = ref 0 in
-      while !off < K.wire_bytes do
-        let len = min frag (K.wire_bytes - !off) in
-        ignore
-          (Blocks.pack_range K.blocks ~base:src ~offset:!off
-             ~dst:(Buf.sub out ~pos:!off ~len));
-        off := !off + len
-      done;
-      Buf.equal whole out)
-
-(* A deferred table is built on first use, through whichever entry
-   point comes first, to the table [of_list] builds at once: blocks
-   from the shared random datatypes, each check from a fresh table. *)
-let prop_deferred_blocks_equiv =
-  QCheck.Test.make ~name:"ddtbench: deferred blocks = of_list" ~count:200
-    QCheck.(triple Dt_gen.arb (int_range 1 3) (int_range 1 64))
-    (fun (t, count, frag) ->
-      let l = Dt.block_list t ~count in
-      let eager = Blocks.of_list l in
-      let fresh () = Blocks.defer (fun () -> l) in
-      let total = Blocks.total eager in
-      let n = List.fold_left (fun a (o, len) -> max a (o + len)) 1 l in
-      let base = Dt_gen.pattern n in
-      let stream = Buf.create total in
-      ignore (Blocks.pack_range eager ~base ~offset:0 ~dst:stream);
-      (* the stream in [frag]-byte windows, packed or unpacked *)
-      let windows b ~pack =
-        let out = Buf.create (if pack then total else n) in
+      ignore (Plan.pack K.plan ~count:1 ~src ~dst:whole);
+      let fragments ?cursor () =
+        let out = Buf.create K.wire_bytes in
         let off = ref 0 in
-        while !off < total do
-          let len = min frag (total - !off) in
-          if pack then
-            assert (
-              Blocks.pack_range b ~base ~offset:!off ~dst:(Buf.sub out ~pos:!off ~len)
-              = len)
-          else
-            Blocks.unpack_range b ~base:out ~offset:!off
-              ~src:(Buf.sub stream ~pos:!off ~len);
+        while !off < K.wire_bytes do
+          let len = min frag (K.wire_bytes - !off) in
+          assert (
+            Plan.pack_range ?cursor K.plan ~count:1 ~src ~packed_off:!off
+              ~dst:(Buf.sub out ~pos:!off ~len)
+            = len);
           off := !off + len
         done;
         out
       in
-      let walk b =
-        let acc = ref [] in
-        Blocks.iter b ~f:(fun ~off ~len -> acc := (off, len) :: !acc);
-        List.rev !acc
-      in
-      (* a slab differing in the first covered byte *)
-      let other = Buf.copy base in
-      (match List.find_opt (fun (_, len) -> len > 0) l with
-      | Some (o, _) -> Buf.set_u8 other o (Buf.get_u8 base o lxor 1)
-      | None -> ());
-      Blocks.total (fresh ()) = total
-      && Blocks.count (fresh ()) = Blocks.count eager
-      && walk (fresh ()) = l
-      && Buf.equal (windows (fresh ()) ~pack:true) stream
-      && Buf.equal (windows (fresh ()) ~pack:false) (windows eager ~pack:false)
-      && Blocks.equal_typed (fresh ()) base other
-         = Blocks.equal_typed eager base other)
+      Buf.equal whole (fragments ())
+      && Buf.equal whole (fragments ~cursor:(Plan.cursor K.plan) ()))
 
 (* The input fills write one 256-byte period and double it; every
    byte must still equal its closed form, at lengths around the period,
@@ -505,13 +480,12 @@ let suite =
       tc "all kernels: custom-regions over MPI" `Slow test_custom_regions_over_mpi;
       tc "all kernels: wire sizes sane" `Quick test_wire_sizes_sane;
       tc "regions message words flat in block count" `Quick test_regions_words_flat;
-      tc "layout checked against derived on first use" `Quick
-        test_layout_checked_on_first_use;
+      tc "kernel equal reads every region, only them" `Quick
+        test_kernel_equal_reads_regions;
       tc "block granularity matches paper analysis" `Quick
         test_expected_block_granularity;
       tc "input fills match closed form" `Quick test_fills_match_closed_form;
       tc "registry" `Quick test_registry;
       tc "Table I contents" `Quick test_table1_contents;
       QCheck_alcotest.to_alcotest prop_blocks_random_fragmentation;
-      QCheck_alcotest.to_alcotest prop_deferred_blocks_equiv;
     ] )

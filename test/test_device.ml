@@ -2,7 +2,7 @@
 
 module Buf = Mpicd_buf.Buf
 module Engine = Mpicd_simnet.Engine
-module Blocks = Mpicd_ddtbench.Blocks
+module Plan = Mpicd_datatype.Plan
 module Mpi = Mpicd.Mpi
 module D = Mpicd_device.Device
 module H = Mpicd_harness.Harness
@@ -11,8 +11,21 @@ let check_int = Alcotest.(check int)
 
 (* a sparse strided layout: 16 KiB of halo data scattered through a
    256 KiB slab (staging the whole slab is 16x the useful bytes) *)
-let blocks =
-  Blocks.of_list (List.init 64 (fun i -> (i * 4096, 256)))
+let plan =
+  Plan.build
+    (Mpicd_datatype.Datatype.hvector ~count:64 ~blocklength:256 ~stride_bytes:4096
+       Mpicd_datatype.Datatype.byte)
+
+let wire = Plan.size plan
+
+(* Whether two slabs hold the same bytes in the layout's blocks. *)
+let covered_equal a b =
+  let pack src =
+    let dst = Buf.create wire in
+    ignore (Plan.pack plan ~count:1 ~src ~dst);
+    dst
+  in
+  Buf.equal (pack a) (pack b)
 
 let slab_bytes = 256 * 1024
 
@@ -47,25 +60,28 @@ let test_pack_kernel_correct () =
     (in_world (fun comm ->
          let src = D.create D.Device slab_bytes in
          Mpicd_ddtbench.Kernel.fill (D.data src);
-         let packed = D.create D.Device (Blocks.total blocks) in
-         D.pack_kernel comm blocks ~src ~dst:packed;
-         (* reference pack on plain memory *)
-         let expect = Buf.create (Blocks.total blocks) in
-         ignore (Blocks.pack_range blocks ~base:(D.data src) ~offset:0 ~dst:expect);
+         let packed = D.create D.Device wire in
+         D.pack_kernel comm plan ~src ~dst:packed;
+         (* reference pack on plain memory, one block at a time *)
+         let expect = Buf.create wire in
+         for i = 0 to 63 do
+           Buf.blit ~src:(D.data src) ~src_pos:(i * 4096) ~dst:expect
+             ~dst_pos:(i * 256) ~len:256
+         done;
          Alcotest.(check bool) "device pack = reference" true
            (Buf.equal expect (D.data packed));
          (* scatter back into a fresh slab *)
          let sink = D.create D.Device slab_bytes in
-         D.unpack_kernel comm blocks ~src:packed ~dst:sink;
+         D.unpack_kernel comm plan ~src:packed ~dst:sink;
          Alcotest.(check bool) "roundtrip" true
-           (Blocks.equal_typed blocks (D.data src) (D.data sink))))
+           (covered_equal (D.data src) (D.data sink))))
 
 let test_space_mismatch () =
   ignore
     (in_world (fun comm ->
          let src = D.create D.Device slab_bytes in
-         let dst = D.create D.Host (Blocks.total blocks) in
-         match D.pack_kernel comm blocks ~src ~dst with
+         let dst = D.create D.Host wire in
+         match D.pack_kernel comm plan ~src ~dst with
          | () -> Alcotest.fail "expected Space_mismatch"
          | exception D.Space_mismatch _ -> ()))
 
@@ -94,8 +110,7 @@ let test_cost_ordering () =
     true (d2h > 2. *. d2d)
 
 let method_bw m =
-  (H.pingpong ~reps:3 ~bytes:(Blocks.total blocks)
-     (D.exchange_impl m ~blocks ~slab_bytes))
+  (H.pingpong ~reps:3 ~bytes:wire (D.exchange_impl m ~plan ~slab_bytes))
     .H.bandwidth_mib_s
 
 let test_methods_ordering () =
@@ -123,18 +138,39 @@ let test_exchange_delivers () =
         let src = D.create D.Device slab_bytes in
         Buf.blit ~src:reference ~src_pos:0 ~dst:(D.data src) ~dst_pos:0
           ~len:slab_bytes;
-        let packed = D.create D.Device (Blocks.total blocks) in
-        D.pack_kernel comm blocks ~src ~dst:packed;
+        let packed = D.create D.Device wire in
+        D.pack_kernel comm plan ~src ~dst:packed;
         Mpi.send comm ~dst:1 ~tag:0 (Mpi.Bytes (D.data packed))
       end
       else begin
-        let packed = D.create D.Device (Blocks.total blocks) in
+        let packed = D.create D.Device wire in
         ignore (Mpi.recv comm ~source:0 ~tag:0 (Mpi.Bytes (D.data packed)));
         let sink = D.create D.Device slab_bytes in
-        D.unpack_kernel comm blocks ~src:packed ~dst:sink;
+        D.unpack_kernel comm plan ~src:packed ~dst:sink;
         Alcotest.(check bool) "typed bytes on peer device" true
-          (Blocks.equal_typed blocks reference (D.data sink))
+          (covered_equal reference (D.data sink))
       end)
+
+(* A device pack kernel moves and charges the plan's bytes as its
+   blocks: one launch, [Plan.size] bytes at HBM rate and
+   [Plan.block_count] pieces. *)
+let test_pack_kernel_charges_plan () =
+  let w = Mpi.create_world ~size:1 () in
+  let elapsed = ref 0. in
+  Mpi.run w (fun comm ->
+      let src = D.create D.Device slab_bytes and dst = D.create D.Device wire in
+      let t0 = Engine.now (Mpi.world_engine w) in
+      D.pack_kernel comm plan ~src ~dst;
+      elapsed := Engine.now (Mpi.world_engine w) -. t0);
+  let g = (Mpi.world_config w).gpu in
+  let want =
+    g.kernel_launch_ns
+    +. (g.hbm_ns_per_byte *. float_of_int wire)
+    +. (g.gpu_piece_ns *. 64.)
+  in
+  check_int "bytes recorded" wire
+    (Mpicd_simnet.Stats.get (Mpi.world_stats w) Bytes_copied);
+  Alcotest.(check (float 1e-9)) "charged" want !elapsed
 
 let suite =
   let tc = Alcotest.test_case in
@@ -147,4 +183,5 @@ let suite =
       tc "cost ordering PCIe vs HBM" `Quick test_cost_ordering;
       tc "method ordering (sparse layout)" `Quick test_methods_ordering;
       tc "device exchange delivers" `Quick test_exchange_delivers;
+      tc "pack kernel charges its plan" `Quick test_pack_kernel_charges_plan;
     ] )
