@@ -58,14 +58,6 @@ external unsafe_get32 : bigstring -> int -> int32 = "%caml_bigstring_get32u"
 external unsafe_set32 : bigstring -> int -> int32 -> unit = "%caml_bigstring_set32u"
 external unsafe_get64 : bigstring -> int -> int64 = "%caml_bigstring_get64u"
 external unsafe_set64 : bigstring -> int -> int64 -> unit = "%caml_bigstring_set64u"
-external unsafe_get16 : bigstring -> int -> int = "%caml_bigstring_get16u"
-external unsafe_set16 : bigstring -> int -> int -> unit = "%caml_bigstring_set16u"
-external string_get16 : string -> int -> int = "%caml_string_get16u"
-external string_get32 : string -> int -> int32 = "%caml_string_get32u"
-external string_get64 : string -> int -> int64 = "%caml_string_get64u"
-external bytes_set16 : Bytes.t -> int -> int -> unit = "%caml_bytes_set16u"
-external bytes_set32 : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32u"
-external bytes_set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 external bswap32 : int32 -> int32 = "%bswap_int32"
 external bswap64 : int64 -> int64 = "%bswap_int64"
 
@@ -104,87 +96,32 @@ let set_u32 t i v =
   let v = Int32.of_int v in
   unsafe_set32 t.base (t.off + i) (if Sys.big_endian then bswap32 v else v)
 
-(* Forward copies, eight bytes per load/store, then at most one 4-, one
-   2- and one 1-byte access for the tail.  Loading and storing in host
-   order preserves the bytes on any host.  Forward copying is
-   memmove-correct unless the destination overlaps the source from
-   above; each access is loaded before it is stored, so a destination
-   below the source is safe. *)
+(* The byte kernels, in C (buf_stubs.c): each is one libc call over a
+   range checked here, so none allocates, and a copy between views of
+   one bigstring may overlap either way. *)
+external memmove : bigstring -> int -> bigstring -> int -> int -> unit
+  = "mpicd_buf_memmove"
+[@@noalloc]
 
-let copy_words s so d d_o len =
-  let words = len land lnot 7 in
-  let i = ref 0 in
-  while !i < words do
-    unsafe_set64 d (d_o + !i) (unsafe_get64 s (so + !i));
-    i := !i + 8
-  done;
-  if len land 4 <> 0 then unsafe_set32 d (d_o + words) (unsafe_get32 s (so + words));
-  let i = words + (len land 4) in
-  if len land 2 <> 0 then unsafe_set16 d (d_o + i) (unsafe_get16 s (so + i));
-  if len land 1 <> 0 then
-    Bigarray.Array1.unsafe_set d (d_o + len - 1)
-      (Bigarray.Array1.unsafe_get s (so + len - 1))
+external memeq : bigstring -> int -> bigstring -> int -> int -> bool = "mpicd_buf_memeq"
+[@@noalloc]
 
-let copy_words_from_string s so d d_o len =
-  let words = len land lnot 7 in
-  let i = ref 0 in
-  while !i < words do
-    unsafe_set64 d (d_o + !i) (string_get64 s (so + !i));
-    i := !i + 8
-  done;
-  if len land 4 <> 0 then unsafe_set32 d (d_o + words) (string_get32 s (so + words));
-  let i = words + (len land 4) in
-  if len land 2 <> 0 then unsafe_set16 d (d_o + i) (string_get16 s (so + i));
-  if len land 1 <> 0 then
-    Bigarray.Array1.unsafe_set d (d_o + len - 1) (String.unsafe_get s (so + len - 1))
+external memset : bigstring -> int -> int -> char -> unit = "mpicd_buf_memset" [@@noalloc]
 
-let copy_words_to_bytes s so d d_o len =
-  let words = len land lnot 7 in
-  let i = ref 0 in
-  while !i < words do
-    bytes_set64 d (d_o + !i) (unsafe_get64 s (so + !i));
-    i := !i + 8
-  done;
-  if len land 4 <> 0 then bytes_set32 d (d_o + words) (unsafe_get32 s (so + words));
-  let i = words + (len land 4) in
-  if len land 2 <> 0 then bytes_set16 d (d_o + i) (unsafe_get16 s (so + i));
-  if len land 1 <> 0 then
-    Bytes.unsafe_set d (d_o + len - 1) (Bigarray.Array1.unsafe_get s (so + len - 1))
+external memcpy_of_string : string -> int -> bigstring -> int -> int -> unit
+  = "mpicd_buf_of_string"
+[@@noalloc]
 
-(* Below this length the word loop beats memmove, whose two Bigarray
-   views are allocated per call; above it memmove's bulk copy wins. *)
-let word_copy_max = 1024
-
-(* [len] bytes from [s] at [so] to [d] at [d_o], ranges checked by the
-   caller. *)
-let[@inline] copy_span s so d d_o len =
-  if len <= word_copy_max && (s != d || d_o <= so || d_o >= so + len) then
-    copy_words s so d d_o len
-  else Bigarray.Array1.blit (Bigarray.Array1.sub s so len) (Bigarray.Array1.sub d d_o len)
+external memcpy_to_bytes : bigstring -> int -> Bytes.t -> int -> int -> unit
+  = "mpicd_buf_to_bytes"
+[@@noalloc]
 
 let blit ~src ~src_pos ~dst ~dst_pos ~len =
   check src src_pos len;
   check dst dst_pos len;
-  copy_span src.base (src.off + src_pos) dst.base (dst.off + dst_pos) len
+  memmove src.base (src.off + src_pos) dst.base (dst.off + dst_pos) len
 
-(* A view is filled eight bytes per store, then a byte tail: a bigarray
-   view for [Bigarray.Array1.fill] would cost a custom block.  The
-   repeated byte is the same in either byte order. *)
-let fill t c =
-  if t.off = 0 && t.len = Bigarray.Array1.dim t.base then
-    Bigarray.Array1.fill t.base c
-  else begin
-    let word = Int64.mul 0x0101_0101_0101_0101L (Int64.of_int (Char.code c)) in
-    let stop = t.off + (t.len land lnot 7) in
-    let i = ref t.off in
-    while !i < stop do
-      unsafe_set64 t.base !i word;
-      i := !i + 8
-    done;
-    for i = stop to t.off + t.len - 1 do
-      Bigarray.Array1.unsafe_set t.base i c
-    done
-  end
+let fill t c = memset t.base t.off t.len c
 
 (* Each round copies everything written so far, so a buffer of [n]
    bytes takes O(log (n / period)) block copies. *)
@@ -202,42 +139,19 @@ let copy t =
   blit ~src:t ~src_pos:0 ~dst ~dst_pos:0 ~len:t.len;
   dst
 
-(* Eight bytes per comparison, then the byte tail; byte order does not
-   matter for equality, so there is no swap on big-endian hosts. *)
-let equal a b =
-  a.len = b.len
-  &&
-  let n = a.len in
-  let words = n land lnot 7 in
-  let i = ref 0 in
-  while
-    !i < words
-    && (unsafe_get64 a.base (a.off + !i) : int64)
-       = unsafe_get64 b.base (b.off + !i)
-  do
-    i := !i + 8
-  done;
-  if !i = words then
-    while
-      !i < n
-      && Bigarray.Array1.unsafe_get a.base (a.off + !i)
-         = Bigarray.Array1.unsafe_get b.base (b.off + !i)
-    do
-      incr i
-    done;
-  !i = n
+let equal a b = a.len = b.len && memeq a.base a.off b.base b.off a.len
 
 let blit_from_string s ~src_pos ~dst ~dst_pos ~len =
   if len < 0 || src_pos < 0 || src_pos > String.length s - len then
     invalid_arg "Buf.blit_from_string: source range";
   check dst dst_pos len;
-  copy_words_from_string s src_pos dst.base (dst.off + dst_pos) len
+  memcpy_of_string s src_pos dst.base (dst.off + dst_pos) len
 
 let blit_to_bytes ~src ~src_pos ~dst ~dst_pos ~len =
   check src src_pos len;
   if dst_pos < 0 || dst_pos > Bytes.length dst - len then
     invalid_arg "Buf.blit_to_bytes: destination range";
-  copy_words_to_bytes src.base (src.off + src_pos) dst dst_pos len
+  memcpy_to_bytes src.base (src.off + src_pos) dst dst_pos len
 
 (* Float arrays move as little-endian binary64 words: one range check
    per call, then a word loop with no per-element boxing (a call to
@@ -278,12 +192,12 @@ let blit_to_floats ~src ~src_pos ~(dst : float array) ~dst_pos ~len =
 let of_string s =
   let n = String.length s in
   let t = alloc n in
-  copy_words_from_string s 0 t.base 0 n;
+  memcpy_of_string s 0 t.base 0 n;
   t
 
 let to_string t =
   let b = Bytes.create t.len in
-  copy_words_to_bytes t.base t.off b 0 t.len;
+  memcpy_to_bytes t.base t.off b 0 t.len;
   Bytes.unsafe_to_string b
 
 let concat parts =
@@ -687,7 +601,7 @@ module Iov = struct
         check_run !db !dp !de
       end;
       let n = min !left (min (!se - !sp) (!de - !dp)) in
-      copy_span !sb !sp !db !dp n;
+      memmove !sb !sp !db !dp n;
       sp := !sp + n;
       dp := !dp + n;
       left := !left - n

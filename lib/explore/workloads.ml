@@ -17,7 +17,12 @@ module Stats = Mpicd_simnet.Stats
 module Mpi = Mpicd.Mpi
 module Coll = Mpicd_collectives.Collectives
 
-type result = { res_render : string; res_failures : string list }
+type result = {
+  res_render : string;
+  res_failures : string list;
+  res_stats : Stats.t;
+  res_scans : int;
+}
 
 type t = {
   wl_name : string;
@@ -106,6 +111,8 @@ let run_world ~config ~size ~tap ~plan body ~extra_oracle =
   {
     res_render = render ~outcomes ~hang:!hang ~stats;
     res_failures = List.rev !fails;
+    res_stats = stats;
+    res_scans = Engine.scans (Mpi.world_engine w);
   }
 
 (* --- revoke-rescue ---

@@ -28,6 +28,10 @@ type result = {
   res_failures : string list;
       (** oracle violations, each ["category: detail"]; empty means the
           execution satisfied the workload's contract *)
+  res_stats : Mpicd_simnet.Stats.t;  (** the world's counters after the run *)
+  res_scans : int;
+      (** host work: buckets the engine's event queue stepped past
+          ({!Mpicd_simnet.Engine.scans}) *)
 }
 
 type t = {

@@ -29,17 +29,27 @@ and t = {
   mutable stats : Stats.t option;
       (* engine-overhead accounting ([events_scheduled_total] etc.);
          [None] (the default) keeps the hot path to one branch *)
-  mutable metric_handles : (Metrics.counter * Metrics.counter * Metrics.gauge) option;
-      (* cached (scheduled, pooled, live) handles: interned once at
-         [set_obs] so the per-event path never does a name lookup *)
+  mutable metric_handles : handles option;
+      (* interned once at [set_obs] so the per-event path never does a
+         name lookup *)
   mutable current : fiber;
       (* the fiber running, or last to run: every start and resumption
          sets it, so one handler per engine serves all its fibers *)
+  mutable in_fiber : bool;
+      (* a fiber of this engine is running: set with [current], and
+         cleared by every park, return or exception *)
   mutable handler : (unit, unit) Effect.Deep.handler;
   sleep : unit Effect.t;  (* this engine's one [Sleep] value *)
   sleep_for : Float.Array.t;
       (* the pending sleep's duration, stored unboxed: [sleep] writes
          it and the handler reads it before anything else can run *)
+}
+
+and handles = {
+  m_scheduled : Metrics.counter;
+  m_pooled : Metrics.counter;
+  m_live : Metrics.gauge;
+  m_in_place : Metrics.counter;
 }
 
 exception Deadlock of string
@@ -85,9 +95,12 @@ let set_obs t o =
     (if Obs.enabled o then begin
        let m = Obs.metrics o in
        Some
-         ( Metrics.counter m "events_scheduled_total",
-           Metrics.counter m "events_pooled_reuses",
-           Metrics.gauge m "live_events" )
+         {
+           m_scheduled = Metrics.counter m "events_scheduled_total";
+           m_pooled = Metrics.counter m "events_pooled_reuses";
+           m_live = Metrics.gauge m "live_events";
+           m_in_place = Metrics.counter m (Stats.name Sleeps_in_place);
+         }
      end
      else None)
 
@@ -104,6 +117,19 @@ let check_delay ~who delay =
   else if delay = Float.neg_infinity then
     invalid_arg (who ^ ": -infinity delay")
 
+(* One logical event into both sinks: [live] counts the queue with
+   it. *)
+let[@inline] count_event t ~reused ~live =
+  (match t.stats with
+  | None -> ()
+  | Some s -> Stats.record_event_scheduled s ~reused ~live);
+  match t.metric_handles with
+  | None -> ()
+  | Some m ->
+      Metrics.inc m.m_scheduled;
+      if reused then Metrics.inc m.m_pooled;
+      Metrics.set m.m_live (float_of_int live)
+
 let[@inline] schedule t ~delay f =
   check_delay ~who:"Engine.schedule" delay;
   t.seq <- t.seq + 1;
@@ -113,25 +139,35 @@ let[@inline] schedule t ~delay f =
   let reuses = Evq.reuses t.events in
   let reused = reuses > t.reuses_seen in
   t.reuses_seen <- reuses;
-  (match t.stats with
-  | None -> ()
-  | Some s ->
-      Stats.record_event_scheduled s ~reused ~live:(Evq.size t.events));
-  match t.metric_handles with
-  | None -> ()
-  | Some (c_sched, c_pool, g_live) ->
-      Metrics.inc c_sched;
-      if reused then Metrics.inc c_pool;
-      Metrics.set g_live (float_of_int (Evq.size t.events))
+  count_event t ~reused ~live:(Evq.size t.events)
 
+(* A sleep's wake-up [(clock + d, newest seq)] is the next event popped
+   when the queue is empty or its minimum is later than [clock + d]: a
+   queued event at that very time has a lower seq and runs first.  Then
+   the fiber continues in place with the clock advanced, exactly as if
+   it had been suspended and resumed by that pop; the event is still
+   counted.  Only a fiber of this engine can: elsewhere the effect is
+   performed and fails as unhandled. *)
 let sleep t d =
   (* A fiber's sleep is always a duration it computed itself: negative
      values are arithmetic bugs, not scheduling idioms, so they are
      rejected rather than clamped (NaN likewise, via [schedule]). *)
   if Float.is_nan d then invalid_arg "Engine.sleep: NaN duration"
   else if d < 0. then invalid_arg "Engine.sleep: negative duration";
-  Float.Array.unsafe_set t.sleep_for 0 d;
-  Effect.perform t.sleep
+  if
+    t.in_fiber
+    && (Evq.is_empty t.events || Evq.min_after t.events t.clock d)
+  then begin
+    t.seq <- t.seq + 1;
+    if d > 0. then t.clock <- t.clock +. d;
+    count_event t ~reused:true ~live:(Evq.size t.events + 1);
+    (match t.stats with None -> () | Some s -> Stats.incr s Sleeps_in_place);
+    match t.metric_handles with None -> () | Some m -> Metrics.inc m.m_in_place
+  end
+  else begin
+    Float.Array.unsafe_set t.sleep_for 0 d;
+    Effect.perform t.sleep
+  end
 let await slot cell = Effect.perform (Await (slot, cell))
 
 let await_any slot cells =
@@ -149,7 +185,9 @@ let fiber_instant fib what =
       what
 
 let resume_with fib k v =
-  fib.f_engine.current <- fib;
+  let t = fib.f_engine in
+  t.current <- fib;
+  t.in_fiber <- true;
   Effect.Deep.continue k v
 
 let resume fib k v =
@@ -186,6 +224,7 @@ let make_handler t : (unit, unit) Effect.Deep.handler =
     Some
       (fun (k : (unit, unit) continuation) ->
         let fib = t.current in
+        t.in_fiber <- false;
         schedule t ~delay:(Float.Array.unsafe_get t.sleep_for 0) (fun () ->
             resume_with fib k ()))
   in
@@ -193,12 +232,16 @@ let make_handler t : (unit, unit) Effect.Deep.handler =
     retc =
       (fun () ->
         let fib = t.current in
+        t.in_fiber <- false;
         t.live <- t.live - 1;
         fib.prev.next <- fib.next;
         fib.next.prev <- fib.prev;
         Obs.span_end t.obs ~time:t.clock fib.f_span);
     exnc =
-      (fun e -> Printexc.raise_with_backtrace e (Printexc.get_raw_backtrace ()));
+      (fun e ->
+        let bt = Printexc.get_raw_backtrace () in
+        t.in_fiber <- false;
+        Printexc.raise_with_backtrace e bt);
     effc =
       (fun (type a) (eff : a Effect.t) : ((a, unit) continuation -> unit) option ->
         match eff with
@@ -207,6 +250,7 @@ let make_handler t : (unit, unit) Effect.Deep.handler =
             Some
               (fun k ->
                 let fib = t.current in
+                t.in_fiber <- false;
                 fiber_instant fib "suspend";
                 slot.set cell
                   (match slot.get cell with
@@ -216,6 +260,7 @@ let make_handler t : (unit, unit) Effect.Deep.handler =
             Some
               (fun k ->
                 let fib = t.current in
+                t.in_fiber <- false;
                 fiber_instant fib "suspend";
                 let won = ref false in
                 List.iteri
@@ -239,6 +284,7 @@ let create () =
       stats = None;
       metric_handles = None;
       current = ring;
+      in_fiber = false;
       handler = { retc = Fun.id; exnc = raise; effc = (fun _ -> None) };
       sleep = Sleep t;
       sleep_for = Float.Array.make 1 0.;
@@ -257,6 +303,7 @@ let exec_fiber t fib f =
         ~args:[ ("id", Obs.Int fib.f_id) ]
         fib.f_name;
   t.current <- fib;
+  t.in_fiber <- true;
   Effect.Deep.match_with f () t.handler
 
 let spawn t ?(name = "fiber") ?track f =
@@ -276,6 +323,7 @@ let spawn t ?(name = "fiber") ?track f =
 let at t ~delay f = schedule t ~delay f
 
 let live_fibers t = t.live
+let scans t = Evq.scans t.events
 
 let run t =
   (* Hot loop: non-allocating peek/pop (no option or tuple boxing) —
@@ -299,7 +347,7 @@ let run t =
     else begin
       (* [min_time]'s result is boxed: read it only when the clock
          advances, a few percent of events in a lockstep world *)
-      if Evq.min_after t.events t.clock then t.clock <- Evq.min_time t.events;
+      if Evq.min_after t.events t.clock 0. then t.clock <- Evq.min_time t.events;
       let f = Evq.pop_min t.events in
       f ();
       loop ()

@@ -46,8 +46,8 @@ val set_obs : t -> Mpicd_obs.Obs.t -> unit
 (** Attach an observability sink: each fiber gets a ["fiber"]-category
     lifetime span and park/wake instants (named ["suspend"] and
     ["resume"]), and the engine interns [events_scheduled_total] /
-    [events_pooled_reuses] counters plus a [live_events] gauge in the
-    sink's metrics registry (handles are cached here, so the per-event
+    [events_pooled_reuses] / [sleeps_in_place] counters plus a
+    [live_events] gauge in the sink's metrics registry (handles are cached here, so the per-event
     path never does a name lookup).
     Detached (the default, {!Mpicd_obs.Obs.null}) costs one branch per
     site and records nothing; attaching never perturbs timing or
@@ -56,7 +56,8 @@ val set_obs : t -> Mpicd_obs.Obs.t -> unit
 val set_stats : t -> Stats.t -> unit
 (** Attach a {!Stats} sink: every scheduled event updates
     [events_scheduled_total], [events_pooled_reuses] and
-    [max_live_events], attributing engine overhead alongside the
+    [max_live_events], and a sleep that continues in place also
+    [Sleeps_in_place], attributing engine overhead alongside the
     transport counters.  Without a sink (the default) the per-event
     cost is a single branch. *)
 
@@ -69,8 +70,12 @@ val spawn : t -> ?name:string -> ?track:int -> (unit -> unit) -> unit
 
 val sleep : t -> float -> unit
 (** [sleep t d] advances this fiber's clock by [d] ns.  Must be called
-    from inside a fiber.  Zero durations yield (letting same-time
-    events interleave deterministically).
+    from inside a fiber of [t].  Zero durations yield (letting same-time
+    events interleave deterministically).  When the wake-up would be
+    the next event anyway (nothing queued runs before [now t +. d],
+    and nothing at that time, which was queued first) the fiber
+    continues in place: the clock advances without a suspension, in
+    the order and with the counts a queued wake-up would give.
     @raise Invalid_argument on NaN or negative durations. *)
 
 (** {2 Waits}
@@ -116,6 +121,10 @@ val run : t -> unit
 
 val live_fibers : t -> int
 (** Number of fibers spawned but not yet finished. *)
+
+val scans : t -> int
+(** Buckets the event queue's searches for the next event stepped past
+    ({!Evq.scans}): host work, never part of virtual time. *)
 
 (** {1 Blocking structures built on [await]} *)
 

@@ -26,19 +26,20 @@
 
    Resizing: when [len] outgrows [2 * nbuckets] (or falls below
    [nbuckets / 8]) the bucket array is rebuilt at ~[len] buckets with
-   [width] re-estimated as the live events' time span divided by their
-   count — so a pop's forward scan meets about one event per bucket
-   regardless of scale.  Far-future outliers (e.g. timeout sentinels)
-   would widen that estimate; they are clamped to a terminal virtual
+   [width] re-estimated as the time from the last pop to the latest
+   live event divided by the live count — so a pop's forward scan
+   meets about one event per bucket regardless of scale.  Far-future
+   outliers (e.g. timeout sentinels) would widen that estimate; they are clamped to a terminal virtual
    bucket and recovered by the direct-search fallback, which also
    bounds any pop at O(nbuckets) when the window scan wraps a whole
    year without finding a head.  Such a wrap also proves [width]
    stale, which the size thresholds alone never notice at small
    populations: a world with a handful of live events µs apart would
-   otherwise keep the initial 1 ns width for life and walk hundreds of
-   empty buckets per pop.  So a wrap with two or more live events
-   re-estimates [width] through the same rebuild; with one event there
-   is no spacing to fit.
+   otherwise keep the initial 1 ns width for life and walk its whole
+   calendar per pop.  So a wrap re-estimates [width] through the same
+   rebuild.  Measuring from the last pop, not from the earliest live
+   event, gives even a lone event a spacing to fit: the gap a scan
+   would walk to reach it.
 
    Determinism: bucket selection is a pure function of the key and the
    (deterministically evolved) width, in-bucket lists are totally
@@ -73,6 +74,7 @@ type 'a t = {
   mutable len : int;
   mutable peeked : int;  (* entry found by the last scan; -1 = stale *)
   mutable peeked_b : int;  (* its bucket index *)
+  last_pop : float array;  (* the last popped time, stored unboxed *)
   (* counters *)
   mutable pushes : int;
   mutable reuses : int;
@@ -80,8 +82,11 @@ type 'a t = {
   mutable scans : int;
 }
 
-let initial_capacity = 256
-let initial_buckets = 256
+(* A small world holds a handful of live events, so the calendar and
+   the entry arrays start small and grow (entries by doubling, buckets
+   by [resize]) with the population. *)
+let initial_capacity = 16
+let initial_buckets = 16
 
 (* Clamp for the virtual-bucket computation: beyond this the
    float-to-int conversion could overflow, so everything maps to one
@@ -111,6 +116,7 @@ let create () =
     len = 0;
     peeked = -1;
     peeked_b = -1;
+    last_pop = [| 0. |];
     pushes = 0;
     reuses = 0;
     max_live = 0;
@@ -185,10 +191,13 @@ let bucket_insert t b e time seq =
   end
 
 (* Rebuild the bucket array at ~[len] buckets, re-estimating [width]
-   from the live events' span.  O(len + nbuckets); the thresholds in
-   [push]/[pop_min] make it amortized O(1), and in [scan] it follows a
-   year wrap that has already walked every bucket. *)
+   from the span between the last pop (or an earlier live event, which
+   only a caller other than the engine pushes) and the latest live
+   event.  O(len + nbuckets); the thresholds in [push]/[pop_min] make
+   it amortized O(1), and in [scan] it follows a year wrap that has
+   already walked every bucket. *)
 let resize t =
+  t.peeked <- -1;
   let n = t.len in
   let entries = Array.make (max n 1) 0 in
   let k = ref 0 in
@@ -212,8 +221,8 @@ let resize t =
   t.mask <- !nb - 1;
   t.heads <- Array.make !nb (-1);
   t.tails <- Array.make !nb (-1);
-  let span = !tmax -. !tmin in
-  let w = if n <= 1 || span <= 0. then 1.0 else span /. float_of_int n in
+  let span = !tmax -. Float.min !tmin (Array.unsafe_get t.last_pop 0) in
+  let w = if span <= 0. then 1.0 else span /. float_of_int (max n 1) in
   let w = if w < 1e-9 then 1e-9 else w in
   t.width <- w;
   t.inv_width <- 1. /. w;
@@ -241,7 +250,16 @@ let push t ~time ~seq v =
     t.pushes <- t.pushes + 1;
     t.reuses <- t.reuses + 1
   end;
-  t.peeked <- -1;
+  (* a cached minimum stays the minimum when the new key sorts after
+     it: its bucket and the cursor are untouched, so the scan that found
+     it serves the next pop *)
+  let pk = t.peeked in
+  if
+    pk >= 0
+    &&
+    let pt = Array.unsafe_get t.times pk in
+    time < pt || (time = pt && seq < Array.unsafe_get t.seqs pk)
+  then t.peeked <- -1;
   let e =
     if t.nfree > 0 then begin
       t.nfree <- t.nfree - 1;
@@ -276,34 +294,22 @@ let scan t =
       (* wrapped a whole year without a head in its window: fall back
          to a direct search over bucket heads (each is its bucket's
          minimum, so the least head is the global minimum) *)
-      let best = ref (-1) and best_b = ref (-1) in
+      let best = ref (-1) in
       for b = 0 to t.nbuckets - 1 do
         let h = t.heads.(b) in
         if h >= 0 then
-          if !best < 0 then begin
-            best := h;
-            best_b := b
-          end
+          if !best < 0 then best := h
           else begin
             let ht = t.times.(h) and bt = t.times.(!best) in
-            if ht < bt || (ht = bt && t.seqs.(h) < t.seqs.(!best)) then begin
-              best := h;
-              best_b := b
-            end
+            if ht < bt || (ht = bt && t.seqs.(h) < t.seqs.(!best)) then best := h
           end
       done;
       found := !best;
-      (* a wrap means [width] no longer fits the live events' spacing;
-         re-estimate it (which re-files every entry and puts the cursor
-         on the minimum) unless one event is all there is to fit *)
-      if t.len >= 2 then begin
-        resize t;
-        fb := vbucket t t.times.(!best) land t.mask
-      end
-      else begin
-        t.cur_vb <- vbucket t t.times.(!best);
-        fb := !best_b
-      end
+      (* a wrap means [width] no longer fits the live events' spacing:
+         re-estimate it, which re-files every entry and puts the cursor
+         on the minimum *)
+      resize t;
+      fb := vbucket t t.times.(!best) land t.mask
     end
     else begin
       let b = t.cur_vb land t.mask in
@@ -336,10 +342,10 @@ let min_time t =
   if t.peeked < 0 then scan t;
   Array.unsafe_get t.times t.peeked
 
-let min_after t x =
+let min_after t x dx =
   if t.len = 0 then invalid_arg "Evq.min_after: empty queue";
   if t.peeked < 0 then scan t;
-  Array.unsafe_get t.times t.peeked > x
+  Array.unsafe_get t.times t.peeked > x +. dx
 
 let pop_min t =
   if t.len = 0 then invalid_arg "Evq.pop_min: empty queue";
@@ -350,6 +356,7 @@ let pop_min t =
   Array.unsafe_set t.heads b nx;
   if nx < 0 then Array.unsafe_set t.tails b (-1);
   let v = Array.unsafe_get t.slots e in
+  Array.unsafe_set t.last_pop 0 (Array.unsafe_get t.times e);
   Array.unsafe_set t.slots e (Obj.magic 0);
   Array.unsafe_set t.free_stack t.nfree e;
   t.nfree <- t.nfree + 1;

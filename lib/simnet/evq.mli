@@ -24,9 +24,9 @@
       arrays only grow on resize, they never churn;
     - {!min_time} / {!pop_min} allocate nothing (no option or tuple
       boxing), unlike the compatibility {!pop}, except when their scan
-      wraps a whole calendar year with two or more live events: the
-      bucket width has gone stale, and the calendar is rebuilt with a
-      width re-estimated from the live events; a {!min_time}
+      wraps a whole calendar year: the bucket width has gone stale, and
+      the calendar is rebuilt with a width re-estimated from the time
+      between the last pop and the live events; a {!min_time}
       immediately followed by {!pop_min} performs a single bucket
       scan (the located entry is cached).
 
@@ -53,16 +53,21 @@ val push : 'a t -> time:float -> seq:int -> 'a -> unit
 (** Insert; O(1) amortized (a tail append into the target bucket for
     keys at or past the bucket's horizon — the common case),
     allocation-free unless the backing arrays must grow or the bucket
-    calendar resizes. *)
+    calendar resizes.  The minimum a scan found stays cached when the
+    new key sorts after it, so the next {!pop_min} needs no scan. *)
 
 val min_time : 'a t -> float
 (** Time of the minimum entry without removing it; non-allocating
     unless the scan rebuilds the calendar (see above).
     @raise Invalid_argument on an empty queue. *)
 
-val min_after : 'a t -> float -> bool
-(** [min_after t x] is [min_time t > x] without boxing the time, which
-    [min_time] returns boxed to a caller in another module.
+val min_after : 'a t -> float -> float -> bool
+(** [min_after t x dx] is [min_time t > x +. dx] without boxing a time:
+    [min_time] returns its result boxed to a caller in another module,
+    and a sum computed there would be boxed to pass it in.  The scan
+    that finds the minimum is cached, and a {!push} whose key sorts
+    after it keeps it, so a [min_after] followed by a later push and a
+    {!pop_min} scans once.
     @raise Invalid_argument on an empty queue. *)
 
 val pop_min : 'a t -> 'a

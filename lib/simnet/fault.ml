@@ -88,9 +88,10 @@ let make ?(seed = default.seed) ?(link = default.link) ?(overrides = [])
   }
 
 let link_plan t ~src ~dst =
-  match List.assoc_opt (src, dst) t.overrides with
-  | Some lp -> lp
-  | None -> t.link
+  match t.overrides with
+  | [] -> t.link
+  | overrides -> (
+      match List.assoc_opt (src, dst) overrides with Some lp -> lp | None -> t.link)
 
 let rto t ~attempt = t.rto_ns *. (t.backoff ** float_of_int attempt)
 
@@ -126,13 +127,15 @@ let crash_time t ~rank =
    not flap-style waits, so they burn retransmission attempts and stress
    the backoff schedule the way a real cut would. *)
 let partitioned t ~src ~dst ~now =
-  t.partitions <> []
-  && List.exists
-       (fun p ->
-         now >= p.part_start_ns
-         && now < p.part_start_ns +. p.part_dur_ns
-         && List.mem src p.part_group <> List.mem dst p.part_group)
-       t.partitions
+  match t.partitions with
+  | [] -> false
+  | partitions ->
+      List.exists
+        (fun p ->
+          now >= p.part_start_ns
+          && now < p.part_start_ns +. p.part_dur_ns
+          && List.mem src p.part_group <> List.mem dst p.part_group)
+        partitions
 
 (* Per-rank CPU slowdown factor; exactly [1.] when the rank is not a
    straggler so fault-free arithmetic is bit-identical ([x *. 1. = x]). *)
@@ -140,16 +143,17 @@ let straggle_factor t ~rank =
   match List.assoc_opt rank t.stragglers with Some f -> f | None -> 1.
 
 let injected t ~src ~dst ~mseq ~frag =
-  if t.injections = [] then None
-  else
-    List.find_map
-      (fun i ->
-        if
-          i.inj_src = src && i.inj_dst = dst && i.inj_mseq = mseq
-          && i.inj_frag = frag
-        then Some i.inj_kind
-        else None)
-      t.injections
+  match t.injections with
+  | [] -> None
+  | injections ->
+      List.find_map
+        (fun i ->
+          if
+            i.inj_src = src && i.inj_dst = dst && i.inj_mseq = mseq
+            && i.inj_frag = frag
+          then Some i.inj_kind
+          else None)
+        injections
 
 type fate = {
   f_drop : bool;
@@ -173,26 +177,38 @@ type probe = {
 type runtime = {
   r_plan : t;
   r_rng : Rng.t;
-  r_crash : (int, float) Hashtbl.t;
-      (* per-rank earliest crash time, precomputed at [start] so the
-         per-fragment liveness check is O(1) instead of O(plan crashes) *)
+  r_crash_ranks : int array;
+  r_crash_at : float array;
+      (* each crashing rank and its earliest crash time, precomputed at
+         [start]: a plan names a few, so the per-fragment liveness check
+         is a short scan that hashes and allocates nothing, and none at
+         all without a crash *)
   mutable r_tap : (probe -> unit) option;
 }
 
 let start p =
-  let r_crash = Hashtbl.create (List.length p.crashes) in
-  List.iter (fun (r, t0) -> Hashtbl.replace r_crash r t0) (earliest_crashes p);
-  { r_plan = p; r_rng = Rng.create p.seed; r_crash; r_tap = None }
+  let crashes = Array.of_list (earliest_crashes p) in
+  {
+    r_plan = p;
+    r_rng = Rng.create p.seed;
+    r_crash_ranks = Array.map fst crashes;
+    r_crash_at = Array.map snd crashes;
+    r_tap = None;
+  }
 
 let set_tap r f = r.r_tap <- f
 let notify_tap r pb = match r.r_tap with None -> () | Some f -> f pb
 
 let plan r = r.r_plan
 
-let crashed_rt r ~rank ~now =
-  match Hashtbl.find_opt r.r_crash rank with
-  | Some t0 -> now >= t0
-  | None -> false
+(* A plain recursive function: a local one would allocate its closure
+   on every call. *)
+let rec crashed_from r rank now i =
+  i < Array.length r.r_crash_ranks
+  && ((Array.unsafe_get r.r_crash_ranks i = rank && now >= Array.unsafe_get r.r_crash_at i)
+     || crashed_from r rank now (i + 1))
+
+let crashed_rt r ~rank ~now = crashed_from r rank now 0
 
 (* Always five draws per fragment so the decision sequence stays
    aligned whichever branches fire. *)

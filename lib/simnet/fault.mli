@@ -192,8 +192,9 @@ val notify_tap : runtime -> probe -> unit
 (** Used by the transport; no-op when no tap is installed. *)
 
 val crashed_rt : runtime -> rank:int -> now:float -> bool
-(** O(1) equivalent of {!crashed}, answering from the per-rank earliest
-    crash schedule built once at {!start}. *)
+(** {!crashed}, answered from each crashing rank's earliest crash time,
+    built once at {!start}: no hashing or allocation, and an immediate
+    [false] when the plan has no crash. *)
 
 val fate : runtime -> src:int -> dst:int -> fate
 (** Draw the fate of the next fragment on [src -> dst].  Always

@@ -73,6 +73,11 @@ type counter =
   | Msgs_replayed
   | Dups_suppressed
   | Recoveries
+  (* engine (docs/PERFORMANCE.md): host-side only *)
+  | Sleeps_in_place
+      (** sleeps that continued without suspending the fiber, because
+          their wake-up was the next event; also counted in
+          [events_scheduled_total] *)
 [@@deriving enum]
 
 (** The counter's name in reports and docs. *)
@@ -118,6 +123,7 @@ let name = function
   | Msgs_replayed -> "msgs_replayed"
   | Dups_suppressed -> "dups_suppressed"
   | Recoveries -> "recoveries"
+  | Sleeps_in_place -> "sleeps_in_place"
 
 (** Every counter, in declaration order. *)
 let all = List.init (max_counter + 1) (fun i -> Option.get (counter_of_enum i))
@@ -129,8 +135,8 @@ type t = {
   (* The engine's event-queue traffic ([Engine.set_stats], done by
      [Mpi.create_world]; docs/PERFORMANCE.md, "Engine internals"). *)
   mutable events_scheduled_total : int;
-      (** events pushed into the engine's queue (sleeps, resumptions,
-          deliveries, spawns) *)
+      (** logical events scheduled (sleeps, resumptions, deliveries,
+          spawns), a sleep that continued in place included *)
   mutable events_pooled_reuses : int;
       (** pushes served from the event-node pool instead of a fresh
           allocation; [total - reuses] is the engine's allocation count *)
@@ -180,8 +186,9 @@ let record_checkpoint t ~bytes =
   incr t Checkpoints_taken;
   add t Checkpoint_bytes bytes
 
-(** One engine event pushed; [reused] if its node came from the pool,
-    [live] the queue depth after the push (feeds [max_live_events]). *)
+(** One engine event scheduled; [reused] unless its push grew the
+    queue's storage, [live] the queue depth with it (feeds
+    [max_live_events]). *)
 let record_event_scheduled t ~reused ~live =
   t.events_scheduled_total <- t.events_scheduled_total + 1;
   if reused then t.events_pooled_reuses <- t.events_pooled_reuses + 1;

@@ -158,8 +158,12 @@ let rec chan_slot ch key i =
   let k = Array.unsafe_get ch.keys i in
   if k = key || k < 0 then i else chan_slot ch key ((i + 1) land (Array.length ch.keys - 1))
 
+(* A multiplicative hash: the key's bits mixed into the middle of the
+   product, with no call into the runtime's generic [Hashtbl.hash]. *)
+let chan_hash key = (key * 0x2545_f491_4f6c_dd1d) lsr 23
+
 let rec chan_index ch key =
-  let i = chan_slot ch key (Hashtbl.hash key land (Array.length ch.keys - 1)) in
+  let i = chan_slot ch key (chan_hash key land (Array.length ch.keys - 1)) in
   if ch.keys.(i) = key then i
   else if 4 * (ch.used + 1) <= 3 * Array.length ch.keys then begin
     ch.keys.(i) <- key;
@@ -921,11 +925,14 @@ let reliable_transfer ctx fr ~mseq ~src_id ~dst_id ~bytes ~checksum =
     in
     let f_drop =
       fate.Fault.f_drop
-      || injected = Some Fault.Inj_drop
+      || (match injected with Some Fault.Inj_drop -> true | _ -> false)
       || (cut && not dead)
     in
-    let f_corrupt = fate.Fault.f_corrupt || injected = Some Fault.Inj_corrupt in
-    if injected <> None then begin
+    let f_corrupt =
+      fate.Fault.f_corrupt
+      || match injected with Some Fault.Inj_corrupt -> true | _ -> false
+    in
+    if Option.is_some injected then begin
       Stats.incr ctx.stats Injections_fired;
       trace ctx "fault" "targeted injection mseq=%d frag=%d %d->%d" mseq seq
         src_id dst_id;
@@ -998,7 +1005,7 @@ let reliable_transfer ctx fr ~mseq ~src_id ~dst_id ~bytes ~checksum =
      | [] -> ()
      | len :: rest ->
          send_frag seq len 0;
-         if !failure = None then loop (seq + 1) rest
+         if Option.is_none !failure then loop (seq + 1) rest
    in
    loop 0 frag_sizes);
   match !failure with

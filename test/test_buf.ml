@@ -706,6 +706,42 @@ let prop_fill_view =
       Bytes.fill want off len c;
       Buf.to_string got = Bytes.to_string want)
 
+(* The byte kernels (memmove, memset and memcmp behind [blit], [fill]
+   and [equal]) against byte loops, all on views of one buffer.  The
+   blit's ranges overlap in either direction or not at all; the fill
+   writes one view and nothing else; the two compared views hold equal
+   bytes when their offsets agree modulo the period, and one byte is
+   flipped at the end of the second view, just past it, or nowhere.
+   Lengths cross the 1 KiB where copies once changed method. *)
+let prop_kernels_vs_byte_loops =
+  QCheck.Test.make ~name:"buf: blit, fill and equal on one buffer = byte loops"
+    ~count:400
+    (QCheck.make
+       QCheck.Gen.(
+         pair
+           (quad (0 -- 3072) (0 -- 64) (0 -- 64) (oneofl [ 1; 3; 8; 64 ]))
+           (pair char (oneofl [ `None; `Last; `Past ]))))
+    (fun ((len, so, d_o, period), (c, flip)) ->
+      let n = len + 72 in
+      let got = patterned n 9 and want = patterned n 9 in
+      Buf.blit ~src:got ~src_pos:so ~dst:got ~dst_pos:d_o ~len;
+      byte_memmove want.Buf.base ~so ~d_o ~len;
+      let blit_ok = snapshot got = snapshot want in
+      let want = Bytes.of_string (snapshot got) in
+      Buf.fill (Buf.sub got ~pos:d_o ~len) c;
+      for i = d_o to d_o + len - 1 do
+        Bytes.set want i c
+      done;
+      let fill_ok = snapshot got = Bytes.to_string want in
+      let base = periodic n period in
+      let va = Buf.sub base ~pos:so ~len and vb = Buf.sub base ~pos:d_o ~len in
+      let flip_at k = Buf.set_u8 base k (Buf.get_u8 base k lxor 0x20) in
+      (match flip with
+      | `Last when len > 0 -> flip_at (d_o + len - 1)
+      | `Past -> flip_at (d_o + len)
+      | _ -> ());
+      blit_ok && fill_ok && Buf.equal va vb = (snapshot va = snapshot vb))
+
 let test_fill_view_allocates_nothing () =
   let b = Buf.create 5000 in
   let view = Buf.sub b ~pos:3 ~len:4096 in
@@ -903,6 +939,7 @@ let suite =
         test_pool_never_aliases;
       tc "pool: retained bytes bounded" `Quick test_pool_bounded;
       QCheck_alcotest.to_alcotest prop_fill_view;
+      QCheck_alcotest.to_alcotest prop_kernels_vs_byte_loops;
       tc "view fill allocates nothing" `Quick test_fill_view_allocates_nothing;
       tc "pool: take/give allocate nothing" `Quick
         test_pool_take_give_allocates_nothing;

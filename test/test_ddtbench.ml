@@ -269,9 +269,11 @@ let test_custom_regions_over_mpi () =
 
 (* Minor words per message of a warmed-up 2-rank custom-regions
    ping-pong.  Every message's regions are the slab cut by the kernel's
-   one table, so NAS_MG_x (16,384 blocks) allocates less than one word
-   per 16 blocks, and less than MILC_su3_zdown (256 blocks, whose
-   blocks of over 1 KiB each copy through two bigarray views). *)
+   one table, and a region copy allocates nothing whatever its length,
+   so a message costs the same few hundred words for NAS_MG_x's 16,384
+   small blocks as for MILC_su3_zdown's 256 blocks of over 1 KiB
+   (measured 289.5 words each; 300.5 and 3,884.5 when a copy over 1 KiB
+   made two bigarray views). *)
 let regions_pingpong_words name =
   let (module K : Kernel.KERNEL) = Option.get (Registry.find name) in
   let dt = Option.get K.custom_regions in
@@ -296,10 +298,12 @@ let regions_pingpong_words name =
   (words.(1) -. words.(0)) /. float_of_int (2 * n)
 
 let test_regions_words_flat () =
-  let few = regions_pingpong_words "MILC_su3_zdown" in
-  let many = regions_pingpong_words "NAS_MG_x" in
-  if many > few || many > 1024. then
-    Alcotest.failf "NAS_MG_x: %.1f minor words per message, MILC_su3_zdown %.1f" many few
+  List.iter
+    (fun name ->
+      let words = regions_pingpong_words name in
+      if words > 320. then
+        Alcotest.failf "%s: %.1f minor words per message > 320" name words)
+    [ "MILC_su3_zdown"; "NAS_MG_x" ]
 
 let test_wire_sizes_sane () =
   for_each_kernel (fun (module K) ->

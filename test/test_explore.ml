@@ -314,6 +314,27 @@ let test_fixed_sweep_digest () =
   Alcotest.(check int32) "CRC32 of every render" sweep_digest
     (Crc32.digest (Buf.of_string (Buffer.contents renders)))
 
+(* Host work of each workload's fault-free base run, as exact counts:
+   the logical events the engine scheduled, the sleeps among them that
+   continued in place instead of suspending their fiber, and the
+   buckets the event queue stepped past finding the next event.  The
+   events are virtual-time work and must not move; the other two are
+   host work (docs/PERFORMANCE.md, "Host cost of a faulty world") and
+   show a lost in-place sleep or a calendar sized for a large world
+   (before sleeps continued in place and the calendar started small:
+   0 in place and 4,219 buckets for revoke-rescue, 0 and 1,927 for
+   allreduce). *)
+let test_base_run_host_work () =
+  List.iter
+    (fun (name, events, in_place, scans) ->
+      let wl = Option.get (Workloads.find name) in
+      let r = wl.Workloads.wl_run wl.Workloads.wl_base in
+      let s = r.Workloads.res_stats in
+      check_int (name ^ ": logical events") events s.Stats.events_scheduled_total;
+      check_int (name ^ ": sleeps in place") in_place (Stats.get s Sleeps_in_place);
+      check_int (name ^ ": buckets scanned") scans r.Workloads.res_scans)
+    [ ("revoke-rescue", 580, 184, 37); ("allreduce", 65, 8, 49) ]
+
 let test_repro_of_json_rejects_garbage () =
   (match Explore.repro_of_json "{" with
   | Ok _ -> Alcotest.fail "parsed truncated JSON"
@@ -359,6 +380,7 @@ let suite =
       tc "seeded mutation: find, shrink, replay" `Quick
         test_mutation_self_check;
       tc "repro.json fails closed" `Quick test_repro_of_json_rejects_garbage;
+      tc "base runs: host work pinned" `Quick test_base_run_host_work;
       tc "fixed 1-/2-fault sweep: clean, digest pinned" `Quick
         test_fixed_sweep_digest;
     ] )

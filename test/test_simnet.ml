@@ -654,21 +654,22 @@ let test_evq_fifo_ties () =
 
 let test_evq_counters () =
   let q = Evq.create () in
-  (* 300 pushes cross the initial 256-entry capacity once: every push
-     except the one that grew the arrays counts as a pool reuse *)
+  (* 300 pushes double the initial 16-entry capacity five times (at
+     pushes 17, 33, 65, 129 and 257): every push except those that grew
+     the arrays counts as a pool reuse *)
   for i = 1 to 300 do
     Evq.push q ~time:(float_of_int i) ~seq:i i
   done;
   check_int "pushes" 300 (Evq.pushes q);
   check_int "max_live" 300 (Evq.max_live q);
-  check_int "reuses" 299 (Evq.reuses q);
+  check_int "reuses" 295 (Evq.reuses q);
   for _ = 1 to 300 do
     ignore (Evq.pop_min q)
   done;
   for i = 1 to 5 do
     Evq.push q ~time:(float_of_int i) ~seq:(300 + i) i
   done;
-  check_int "steady-state pushes all reuse" 304 (Evq.reuses q);
+  check_int "steady-state pushes all reuse" 300 (Evq.reuses q);
   check_int "max_live unchanged by drain" 300 (Evq.max_live q)
 
 (* The queue's performance expectation, stated as exact counts on the
@@ -875,6 +876,177 @@ let test_engine_event_stats () =
     "pooled <= scheduled" true
     (s.Stats.events_pooled_reuses <= s.Stats.events_scheduled_total)
 
+(* Sleeps that continue in place *)
+
+(* A sleeper whose wake-up ties a queued event runs after it: the
+   queued event has the lower seq.  A sleep past every queued event
+   continues in place, and is counted as a logical event. *)
+let test_sleep_tie_yields () =
+  let e = Engine.create () in
+  let s = Stats.create () in
+  Engine.set_stats e s;
+  let log = ref [] in
+  let note what = log := (what, Engine.now e) :: !log in
+  Engine.spawn e (fun () ->
+      Engine.at e ~delay:5. (fun () -> note "event");
+      Engine.sleep e 5.;
+      note "sleeper";
+      Engine.sleep e 3.;
+      note "alone");
+  Engine.run e;
+  Alcotest.(check (list (pair string (float 0.))))
+    "queued event first"
+    [ ("event", 5.); ("sleeper", 5.); ("alone", 8.) ]
+    (List.rev !log);
+  check_int "in place: the last sleep only" 1 (Stats.get s Sleeps_in_place);
+  check_int "logical events: spawn, at, two sleeps" 4 s.Stats.events_scheduled_total
+
+(* Only a fiber of the engine may sleep: outside any fiber, in an
+   [at] callback, or on another engine the effect stays unhandled
+   instead of continuing in place. *)
+let test_sleep_outside_fiber_fails () =
+  let unhandled what f =
+    match f () with
+    | exception Effect.Unhandled _ -> ()
+    | () -> Alcotest.failf "%s: sleep did not fail" what
+  in
+  let e = Engine.create () in
+  unhandled "before run" (fun () -> Engine.sleep e 5.);
+  check_float "clock untouched" 0. (Engine.now e);
+  let e = Engine.create () in
+  Engine.at e ~delay:1. (fun () -> Engine.sleep e 5.);
+  unhandled "in an at callback" (fun () -> Engine.run e);
+  let e = Engine.create () in
+  Engine.spawn e (fun () -> ());
+  Engine.run e;
+  unhandled "after every fiber returned" (fun () -> Engine.sleep e 5.);
+  let a = Engine.create () and b = Engine.create () in
+  Engine.spawn a (fun () -> Engine.sleep b 5.);
+  unhandled "on another engine" (fun () -> Engine.run a);
+  check_float "other engine's clock untouched" 0. (Engine.now b)
+
+(* Random fiber programs against a reference scheduler that queues
+   every sleep: a [Heap] of [(time, seq)] events, with spawns, ivar
+   wake-ups and sleeps scheduled exactly as the engine schedules them.
+   Sleeps come from a small set that includes 0, so wake-ups often tie
+   queued events.  Each step logs [(now, fiber, step)]; the logs, and
+   whether the run deadlocks, must agree. *)
+type op = Sleep of float | Fill of int | Read of int | Spawn of int
+
+let n_ivars = 3
+
+let run_programs_engine programs roots =
+  let e = Engine.create () in
+  let ivars = Array.init n_ivars (fun _ -> Engine.Ivar.create ()) in
+  let filled = Array.make n_ivars false in
+  let log = ref [] and ids = ref 0 in
+  let rec start prog =
+    incr ids;
+    let id = !ids in
+    Engine.spawn e (fun () -> exec id 0 prog)
+  and exec id k = function
+    | [] -> log := (Engine.now e, id, k) :: !log
+    | op :: rest ->
+        log := (Engine.now e, id, k) :: !log;
+        (match op with
+        | Sleep d -> Engine.sleep e d
+        | Fill i ->
+            if not filled.(i) then begin
+              filled.(i) <- true;
+              Engine.Ivar.fill ivars.(i) ()
+            end
+        | Read i -> Engine.Ivar.read e ivars.(i)
+        | Spawn j -> start programs.(j));
+        exec id (k + 1) rest
+  in
+  List.iter (fun j -> start programs.(j)) roots;
+  let deadlocked = match Engine.run e with () -> false | exception Engine.Deadlock _ -> true in
+  (List.rev !log, deadlocked)
+
+let run_programs_reference programs roots =
+  let h = Heap.create () and seq = ref 0 and now = ref 0. in
+  let push delay v =
+    incr seq;
+    Heap.push h ~time:(!now +. delay) ~seq:!seq v
+  in
+  let readers = Array.make n_ivars [] and filled = Array.make n_ivars false in
+  let log = ref [] and ids = ref 0 in
+  let start prog =
+    incr ids;
+    push 0. (!ids, 0, prog)
+  in
+  let rec exec id k = function
+    | [] -> log := (!now, id, k) :: !log
+    | op :: rest -> (
+        log := (!now, id, k) :: !log;
+        let next = (id, k + 1, rest) in
+        match op with
+        | Sleep d -> push d next
+        | Fill i ->
+            if not filled.(i) then begin
+              filled.(i) <- true;
+              List.iter (fun r -> push 0. r) (List.rev readers.(i));
+              readers.(i) <- []
+            end;
+            exec id (k + 1) rest
+        | Read i ->
+            if filled.(i) then exec id (k + 1) rest
+            else readers.(i) <- next :: readers.(i)
+        | Spawn j ->
+            start programs.(j);
+            exec id (k + 1) rest)
+  in
+  List.iter (fun j -> start programs.(j)) roots;
+  let rec loop () =
+    match Heap.pop h with
+    | None -> ()
+    | Some (time, _, (id, k, prog)) ->
+        now := time;
+        exec id k prog;
+        loop ()
+  in
+  loop ();
+  (List.rev !log, Array.exists (fun r -> r <> []) readers)
+
+let prop_sleeps_in_place_keep_order =
+  let n_programs = 4 in
+  (* a program may spawn only later programs, so spawning ends *)
+  let op_gen j =
+    QCheck.Gen.(
+      frequency
+        ([
+           (6, map (fun d -> Sleep d) (oneofl [ 0.; 0.; 1.; 2.5; 5. ]));
+           (2, map (fun i -> Fill i) (0 -- (n_ivars - 1)));
+           (2, map (fun i -> Read i) (0 -- (n_ivars - 1)));
+         ]
+        @ if j + 1 < n_programs then [ (1, map (fun k -> Spawn k) ((j + 1) -- (n_programs - 1))) ]
+          else []))
+  in
+  let gen =
+    QCheck.Gen.(
+      pair
+        (flatten_l (List.init n_programs (fun j -> list_size (0 -- 8) (op_gen j))))
+        (list_size (1 -- 4) (0 -- (n_programs - 1))))
+  in
+  let print (programs, roots) =
+    let op = function
+      | Sleep d -> Printf.sprintf "sleep %g" d
+      | Fill i -> Printf.sprintf "fill %d" i
+      | Read i -> Printf.sprintf "read %d" i
+      | Spawn j -> Printf.sprintf "spawn %d" j
+    in
+    String.concat " | "
+      (List.mapi
+         (fun j p -> Printf.sprintf "p%d: %s" j (String.concat "; " (List.map op p)))
+         programs)
+    ^ Printf.sprintf " | roots %s" (String.concat "," (List.map string_of_int roots))
+  in
+  QCheck.Test.make ~name:"engine: in-place sleeps keep the reference event order"
+    ~count:500 (QCheck.make ~print gen)
+    (fun (programs, roots) ->
+      let programs = Array.of_list programs in
+      run_programs_engine programs roots = run_programs_reference programs roots)
+
 (* Topology *)
 
 let test_topology_switch_paths () =
@@ -1025,6 +1197,9 @@ let suite =
       tc "schedule clamps negative delay" `Quick
         test_schedule_clamps_negative_delay;
       tc "engine event stats" `Quick test_engine_event_stats;
+      tc "sleep tying a queued event yields to it" `Quick test_sleep_tie_yields;
+      tc "sleep outside a fiber of its engine fails" `Quick
+        test_sleep_outside_fiber_fails;
       tc "topology switch paths" `Quick test_topology_switch_paths;
       tc "topology fat-tree latency" `Quick test_topology_fattree_latency;
       tc "topology dragonfly latency" `Quick test_topology_dragonfly_latency;
@@ -1037,4 +1212,5 @@ let suite =
       QCheck_alcotest.to_alcotest prop_rng_int_in_range;
       QCheck_alcotest.to_alcotest prop_evq_matches_heap;
       QCheck_alcotest.to_alcotest prop_evq_matches_heap_sim_shaped;
+      QCheck_alcotest.to_alcotest prop_sleeps_in_place_keep_order;
     ] )
