@@ -160,7 +160,7 @@ let () =
             ("deadlocked", string_of_bool r.Check.Matchcheck.deadlocked)
             :: List.map
                  (fun (k, v) -> (k, string_of_int v))
-                 r.Check.Matchcheck.trace_counts
+                 r.Check.Matchcheck.counts
           in
           Check.Report.section ~notes
             ("communication match: " ^ subject)

@@ -14,6 +14,7 @@ module Figures = Mpicd_figures
 module Registry = Mpicd_ddtbench.Registry
 module Kernel = Mpicd_ddtbench.Kernel
 module Obs = Mpicd_obs.Obs
+module Stats = Mpicd_simnet.Stats
 module Export = Mpicd_obs.Export
 module Json = Mpicd_obs.Json
 
@@ -136,6 +137,7 @@ let run name meth reps out validate quiet =
           (try Sys.mkdir out 0o755 with Sys_error _ -> ());
           let obs = Obs.create () in
           let r = H.pingpong ~reps ~obs ~bytes:K.wire_bytes make in
+          Stats.publish r.H.stats (Obs.metrics obs);
           let path suffix = Filename.concat out (name ^ suffix) in
           let trace_path = path ".trace.json" in
           Export.write_file trace_path (Export.chrome_trace obs);

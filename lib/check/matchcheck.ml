@@ -2,7 +2,7 @@ module Mpi = Mpicd.Mpi
 module Monitor = Mpicd.Mpi.Monitor
 module Engine = Mpicd_simnet.Engine
 module Config = Mpicd_simnet.Config
-module Trace = Mpicd_simnet.Trace
+module Stats = Mpicd_simnet.Stats
 
 let analyzer = "comm-match"
 
@@ -250,15 +250,13 @@ let analyze ~subject ~world_size ~deadlocked (m : Monitor.t) =
 type result = {
   findings : Finding.t list;
   deadlocked : bool;
-  trace_counts : (string * int) list;
+  counts : (string * int) list;
 }
 
 let run ~subject ~size ?(config = Config.default) f =
   let world = Mpi.create_world ~config ~size () in
   let monitor = Monitor.create () in
   Mpi.set_monitor world (Some monitor);
-  let trace = Trace.create () in
-  Mpi.set_trace world (Some trace);
   let aborted = ref None in
   let deadlocked = ref false in
   (try
@@ -284,4 +282,10 @@ let run ~subject ~size ?(config = Config.default) f =
              (Printexc.to_string e))
         :: findings
   in
-  { findings; deadlocked = !deadlocked; trace_counts = Trace.counts trace }
+  let stats = Mpi.world_stats world in
+  let counts =
+    List.map
+      (fun c -> (Stats.name c, Stats.get stats c))
+      [ Messages_sent; Eager_messages; Rndv_messages ]
+  in
+  { findings; deadlocked = !deadlocked; counts }

@@ -27,8 +27,9 @@ val analyze :
 type result = {
   findings : Finding.t list;
   deadlocked : bool;
-  trace_counts : (string * int) list;
-      (** transport protocol-event histogram of the run *)
+  counts : (string * int) list;
+      (** the run's [messages_sent], [eager_messages] and
+          [rndv_messages], by {!Mpicd_simnet.Stats.name} *)
 }
 
 val run :
@@ -37,7 +38,7 @@ val run :
   ?config:Mpicd_simnet.Config.t ->
   (Mpicd.Mpi.comm -> unit) ->
   result
-(** Convenience driver: create a world of [size] ranks, attach a monitor
-    and a trace, run the SPMD program, and analyze.  A deadlock is
+(** Convenience driver: create a world of [size] ranks, attach a monitor,
+    run the SPMD program, and analyze.  A deadlock is
     caught and analyzed rather than propagated; any other exception
     escaping a rank is reported as a [MATCH-ABORTED] finding. *)

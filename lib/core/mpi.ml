@@ -423,7 +423,6 @@ let world_pool w = w.pool
 let transport_slabs w = Ucx.slabs w.ucx
 let world_size w = Array.length w.workers
 let set_unpack_shuffle w ~seed = w.shuffle <- Option.map Rng.create seed
-let set_trace w t = Ucx.set_trace w.ucx t
 let set_monitor w m = w.monitor <- m
 let set_faults w p = Ucx.set_faults w.ucx p
 let faults w = Ucx.faults w.ucx
@@ -646,9 +645,8 @@ let custom_unpack_bounce c op b =
       ~hist:"unpack_cb_ns" ~parent:sp
   end
 
-(* Compiled pack plan for [dt], from the process-global memo cache.
-   Records the hit/miss in [Stats] and, when a sink is attached, on the
-   metrics registry — cache effectiveness is an observability signal.
+(* Compiled pack plan for [dt], from the process-global memo cache,
+   with the hit or miss counted in [Stats].
 
    With [auto_normalize] on, the plan is compiled from the
    guideline-normalized form of the datatype (Normalize preserves the
@@ -658,14 +656,7 @@ let custom_unpack_bounce c op b =
    committed datatype value is rewritten once, not per operation. *)
 let plan_of c dt =
   let dt = if c.w.config.Config.auto_normalize then Normalize.get dt else dt in
-  let plan, outcome = Plan.get_outcome ~stats:c.w.stats dt in
-  if Obs.enabled c.w.obs then
-    Metrics.inc
-      (Metrics.counter (Obs.metrics c.w.obs)
-         (match outcome with
-         | Plan.Hit -> "plan_cache_hits_total"
-         | Plan.Miss -> "plan_cache_misses_total"));
-  plan
+  Plan.get ~stats:c.w.stats dt
 
 (* Virtual-time cost of the datatype engine: identical block count (and
    so identical charge) whether the host executes the interpreter or a

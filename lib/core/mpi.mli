@@ -67,9 +67,6 @@ val run : world -> (comm -> unit) -> unit
 (** SPMD convenience: spawn [f] on every rank and run the simulation to
     completion.  @raise Engine.Deadlock if ranks block forever. *)
 
-val set_trace : world -> Mpicd_simnet.Trace.t option -> unit
-(** Attach a protocol-event trace to the world's transport. *)
-
 val set_obs : world -> Mpicd_obs.Obs.t -> unit
 (** Attach one observability sink to every layer of this world: MPI
     operations become ["p2p"] spans (send/isend/recv/irecv/wait/barrier,

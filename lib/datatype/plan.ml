@@ -125,8 +125,6 @@ let max_cache_entries = 1024
 let hits = ref 0
 let misses = ref 0
 
-type outcome = Hit | Miss
-
 let clear_cache () =
   Mutex.lock cache_lock;
   Hashtbl.reset cache;
@@ -138,7 +136,7 @@ let clear_cache () =
 let cache_hits () = !hits
 let cache_misses () = !misses
 
-let get_outcome ?stats dt =
+let get ?stats dt =
   let h = Hashtbl.hash dt in
   Mutex.lock cache_lock;
   let found =
@@ -146,11 +144,11 @@ let get_outcome ?stats dt =
     | None -> None
     | Some l -> List.find_opt (fun (k, _) -> k == dt) l
   in
-  let result =
+  let hit, p =
     match found with
     | Some (_, p) ->
         incr hits;
-        (p, Hit)
+        (true, p)
     | None ->
         incr misses;
         (* compiled on first use, outside the lock *)
@@ -162,16 +160,13 @@ let get_outcome ?stats dt =
         let bucket = Option.value ~default:[] (Hashtbl.find_opt cache h) in
         Hashtbl.replace cache h ((dt, p) :: bucket);
         incr cache_entries;
-        (p, Miss)
+        (false, p)
   in
   Mutex.unlock cache_lock;
-  (match (stats, snd result) with
-  | Some s, Hit -> Stats.incr s Plan_cache_hits
-  | Some s, Miss -> Stats.incr s Plan_cache_misses
-  | None, _ -> ());
-  result
-
-let get ?stats dt = fst (get_outcome ?stats dt)
+  (match stats with
+  | Some s -> Stats.incr s (if hit then Plan_cache_hits else Plan_cache_misses)
+  | None -> ());
+  p
 
 (* --- the block copy ---
 

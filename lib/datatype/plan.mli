@@ -41,15 +41,11 @@ val build : Datatype.t -> t
     subsequent operation.  The cache is process-global, thread-safe and
     bounded. *)
 
-type outcome = Hit | Miss
-
 val get : ?stats:Mpicd_simnet.Stats.t -> Datatype.t -> t
 (** Cached plan handle.  A miss stores a handle that compiles on first
     use; a hit returns the stored one, compiled or not.  When [stats] is
     given, records a plan-cache hit or miss
     ([Plan_cache_hits] or [Plan_cache_misses] in {!Mpicd_simnet.Stats}). *)
-
-val get_outcome : ?stats:Mpicd_simnet.Stats.t -> Datatype.t -> t * outcome
 
 val clear_cache : unit -> unit
 (** Drop all cached plans and zero the global hit/miss counters

@@ -1,5 +1,4 @@
 module Obs = Mpicd_obs.Obs
-module Metrics = Mpicd_obs.Metrics
 
 (* A live fiber, linked into its engine's ring of live fibers: linked
    at spawn, unlinked when it returns, both O(1) and allocation-free
@@ -26,12 +25,12 @@ and t = {
   fibers : fiber;  (* sentinel of the live-fiber ring *)
   mutable fiber_ids : int;
   mutable obs : Obs.t;
+  mutable observed : bool;
+      (* [Obs.enabled obs], kept here: a dev build compiles libraries
+         [-opaque], so the getter would be a real call per park/wake *)
   mutable stats : Stats.t option;
       (* engine-overhead accounting ([events_scheduled_total] etc.);
          [None] (the default) keeps the hot path to one branch *)
-  mutable metric_handles : handles option;
-      (* interned once at [set_obs] so the per-event path never does a
-         name lookup *)
   mutable current : fiber;
       (* the fiber running, or last to run: every start and resumption
          sets it, so one handler per engine serves all its fibers *)
@@ -43,13 +42,6 @@ and t = {
   sleep_for : Float.Array.t;
       (* the pending sleep's duration, stored unboxed: [sleep] writes
          it and the handler reads it before anything else can run *)
-}
-
-and handles = {
-  m_scheduled : Metrics.counter;
-  m_pooled : Metrics.counter;
-  m_live : Metrics.gauge;
-  m_in_place : Metrics.counter;
 }
 
 exception Deadlock of string
@@ -91,18 +83,7 @@ let now t = t.clock
 
 let set_obs t o =
   t.obs <- o;
-  t.metric_handles <-
-    (if Obs.enabled o then begin
-       let m = Obs.metrics o in
-       Some
-         {
-           m_scheduled = Metrics.counter m "events_scheduled_total";
-           m_pooled = Metrics.counter m "events_pooled_reuses";
-           m_live = Metrics.gauge m "live_events";
-           m_in_place = Metrics.counter m (Stats.name Sleeps_in_place);
-         }
-     end
-     else None)
+  t.observed <- Obs.enabled o
 
 let set_stats t s = t.stats <- Some s
 
@@ -117,25 +98,18 @@ let check_delay ~who delay =
   else if delay = Float.neg_infinity then
     invalid_arg (who ^ ": -infinity delay")
 
-(* One logical event into both sinks: [live] counts the queue with
-   it. *)
+(* One logical event: [live] counts the queue with it. *)
 let[@inline] count_event t ~reused ~live =
-  (match t.stats with
+  match t.stats with
   | None -> ()
-  | Some s -> Stats.record_event_scheduled s ~reused ~live);
-  match t.metric_handles with
-  | None -> ()
-  | Some m ->
-      Metrics.inc m.m_scheduled;
-      if reused then Metrics.inc m.m_pooled;
-      Metrics.set m.m_live (float_of_int live)
+  | Some s -> Stats.record_event_scheduled s ~reused ~live
 
 let[@inline] schedule t ~delay f =
   check_delay ~who:"Engine.schedule" delay;
   t.seq <- t.seq + 1;
   Evq.push t.events ~time:(t.clock +. Float.max 0. delay) ~seq:t.seq f;
   (* every push goes through here, so [reuses_seen] is the pool count
-     before this push: one read decides [reused] for both sinks *)
+     before this push: one read decides [reused] *)
   let reuses = Evq.reuses t.events in
   let reused = reuses > t.reuses_seen in
   t.reuses_seen <- reuses;
@@ -161,8 +135,7 @@ let sleep t d =
     t.seq <- t.seq + 1;
     if d > 0. then t.clock <- t.clock +. d;
     count_event t ~reused:true ~live:(Evq.size t.events + 1);
-    (match t.stats with None -> () | Some s -> Stats.incr s Sleeps_in_place);
-    match t.metric_handles with None -> () | Some m -> Metrics.inc m.m_in_place
+    match t.stats with None -> () | Some s -> Stats.incr s Sleeps_in_place
   end
   else begin
     Float.Array.unsafe_set t.sleep_for 0 d;
@@ -179,7 +152,7 @@ let await_any slot cells =
    detached sink costs a single branch and allocates nothing. *)
 let fiber_instant fib what =
   let t = fib.f_engine in
-  if Obs.enabled t.obs then
+  if t.observed then
     Obs.instant t.obs ~time:t.clock ~track:fib.f_track ~cat:"fiber"
       ~args:[ ("fiber", Obs.Str (Printf.sprintf "%s#%d" fib.f_name fib.f_id)) ]
       what
@@ -281,8 +254,8 @@ let create () =
       fibers = ring;
       fiber_ids = 0;
       obs = Obs.null;
+      observed = false;
       stats = None;
-      metric_handles = None;
       current = ring;
       in_fiber = false;
       handler = { retc = Fun.id; exnc = raise; effc = (fun _ -> None) };
@@ -297,7 +270,7 @@ let create () =
   t
 
 let exec_fiber t fib f =
-  if Obs.enabled t.obs then
+  if t.observed then
     fib.f_span <-
       Obs.span_begin t.obs ~time:t.clock ~track:fib.f_track ~cat:"fiber"
         ~args:[ ("id", Obs.Int fib.f_id) ]

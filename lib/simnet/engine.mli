@@ -45,10 +45,7 @@ val now : t -> float
 val set_obs : t -> Mpicd_obs.Obs.t -> unit
 (** Attach an observability sink: each fiber gets a ["fiber"]-category
     lifetime span and park/wake instants (named ["suspend"] and
-    ["resume"]), and the engine interns [events_scheduled_total] /
-    [events_pooled_reuses] / [sleeps_in_place] counters plus a
-    [live_events] gauge in the sink's metrics registry (handles are cached here, so the per-event
-    path never does a name lookup).
+    ["resume"]).  The engine's event counts go to {!set_stats} only.
     Detached (the default, {!Mpicd_obs.Obs.null}) costs one branch per
     site and records nothing; attaching never perturbs timing or
     scheduling order. *)

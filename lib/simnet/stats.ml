@@ -162,6 +162,19 @@ let add t c n =
 
 let incr t c = add t c 1
 
+(** Publish [t] into an observability registry as counters: every
+    nonzero counter under its {!name}, and the engine's three event
+    counts under their field names.  Reports export counts only this
+    way, so each appears once and equals [t]. *)
+let publish t m =
+  let put name v =
+    if v <> 0 then Mpicd_obs.Metrics.inc ~by:v (Mpicd_obs.Metrics.counter m name)
+  in
+  List.iter (fun c -> put (name c) (get t c)) all;
+  put "events_scheduled_total" t.events_scheduled_total;
+  put "events_pooled_reuses" t.events_pooled_reuses;
+  put "max_live_events" t.max_live_events
+
 let record_message t ~eager ~wire_bytes =
   incr t Messages_sent;
   add t Bytes_on_wire wire_bytes;

@@ -219,8 +219,10 @@ and context = {
   channels : chans;
       (* per (src,dst) pair: earliest next delivery time, for FIFO order *)
   mutable jitter : (unit -> float) option;
-  mutable trace : Mpicd_simnet.Trace.t option;
   mutable obs : Obs.t;
+  mutable observed : bool;
+      (* [Obs.enabled obs], kept here: a dev build compiles libraries
+         [-opaque], so the getter would be a real call per test *)
   mutable faults : Fault.runtime option;
       (* [None] (the default) leaves every fault-free code path exactly
          as it was: the reliable-delivery protocol only engages when a
@@ -267,8 +269,8 @@ let create_context ~engine ~config ~stats =
     workers_list = [];
     channels = { keys = Array.make 16 (-1); at = Float.Array.make 16 0.; used = 0 };
     jitter = None;
-    trace = None;
     obs = Obs.null;
+    observed = false;
     faults = None;
     retx_rng = None;
     failed = Hashtbl.create 8;
@@ -281,24 +283,10 @@ let create_context ~engine ~config ~stats =
 let slabs c = c.slabs
 let set_channel_jitter c j = c.jitter <- j
 let set_topology c topo = c.topology <- topo
-let set_trace c t = c.trace <- t
-let set_obs c o = c.obs <- o
+let set_obs c o =
+  c.obs <- o;
+  c.observed <- Obs.enabled o
 let faults c = Option.map Fault.plan c.faults
-
-(* With no trace attached nothing is recorded, but [ikfprintf] still
-   walks the format and allocates per argument.  Hot call sites
-   therefore test [tracing] first, so a detached trace costs them one
-   branch; the rare fault-path sites call [trace] directly. *)
-let tracing ctx = Option.is_some ctx.trace
-
-let trace ctx category fmt =
-  match ctx.trace with
-  | None -> Printf.ikfprintf (fun () -> ()) () fmt
-  | Some t ->
-      Printf.ksprintf
-        (fun msg ->
-          Mpicd_simnet.Trace.record t ~time:(Engine.now ctx.engine) ~category msg)
-        fmt
 
 (* --- observability helpers ---
 
@@ -306,7 +294,7 @@ let trace ctx category fmt =
    the simulation charges elsewhere; recording never advances the clock
    or touches [Stats], so an attached sink observes an unchanged run. *)
 
-let obs_on ctx = Obs.enabled ctx.obs
+let[@inline] obs_on ctx = ctx.observed
 
 let[@inline] observe ctx name v =
   if obs_on ctx then Metrics.observe (Metrics.histogram (Obs.metrics ctx.obs) name) v
@@ -589,11 +577,11 @@ let matches_req (pr : request) env = matches_env env pr
    the state machine is evaluated inline at each fragment's modeled
    arrival time — the virtual clock still charges both directions. *)
 
-let fault_instant ctx ~track ~time name args =
-  if obs_on ctx then begin
-    Obs.instant ctx.obs ~time ~track ~cat:"fault" ~args name;
-    Metrics.inc (Metrics.counter (Obs.metrics ctx.obs) ("fault." ^ name))
-  end
+(* One fault event: its [Stats] counter always, its ["fault"] instant
+   when observed. *)
+let fault ctx counter ~track ~time name args =
+  Stats.incr ctx.stats counter;
+  if obs_on ctx then Obs.instant ctx.obs ~time ~track ~cat:"fault" ~args name
 
 (* Per-rank straggler slowdown: multiplies every CPU cost (posting
    overhead, pack, unpack, staging) charged to [rank].  Exactly [1.]
@@ -651,9 +639,7 @@ let notify_failure ctx ~rank =
     let now = Engine.now ctx.engine in
     Hashtbl.replace ctx.failed rank now;
     ctx.any_failed <- true;
-    Stats.incr ctx.stats Failures_detected;
-    trace ctx "fault" "rank %d declared failed" rank;
-    fault_instant ctx ~track:rank ~time:now "rank_failed"
+    fault ctx Failures_detected ~track:rank ~time:now "rank_failed"
       [ ("rank", Obs.Int rank) ];
     (* detection latency relative to the plan's crash instant *)
     (match ctx.faults with
@@ -854,10 +840,7 @@ let reliable_transfer ctx fr ~mseq ~src_id ~dst_id ~bytes ~checksum =
     (* link flap: wait for the link to come back up *)
     let up = Fault.up_at plan ~src:src_id ~dst:dst_id ~now in
     if up > now then begin
-      Stats.incr ctx.stats Flap_waits;
-      trace ctx "fault" "link %d->%d down, waiting %.0fns" src_id dst_id
-        (up -. now);
-      fault_instant ctx ~track:src_id ~time:now "link_down"
+      fault ctx Flap_waits ~track:src_id ~time:now "link_down"
         [ ("until", Obs.Float up) ];
       Engine.sleep e (up -. now)
     end;
@@ -889,8 +872,7 @@ let reliable_transfer ctx fr ~mseq ~src_id ~dst_id ~bytes ~checksum =
         };
     let retry cause =
       if attempt >= plan.Fault.max_retries then begin
-        Stats.incr ctx.stats Delivery_timeouts;
-        fault_instant ctx ~track:src_id ~time:(Engine.now e)
+        fault ctx Delivery_timeouts ~track:src_id ~time:(Engine.now e)
           "delivery_timeout"
           [ ("seq", Obs.Int seq); ("attempts", Obs.Int (attempt + 1)) ];
         let now = Engine.now e in
@@ -915,10 +897,7 @@ let reliable_transfer ctx fr ~mseq ~src_id ~dst_id ~bytes ~checksum =
       else begin
         Engine.sleep e (backoff_sleep attempt);
         incr retx;
-        Stats.incr ctx.stats Retransmits;
-        trace ctx "fault" "retransmit seq=%d attempt=%d %d->%d" seq
-          (attempt + 1) src_id dst_id;
-        fault_instant ctx ~track:src_id ~time:(Engine.now e) "retransmit"
+        fault ctx Retransmits ~track:src_id ~time:(Engine.now e) "retransmit"
           [ ("seq", Obs.Int seq); ("attempt", Obs.Int (attempt + 1)) ];
         send_frag seq len (attempt + 1)
       end
@@ -933,22 +912,15 @@ let reliable_transfer ctx fr ~mseq ~src_id ~dst_id ~bytes ~checksum =
       || match injected with Some Fault.Inj_corrupt -> true | _ -> false
     in
     if Option.is_some injected then begin
-      Stats.incr ctx.stats Injections_fired;
-      trace ctx "fault" "targeted injection mseq=%d frag=%d %d->%d" mseq seq
-        src_id dst_id;
-      fault_instant ctx ~track:src_id ~time:now "injection"
+      fault ctx Injections_fired ~track:src_id ~time:now "injection"
         [ ("mseq", Obs.Int mseq); ("frag", Obs.Int seq) ]
     end;
     if dead || f_drop then begin
       if cut && not dead && not fate.Fault.f_drop then begin
-        Stats.incr ctx.stats Partition_drops;
-        trace ctx "fault" "partition cut %d->%d seq=%d" src_id dst_id seq;
-        fault_instant ctx ~track:src_id ~time:now "partition_drop"
+        fault ctx Partition_drops ~track:src_id ~time:now "partition_drop"
           [ ("seq", Obs.Int seq) ]
       end;
-      Stats.incr ctx.stats Frags_dropped;
-      trace ctx "fault" "drop seq=%d %d->%d" seq src_id dst_id;
-      fault_instant ctx ~track:src_id ~time:now "frag_drop"
+      fault ctx Frags_dropped ~track:src_id ~time:now "frag_drop"
         [ ("seq", Obs.Int seq) ];
       retry `Drop
     end
@@ -964,10 +936,7 @@ let reliable_transfer ctx fr ~mseq ~src_id ~dst_id ~bytes ~checksum =
         +. path_latency ctx ~src:src_id ~dst:dst_id
         +. fate.Fault.f_delay_ns
       in
-      Stats.incr ctx.stats Nacks;
-      trace ctx "fault" "corrupt seq=%d %d->%d: crc mismatch, nack" seq src_id
-        dst_id;
-      fault_instant ctx ~track:dst_id ~time:(now +. fly) "nack"
+      fault ctx Nacks ~track:dst_id ~time:(now +. fly) "nack"
         [ ("seq", Obs.Int seq) ];
       (* wait out the corrupted flight plus the nack's return leg *)
       Engine.sleep e (fly +. path_latency ctx ~src:dst_id ~dst:src_id);
@@ -977,19 +946,14 @@ let reliable_transfer ctx fr ~mseq ~src_id ~dst_id ~bytes ~checksum =
       (* Delivered.  On non-checksummed (zero-copy DMA) paths a corrupt
          fate slips through; the flipped bit is drawn all the same. *)
       if f_corrupt && len > 0 then begin
-        Stats.incr ctx.stats Frags_corrupted;
         ignore (Fault.corrupt_bit fr ~len : int * int);
         unchecked := true;
-        trace ctx "fault" "corrupt seq=%d %d->%d passed unchecked" seq src_id
-          dst_id;
-        fault_instant ctx ~track:dst_id ~time:now "frag_corrupt"
+        fault ctx Frags_corrupted ~track:dst_id ~time:now "frag_corrupt"
           [ ("seq", Obs.Int seq) ]
       end;
       if fate.Fault.f_dup then begin
         (* the second copy is delivered and suppressed by seq number *)
-        Stats.incr ctx.stats Frags_duplicated;
-        trace ctx "fault" "dup seq=%d %d->%d suppressed" seq src_id dst_id;
-        fault_instant ctx ~track:dst_id ~time:now "dup_suppressed"
+        fault ctx Frags_duplicated ~track:dst_id ~time:now "dup_suppressed"
           [ ("seq", Obs.Int seq) ]
       end;
       (* pipelined serialization: the sender occupies the wire (every
@@ -1012,7 +976,6 @@ let reliable_transfer ctx fr ~mseq ~src_id ~dst_id ~bytes ~checksum =
   | Some err -> Error err
   | None ->
       (* cumulative ack for the whole window *)
-      Stats.incr ctx.stats Acks;
       Fault.notify_tap fr
         {
           Fault.pb_kind = Fault.Pb_ack;
@@ -1023,7 +986,7 @@ let reliable_transfer ctx fr ~mseq ~src_id ~dst_id ~bytes ~checksum =
           pb_len = bytes;
           pb_time = Engine.now e +. !last_lag;
         };
-      fault_instant ctx ~track:dst_id ~time:(Engine.now e +. !last_lag) "ack"
+      fault ctx Acks ~track:dst_id ~time:(Engine.now e +. !last_lag) "ack"
         [ ("bytes", Obs.Int bytes) ];
       if obs_on ctx then
         ignore
@@ -1144,10 +1107,7 @@ let reliable_wire ctx fr w (env : envelope) (dt : send_dt) =
   with
   | Ok x when x.x_unchecked ->
       Engine.sleep e x.x_lag (* the bad data had to land first *);
-      Stats.incr ctx.stats Iov_fallbacks;
-      trace ctx "fault" "iov e2e digest mismatch %d->%d: falling back to packed path"
-        env.e_src w.id;
-      fault_instant ctx ~track:w.id ~time:(Engine.now e) "iov_fallback"
+      fault ctx Iov_fallbacks ~track:w.id ~time:(Engine.now e) "iov_fallback"
         [ ("bytes", Obs.Int size) ];
       (* the retry stages through a packed bounce buffer *)
       Stats.record_copy ctx.stats size;
@@ -1251,7 +1211,6 @@ let rndv_match w (pr : request) (env : envelope) (r : rndv) =
             match reliable_wire ctx fr w env r.r_dt with
             | Error err ->
                 release ctx env;
-                trace ctx "fault" "rndv %d->%d failed" env.e_src w.id;
                 rndv_failed e pr env r ~deferred:false err
             | Ok x ->
                 Engine.sleep e x.x_lag (* data lands *);
@@ -1401,20 +1360,12 @@ let wake_probers w env =
 (* Match a new envelope against posted receives / probe waiters;
    otherwise queue it as unexpected. *)
 let deliver w env =
-  if tracing w.ctx then
-    trace w.ctx "arrive" "worker %d <- src %d tag=%x %dB" w.id env.e_src
-      env.e_tag env.e_total;
   let pr = take posted w matches_env env in
   if pr != no_request then begin
-    if tracing w.ctx then
-      trace w.ctx "match" "worker %d matched posted recv tag=%x" w.id env.e_tag;
     match_instant w env;
     process_match w pr env
   end
   else begin
-    if tracing w.ctx then
-      trace w.ctx "unexpected" "worker %d queued tag=%x %dB" w.id env.e_tag
-        env.e_total;
     (* Buffer it.  Eager payloads consume receiver memory. *)
     (match env.e_payload with
     | P_eager | P_frags _ ->
@@ -1508,10 +1459,7 @@ let ship_rts_reliable src dst fr (env : envelope) (req : request) =
             Engine.at e ~delay:(x.x_lag +. plan.Fault.rndv_timeout_ns)
               (fun () ->
                 if (not env.e_matched) && not (is_completed req) then begin
-                  Stats.incr ctx.stats Delivery_timeouts;
-                  trace ctx "fault" "rndv handshake timeout %d->%d tag=%x"
-                    src.id dst.id env.e_tag;
-                  fault_instant ctx ~track:src.id ~time:(Engine.now e)
+                  fault ctx Delivery_timeouts ~track:src.id ~time:(Engine.now e)
                     "rndv_timeout"
                     [ ("dst", Obs.Int dst.id) ];
                   (* withdraw the RTS so a late receive cannot match it,
@@ -1563,9 +1511,6 @@ let tag_send_from src ~dst ~tag dt =
       (* iovec path: always a single zero-copy rendezvous-style
          transfer; never switches protocol with size. *)
       let entries = Iov.count v in
-      if tracing ctx then
-        trace ctx "send" "worker %d iov tag=%x %dB in %d entries"
-          src.id tag total entries;
       Stats.record_message ctx.stats ~eager:false ~wire_bytes:total;
       Stats.add ctx.stats Iov_entries entries;
       observe ctx "msg_bytes_iov" (float_of_int total);
@@ -1590,9 +1535,6 @@ let tag_send_from src ~dst ~tag dt =
         | frags ->
             let cpu_time = staging_cpu ctx dt ~alloc:total frags *. straggle ctx src.id in
             Engine.sleep e cpu_time;
-            if tracing ctx then
-              trace ctx "send" "worker %d eager tag=%x %dB" src.id tag
-                total;
             Stats.record_message ctx.stats ~eager:true ~wire_bytes:total;
             if obs_on ctx then begin
               observe ctx "msg_bytes_eager" (float_of_int total);
@@ -1664,8 +1606,6 @@ let tag_send_from src ~dst ~tag dt =
       end
       else begin
         (* Rendezvous: only the RTS travels now. *)
-        if tracing ctx then
-          trace ctx "send" "worker %d rndv tag=%x %dB" src.id tag total;
         Stats.record_message ctx.stats ~eager:false ~wire_bytes:total;
         observe ctx "msg_bytes_rndv" (float_of_int total);
         ship_rts src dst ~tag ~total ~seq:mseq dt req

@@ -229,11 +229,6 @@ val msg_recv : worker -> message -> recv_dt -> request
 
 (** {1 Observability} *)
 
-val set_trace : context -> Mpicd_simnet.Trace.t option -> unit
-(** Attach an event trace: protocol decisions (eager/rndv/iov), matches,
-    unexpected arrivals and completions are recorded with virtual
-    timestamps. *)
-
 val set_obs : context -> Mpicd_obs.Obs.t -> unit
 (** Attach a structured span/metrics sink.  Protocol phases (pack, wire,
     rts, rendezvous handshake, unpack) become ["proto"] spans on the
@@ -302,8 +297,8 @@ val retx_backoff_ns :
     that threshold a straggler is never declared.  Partitions never
     trigger declarations: the detector walks the plan's schedule, not
     the wire.  Declaration is idempotent and recorded in
-    {!Stats}.[failures_detected], the ["fault.rank_failed"] counter and
-    the ["failure_detect_latency_ns"] histogram.  See
+    {!Stats}.[failures_detected], the ["rank_failed"] instant and the
+    ["failure_detect_latency_ns"] histogram.  See
     docs/RESILIENCE.md. *)
 
 val is_failed : context -> rank:int -> bool

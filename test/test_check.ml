@@ -411,6 +411,24 @@ let test_match_clean_ring () =
     "ring is clean" []
     (ids r.Check.Matchcheck.findings)
 
+(* The run's protocol counts come from its Stats table: one eager send
+   and two rendezvous sends, so no count can stand in for another. *)
+let test_match_protocol_counts () =
+  let r =
+    run_scenario ~size:2 (fun comm ->
+        let sizes = [ 64; 512 * 1024; 512 * 1024 ] in
+        if Mpi.rank comm = 0 then
+          List.iter (fun n -> Mpi.send comm ~dst:1 ~tag:0 (Mpi.Bytes (Buf.create n))) sizes
+        else
+          List.iter
+            (fun n -> ignore (Mpi.recv comm ~source:0 ~tag:0 (Mpi.Bytes (Buf.create n))))
+            sizes)
+  in
+  Alcotest.(check (list (pair string int)))
+    "counts"
+    [ ("messages_sent", 3); ("eager_messages", 1); ("rndv_messages", 2) ]
+    r.Check.Matchcheck.counts
+
 (* --- report rendering --- *)
 
 let test_report_counts () =
@@ -583,6 +601,7 @@ let suite =
       tc "match: truncation" `Quick test_match_truncation;
       tc "match: unmatched at finalize" `Quick test_match_unmatched;
       tc "match: clean nonblocking ring" `Quick test_match_clean_ring;
+      tc "match: protocol counts from Stats" `Quick test_match_protocol_counts;
       tc "report: counts and json" `Quick test_report_counts;
       tc "report: golden finding JSON" `Quick test_json_golden_finding;
       tc "report: schema covers every analyzer" `Quick

@@ -54,18 +54,18 @@ let test_cache_hit_miss () =
   Plan.clear_cache ();
   let s = Stats.create () in
   let t = Dt.vector ~count:3 ~blocklength:2 ~stride:4 Dt.int32 in
-  let p1, o1 = Plan.get_outcome ~stats:s t in
-  let p2, o2 = Plan.get_outcome ~stats:s t in
-  check_bool "first is a miss" true (o1 = Plan.Miss);
-  check_bool "second is a hit" true (o2 = Plan.Hit);
+  let p1 = Plan.get ~stats:s t in
+  check_int "first is a miss" 1 (Stats.get s Plan_cache_misses);
+  check_int "no hit yet" 0 (Stats.get s Plan_cache_hits);
+  let p2 = Plan.get ~stats:s t in
+  check_int "second is a hit" 1 (Stats.get s Plan_cache_hits);
+  check_int "still one miss" 1 (Stats.get s Plan_cache_misses);
   check_bool "same compiled plan" true (p1 == p2);
-  check_int "stats miss recorded" 1 (Stats.get s Plan_cache_misses);
-  check_int "stats hit recorded" 1 (Stats.get s Plan_cache_hits);
   (* Physical-equality keying: a structurally equal but distinct value
      compiles its own plan. *)
   let t' = Dt.vector ~count:3 ~blocklength:2 ~stride:4 Dt.int32 in
-  let _, o3 = Plan.get_outcome ~stats:s t' in
-  check_bool "distinct value misses" true (o3 = Plan.Miss);
+  ignore (Plan.get ~stats:s t' : Plan.t);
+  check_int "distinct value misses" 2 (Stats.get s Plan_cache_misses);
   check_int "global hits" 1 (Plan.cache_hits ());
   check_int "global misses" 2 (Plan.cache_misses ())
 

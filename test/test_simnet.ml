@@ -426,52 +426,6 @@ let test_mutex_with_lock_releases_on_exn () =
   Alcotest.(check bool) "released after exception" true !second_ran;
   Alcotest.(check bool) "free at end" false (Engine.Mutex.is_locked m)
 
-(* Trace *)
-
-let test_trace_basic () =
-  let t = Trace.create ~capacity:4 () in
-  Trace.record t ~time:1. ~category:"a" "one";
-  Trace.record t ~time:2. ~category:"b" "two";
-  check_int "length" 2 (Trace.length t);
-  check_int "dropped" 0 (Trace.dropped t);
-  (match Trace.events t with
-  | [ e1; e2 ] ->
-      check_float "t1" 1. e1.time;
-      Alcotest.(check string) "cat" "b" e2.category
-  | _ -> Alcotest.fail "expected two events");
-  check_int "find" 1 (List.length (Trace.find t ~category:"a"))
-
-let test_trace_ring_drops () =
-  let t = Trace.create ~capacity:3 () in
-  for i = 1 to 10 do
-    Trace.record t ~time:(float_of_int i) ~category:"x" (string_of_int i)
-  done;
-  check_int "length bounded" 3 (Trace.length t);
-  check_int "dropped" 7 (Trace.dropped t);
-  (match Trace.events t with
-  | [ a; b; c ] ->
-      Alcotest.(check (list string)) "last three" [ "8"; "9"; "10" ]
-        [ a.message; b.message; c.message ]
-  | _ -> Alcotest.fail "three events");
-  Trace.clear t;
-  check_int "cleared" 0 (Trace.length t)
-
-let test_trace_dropped_by_category () =
-  let t = Trace.create ~capacity:2 () in
-  Trace.record t ~time:1. ~category:"send" "1";
-  Trace.record t ~time:2. ~category:"send" "2";
-  Trace.record t ~time:3. ~category:"match" "3";
-  Trace.record t ~time:4. ~category:"match" "4";
-  (* the two "send" events were overwritten *)
-  Alcotest.(check (list (pair string int)))
-    "per-category drops" [ ("send", 2) ] (Trace.dropped_by_category t);
-  let rendered = Format.asprintf "%a" Trace.pp t in
-  Alcotest.(check bool) "pp names the lost category" true
-    (contains rendered "send=2");
-  Trace.clear t;
-  Alcotest.(check (list (pair string int)))
-    "clear resets drops" [] (Trace.dropped_by_category t)
-
 (* Config / Stats *)
 
 let test_config_costs () =
@@ -1177,9 +1131,6 @@ let suite =
       tc "mutex excludes + fifo" `Quick test_mutex_excludes;
       tc "mutex unlock errors" `Quick test_mutex_unlock_errors;
       tc "mutex releases on exception" `Quick test_mutex_with_lock_releases_on_exn;
-      tc "trace basic" `Quick test_trace_basic;
-      tc "trace ring drops" `Quick test_trace_ring_drops;
-      tc "trace drops by category" `Quick test_trace_dropped_by_category;
       tc "config cost helpers" `Quick test_config_costs;
       tc "stats counters" `Quick test_stats_counters;
       tc "stats diff" `Quick test_stats_diff;

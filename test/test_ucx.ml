@@ -6,6 +6,7 @@ module Config = Mpicd_simnet.Config
 module Stats = Mpicd_simnet.Stats
 module Fault = Mpicd_simnet.Fault
 module Ucx = Mpicd_ucx.Ucx
+module Obs = Mpicd_obs.Obs
 
 let check_int = Alcotest.(check int)
 
@@ -661,8 +662,8 @@ let test_trace_records_protocols () =
   let engine = Engine.create () in
   let stats = Stats.create () in
   let ctx = Ucx.create_context ~engine ~config:Config.default ~stats in
-  let tr = Mpicd_simnet.Trace.create () in
-  Ucx.set_trace ctx (Some tr);
+  let obs = Obs.create () in
+  Ucx.set_obs ctx obs;
   let w0 = Ucx.create_worker ctx in
   let w1 = Ucx.create_worker ctx in
   let ep = Ucx.connect w0 w1 in
@@ -676,12 +677,29 @@ let test_trace_records_protocols () =
       expect_ok
         (Ucx.wait (Ucx.tag_recv w1 ~tag:2L ~mask:(-1L) (Ucx.Rd_iov [ Buf.create 64 ]))));
   Engine.run engine;
-  let module Trace = Mpicd_simnet.Trace in
-  check_int "two sends traced" 2 (List.length (Trace.find tr ~category:"send"));
-  check_int "two arrivals" 2 (List.length (Trace.find tr ~category:"arrive"));
-  Alcotest.(check bool) "timestamps monotone" true
-    (let ts = List.map (fun (e : Trace.event) -> e.time) (Trace.events tr) in
-     List.sort compare ts = ts)
+  (* The protocol decisions: the eager send (mseq 0) ships its data in
+     one wire span; the iov send (mseq 1) ships an RTS, and its data
+     moves in the rendezvous' own wire span. *)
+  let spans name =
+    List.filter (fun (sp : Obs.span) -> sp.Obs.cat = "proto" && sp.Obs.name = name)
+      (Obs.spans obs)
+  in
+  let mseq args = match List.assoc_opt "mseq" args with Some (Obs.Int m) -> m | _ -> -1 in
+  Alcotest.(check (list int)) "one rts span, the iov send's" [ 1 ]
+    (List.map (fun (sp : Obs.span) -> mseq sp.Obs.args) (spans "rts"));
+  Alcotest.(check (list int)) "one eager wire span, then the rendezvous'" [ 0; -1 ]
+    (List.map (fun (sp : Obs.span) -> mseq sp.Obs.args) (spans "wire"));
+  let matches =
+    List.filter (fun (i : Obs.instant) -> i.Obs.i_name = "match") (Obs.instants obs)
+  in
+  (* times are monotone: messages match in send order, the RTS lands
+     before its rendezvous starts, and no span ends before it starts *)
+  Alcotest.(check (list int)) "two matches, in send order" [ 0; 1 ]
+    (List.map (fun (i : Obs.instant) -> mseq i.Obs.i_args) matches);
+  Alcotest.(check bool) "rts before rendezvous" true
+    ((List.hd (spans "rts")).Obs.t1 <= (List.hd (spans "rndv")).Obs.t0);
+  Alcotest.(check bool) "spans end after they start" true
+    (List.for_all (fun (sp : Obs.span) -> sp.Obs.t0 <= sp.Obs.t1) (Obs.spans obs))
 
 (* --- transport timing matrix ---
 
