@@ -391,8 +391,8 @@ module Slabs = struct
 
   let rec size_class len c = if 1 lsl c >= len then c else size_class len (c + 1)
 
-  let cls s len =
-    let c = size_class len 0 in
+  (* Class [c]'s record, grown into [s.classes] on first use. *)
+  let cls s c =
     let n = Array.length s.classes in
     if c >= n then
       s.classes <-
@@ -405,13 +405,14 @@ module Slabs = struct
   let take s len =
     if len <= 0 then empty
     else begin
-      let k = cls s len in
+      let c = size_class len 0 in
+      let k = cls s c in
       if k.nfree > 0 then begin
         k.nfree <- k.nfree - 1;
         { base = k.bases.(k.nfree); off = k.offs.(k.nfree); len }
       end
       else begin
-        let size = 1 lsl size_class len 0 in
+        let size = 1 lsl c in
         let dim = Bigarray.Array1.dim k.chunk in
         if k.carved + size > dim then begin
           (* chunks double from one slot, so a small world stays small *)
@@ -429,7 +430,7 @@ module Slabs = struct
 
   let give s (b : buf) =
     if b.len > 0 then begin
-      let k = cls s b.len in
+      let k = cls s (size_class b.len 0) in
       let n = k.nfree in
       if n = Array.length k.offs then begin
         k.bases <- Array.append k.bases (Array.make (max 8 n) b.base);

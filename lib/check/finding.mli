@@ -53,8 +53,6 @@ val make :
   string ->
   t
 
-val severity_label : severity -> string
-
 val is_problem : t -> bool
 (** [Error] or [Warning]: counts toward a non-zero exit of the checker. *)
 

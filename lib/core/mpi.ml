@@ -6,7 +6,6 @@ module Rng = Mpicd_simnet.Rng
 module Topology = Mpicd_simnet.Topology
 module Datatype = Mpicd_datatype.Datatype
 module Plan = Mpicd_datatype.Plan
-module Normalize = Mpicd_datatype.Normalize
 module Ucx = Mpicd_ucx.Ucx
 module Obs = Mpicd_obs.Obs
 module Metrics = Mpicd_obs.Metrics
@@ -157,6 +156,9 @@ type world = {
   mutable next_cid : int;  (* communicator-id allocator (rank 0 side) *)
   mutable monitor : Monitor.t option;
   mutable obs : Obs.t;
+  mutable observed : bool;
+      (* [Obs.enabled obs], kept here: a dev build compiles libraries
+         [-opaque], so the getter would be a real call per test *)
   errh : (int, errhandler) Hashtbl.t;  (* cid -> handler; absent = raise *)
   last_errors : (int * int, error) Hashtbl.t;  (* (cid, comm rank) -> error *)
   slabs : Buf.Slabs.t;  (* the ranks' collective staging buffers *)
@@ -340,7 +342,7 @@ let try_complete_slot w (slot : agree_slot) =
         else Stats.incr w.stats Comm_agreements;
         let r = slot.s_acc in
         slot.s_result <- Some r;
-        if Obs.enabled w.obs then
+        if w.observed then
           Obs.instant w.obs ~time:(Engine.now w.engine) ~track:0
             ~cat:"resilience"
             ~args:[ ("value", Obs.Int slot.s_acc) ]
@@ -357,7 +359,7 @@ let try_complete_slot w (slot : agree_slot) =
    pending, as in ULFM) — then re-checks agreement slots the dead rank
    may have been blocking. *)
 let handle_rank_failure w ~rank ~time =
-  if Obs.enabled w.obs then
+  if w.observed then
     Obs.instant w.obs ~time ~track:rank ~cat:"resilience"
       ~args:[ ("rank", Obs.Int rank) ]
       "proc_failed";
@@ -398,6 +400,7 @@ let create_world ?(config = Config.default) ?topology ~size () =
       next_cid = 1;
       monitor = None;
       obs = Obs.null;
+      observed = false;
       errh = Hashtbl.create 8;
       last_errors = Hashtbl.create 8;
       slabs = Buf.Slabs.create ();
@@ -432,6 +435,7 @@ let set_fault_tap w f = Ucx.set_tap w.ucx f
    in the transport, fiber scheduling in the engine. *)
 let set_obs w o =
   w.obs <- o;
+  w.observed <- Obs.enabled o;
   Ucx.set_obs w.ucx o;
   Engine.set_obs w.engine o
 
@@ -598,7 +602,7 @@ let custom_pack_bounce c op psize =
     (Config.memcpy_time (cpu c) psize
     +. (float_of_int !ncb *. (cpu c).pack_cb_overhead_ns)
     +. (float_of_int (Custom.pack_pieces op) *. (cpu c).pack_piece_ns));
-  if Obs.enabled c.w.obs then begin
+  if c.w.observed then begin
     let t1 = Engine.now c.w.engine in
     let track = my_world_rank c in
     let sp =
@@ -633,7 +637,7 @@ let custom_unpack_bounce c op b =
     (Config.memcpy_time (cpu c) psize
     +. (float_of_int nfrags *. (cpu c).pack_cb_overhead_ns)
     +. (float_of_int (Custom.pack_pieces op) *. (cpu c).pack_piece_ns));
-  if Obs.enabled c.w.obs then begin
+  if c.w.observed then begin
     let t1 = Engine.now c.w.engine in
     let track = my_world_rank c in
     let sp =
@@ -646,17 +650,8 @@ let custom_unpack_bounce c op b =
   end
 
 (* Compiled pack plan for [dt], from the process-global memo cache,
-   with the hit or miss counted in [Stats].
-
-   With [auto_normalize] on, the plan is compiled from the
-   guideline-normalized form of the datatype (Normalize preserves the
-   type map and bounds, so the packed stream is byte-identical); the
-   original value still keys matching and signature checks.  Both the
-   normalizer and the plan cache memoize on physical equality, so a
-   committed datatype value is rewritten once, not per operation. *)
-let plan_of c dt =
-  let dt = if c.w.config.Config.auto_normalize then Normalize.get dt else dt in
-  Plan.get ~stats:c.w.stats dt
+   with the hit or miss counted in [Stats]. *)
+let plan_of c dt = Plan.get ~stats:c.w.stats dt
 
 (* Virtual-time cost of the datatype engine: identical block count (and
    so identical charge) whether the host executes the interpreter or a
@@ -885,13 +880,13 @@ let wait (r : request) =
       let c = op_comm r in
       let w = c.w in
       let sp =
-        if Obs.enabled w.obs && not (Ucx.is_completed r) then
+        if w.observed && not (Ucx.is_completed r) then
           Obs.span_begin w.obs ~time:(Engine.now w.engine)
             ~track:(my_world_rank c) ~cat:"p2p" "wait"
         else Obs.null_span
       in
       let u = Ucx.wait r in
-      if Obs.enabled w.obs then begin
+      if w.observed then begin
         let args = match r.r_seq with -1 -> [] | m -> [ ("mseq", Obs.Int m) ] in
         Obs.span_end w.obs ~time:(Engine.now w.engine) ~args sp
       end;
@@ -1025,7 +1020,7 @@ let buffer_wire_bytes = function
    capture later same-track spans as children — but it still nests under
    whatever is open at post time (e.g. a barrier span). *)
 let op_span c ~blocking ~send ~peer ~tag buf =
-  if Obs.enabled c.w.obs then
+  if c.w.observed then
     let name =
       match (blocking, send) with
       | true, true -> "send"
@@ -1262,7 +1257,7 @@ let poison_collective c err =
 let deliver_revoke w ~cid ~rank =
   if not (Hashtbl.mem w.revoked_seen (cid, rank)) then begin
     Hashtbl.replace w.revoked_seen (cid, rank) (Engine.now w.engine);
-    if Obs.enabled w.obs then
+    if w.observed then
       Obs.instant w.obs ~time:(Engine.now w.engine) ~track:rank
         ~cat:"resilience"
         ~args:[ ("cid", Obs.Int cid) ]
@@ -1306,7 +1301,7 @@ let comm_revoke c =
     Hashtbl.replace w.revoked c.cid t0;
     if alive then begin
       Stats.incr w.stats Comm_revokes;
-      if Obs.enabled w.obs then
+      if w.observed then
         ignore
           (Obs.span_complete w.obs ~track:me ~cat:"resilience" ~t0
              ~t1:(t0 +. w.config.link.latency_ns)
@@ -1438,7 +1433,7 @@ let comm_shrink c =
   in
   let survivors = slot.s_survivors in
   let new_cid = slot.s_new_cid in
-  if Obs.enabled w.obs then
+  if w.observed then
     Obs.instant w.obs ~time:(Engine.now w.engine) ~track:me ~cat:"resilience"
       ~args:
         [ ("cid", Obs.Int c.cid); ("new_cid", Obs.Int new_cid);
@@ -1476,7 +1471,7 @@ let barrier c =
   | None -> (
       let tag = seq * 16 in
       let sp =
-        if Obs.enabled c.w.obs then
+        if c.w.observed then
           Obs.span_begin c.w.obs ~time:(Engine.now c.w.engine)
             ~track:(my_world_rank c) ~cat:"p2p"
             ~args:[ ("seq", Obs.Int seq) ]

@@ -402,41 +402,3 @@ let json_of_result r =
     (json_of_cost r.original_cost)
     (json_of_cost r.normalized_cost)
     (String.concat "," (List.map json_of_step r.steps))
-
-(* --- memo cache (same physical-equality scheme as Plan) --- *)
-
-let cache : (int, (Dt.t * Dt.t) list) Hashtbl.t = Hashtbl.create 64
-let cache_lock = Mutex.create ()
-let cache_entries = ref 0
-let max_cache_entries = 1024
-
-let clear_cache () =
-  Mutex.lock cache_lock;
-  Hashtbl.reset cache;
-  cache_entries := 0;
-  Mutex.unlock cache_lock
-
-let get dt =
-  let h = Hashtbl.hash dt in
-  Mutex.lock cache_lock;
-  let found =
-    match Hashtbl.find_opt cache h with
-    | None -> None
-    | Some l -> List.find_opt (fun (k, _) -> k == dt) l
-  in
-  let result =
-    match found with
-    | Some (_, n) -> n
-    | None ->
-        let n = normalize dt in
-        if !cache_entries >= max_cache_entries then begin
-          Hashtbl.reset cache;
-          cache_entries := 0
-        end;
-        let bucket = Option.value ~default:[] (Hashtbl.find_opt cache h) in
-        Hashtbl.replace cache h ((dt, n) :: bucket);
-        incr cache_entries;
-        n
-  in
-  Mutex.unlock cache_lock;
-  result

@@ -109,13 +109,3 @@ val verify_bytes : ?count:int -> Datatype.t -> Datatype.t -> (unit, string) Resu
 (** Compile both types with {!Plan.build} and compare the packed streams
     (and round-trip unpack) of a deterministically-filled buffer for
     [count] elements (default 3).  [Ok ()] iff byte-identical. *)
-
-(** {1 Memoization}
-
-    Commit-time entry point: like {!Plan.get}, keyed on physical
-    equality, process-global, thread-safe and bounded, so switching
-    {!Mpicd_simnet.Config.t.auto_normalize} on costs one rewrite per
-    committed datatype value, not one per operation. *)
-
-val get : Datatype.t -> Datatype.t
-val clear_cache : unit -> unit

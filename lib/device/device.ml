@@ -13,7 +13,6 @@ exception Space_mismatch of string
 type buf = { b_space : space; b_data : Buf.t }
 
 let create space n = { b_space = space; b_data = Buf.create n }
-let space_of b = b.b_space
 let data b = b.b_data
 let length b = Buf.length b.b_data
 
@@ -73,11 +72,6 @@ let unpack_kernel comm plan ~src ~dst =
   charge_kernel comm src.b_space plan
 
 type method_ = Staged_host_pack | Device_pack_staged | Device_pack_direct
-
-let method_name = function
-  | Staged_host_pack -> "staged-host-pack"
-  | Device_pack_staged -> "device-pack-staged"
-  | Device_pack_direct -> "device-pack-direct"
 
 (* A ping-pong side: the application data lives on the device; each
    send must deliver the plan's bytes into the peer's device slab. *)

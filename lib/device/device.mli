@@ -32,7 +32,6 @@ type buf
 (** A space-tagged buffer. *)
 
 val create : space -> int -> buf
-val space_of : buf -> space
 val data : buf -> Buf.t
 (** The underlying memory.  Reading device memory from "host code" is a
     modelling convenience; all charged paths go through {!transfer} and
@@ -63,8 +62,6 @@ type method_ =
   | Staged_host_pack  (** stage slab D2H, pack on host, send, reverse *)
   | Device_pack_staged  (** pack on device, stage packed D2H, send *)
   | Device_pack_direct  (** pack on device, NIC reads device memory *)
-
-val method_name : method_ -> string
 
 val exchange_impl :
   method_ -> plan:Plan.t -> slab_bytes:int -> unit -> Mpicd_harness.Harness.impl

@@ -111,10 +111,10 @@ let dedup_sorted cmp xs =
    retry budget: the sum of the (clamped) backoff sleeps.  Partition
    windows are sized well under this so a correct stack always rides
    them out. *)
-let retry_budget_ns (cfg : Config.t) (plan : Fault.t) =
+let retry_budget_ns (plan : Fault.t) =
   let rec go a acc =
     if a >= plan.Fault.max_retries then acc
-    else go (a + 1) (acc +. Ucx.retx_backoff_ns cfg plan ~attempt:a)
+    else go (a + 1) (acc +. Ucx.retx_backoff_ns plan ~attempt:a)
   in
   go 0 0.
 
@@ -198,7 +198,7 @@ let record (wl : Workloads.t) =
   in
   (* partition windows: isolate each rank at two offsets into the run,
      healing well inside every transfer's retry budget *)
-  let budget = retry_budget_ns wl.Workloads.wl_config wl.Workloads.wl_base in
+  let budget = retry_budget_ns wl.Workloads.wl_base in
   let part_dur = Float.round (0.3 *. budget) in
   let part_points =
     List.concat_map

@@ -61,10 +61,6 @@ val record : Workloads.t -> timeline
     Raises [Invalid_argument] if the reference run itself violates the
     workload's oracle. *)
 
-val retry_budget_ns : Mpicd_simnet.Config.t -> Mpicd_simnet.Fault.t -> float
-(** Total clamped backoff sleep across a transfer's retry schedule: how
-    long a partition can cut a link before a correct stack gives up. *)
-
 (** {1 Search} *)
 
 type cex = {
@@ -121,8 +117,6 @@ val replay : Workloads.t -> Mpicd_simnet.Fault.t -> (Workloads.result, string) r
     render byte-identically. *)
 
 (** {1 Repro artifacts} *)
-
-val repro_version : string
 
 val repro_to_json : wl:Workloads.t -> mutations:string list -> cex -> string
 (** Serialize a counterexample as a [repro.json] document (validated

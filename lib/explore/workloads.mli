@@ -63,12 +63,3 @@ val allreduce : t
 
 val all : t list
 val find : string -> t option
-
-val has_cause : Mpicd_simnet.Config.t -> Mpicd_simnet.Fault.t -> bool
-(** Does the plan schedule anything that can legitimately kill or evict
-    a rank (crash, partition, or declared straggler)?  Exposed so the
-    explorer can report why an error outcome was — or wasn't —
-    excused. *)
-
-val error_name : Mpicd.Mpi.error -> string
-(** Stable short name of an error, as used in outcome renders. *)

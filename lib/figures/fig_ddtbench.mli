@@ -6,15 +6,6 @@ val method_names : string list
 (** Column labels of Fig. 10, in order: reference, manual-pack,
     mpi-ddt, mpi-pack-ddt, custom-pack, custom-regions. *)
 
-val kernel_row : Kernel.kernel -> float option list
-(** Bandwidth (MiB/s) of one kernel under every method; [None] where a
-    method does not apply. *)
-
-val fig10_rows :
-  ?kernels:Kernel.kernel list -> unit -> (string * int * float option list) list
-(** [(name, wire_bytes, bandwidths)] per kernel (defaults to the
-    paper's eight). *)
-
 val print_fig10 : ?kernels:Kernel.kernel list -> unit -> unit
 val fig10_csv : path:string -> ?kernels:Kernel.kernel list -> unit -> unit
 val print_table1 : unit -> unit

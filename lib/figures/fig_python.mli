@@ -2,11 +2,4 @@
 
 module Report = Mpicd_harness.Report
 
-val fig8 : unit -> Report.series list
-(** Single NumPy array: roofline / pickle-basic / pickle-oob /
-    pickle-oob-cdt effective bandwidth. *)
-
-val fig9 : unit -> Report.series list
-(** Complex object composed of 128 KiB arrays. *)
-
 val all : (string * string * string * (unit -> Report.series list)) list

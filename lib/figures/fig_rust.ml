@@ -68,6 +68,7 @@ let struct_series value (module S : B.STRUCT) ~sizes =
            ] ))
        sizes)
 
+(* Figs. 3 and 4: struct-vec latency and bandwidth. *)
 let fig3 () = struct_series latency (module B.Struct_vec) ~sizes:(pow2 13 22)
 let fig4 () = struct_series bandwidth (module B.Struct_vec) ~sizes:(pow2 15 22)
 let fig5 () = struct_series latency (module B.Struct_simple) ~sizes:(pow2 6 19)

@@ -5,15 +5,6 @@ module Report = Mpicd_harness.Report
 val fig1 : unit -> Report.series list
 (** Double-vec latency vs subvector size at a fixed 64 KiB message. *)
 
-val fig2 : unit -> Report.series list
-(** Double-vec bandwidth over message size (subvector 1 KiB). *)
-
-val fig3 : unit -> Report.series list
-(** struct-vec latency. *)
-
-val fig4 : unit -> Report.series list
-(** struct-vec bandwidth. *)
-
 val fig5 : unit -> Report.series list
 (** struct-simple latency (the gapped struct that hurts Open MPI). *)
 

@@ -59,9 +59,6 @@ val k_manual : Kernel.kernel -> slabs -> unit -> H.impl
 val k_ddt_direct : Kernel.kernel -> slabs -> unit -> H.impl
 (** Send/receive directly with the derived datatype engine. *)
 
-val k_ddt_pack : Kernel.kernel -> slabs -> unit -> H.impl
-(** MPI_Pack into a buffer, send bytes, MPI_Unpack. *)
-
 val k_custom_pack : Kernel.kernel -> slabs -> unit -> H.impl
 val k_custom_regions : Kernel.kernel -> slabs -> (unit -> H.impl) option
 (** [None] when the kernel's Table-I row marks regions impracticable. *)

@@ -45,8 +45,6 @@ let charge_ddt_blocks comm n =
   charge comm
     (float_of_int n *. (Mpi.world_config (Mpi.world_of comm)).cpu.ddt_block_ns)
 
-let charge_ns comm ns = charge comm ns
-
 let pingpong ?(config = Config.default) ?(warmup = 2) ?(reps = 10) ?obs ?faults
     ~bytes make =
   let w = Mpi.create_world ~config ~size:2 () in

@@ -114,6 +114,3 @@ val charge_pieces : Mpi.comm -> int -> unit
 val charge_ddt_blocks : Mpi.comm -> int -> unit
 (** Charge the classic datatype engine's per-block cost for [n] blocks
     (used by the explicit MPI_Pack-style benchmark method). *)
-
-val charge_ns : Mpi.comm -> float -> unit
-(** Charge an arbitrary CPU duration. *)

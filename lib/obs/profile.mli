@@ -109,16 +109,8 @@ val analyze : Obs.t -> t
 (** Offline analysis of a finished sink.  Read-only: never mutates the
     sink, never touches the virtual clock. *)
 
-val phase_name : phase -> string
-val wait_class_name : wait_class -> string
-
-val ns_of_ps : int64 -> float
-
 val total_ns : t -> float
 (** Summed rank time (= ranks x window). *)
-
-val phase_ns : t -> phase -> float
-(** A phase's total across all ranks, in virtual ns. *)
 
 val wait_class_ns : t -> wait_class -> float
 

@@ -42,9 +42,6 @@ exception Corrupt of string
     fail on invalid data, which is why the custom datatype API
     propagates callback errors. *)
 
-val dtype_size : dtype -> int
-val numel : ndarray -> int
-
 val ndarray : ?dtype:dtype -> int array -> ndarray
 (** Fresh zero-filled array of the given shape (dtype defaults to F64). *)
 

@@ -42,7 +42,6 @@ type t = {
 let comm rt = rt.comm
 let epoch rt = rt.epoch
 let incarnation rt = rt.incarnation
-let set_incarnation rt i = rt.incarnation <- i
 let store rt = rt.store
 let world rt = Mpi.world_of rt.comm
 let engine rt = Mpi.world_engine (world rt)

@@ -71,7 +71,6 @@ val epoch : t -> int
 (** Last locally-committed epoch; [-1] before the first {!commit}. *)
 
 val incarnation : t -> int
-val set_incarnation : t -> int -> unit
 val store : t -> Store.t
 
 val register : t -> name:string -> dt:Dt.t -> count:int -> Buf.t -> unit

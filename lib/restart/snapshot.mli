@@ -59,7 +59,6 @@ type error =
 
 exception Corrupt_snapshot of error
 
-val pp_error : Format.formatter -> error -> unit
 val error_to_string : error -> string
 
 val header_size : int
@@ -84,9 +83,6 @@ val encode :
 (** Snapshot [count] elements of [dt] laid out in [src] (offset 0).
     Packs through the compiled plan cache ([stats] feeds the plan
     cache counters, exactly like a typed send). *)
-
-val read_meta : Buf.t -> (meta, error) result
-(** Validate and parse the header only (magic, version, header CRC). *)
 
 val decode :
   ?stats:Mpicd_simnet.Stats.t ->

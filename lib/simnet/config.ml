@@ -32,9 +32,6 @@ type t = {
   link : link;
   cpu : cpu;
   gpu : gpu;
-  auto_normalize : bool;
-  retx_jitter : bool;
-  retx_backoff_max_ns : float;
 }
 
 (* 100 Gb/s = 12.5 GB/s raw; ~11.5 GB/s effective after protocol
@@ -92,14 +89,6 @@ let default =
     link = default_link;
     cpu = default_cpu;
     gpu = default_gpu;
-    auto_normalize = false;
-    retx_jitter = false;
-    (* 1 s ceiling: far above every schedule a sane plan produces (the
-       default plan tops out at 12.8 ms) so existing replays are
-       bit-identical, yet bounding straggler-stretched or large-backoff
-       chains that would otherwise balloon (or overflow to [infinity])
-       virtual time. *)
-    retx_backoff_max_ns = 1e9;
   }
 
 let wire_time (l : link) bytes = l.ns_per_byte *. float_of_int bytes
@@ -113,11 +102,9 @@ let pp ppf t =
     "@[<v>link: latency=%.0fns bw=%.3fns/B eager<=%dB rndv=+%.0fns \
      iov=%.0fns/entry(max %d) frag=%dB@,\
      cpu: memcpy=%.3fns/B alloc=%.0f+%.3fns/B packcb=%.0fns piece=%.1fns \
-     ddtblock=%.0fns ddtnode=%.0fns objvisit=%.0fns@,\
-     auto_normalize=%b retx_jitter=%b retx_backoff_max=%gns@]"
+     ddtblock=%.0fns ddtnode=%.0fns objvisit=%.0fns@]"
     t.link.latency_ns t.link.ns_per_byte t.link.eager_limit
     t.link.rndv_handshake_ns t.link.iov_entry_ns t.link.iov_max_entries
     t.link.frag_size t.cpu.memcpy_ns_per_byte t.cpu.alloc_base_ns
     t.cpu.alloc_ns_per_byte t.cpu.pack_cb_overhead_ns t.cpu.pack_piece_ns
     t.cpu.ddt_block_ns t.cpu.ddt_node_ns t.cpu.object_visit_ns
-    t.auto_normalize t.retx_jitter t.retx_backoff_max_ns

@@ -47,34 +47,12 @@ type t = {
   link : link;
   cpu : cpu;
   gpu : gpu;
-  auto_normalize : bool;
-      (** when true, typed sends/receives and pack/unpack commit the
-          {!Mpicd_datatype.Normalize}d form of every datatype (TEMPI-style
-          canonicalization); default [false] so baseline runs are
-          bit-identical to the unnormalized engine *)
-  retx_jitter : bool;
-      (** when true, the reliable-delivery retransmit backoff applies
-          decorrelated jitter (AWS-style: each sleep is drawn uniformly
-          from [rto, 3 x previous sleep], capped at the deterministic
-          exponential schedule's ceiling) from a dedicated RNG stream
-          seeded by the fault plan, so concurrent retry storms
-          de-synchronize while a given (seed, plan) replay stays
-          deterministic; default [false] so fixed-seed replays are
-          bit-identical to the fixed-backoff engine *)
-  retx_backoff_max_ns : float;
-      (** ceiling on a single retransmit-backoff sleep: the exponential
-          schedule [rto * backoff^attempt] (jittered or not) is clamped
-          to this value so long retry chains — straggler-stretched runs,
-          large [backoff] exponents — cannot balloon or overflow virtual
-          time; default [1e9] (1 s), far above any default schedule so
-          existing replays are bit-identical *)
 }
 
 val default : t
 
 val default_link : link
 val default_cpu : cpu
-val default_gpu : gpu
 
 (** {1 Derived cost helpers} *)
 

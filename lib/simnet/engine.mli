@@ -19,7 +19,7 @@
     ranks charging identical modeled costs land on bitwise-equal
     times).  Correctness of every replay oracle in the tree rests on
     this order being total; the event queue ({!Evq}) is pinned against
-    the reference binary heap ({!Heap}) by a differential property in
+    the reference binary heap in [test/heap.ml] by a differential property in
     [test_simnet.ml].  Wall-clock time never enters the model.
 
     Virtual-time hardening: NaN delays (and [-infinity]) are rejected

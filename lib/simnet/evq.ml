@@ -372,5 +372,3 @@ let pop t =
     let v = pop_min t in
     Some (time, seq, v)
   end
-
-let peek_time t = if t.len = 0 then None else Some (min_time t)

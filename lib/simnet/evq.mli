@@ -2,11 +2,11 @@
 
     A calendar queue (Brown 1988) over parallel unboxed arrays,
     ordered by [(time, seq)] — the same total order as the reference
-    binary heap in {!Heap}: the sequence number breaks ties so that
+    binary heap in [test/heap.ml]: the sequence number breaks ties so that
     events scheduled earlier at the same timestamp pop first.  Equal
     times always hash to the same bucket and in-bucket lists are
     totally ordered, so the pop order of any push/pop interleaving is
-    {e identical} to {!Heap}'s — the differential property pinned in
+    {e identical} to that heap's — the differential property pinned in
     [test_simnet.ml].
 
     Performance contract (the reason this module exists — see
@@ -16,7 +16,7 @@
       (the simulation schedules forward in time) and a pop scans about
       one bucket — no O(log n) sift at all;
     - keys live in a [float array], so they are stored unboxed and
-      compared with contiguous loads ({!Heap} chases
+      compared with contiguous loads (a boxed binary heap chases
       option → record → boxed-float indirections per comparison and
       allocates on every push {e and} pop);
     - entry ids are recycled in place: a steady-state simulation
@@ -77,11 +77,9 @@ val pop_min : 'a t -> 'a
     @raise Invalid_argument on an empty queue. *)
 
 val pop : 'a t -> (float * int * 'a) option
-(** Compatibility interface matching {!Heap.pop}; allocates the result
-    box.  Tests and the differential property use this. *)
-
-val peek_time : 'a t -> float option
-(** Compatibility interface matching {!Heap.peek_time}. *)
+(** The minimum entry, removed, as an option: the shape of the
+    reference heap's [pop] in [test/heap.ml]; allocates the result box.
+    Tests and the differential property use this. *)
 
 (** {1 Engine-overhead accounting}
 

@@ -111,9 +111,6 @@ val make :
   t
 (** [make ()] is {!default}; keyword arguments override fields. *)
 
-val link_plan : t -> src:int -> dst:int -> link_plan
-(** The effective plan for one direction of a worker pair. *)
-
 val rto : t -> attempt:int -> float
 (** [rto_ns *. backoff ^ attempt]: the wait before retransmission
     number [attempt + 1]. *)

@@ -51,9 +51,6 @@ type counter =
   | Injections_fired
       (** targeted single-shot injections that hit their exact
           [(src, dst, mseq, frag)] coordinate *)
-  | Jittered_backoffs
-      (** retransmit sleeps drawn with decorrelated jitter; 0 unless
-          [Config.retx_jitter] is on *)
   (* resilience (docs/RESILIENCE.md): ULFM-style operations *)
   | Ops_cancelled
       (** pending operations completed early with [Peer_failed]/[Revoked] *)
@@ -109,7 +106,6 @@ let name = function
   | Failures_detected -> "failures_detected"
   | Partition_drops -> "partition_drops"
   | Injections_fired -> "injections_fired"
-  | Jittered_backoffs -> "jittered_backoffs"
   | Ops_cancelled -> "ops_cancelled"
   | Comm_revokes -> "comm_revokes"
   | Comm_shrinks -> "comm_shrinks"

@@ -227,10 +227,6 @@ and context = {
       (* [None] (the default) leaves every fault-free code path exactly
          as it was: the reliable-delivery protocol only engages when a
          plan is attached *)
-  mutable retx_rng : Mpicd_simnet.Rng.t option;
-      (* dedicated decorrelated-jitter stream for retransmit backoff
-         ([Config.retx_jitter]); separate from the fault-decision stream
-         so enabling jitter never perturbs drop/corrupt fates *)
   failed : (int, float) Hashtbl.t;  (* worker id -> detection time *)
   mutable any_failed : bool;  (* cheap guard for fail-fast checks *)
   mutable fail_listeners : (rank:int -> time:float -> unit) list;
@@ -272,7 +268,6 @@ let create_context ~engine ~config ~stats =
     obs = Obs.null;
     observed = false;
     faults = None;
-    retx_rng = None;
     failed = Hashtbl.create 8;
     any_failed = false;
     fail_listeners = [];
@@ -732,14 +727,6 @@ let spawn_detector ctx events =
 
 let set_faults c p =
   c.faults <- Option.map Fault.start p;
-  (* The jitter stream reseeds with the plan so a given (plan, seed)
-     replay is deterministic even with jitter enabled.  XOR'd constant:
-     keeps it distinct from the fault-decision stream of the same seed. *)
-  c.retx_rng <-
-    (match p with
-    | Some plan when c.config.Config.retx_jitter ->
-        Some (Mpicd_simnet.Rng.create (plan.Fault.seed lxor 0x4a69_7474))
-    | _ -> None);
   match p with
   | Some plan when plan.Fault.hb_period_ns > 0. -> (
       match detector_events c plan with
@@ -789,13 +776,17 @@ type xfer = {
          when [checksum] was false: the zero-copy DMA path *)
 }
 
-(* The deterministic backoff sleep before retransmission [attempt + 1]:
-   the plan's exponential schedule clamped at the config ceiling, so
-   straggler-stretched or large-exponent chains can't balloon (or
-   overflow to [infinity]) virtual time.  Pure so tests can pin the
-   clamp boundary exactly. *)
-let retx_backoff_ns (cfg : Config.t) plan ~attempt =
-  Float.min cfg.Config.retx_backoff_max_ns (Fault.rto plan ~attempt)
+(* Ceiling on one retransmit-backoff sleep: 1 s, far above every
+   schedule a sane plan produces (the default plan tops out at 12.8 ms),
+   yet it bounds straggler-stretched or large-exponent chains that would
+   otherwise balloon (or overflow to [infinity]) virtual time. *)
+let retx_backoff_max_ns = 1e9
+
+(* The backoff sleep before retransmission [attempt + 1]: the plan's
+   exponential schedule clamped at [retx_backoff_max_ns].  Pure so
+   tests can pin the clamp boundary exactly. *)
+let retx_backoff_ns plan ~attempt =
+  Float.min retx_backoff_max_ns (Fault.rto plan ~attempt)
 
 (* Move a [bytes]-byte stream from [src_id] to [dst_id] under the
    attached fault plan.  Only the stream's length matters: the fates
@@ -813,28 +804,6 @@ let reliable_transfer ctx fr ~mseq ~src_id ~dst_id ~bytes ~checksum =
   let failure = ref None in
   let frag_sizes = wire_frag_sizes l bytes in
   let last_lag = ref (path_latency ctx ~src:src_id ~dst:dst_id) in
-  (* decorrelated-jitter state: previous backoff sleep of THIS transfer
-     (each transfer de-correlates independently, which is what breaks
-     synchronized retry storms across concurrent flows) *)
-  let prev_sleep = ref plan.Fault.rto_ns in
-  let clamp_ns = ctx.config.Config.retx_backoff_max_ns in
-  let backoff_sleep attempt =
-    match ctx.retx_rng with
-    | None -> retx_backoff_ns ctx.config plan ~attempt
-    | Some rng ->
-        (* sleep ~ U[rto, min(cap, 3 x previous)], after AWS's
-           "decorrelated jitter"; the cap is the ceiling of the
-           deterministic exponential schedule so jitter never waits
-           longer than the fixed backoff would at retry exhaustion *)
-        let base = Float.min clamp_ns plan.Fault.rto_ns in
-        let cap = retx_backoff_ns ctx.config plan ~attempt:plan.Fault.max_retries in
-        let hi = Float.min cap (Float.max (base +. 1.) (3. *. !prev_sleep)) in
-        let s = base +. Mpicd_simnet.Rng.float rng (Float.max 0. (hi -. base)) in
-        let s = Float.min clamp_ns s in
-        prev_sleep := s;
-        Stats.incr ctx.stats Jittered_backoffs;
-        s
-  in
   let rec send_frag seq len attempt =
     let now = Engine.now e in
     (* link flap: wait for the link to come back up *)
@@ -895,7 +864,7 @@ let reliable_transfer ctx fr ~mseq ~src_id ~dst_id ~bytes ~checksum =
                | `Drop -> Timeout { retries = attempt })
       end
       else begin
-        Engine.sleep e (backoff_sleep attempt);
+        Engine.sleep e (retx_backoff_ns plan ~attempt);
         incr retx;
         fault ctx Retransmits ~track:src_id ~time:(Engine.now e) "retransmit"
           [ ("seq", Obs.Int seq); ("attempt", Obs.Int (attempt + 1)) ];

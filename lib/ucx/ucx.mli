@@ -270,15 +270,16 @@ val set_tap : context -> (Mpicd_simnet.Fault.probe -> unit) option -> unit
     without a plan.  Taps observe — they must not mutate simulation
     state. *)
 
-val retx_backoff_ns :
-  Mpicd_simnet.Config.t -> Mpicd_simnet.Fault.t -> attempt:int -> float
-(** The deterministic backoff sleep before retransmission
-    [attempt + 1]: the plan's exponential schedule
-    [rto_ns * backoff^attempt] clamped at
-    [Config.retx_backoff_max_ns].  This is exactly what the reliable
-    path sleeps when [Config.retx_jitter] is off (jittered sleeps are
-    clamped at the same ceiling), exposed pure so tests can pin the
-    clamp boundary. *)
+val retx_backoff_max_ns : float
+(** Ceiling on one retransmit-backoff sleep: [1e9] ns (1 s), far above
+    any default schedule.  A safety bound: straggler-stretched runs or
+    large [backoff] exponents cannot balloon or overflow virtual time. *)
+
+val retx_backoff_ns : Mpicd_simnet.Fault.t -> attempt:int -> float
+(** The backoff sleep before retransmission [attempt + 1]: the plan's
+    exponential schedule [rto_ns * backoff^attempt] clamped at
+    {!retx_backoff_max_ns}.  This is exactly what the reliable path
+    sleeps, exposed pure so tests can pin the clamp boundary. *)
 
 (** {1 Process-failure detection (ULFM building blocks)}
 

@@ -56,5 +56,3 @@ let pop t =
     if t.len > 0 then sift_down t 0;
     Some (top.time, top.seq, top.value)
   end
-
-let peek_time t = if t.len = 0 then None else Some (get t 0).time

@@ -1,8 +1,8 @@
-(** Binary min-heap used as the event queue of the simulation engine.
+(** Reference binary min-heap: the oracle that [test_simnet] checks the
+    engine's event queue ({!Mpicd_simnet.Evq}) against.
 
     Entries are ordered by [(time, seq)]: the sequence number breaks ties
-    so that events scheduled earlier at the same timestamp run first,
-    keeping the whole simulation deterministic. *)
+    so that entries pushed earlier at the same timestamp pop first. *)
 
 type 'a t
 
@@ -14,5 +14,3 @@ val push : 'a t -> time:float -> seq:int -> 'a -> unit
 
 val pop : 'a t -> (float * int * 'a) option
 (** Remove and return the minimum entry. *)
-
-val peek_time : 'a t -> float option

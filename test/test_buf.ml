@@ -768,7 +768,10 @@ let test_pool_take_give_allocates_nothing () =
   check_int "misses" 2 (Pool.misses p)
 
 (* A slot given back is the next take of its class, at any length the
-   class holds, and the ledger counts it once. *)
+   class holds, and the ledger counts it once.  Live slots lie inside
+   their chunk and overlap no other live slot (checked without writing,
+   so a slot carved too small fails here rather than corrupting the
+   heap). *)
 let test_slabs_retake () =
   let s = Buf.Slabs.create () in
   let a = Buf.Slabs.take s 1000 in
@@ -777,7 +780,25 @@ let test_slabs_retake () =
   Alcotest.(check bool) "same bytes" true (Buf.same_memory b (Buf.sub a ~pos:0 ~len:600));
   Buf.Slabs.give s b;
   check_int "one slot carved" 1 (Buf.Slabs.carved_slots s);
-  check_int "one slot free" 1 (Buf.Slabs.free_slots s)
+  check_int "one slot free" 1 (Buf.Slabs.free_slots s);
+  let live =
+    List.map (Buf.Slabs.take s) [ 1; 2; 3; 5; 100; 513; 1000; 1024; 4097; 70_000; 3; 1000 ]
+  in
+  List.iter
+    (fun (x : Buf.t) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%d-byte slot inside its chunk" x.len)
+        true
+        (x.off >= 0 && x.off + x.len <= Bigarray.Array1.dim x.base))
+    live;
+  List.iteri
+    (fun i x ->
+      List.iteri
+        (fun j y ->
+          if i < j && Buf.overlaps x y then
+            Alcotest.failf "live slots %d and %d overlap" i j)
+        live)
+    live
 
 (* --- region lists --- *)
 

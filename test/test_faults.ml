@@ -214,31 +214,27 @@ let test_malformed_plans () =
 (* --- retransmit backoff clamp --- *)
 
 let test_backoff_clamp_boundary () =
-  let cfg = { Config.default with Config.retx_backoff_max_ns = 40_000. } in
-  let plan = Fault.make ~rto_ns:10_000. ~backoff:2. ~max_retries:6 () in
-  check_float "attempt 0 under ceiling" 10_000.
-    (Ucx.retx_backoff_ns cfg plan ~attempt:0);
-  check_float "attempt 1 under ceiling" 20_000.
-    (Ucx.retx_backoff_ns cfg plan ~attempt:1);
-  check_float "attempt 2 hits the ceiling exactly" 40_000.
-    (Ucx.retx_backoff_ns cfg plan ~attempt:2);
-  check_float "attempt 3 stays clamped" 40_000.
-    (Ucx.retx_backoff_ns cfg plan ~attempt:3);
-  (* the default ceiling is far above the default schedule, so existing
-     plans are bit-identical *)
+  check_float "the ceiling is 1 s" 1e9 Ucx.retx_backoff_max_ns;
+  let plan = Fault.make ~rto_ns:2.5e8 ~backoff:2. ~max_retries:6 () in
+  check_float "attempt 0 under ceiling" 2.5e8 (Ucx.retx_backoff_ns plan ~attempt:0);
+  check_float "attempt 1 under ceiling" 5e8 (Ucx.retx_backoff_ns plan ~attempt:1);
+  check_float "attempt 2 hits the ceiling exactly" 1e9
+    (Ucx.retx_backoff_ns plan ~attempt:2);
+  check_float "attempt 3 stays clamped" 1e9 (Ucx.retx_backoff_ns plan ~attempt:3);
+  check_float "attempt 6 stays clamped" 1e9 (Ucx.retx_backoff_ns plan ~attempt:6);
+  (* the ceiling is far above the default schedule, so default plans
+     never reach it *)
   let dflt = Fault.make () in
   for a = 0 to dflt.Fault.max_retries do
     check_float "default schedule unclamped" (Fault.rto dflt ~attempt:a)
-      (Ucx.retx_backoff_ns Config.default dflt ~attempt:a)
+      (Ucx.retx_backoff_ns dflt ~attempt:a)
   done
 
-(* One deterministic retransmit (targeted frag-0 drop) under a huge
-   rto: the clamp must pull the retransmit instant forward by exactly
-   the backoff it shaved off. *)
-let clamp_first_retx_time ~clamp =
-  let config = { Config.default with Config.retx_backoff_max_ns = clamp } in
+(* One deterministic retransmit (targeted frag-0 drop): the time of
+   the one retransmit instant under an [rto_ns]-long first backoff. *)
+let first_retx_time ~rto_ns =
   let plan =
-    Fault.make ~rto_ns:100_000. ~max_retries:4
+    Fault.make ~rto_ns ~max_retries:4
       ~injections:
         [
           {
@@ -251,7 +247,7 @@ let clamp_first_retx_time ~clamp =
         ]
       ()
   in
-  let w = Mpi.create_world ~config ~size:2 () in
+  let w = Mpi.create_world ~size:2 () in
   Mpi.set_faults w (Some plan);
   let obs = Obs.create () in
   Mpi.set_obs w obs;
@@ -271,13 +267,16 @@ let clamp_first_retx_time ~clamp =
   | [ t ] -> t
   | ts -> Alcotest.failf "expected one retransmit, saw %d" (List.length ts)
 
+(* End to end: a first backoff at the ceiling sleeps it whole, a longer
+   one is cut to it, and a shorter one retransmits that much sooner. *)
 let test_backoff_clamp_elapsed () =
-  let slow =
-    clamp_first_retx_time ~clamp:Config.default.Config.retx_backoff_max_ns
-  in
-  let fast = clamp_first_retx_time ~clamp:10_000. in
-  check_bool "clamp pulls the retransmit forward" true (fast < slow);
-  check_float "by exactly the shaved backoff" 90_000. (slow -. fast)
+  let at_ceiling = first_retx_time ~rto_ns:1e9 in
+  let over = first_retx_time ~rto_ns:4e9 in
+  let under = first_retx_time ~rto_ns:5e8 in
+  check_float "a longer backoff is clamped to the ceiling" at_ceiling over;
+  Alcotest.(check (float 1e-6))
+    "a shorter one retransmits sooner by the difference" 5e8
+    (at_ceiling -. under)
 
 let test_rto_backoff () =
   let p = Fault.make ~rto_ns:1000. ~backoff:2. () in
@@ -801,85 +800,6 @@ let test_eager_pack_failure_nacks_receiver () =
   check_bool "receiver completed (no deadlock)" true !receiver_done;
   check_int "nack counted" 1 (Stats.get stats Nacks)
 
-(* --- retransmit backoff jitter (Config.retx_jitter) ---
-
-   Synchronized retry storms: concurrent flows whose fragments drop at
-   the same instant all retry after the same deterministic exponential
-   backoff, so their retransmits collide again and again.  With
-   [retx_jitter] on, each flow draws its sleep from U[rto, min(cap,
-   3 x prev)] on a dedicated RNG stream, de-synchronizing the retries
-   without perturbing the fault fates (drop/corrupt draws come from a
-   different stream, pinned by [test_fixed_seed_replay]). *)
-
-let jitter_retx_times ~jitter ~seed =
-  let config = { Config.default with Config.retx_jitter = jitter } in
-  let plan =
-    Fault.make ~seed
-      ~link:{ Fault.clean_link with drop_p = 0.3 }
-      ~rto_ns:5000. ~max_retries:8 ()
-  in
-  let w = Mpi.create_world ~config ~size:2 () in
-  Mpi.set_faults w (Some plan);
-  let obs = Obs.create () in
-  Mpi.set_obs w obs;
-  let flows = 8 and len = 512 in
-  let src = pattern len in
-  let dsts = Array.init flows (fun _ -> Buf.create len) in
-  Mpi.run w (fun comm ->
-      if Mpi.rank comm = 0 then
-        List.init flows (fun i ->
-            Mpi.isend comm ~dst:1 ~tag:(i + 1) (Mpi.Bytes src))
-        |> Mpi.waitall |> ignore
-      else
-        List.init flows (fun i ->
-            Mpi.irecv comm ~source:0 ~tag:(i + 1) (Mpi.Bytes dsts.(i)))
-        |> Mpi.waitall |> ignore);
-  Array.iteri
-    (fun i d ->
-      if not (Buf.equal src d) then Alcotest.failf "flow %d: payload damaged" i)
-    dsts;
-  let times =
-    List.filter_map
-      (fun i -> if i.Obs.i_name = "retransmit" then Some i.Obs.i_time else None)
-      (Obs.instants obs)
-  in
-  (times, (Stats.get (Mpi.world_stats w) Jittered_backoffs))
-
-(* Retransmits that follow another one within [window_ns]: the size of
-   the retry storm's synchronized core.  The FIFO channel serializes
-   fragment transmissions, so "simultaneous" retries of concurrent
-   flows land one serialization quantum apart, never at the exact same
-   instant — clustering, not equality, is the storm signature. *)
-let retx_storm ?(window_ns = 500.) times =
-  let sorted = List.sort compare times in
-  let rec count n = function
-    | a :: (b :: _ as rest) ->
-        count (if b -. a <= window_ns then n + 1 else n) rest
-    | _ -> n
-  in
-  count 0 sorted
-
-let test_retx_jitter_desync () =
-  let off_times, off_jit = jitter_retx_times ~jitter:false ~seed:33 in
-  let on_times, on_jit = jitter_retx_times ~jitter:true ~seed:33 in
-  check_int "jitter off: no jittered backoffs" 0 off_jit;
-  check_bool "jitter on: backoffs were jittered" true (on_jit > 0);
-  check_bool "retransmits happened in both runs" true
-    (off_times <> [] && on_times <> []);
-  let off_c = retx_storm off_times and on_c = retx_storm on_times in
-  check_bool "deterministic backoff synchronizes concurrent retries" true
-    (off_c >= 3);
-  check_bool "jitter de-synchronizes the retry storm" true (on_c < off_c)
-
-let test_retx_jitter_determinism () =
-  let a = jitter_retx_times ~jitter:true ~seed:33 in
-  check_bool "same seed, same jittered timeline" true
-    (a = jitter_retx_times ~jitter:true ~seed:33);
-  let b = jitter_retx_times ~jitter:false ~seed:33 in
-  check_bool "off path is deterministic too" true
-    (b = jitter_retx_times ~jitter:false ~seed:33);
-  check_bool "jitter changes the retransmit schedule" true (fst a <> fst b)
-
 let suite =
   let tc = Alcotest.test_case in
   ( "faults",
@@ -912,8 +832,4 @@ let suite =
       tc "errhandler inherited by comm_split" `Quick test_errhandler_inherited_by_split;
       tc "iov corruption falls back once" `Quick test_iov_fallback_once;
       tc "eager pack failure nacks receiver" `Quick test_eager_pack_failure_nacks_receiver;
-      tc "retransmit jitter de-synchronizes retries" `Quick
-        test_retx_jitter_desync;
-      tc "retransmit jitter is deterministic per seed" `Quick
-        test_retx_jitter_determinism;
     ] )

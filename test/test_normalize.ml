@@ -4,13 +4,10 @@
    idempotent, preserves the type map and bounds, packs byte-identical
    streams, and never loses under the cost model. *)
 
-module Buf = Mpicd_buf.Buf
 module Dt = Mpicd_datatype.Datatype
 module Normalize = Mpicd_datatype.Normalize
 module Registry = Mpicd_ddtbench.Registry
 module Kernel = Mpicd_ddtbench.Kernel
-module Config = Mpicd_simnet.Config
-module Mpi = Mpicd.Mpi
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -23,11 +20,15 @@ let has_rule id r =
     Alcotest.failf "expected rule %s, got [%s]" id (String.concat "; " (rules r))
 
 (* Full guideline obligation for one type: equivalence, byte identity,
-   idempotence, cost monotonicity. *)
+   idempotence, cost monotonicity.  The merged block list, with the
+   [lb] and [extent] that [equivalent] checks, is everything
+   [Plan.compile] reads, so the normal form compiles to the same plan. *)
 let obligations what t =
   let r = Normalize.run t in
   let n = r.Normalize.normalized in
   check_bool (what ^ ": typemap+bounds preserved") true (Normalize.equivalent t n);
+  check_bool (what ^ ": same merged blocks, so the same plan") true
+    (Dt.block_list t ~count:1 = Dt.block_list n ~count:1);
   check_bool (what ^ ": signature preserved") true (Dt.equal_signature t n);
   (match Normalize.verify_bytes t n with
   | Ok () -> ()
@@ -185,64 +186,6 @@ let test_cost_components () =
   check_bool "smaller commit cost" true
     (n.Normalize.commit_ns < c.Normalize.commit_ns)
 
-(* --- commit-time memo --- *)
-
-let test_memo_get () =
-  Normalize.clear_cache ();
-  let t = Dt.hvector ~count:4 ~blocklength:3 ~stride_bytes:24 Dt.float64 in
-  let n1 = Normalize.get t in
-  let n2 = Normalize.get t in
-  check_bool "memo hit returns same value" true (n1 == n2);
-  check_bool "memo result is the normalized form" true
-    (Dt.equal n1 (Normalize.normalize t));
-  (* an already-normal type comes back physically unchanged *)
-  let c = Dt.contiguous 4 Dt.int32 in
-  check_bool "normal form is identity" true (Normalize.get c == c)
-
-(* --- commit-time application behind the config flag --- *)
-
-let test_auto_normalize_flag () =
-  (* a denormalized type sent through the full MPI stack with
-     auto_normalize on and off: the receiver must observe identical
-     bytes either way (the rewrite preserves the type map), and the
-     flag must route plan compilation through the normalizer *)
-  let dt =
-    Dt.hindexed ~blocklengths:(Array.make 16 1)
-      ~displacements_bytes:(Array.init 16 (fun i -> i * 8))
-      Dt.float64
-  in
-  let count = 2 in
-  let n = Dt.ub dt + ((count - 1) * Dt.extent dt) in
-  let send_recv config =
-    let w = Mpi.create_world ~config ~size:2 () in
-    let recv = Buf.create n in
-    Mpi.run w (fun comm ->
-        if Mpi.rank comm = 0 then begin
-          let src = Dt_gen.pattern n in
-          Mpi.send comm ~dst:1 ~tag:0 (Mpi.Typed { dt; count; base = src })
-        end
-        else
-          ignore
-            (Mpi.recv comm ~source:0 ~tag:0
-               (Mpi.Typed { dt; count; base = recv })));
-    recv
-  in
-  Normalize.clear_cache ();
-  let off = send_recv Config.default in
-  let on = send_recv { Config.default with Config.auto_normalize = true } in
-  check_bool "received bytes identical with flag on" true (Buf.equal off on);
-  (* the typed blocks really arrived (not all-zero) *)
-  check_bool "payload nonempty" true
-    (Buf.length on > 0 && Dt.size dt > 0
-    && List.exists
-         (fun (d, l) ->
-           let any = ref false in
-           for i = d to d + l - 1 do
-             if Buf.get_u8 on i <> 0 then any := true
-           done;
-           !any)
-         (Dt.block_list dt ~count))
-
 (* --- properties: random trees --- *)
 
 let prop_guidelines_random =
@@ -255,6 +198,7 @@ let prop_guidelines_random =
       let r = Normalize.run t in
       let n = r.Normalize.normalized in
       Normalize.equivalent t n
+      && Dt.block_list t ~count:1 = Dt.block_list n ~count:1
       && Dt.equal_signature t n
       && Normalize.verify_bytes t n = Ok ()
       && Dt.equal n (Normalize.normalize n)
@@ -303,8 +247,6 @@ let suite =
       tc "irreducible types unchanged" `Quick test_irreducible_unchanged;
       tc "rewrite trace and json" `Quick test_trace_and_json;
       tc "cost model components" `Quick test_cost_components;
-      tc "commit-time memo" `Quick test_memo_get;
-      tc "auto_normalize flag end-to-end" `Quick test_auto_normalize_flag;
       tc "ddtbench kernels satisfy the guidelines" `Slow test_ddtbench_sweep;
       QCheck_alcotest.to_alcotest prop_guidelines_random;
       QCheck_alcotest.to_alcotest prop_steps_account_for_saving;
