@@ -270,16 +270,14 @@ val set_tap : context -> (Mpicd_simnet.Fault.probe -> unit) option -> unit
     without a plan.  Taps observe — they must not mutate simulation
     state. *)
 
-val retx_backoff_max_ns : float
-(** Ceiling on one retransmit-backoff sleep: [1e9] ns (1 s), far above
-    any default schedule.  A safety bound: straggler-stretched runs or
-    large [backoff] exponents cannot balloon or overflow virtual time. *)
-
 val retx_backoff_ns : Mpicd_simnet.Fault.t -> attempt:int -> float
 (** The backoff sleep before retransmission [attempt + 1]: the plan's
-    exponential schedule [rto_ns * backoff^attempt] clamped at
-    {!retx_backoff_max_ns}.  This is exactly what the reliable path
-    sleeps, exposed pure so tests can pin the clamp boundary. *)
+    exponential schedule [rto_ns * backoff^attempt] clamped at a
+    constant [1e9] ns (1 s), far above any default schedule.  The clamp
+    is a safety bound: straggler-stretched runs or large [backoff]
+    exponents cannot balloon or overflow virtual time.  This is exactly
+    what the reliable path sleeps, exposed pure so tests can pin the
+    clamp boundary. *)
 
 (** {1 Process-failure detection (ULFM building blocks)}
 
